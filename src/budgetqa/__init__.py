@@ -36,14 +36,13 @@ from .rewrite import (
     QuestionType,
     Rewrite,
     RewriteKind,
-    classify_question,
     conjunctive_features,
     generate_rewrites,
     phrasal_features,
 )
 from .search import Document, Index, OfflineProvider, Snippet, build_index, query_conjunctive, query_phrase
 from .text import tokenize
-from .tree import DecisionTree, TrainingCase, TreeConfig, predict, train_tree
+from .tree import DecisionTree, TrainingCase, TreeConfig, train_tree
 
 __version__ = "0.1.0"
 
@@ -53,10 +52,10 @@ __all__ = [
     "NGramCandidate", "OfflineProvider", "Preferences", "QAItem", "Question",
     "QuestionResult", "QuestionType", "RandomN", "Report", "Rewrite", "RewriteKind",
     "RunFeatures", "Snippet", "ThresholdEnsemble", "TrainingCase", "TreeConfig",
-    "build_index", "choose_n", "classify_question", "compose_answers",
+    "build_index", "choose_n", "compose_answers",
     "conjunctive_features", "evaluate", "extract_run_features", "filter_ngrams",
     "generate_rewrites", "judge", "load_dataset", "mine_ngrams", "net_expected_value",
-    "order_rewrites", "phrasal_features", "predict", "query_conjunctive",
+    "order_rewrites", "phrasal_features", "query_conjunctive",
     "query_phrase", "run_policy", "score_rewrite", "tile_ngrams", "tokenize",
     "train_threshold_ensemble", "train_tree",
 ]

@@ -13,7 +13,7 @@ import sys
 import click
 
 from . import bench, evaluation, harness
-from .config import load_config
+from .config import Config, load_config
 from .control import (
     AllRewrites,
     ConjunctiveOnly,
@@ -49,16 +49,16 @@ def cli():
 _config_option = click.option("--config", "config_path", type=click.Path(), default=None, help="JSON config file.")
 
 
-def _policy_from_flags(policy: str, n: int | None, seed: int) -> Policy:
+def _policy_from_flags(policy: str, n: int | None, cfg: Config) -> Policy:
     if policy == "random":
-        return RandomN(n=n or 1, seed=seed)
+        return RandomN(n=n or 1, seed=cfg.seed)
     if policy == "likelihood":
         return LikelihoodN(n=n or 3)
     if policy == "conjunctive":
         return ConjunctiveOnly()
     if policy == "all":
         return AllRewrites()
-    return CostBenefit()
+    return CostBenefit(probe_size=cfg.probe_size)
 
 
 def _load_models(cfg) -> ModelSet | None:
@@ -102,20 +102,14 @@ def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, index_pat
     )
     provider = cfg.make_provider()
     models = _load_models(cfg)
-    chosen = _policy_from_flags(policy, n, cfg.seed)
-    if isinstance(chosen, CostBenefit):
-        chosen = CostBenefit(probe_size=cfg.probe_size)
     result = run_policy(
-        chosen,
+        _policy_from_flags(policy, n, cfg),
         question,
         provider,
         models,
         cfg.preferences,
         limit=cfg.limit,
-        filters=cfg.filter_table(),
         thresholds=cfg.thresholds,
-        phrasal_weight=cfg.phrasal_weight,
-        conjunctive_weight=cfg.conjunctive_weight,
     )
 
     if result.decision is not None:
@@ -230,11 +224,8 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, 
                     fh.write(json.dumps(row) + "\n")
             click.echo(f"wrote {len(rows)} row(s) -> {out_path}")
     else:
-        chosen = _policy_from_flags(policy, n, cfg.seed)
-        if isinstance(chosen, CostBenefit):
-            chosen = CostBenefit(probe_size=cfg.probe_size)
         report = evaluation.evaluate(
-            chosen, dataset, provider, models, cfg.preferences,
+            _policy_from_flags(policy, n, cfg), dataset, provider, models, cfg.preferences,
             limit=cfg.limit, jobs=jobs, thresholds=cfg.thresholds,
         )
         click.echo(evaluation.render_reports([report]))

@@ -6,11 +6,14 @@ rewrite that retrieved the snippet. Candidates echoing the question are
 useless as answers, so mining drops any n-gram containing a question token
 and any n-gram that starts or ends with a stop word (which also removes
 all-stopword n-grams).
+
+Mining also counts, per rewrite weight, the distinct candidates that
+weight's snippets produced. Composition hands those counts on with its
+ranked answers, so the run features need no second mining.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -39,13 +42,27 @@ class NGramCandidate:
         return tuple(token_key(t) for t in self.tokens)
 
 
+class Candidates(list):
+    """A candidate list that also reports the mining it came from.
+
+    ``mined`` is the number of distinct n-grams mined; ``mined_by_weight``
+    maps each rewrite weight to how many of them that weight's snippets
+    produced (a weight whose snippets produced none may be absent).
+    """
+
+    def __init__(self, items: Iterable[NGramCandidate], mined: int, mined_by_weight: dict[float, int]):
+        super().__init__(items)
+        self.mined = mined
+        self.mined_by_weight = mined_by_weight
+
+
 def mine_ngrams(
     snippets: Sequence[Snippet],
     weights: Mapping[int, float],
     *,
     exclude: Iterable[str] = (),
     stop: frozenset[str] | None = None,
-) -> list[NGramCandidate]:
+) -> Candidates:
     """Every surviving 1/2/3-gram across the snippets, scored additively.
 
     ``weights`` maps a snippet's rewrite_index to the weight of the rewrite
@@ -62,9 +79,11 @@ def mine_ngrams(
     scores: dict[tuple[str, ...], float] = {}
     supports: dict[tuple[str, ...], int] = {}
     surfaces: dict[tuple[str, ...], Counter] = {}
+    by_weight: dict[float, set[tuple[str, ...]]] = {}
 
     for snippet in snippets:
         weight = weights[snippet.rewrite_index]
+        touched = by_weight.setdefault(weight, set())
         words = word_tokens(snippet.text)
         keys = [token_key(w) for w in words]
         n_tokens = len(words)
@@ -84,6 +103,7 @@ def mine_ngrams(
                     surfaces[gram_keys] = Counter()
                 scores[gram_keys] += weight
                 supports[gram_keys] += 1
+                touched.add(gram_keys)
                 surfaces[gram_keys][tuple(words[i : i + n])] += 1
 
     out = []
@@ -91,7 +111,7 @@ def mine_ngrams(
         counter = surfaces[gram_keys]
         best = max(counter, key=lambda form: counter[form])  # ties: first seen
         out.append(NGramCandidate(tokens=best, score=scores[gram_keys], support=supports[gram_keys]))
-    return out
+    return Candidates(out, len(out), {w: len(keys) for w, keys in by_weight.items()})
 
 
 # --------------------------------------------------------------------------
@@ -141,26 +161,6 @@ DEFAULT_FILTERS: tuple[AnswerFilter, ...] = (
     _f("how_long_digit_boost", [QuestionType.HOW_LONG], r"\d", 2.0),
     _f("how_long_unit_boost", [QuestionType.HOW_LONG], rf"\b(?:{_UNITS})\b", 2.0, re.IGNORECASE),
 )
-
-
-def load_filters(path: str) -> tuple[AnswerFilter, ...]:
-    """Load a filter table from JSON: {qtype: [{name, pattern, factor, ignorecase?}]}."""
-    with open(path, encoding="utf-8") as fh:
-        table = json.load(fh)
-    filters = []
-    for type_name, rules in table.items():
-        qtype = QuestionType[type_name.upper()]
-        for rule in rules:
-            filters.append(
-                _f(
-                    rule["name"],
-                    [qtype],
-                    rule["pattern"],
-                    float(rule["factor"]),
-                    re.IGNORECASE if rule.get("ignorecase") else 0,
-                )
-            )
-    return tuple(filters)
 
 
 def filter_ngrams(
@@ -255,11 +255,12 @@ def compose_answers(
     exclude: Iterable[str] = (),
     filters: Sequence[AnswerFilter] | None = None,
     stop: frozenset[str] | None = None,
-) -> list[NGramCandidate]:
+) -> Candidates:
     """Full composition pipeline: mine, filter, tile. Head of the result is
-    the answer; an empty snippet list yields an empty list."""
+    the answer; an empty snippet list yields an empty list. The result
+    carries the counts of the one mining it was composed from."""
     if not snippets:
-        return []
+        return Candidates([], 0, {})
     mined = mine_ngrams(snippets, weights, exclude=exclude, stop=stop)
     filtered = filter_ngrams(mined, qtype, filters)
-    return tile_ngrams(filtered)
+    return Candidates(tile_ngrams(filtered), mined.mined, mined.mined_by_weight)

@@ -8,22 +8,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .compose import AnswerFilter, DEFAULT_FILTERS, load_filters
 from .control import DEFAULT_PROBE_SIZE, Preferences
 from .errors import ConfigError
 from .models import DEFAULT_THRESHOLDS
-from .rewrite import (
-    DEFAULT_CONJUNCTIVE_WEIGHT,
-    DEFAULT_MAX_PHRASAL,
-    DEFAULT_PHRASAL_WEIGHT,
-    SCORERS,
-    GrammarScorer,
-)
+from .rewrite import SCORERS, GrammarScorer
 from .search import DEFAULT_LIMIT, DEFAULT_WINDOW, OfflineProvider, SearchProvider, build_index, load_corpus, load_index
-from .text import load_stopwords
-from .tree import TreeConfig
 
 
 @dataclass
@@ -35,14 +26,8 @@ class Config:
     query_param: str = "q"
     results_key: str = "results"
     summary_key: str = "summary"
-    phrasal_weight: float = DEFAULT_PHRASAL_WEIGHT
-    conjunctive_weight: float = DEFAULT_CONJUNCTIVE_WEIGHT
-    max_phrasal: int = DEFAULT_MAX_PHRASAL
     window: int = DEFAULT_WINDOW
     limit: int = DEFAULT_LIMIT
-    stopwords_path: str | None = None
-    filters_path: str | None = None
-    tree: TreeConfig = field(default_factory=TreeConfig)
     thresholds: tuple[int, ...] = DEFAULT_THRESHOLDS
     k: float = 10.0
     c: float = 1.0
@@ -59,8 +44,6 @@ class Config:
         for label, path in (
             ("corpus", self.corpus_path),
             ("index", self.index_path),
-            ("stopwords", self.stopwords_path),
-            ("filters", self.filters_path),
             ("models_dir", self.models_dir),
         ):
             if path and not os.path.exists(path):
@@ -74,12 +57,6 @@ class Config:
 
     def grammar_scorer(self) -> GrammarScorer:
         return SCORERS[self.scorer]()
-
-    def stopwords(self):
-        return load_stopwords(self.stopwords_path) if self.stopwords_path else None
-
-    def filter_table(self) -> tuple[AnswerFilter, ...]:
-        return load_filters(self.filters_path) if self.filters_path else DEFAULT_FILTERS
 
     def make_provider(self) -> SearchProvider:
         if self.endpoint:
@@ -103,8 +80,6 @@ class Config:
 _FIELD_ALIASES = {
     "corpus": "corpus_path",
     "index": "index_path",
-    "stopwords": "stopwords_path",
-    "filters": "filters_path",
 }
 
 
@@ -122,9 +97,7 @@ def load_config(path: str | None, **overrides) -> Config:
     kwargs: dict = {}
     for key, value in data.items():
         key = _FIELD_ALIASES.get(key, key)
-        if key == "tree":
-            value = TreeConfig(**value)
-        elif key == "thresholds":
+        if key == "thresholds":
             value = tuple(int(n) for n in value)
         kwargs[key] = value
     for key, value in overrides.items():

@@ -1,5 +1,13 @@
-"""Query-budget control: expected-value computation, the submit/abstain
-decision, and the runnable querying policies.
+"""Query-budget control: the budgeted run, expected-value computation, the
+submit/abstain decision, and the runnable querying policies.
+
+A ``Run`` is the one code path that executes queries. It holds a question's
+rewrites in submission order, executes each at most once, records a backend
+failure on its rewrite without aborting the question, and composes any
+prefix from a single mining that also yields the prefix's run features.
+Serving (``run_policy``) and training (``harness``) both go through it, so
+the threshold models learn from exactly the evidence, filters and error
+handling the controller sees.
 
 The controller values a correct answer at v = k * c (k times the cost of a
 single query) and the value of no valid answer at zero, so submitting n
@@ -8,10 +16,12 @@ p * k * c - n * c. The best budget is the threshold with the highest net;
 when every threshold nets below zero the controller abstains and asks for a
 reformulation instead of querying.
 
-Because run features only exist after some querying, the cost-benefit
-policy first runs a bounded probe (the top quality-ordered rewrites),
-computes run features from the probe's snippets and answers, and only then
-picks the total budget. Probe queries are charged and count toward n.
+Every policy is a selection of rewrites in submission order plus a budget.
+The fixed policies submit their whole selection. Because run features only
+exist after some querying, the cost-benefit policy first runs a bounded
+probe (the top quality-ordered rewrites), computes run features from the
+probe's prefix, and only then picks the total budget. Probe queries are
+charged and count toward n, even when the chosen n is below the probe size.
 """
 
 from __future__ import annotations
@@ -20,9 +30,15 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
-from .compose import AnswerFilter, NGramCandidate, compose_answers
+from .compose import Candidates, NGramCandidate, compose_answers
 from .errors import ProviderError, RetryableError
-from .models import DEFAULT_THRESHOLDS, ModelSet, extract_run_features, order_rewrites
+from .models import (
+    DEFAULT_THRESHOLDS,
+    ModelSet,
+    RunFeatures,
+    extract_run_features,
+    order_rewrites,
+)
 from .rewrite import Question, Rewrite, RewriteKind, generate_rewrites
 from .search import DEFAULT_LIMIT, SearchProvider, Snippet
 from .tree import FeatureValue
@@ -86,55 +102,7 @@ def choose_n(
 
 
 # --------------------------------------------------------------------------
-# Policies
-
-
-@dataclass(frozen=True)
-class RandomN:
-    """Uniform sample of n rewrites: the first n of a seeded shuffle, so the
-    selection for a fixed seed is nested as n grows."""
-
-    n: int
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class LikelihoodN:
-    """Top n rewrites by query-quality score."""
-
-    n: int
-
-
-@dataclass(frozen=True)
-class ConjunctiveOnly:
-    """Submit only the conjunctive back-off rewrite."""
-
-
-@dataclass(frozen=True)
-class AllRewrites:
-    """Submit every rewrite (the uncontrolled legacy behavior)."""
-
-
-@dataclass(frozen=True)
-class CostBenefit:
-    """Probe, predict accuracy per budget, submit the argmax or abstain."""
-
-    probe_size: int = DEFAULT_PROBE_SIZE
-
-
-Policy = Union[RandomN, LikelihoodN, ConjunctiveOnly, AllRewrites, CostBenefit]
-
-
-def policy_id(policy: Policy) -> str:
-    if isinstance(policy, RandomN):
-        return f"random_{policy.n}"
-    if isinstance(policy, LikelihoodN):
-        return f"likelihood_{policy.n}"
-    if isinstance(policy, ConjunctiveOnly):
-        return "conjunctive_only"
-    if isinstance(policy, AllRewrites):
-        return "all_rewrites"
-    return "cost_benefit"
+# The budgeted run
 
 
 @dataclass
@@ -145,7 +113,6 @@ class QuestionResult:
     abstained: bool = False
     decision: BudgetDecision | None = None
     rewrites_used: list[Rewrite] = field(default_factory=list)
-    snippet_count: int = 0
     backend_errors: list[str] = field(default_factory=list)
 
     @property
@@ -155,38 +122,186 @@ class QuestionResult:
         return self.answers[0].text
 
 
-def _execute_all(
-    provider: SearchProvider,
-    rewrites: Sequence[Rewrite],
-    limit: int,
-    errors: list[str],
-    start: int = 0,
-) -> list[Snippet]:
-    """Execute each rewrite; backend failures are recorded per rewrite and
-    never abort the question. Failed queries still count as issued."""
-    snippets: list[Snippet] = []
-    for offset, rewrite in enumerate(rewrites):
-        try:
-            snippets.extend(provider.execute(rewrite, limit, rewrite_index=start + offset))
-        except (RetryableError, ProviderError) as exc:
-            errors.append(f"{rewrite.as_query()}: {exc}")
-    return snippets
+class Run:
+    """One question's rewrites in submission order, each executed at most once.
+
+    Rewrites execute on demand, in order, when a prefix is composed. A
+    backend failure is recorded on its rewrite, which then contributes no
+    snippets; it never aborts the question, and the failed query still
+    counts as issued.
+    """
+
+    def __init__(
+        self, question: Question, rewrites: Sequence[Rewrite], provider: SearchProvider, limit: int
+    ):
+        self.question = question
+        self.rewrites = list(rewrites)
+        self.provider = provider
+        self.limit = limit
+        self.snippets: list[list[Snippet]] = []  # per executed rewrite
+        self.errors: list[str] = []
+        self._weights = {i: r.weight for i, r in enumerate(self.rewrites)}
+        self._composed: dict[int, Candidates] = {}
+
+    @property
+    def issued(self) -> int:
+        return len(self.snippets)
+
+    def _execute(self, n: int) -> None:
+        for i in range(len(self.snippets), n):
+            rewrite = self.rewrites[i]
+            try:
+                found = self.provider.execute(rewrite, self.limit, rewrite_index=i)
+            except (RetryableError, ProviderError) as exc:
+                self.errors.append(f"{rewrite.as_query()}: {exc}")
+                found = []
+            self.snippets.append(found)
+
+    def _evidence(self, n: int) -> list[Snippet]:
+        return [s for found in self.snippets[:n] for s in found]
+
+    def compose(self, n: int) -> Candidates:
+        """Ranked answers from the first n rewrites (capped at the run's
+        length), executing any not yet run. Each prefix is mined once."""
+        n = min(n, len(self.rewrites))
+        if n not in self._composed:
+            self._execute(n)
+            self._composed[n] = compose_answers(
+                self._evidence(n),
+                self._weights,
+                self.question.qtype,
+                exclude=self.question.token_keys(),
+            )
+        return self._composed[n]
+
+    def features(self, n: int) -> RunFeatures:
+        """Run features of the first n rewrites, from that prefix's mining.
+        Every weight in the run is a feature, so all runs share a schema."""
+        n = min(n, len(self.rewrites))
+        answers = self.compose(n)
+        return extract_run_features(
+            self.question,
+            self.rewrites[:n],
+            self._evidence(n),
+            answers,
+            weight_classes=[r.weight for r in self.rewrites],
+        )
+
+    def result(self, n: int, decision: BudgetDecision | None = None) -> QuestionResult:
+        """Answer from the first n rewrites, or, when the decision is to
+        abstain, report the n rewrites it was taken on. Rewrites already
+        executed past n (a probe larger than the budget) stay charged."""
+        abstained = decision is not None and decision.abstained
+        answers = [] if abstained else self.compose(n)
+        return QuestionResult(
+            question=self.question,
+            answers=answers,
+            queries_issued=self.issued,
+            abstained=abstained,
+            decision=decision,
+            rewrites_used=self.rewrites[:n],
+            backend_errors=self.errors,
+        )
 
 
-def _compose(
-    question: Question,
-    rewrites: Sequence[Rewrite],
-    snippets: Sequence[Snippet],
-    filters: Sequence[AnswerFilter] | None,
-) -> list[NGramCandidate]:
-    weights = {i: r.weight for i, r in enumerate(rewrites)}
-    return compose_answers(
-        snippets,
-        weights,
-        question.qtype,
-        exclude=question.token_keys(),
-        filters=filters,
-    )
+# --------------------------------------------------------------------------
+# Policies: each selects the rewrites to submit, in order, and plays a Run
+# over them.
+
+
+def _quality_order(rewrites: Sequence[Rewrite], models: ModelSet | None) -> list[Rewrite]:
+    if models is None:
+        raise ValueError("this policy orders rewrites by quality and requires quality models")
+    return order_rewrites(rewrites, [models.quality_score(r) for r in rewrites])
+
+
+class _SubmitAll:
+    """Fixed budget: the selection itself is the budget."""
+
+    def play(self, run: Run, models, prefs, thresholds) -> QuestionResult:
+        return run.result(len(run.rewrites))
+
+
+@dataclass(frozen=True)
+class RandomN(_SubmitAll):
+    """Uniform sample of n rewrites: the first n of a seeded shuffle, so the
+    selection for a fixed seed is nested as n grows."""
+
+    n: int
+    seed: int = 0
+
+    @property
+    def name(self) -> str:
+        return f"random_{self.n}"
+
+    def select(self, rewrites, models, question_index: int) -> list[Rewrite]:
+        rng = random.Random(self.seed * 1_000_003 + question_index)
+        order = list(range(len(rewrites)))
+        rng.shuffle(order)
+        return [rewrites[i] for i in order[: self.n]]
+
+
+@dataclass(frozen=True)
+class LikelihoodN(_SubmitAll):
+    """Top n rewrites by query-quality score."""
+
+    n: int
+
+    @property
+    def name(self) -> str:
+        return f"likelihood_{self.n}"
+
+    def select(self, rewrites, models, question_index: int) -> list[Rewrite]:
+        return _quality_order(rewrites, models)[: self.n]
+
+
+@dataclass(frozen=True)
+class ConjunctiveOnly(_SubmitAll):
+    """Submit only the conjunctive back-off rewrite."""
+
+    name = "conjunctive_only"
+
+    def select(self, rewrites, models, question_index: int) -> list[Rewrite]:
+        return [r for r in rewrites if r.kind is RewriteKind.CONJUNCTIVE]
+
+
+@dataclass(frozen=True)
+class AllRewrites(_SubmitAll):
+    """Submit every rewrite (the uncontrolled legacy behavior)."""
+
+    name = "all_rewrites"
+
+    def select(self, rewrites, models, question_index: int) -> list[Rewrite]:
+        return list(rewrites)
+
+
+@dataclass(frozen=True)
+class CostBenefit:
+    """Probe, predict accuracy per budget, submit the argmax or abstain."""
+
+    probe_size: int = DEFAULT_PROBE_SIZE
+    name = "cost_benefit"
+
+    def select(self, rewrites, models, question_index: int) -> list[Rewrite]:
+        return _quality_order(rewrites, models)
+
+    def play(
+        self,
+        run: Run,
+        models: ModelSet | None,
+        prefs: Preferences | None,
+        thresholds: Sequence[int],
+    ) -> QuestionResult:
+        if models is None or models.ensemble is None:
+            raise ValueError("CostBenefit requires quality models and a threshold ensemble")
+        if prefs is None:
+            raise ValueError("CostBenefit requires preferences")
+        features = run.features(self.probe_size).as_features()
+        decision = choose_n(models.ensemble, features, prefs, thresholds)
+        return run.result(self.probe_size if decision.abstained else decision.n, decision)
+
+
+Policy = Union[RandomN, LikelihoodN, ConjunctiveOnly, AllRewrites, CostBenefit]
 
 
 def run_policy(
@@ -197,10 +312,7 @@ def run_policy(
     prefs: Preferences | None = None,
     *,
     limit: int = DEFAULT_LIMIT,
-    filters: Sequence[AnswerFilter] | None = None,
     question_index: int = 0,
-    phrasal_weight: float | None = None,
-    conjunctive_weight: float | None = None,
     thresholds: Sequence[int] = DEFAULT_THRESHOLDS,
 ) -> QuestionResult:
     """Select rewrites per the policy, execute them, compose answers.
@@ -211,112 +323,5 @@ def run_policy(
     """
     if isinstance(question, str):
         question = Question.from_text(question)
-    weight_args = {}
-    if phrasal_weight is not None:
-        weight_args["phrasal_weight"] = phrasal_weight
-    if conjunctive_weight is not None:
-        weight_args["conjunctive_weight"] = conjunctive_weight
-    rewrites = generate_rewrites(question, **weight_args)
-
-    if isinstance(policy, ConjunctiveOnly):
-        chosen = [r for r in rewrites if r.kind is RewriteKind.CONJUNCTIVE]
-    elif isinstance(policy, AllRewrites):
-        chosen = list(rewrites)
-    elif isinstance(policy, RandomN):
-        rng = random.Random(policy.seed * 1_000_003 + question_index)
-        order = list(range(len(rewrites)))
-        rng.shuffle(order)
-        chosen = [rewrites[i] for i in order[: policy.n]]
-    elif isinstance(policy, LikelihoodN):
-        if models is None:
-            raise ValueError("LikelihoodN requires quality models")
-        scores = [models.quality_score(r) for r in rewrites]
-        chosen = order_rewrites(rewrites, scores)[: policy.n]
-    elif isinstance(policy, CostBenefit):
-        return _run_cost_benefit(
-            policy, question, rewrites, provider, models, prefs, limit, filters, thresholds
-        )
-    else:
-        raise ValueError(f"unknown policy: {policy!r}")
-
-    errors: list[str] = []
-    snippets = _execute_all(provider, chosen, limit, errors)
-    answers = _compose(question, chosen, snippets, filters)
-    return QuestionResult(
-        question=question,
-        answers=answers,
-        queries_issued=len(chosen),
-        rewrites_used=chosen,
-        snippet_count=len(snippets),
-        backend_errors=errors,
-    )
-
-
-def _run_cost_benefit(
-    policy: CostBenefit,
-    question: Question,
-    rewrites: Sequence[Rewrite],
-    provider: SearchProvider,
-    models: ModelSet | None,
-    prefs: Preferences | None,
-    limit: int,
-    filters: Sequence[AnswerFilter] | None,
-    thresholds: Sequence[int],
-) -> QuestionResult:
-    if models is None or models.ensemble is None:
-        raise ValueError("CostBenefit requires quality models and a threshold ensemble")
-    if prefs is None:
-        raise ValueError("CostBenefit requires preferences")
-
-    scores = [models.quality_score(r) for r in rewrites]
-    ordered = order_rewrites(rewrites, scores)
-
-    errors: list[str] = []
-    probe_n = min(policy.probe_size, len(ordered))
-    probe = ordered[:probe_n]
-    probe_snippets = _execute_all(provider, probe, limit, errors)
-    probe_answers = _compose(question, probe, probe_snippets, filters)
-    features = extract_run_features(
-        question,
-        probe,
-        probe_snippets,
-        probe_answers,
-        weight_classes=[r.weight for r in rewrites],
-    )
-
-    decision = choose_n(models.ensemble, features.as_features(), prefs, thresholds)
-    if decision.abstained:
-        return QuestionResult(
-            question=question,
-            answers=[],
-            queries_issued=probe_n,
-            abstained=True,
-            decision=decision,
-            rewrites_used=probe,
-            snippet_count=len(probe_snippets),
-            backend_errors=errors,
-        )
-
-    n_effective = min(decision.n, len(ordered))
-    if n_effective > probe_n:
-        chosen = ordered[:n_effective]
-        extra = _execute_all(provider, ordered[probe_n:n_effective], limit, errors, start=probe_n)
-        snippets = probe_snippets + extra
-        queries = n_effective
-    else:
-        # Budget does not exceed the probe: evidence is the chosen prefix,
-        # but the probe queries were already spent and stay charged.
-        chosen = ordered[:n_effective]
-        snippets = [s for s in probe_snippets if s.rewrite_index < n_effective]
-        queries = probe_n
-
-    answers = _compose(question, chosen, snippets, filters)
-    return QuestionResult(
-        question=question,
-        answers=answers,
-        queries_issued=queries,
-        decision=decision,
-        rewrites_used=chosen,
-        snippet_count=len(snippets),
-        backend_errors=errors,
-    )
+    selection = policy.select(generate_rewrites(question), models, question_index)
+    return policy.play(Run(question, selection, provider, limit), models, prefs, thresholds)

@@ -21,7 +21,6 @@ from .control import (
     Preferences,
     RandomN,
     LikelihoodN,
-    policy_id,
     run_policy,
 )
 from .errors import DatasetParseError, ProviderError, RetryableError
@@ -198,7 +197,7 @@ def evaluate(
     records.sort(key=lambda r: r.index)
 
     report = Report(
-        policy=label or policy_id(policy),
+        policy=label or policy.name,
         total_questions=len(records),
         correct=sum(1 for r in records if r.judgment is Judgment.CORRECT),
         incorrect=sum(1 for r in records if r.judgment is Judgment.INCORRECT),

@@ -1,13 +1,15 @@
 """Generate training cases by running the pipeline against a labelled
 dataset, and train the full model set from them.
 
-Per-rewrite quality cases come from single-query runs: each rewrite is
-executed alone and labelled by whether the composed top answer matches the
-question's patterns. Threshold cases come from budget-capped runs over the
-quality-ordered rewrite list; the features attached to every threshold's
-case are computed from the probe prefix (the same evidence the controller
-will have when it must pick a budget), while the label reflects the full
-run at that threshold.
+Every case comes from the controller's own ``Run`` (``control.py``), so
+training sees the evidence, answer filters and per-rewrite error handling
+that serving sees. Per-rewrite quality cases come from single-query runs:
+each rewrite is run alone and labelled by whether the composed top answer
+matches the question's patterns. Threshold cases come from one run per
+question over the quality-ordered rewrites, the cost-benefit policy's
+order: every threshold's case carries the probe prefix's run features (the
+evidence the controller has when it must pick a budget), while its label
+reflects the run's prefix at that threshold.
 """
 
 from __future__ import annotations
@@ -15,16 +17,16 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from .compose import compose_answers
-from .control import DEFAULT_PROBE_SIZE
+# compose_answers and extract_run_features are no longer called here (the
+# Run calls them); perfbench/spans.py still binds both names in this module.
+from .compose import compose_answers  # noqa: F401
+from .control import DEFAULT_PROBE_SIZE, CostBenefit, Run
 from .errors import DatasetParseError
 from .evaluation import Judgment, QAItem, judge
 from .models import (
     DEFAULT_THRESHOLDS,
     ModelSet,
-    extract_run_features,
-    order_rewrites,
-    score_rewrite,
+    extract_run_features,  # noqa: F401
     train_threshold_ensemble,
 )
 from .rewrite import (
@@ -39,13 +41,7 @@ from .search import DEFAULT_LIMIT, SearchProvider
 from .tree import DecisionTree, TrainingCase, TreeConfig, train_tree
 
 
-def _single_rewrite_correct(
-    question: Question, rewrite, provider: SearchProvider, limit: int, item: QAItem
-) -> bool:
-    snippets = provider.execute(rewrite, limit, rewrite_index=0)
-    answers = compose_answers(
-        snippets, {0: rewrite.weight}, question.qtype, exclude=question.token_keys()
-    )
+def _correct(answers, item: QAItem) -> bool:
     top = answers[0].text if answers else None
     return judge(top, item.patterns) is Judgment.CORRECT
 
@@ -62,7 +58,7 @@ def generate_quality_cases(
     for item in dataset:
         question = Question.from_text(item.question)
         for rewrite in generate_rewrites(question):
-            label = _single_rewrite_correct(question, rewrite, provider, limit, item)
+            label = _correct(Run(question, [rewrite], provider, limit).compose(1), item)
             if rewrite.kind is RewriteKind.CONJUNCTIVE:
                 conj_cases.append(
                     TrainingCase(conjunctive_features(rewrite).as_features(), label)
@@ -87,44 +83,19 @@ def generate_threshold_cases(
 ) -> dict[int, list[TrainingCase]]:
     """Budget-capped runs per threshold over quality-ordered rewrites.
 
-    Each ordered rewrite is executed once and evidence prefixes are reused
-    across thresholds, so a question costs len(rewrites) queries here no
-    matter how many thresholds are trained.
+    Each question gets one run, so every ordered rewrite is executed once
+    and each distinct prefix composed once, no matter how many thresholds
+    are trained.
     """
+    policy = CostBenefit(probe_size=probe_size)
+    models = ModelSet(conjunctive=conj_tree, phrasal=phrasal_tree, scorer=scorer)
     cases: dict[int, list[TrainingCase]] = {n: [] for n in thresholds}
     for item in dataset:
         question = Question.from_text(item.question)
-        rewrites = generate_rewrites(question)
-        scores = [score_rewrite(conj_tree, phrasal_tree, r, scorer) for r in rewrites]
-        ordered = order_rewrites(rewrites, scores)
-
-        per_rewrite = [
-            provider.execute(r, limit, rewrite_index=i) for i, r in enumerate(ordered)
-        ]
-        weights = {i: r.weight for i, r in enumerate(ordered)}
-
-        probe_n = min(probe_size, len(ordered))
-        probe_snips = [s for snips in per_rewrite[:probe_n] for s in snips]
-        probe_answers = compose_answers(
-            probe_snips, weights, question.qtype, exclude=question.token_keys()
-        )
-        probe_features = extract_run_features(
-            question,
-            ordered[:probe_n],
-            probe_snips,
-            probe_answers,
-            weight_classes=[r.weight for r in rewrites],
-        ).as_features()
-
+        run = Run(question, policy.select(generate_rewrites(question), models, 0), provider, limit)
+        probe_features = run.features(probe_size).as_features()
         for n in thresholds:
-            used = min(n, len(ordered))
-            snippets = [s for snips in per_rewrite[:used] for s in snips]
-            answers = compose_answers(
-                snippets, weights, question.qtype, exclude=question.token_keys()
-            )
-            top = answers[0].text if answers else None
-            label = judge(top, item.patterns) is Judgment.CORRECT
-            cases[n].append(TrainingCase(probe_features, label))
+            cases[n].append(TrainingCase(probe_features, _correct(run.compose(n), item)))
     return cases
 
 

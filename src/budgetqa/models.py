@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .compose import NGramCandidate
+from .compose import Candidates
 from .errors import IncompleteEnsemble, LengthMismatch
 from .rewrite import (
     GrammarScorer,
@@ -38,11 +38,6 @@ from .tree import (
 )
 
 DEFAULT_THRESHOLDS: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20)
-
-#: Categorical value recorded for the word/bigram mining filter; the
-#: stop-word and question-token exclusion is always in force in this
-#: pipeline, so the feature is constant by construction.
-WORD_FILTER_NAME = "stopword_question_filter"
 
 
 def score_rewrite(
@@ -77,7 +72,6 @@ class RunFeatures:
     average_snippets_per_rewrite: float
     diff_scores_1_2: float
     filter: str
-    filter2: str
     maxrule: float
     numngrams: int
     rulescore: dict[str, int]  # weight class label -> mined candidate count
@@ -91,7 +85,6 @@ class RunFeatures:
             "average_snippets_per_rewrite": self.average_snippets_per_rewrite,
             "diff_scores_1_2": self.diff_scores_1_2,
             "filter": self.filter,
-            "filter2": self.filter2,
             "maxrule": self.maxrule,
             "numngrams": float(self.numngrams),
             "std_deviation_answer_scores": self.std_deviation_answer_scores,
@@ -119,18 +112,17 @@ def extract_run_features(
     question: Question,
     rewrites_used: Sequence[Rewrite],
     snippets: Sequence[Snippet],
-    ranked_answers: Sequence[NGramCandidate],
+    ranked_answers: Candidates,
     *,
-    mined_count: int | None = None,
     weight_classes: Sequence[float] | None = None,
 ) -> RunFeatures:
     """Compute run features after composition.
 
     ``snippets`` must carry rewrite_index values that are positions into
-    ``rewrites_used``. ``mined_count`` is the pre-filter candidate count when
-    the caller already has it; otherwise it is recomputed by re-mining.
-    ``weight_classes`` fixes the set of per-weight count features so that
-    every run in a training set shares one schema.
+    ``rewrites_used``, and ``ranked_answers`` must be what ``compose_answers``
+    returned for them: the mined-candidate counts are read from it, not
+    mined again. ``weight_classes`` fixes the set of per-weight count
+    features so that every run in a training set shares one schema.
     """
     if not rewrites_used:
         raise ValueError("a run uses at least one rewrite")
@@ -139,14 +131,8 @@ def extract_run_features(
     classes = set(weight_classes or ()) | {r.weight for r in rewrites_used}
     for cls_weight in classes:
         by_class.setdefault(weight_class(cls_weight), 0)
-
-    if mined_count is None:
-        from .compose import mine_ngrams
-
-        weights = {i: r.weight for i, r in enumerate(rewrites_used)}
-        mined_count = len(mine_ngrams(snippets, weights, exclude=question.token_keys()))
-    for cls, count in _mined_per_weight(question, rewrites_used, snippets).items():
-        by_class[cls] = count
+    for weight in {r.weight for r in rewrites_used}:
+        by_class[weight_class(weight)] = ranked_answers.mined_by_weight.get(weight, 0)
 
     top_scores = [c.score for c in ranked_answers[:5]]
     diff = top_scores[0] - top_scores[1] if len(top_scores) >= 2 else 0.0
@@ -155,9 +141,8 @@ def extract_run_features(
         average_snippets_per_rewrite=len(snippets) / len(rewrites_used),
         diff_scores_1_2=diff,
         filter=f"{question.qtype.value}_filter",
-        filter2=WORD_FILTER_NAME,
         maxrule=max(r.weight for r in rewrites_used),
-        numngrams=mined_count,
+        numngrams=ranked_answers.mined,
         rulescore=by_class,
         std_deviation_answer_scores=_pstdev(top_scores),
         totalqueries=len(rewrites_used),
@@ -166,24 +151,6 @@ def extract_run_features(
         ),
         totsnips=len(snippets),
     )
-
-
-def _mined_per_weight(
-    question: Question, rewrites_used: Sequence[Rewrite], snippets: Sequence[Snippet]
-) -> dict[str, int]:
-    """Distinct mined candidates touched by rewrites of each weight class."""
-    from .compose import mine_ngrams
-
-    out: dict[str, int] = {}
-    for weight in {r.weight for r in rewrites_used}:
-        subset = [
-            s for s in snippets if rewrites_used[s.rewrite_index].weight == weight
-        ]
-        weights = {i: r.weight for i, r in enumerate(rewrites_used)}
-        out[weight_class(weight)] = len(
-            mine_ngrams(subset, weights, exclude=question.token_keys())
-        )
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -111,9 +111,3 @@ class RemoteProvider:
             )
         return snippets
 
-
-def execute_remote(
-    endpoint: str, rewrite: Rewrite, limit: int = DEFAULT_LIMIT, **kwargs
-) -> list[Snippet]:
-    """One-shot convenience wrapper around RemoteProvider."""
-    return RemoteProvider(endpoint, **kwargs).execute(rewrite, limit)

@@ -17,9 +17,11 @@ from typing import Protocol
 from .errors import WrongRewriteKind
 from .text import AUXILIARIES, default_stopwords, token_key, tokenize
 
-DEFAULT_PHRASAL_WEIGHT = 5.0
-DEFAULT_CONJUNCTIVE_WEIGHT = 1.0
-DEFAULT_MAX_PHRASAL = 8
+# A phrasal match is stronger evidence than a bag-of-words match, so
+# phrasal rewrites must weigh more than the conjunctive back-off.
+PHRASAL_WEIGHT = 5.0
+CONJUNCTIVE_WEIGHT = 1.0
+MAX_PHRASAL = 8
 
 
 class QuestionType(Enum):
@@ -109,10 +111,6 @@ def classify_tokens(tokens: tuple[str, ...]) -> QuestionType:
     return QuestionType.OTHER
 
 
-def classify_question(q: Question) -> QuestionType:
-    return classify_tokens(q.tokens)
-
-
 _WH_STRIP = {
     QuestionType.WHO: 1,
     QuestionType.WHAT: 1,
@@ -124,13 +122,7 @@ _WH_STRIP = {
 }
 
 
-def generate_rewrites(
-    q: Question,
-    *,
-    phrasal_weight: float = DEFAULT_PHRASAL_WEIGHT,
-    conjunctive_weight: float = DEFAULT_CONJUNCTIVE_WEIGHT,
-    max_phrasal: int = DEFAULT_MAX_PHRASAL,
-) -> list[Rewrite]:
+def generate_rewrites(q: Question) -> list[Rewrite]:
     """All phrasal rewrites for a question plus the conjunctive back-off.
 
     The verb-placement scheme: drop the wh prefix, take the next token as the
@@ -139,13 +131,11 @@ def generate_rewrites(
     the verb gets a LEFT answer slot, the others RIGHT. When the verb is a
     plain past form (ends in "ed") a passive construction
     "<rest> was <verb> by" is added as well. Phrasal output is capped at
-    ``max_phrasal``; the conjunctive rewrite is always emitted, last.
+    MAX_PHRASAL; the conjunctive rewrite is always emitted, last.
 
     Sentence-initial capitalization carries no signal, so the first question
     token is lowercased before it enters any rewrite.
     """
-    if phrasal_weight <= conjunctive_weight:
-        raise ValueError("phrasal weight must exceed conjunctive weight")
     tokens = list(q.tokens)
     tokens[0] = tokens[0].lower()
 
@@ -153,7 +143,7 @@ def generate_rewrites(
         kind=RewriteKind.CONJUNCTIVE,
         parts=tuple(tokens),
         answer_slot=AnswerSlot.NONE,
-        weight=conjunctive_weight,
+        weight=CONJUNCTIVE_WEIGHT,
     )
     if len(tokens) < 2:
         return [conjunctive]
@@ -170,8 +160,8 @@ def generate_rewrites(
             phrases.append((" ".join(rest + ["was", verb, "by"]), AnswerSlot.RIGHT))
 
     rewrites = [
-        Rewrite(RewriteKind.PHRASAL, (phrase,), slot, phrasal_weight)
-        for phrase, slot in phrases[:max_phrasal]
+        Rewrite(RewriteKind.PHRASAL, (phrase,), slot, PHRASAL_WEIGHT)
+        for phrase, slot in phrases[:MAX_PHRASAL]
     ]
     rewrites.append(conjunctive)
     return rewrites
@@ -313,16 +303,6 @@ class AdjacencyGrammarScorer:
                     violations += 1
         sgm = max(0.0, 1.0 - self.violation_penalty * violations)
         return 1, violations, sgm
-
-
-class StubGrammarScorer:
-    """Returns a fixed triple; used in tests and as a wiring check."""
-
-    def __init__(self, primary: int = 1, secondary: int = 0, sgm: float = 0.5):
-        self.triple = (primary, secondary, sgm)
-
-    def score(self, phrase: str) -> tuple[int, int, float]:
-        return self.triple
 
 
 SCORERS = {

@@ -49,11 +49,6 @@ def default_stopwords() -> frozenset[str]:
     return frozenset(line.strip() for line in data.splitlines() if line.strip())
 
 
-def load_stopwords(path: str) -> frozenset[str]:
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip().casefold() for line in fh if line.strip())
-
-
 def is_stopword(token: str, stop: frozenset[str] | None = None) -> bool:
     # Matching is case-insensitive; whether the original system lowercased
     # first is unrecorded, so we normalize here.

@@ -175,10 +175,6 @@ def train_tree(cases: Sequence[TrainingCase], cfg: TreeConfig | None = None) -> 
     return DecisionTree(root=_grow(list(cases), schema, cfg), schema=schema)
 
 
-def predict(tree: DecisionTree, features: Mapping[str, FeatureValue]) -> float:
-    return tree.predict(features)
-
-
 # --------------------------------------------------------------------------
 # Serialization: self-describing JSON, bit-exact on probabilities.
 

@@ -84,6 +84,19 @@ def count_ngrams(snippets, weights, exclude=(), stop=frozenset(), max_n=3):
     return {gram: (score, support) for gram, (score, support) in totals.items()}
 
 
+def remined_counts(rewrites_used, snippets, exclude, stop):
+    """(numngrams, {weight: count}) for a run prefix by mining it in full,
+    then mining the snippets of each rewrite weight again on their own: the
+    reference for the counts that one mining pass reports."""
+    weights = {i: r.weight for i, r in enumerate(rewrites_used)}
+    numngrams = len(count_ngrams(snippets, weights, exclude, stop))
+    per_weight = {}
+    for weight in {r.weight for r in rewrites_used}:
+        subset = [s for s in snippets if rewrites_used[s.rewrite_index].weight == weight]
+        per_weight[weight] = len(count_ngrams(subset, weights, exclude, stop))
+    return numngrams, per_weight
+
+
 # --------------------------------------------------------------------------
 # Tiling: exhaustive exploration of merge orders.
 

@@ -210,8 +210,18 @@ def test_usage_error_exit_code():
 
 def test_conflicting_backends_is_data_error(workspace, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps({"corpus": workspace["corpus"], "endpoint": "http://x/y"}),
-        encoding="utf-8",
-    )
-    assert main(["ask", "Who did it?", "--config", str(cfg)]) == 2
+    for extra in [
+        {"endpoint": "http://x/y"},
+        # Fields that never took effect outside ``ask`` are gone; naming one
+        # is a config error rather than a silent disagreement with the models.
+        {"max_phrasal": 8},
+        {"stopwords_path": "stopwords.txt"},
+        {"stopwords": "stopwords.txt"},
+        {"tree": {"min_leaf": 5}},
+        {"phrasal_weight": 5.0},
+        {"conjunctive_weight": 1.0},
+        {"filters_path": "filters.json"},
+        {"filters": "filters.json"},
+    ]:
+        cfg.write_text(json.dumps({"corpus": workspace["corpus"], **extra}), encoding="utf-8")
+        assert main(["ask", "Who did it?", "--config", str(cfg)]) == 2, extra

@@ -7,7 +7,6 @@ from budgetqa.compose import (
     applied_filter_names,
     compose_answers,
     filter_ngrams,
-    load_filters,
     mine_ngrams,
     tile_ngrams,
 )
@@ -157,18 +156,6 @@ def test_filtering_preserves_order_and_support():
 
 def test_default_table_has_fifteen_filters():
     assert len(DEFAULT_FILTERS) == 15
-
-
-def test_filters_loadable_from_config_file(tmp_path):
-    path = tmp_path / "filters.json"
-    path.write_text(
-        '{"WHO": [{"name": "shouty", "pattern": "^[A-Z ]+$", "factor": 3.0}]}',
-        encoding="utf-8",
-    )
-    table = load_filters(str(path))
-    assert len(table) == 1
-    out = filter_ngrams([_cand("LOUD NAME", 2.0)], QuestionType.WHO, table)
-    assert out[0].score == 6.0
 
 
 def test_applied_filter_names():

@@ -11,16 +11,18 @@ from budgetqa.control import (
     LikelihoodN,
     Preferences,
     RandomN,
+    Run,
     choose_n,
     net_expected_value,
     run_policy,
 )
-from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet, ThresholdEnsemble
-from budgetqa.rewrite import RewriteKind
-from budgetqa.search import MeteredProvider
+from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet, ThresholdEnsemble, weight_class
+from budgetqa.rewrite import AnswerSlot, Question, Rewrite, RewriteKind
+from budgetqa.search import MeteredProvider, Snippet
+from budgetqa.text import default_stopwords
 from budgetqa.tree import DecisionTree, Leaf
 
-from oracles import best_budget
+from oracles import best_budget, remined_counts
 
 
 def _leaf_tree(p):
@@ -216,3 +218,59 @@ def test_cost_benefit_requires_models_and_prefs(lincoln_provider):
         run_policy(CostBenefit(), QUESTION, lincoln_provider, None, Preferences(k=1, c=1))
     with pytest.raises(ValueError):
         run_policy(CostBenefit(), QUESTION, lincoln_provider, _stub_models(probs={1: 0.5}), None)
+
+
+# --------------------------------------------------------------------------
+# Run
+
+
+class _ScriptedProvider:
+    """Serves fixed snippet texts per rewrite position."""
+
+    def __init__(self, texts):
+        self.texts = texts
+
+    def execute(self, rewrite, limit, rewrite_index=0):
+        return [Snippet(t, "d", rewrite_index) for t in self.texts[rewrite_index][:limit]]
+
+
+_VOCAB = ["Booth", "bullet", "actor", "Wilkes", "the", "of", "President", "Ford's", "John", "killed"]
+_words = st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=9).map(" ".join)
+_rewrite_evidence = st.tuples(
+    st.sampled_from([1.0, 2.0, 5.0]),
+    st.sampled_from([RewriteKind.PHRASAL, RewriteKind.CONJUNCTIVE]),
+    st.lists(_words, max_size=4),
+)
+
+
+@given(
+    evidence=st.lists(_rewrite_evidence, min_size=1, max_size=5),
+    prefix=st.integers(min_value=1, max_value=6),
+)
+@settings(deadline=None, max_examples=150)
+def test_run_features_match_remining_oracle(evidence, prefix):
+    question = Question.from_text("Who killed the actor?")
+    rewrites = [
+        Rewrite(kind, (f"p{i}",), AnswerSlot.NONE, weight)
+        for i, (weight, kind, _) in enumerate(evidence)
+    ]
+    texts = [found for _, _, found in evidence]
+    run = Run(question, rewrites, _ScriptedProvider(texts), limit=100)
+    feats = run.features(prefix).as_features()
+
+    used = rewrites[:prefix]
+    snippets = [Snippet(t, "d", i) for i, found in enumerate(texts[:prefix]) for t in found]
+    numngrams, per_weight = remined_counts(
+        used, snippets, question.token_keys(), default_stopwords()
+    )
+    expected_rulescore = {f"rulescore_{weight_class(r.weight)}": 0.0 for r in rewrites}
+    for weight, count in per_weight.items():
+        expected_rulescore[f"rulescore_{weight_class(weight)}"] = float(count)
+    assert feats["numngrams"] == numngrams
+    assert {k: v for k, v in feats.items() if k.startswith("rulescore_")} == expected_rulescore
+    assert feats["totalqueries"] == len(used)
+    assert feats["totsnips"] == len(snippets)
+    assert feats["totnonbagsnips"] == sum(
+        1 for s in snippets if used[s.rewrite_index].kind is RewriteKind.PHRASAL
+    )
+    assert run.issued == len(used)

@@ -1,7 +1,9 @@
 import pytest
 
 from budgetqa.bench import generate_benchmark
-from budgetqa.errors import IncompleteEnsemble
+from budgetqa.control import LikelihoodN, run_policy
+from budgetqa.errors import IncompleteEnsemble, RetryableError
+from budgetqa.evaluation import Judgment, judge
 from budgetqa.harness import (
     generate_quality_cases,
     generate_threshold_cases,
@@ -11,7 +13,7 @@ from budgetqa.harness import (
     write_quality_runs,
     write_threshold_runs,
 )
-from budgetqa.models import DEFAULT_THRESHOLDS
+from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet
 from budgetqa.rewrite import AdjacencyGrammarScorer
 from budgetqa.search import MeteredProvider, OfflineProvider, build_index
 from budgetqa.tree import train_tree
@@ -76,6 +78,40 @@ def test_runs_files_round_trip(tmp_path, small_setup):
     tpath = tmp_path / "thresholds.jsonl"
     write_threshold_runs(cases, str(tpath))
     assert read_threshold_runs(str(tpath)) == cases
+
+
+class _FailingProvider:
+    """Raises RetryableError for one query and passes the rest through."""
+
+    def __init__(self, inner, failing_query):
+        self.inner = inner
+        self.failing_query = failing_query
+
+    def execute(self, rewrite, limit, rewrite_index=0):
+        if rewrite.as_query() == self.failing_query:
+            raise RetryableError("backend failed after 3 attempts: HTTP 503")
+        return self.inner.execute(rewrite, limit, rewrite_index)
+
+
+def test_threshold_cases_label_a_failed_rewrite_like_serving(small_setup):
+    bench, provider = small_setup
+    scorer = AdjacencyGrammarScorer()
+    conj, phrasal = generate_quality_cases(bench.items, provider, scorer=scorer)
+    conj_tree, phrasal_tree = train_tree(conj), train_tree(phrasal)
+    models = ModelSet(conj_tree, phrasal_tree, scorer=scorer)
+    item = bench.items[0]
+    # The best-ranked rewrite is in every prefix, so its failure touches
+    # every threshold's label.
+    top = run_policy(LikelihoodN(1), item.question, provider, models).rewrites_used[0]
+    failing = _FailingProvider(provider, top.as_query())
+
+    cases = generate_threshold_cases(
+        [item], failing, conj_tree, phrasal_tree, scorer=scorer
+    )
+    for n in DEFAULT_THRESHOLDS:
+        served = run_policy(LikelihoodN(n), item.question, failing, models)
+        assert served.backend_errors
+        assert cases[n][0].label == (judge(served.top_answer, item.patterns) is Judgment.CORRECT)
 
 
 def test_train_models_produces_complete_set(small_setup):

@@ -19,14 +19,14 @@ from budgetqa.rewrite import (
     Question,
     Rewrite,
     RewriteKind,
-    StubGrammarScorer,
     generate_rewrites,
 )
-from budgetqa.compose import NGramCandidate
+from budgetqa.compose import Candidates, NGramCandidate, compose_answers
 from budgetqa.search import Snippet
 from budgetqa.tree import Leaf, DecisionTree, TrainingCase, train_tree
 
 from oracles import best_subset_score
+from stubs import StubGrammarScorer
 
 
 def _leaf_tree(p, support=10):
@@ -91,7 +91,8 @@ def test_order_rewrites_is_permutation_and_topn_maximizes_score(scores):
 
 
 def _answers(*scores):
-    return [NGramCandidate((f"a{i}",), s, 1) for i, s in enumerate(scores)]
+    """Ranked answers as composition returns them, from a mining that found nothing."""
+    return Candidates([NGramCandidate((f"a{i}",), s, 1) for i, s in enumerate(scores)], 0, {})
 
 
 def test_average_snippets_per_rewrite():
@@ -121,7 +122,7 @@ def test_totnonbagsnips_counts_only_phrasal_sources():
     snippets = [
         Snippet("x", "d", 0), Snippet("y", "d", 0), Snippet("z", "d", 1),
     ]
-    feats = extract_run_features(q, rewrites, snippets, [])
+    feats = extract_run_features(q, rewrites, snippets, _answers())
     recount = sum(1 for s in snippets if rewrites[s.rewrite_index].kind is RewriteKind.PHRASAL)
     assert feats.totnonbagsnips == recount == 2
     assert feats.maxrule == 5.0
@@ -131,7 +132,8 @@ def test_rulescore_classes_and_filter_names():
     q = Question.from_text("Who painted the old mill?")
     rewrites = [_phrasal("painted the old mill"), _conj("who", "painted")]
     snippets = [Snippet("Maren Velt stood alone", "d", 0)]
-    feats = extract_run_features(q, rewrites, snippets, [])
+    answers = compose_answers(snippets, {0: 5.0, 1: 1.0}, q.qtype, exclude=q.token_keys())
+    feats = extract_run_features(q, rewrites, snippets, answers)
     flat = feats.as_features()
     assert flat["filter"] == "who_filter"
     assert "rulescore_5" in flat and "rulescore_1" in flat

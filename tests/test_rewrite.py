@@ -11,13 +11,13 @@ from budgetqa.rewrite import (
     QuestionType,
     Rewrite,
     RewriteKind,
-    StubGrammarScorer,
-    classify_question,
     conjunctive_features,
     generate_rewrites,
     phrasal_features,
 )
 from budgetqa.text import AUXILIARIES, default_stopwords, tokenize
+
+from stubs import StubGrammarScorer
 
 
 # --------------------------------------------------------------------------
@@ -60,7 +60,7 @@ def test_tokenize_keeps_possessive_surface():
     ],
 )
 def test_classify(text, expected):
-    assert classify_question(Question.from_text(text)) is expected
+    assert Question.from_text(text).qtype is expected
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from budgetqa.tree import (
     TrainingCase,
     TreeConfig,
     load_tree,
-    predict,
     save_tree,
     train_tree,
     tree_to_dict,
@@ -170,4 +169,4 @@ def test_single_leaf_probability_formula(labels):
     pos = sum(labels)
     assert isinstance(tree.root, Leaf)
     assert tree.root.probability == (pos + 1) / (len(labels) + 2)
-    assert predict(tree, {"x": 0.0}) == tree.root.probability
+    assert tree.predict({"x": 0.0}) == tree.root.probability
