@@ -186,7 +186,9 @@ def cmd_train(runs_path, kind, out_path, min_gain, min_leaf):
 @click.option("--sweep-k", "sweep_k_values", default=None, help="Comma-separated k values.")
 @click.option("--sweep-n", "sweep_n_flag", is_flag=True, help="Random vs likelihood over the threshold set.")
 @click.option("--seeds", default="0,1,2", help="Random-order seeds for --sweep-n.")
-@click.option("--jobs", type=int, default=None, help="Parallel questions (default: cpu count, capped).")
+@click.option("--jobs", type=int, default=None,
+              help="Parallel questions (default: 1 offline, where search is CPU-bound; "
+                   "cpu count capped at max_in_flight for a remote endpoint).")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write reports as JSONL.")
 def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, index_path,
                  models_dir, scorer, sweep_k_values, sweep_n_flag, seeds, jobs, out_path):
@@ -201,7 +203,8 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, 
     provider = cfg.make_provider()
     models = _load_models(cfg)
     if jobs is None:
-        jobs = min(os.cpu_count() or 1, cfg.max_in_flight)
+        # Offline search holds the GIL, so threads only add overhead there.
+        jobs = min(os.cpu_count() or 1, cfg.max_in_flight) if cfg.endpoint else 1
 
     reports = []
     if sweep_k_values:

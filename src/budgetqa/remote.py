@@ -1,10 +1,12 @@
 """HTTP client for a remote search backend.
 
 One GET per rewrite, query serialized as quoted phrases and bare AND terms.
-Transient failures are retried with exponential backoff; a failure that
-survives all attempts surfaces as RetryableError and a response that cannot
-be parsed as ProviderError. Both are per-rewrite conditions: callers treat
-them as a failed query, not as a failed question.
+Transient failures (connection errors, 5xx and 429) are retried with
+exponential backoff, or after the wait a numeric ``Retry-After`` header asks
+for, capped at the request timeout. A failure that survives all attempts
+surfaces as RetryableError and a response that cannot be parsed as
+ProviderError. Both are per-rewrite conditions: callers treat them as a
+failed query, not as a failed question.
 """
 
 from __future__ import annotations
@@ -17,6 +19,18 @@ import requests
 from .errors import ProviderError, RetryableError
 from .rewrite import Rewrite
 from .search import DEFAULT_LIMIT, Snippet
+
+
+def _retry_after(response: requests.Response, cap: float) -> float | None:
+    """Seconds a numeric ``Retry-After`` header asks to wait, at most ``cap``;
+    None when the header is absent, an HTTP date or not a valid number."""
+    try:
+        seconds = float(response.headers.get("Retry-After", ""))
+    except ValueError:
+        return None
+    if not seconds >= 0:  # negative or NaN
+        return None
+    return min(seconds, cap)
 
 
 class RemoteProvider:
@@ -60,9 +74,12 @@ class RemoteProvider:
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
         last_exc: Exception | None = None
+        asked_wait: float | None = None
         for attempt in range(self.max_attempts):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                backoff = self.backoff * (2 ** (attempt - 1))
+                time.sleep(backoff if asked_wait is None else asked_wait)
+            asked_wait = None
             try:
                 with self._gate:
                     response = self._session.get(
@@ -74,8 +91,9 @@ class RemoteProvider:
             except requests.RequestException as exc:
                 last_exc = exc
                 continue
-            if response.status_code >= 500:
+            if response.status_code == 429 or response.status_code >= 500:
                 last_exc = RetryableError(f"HTTP {response.status_code}")
+                asked_wait = _retry_after(response, self.timeout)
                 continue
             if response.status_code >= 400:
                 raise ProviderError(f"HTTP {response.status_code} from backend")

@@ -1,10 +1,17 @@
-"""Offline search backend: an inverted index over a document corpus.
+"""Offline search backend: a positional inverted index over a document corpus.
 
 The index supports exact-phrase and conjunctive lookup and returns page
 summaries in the form of word windows around the match. It is the
 reproducible stand-in for a remote search engine: matching is
 case-insensitive, results are deterministic, and the index is immutable
 after construction so concurrent queries are safe.
+
+A phrase is matched by scanning the postings of its rarest key and checking
+the document's keys around each posting (Manning, Raghavan & Schütze,
+*Introduction to Information Retrieval*, §2.4). A conjunctive query keeps
+only each part's first position per document: single-word parts read it
+from the index's first-position map, multi-word parts from one phrase scan,
+and the documents of the part with the fewest are checked against the rest.
 """
 
 from __future__ import annotations
@@ -43,10 +50,14 @@ class SearchProvider(Protocol):
 
 
 class Index:
-    """Inverted index mapping token key -> postings of (doc ordinal, position).
+    """Positional inverted index over a corpus.
 
-    Snippet text is cut from the document's raw whitespace words, so source
-    case and punctuation are preserved even though matching is normalized.
+    ``postings`` maps a token key to every (doc ordinal, position) it occurs
+    at, in that order; ``first_positions`` maps it to doc ordinal -> first
+    position, which answers "does this doc contain the key, and where first"
+    in one lookup. Snippet text is cut from the document's raw whitespace
+    words, so source case and punctuation are preserved even though matching
+    is normalized.
     """
 
     def __init__(self, docs: list[Document], window: int = DEFAULT_WINDOW):
@@ -55,14 +66,22 @@ class Index:
         self.raw_words: list[list[str]] = []
         self.keys: list[list[str]] = []
         self.postings: dict[str, list[tuple[int, int]]] = {}
+        key_of: dict[str, str] = {}  # raw word -> token key, computed once
         for ordinal, doc in enumerate(docs):
             words = doc.text.split()
-            keys = [token_key(w) for w in words]
+            for word in words:
+                if word not in key_of:
+                    key_of[word] = token_key(word)
+            keys = [key_of[w] for w in words]
             self.raw_words.append(words)
             self.keys.append(keys)
             for pos, key in enumerate(keys):
                 if key:
                     self.postings.setdefault(key, []).append((ordinal, pos))
+        # Reversed so that each doc's first position is the one kept.
+        self.first_positions: dict[str, dict[int, int]] = {
+            key: dict(reversed(plist)) for key, plist in self.postings.items()
+        }
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -78,15 +97,22 @@ class Index:
         )
 
     def phrase_positions(self, phrase_keys: list[str]) -> list[tuple[int, int]]:
-        """(ordinal, position) of every contiguous occurrence of the phrase."""
-        if not phrase_keys or any(not k for k in phrase_keys):
+        """(ordinal, position) of every contiguous occurrence of the phrase,
+        in (ordinal, position) order. Scans the postings of the rarest key."""
+        if not phrase_keys:
             return []
-        hits = []
-        for ordinal, pos in self.postings.get(phrase_keys[0], []):
-            doc_keys = self.keys[ordinal]
-            if doc_keys[pos : pos + len(phrase_keys)] == phrase_keys:
-                hits.append((ordinal, pos))
-        return hits
+        plists = [self.postings.get(k) for k in phrase_keys]
+        if not all(plists):
+            return []  # a key that occurs nowhere (or is empty) matches nothing
+        offset = min(range(len(plists)), key=lambda j: len(plists[j]))
+        size = len(phrase_keys)
+        doc_keys = self.keys
+        return [
+            (ordinal, pos - offset)
+            for ordinal, pos in plists[offset]
+            if pos >= offset
+            and doc_keys[ordinal][pos - offset : pos - offset + size] == phrase_keys
+        ]
 
 
 def build_index(corpus: list[Document], window: int = DEFAULT_WINDOW) -> Index:
@@ -130,23 +156,22 @@ def query_conjunctive(index: Index, parts: list[str], limit: int = DEFAULT_LIMIT
     if not part_keys:
         return []
 
-    doc_sets: list[set[int]] = []
-    for keys in part_keys:
-        if len(keys) == 1:
-            doc_sets.append({o for o, _ in index.postings.get(keys[0], [])})
-        else:
-            doc_sets.append({o for o, _ in index.phrase_positions(keys)})
-    matched = set.intersection(*doc_sets)
+    starts = [_first_starts(index, keys) for keys in part_keys]
+    fewest = min(starts, key=len)
+    matched = [o for o in fewest if all(o in found for found in starts)]
+    matched.sort(key=lambda o: index.docs[o].id)
 
-    first = part_keys[0]
-    snippets = []
-    for ordinal in sorted(matched, key=lambda o: index.docs[o].id):
-        if len(first) == 1:
-            pos = next(p for o, p in index.postings[first[0]] if o == ordinal)
-        else:
-            pos = next(p for o, p in index.phrase_positions(first) if o == ordinal)
-        snippets.append(index._snippet(ordinal, pos, pos + len(first), 0))
-    return snippets[:limit]
+    first_starts, size = starts[0], len(part_keys[0])
+    return [
+        index._snippet(o, first_starts[o], first_starts[o] + size, 0) for o in matched[:limit]
+    ]
+
+
+def _first_starts(index: Index, keys: list[str]) -> dict[int, int]:
+    """Doc ordinal -> first start of the (single- or multi-word) part."""
+    if len(keys) == 1:
+        return index.first_positions.get(keys[0], {})
+    return dict(reversed(index.phrase_positions(keys)))
 
 
 class OfflineProvider:

@@ -19,9 +19,16 @@ def _normalize(word: str) -> str:
 # Search: linear scans over raw document text.
 
 
+def query_keys(tokens):
+    """A query's matching keys: pure-punctuation tokens are not terms."""
+    return [k for k in (_normalize(t) for t in tokens) if k]
+
+
 def scan_phrase(docs, phrase_tokens):
     """(doc_id, position) for every contiguous occurrence, scanning each doc."""
-    target = [_normalize(t) for t in phrase_tokens]
+    target = query_keys(phrase_tokens)
+    if not target:
+        return []
     hits = []
     for doc in docs:
         words = [_normalize(w) for w in doc.text.split()]
@@ -34,12 +41,14 @@ def scan_phrase(docs, phrase_tokens):
 
 def scan_conjunctive(docs, parts):
     """Doc ids containing all parts: phrases contiguous, terms anywhere."""
+    targets = [t for t in (query_keys(part.split()) for part in parts) if t]
+    if not targets:
+        return []
     matched = []
     for doc in docs:
         words = [_normalize(w) for w in doc.text.split()]
         ok = True
-        for part in parts:
-            target = [_normalize(t) for t in part.split()]
+        for target in targets:
             if len(target) == 1:
                 if target[0] not in words:
                     ok = False
@@ -55,6 +64,34 @@ def scan_conjunctive(docs, parts):
         if ok:
             matched.append(doc.id)
     return sorted(matched)
+
+
+def scan_snippets(docs, hits, length, window):
+    """(doc_id, text) for each (doc_id, start) hit of a ``length``-key match:
+    the raw words from ``window`` before the start to ``window`` after the
+    match, clipped to the document."""
+    by_id = {doc.id: doc.text.split() for doc in docs}
+    out = []
+    for doc_id, start in hits:
+        words = by_id[doc_id]
+        cut = words[max(0, start - window) : min(len(words), start + length + window)]
+        out.append((doc_id, " ".join(cut)))
+    return out
+
+
+def scan_conjunctive_snippets(docs, parts, window):
+    """(doc_id, text) per matching doc, cut around the first occurrence of
+    the first part that has any matching key."""
+    first = next((p.split() for p in parts if query_keys(p.split())), None)
+    if first is None:
+        return []
+    matched = set(scan_conjunctive(docs, parts))
+    starts = {}
+    for doc_id, start in scan_phrase(docs, first):
+        if doc_id in matched:
+            starts.setdefault(doc_id, start)
+    hits = sorted(starts.items())
+    return scan_snippets(docs, hits, len(query_keys(first)), window)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -180,6 +181,32 @@ def test_evaluate_sweep_n_shape(workspace, models_dir, capsys):
     output = capsys.readouterr().out
     body = [l for l in output.splitlines() if l and not l.startswith(("max", "-"))]
     assert len(body) == 13  # one row per threshold
+
+
+@pytest.mark.parametrize("backend", ["corpus", "endpoint"])
+def test_evaluate_default_jobs_per_backend(workspace, tmp_path, monkeypatch, backend):
+    from budgetqa import evaluation
+
+    seen = {}
+
+    def fake_evaluate(*args, **kwargs):
+        seen["jobs"] = kwargs["jobs"]
+        return evaluation.Report("stub", 0, 0, 0, 0, 0)
+
+    monkeypatch.setattr(evaluation, "evaluate", fake_evaluate)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    cfg = tmp_path / "cfg.json"
+    if backend == "corpus":
+        source = {"corpus": workspace["corpus"]}
+    else:  # never contacted: evaluate is replaced above
+        source = {"endpoint": "http://127.0.0.1:9/s"}
+    cfg.write_text(json.dumps({**source, "max_in_flight": 3}), encoding="utf-8")
+    assert main([
+        "evaluate", "--dataset", workspace["dataset"], "--config", str(cfg), "--policy", "all",
+    ]) == 0
+    # CPU-bound offline search gains nothing from threads; a remote backend
+    # waits, so it gets as many as it allows in flight.
+    assert seen["jobs"] == (1 if backend == "corpus" else 3)
 
 
 def test_evaluate_empty_dataset_nonzero(workspace, tmp_path):

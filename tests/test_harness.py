@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from budgetqa.bench import generate_benchmark
@@ -16,7 +19,7 @@ from budgetqa.harness import (
 from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet
 from budgetqa.rewrite import AdjacencyGrammarScorer
 from budgetqa.search import MeteredProvider, OfflineProvider, build_index
-from budgetqa.tree import train_tree
+from budgetqa.tree import train_tree, tree_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +132,21 @@ def test_incomplete_threshold_runs_rejected(small_setup, tmp_path):
 
     with pytest.raises(IncompleteEnsemble):
         train_threshold_ensemble({1: []})
+
+
+# SHA-256 of every trained tree (quality models, then the ensemble by
+# threshold) on generate_benchmark(80, seed=0). Run features that read the
+# wrong evidence change the ensemble even when no report table moves.
+MODELS_GOLDEN_DIGEST = "6faafeee7912409df649f94ff329c695feb5589a3af9cca4d01f64a55124f9a6"
+
+
+def test_trained_models_match_golden_digest():
+    bench = generate_benchmark(80, seed=0)
+    provider = OfflineProvider(build_index(bench.corpus))
+    models = train_models(bench.items, provider, scorer=AdjacencyGrammarScorer())
+    trees = [models.conjunctive, models.phrasal]
+    trees += [models.ensemble.trees[n] for n in sorted(models.ensemble.trees)]
+    digest = hashlib.sha256()
+    for tree in trees:
+        digest.update(json.dumps(tree_to_dict(tree), sort_keys=True).encode("utf-8"))
+    assert digest.hexdigest() == MODELS_GOLDEN_DIGEST

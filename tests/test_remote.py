@@ -5,6 +5,7 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
+from budgetqa import remote as remote_module
 from budgetqa.errors import ProviderError, RetryableError
 from budgetqa.remote import RemoteProvider
 from budgetqa.rewrite import AnswerSlot, Rewrite, RewriteKind
@@ -14,16 +15,18 @@ CONJ = Rewrite(RewriteKind.CONJUNCTIVE, ("who", "killed", "of Japan"), AnswerSlo
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    script = []  # list of (status, body) consumed per request
+    script = []  # list of (status, body) or (status, body, headers) consumed per request
     requests_seen = []
 
     def do_GET(self):
         StubHandler.requests_seen.append(urlparse(self.path))
-        status, body = (
+        status, body, *extra = (
             StubHandler.script.pop(0) if StubHandler.script else (200, json.dumps({"results": []}))
         )
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body.encode("utf-8"))
 
@@ -77,6 +80,52 @@ def test_retry_recovers_on_second_attempt(stub_server):
     ]
     snippets = _provider(stub_server).execute(PHRASAL, 10)
     assert [s.text for s in snippets] == ["ok"]
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Record the client's backoff waits instead of sleeping them."""
+    waits = []
+    monkeypatch.setattr(remote_module.time, "sleep", waits.append)
+    return waits
+
+
+def test_429_is_retried_with_backoff(stub_server, sleeps):
+    StubHandler.script = [
+        (429, "slow down"),
+        (429, "slow down"),
+        (200, json.dumps({"results": [{"summary": "ok"}]})),
+    ]
+    snippets = _provider(stub_server, backoff=0.5).execute(PHRASAL, 10)
+    assert [s.text for s in snippets] == ["ok"]
+    assert sleeps == [0.5, 1.0]
+
+
+def test_429_on_every_attempt_is_retryable(stub_server, sleeps):
+    StubHandler.script = [(429, "slow down")] * 3
+    with pytest.raises(RetryableError):
+        _provider(stub_server).execute(PHRASAL, 10)
+    assert len(StubHandler.requests_seen) == 3
+
+
+def test_numeric_retry_after_replaces_backoff_capped_at_timeout(stub_server, sleeps):
+    StubHandler.script = [
+        (429, "slow down", {"Retry-After": "2"}),
+        (503, "busy", {"Retry-After": "3600"}),
+        (200, json.dumps({"results": []})),
+    ]
+    _provider(stub_server, backoff=0.5, timeout=5.0).execute(PHRASAL, 10)
+    assert sleeps == [2.0, 5.0]
+
+
+def test_unusable_retry_after_falls_back_to_backoff(stub_server, sleeps):
+    StubHandler.script = [
+        (429, "slow down", {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+        (429, "slow down", {"Retry-After": "-1"}),
+        (200, json.dumps({"results": []})),
+    ]
+    _provider(stub_server, backoff=0.5).execute(PHRASAL, 10)
+    assert sleeps == [0.5, 1.0]
 
 
 def test_non_json_body_is_provider_error(stub_server):
