@@ -10,12 +10,20 @@ all-stopword n-grams).
 Mining also counts, per rewrite weight, the distinct candidates that
 weight's snippets produced. Composition hands those counts on with its
 ranked answers, so the run features need no second mining.
+
+Tiling keeps each candidate's key tuple and extends it on a merge. B can
+only overlap A if B's first key occurs somewhere in A's key, so each merge
+step indexes the pool by first key and tests A only against those partners
+(the first-key lookup of a positional index; Manning, Raghavan & Schütze,
+*Introduction to Information Retrieval*, §2.4). Partners are visited in
+ascending pool order and a pair replaces the best only when strictly
+better, so among pairs equal in score, overlap and key pair the first in
+row-major order still wins, exactly as a scan of all pairs would pick.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -75,10 +83,7 @@ def mine_ngrams(
     stop = stop if stop is not None else default_stopwords()
     excluded = frozenset(token_key(t) for t in exclude)
 
-    order: list[tuple[str, ...]] = []
-    scores: dict[tuple[str, ...], float] = {}
-    supports: dict[tuple[str, ...], int] = {}
-    surfaces: dict[tuple[str, ...], Counter] = {}
+    found: dict[tuple[str, ...], list] = {}  # key -> [score, support, {surface form: count}]
     by_weight: dict[float, set[tuple[str, ...]]] = {}
 
     for snippet in snippets:
@@ -86,31 +91,30 @@ def mine_ngrams(
         touched = by_weight.setdefault(weight, set())
         words = word_tokens(snippet.text)
         keys = [token_key(w) for w in words]
+        # A gram survives when every token is usable and both edges are
+        # usable non-stop words, so each token is tested once, not per gram.
+        usable = [bool(k) and k not in excluded for k in keys]
+        edge = [u and k not in stop for u, k in zip(usable, keys)]
         n_tokens = len(words)
         for n in range(1, MAX_NGRAM + 1):
             for i in range(n_tokens - n + 1):
+                last = i + n - 1
+                if not (edge[i] and edge[last] and (n < 3 or all(usable[i + 1 : last]))):
+                    continue
                 gram_keys = tuple(keys[i : i + n])
-                if any(not k for k in gram_keys):
-                    continue
-                if any(k in excluded for k in gram_keys):
-                    continue
-                if gram_keys[0] in stop or gram_keys[-1] in stop:
-                    continue
-                if gram_keys not in scores:
-                    order.append(gram_keys)
-                    scores[gram_keys] = 0.0
-                    supports[gram_keys] = 0
-                    surfaces[gram_keys] = Counter()
-                scores[gram_keys] += weight
-                supports[gram_keys] += 1
+                entry = found.get(gram_keys)
+                if entry is None:
+                    entry = found[gram_keys] = [0.0, 0, {}]
+                entry[0] += weight
+                entry[1] += 1
                 touched.add(gram_keys)
-                surfaces[gram_keys][tuple(words[i : i + n])] += 1
+                form = tuple(words[i : i + n])
+                entry[2][form] = entry[2].get(form, 0) + 1
 
     out = []
-    for gram_keys in order:
-        counter = surfaces[gram_keys]
-        best = max(counter, key=lambda form: counter[form])  # ties: first seen
-        out.append(NGramCandidate(tokens=best, score=scores[gram_keys], support=supports[gram_keys]))
+    for score, support, forms in found.values():
+        best = max(forms, key=forms.__getitem__)  # ties: first seen
+        out.append(NGramCandidate(tokens=best, score=score, support=support))
     return Candidates(out, len(out), {w: len(keys) for w, keys in by_weight.items()})
 
 
@@ -173,11 +177,13 @@ def filter_ngrams(
     Input order is preserved; support is never changed.
     """
     filters = DEFAULT_FILTERS if filters is None else filters
+    active = [flt for flt in filters if qtype in flt.applicable_types]
     out = []
     for cand in cands:
+        text = cand.text
         factor = 1.0
-        for flt in filters:
-            if flt.applies(qtype, cand.text):
+        for flt in active:
+            if flt.pattern.search(text):
                 factor *= flt.factor
         out.append(cand if factor == 1.0 else replace(cand, score=cand.score * factor))
     return out
@@ -201,9 +207,8 @@ def applied_filter_names(
 # Tiling
 
 
-def _best_overlap(a: NGramCandidate, b: NGramCandidate) -> int:
-    """Longest L >= 1 such that the last L words of a equal the first L of b."""
-    ka, kb = a.key(), b.key()
+def _overlap(ka: tuple[str, ...], kb: tuple[str, ...]) -> int:
+    """Longest L >= 1 such that the last L keys of ka equal the first L of kb."""
     for length in range(min(len(ka), len(kb)), 0, -1):
         if ka[-length:] == kb[:length]:
             return length
@@ -213,37 +218,41 @@ def _best_overlap(a: NGramCandidate, b: NGramCandidate) -> int:
 def tile_ngrams(cands: Sequence[NGramCandidate]) -> list[NGramCandidate]:
     """Greedy tiling: repeatedly merge the overlapping pair with the highest
     combined score (ties: longest overlap, then lexicographically smallest
-    key pair) until no pair overlaps, then sort by score descending.
+    key pair, then the first pair in row-major order) until no pair
+    overlaps, then sort by score descending.
 
     Merging (A, B) with overlap L yields A's tokens followed by B's tokens
     after the first L, with score and support both summed. Sorting is stable,
     so equal-score candidates keep their working order.
     """
     pool: list[NGramCandidate] = list(cands)
+    keys = [c.key() for c in pool]  # kept in step with pool
     while True:
-        best = None  # (score, overlap, neg-key-pair, i, j)
-        for i, a in enumerate(pool):
-            for j, b in enumerate(pool):
-                if i == j:
-                    continue
-                overlap = _best_overlap(a, b)
+        by_first: dict[str, list[int]] = {}  # first key -> pool indices, ascending
+        for j, kb in enumerate(keys):
+            if kb:
+                by_first.setdefault(kb[0], []).append(j)
+        best = None  # (rank, key pair, i, j)
+        for i, ka in enumerate(keys):
+            score = pool[i].score
+            for j in sorted(j for k in dict.fromkeys(ka) for j in by_first.get(k, ())):
+                overlap = _overlap(ka, keys[j]) if j != i else 0
                 if not overlap:
                     continue
-                rank = (a.score + b.score, overlap)
-                if best is None or rank > best[0] or (rank == best[0] and (a.key(), b.key()) < best[1]):
-                    best = (rank, (a.key(), b.key()), i, j)
+                rank = (score + pool[j].score, overlap)
+                if best is None or rank > best[0] or (rank == best[0] and (ka, keys[j]) < best[1]):
+                    best = (rank, (ka, keys[j]), i, j)
         if best is None:
             break
-        _, _, i, j = best
+        (_, overlap), _, i, j = best
         a, b = pool[i], pool[j]
-        overlap = _best_overlap(a, b)
-        merged = NGramCandidate(
+        pool[i] = NGramCandidate(
             tokens=a.tokens + b.tokens[overlap:],
             score=a.score + b.score,
             support=a.support + b.support,
         )
-        pool[i] = merged
-        del pool[j]
+        keys[i] = keys[i] + keys[j][overlap:]
+        del pool[j], keys[j]
     return sorted(pool, key=lambda c: -c.score)
 
 

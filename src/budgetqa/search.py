@@ -66,13 +66,9 @@ class Index:
         self.raw_words: list[list[str]] = []
         self.keys: list[list[str]] = []
         self.postings: dict[str, list[tuple[int, int]]] = {}
-        key_of: dict[str, str] = {}  # raw word -> token key, computed once
         for ordinal, doc in enumerate(docs):
             words = doc.text.split()
-            for word in words:
-                if word not in key_of:
-                    key_of[word] = token_key(word)
-            keys = [key_of[w] for w in words]
+            keys = [token_key(w) for w in words]
             self.raw_words.append(words)
             self.keys.append(keys)
             for pos, key in enumerate(keys):

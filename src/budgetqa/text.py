@@ -34,6 +34,7 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+@lru_cache(maxsize=1 << 16)  # a pure function over a small vocabulary
 def token_key(token: str) -> str:
     """Case-folded matching form of a token; trailing possessive removed."""
     key = token.casefold()

@@ -98,14 +98,18 @@ def scan_conjunctive_snippets(docs, parts, window):
 # Mining: recount every n-gram by hand.
 
 
+def _snippet_words(snippet):
+    words = [w.strip(".,;:!?\"'()[]{}<>`«»“”‘’–—") for w in snippet.text.split()]
+    return [w for w in words if w]
+
+
 def count_ngrams(snippets, weights, exclude=(), stop=frozenset(), max_n=3):
-    """Map n-gram key tuple -> (score, support), recounted naively."""
+    """Map n-gram key tuple -> (score, support), recounted naively. The map
+    is in first-occurrence order: snippet by snippet, 1-grams first."""
     excluded = {_normalize(t) for t in exclude}
     totals: dict[tuple, list[float]] = {}
     for snippet in snippets:
-        words = [w.strip(".,;:!?\"'()[]{}<>`«»“”‘’–—") for w in snippet.text.split()]
-        words = [w for w in words if w]
-        keys = [_normalize(w) for w in words]
+        keys = [_normalize(w) for w in _snippet_words(snippet)]
         for n in range(1, max_n + 1):
             for i in range(len(keys) - n + 1):
                 gram = tuple(keys[i : i + n])
@@ -119,6 +123,27 @@ def count_ngrams(snippets, weights, exclude=(), stop=frozenset(), max_n=3):
                 entry[0] += weights[snippet.rewrite_index]
                 entry[1] += 1
     return {gram: (score, support) for gram, (score, support) in totals.items()}
+
+
+def mine_in_order(snippets, weights, exclude=(), stop=frozenset(), max_n=3):
+    """[(surface tokens, score, support)] of every surviving n-gram in
+    first-occurrence order. The surface form is the one seen most often for
+    the n-gram's keys; of equally frequent forms the first seen wins."""
+    totals = count_ngrams(snippets, weights, exclude, stop, max_n)
+    seen = {gram: [] for gram in totals}  # every surface form, in order
+    for snippet in snippets:
+        words = _snippet_words(snippet)
+        for n in range(1, max_n + 1):
+            for i in range(len(words) - n + 1):
+                gram = tuple(_normalize(w) for w in words[i : i + n])
+                if gram in seen:
+                    seen[gram].append(tuple(words[i : i + n]))
+    out = []
+    for gram, (score, support) in totals.items():
+        forms = seen[gram]
+        best = max(forms, key=lambda form: (forms.count(form), -forms.index(form)))
+        out.append((best, score, support))
+    return out
 
 
 def remined_counts(rewrites_used, snippets, exclude, stop):
@@ -176,6 +201,50 @@ def all_fixpoints(cands):
 
     explore(tuple(sorted((tuple(k), s) for k, s in cands)))
     return fixpoints
+
+
+def _best_overlap(a, b) -> int:
+    """Longest L >= 1 such that the last L words of a equal the first L of b."""
+    ka, kb = a.key(), b.key()
+    for length in range(min(len(ka), len(kb)), 0, -1):
+        if ka[-length:] == kb[:length]:
+            return length
+    return 0
+
+
+def tile_all_pairs(cands):
+    """Greedy tiling by testing every ordered pair at every step: the
+    highest combined score wins, then the longest overlap, then the
+    smallest key pair, then the first pair in row-major order. Takes and
+    returns ``NGramCandidate``s, sorted stably by score descending."""
+    from budgetqa.compose import NGramCandidate
+
+    pool = list(cands)
+    while True:
+        best = None  # (score, overlap, neg-key-pair, i, j)
+        for i, a in enumerate(pool):
+            for j, b in enumerate(pool):
+                if i == j:
+                    continue
+                overlap = _best_overlap(a, b)
+                if not overlap:
+                    continue
+                rank = (a.score + b.score, overlap)
+                if best is None or rank > best[0] or (rank == best[0] and (a.key(), b.key()) < best[1]):
+                    best = (rank, (a.key(), b.key()), i, j)
+        if best is None:
+            break
+        _, _, i, j = best
+        a, b = pool[i], pool[j]
+        overlap = _best_overlap(a, b)
+        merged = NGramCandidate(
+            tokens=a.tokens + b.tokens[overlap:],
+            score=a.score + b.score,
+            support=a.support + b.support,
+        )
+        pool[i] = merged
+        del pool[j]
+    return sorted(pool, key=lambda c: -c.score)
 
 
 def stepwise_best_fixpoint(cands):

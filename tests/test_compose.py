@@ -1,6 +1,10 @@
-from hypothesis import given, settings
+import hashlib
+import json
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from budgetqa.bench import generate_benchmark
 from budgetqa.compose import (
     DEFAULT_FILTERS,
     NGramCandidate,
@@ -10,10 +14,12 @@ from budgetqa.compose import (
     mine_ngrams,
     tile_ngrams,
 )
-from budgetqa.rewrite import QuestionType
-from budgetqa.search import Snippet
+from budgetqa.control import Run
+from budgetqa.rewrite import Question, QuestionType, generate_rewrites
+from budgetqa.search import DEFAULT_LIMIT, OfflineProvider, Snippet, build_index
+from budgetqa.text import default_stopwords
 
-from oracles import all_fixpoints, count_ngrams, stepwise_best_fixpoint
+from oracles import all_fixpoints, mine_in_order, stepwise_best_fixpoint, tile_all_pairs
 
 EMPTY = frozenset()
 
@@ -78,25 +84,31 @@ def test_empty_snippets_empty_result():
     assert mine_ngrams([], {}) == []
 
 
-_vocab = ["Booth", "bullet", "actor", "Wilkes", "the", "of", "President", "Ford's"]
+# "Ford's," and "ford" share a key; "--" is a word of its own and "—" no
+# word at all, so it joins its neighbours into one n-gram.
+_vocab = ["Booth", "bullet", "actor", "Wilkes", "the", "of", "President", "Ford's", "Ford's,", "ford", "--", "—"]
 _texts = st.lists(st.sampled_from(_vocab), min_size=1, max_size=8).map(" ".join)
 
 
 @given(
     snips=st.lists(
         st.tuples(_texts, st.integers(min_value=0, max_value=2)), min_size=1, max_size=20
-    )
+    ),
+    exclude=st.lists(st.sampled_from(["bullet", "Ford", "actor", "--"]), max_size=2),
 )
-@settings(deadline=None, max_examples=80)
-def test_mining_matches_brute_force_oracle(snips):
+@example(
+    snips=[("the ford Booth", 0), ("Ford's, of Booth", 1), ("BOOTH ford", 2)], exclude=["actor"]
+)
+@settings(deadline=None, max_examples=120)
+def test_mining_matches_brute_force_oracle(snips, exclude):
+    # candidates, their first-occurrence order, majority surface form (first
+    # seen wins ties), score and support
     snippets = [_snip(text, idx) for text, idx in snips]
     weights = {0: 5.0, 1: 2.0, 2: 1.0}
-    from budgetqa.text import default_stopwords
-
-    stop = default_stopwords()
-    mined = _by_key(mine_ngrams(snippets, weights))
-    expected = count_ngrams(snippets, weights, stop=stop)
-    assert {k: (c.score, c.support) for k, c in mined.items()} == expected
+    mined = mine_ngrams(snippets, weights, exclude=exclude)
+    expected = mine_in_order(snippets, weights, exclude=exclude, stop=default_stopwords())
+    assert [(c.tokens, c.score, c.support) for c in mined] == expected
+    assert mined.mined == len(expected)
 
 
 @given(
@@ -243,6 +255,28 @@ def test_tiled_answers_reconstructible_from_inputs(cands):
         )
 
 
+# Equal scores, repeated keys and case variants of one key make ties on
+# score, overlap and key pair common, so the tie-breaks decide the output.
+_tile_words = st.sampled_from(["a", "A", "b", "c", "C", "d"])
+_tile_pool = st.lists(
+    st.tuples(
+        st.lists(_tile_words, min_size=1, max_size=4), st.integers(1, 4), st.integers(1, 3)
+    ),
+    min_size=1,
+    max_size=8,
+).map(lambda items: [NGramCandidate(tuple(w), float(s), n) for w, s, n in items])
+
+
+@given(_tile_pool)
+@example([_cand("a b"), _cand("b c"), _cand("a b"), _cand("b C")])
+@settings(deadline=None, max_examples=200)
+def test_tiling_matches_all_pairs_oracle_exactly(cands):
+    def listed(out):
+        return [(c.tokens, c.score, c.support) for c in out]
+
+    assert listed(tile_ngrams(cands)) == listed(tile_all_pairs(cands))
+
+
 # --------------------------------------------------------------------------
 # compose_answers
 
@@ -265,3 +299,37 @@ def test_support_conserved_through_filtering():
     cands = [_cand("John Booth", 4.0, support=3), _cand("april", 2.0, support=5)]
     out = filter_ngrams(cands, QuestionType.WHO)
     assert sum(c.support for c in out) == 8
+
+
+# --------------------------------------------------------------------------
+# Golden digest: every prefix composition of a benchmark, pinned.
+
+# Digested before tiling, mining and filtering were sped up; any change to a
+# composition's candidates, their order, tokens, scores or supports, or to
+# its mining counts, changes it.
+COMPOSE_GOLDEN_DIGEST = "728610fb3bd1fbfed22c8789473b5bb1c70d85b39cb3ff905a090b3a44249696"
+
+
+def test_compositions_match_golden_digest():
+    """Every prefix composition of every question of a 120-question
+    benchmark, with its rewrites in generated and in reversed order."""
+    bench = generate_benchmark(120, seed=0)
+    provider = OfflineProvider(build_index(bench.corpus))
+    digest = hashlib.sha256()
+    composed = 0
+    for item in bench.items:
+        question = Question.from_text(item.question)
+        rewrites = generate_rewrites(question)
+        for order in (rewrites, rewrites[::-1]):
+            run = Run(question, order, provider, DEFAULT_LIMIT)
+            for k in range(1, len(order) + 1):
+                answers = run.compose(k)
+                record = [
+                    [[list(c.tokens), c.score, c.support] for c in answers],
+                    answers.mined,
+                    sorted(answers.mined_by_weight.items()),
+                ]
+                digest.update(json.dumps(record).encode("utf-8"))
+                composed += 1
+    assert composed == 1536
+    assert digest.hexdigest() == COMPOSE_GOLDEN_DIGEST

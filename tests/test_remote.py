@@ -36,13 +36,23 @@ class StubHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = _serve(StubHandler)
     StubHandler.script = []
     StubHandler.requests_seen = []
     yield f"http://127.0.0.1:{server.server_port}/search"
+    _stop(server)
+
+
+def _serve(handler):
+    # A short poll interval, so that shutdown() does not wait out the 0.5 s default.
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
+    return server
+
+
+def _stop(server):
     server.shutdown()
+    server.server_close()
 
 
 def _provider(endpoint, **kwargs):
@@ -160,11 +170,10 @@ def test_bearer_token_header(stub_server):
             super().do_GET()
 
     # swap in a recording handler on a fresh server
-    server = HTTPServer(("127.0.0.1", 0), RecordingHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    server = _serve(RecordingHandler)
     StubHandler.script = [(200, json.dumps({"results": []}))]
     try:
         _provider(f"http://127.0.0.1:{server.server_port}/s", token="sesame").execute(PHRASAL, 10)
     finally:
-        server.shutdown()
+        _stop(server)
     assert captured["auth"] == "Bearer sesame"
