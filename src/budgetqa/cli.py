@@ -58,7 +58,7 @@ def _policy_from_flags(policy: str, n: int | None, cfg: Config) -> Policy:
         return ConjunctiveOnly()
     if policy == "all":
         return AllRewrites()
-    return CostBenefit(probe_size=cfg.probe_size)
+    return CostBenefit()
 
 
 def _load_models(cfg) -> ModelSet | None:
@@ -109,7 +109,6 @@ def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, index_pat
         models,
         cfg.preferences,
         limit=cfg.limit,
-        thresholds=cfg.thresholds,
     )
 
     if result.decision is not None:
@@ -209,17 +208,12 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, 
     reports = []
     if sweep_k_values:
         ks = [float(v) for v in sweep_k_values.split(",") if v.strip()]
-        results = evaluation.sweep_k(
-            dataset, provider, models, ks, cfg.c, limit=cfg.limit, jobs=jobs,
-            thresholds=cfg.thresholds,
-        )
+        results = evaluation.sweep_k(dataset, provider, models, ks, cfg.c, limit=cfg.limit, jobs=jobs)
         click.echo(evaluation.render_k_sweep(results))
         reports = [r for _, r in results]
     elif sweep_n_flag:
         seed_list = [int(s) for s in seeds.split(",") if s.strip()]
-        rows = evaluation.sweep_n(
-            dataset, provider, models, cfg.thresholds, seed_list, limit=cfg.limit, jobs=jobs
-        )
+        rows = evaluation.sweep_n(dataset, provider, models, seed_list, limit=cfg.limit, jobs=jobs)
         click.echo(evaluation.render_n_sweep(rows))
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -229,7 +223,7 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, 
     else:
         report = evaluation.evaluate(
             _policy_from_flags(policy, n, cfg), dataset, provider, models, cfg.preferences,
-            limit=cfg.limit, jobs=jobs, thresholds=cfg.thresholds,
+            limit=cfg.limit, jobs=jobs,
         )
         click.echo(evaluation.render_reports([report]))
         reports = [report]

@@ -24,8 +24,8 @@ row-major order still wins, exactly as a scan of all pairs would pick.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .rewrite import QuestionType
 from .search import Snippet
@@ -65,17 +65,16 @@ class Candidates(list):
 
 
 def mine_ngrams(
-    snippets: Sequence[Snippet],
-    weights: Mapping[int, float],
+    evidence: Iterable[tuple[float, Sequence[Snippet]]],
     *,
     exclude: Iterable[str] = (),
     stop: frozenset[str] | None = None,
 ) -> Candidates:
     """Every surviving 1/2/3-gram across the snippets, scored additively.
 
-    ``weights`` maps a snippet's rewrite_index to the weight of the rewrite
-    that produced it and must cover every index present. ``exclude`` holds
-    normalized question tokens; candidates containing one are dropped.
+    ``evidence`` holds one (weight, snippets) pair per rewrite in submission
+    order: the snippets the rewrite retrieved and its weight. ``exclude``
+    holds normalized question tokens; candidates containing one are dropped.
     Candidates are returned in first-occurrence order. The surface form
     reported for each candidate is the most frequent one seen (first seen
     wins ties), matched case-insensitively.
@@ -86,8 +85,7 @@ def mine_ngrams(
     found: dict[tuple[str, ...], list] = {}  # key -> [score, support, {surface form: count}]
     by_weight: dict[float, set[tuple[str, ...]]] = {}
 
-    for snippet in snippets:
-        weight = weights[snippet.rewrite_index]
+    for weight, snippet in ((weight, s) for weight, group in evidence for s in group):
         touched = by_weight.setdefault(weight, set())
         words = word_tokens(snippet.text)
         keys = [token_key(w) for w in words]
@@ -185,7 +183,7 @@ def filter_ngrams(
         for flt in active:
             if flt.pattern.search(text):
                 factor *= flt.factor
-        out.append(cand if factor == 1.0 else replace(cand, score=cand.score * factor))
+        out.append(cand if factor == 1.0 else NGramCandidate(cand.tokens, cand.score * factor, cand.support))
     return out
 
 
@@ -257,19 +255,19 @@ def tile_ngrams(cands: Sequence[NGramCandidate]) -> list[NGramCandidate]:
 
 
 def compose_answers(
-    snippets: Sequence[Snippet],
-    weights: Mapping[int, float],
+    evidence: Sequence[tuple[float, Sequence[Snippet]]],
     qtype: QuestionType,
     *,
     exclude: Iterable[str] = (),
     filters: Sequence[AnswerFilter] | None = None,
     stop: frozenset[str] | None = None,
 ) -> Candidates:
-    """Full composition pipeline: mine, filter, tile. Head of the result is
-    the answer; an empty snippet list yields an empty list. The result
+    """Full composition pipeline over (weight, snippets) pairs as
+    ``mine_ngrams`` takes them: mine, filter, tile. Head of the result is
+    the answer; evidence without snippets yields an empty list. The result
     carries the counts of the one mining it was composed from."""
-    if not snippets:
+    if not any(snippets for _, snippets in evidence):
         return Candidates([], 0, {})
-    mined = mine_ngrams(snippets, weights, exclude=exclude, stop=stop)
+    mined = mine_ngrams(evidence, exclude=exclude, stop=stop)
     filtered = filter_ngrams(mined, qtype, filters)
     return Candidates(tile_ngrams(filtered), mined.mined, mined.mined_by_weight)

@@ -10,9 +10,8 @@ import json
 import os
 from dataclasses import dataclass
 
-from .control import DEFAULT_PROBE_SIZE, Preferences
+from .control import Preferences
 from .errors import ConfigError
-from .models import DEFAULT_THRESHOLDS
 from .rewrite import SCORERS, GrammarScorer
 from .search import DEFAULT_LIMIT, DEFAULT_WINDOW, OfflineProvider, SearchProvider, build_index, load_corpus, load_index
 
@@ -28,13 +27,11 @@ class Config:
     summary_key: str = "summary"
     window: int = DEFAULT_WINDOW
     limit: int = DEFAULT_LIMIT
-    thresholds: tuple[int, ...] = DEFAULT_THRESHOLDS
     k: float = 10.0
     c: float = 1.0
     seed: int = 0
     scorer: str = "default"
     models_dir: str | None = None
-    probe_size: int = DEFAULT_PROBE_SIZE
     max_in_flight: int = 4
 
     def __post_init__(self):
@@ -96,10 +93,7 @@ def load_config(path: str | None, **overrides) -> Config:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     kwargs: dict = {}
     for key, value in data.items():
-        key = _FIELD_ALIASES.get(key, key)
-        if key == "thresholds":
-            value = tuple(int(n) for n in value)
-        kwargs[key] = value
+        kwargs[_FIELD_ALIASES.get(key, key)] = value
     for key, value in overrides.items():
         if value is not None:
             kwargs[_FIELD_ALIASES.get(key, key)] = value

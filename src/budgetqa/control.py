@@ -32,18 +32,15 @@ from typing import Mapping, Sequence, Union
 
 from .compose import Candidates, NGramCandidate, compose_answers
 from .errors import ProviderError, RetryableError
-from .models import (
-    DEFAULT_THRESHOLDS,
-    ModelSet,
-    RunFeatures,
-    extract_run_features,
-    order_rewrites,
-)
+from .models import ModelSet, RunFeatures, extract_run_features, order_rewrites
 from .rewrite import Question, Rewrite, RewriteKind, generate_rewrites
 from .search import DEFAULT_LIMIT, SearchProvider, Snippet
 from .tree import FeatureValue
 
-DEFAULT_PROBE_SIZE = 2
+#: Rewrites the cost-benefit policy runs before choosing a budget. The
+#: threshold ensemble is trained on run features of this probe, so no other
+#: size can feed it.
+PROBE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -84,16 +81,15 @@ def choose_n(
     ensemble,
     features: Mapping[str, FeatureValue],
     prefs: Preferences,
-    thresholds: Sequence[int] | None = None,
 ) -> BudgetDecision:
-    """Evaluate the net expected value at every threshold and pick the best.
+    """Evaluate the net expected value at every threshold the ensemble was
+    trained for and pick the best.
 
     Ties go to the smallest (cheapest) n. If all nets are negative the
     decision is to abstain.
     """
-    thresholds = tuple(thresholds) if thresholds is not None else ensemble.thresholds
     nets = {
-        n: net_expected_value(ensemble.predict(n, features), n, prefs) for n in thresholds
+        n: net_expected_value(ensemble.predict(n, features), n, prefs) for n in ensemble.thresholds
     }
     best_n = min(nets, key=lambda n: (-nets[n], n))
     if nets[best_n] < 0:
@@ -125,7 +121,9 @@ class QuestionResult:
 class Run:
     """One question's rewrites in submission order, each executed at most once.
 
-    Rewrites execute on demand, in order, when a prefix is composed. A
+    Rewrites execute on demand, in order, when a prefix is composed. Each
+    executed rewrite's snippets stay in their own list, which is how
+    composition and run features know the rewrite behind every snippet. A
     backend failure is recorded on its rewrite, which then contributes no
     snippets; it never aborts the question, and the failed query still
     counts as issued.
@@ -140,7 +138,6 @@ class Run:
         self.limit = limit
         self.snippets: list[list[Snippet]] = []  # per executed rewrite
         self.errors: list[str] = []
-        self._weights = {i: r.weight for i, r in enumerate(self.rewrites)}
         self._composed: dict[int, Candidates] = {}
 
     @property
@@ -151,14 +148,11 @@ class Run:
         for i in range(len(self.snippets), n):
             rewrite = self.rewrites[i]
             try:
-                found = self.provider.execute(rewrite, self.limit, rewrite_index=i)
+                found = self.provider.execute(rewrite, self.limit)
             except (RetryableError, ProviderError) as exc:
                 self.errors.append(f"{rewrite.as_query()}: {exc}")
                 found = []
             self.snippets.append(found)
-
-    def _evidence(self, n: int) -> list[Snippet]:
-        return [s for found in self.snippets[:n] for s in found]
 
     def compose(self, n: int) -> Candidates:
         """Ranked answers from the first n rewrites (capped at the run's
@@ -167,8 +161,7 @@ class Run:
         if n not in self._composed:
             self._execute(n)
             self._composed[n] = compose_answers(
-                self._evidence(n),
-                self._weights,
+                [(r.weight, found) for r, found in zip(self.rewrites, self.snippets[:n])],
                 self.question.qtype,
                 exclude=self.question.token_keys(),
             )
@@ -182,7 +175,7 @@ class Run:
         return extract_run_features(
             self.question,
             self.rewrites[:n],
-            self._evidence(n),
+            self.snippets[:n],
             answers,
             weight_classes=[r.weight for r in self.rewrites],
         )
@@ -218,7 +211,7 @@ def _quality_order(rewrites: Sequence[Rewrite], models: ModelSet | None) -> list
 class _SubmitAll:
     """Fixed budget: the selection itself is the budget."""
 
-    def play(self, run: Run, models, prefs, thresholds) -> QuestionResult:
+    def play(self, run: Run, models, prefs) -> QuestionResult:
         return run.result(len(run.rewrites))
 
 
@@ -279,26 +272,19 @@ class AllRewrites(_SubmitAll):
 class CostBenefit:
     """Probe, predict accuracy per budget, submit the argmax or abstain."""
 
-    probe_size: int = DEFAULT_PROBE_SIZE
     name = "cost_benefit"
 
     def select(self, rewrites, models, question_index: int) -> list[Rewrite]:
         return _quality_order(rewrites, models)
 
-    def play(
-        self,
-        run: Run,
-        models: ModelSet | None,
-        prefs: Preferences | None,
-        thresholds: Sequence[int],
-    ) -> QuestionResult:
+    def play(self, run: Run, models: ModelSet | None, prefs: Preferences | None) -> QuestionResult:
         if models is None or models.ensemble is None:
             raise ValueError("CostBenefit requires quality models and a threshold ensemble")
         if prefs is None:
             raise ValueError("CostBenefit requires preferences")
-        features = run.features(self.probe_size).as_features()
-        decision = choose_n(models.ensemble, features, prefs, thresholds)
-        return run.result(self.probe_size if decision.abstained else decision.n, decision)
+        features = run.features(PROBE_SIZE).as_features()
+        decision = choose_n(models.ensemble, features, prefs)
+        return run.result(PROBE_SIZE if decision.abstained else decision.n, decision)
 
 
 Policy = Union[RandomN, LikelihoodN, ConjunctiveOnly, AllRewrites, CostBenefit]
@@ -313,7 +299,6 @@ def run_policy(
     *,
     limit: int = DEFAULT_LIMIT,
     question_index: int = 0,
-    thresholds: Sequence[int] = DEFAULT_THRESHOLDS,
 ) -> QuestionResult:
     """Select rewrites per the policy, execute them, compose answers.
 
@@ -324,4 +309,4 @@ def run_policy(
     if isinstance(question, str):
         question = Question.from_text(question)
     selection = policy.select(generate_rewrites(question), models, question_index)
-    return policy.play(Run(question, selection, provider, limit), models, prefs, thresholds)
+    return policy.play(Run(question, selection, provider, limit), models, prefs)

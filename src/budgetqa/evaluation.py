@@ -23,7 +23,7 @@ from .control import (
     LikelihoodN,
     run_policy,
 )
-from .errors import DatasetParseError, ProviderError, RetryableError
+from .errors import DatasetParseError
 from .models import DEFAULT_THRESHOLDS, ModelSet
 from .search import DEFAULT_LIMIT, SearchProvider
 
@@ -140,7 +140,6 @@ def evaluate(
     *,
     limit: int = DEFAULT_LIMIT,
     jobs: int = 1,
-    thresholds: Sequence[int] = DEFAULT_THRESHOLDS,
     label: str | None = None,
 ) -> Report:
     """Run the policy over every question, judge and aggregate.
@@ -153,26 +152,15 @@ def evaluate(
 
     def one(indexed: tuple[int, QAItem]) -> QuestionRecord:
         idx, item = indexed
-        try:
-            result = run_policy(
-                policy,
-                item.question,
-                provider,
-                models,
-                prefs,
-                limit=limit,
-                question_index=idx,
-                thresholds=thresholds,
-            )
-        except (RetryableError, ProviderError) as exc:
-            return QuestionRecord(
-                index=idx,
-                question=item.question,
-                judgment=Judgment.INCORRECT,
-                queries_issued=0,
-                top_answer=None,
-                error=str(exc),
-            )
+        result = run_policy(
+            policy,
+            item.question,
+            provider,
+            models,
+            prefs,
+            limit=limit,
+            question_index=idx,
+        )
         verdict = (
             Judgment.ABSTAINED
             if result.abstained
@@ -222,7 +210,6 @@ def sweep_k(
     *,
     limit: int = DEFAULT_LIMIT,
     jobs: int = 1,
-    thresholds: Sequence[int] = DEFAULT_THRESHOLDS,
 ) -> list[tuple[float, Report]]:
     """Cost-benefit evaluation at several answer values k."""
     out = []
@@ -235,7 +222,6 @@ def sweep_k(
             Preferences(k=k, c=c),
             limit=limit,
             jobs=jobs,
-            thresholds=thresholds,
             label=f"cost_benefit_k{k:g}",
         )
         out.append((k, report))
@@ -246,19 +232,19 @@ def sweep_n(
     dataset: Sequence[QAItem],
     provider: SearchProvider,
     models: ModelSet,
-    ns: Sequence[int] = DEFAULT_THRESHOLDS,
     seeds: Sequence[int] = (0,),
     *,
     limit: int = DEFAULT_LIMIT,
     jobs: int = 1,
 ) -> list[dict]:
-    """Fixed-budget comparison: random order vs likelihood order per N.
+    """Fixed-budget comparison: random order vs likelihood order at every
+    training threshold N.
 
     Random-order correctness is averaged over the given seeds; cost is the
     same for both orders at a given N (same number of submissions).
     """
     rows = []
-    for n in ns:
+    for n in DEFAULT_THRESHOLDS:
         random_reports = [
             evaluate(RandomN(n=n, seed=seed), dataset, provider, models, limit=limit, jobs=jobs)
             for seed in seeds

@@ -15,12 +15,12 @@ reflects the run's prefix at that threshold.
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import Callable, Sequence
 
 # compose_answers and extract_run_features are no longer called here (the
 # Run calls them); perfbench/spans.py still binds both names in this module.
 from .compose import compose_answers  # noqa: F401
-from .control import DEFAULT_PROBE_SIZE, CostBenefit, Run
+from .control import PROBE_SIZE, CostBenefit, Run
 from .errors import DatasetParseError
 from .evaluation import Judgment, QAItem, judge
 from .models import (
@@ -77,24 +77,23 @@ def generate_threshold_cases(
     phrasal_tree: DecisionTree,
     *,
     scorer: GrammarScorer | None = None,
-    thresholds: Sequence[int] = DEFAULT_THRESHOLDS,
-    probe_size: int = DEFAULT_PROBE_SIZE,
     limit: int = DEFAULT_LIMIT,
 ) -> dict[int, list[TrainingCase]]:
-    """Budget-capped runs per threshold over quality-ordered rewrites.
+    """Budget-capped runs at every training threshold over quality-ordered
+    rewrites, each case carrying the run features of the controller's probe.
 
     Each question gets one run, so every ordered rewrite is executed once
     and each distinct prefix composed once, no matter how many thresholds
     are trained.
     """
-    policy = CostBenefit(probe_size=probe_size)
+    policy = CostBenefit()
     models = ModelSet(conjunctive=conj_tree, phrasal=phrasal_tree, scorer=scorer)
-    cases: dict[int, list[TrainingCase]] = {n: [] for n in thresholds}
+    cases: dict[int, list[TrainingCase]] = {n: [] for n in DEFAULT_THRESHOLDS}
     for item in dataset:
         question = Question.from_text(item.question)
         run = Run(question, policy.select(generate_rewrites(question), models, 0), provider, limit)
-        probe_features = run.features(probe_size).as_features()
-        for n in thresholds:
+        probe_features = run.features(PROBE_SIZE).as_features()
+        for n in DEFAULT_THRESHOLDS:
             cases[n].append(TrainingCase(probe_features, _correct(run.compose(n), item)))
     return cases
 
@@ -105,8 +104,6 @@ def train_models(
     *,
     scorer: GrammarScorer | None = None,
     tree_cfg: TreeConfig | None = None,
-    thresholds: Sequence[int] = DEFAULT_THRESHOLDS,
-    probe_size: int = DEFAULT_PROBE_SIZE,
     limit: int = DEFAULT_LIMIT,
 ) -> ModelSet:
     """Both learning phases end to end: quality models, then the ensemble."""
@@ -121,11 +118,9 @@ def train_models(
         conj_tree,
         phrasal_tree,
         scorer=scorer,
-        thresholds=thresholds,
-        probe_size=probe_size,
         limit=limit,
     )
-    ensemble = train_threshold_ensemble(threshold_cases, tree_cfg, thresholds)
+    ensemble = train_threshold_ensemble(threshold_cases, tree_cfg)
     return ModelSet(
         conjunctive=conj_tree, phrasal=phrasal_tree, ensemble=ensemble, scorer=scorer
     )
@@ -165,31 +160,29 @@ def write_threshold_runs(cases: dict[int, Sequence[TrainingCase]], path: str) ->
                 )
 
 
-def read_quality_runs(path: str, kind: str) -> list[TrainingCase]:
-    cases = []
+def _read_runs(path: str, group: Callable[[dict], object]) -> dict:
+    """Training cases of a runs file, grouped by ``group(record)``. Every
+    record must be a JSON object carrying a ``features`` object and a
+    ``label``."""
+    cases: dict = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+                if not isinstance(row, dict) or not isinstance(row.get("features"), dict):
+                    raise TypeError("record is not a JSON object with a features object")
+                case = TrainingCase(row["features"], bool(row["label"]))
+                cases.setdefault(group(row), []).append(case)
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetParseError(f"bad runs record: {exc}", line_no) from exc
-            if row.get("kind") == kind:
-                cases.append(TrainingCase(row["features"], bool(row["label"])))
     return cases
+
+
+def read_quality_runs(path: str, kind: str) -> list[TrainingCase]:
+    return _read_runs(path, lambda row: row.get("kind")).get(kind, [])
 
 
 def read_threshold_runs(path: str) -> dict[int, list[TrainingCase]]:
-    cases: dict[int, list[TrainingCase]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                n = int(row["threshold"])
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise DatasetParseError(f"bad runs record: {exc}", line_no) from exc
-            cases.setdefault(n, []).append(TrainingCase(row["features"], bool(row["label"])))
-    return cases
+    return _read_runs(path, lambda row: int(row["threshold"]))

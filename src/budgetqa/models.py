@@ -111,21 +111,24 @@ def _pstdev(values: Sequence[float]) -> float:
 def extract_run_features(
     question: Question,
     rewrites_used: Sequence[Rewrite],
-    snippets: Sequence[Snippet],
+    snippets: Sequence[Sequence[Snippet]],
     ranked_answers: Candidates,
     *,
     weight_classes: Sequence[float] | None = None,
 ) -> RunFeatures:
     """Compute run features after composition.
 
-    ``snippets`` must carry rewrite_index values that are positions into
-    ``rewrites_used``, and ``ranked_answers`` must be what ``compose_answers``
+    ``snippets`` holds one list per rewrite of ``rewrites_used``, in the
+    same order, and ``ranked_answers`` must be what ``compose_answers``
     returned for them: the mined-candidate counts are read from it, not
     mined again. ``weight_classes`` fixes the set of per-weight count
     features so that every run in a training set shares one schema.
     """
     if not rewrites_used:
         raise ValueError("a run uses at least one rewrite")
+    if len(snippets) != len(rewrites_used):
+        raise LengthMismatch(f"{len(rewrites_used)} rewrites but {len(snippets)} snippet lists")
+    totsnips = sum(len(found) for found in snippets)
 
     by_class: dict[str, int] = {}
     classes = set(weight_classes or ()) | {r.weight for r in rewrites_used}
@@ -138,7 +141,7 @@ def extract_run_features(
     diff = top_scores[0] - top_scores[1] if len(top_scores) >= 2 else 0.0
 
     return RunFeatures(
-        average_snippets_per_rewrite=len(snippets) / len(rewrites_used),
+        average_snippets_per_rewrite=totsnips / len(rewrites_used),
         diff_scores_1_2=diff,
         filter=f"{question.qtype.value}_filter",
         maxrule=max(r.weight for r in rewrites_used),
@@ -147,9 +150,9 @@ def extract_run_features(
         std_deviation_answer_scores=_pstdev(top_scores),
         totalqueries=len(rewrites_used),
         totnonbagsnips=sum(
-            1 for s in snippets if rewrites_used[s.rewrite_index].kind is RewriteKind.PHRASAL
+            len(found) for r, found in zip(rewrites_used, snippets) if r.kind is RewriteKind.PHRASAL
         ),
-        totsnips=len(snippets),
+        totsnips=totsnips,
     )
 
 

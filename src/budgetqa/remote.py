@@ -102,7 +102,7 @@ class RemoteProvider:
             f"backend failed after {self.max_attempts} attempts: {last_exc}"
         )
 
-    def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT, rewrite_index: int = 0) -> list[Snippet]:
+    def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT) -> list[Snippet]:
         response = self._get(rewrite.as_query())
         try:
             payload = response.json()
@@ -120,12 +120,6 @@ class RemoteProvider:
         for row in rows[:limit]:
             if not isinstance(row, dict) or not isinstance(row.get(self.summary_key), str):
                 raise ProviderError(f"result object lacks a {self.summary_key!r} string")
-            snippets.append(
-                Snippet(
-                    text=row[self.summary_key],
-                    source_doc=str(row.get("id", "remote")),
-                    rewrite_index=rewrite_index,
-                )
-            )
+            snippets.append(Snippet(text=row[self.summary_key], source_doc=str(row.get("id", "remote"))))
         return snippets
 

@@ -36,17 +36,16 @@ class Document:
 
 @dataclass(frozen=True)
 class Snippet:
-    """A word window around one match, tagged with the producing rewrite."""
+    """A word window around one match."""
 
     text: str
     source_doc: str
-    rewrite_index: int = 0
 
 
 class SearchProvider(Protocol):
     """Anything that can execute a rewrite and return snippets."""
 
-    def execute(self, rewrite: Rewrite, limit: int, rewrite_index: int = 0) -> list[Snippet]: ...
+    def execute(self, rewrite: Rewrite, limit: int) -> list[Snippet]: ...
 
 
 class Index:
@@ -82,15 +81,11 @@ class Index:
     def __len__(self) -> int:
         return len(self.docs)
 
-    def _snippet(self, ordinal: int, start: int, end: int, rewrite_index: int) -> Snippet:
+    def _snippet(self, ordinal: int, start: int, end: int) -> Snippet:
         words = self.raw_words[ordinal]
         lo = max(0, start - self.window)
         hi = min(len(words), end + self.window)
-        return Snippet(
-            text=" ".join(words[lo:hi]),
-            source_doc=self.docs[ordinal].id,
-            rewrite_index=rewrite_index,
-        )
+        return Snippet(text=" ".join(words[lo:hi]), source_doc=self.docs[ordinal].id)
 
     def phrase_positions(self, phrase_keys: list[str]) -> list[tuple[int, int]]:
         """(ordinal, position) of every contiguous occurrence of the phrase,
@@ -137,7 +132,7 @@ def query_phrase(index: Index, phrase: list[str], limit: int = DEFAULT_LIMIT) ->
         return []
     hits = index.phrase_positions(keys)
     hits.sort(key=lambda hit: (index.docs[hit[0]].id, hit[1]))
-    return [index._snippet(o, p, p + len(keys), 0) for o, p in hits[:limit]]
+    return [index._snippet(o, p, p + len(keys)) for o, p in hits[:limit]]
 
 
 def query_conjunctive(index: Index, parts: list[str], limit: int = DEFAULT_LIMIT) -> list[Snippet]:
@@ -158,9 +153,7 @@ def query_conjunctive(index: Index, parts: list[str], limit: int = DEFAULT_LIMIT
     matched.sort(key=lambda o: index.docs[o].id)
 
     first_starts, size = starts[0], len(part_keys[0])
-    return [
-        index._snippet(o, first_starts[o], first_starts[o] + size, 0) for o in matched[:limit]
-    ]
+    return [index._snippet(o, first_starts[o], first_starts[o] + size) for o in matched[:limit]]
 
 
 def _first_starts(index: Index, keys: list[str]) -> dict[int, int]:
@@ -176,15 +169,10 @@ class OfflineProvider:
     def __init__(self, index: Index):
         self.index = index
 
-    def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT, rewrite_index: int = 0) -> list[Snippet]:
+    def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT) -> list[Snippet]:
         if rewrite.kind is RewriteKind.PHRASAL:
-            found = query_phrase(self.index, rewrite.parts[0].split(), limit)
-        else:
-            found = query_conjunctive(self.index, list(rewrite.parts), limit)
-        return [
-            Snippet(text=s.text, source_doc=s.source_doc, rewrite_index=rewrite_index)
-            for s in found
-        ]
+            return query_phrase(self.index, rewrite.parts[0].split(), limit)
+        return query_conjunctive(self.index, list(rewrite.parts), limit)
 
 
 class MeteredProvider:
@@ -194,9 +182,9 @@ class MeteredProvider:
         self.inner = inner
         self.calls = 0
 
-    def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT, rewrite_index: int = 0) -> list[Snippet]:
+    def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT) -> list[Snippet]:
         self.calls += 1
-        return self.inner.execute(rewrite, limit, rewrite_index)
+        return self.inner.execute(rewrite, limit)
 
 
 # --------------------------------------------------------------------------

@@ -49,8 +49,3 @@ def default_stopwords() -> frozenset[str]:
     data = resources.files("budgetqa").joinpath("data/stopwords.txt").read_text("utf-8")
     return frozenset(line.strip() for line in data.splitlines() if line.strip())
 
-
-def is_stopword(token: str, stop: frozenset[str] | None = None) -> bool:
-    # Matching is case-insensitive; whether the original system lowercased
-    # first is unrecorded, so we normalize here.
-    return token_key(token) in (stop if stop is not None else default_stopwords())

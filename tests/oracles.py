@@ -103,12 +103,18 @@ def _snippet_words(snippet):
     return [w for w in words if w]
 
 
-def count_ngrams(snippets, weights, exclude=(), stop=frozenset(), max_n=3):
-    """Map n-gram key tuple -> (score, support), recounted naively. The map
-    is in first-occurrence order: snippet by snippet, 1-grams first."""
+def _weighted_snippets(evidence):
+    """(weight, snippet) for every snippet of (weight, snippets) pairs."""
+    return [(weight, snippet) for weight, snippets in evidence for snippet in snippets]
+
+
+def count_ngrams(evidence, exclude=(), stop=frozenset(), max_n=3):
+    """Map n-gram key tuple -> (score, support), recounted naively over
+    (weight, snippets) pairs. The map is in first-occurrence order: snippet
+    by snippet, 1-grams first."""
     excluded = {_normalize(t) for t in exclude}
     totals: dict[tuple, list[float]] = {}
-    for snippet in snippets:
+    for weight, snippet in _weighted_snippets(evidence):
         keys = [_normalize(w) for w in _snippet_words(snippet)]
         for n in range(1, max_n + 1):
             for i in range(len(keys) - n + 1):
@@ -120,18 +126,18 @@ def count_ngrams(snippets, weights, exclude=(), stop=frozenset(), max_n=3):
                 if gram[0] in stop or gram[-1] in stop:
                     continue
                 entry = totals.setdefault(gram, [0.0, 0])
-                entry[0] += weights[snippet.rewrite_index]
+                entry[0] += weight
                 entry[1] += 1
     return {gram: (score, support) for gram, (score, support) in totals.items()}
 
 
-def mine_in_order(snippets, weights, exclude=(), stop=frozenset(), max_n=3):
+def mine_in_order(evidence, exclude=(), stop=frozenset(), max_n=3):
     """[(surface tokens, score, support)] of every surviving n-gram in
     first-occurrence order. The surface form is the one seen most often for
     the n-gram's keys; of equally frequent forms the first seen wins."""
-    totals = count_ngrams(snippets, weights, exclude, stop, max_n)
+    totals = count_ngrams(evidence, exclude, stop, max_n)
     seen = {gram: [] for gram in totals}  # every surface form, in order
-    for snippet in snippets:
+    for _, snippet in _weighted_snippets(evidence):
         words = _snippet_words(snippet)
         for n in range(1, max_n + 1):
             for i in range(len(words) - n + 1):
@@ -149,13 +155,14 @@ def mine_in_order(snippets, weights, exclude=(), stop=frozenset(), max_n=3):
 def remined_counts(rewrites_used, snippets, exclude, stop):
     """(numngrams, {weight: count}) for a run prefix by mining it in full,
     then mining the snippets of each rewrite weight again on their own: the
-    reference for the counts that one mining pass reports."""
-    weights = {i: r.weight for i, r in enumerate(rewrites_used)}
-    numngrams = len(count_ngrams(snippets, weights, exclude, stop))
+    reference for the counts that one mining pass reports. ``snippets``
+    holds one list per rewrite used."""
+    evidence = [(r.weight, found) for r, found in zip(rewrites_used, snippets)]
+    numngrams = len(count_ngrams(evidence, exclude, stop))
     per_weight = {}
     for weight in {r.weight for r in rewrites_used}:
-        subset = [s for s in snippets if rewrites_used[s.rewrite_index].weight == weight]
-        per_weight[weight] = len(count_ngrams(subset, weights, exclude, stop))
+        subset = [(w, found) for w, found in evidence if w == weight]
+        per_weight[weight] = len(count_ngrams(subset, exclude, stop))
     return numngrams, per_weight
 
 

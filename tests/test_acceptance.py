@@ -95,13 +95,14 @@ def test_criterion_1_rewrite_fidelity():
 # 2. Composition oracle
 
 
-def _random_snippets(rng: random.Random):
+def _random_evidence(rng: random.Random, weights):
+    """One single-snippet (weight, snippets) group per random snippet."""
     vocab = ["Booth", "bullet", "actor", "Wilkes", "the", "of", "President", "Ford's", "John"]
-    snippets = []
+    evidence = []
     for _ in range(rng.randint(1, 12)):
         words = [rng.choice(vocab) for _ in range(rng.randint(1, 9))]
-        snippets.append(Snippet(" ".join(words), "d", rng.randint(0, 2)))
-    return snippets
+        evidence.append((weights[rng.randint(0, 2)], [Snippet(" ".join(words), "d")]))
+    return evidence
 
 
 def test_criterion_2_composition_oracles():
@@ -110,10 +111,10 @@ def test_criterion_2_composition_oracles():
     weights = {0: 5.0, 1: 2.0, 2: 1.0}
     rng = random.Random(17)
     for _ in range(120):
-        snippets = _random_snippets(rng)
+        evidence = _random_evidence(rng, weights)
         exclude = ["bullet"] if rng.random() < 0.3 else []
-        mined = {c.key(): (c.score, c.support) for c in mine_ngrams(snippets, weights, exclude=exclude)}
-        assert mined == count_ngrams(snippets, weights, exclude=exclude, stop=stop)
+        mined = {c.key(): (c.score, c.support) for c in mine_ngrams(evidence, exclude=exclude)}
+        assert mined == count_ngrams(evidence, exclude=exclude, stop=stop)
 
     keys = ["a", "b", "c", "d"]
     for _ in range(150):

@@ -141,6 +141,26 @@ def test_train_rejects_missing_threshold(workspace, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["quality-conj", "quality-phrasal", "thresholds"])
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"kind": "phrasal", "threshold": 1, "label": True},
+        {"kind": "phrasal", "threshold": 1, "features": {"x": 1.0}},
+        {"kind": "phrasal", "threshold": 1, "features": [1.0], "label": True},
+        ["not", "an", "object"],
+    ],
+    ids=["no-features", "no-label", "features-not-an-object", "not-an-object"],
+)
+def test_train_bad_runs_record_is_data_error(tmp_path, capsys, kind, record):
+    good = {"kind": "conjunctive", "threshold": 1, "features": {"x": 1.0}, "label": True}
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    code = main(["train", "--runs", str(runs), "--kind", kind, "--out", str(tmp_path / "out.json")])
+    assert code == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_train_is_deterministic(workspace, tmp_path):
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     for out in (out1, out2):
@@ -249,6 +269,9 @@ def test_conflicting_backends_is_data_error(workspace, tmp_path):
         {"conjunctive_weight": 1.0},
         {"filters_path": "filters.json"},
         {"filters": "filters.json"},
+        # Training fixes the budgets and the probe; the ensemble carries them.
+        {"thresholds": [1, 2, 25]},
+        {"probe_size": 3},
     ]:
         cfg.write_text(json.dumps({"corpus": workspace["corpus"], **extra}), encoding="utf-8")
         assert main(["ask", "Who did it?", "--config", str(cfg)]) == 2, extra

@@ -24,8 +24,14 @@ from oracles import all_fixpoints, mine_in_order, stepwise_best_fixpoint, tile_a
 EMPTY = frozenset()
 
 
-def _snip(text, idx=0):
-    return Snippet(text=text, source_doc="d", rewrite_index=idx)
+def _snip(text):
+    return Snippet(text=text, source_doc="d")
+
+
+def _one_per_snippet(snips, weights):
+    """One single-snippet (weight, snippets) group per drawn (text, weight
+    index), so weights interleave snippet by snippet."""
+    return [(weights[idx], [_snip(text)]) for text, idx in snips]
 
 
 def _by_key(cands):
@@ -37,7 +43,7 @@ def _by_key(cands):
 
 
 def test_single_snippet_all_ngrams_scored():
-    cands = _by_key(mine_ngrams([_snip("John Wilkes Booth")], {0: 5.0}, stop=EMPTY))
+    cands = _by_key(mine_ngrams([(5.0, [_snip("John Wilkes Booth")])], stop=EMPTY))
     expected = {
         ("john",): 5.0,
         ("wilkes",): 5.0,
@@ -51,15 +57,15 @@ def test_single_snippet_all_ngrams_scored():
 
 
 def test_scores_add_across_rewrites():
-    snippets = [_snip("John Wilkes Booth", 0), _snip("John Wilkes Booth", 1)]
-    cands = _by_key(mine_ngrams(snippets, {0: 5.0, 1: 1.0}, stop=EMPTY))
+    evidence = [(5.0, [_snip("John Wilkes Booth")]), (1.0, [_snip("John Wilkes Booth")])]
+    cands = _by_key(mine_ngrams(evidence, stop=EMPTY))
     assert cands[("john", "wilkes", "booth")].score == 6.0
     assert cands[("john", "wilkes", "booth")].support == 2
 
 
 def test_question_tokens_are_excluded():
     cands = _by_key(
-        mine_ngrams([_snip("Booth killed Abraham Lincoln")], {0: 5.0},
+        mine_ngrams([(5.0, [_snip("Booth killed Abraham Lincoln")])],
                     exclude=["killed", "abraham", "lincoln"], stop=EMPTY)
     )
     assert ("booth",) in cands
@@ -67,7 +73,7 @@ def test_question_tokens_are_excluded():
 
 
 def test_stopword_edged_ngrams_are_dropped():
-    cands = _by_key(mine_ngrams([_snip("Booth was an actor")], {0: 1.0}))
+    cands = _by_key(mine_ngrams([(1.0, [_snip("Booth was an actor")])]))
     assert ("booth",) in cands and ("actor",) in cands
     assert ("booth", "was") not in cands
     assert ("was", "an", "actor") not in cands
@@ -75,13 +81,13 @@ def test_stopword_edged_ngrams_are_dropped():
 
 
 def test_majority_surface_form_reported():
-    snippets = [_snip("the BOOTH story", 0), _snip("near Booth today", 0), _snip("near Booth now", 0)]
-    cands = _by_key(mine_ngrams(snippets, {0: 1.0}))
+    snippets = [_snip("the BOOTH story"), _snip("near Booth today"), _snip("near Booth now")]
+    cands = _by_key(mine_ngrams([(1.0, snippets)]))
     assert cands[("booth",)].tokens == ("Booth",)
 
 
 def test_empty_snippets_empty_result():
-    assert mine_ngrams([], {}) == []
+    assert mine_ngrams([]) == []
 
 
 # "Ford's," and "ford" share a key; "--" is a word of its own and "—" no
@@ -103,10 +109,9 @@ _texts = st.lists(st.sampled_from(_vocab), min_size=1, max_size=8).map(" ".join)
 def test_mining_matches_brute_force_oracle(snips, exclude):
     # candidates, their first-occurrence order, majority surface form (first
     # seen wins ties), score and support
-    snippets = [_snip(text, idx) for text, idx in snips]
-    weights = {0: 5.0, 1: 2.0, 2: 1.0}
-    mined = mine_ngrams(snippets, weights, exclude=exclude)
-    expected = mine_in_order(snippets, weights, exclude=exclude, stop=default_stopwords())
+    evidence = _one_per_snippet(snips, {0: 5.0, 1: 2.0, 2: 1.0})
+    mined = mine_ngrams(evidence, exclude=exclude)
+    expected = mine_in_order(evidence, exclude=exclude, stop=default_stopwords())
     assert [(c.tokens, c.score, c.support) for c in mined] == expected
     assert mined.mined == len(expected)
 
@@ -118,12 +123,11 @@ def test_mining_matches_brute_force_oracle(snips, exclude):
 )
 @settings(deadline=None, max_examples=40)
 def test_mining_scores_are_exactly_additive_over_splits(snips):
-    snippets = [_snip(text, idx) for text, idx in snips]
-    weights = {0: 5.0, 1: 1.0}
-    half = len(snippets) // 2
-    whole = _by_key(mine_ngrams(snippets, weights))
-    first = _by_key(mine_ngrams(snippets[:half], weights))
-    second = _by_key(mine_ngrams(snippets[half:], weights))
+    evidence = _one_per_snippet(snips, {0: 5.0, 1: 1.0})
+    half = len(evidence) // 2
+    whole = _by_key(mine_ngrams(evidence))
+    first = _by_key(mine_ngrams(evidence[:half]))
+    second = _by_key(mine_ngrams(evidence[half:]))
     for key, cand in whole.items():
         total = (first[key].score if key in first else 0.0) + (
             second[key].score if key in second else 0.0
@@ -292,7 +296,8 @@ def test_compose_is_deterministic(lincoln_provider):
 
 
 def test_compose_empty_snippets():
-    assert compose_answers([], {}, QuestionType.WHO) == []
+    assert compose_answers([], QuestionType.WHO) == []
+    assert compose_answers([(5.0, []), (1.0, [])], QuestionType.WHO) == []
 
 
 def test_support_conserved_through_filtering():

@@ -225,13 +225,14 @@ def test_cost_benefit_requires_models_and_prefs(lincoln_provider):
 
 
 class _ScriptedProvider:
-    """Serves fixed snippet texts per rewrite position."""
+    """Serves fixed snippet texts per rewrite position; rewrite ``p<i>`` is
+    at position i."""
 
     def __init__(self, texts):
         self.texts = texts
 
-    def execute(self, rewrite, limit, rewrite_index=0):
-        return [Snippet(t, "d", rewrite_index) for t in self.texts[rewrite_index][:limit]]
+    def execute(self, rewrite, limit):
+        return [Snippet(t, "d") for t in self.texts[int(rewrite.parts[0][1:])][:limit]]
 
 
 _VOCAB = ["Booth", "bullet", "actor", "Wilkes", "the", "of", "President", "Ford's", "John", "killed"]
@@ -259,7 +260,7 @@ def test_run_features_match_remining_oracle(evidence, prefix):
     feats = run.features(prefix).as_features()
 
     used = rewrites[:prefix]
-    snippets = [Snippet(t, "d", i) for i, found in enumerate(texts[:prefix]) for t in found]
+    snippets = [[Snippet(t, "d") for t in found] for found in texts[:prefix]]
     numngrams, per_weight = remined_counts(
         used, snippets, question.token_keys(), default_stopwords()
     )
@@ -269,8 +270,8 @@ def test_run_features_match_remining_oracle(evidence, prefix):
     assert feats["numngrams"] == numngrams
     assert {k: v for k, v in feats.items() if k.startswith("rulescore_")} == expected_rulescore
     assert feats["totalqueries"] == len(used)
-    assert feats["totsnips"] == len(snippets)
+    assert feats["totsnips"] == sum(len(found) for found in snippets)
     assert feats["totnonbagsnips"] == sum(
-        1 for s in snippets if used[s.rewrite_index].kind is RewriteKind.PHRASAL
+        len(found) for r, found in zip(used, snippets) if r.kind is RewriteKind.PHRASAL
     )
     assert run.issued == len(used)

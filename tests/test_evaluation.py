@@ -146,11 +146,11 @@ def test_backend_failures_recorded_per_rewrite_not_fatal(small_bench):
             self.inner = inner
             self.count = 0
 
-        def execute(self, rewrite, limit, rewrite_index=0):
+        def execute(self, rewrite, limit):
             self.count += 1
             if self.count % 7 == 0:
                 raise RetryableError("transient")
-            return self.inner.execute(rewrite, limit, rewrite_index)
+            return self.inner.execute(rewrite, limit)
 
     flaky = Flaky(provider)
     report = evaluate(AllRewrites(), bench.items, flaky)

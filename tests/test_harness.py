@@ -90,10 +90,10 @@ class _FailingProvider:
         self.inner = inner
         self.failing_query = failing_query
 
-    def execute(self, rewrite, limit, rewrite_index=0):
+    def execute(self, rewrite, limit):
         if rewrite.as_query() == self.failing_query:
             raise RetryableError("backend failed after 3 attempts: HTTP 503")
-        return self.inner.execute(rewrite, limit, rewrite_index)
+        return self.inner.execute(rewrite, limit)
 
 
 def test_threshold_cases_label_a_failed_rewrite_like_serving(small_setup):

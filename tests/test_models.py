@@ -98,7 +98,7 @@ def _answers(*scores):
 def test_average_snippets_per_rewrite():
     q = Question.from_text("Who painted the old mill?")
     rewrites = [_phrasal("painted the old mill"), _phrasal("the old mill painted"), _conj("who")]
-    snippets = [Snippet("Maren Velt painted things", "d", i % 3) for i in range(30)]
+    snippets = [[Snippet("Maren Velt painted things", "d")] * 10 for _ in rewrites]
     feats = extract_run_features(q, rewrites, snippets, _answers(10.0, 4.0))
     assert feats.average_snippets_per_rewrite == 10.0
     assert feats.totalqueries == 3
@@ -108,10 +108,10 @@ def test_average_snippets_per_rewrite():
 def test_diff_scores_and_std():
     q = Question.from_text("Who painted the old mill?")
     rewrites = [_conj("who", "painted")]
-    feats = extract_run_features(q, rewrites, [], _answers(10.0, 4.0))
+    feats = extract_run_features(q, rewrites, [[]], _answers(10.0, 4.0))
     assert feats.diff_scores_1_2 == 6.0
     assert feats.numngrams == 0
-    single = extract_run_features(q, rewrites, [], _answers(10.0))
+    single = extract_run_features(q, rewrites, [[]], _answers(10.0))
     assert single.diff_scores_1_2 == 0.0
     assert single.std_deviation_answer_scores == 0.0
 
@@ -119,11 +119,11 @@ def test_diff_scores_and_std():
 def test_totnonbagsnips_counts_only_phrasal_sources():
     q = Question.from_text("Who painted the old mill?")
     rewrites = [_phrasal("painted the old mill"), _conj("who", "painted", "mill")]
-    snippets = [
-        Snippet("x", "d", 0), Snippet("y", "d", 0), Snippet("z", "d", 1),
-    ]
+    snippets = [[Snippet("x", "d"), Snippet("y", "d")], [Snippet("z", "d")]]
     feats = extract_run_features(q, rewrites, snippets, _answers())
-    recount = sum(1 for s in snippets if rewrites[s.rewrite_index].kind is RewriteKind.PHRASAL)
+    recount = sum(
+        len(found) for r, found in zip(rewrites, snippets) if r.kind is RewriteKind.PHRASAL
+    )
     assert feats.totnonbagsnips == recount == 2
     assert feats.maxrule == 5.0
 
@@ -131,8 +131,8 @@ def test_totnonbagsnips_counts_only_phrasal_sources():
 def test_rulescore_classes_and_filter_names():
     q = Question.from_text("Who painted the old mill?")
     rewrites = [_phrasal("painted the old mill"), _conj("who", "painted")]
-    snippets = [Snippet("Maren Velt stood alone", "d", 0)]
-    answers = compose_answers(snippets, {0: 5.0, 1: 1.0}, q.qtype, exclude=q.token_keys())
+    snippets = [[Snippet("Maren Velt stood alone", "d")], []]
+    answers = compose_answers([(5.0, snippets[0]), (1.0, [])], q.qtype, exclude=q.token_keys())
     feats = extract_run_features(q, rewrites, snippets, answers)
     flat = feats.as_features()
     assert flat["filter"] == "who_filter"

@@ -64,9 +64,8 @@ def test_two_summaries_become_two_snippets(stub_server):
     StubHandler.script = [
         (200, json.dumps({"results": [{"summary": "first hit"}, {"summary": "second hit"}]}))
     ]
-    snippets = _provider(stub_server).execute(PHRASAL, 10, rewrite_index=2)
+    snippets = _provider(stub_server).execute(PHRASAL, 10)
     assert [s.text for s in snippets] == ["first hit", "second hit"]
-    assert all(s.rewrite_index == 2 for s in snippets)
 
 
 def test_query_serialization_quotes_phrases(stub_server):
