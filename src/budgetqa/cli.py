@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: index, ask, train, evaluate, gen-bench.
+Subcommands: index, ask, train, evaluate, gen-bench. ``train`` writes one
+``models.json`` that records the grammar scorer it was trained with;
+``ask`` and ``evaluate`` load it with ``--models`` and serve with that scorer.
 Exit codes: 0 success or abstain, 1 usage error, 2 data error, 3 backend error.
 """
 
@@ -31,9 +33,10 @@ from .errors import (
     ProviderError,
     RetryableError,
 )
-from .models import ModelSet, save_ensemble, train_threshold_ensemble
+from .models import ModelSet
+from .rewrite import SCORERS
 from .search import DEFAULT_WINDOW, build_index, load_corpus, save_index
-from .tree import describe_tree, save_tree, train_tree
+from .tree import describe_tree
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,10 +64,18 @@ def _policy_from_flags(policy: str, n: int | None, cfg: Config) -> Policy:
     return CostBenefit()
 
 
-def _load_models(cfg) -> ModelSet | None:
-    if not cfg.models_dir:
-        return None
-    return ModelSet.load_dir(cfg.models_dir, scorer=cfg.grammar_scorer())
+#: Policies that order rewrites by the trained quality models.
+_MODEL_POLICIES = ("likelihood", "cost-benefit")
+
+
+def _load_models(cfg: Config, needed_by: str | None) -> ModelSet | None:
+    """The configured model set. ``needed_by`` names the requested mode when
+    it cannot run without models; it is then a usage error to give none."""
+    if cfg.models_dir:
+        return ModelSet.load(cfg.models_dir)
+    if needed_by:
+        raise click.UsageError(f"{needed_by} needs trained models: pass --models DIR from `budgetqa train`")
+    return None
 
 
 @cli.command("index")
@@ -90,18 +101,15 @@ def cmd_index(corpus_path: str, out_path: str, window: int | None):
 @click.option("--corpus", "corpus_path", type=click.Path(), default=None)
 @click.option("--index", "index_path", type=click.Path(), default=None)
 @click.option("--models", "models_dir", type=click.Path(), default=None)
-@click.option("--scorer", type=click.Choice(["default", "adjacency"]), default=None,
-              help="Grammar scorer; must match the one used to build training runs.")
 @click.option("--top", type=int, default=5, help="Ranked answers to print.")
-def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, index_path, models_dir,
-            scorer, top):
+def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, index_path, models_dir, top):
     """Answer one question with the configured policy."""
     cfg = load_config(
         config_path, corpus=corpus_path, index=index_path, models_dir=models_dir, k=k, c=c,
-        seed=seed, scorer=scorer,
+        seed=seed,
     )
+    models = _load_models(cfg, f"--policy {policy}" if policy in _MODEL_POLICIES else None)
     provider = cfg.make_provider()
-    models = _load_models(cfg)
     result = run_policy(
         _policy_from_flags(policy, n, cfg),
         question,
@@ -139,33 +147,26 @@ def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, index_pat
 
 
 @cli.command("train")
-@click.option("--runs", "runs_path", type=click.Path(), required=True, help="Training runs JSONL.")
-@click.option("--kind", type=click.Choice(["quality-conj", "quality-phrasal", "thresholds"]), required=True)
-@click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--min-gain", type=float, default=None)
-@click.option("--min-leaf", type=int, default=None)
-def cmd_train(runs_path, kind, out_path, min_gain, min_leaf):
-    """Train models from recorded runs and serialize them."""
-    from .tree import TreeConfig
-
-    cfg = TreeConfig(
-        min_gain=min_gain if min_gain is not None else TreeConfig.min_gain,
-        min_leaf=min_leaf if min_leaf is not None else TreeConfig.min_leaf,
+@click.option("--dataset", "dataset_path", type=click.Path(), required=True)
+@_config_option
+@click.option("--corpus", "corpus_path", type=click.Path(), default=None)
+@click.option("--index", "index_path", type=click.Path(), default=None)
+@click.option("--scorer", type=click.Choice(sorted(SCORERS)), default="adjacency",
+              help="Grammar scorer for the phrasal quality model; recorded in models.json.")
+@click.option("--out", "out_dir", type=click.Path(), required=True, help="Directory for models.json.")
+def cmd_train(dataset_path, config_path, corpus_path, index_path, scorer, out_dir):
+    """Train the quality models and the threshold ensemble on a labelled dataset."""
+    cfg = load_config(config_path, corpus=corpus_path, index=index_path)
+    dataset = evaluation.load_dataset(dataset_path)
+    models = harness.train_models(
+        dataset, cfg.make_provider(), scorer=SCORERS[scorer](), limit=cfg.limit
     )
-    if kind == "thresholds":
-        cases = harness.read_threshold_runs(runs_path)
-        ensemble = train_threshold_ensemble(cases, cfg)
-        save_ensemble(ensemble, out_path)
-        click.echo(f"trained {len(ensemble.trees)} threshold models -> {out_path}")
-        for t in ensemble.thresholds:
-            click.echo(f"-- threshold {t} --")
-            click.echo(describe_tree(ensemble.trees[t]))
-    else:
-        which = "conjunctive" if kind == "quality-conj" else "phrasal"
-        cases = harness.read_quality_runs(runs_path, which)
-        tree = train_tree(cases, cfg)
-        save_tree(tree, out_path)
-        click.echo(f"trained {which} quality model on {len(cases)} cases -> {out_path}")
+    path = models.save(out_dir)
+    click.echo(f"trained on {len(dataset)} questions with the {scorer} scorer -> {path}")
+    trees = [("conjunctive quality", models.conjunctive), ("phrasal quality", models.phrasal)]
+    trees += [(f"threshold {t}", models.ensemble.trees[t]) for t in models.ensemble.thresholds]
+    for label, tree in trees:
+        click.echo(f"-- {label} --")
         click.echo(describe_tree(tree))
 
 
@@ -180,8 +181,6 @@ def cmd_train(runs_path, kind, out_path, min_gain, min_leaf):
 @click.option("--corpus", "corpus_path", type=click.Path(), default=None)
 @click.option("--index", "index_path", type=click.Path(), default=None)
 @click.option("--models", "models_dir", type=click.Path(), default=None)
-@click.option("--scorer", type=click.Choice(["default", "adjacency"]), default=None,
-              help="Grammar scorer; must match the one used to build training runs.")
 @click.option("--sweep-k", "sweep_k_values", default=None, help="Comma-separated k values.")
 @click.option("--sweep-n", "sweep_n_flag", is_flag=True, help="Random vs likelihood over the threshold set.")
 @click.option("--seeds", default="0,1,2", help="Random-order seeds for --sweep-n.")
@@ -190,17 +189,21 @@ def cmd_train(runs_path, kind, out_path, min_gain, min_leaf):
                    "cpu count capped at max_in_flight for a remote endpoint).")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write reports as JSONL.")
 def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, index_path,
-                 models_dir, scorer, sweep_k_values, sweep_n_flag, seeds, jobs, out_path):
+                 models_dir, sweep_k_values, sweep_n_flag, seeds, jobs, out_path):
     """Evaluate a policy (or run a sweep) over a dataset."""
     cfg = load_config(
         config_path, corpus=corpus_path, index=index_path, models_dir=models_dir, k=k, c=c,
-        seed=seed, scorer=scorer,
+        seed=seed,
     )
     dataset = evaluation.load_dataset(dataset_path)
     if not dataset:
         raise DatasetParseError("dataset is empty")
+    if sweep_k_values or sweep_n_flag:
+        needed_by = "--sweep-k" if sweep_k_values else "--sweep-n"
+    else:
+        needed_by = f"--policy {policy}" if policy in _MODEL_POLICIES else None
+    models = _load_models(cfg, needed_by)
     provider = cfg.make_provider()
-    models = _load_models(cfg)
     if jobs is None:
         # Offline search holds the GIL, so threads only add overhead there.
         jobs = min(os.cpu_count() or 1, cfg.max_in_flight) if cfg.endpoint else 1

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .control import Preferences
 from .errors import ConfigError
-from .rewrite import SCORERS, GrammarScorer
 from .search import DEFAULT_LIMIT, DEFAULT_WINDOW, OfflineProvider, SearchProvider, build_index, load_corpus, load_index
 
 
@@ -30,7 +29,6 @@ class Config:
     k: float = 10.0
     c: float = 1.0
     seed: int = 0
-    scorer: str = "default"
     models_dir: str | None = None
     max_in_flight: int = 4
 
@@ -45,15 +43,10 @@ class Config:
         ):
             if path and not os.path.exists(path):
                 raise ConfigError(f"{label} path does not exist: {path}")
-        if self.scorer not in SCORERS:
-            raise ConfigError(f"unknown scorer {self.scorer!r}; choose from {sorted(SCORERS)}")
 
     @property
     def preferences(self) -> Preferences:
         return Preferences(k=self.k, c=self.c)
-
-    def grammar_scorer(self) -> GrammarScorer:
-        return SCORERS[self.scorer]()
 
     def make_provider(self) -> SearchProvider:
         if self.endpoint:

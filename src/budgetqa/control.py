@@ -32,15 +32,10 @@ from typing import Mapping, Sequence, Union
 
 from .compose import Candidates, NGramCandidate, compose_answers
 from .errors import ProviderError, RetryableError
-from .models import ModelSet, RunFeatures, extract_run_features, order_rewrites
+from .models import PROBE_SIZE, ModelSet, RunFeatures, extract_run_features, order_rewrites
 from .rewrite import Question, Rewrite, RewriteKind, generate_rewrites
 from .search import DEFAULT_LIMIT, SearchProvider, Snippet
 from .tree import FeatureValue
-
-#: Rewrites the cost-benefit policy runs before choosing a budget. The
-#: threshold ensemble is trained on run features of this probe, so no other
-#: size can feed it.
-PROBE_SIZE = 2
 
 
 @dataclass(frozen=True)

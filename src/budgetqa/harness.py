@@ -14,17 +14,16 @@ reflects the run's prefix at that threshold.
 
 from __future__ import annotations
 
-import json
-from typing import Callable, Sequence
+from typing import Sequence
 
 # compose_answers and extract_run_features are no longer called here (the
 # Run calls them); perfbench/spans.py still binds both names in this module.
 from .compose import compose_answers  # noqa: F401
-from .control import PROBE_SIZE, CostBenefit, Run
-from .errors import DatasetParseError
+from .control import CostBenefit, Run
 from .evaluation import Judgment, QAItem, judge
 from .models import (
     DEFAULT_THRESHOLDS,
+    PROBE_SIZE,
     ModelSet,
     extract_run_features,  # noqa: F401
     train_threshold_ensemble,
@@ -38,7 +37,7 @@ from .rewrite import (
     phrasal_features,
 )
 from .search import DEFAULT_LIMIT, SearchProvider
-from .tree import DecisionTree, TrainingCase, TreeConfig, train_tree
+from .tree import DecisionTree, TrainingCase, train_tree
 
 
 def _correct(answers, item: QAItem) -> bool:
@@ -103,15 +102,14 @@ def train_models(
     provider: SearchProvider,
     *,
     scorer: GrammarScorer | None = None,
-    tree_cfg: TreeConfig | None = None,
     limit: int = DEFAULT_LIMIT,
 ) -> ModelSet:
     """Both learning phases end to end: quality models, then the ensemble."""
     conj_cases, phrasal_cases = generate_quality_cases(
         dataset, provider, scorer=scorer, limit=limit
     )
-    conj_tree = train_tree(conj_cases, tree_cfg)
-    phrasal_tree = train_tree(phrasal_cases, tree_cfg)
+    conj_tree = train_tree(conj_cases)
+    phrasal_tree = train_tree(phrasal_cases)
     threshold_cases = generate_threshold_cases(
         dataset,
         provider,
@@ -120,69 +118,7 @@ def train_models(
         scorer=scorer,
         limit=limit,
     )
-    ensemble = train_threshold_ensemble(threshold_cases, tree_cfg)
+    ensemble = train_threshold_ensemble(threshold_cases)
     return ModelSet(
         conjunctive=conj_tree, phrasal=phrasal_tree, ensemble=ensemble, scorer=scorer
     )
-
-
-# --------------------------------------------------------------------------
-# Runs files: the on-disk form consumed by the train CLI command.
-
-
-def write_quality_runs(
-    conj_cases: Sequence[TrainingCase], phrasal_cases: Sequence[TrainingCase], path: str
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for kind, cases in (("conjunctive", conj_cases), ("phrasal", phrasal_cases)):
-            for case in cases:
-                fh.write(
-                    json.dumps(
-                        {"kind": kind, "features": dict(case.features), "label": case.label}
-                    )
-                    + "\n"
-                )
-
-
-def write_threshold_runs(cases: dict[int, Sequence[TrainingCase]], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for n in sorted(cases):
-            for case in cases[n]:
-                fh.write(
-                    json.dumps(
-                        {
-                            "threshold": n,
-                            "features": dict(case.features),
-                            "label": case.label,
-                        }
-                    )
-                    + "\n"
-                )
-
-
-def _read_runs(path: str, group: Callable[[dict], object]) -> dict:
-    """Training cases of a runs file, grouped by ``group(record)``. Every
-    record must be a JSON object carrying a ``features`` object and a
-    ``label``."""
-    cases: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                if not isinstance(row, dict) or not isinstance(row.get("features"), dict):
-                    raise TypeError("record is not a JSON object with a features object")
-                case = TrainingCase(row["features"], bool(row["label"]))
-                cases.setdefault(group(row), []).append(case)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetParseError(f"bad runs record: {exc}", line_no) from exc
-    return cases
-
-
-def read_quality_runs(path: str, kind: str) -> list[TrainingCase]:
-    return _read_runs(path, lambda row: row.get("kind")).get(kind, [])
-
-
-def read_threshold_runs(path: str) -> dict[int, list[TrainingCase]]:
-    return _read_runs(path, lambda row: int(row["threshold"]))

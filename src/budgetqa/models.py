@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .compose import Candidates
-from .errors import IncompleteEnsemble, LengthMismatch
+from .errors import ConfigError, IncompleteEnsemble, LengthMismatch
 from .rewrite import (
+    SCORERS,
     GrammarScorer,
     HeuristicGrammarScorer,
     Question,
@@ -31,13 +32,17 @@ from .tree import (
     DecisionTree,
     FeatureValue,
     TrainingCase,
-    TreeConfig,
     train_tree,
     tree_from_dict,
     tree_to_dict,
 )
 
 DEFAULT_THRESHOLDS: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20)
+
+#: Rewrites the cost-benefit policy runs before choosing a budget. The
+#: threshold ensemble is trained on run features of this probe, so no other
+#: size can feed it.
+PROBE_SIZE = 2
 
 
 def score_rewrite(
@@ -174,45 +179,32 @@ class ThresholdEnsemble:
         return self.trees[n].predict(features)
 
 
-def train_threshold_ensemble(
-    runs: Mapping[int, Sequence[TrainingCase]],
-    cfg: TreeConfig | None = None,
-    thresholds: Sequence[int] = DEFAULT_THRESHOLDS,
-) -> ThresholdEnsemble:
-    """Train one tree per threshold; every threshold must have data."""
-    missing = [n for n in thresholds if not runs.get(n)]
+def train_threshold_ensemble(runs: Mapping[int, Sequence[TrainingCase]]) -> ThresholdEnsemble:
+    """Train one tree per threshold of ``DEFAULT_THRESHOLDS``; every
+    threshold must have data."""
+    missing = [n for n in DEFAULT_THRESHOLDS if not runs.get(n)]
     if missing:
         raise IncompleteEnsemble(f"no training runs for thresholds {missing}")
     return ThresholdEnsemble(
-        trees={n: train_tree(list(runs[n]), cfg) for n in thresholds}
+        trees={n: train_tree(list(runs[n])) for n in DEFAULT_THRESHOLDS}
     )
-
-
-def ensemble_to_dict(ensemble: ThresholdEnsemble) -> dict:
-    return {
-        "thresholds": list(ensemble.thresholds),
-        "trees": {str(n): tree_to_dict(t) for n, t in ensemble.trees.items()},
-    }
-
-
-def ensemble_from_dict(data: dict) -> ThresholdEnsemble:
-    return ThresholdEnsemble(
-        trees={int(n): tree_from_dict(t) for n, t in data["trees"].items()}
-    )
-
-
-def save_ensemble(ensemble: ThresholdEnsemble, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ensemble_to_dict(ensemble), fh, indent=1)
-
-
-def load_ensemble(path: str) -> ThresholdEnsemble:
-    with open(path, encoding="utf-8") as fh:
-        return ensemble_from_dict(json.load(fh))
 
 
 # --------------------------------------------------------------------------
 # Bundled model set
+
+MODELS_FILE = "models.json"
+MODELS_FORMAT = 1
+
+
+def _scorer_name(scorer: GrammarScorer | None) -> str:
+    """The ``SCORERS`` name that rebuilds ``scorer`` exactly (None is the
+    default scorer, as in ``score_rewrite``)."""
+    scorer = scorer if scorer is not None else HeuristicGrammarScorer()
+    for name, cls in SCORERS.items():
+        if type(scorer) is cls and vars(scorer) == vars(cls()):
+            return name
+    raise ValueError(f"{scorer!r} is not a named scorer; a models file cannot record it")
 
 
 @dataclass
@@ -227,27 +219,51 @@ class ModelSet:
     def quality_score(self, rewrite: Rewrite) -> float:
         return score_rewrite(self.conjunctive, self.phrasal, rewrite, self.scorer)
 
-    CONJ_FILE = "quality_conjunctive.json"
-    PHRASAL_FILE = "quality_phrasal.json"
-    ENSEMBLE_FILE = "threshold_ensemble.json"
-
-    def save_dir(self, directory: str) -> None:
+    def save(self, directory: str) -> str:
+        """Write ``models.json`` under ``directory`` and return its path. The
+        file records the scorer and probe size the trees were trained with."""
+        if self.ensemble is None:
+            raise IncompleteEnsemble("a model set is saved with its threshold ensemble")
+        data = {
+            "format": MODELS_FORMAT,
+            "scorer": _scorer_name(self.scorer),
+            "probe_size": PROBE_SIZE,
+            "conjunctive": tree_to_dict(self.conjunctive),
+            "phrasal": tree_to_dict(self.phrasal),
+            "ensemble": {str(n): tree_to_dict(t) for n, t in self.ensemble.trees.items()},
+        }
         os.makedirs(directory, exist_ok=True)
-        from .tree import save_tree
-
-        save_tree(self.conjunctive, os.path.join(directory, self.CONJ_FILE))
-        save_tree(self.phrasal, os.path.join(directory, self.PHRASAL_FILE))
-        if self.ensemble is not None:
-            save_ensemble(self.ensemble, os.path.join(directory, self.ENSEMBLE_FILE))
+        path = os.path.join(directory, MODELS_FILE)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=1)
+        return path
 
     @classmethod
-    def load_dir(cls, directory: str, scorer: GrammarScorer | None = None) -> "ModelSet":
-        from .tree import load_tree
-
-        ensemble_path = os.path.join(directory, cls.ENSEMBLE_FILE)
-        return cls(
-            conjunctive=load_tree(os.path.join(directory, cls.CONJ_FILE)),
-            phrasal=load_tree(os.path.join(directory, cls.PHRASAL_FILE)),
-            ensemble=load_ensemble(ensemble_path) if os.path.exists(ensemble_path) else None,
-            scorer=scorer,
-        )
+    def load(cls, directory: str) -> "ModelSet":
+        """Read ``models.json`` under ``directory`` with the scorer it names.
+        A file of another format, an unknown scorer, another probe size or
+        no ensemble raises ``ConfigError``."""
+        path = os.path.join(directory, MODELS_FILE)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+            if data["format"] != MODELS_FORMAT:
+                raise ValueError(f"format {data['format']!r} is not {MODELS_FORMAT}")
+            if data["scorer"] not in SCORERS:
+                raise ValueError(f"unknown scorer {data['scorer']!r}; known: {sorted(SCORERS)}")
+            if data["probe_size"] != PROBE_SIZE:
+                raise ValueError(f"probe size {data['probe_size']!r} is not {PROBE_SIZE}")
+            if not data["ensemble"]:
+                raise ValueError("no threshold ensemble")
+            return cls(
+                conjunctive=tree_from_dict(data["conjunctive"]),
+                phrasal=tree_from_dict(data["phrasal"]),
+                ensemble=ThresholdEnsemble(
+                    trees={int(n): tree_from_dict(t) for n, t in data["ensemble"].items()}
+                ),
+                scorer=SCORERS[data["scorer"]](),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"bad models file {path}: no field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad models file {path}: {exc}") from exc

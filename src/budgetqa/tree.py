@@ -10,7 +10,6 @@ in name order and the first best split wins ties.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
@@ -219,16 +218,6 @@ def tree_to_dict(tree: DecisionTree) -> dict:
 
 def tree_from_dict(data: dict) -> DecisionTree:
     return DecisionTree(root=_node_from_dict(data["root"]), schema=dict(data["schema"]))
-
-
-def save_tree(tree: DecisionTree, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree_to_dict(tree), fh, indent=1)
-
-
-def load_tree(path: str) -> DecisionTree:
-    with open(path, encoding="utf-8") as fh:
-        return tree_from_dict(json.load(fh))
 
 
 def describe_tree(tree: DecisionTree) -> str:

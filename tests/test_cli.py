@@ -6,20 +6,12 @@ import pytest
 from budgetqa.bench import generate_benchmark
 from budgetqa.cli import main
 from budgetqa.evaluation import dump_dataset
-from budgetqa.harness import (
-    generate_quality_cases,
-    generate_threshold_cases,
-    write_quality_runs,
-    write_threshold_runs,
-)
-from budgetqa.rewrite import AdjacencyGrammarScorer
 from budgetqa.search import OfflineProvider, build_index, load_index, query_phrase, save_corpus
-from budgetqa.tree import train_tree
 
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """A benchmark corpus plus trained model files on disk."""
+    """A benchmark corpus and dataset on disk."""
     root = tmp_path_factory.mktemp("cli")
     bench = generate_benchmark(
         40, redundancy=3, distractors=10, tease_rate=0.2, sparse_rate=0.1,
@@ -29,43 +21,17 @@ def workspace(tmp_path_factory):
     dataset_path = root / "dataset.jsonl"
     save_corpus(bench.corpus, str(corpus_path))
     dump_dataset(bench.items, str(dataset_path))
-
-    provider = OfflineProvider(build_index(bench.corpus))
-    scorer = AdjacencyGrammarScorer()
-    conj, phrasal = generate_quality_cases(bench.items, provider, scorer=scorer)
-    quality_runs = root / "quality_runs.jsonl"
-    write_quality_runs(conj, phrasal, str(quality_runs))
-    threshold_cases = generate_threshold_cases(
-        bench.items, provider, train_tree(conj), train_tree(phrasal), scorer=scorer
-    )
-    threshold_runs = root / "threshold_runs.jsonl"
-    write_threshold_runs(threshold_cases, str(threshold_runs))
-    return {
-        "root": root,
-        "corpus": str(corpus_path),
-        "dataset": str(dataset_path),
-        "quality_runs": str(quality_runs),
-        "threshold_runs": str(threshold_runs),
-    }
+    return {"root": root, "corpus": str(corpus_path), "dataset": str(dataset_path)}
 
 
 @pytest.fixture(scope="module")
 def models_dir(workspace):
-    directory = workspace["root"] / "models"
-    directory.mkdir()
+    directory = str(workspace["root"] / "models")
     assert main([
-        "train", "--runs", workspace["quality_runs"], "--kind", "quality-conj",
-        "--out", str(directory / "quality_conjunctive.json"),
+        "train", "--dataset", workspace["dataset"], "--corpus", workspace["corpus"],
+        "--out", directory,
     ]) == 0
-    assert main([
-        "train", "--runs", workspace["quality_runs"], "--kind", "quality-phrasal",
-        "--out", str(directory / "quality_phrasal.json"),
-    ]) == 0
-    assert main([
-        "train", "--runs", workspace["threshold_runs"], "--kind", "thresholds",
-        "--out", str(directory / "threshold_ensemble.json"),
-    ]) == 0
-    return str(directory)
+    return directory
 
 
 def test_index_round_trip(workspace, capsys):
@@ -126,49 +92,63 @@ def test_ask_abstains_politely(workspace, models_dir, capsys):
         assert "reformulat" in output
 
 
-def test_train_rejects_missing_threshold(workspace, tmp_path, capsys):
-    partial = tmp_path / "partial.jsonl"
-    lines = [
-        line
-        for line in open(workspace["threshold_runs"], encoding="utf-8")
-        if json.loads(line)["threshold"] != 12
-    ]
-    partial.write_text("".join(lines), encoding="utf-8")
-    code = main([
-        "train", "--runs", str(partial), "--kind", "thresholds",
-        "--out", str(tmp_path / "out.json"),
-    ])
-    assert code == 2
-
-
-@pytest.mark.parametrize("kind", ["quality-conj", "quality-phrasal", "thresholds"])
-@pytest.mark.parametrize(
-    "record",
-    [
-        {"kind": "phrasal", "threshold": 1, "label": True},
-        {"kind": "phrasal", "threshold": 1, "features": {"x": 1.0}},
-        {"kind": "phrasal", "threshold": 1, "features": [1.0], "label": True},
-        ["not", "an", "object"],
-    ],
-    ids=["no-features", "no-label", "features-not-an-object", "not-an-object"],
-)
-def test_train_bad_runs_record_is_data_error(tmp_path, capsys, kind, record):
-    good = {"kind": "conjunctive", "threshold": 1, "features": {"x": 1.0}, "label": True}
-    runs = tmp_path / "runs.jsonl"
-    runs.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
-    code = main(["train", "--runs", str(runs), "--kind", kind, "--out", str(tmp_path / "out.json")])
-    assert code == 2
-    assert "line 2" in capsys.readouterr().err
-
-
-def test_train_is_deterministic(workspace, tmp_path):
-    out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+def test_train_is_deterministic(workspace, tmp_path, capsys):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         assert main([
-            "train", "--runs", workspace["quality_runs"], "--kind", "quality-conj",
-            "--out", out,
+            "train", "--dataset", workspace["dataset"], "--corpus", workspace["corpus"],
+            "--out", str(out),
         ]) == 0
-    assert open(out1).read() == open(out2).read()
+    output = capsys.readouterr().out
+    assert "with the adjacency scorer" in output and "-- threshold 20 --" in output
+    assert (out1 / "models.json").read_bytes() == (out2 / "models.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda data: "{not json",
+        lambda data: {k: v for k, v in data.items() if k != "phrasal"},
+        lambda data: {**data, "format": 2},
+        lambda data: {**data, "scorer": "parser"},
+        lambda data: {**data, "probe_size": 3},
+        lambda data: {**data, "ensemble": None},
+    ],
+    ids=["not-json", "missing-key", "format-2", "unknown-scorer", "probe-size-3", "no-ensemble"],
+)
+def test_bad_models_file_is_data_error(workspace, models_dir, tmp_path, capsys, edit):
+    data = json.loads(open(os.path.join(models_dir, "models.json"), encoding="utf-8").read())
+    edited = edit(data)
+    bad = tmp_path / "models.json"
+    bad.write_text(edited if isinstance(edited, str) else json.dumps(edited), encoding="utf-8")
+    assert main([
+        "ask", "Who painted the quartz mill?", "--corpus", workspace["corpus"],
+        "--models", str(tmp_path), "--policy", "cost-benefit",
+    ]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ask", "Who painted the quartz mill?", "--policy", "cost-benefit"],
+        ["ask", "Who painted the quartz mill?", "--policy", "likelihood"],
+        ["evaluate", "--dataset", "DATASET"],
+        ["evaluate", "--dataset", "DATASET", "--policy", "likelihood"],
+        ["evaluate", "--dataset", "DATASET", "--sweep-k", "5,10"],
+        ["evaluate", "--dataset", "DATASET", "--sweep-n"],
+    ],
+    ids=["ask-cost-benefit", "ask-likelihood", "evaluate-default", "evaluate-likelihood",
+         "evaluate-sweep-k", "evaluate-sweep-n"],
+)
+def test_model_policies_without_models_are_usage_errors(workspace, monkeypatch, capsys, args):
+    def no_query(self, rewrite, limit):
+        raise AssertionError("a query was issued")
+
+    monkeypatch.setattr(OfflineProvider, "execute", no_query)
+    args = [workspace["dataset"] if a == "DATASET" else a for a in args]
+    assert main(args + ["--corpus", workspace["corpus"]]) == 1
+    assert "--models" in capsys.readouterr().err
 
 
 def test_evaluate_policy_table(workspace, models_dir, capsys):
@@ -272,6 +252,8 @@ def test_conflicting_backends_is_data_error(workspace, tmp_path):
         # Training fixes the budgets and the probe; the ensemble carries them.
         {"thresholds": [1, 2, 25]},
         {"probe_size": 3},
+        # The models file records its grammar scorer.
+        {"scorer": "adjacency"},
     ]:
         cfg.write_text(json.dumps({"corpus": workspace["corpus"], **extra}), encoding="utf-8")
         assert main(["ask", "Who did it?", "--config", str(cfg)]) == 2, extra

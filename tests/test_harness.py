@@ -7,18 +7,12 @@ from budgetqa.bench import generate_benchmark
 from budgetqa.control import LikelihoodN, run_policy
 from budgetqa.errors import IncompleteEnsemble, RetryableError
 from budgetqa.evaluation import Judgment, judge
-from budgetqa.harness import (
-    generate_quality_cases,
-    generate_threshold_cases,
-    read_quality_runs,
-    read_threshold_runs,
-    train_models,
-    write_quality_runs,
-    write_threshold_runs,
-)
+from budgetqa.cli import main
+from budgetqa.evaluation import dump_dataset
+from budgetqa.harness import generate_quality_cases, generate_threshold_cases, train_models
 from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet
 from budgetqa.rewrite import AdjacencyGrammarScorer
-from budgetqa.search import MeteredProvider, OfflineProvider, build_index
+from budgetqa.search import MeteredProvider, OfflineProvider, build_index, save_corpus
 from budgetqa.tree import train_tree, tree_to_dict
 
 
@@ -64,23 +58,6 @@ def test_threshold_case_labels_non_decreasing_in_budget_on_average(small_setup):
     )
     rates = [sum(c.label for c in cases[n]) / len(cases[n]) for n in sorted(cases)]
     assert rates[-1] >= rates[0]
-
-
-def test_runs_files_round_trip(tmp_path, small_setup):
-    bench, provider = small_setup
-    conj, phrasal = generate_quality_cases(bench.items, provider, scorer=AdjacencyGrammarScorer())
-    qpath = tmp_path / "quality.jsonl"
-    write_quality_runs(conj, phrasal, str(qpath))
-    assert read_quality_runs(str(qpath), "conjunctive") == conj
-    assert read_quality_runs(str(qpath), "phrasal") == phrasal
-
-    cases = generate_threshold_cases(
-        bench.items, provider, train_tree(conj), train_tree(phrasal),
-        scorer=AdjacencyGrammarScorer(),
-    )
-    tpath = tmp_path / "thresholds.jsonl"
-    write_threshold_runs(cases, str(tpath))
-    assert read_threshold_runs(str(tpath)) == cases
 
 
 class _FailingProvider:
@@ -140,13 +117,29 @@ def test_incomplete_threshold_runs_rejected(small_setup, tmp_path):
 MODELS_GOLDEN_DIGEST = "6faafeee7912409df649f94ff329c695feb5589a3af9cca4d01f64a55124f9a6"
 
 
-def test_trained_models_match_golden_digest():
-    bench = generate_benchmark(80, seed=0)
-    provider = OfflineProvider(build_index(bench.corpus))
-    models = train_models(bench.items, provider, scorer=AdjacencyGrammarScorer())
+def _models_digest(models: ModelSet) -> str:
     trees = [models.conjunctive, models.phrasal]
     trees += [models.ensemble.trees[n] for n in sorted(models.ensemble.trees)]
     digest = hashlib.sha256()
     for tree in trees:
         digest.update(json.dumps(tree_to_dict(tree), sort_keys=True).encode("utf-8"))
-    assert digest.hexdigest() == MODELS_GOLDEN_DIGEST
+    return digest.hexdigest()
+
+
+def test_trained_models_match_golden_digest(tmp_path):
+    bench = generate_benchmark(80, seed=0)
+    provider = OfflineProvider(build_index(bench.corpus))
+    models = train_models(bench.items, provider, scorer=AdjacencyGrammarScorer())
+    assert _models_digest(models) == MODELS_GOLDEN_DIGEST
+
+    # The command line trains the same trees and records the scorer, so
+    # serving needs no scorer flag to match training.
+    save_corpus(bench.corpus, str(tmp_path / "corpus.jsonl"))
+    dump_dataset(bench.items, str(tmp_path / "dataset.jsonl"))
+    assert main([
+        "train", "--dataset", str(tmp_path / "dataset.jsonl"),
+        "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "models"),
+    ]) == 0
+    loaded = ModelSet.load(str(tmp_path / "models"))
+    assert _models_digest(loaded) == MODELS_GOLDEN_DIGEST
+    assert isinstance(loaded.scorer, AdjacencyGrammarScorer)

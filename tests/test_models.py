@@ -6,8 +6,6 @@ from budgetqa.errors import IncompleteEnsemble, LengthMismatch
 from budgetqa.models import (
     DEFAULT_THRESHOLDS,
     ModelSet,
-    ensemble_from_dict,
-    ensemble_to_dict,
     extract_run_features,
     order_rewrites,
     score_rewrite,
@@ -15,7 +13,9 @@ from budgetqa.models import (
     weight_class,
 )
 from budgetqa.rewrite import (
+    AdjacencyGrammarScorer,
     AnswerSlot,
+    HeuristicGrammarScorer,
     Question,
     Rewrite,
     RewriteKind,
@@ -23,7 +23,7 @@ from budgetqa.rewrite import (
 )
 from budgetqa.compose import Candidates, NGramCandidate, compose_answers
 from budgetqa.search import Snippet
-from budgetqa.tree import Leaf, DecisionTree, TrainingCase, train_tree
+from budgetqa.tree import Leaf, DecisionTree, TrainingCase, train_tree, tree_to_dict
 
 from oracles import best_subset_score
 from stubs import StubGrammarScorer
@@ -171,20 +171,37 @@ def test_constant_labels_give_single_leaf_trees():
         assert tree.root.probability == pytest.approx(7 / 8)
 
 
-def test_ensemble_round_trip(tmp_path):
-    runs = {n: _constant_cases(n > 5) for n in DEFAULT_THRESHOLDS}
-    ensemble = train_threshold_ensemble(runs)
-    data = ensemble_to_dict(ensemble)
-    assert ensemble_to_dict(ensemble_from_dict(data)) == data
-
-
 def test_model_set_save_load_round_trip(tmp_path):
     conj = train_tree(_constant_cases(True))
     phrasal = train_tree(_constant_cases(False))
     runs = {n: _constant_cases(n > 5) for n in DEFAULT_THRESHOLDS}
-    models = ModelSet(conj, phrasal, train_threshold_ensemble(runs))
-    models.save_dir(str(tmp_path / "models"))
-    loaded = ModelSet.load_dir(str(tmp_path / "models"))
-    assert loaded.conjunctive.predict({"x": 0.0}) == conj.predict({"x": 0.0})
-    assert loaded.ensemble is not None
+    models = ModelSet(conj, phrasal, train_threshold_ensemble(runs), AdjacencyGrammarScorer())
+    models.save(str(tmp_path / "models"))
+    loaded = ModelSet.load(str(tmp_path / "models"))
+    assert tree_to_dict(loaded.conjunctive) == tree_to_dict(conj)
+    assert tree_to_dict(loaded.phrasal) == tree_to_dict(phrasal)
     assert loaded.ensemble.thresholds == models.ensemble.thresholds
+    for n, tree in models.ensemble.trees.items():
+        assert tree_to_dict(loaded.ensemble.trees[n]) == tree_to_dict(tree)
+    assert isinstance(loaded.scorer, AdjacencyGrammarScorer)
+    # No scorer means the default one, and the file says so.
+    ModelSet(conj, phrasal, models.ensemble).save(str(tmp_path / "default"))
+    assert isinstance(ModelSet.load(str(tmp_path / "default")).scorer, HeuristicGrammarScorer)
+
+
+@pytest.mark.parametrize(
+    "ensemble, scorer, error",
+    [
+        (None, AdjacencyGrammarScorer(), IncompleteEnsemble),
+        ("trained", AdjacencyGrammarScorer(violation_penalty=0.5), ValueError),
+        ("trained", StubGrammarScorer(), ValueError),
+    ],
+    ids=["no-ensemble", "non-default-penalty", "unnamed-scorer"],
+)
+def test_model_set_save_refuses_what_load_cannot_rebuild(tmp_path, ensemble, scorer, error):
+    tree = train_tree(_constant_cases(True))
+    if ensemble == "trained":
+        ensemble = train_threshold_ensemble({n: _constant_cases(True) for n in DEFAULT_THRESHOLDS})
+    with pytest.raises(error):
+        ModelSet(tree, tree, ensemble, scorer).save(str(tmp_path))
+    assert not (tmp_path / "models.json").exists()

@@ -6,13 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from budgetqa.errors import MissingFeature, NoTrainingData, SchemaMismatch
+from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet, ThresholdEnsemble
 from budgetqa.tree import (
     DecisionTree,
     Leaf,
     TrainingCase,
     TreeConfig,
-    load_tree,
-    save_tree,
     train_tree,
     tree_to_dict,
 )
@@ -149,17 +148,21 @@ def test_deeper_config_never_decreases_training_loglik(seed):
 
 
 def test_round_trip_is_bit_exact(tmp_path):
+    # Every tree of a saved model set, quality models and each threshold's
+    # tree alike, loads with the same nodes and predicts the same floats.
     rng = random.Random(11)
-    cases = _random_cases(rng, 90)
-    tree = train_tree(cases)
-    path = tmp_path / "tree.json"
-    save_tree(tree, str(path))
-    loaded = load_tree(str(path))
-    assert tree_to_dict(loaded) == tree_to_dict(tree)
-    for _ in range(20):
-        feats = {f"f{i}": rng.choice([0.0, 1.0, 2.0]) for i in range(3)}
-        feats["cat"] = rng.choice(["a", "b"])
-        assert loaded.predict(feats) == tree.predict(feats)
+    trees = [train_tree(_random_cases(rng, 90)) for _ in range(2 + len(DEFAULT_THRESHOLDS))]
+    models = ModelSet(trees[0], trees[1], ThresholdEnsemble(dict(zip(DEFAULT_THRESHOLDS, trees[2:]))))
+    models.save(str(tmp_path))
+    loaded = ModelSet.load(str(tmp_path))
+    pairs = [(loaded.conjunctive, trees[0]), (loaded.phrasal, trees[1])]
+    pairs += [(loaded.ensemble.trees[n], models.ensemble.trees[n]) for n in DEFAULT_THRESHOLDS]
+    for got, tree in pairs:
+        assert tree_to_dict(got) == tree_to_dict(tree)
+        for _ in range(20):
+            feats = {f"f{i}": rng.choice([0.0, 1.0, 2.0]) for i in range(3)}
+            feats["cat"] = rng.choice(["a", "b"])
+            assert got.predict(feats) == tree.predict(feats)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=30))
