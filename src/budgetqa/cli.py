@@ -51,6 +51,45 @@ def cli():
 
 _config_option = click.option("--config", "config_path", type=click.Path(), default=None, help="JSON config file.")
 
+_POLICIES = ("random", "likelihood", "conjunctive", "all", "cost-benefit")
+_POSITIVE = click.FloatRange(min=0, min_open=True)
+
+
+def _serving_options(default_policy: str):
+    """The options ``ask`` and ``evaluate`` share, in their help order."""
+    options = [
+        _config_option,
+        click.option("--policy", type=click.Choice(_POLICIES), default=default_policy),
+        click.option("--n", type=click.IntRange(min=1), default=None, help="Budget for random/likelihood policies."),
+        click.option("--seed", type=int, default=None),
+        click.option("--k", type=_POSITIVE, default=None, help="Answer value as a multiple of query cost."),
+        click.option("--c", type=_POSITIVE, default=None, help="Cost per query."),
+        click.option("--corpus", "corpus_path", type=click.Path(), default=None),
+        click.option("--index", "index_path", type=click.Path(), default=None),
+        click.option("--models", "models_dir", type=click.Path(), default=None),
+    ]
+
+    def decorate(command):
+        for option in reversed(options):
+            command = option(command)
+        return command
+
+    return decorate
+
+
+def _comma_list(item_type: click.ParamType):
+    """Option callback: a comma-separated list of at least one ``item_type``."""
+
+    def parse(ctx, param, value):
+        if value is None:
+            return None
+        items = [item_type.convert(v.strip(), param, ctx) for v in value.split(",") if v.strip()]
+        if not items:
+            raise click.BadParameter("needs at least one value", ctx, param)
+        return items
+
+    return parse
+
 
 def _policy_from_flags(policy: str, n: int | None, cfg: Config) -> Policy:
     if policy == "random":
@@ -92,15 +131,7 @@ def cmd_index(corpus_path: str, out_path: str, window: int | None):
 
 @cli.command("ask")
 @click.argument("question")
-@_config_option
-@click.option("--policy", type=click.Choice(["random", "likelihood", "conjunctive", "all", "cost-benefit"]), default="all")
-@click.option("--n", type=int, default=None, help="Budget for random/likelihood policies.")
-@click.option("--seed", type=int, default=None)
-@click.option("--k", type=float, default=None, help="Answer value as a multiple of query cost.")
-@click.option("--c", type=float, default=None, help="Cost per query.")
-@click.option("--corpus", "corpus_path", type=click.Path(), default=None)
-@click.option("--index", "index_path", type=click.Path(), default=None)
-@click.option("--models", "models_dir", type=click.Path(), default=None)
+@_serving_options(default_policy="all")
 @click.option("--top", type=int, default=5, help="Ranked answers to print.")
 def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, index_path, models_dir, top):
     """Answer one question with the configured policy."""
@@ -172,18 +203,11 @@ def cmd_train(dataset_path, config_path, corpus_path, index_path, scorer, out_di
 
 @cli.command("evaluate")
 @click.option("--dataset", "dataset_path", type=click.Path(), required=True)
-@_config_option
-@click.option("--policy", type=click.Choice(["random", "likelihood", "conjunctive", "all", "cost-benefit"]), default="cost-benefit")
-@click.option("--n", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--k", type=float, default=None)
-@click.option("--c", type=float, default=None)
-@click.option("--corpus", "corpus_path", type=click.Path(), default=None)
-@click.option("--index", "index_path", type=click.Path(), default=None)
-@click.option("--models", "models_dir", type=click.Path(), default=None)
-@click.option("--sweep-k", "sweep_k_values", default=None, help="Comma-separated k values.")
+@_serving_options(default_policy="cost-benefit")
+@click.option("--sweep-k", "sweep_k_values", default=None, callback=_comma_list(_POSITIVE),
+              help="Comma-separated k values.")
 @click.option("--sweep-n", "sweep_n_flag", is_flag=True, help="Random vs likelihood over the threshold set.")
-@click.option("--seeds", default="0,1,2", help="Random-order seeds for --sweep-n.")
+@click.option("--seeds", default="0,1,2", callback=_comma_list(click.INT), help="Random-order seeds for --sweep-n.")
 @click.option("--jobs", type=int, default=None,
               help="Parallel questions (default: 1 offline, where search is CPU-bound; "
                    "cpu count capped at max_in_flight for a remote endpoint).")
@@ -210,13 +234,13 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, 
 
     reports = []
     if sweep_k_values:
-        ks = [float(v) for v in sweep_k_values.split(",") if v.strip()]
-        results = evaluation.sweep_k(dataset, provider, models, ks, cfg.c, limit=cfg.limit, jobs=jobs)
+        results = evaluation.sweep_k(
+            dataset, provider, models, sweep_k_values, cfg.c, limit=cfg.limit, jobs=jobs
+        )
         click.echo(evaluation.render_k_sweep(results))
         reports = [r for _, r in results]
     elif sweep_n_flag:
-        seed_list = [int(s) for s in seeds.split(",") if s.strip()]
-        rows = evaluation.sweep_n(dataset, provider, models, seed_list, limit=cfg.limit, jobs=jobs)
+        rows = evaluation.sweep_n(dataset, provider, models, seeds, limit=cfg.limit, jobs=jobs)
         click.echo(evaluation.render_n_sweep(rows))
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:

@@ -68,7 +68,6 @@ def mine_ngrams(
     evidence: Iterable[tuple[float, Sequence[Snippet]]],
     *,
     exclude: Iterable[str] = (),
-    stop: frozenset[str] | None = None,
 ) -> Candidates:
     """Every surviving 1/2/3-gram across the snippets, scored additively.
 
@@ -79,7 +78,7 @@ def mine_ngrams(
     reported for each candidate is the most frequent one seen (first seen
     wins ties), matched case-insensitively.
     """
-    stop = stop if stop is not None else default_stopwords()
+    stop = default_stopwords()
     excluded = frozenset(token_key(t) for t in exclude)
 
     found: dict[tuple[str, ...], list] = {}  # key -> [score, support, {surface form: count}]
@@ -165,17 +164,12 @@ DEFAULT_FILTERS: tuple[AnswerFilter, ...] = (
 )
 
 
-def filter_ngrams(
-    cands: Sequence[NGramCandidate],
-    qtype: QuestionType,
-    filters: Sequence[AnswerFilter] | None = None,
-) -> list[NGramCandidate]:
+def filter_ngrams(cands: Sequence[NGramCandidate], qtype: QuestionType) -> list[NGramCandidate]:
     """Re-weight candidates by every applicable matching filter.
 
     Input order is preserved; support is never changed.
     """
-    filters = DEFAULT_FILTERS if filters is None else filters
-    active = [flt for flt in filters if qtype in flt.applicable_types]
+    active = [flt for flt in DEFAULT_FILTERS if qtype in flt.applicable_types]
     out = []
     for cand in cands:
         text = cand.text
@@ -187,15 +181,10 @@ def filter_ngrams(
     return out
 
 
-def applied_filter_names(
-    cands: Sequence[NGramCandidate],
-    qtype: QuestionType,
-    filters: Sequence[AnswerFilter] | None = None,
-) -> list[str]:
+def applied_filter_names(cands: Sequence[NGramCandidate], qtype: QuestionType) -> list[str]:
     """Names of the filters that matched at least one candidate."""
-    filters = DEFAULT_FILTERS if filters is None else filters
     names = []
-    for flt in filters:
+    for flt in DEFAULT_FILTERS:
         if any(flt.applies(qtype, c.text) for c in cands):
             names.append(flt.name)
     return names
@@ -259,8 +248,6 @@ def compose_answers(
     qtype: QuestionType,
     *,
     exclude: Iterable[str] = (),
-    filters: Sequence[AnswerFilter] | None = None,
-    stop: frozenset[str] | None = None,
 ) -> Candidates:
     """Full composition pipeline over (weight, snippets) pairs as
     ``mine_ngrams`` takes them: mine, filter, tile. Head of the result is
@@ -268,6 +255,6 @@ def compose_answers(
     carries the counts of the one mining it was composed from."""
     if not any(snippets for _, snippets in evidence):
         return Candidates([], 0, {})
-    mined = mine_ngrams(evidence, exclude=exclude, stop=stop)
-    filtered = filter_ngrams(mined, qtype, filters)
+    mined = mine_ngrams(evidence, exclude=exclude)
+    filtered = filter_ngrams(mined, qtype)
     return Candidates(tile_ngrams(filtered), mined.mined, mined.mined_by_weight)

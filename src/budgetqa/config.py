@@ -7,6 +7,7 @@ configured and every referenced path must resolve at load time.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -33,6 +34,14 @@ class Config:
     max_in_flight: int = 4
 
     def __post_init__(self):
+        for name in ("k", "c"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be a positive number, not {value!r}")
+        for name in ("window", "limit", "max_in_flight"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, not {value!r}")
         backends = sum(1 for b in (self.corpus_path, self.index_path, self.endpoint) if b)
         if backends > 1:
             raise ConfigError("configure exactly one backend (corpus, index or endpoint)")

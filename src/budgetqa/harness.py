@@ -49,7 +49,7 @@ def generate_quality_cases(
     dataset: Sequence[QAItem],
     provider: SearchProvider,
     *,
-    scorer: GrammarScorer | None = None,
+    scorer: GrammarScorer,
     limit: int = DEFAULT_LIMIT,
 ) -> tuple[list[TrainingCase], list[TrainingCase]]:
     """(conjunctive cases, phrasal cases) from single-query runs."""
@@ -75,7 +75,7 @@ def generate_threshold_cases(
     conj_tree: DecisionTree,
     phrasal_tree: DecisionTree,
     *,
-    scorer: GrammarScorer | None = None,
+    scorer: GrammarScorer,
     limit: int = DEFAULT_LIMIT,
 ) -> dict[int, list[TrainingCase]]:
     """Budget-capped runs at every training threshold over quality-ordered
@@ -101,7 +101,7 @@ def train_models(
     dataset: Sequence[QAItem],
     provider: SearchProvider,
     *,
-    scorer: GrammarScorer | None = None,
+    scorer: GrammarScorer,
     limit: int = DEFAULT_LIMIT,
 ) -> ModelSet:
     """Both learning phases end to end: quality models, then the ensemble."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .compose import Candidates
@@ -43,19 +43,6 @@ DEFAULT_THRESHOLDS: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20
 #: threshold ensemble is trained on run features of this probe, so no other
 #: size can feed it.
 PROBE_SIZE = 2
-
-
-def score_rewrite(
-    conj_tree: DecisionTree,
-    phrasal_tree: DecisionTree,
-    r: Rewrite,
-    scorer: GrammarScorer | None = None,
-) -> float:
-    """Query-quality score: probability that this single rewrite succeeds."""
-    if r.kind is RewriteKind.CONJUNCTIVE:
-        return conj_tree.predict(conjunctive_features(r).as_features())
-    scorer = scorer if scorer is not None else HeuristicGrammarScorer()
-    return phrasal_tree.predict(phrasal_features(r, scorer).as_features())
 
 
 def order_rewrites(rewrites: Sequence[Rewrite], scores: Sequence[float]) -> list[Rewrite]:
@@ -194,15 +181,15 @@ def train_threshold_ensemble(runs: Mapping[int, Sequence[TrainingCase]]) -> Thre
 # Bundled model set
 
 MODELS_FILE = "models.json"
-MODELS_FORMAT = 1
+# Raised whenever a tree's feature schema changes, since a tree from another
+# format may split on features that are no longer computed.
+MODELS_FORMAT = 2
 
 
-def _scorer_name(scorer: GrammarScorer | None) -> str:
-    """The ``SCORERS`` name that rebuilds ``scorer`` exactly (None is the
-    default scorer, as in ``score_rewrite``)."""
-    scorer = scorer if scorer is not None else HeuristicGrammarScorer()
+def _scorer_name(scorer: GrammarScorer) -> str:
+    """The ``SCORERS`` name of ``scorer``'s class."""
     for name, cls in SCORERS.items():
-        if type(scorer) is cls and vars(scorer) == vars(cls()):
+        if type(scorer) is cls:
             return name
     raise ValueError(f"{scorer!r} is not a named scorer; a models file cannot record it")
 
@@ -214,10 +201,13 @@ class ModelSet:
     conjunctive: DecisionTree
     phrasal: DecisionTree
     ensemble: ThresholdEnsemble | None = None
-    scorer: GrammarScorer | None = None
+    scorer: GrammarScorer = field(default_factory=HeuristicGrammarScorer)
 
     def quality_score(self, rewrite: Rewrite) -> float:
-        return score_rewrite(self.conjunctive, self.phrasal, rewrite, self.scorer)
+        """Query-quality score: probability that this single rewrite succeeds."""
+        if rewrite.kind is RewriteKind.CONJUNCTIVE:
+            return self.conjunctive.predict(conjunctive_features(rewrite).as_features())
+        return self.phrasal.predict(phrasal_features(rewrite, self.scorer).as_features())
 
     def save(self, directory: str) -> str:
         """Write ``models.json`` under ``directory`` and return its path. The

@@ -20,6 +20,8 @@ from .errors import ProviderError, RetryableError
 from .rewrite import Rewrite
 from .search import DEFAULT_LIMIT, Snippet
 
+MAX_ATTEMPTS = 3
+
 
 def _retry_after(response: requests.Response, cap: float) -> float | None:
     """Seconds a numeric ``Retry-After`` header asks to wait, at most ``cap``;
@@ -52,22 +54,19 @@ class RemoteProvider:
         results_key: str = "results",
         summary_key: str = "summary",
         token: str | None = None,
-        max_attempts: int = 3,
         backoff: float = 0.25,
         max_in_flight: int = 4,
         timeout: float = 10.0,
-        session: requests.Session | None = None,
     ):
         self.endpoint = endpoint
         self.query_param = query_param
         self.results_key = results_key
         self.summary_key = summary_key
         self.token = token
-        self.max_attempts = max_attempts
         self.backoff = backoff
         self.timeout = timeout
         self._gate = threading.Semaphore(max_in_flight)
-        self._session = session or requests.Session()
+        self._session = requests.Session()
 
     def _get(self, query: str) -> requests.Response:
         headers = {}
@@ -75,7 +74,7 @@ class RemoteProvider:
             headers["Authorization"] = f"Bearer {self.token}"
         last_exc: Exception | None = None
         asked_wait: float | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 backoff = self.backoff * (2 ** (attempt - 1))
                 time.sleep(backoff if asked_wait is None else asked_wait)
@@ -98,9 +97,7 @@ class RemoteProvider:
             if response.status_code >= 400:
                 raise ProviderError(f"HTTP {response.status_code} from backend")
             return response
-        raise RetryableError(
-            f"backend failed after {self.max_attempts} attempts: {last_exc}"
-        )
+        raise RetryableError(f"backend failed after {MAX_ATTEMPTS} attempts: {last_exc}")
 
     def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT) -> list[Snippet]:
         response = self._get(rewrite.as_query())

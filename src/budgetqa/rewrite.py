@@ -65,9 +65,8 @@ class Rewrite:
     """One search-engine query derived from a question.
 
     ``parts`` is an ordered tuple of phrase strings. A phrasal rewrite has a
-    single multi-word part; a conjunctive rewrite has one part per term (a
-    part may itself be a short phrase, in which case it must match
-    contiguously).
+    single multi-word part; a conjunctive rewrite has one single-word part
+    per term.
     """
 
     kind: RewriteKind
@@ -173,20 +172,16 @@ def generate_rewrites(q: Question) -> list[Rewrite]:
 
 @dataclass(frozen=True)
 class ConjFeatures:
-    longphrase: int
     longwd: int
     numcap: int
-    numphrases: int
     numstop: int
     numwords: int
     pctstop: float
 
     def as_features(self) -> dict[str, float]:
         return {
-            "longphrase": float(self.longphrase),
             "longwd": float(self.longwd),
             "numcap": float(self.numcap),
-            "numphrases": float(self.numphrases),
             "numstop": float(self.numstop),
             "numwords": float(self.numwords),
             "pctstop": self.pctstop,
@@ -213,7 +208,8 @@ class PhrasalFeatures:
         }
 
 
-def _count_stats(words: list[str], stop: frozenset[str]) -> tuple[int, int, float, int]:
+def _count_stats(words: list[str]) -> tuple[int, int, float, int]:
+    stop = default_stopwords()
     numcap = sum(1 for w in words if w[:1].isupper())
     numstop = sum(1 for w in words if token_key(w) in stop)
     numwords = len(words)
@@ -221,16 +217,13 @@ def _count_stats(words: list[str], stop: frozenset[str]) -> tuple[int, int, floa
     return numcap, numstop, pctstop, numwords
 
 
-def conjunctive_features(r: Rewrite, stop: frozenset[str] | None = None) -> ConjFeatures:
-    """The seven count features, computable for any rewrite kind."""
-    stop = stop if stop is not None else default_stopwords()
+def conjunctive_features(r: Rewrite) -> ConjFeatures:
+    """The five count features, computable for any rewrite kind."""
     words = r.all_words()
-    numcap, numstop, pctstop, numwords = _count_stats(words, stop)
+    numcap, numstop, pctstop, numwords = _count_stats(words)
     return ConjFeatures(
-        longphrase=max((len(p.split()) for p in r.parts), default=0),
         longwd=max((len(w) for w in words), default=0),
         numcap=numcap,
-        numphrases=len(r.parts),
         numstop=numstop,
         numwords=numwords,
         pctstop=pctstop,
@@ -252,26 +245,28 @@ def _looks_verbal(key: str) -> bool:
     return key in AUXILIARIES or key.endswith("ed") or key.endswith("ing")
 
 
+# Score lost per unit of stop-word share, and by a phrase without a verb.
+PCTSTOP_PENALTY = 0.5
+FRAG_PENALTY = 0.25
+
+
 class HeuristicGrammarScorer:
     """Default scorer: penalize stop-word density and verbless fragments."""
-
-    def __init__(self, pctstop_penalty: float = 0.5, frag_penalty: float = 0.25):
-        self.pctstop_penalty = pctstop_penalty
-        self.frag_penalty = frag_penalty
 
     def score(self, phrase: str) -> tuple[int, int, float]:
         words = phrase.split()
         stop = default_stopwords()
         numstop = sum(1 for w in words if token_key(w) in stop)
         pctstop = numstop / len(words) if words else 0.0
-        sgm = 1.0 - self.pctstop_penalty * pctstop
+        sgm = 1.0 - PCTSTOP_PENALTY * pctstop
         if not any(_looks_verbal(token_key(w)) for w in words):
-            sgm -= self.frag_penalty
+            sgm -= FRAG_PENALTY
         return 1, 0, min(1.0, max(0.0, sgm))
 
 
 _DETERMINERS = frozenset({"the", "a", "an", "this", "that", "these", "those"})
 _AUX_LIKE = AUXILIARIES | frozenset({"has", "have", "had", "will", "would", "can", "could"})
+VIOLATION_PENALTY = 0.35  # score lost per implausible adjacency
 
 
 class AdjacencyGrammarScorer:
@@ -284,9 +279,6 @@ class AdjacencyGrammarScorer:
     and a past form not introduced by an auxiliary (unless phrase-initial).
     The violation count is exposed as secondary_parses.
     """
-
-    def __init__(self, violation_penalty: float = 0.35):
-        self.violation_penalty = violation_penalty
 
     def score(self, phrase: str) -> tuple[int, int, float]:
         keys = [token_key(w) for w in phrase.split()]
@@ -301,7 +293,7 @@ class AdjacencyGrammarScorer:
             elif cur.endswith("ed") and cur not in _AUX_LIKE and prev not in _AUX_LIKE:
                 if prev not in _DETERMINERS:  # determiner case already counted
                     violations += 1
-        sgm = max(0.0, 1.0 - self.violation_penalty * violations)
+        sgm = max(0.0, 1.0 - VIOLATION_PENALTY * violations)
         return 1, violations, sgm
 
 
@@ -311,18 +303,11 @@ SCORERS = {
 }
 
 
-def phrasal_features(
-    r: Rewrite,
-    scorer: GrammarScorer | None = None,
-    stop: frozenset[str] | None = None,
-) -> PhrasalFeatures:
+def phrasal_features(r: Rewrite, scorer: GrammarScorer) -> PhrasalFeatures:
     """Count features plus parse-derived features for a phrasal rewrite."""
     if r.kind is not RewriteKind.PHRASAL:
         raise WrongRewriteKind("phrasal features require a PHRASAL rewrite")
-    stop = stop if stop is not None else default_stopwords()
-    scorer = scorer if scorer is not None else HeuristicGrammarScorer()
-    words = r.all_words()
-    numcap, numstop, pctstop, _ = _count_stats(words, stop)
+    numcap, numstop, pctstop, _ = _count_stats(r.all_words())
     primary, secondary, sgm = scorer.score(r.parts[0])
     return PhrasalFeatures(
         numcap=numcap,

@@ -8,10 +8,10 @@ after construction so concurrent queries are safe.
 
 A phrase is matched by scanning the postings of its rarest key and checking
 the document's keys around each posting (Manning, Raghavan & Schütze,
-*Introduction to Information Retrieval*, §2.4). A conjunctive query keeps
-only each part's first position per document: single-word parts read it
-from the index's first-position map, multi-word parts from one phrase scan,
-and the documents of the part with the fewest are checked against the rest.
+*Introduction to Information Retrieval*, §2.4). A conjunctive query ANDs
+single words: it reads each word's first position per document from the
+index's first-position map, and checks the documents of the word with the
+fewest against the rest.
 """
 
 from __future__ import annotations
@@ -136,31 +136,18 @@ def query_phrase(index: Index, phrase: list[str], limit: int = DEFAULT_LIMIT) ->
 
 
 def query_conjunctive(index: Index, parts: list[str], limit: int = DEFAULT_LIMIT) -> list[Snippet]:
-    """Documents containing every part; one snippet per document.
-
-    Single-word parts may occur anywhere, multi-word parts must occur
-    contiguously. The snippet is centered on the first part's first
-    occurrence in the document.
+    """Documents containing every single-word part anywhere; one snippet per
+    document, centered on the first part's first occurrence in it.
     """
-    part_keys = [_phrase_keys(p.split()) for p in parts]
-    part_keys = [k for k in part_keys if k]
-    if not part_keys:
+    keys = _phrase_keys(parts)
+    if not keys:
         return []
 
-    starts = [_first_starts(index, keys) for keys in part_keys]
+    starts = [index.first_positions.get(k, {}) for k in keys]
     fewest = min(starts, key=len)
     matched = [o for o in fewest if all(o in found for found in starts)]
     matched.sort(key=lambda o: index.docs[o].id)
-
-    first_starts, size = starts[0], len(part_keys[0])
-    return [index._snippet(o, first_starts[o], first_starts[o] + size) for o in matched[:limit]]
-
-
-def _first_starts(index: Index, keys: list[str]) -> dict[int, int]:
-    """Doc ordinal -> first start of the (single- or multi-word) part."""
-    if len(keys) == 1:
-        return index.first_positions.get(keys[0], {})
-    return dict(reversed(index.phrase_positions(keys)))
+    return [index._snippet(o, starts[0][o], starts[0][o] + 1) for o in matched[:limit]]
 
 
 class OfflineProvider:

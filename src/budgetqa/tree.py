@@ -18,17 +18,14 @@ from .errors import MissingFeature, NoTrainingData, SchemaMismatch
 
 FeatureValue = Union[float, int, str]
 
+MIN_GAIN = 1e-3  # a split must gain at least this many bits
+MIN_LEAF = 5  # nodes with fewer cases are not split
+
 
 @dataclass(frozen=True)
 class TrainingCase:
     features: Mapping[str, FeatureValue]
     label: bool
-
-
-@dataclass(frozen=True)
-class TreeConfig:
-    min_gain: float = 1e-3
-    min_leaf: int = 5
 
 
 @dataclass(frozen=True)
@@ -129,9 +126,9 @@ def _candidate_splits(cases: Sequence[TrainingCase], name: str, kind: str):
                 yield category, mask
 
 
-def _grow(cases: Sequence[TrainingCase], schema: dict[str, str], cfg: TreeConfig) -> Node:
+def _grow(cases: Sequence[TrainingCase], schema: dict[str, str]) -> Node:
     pos = sum(1 for c in cases if c.label)
-    if len(cases) < cfg.min_leaf or pos in (0, len(cases)):
+    if len(cases) < MIN_LEAF or pos in (0, len(cases)):
         return _leaf(cases)
 
     parent = _entropy(pos, len(cases))
@@ -150,7 +147,7 @@ def _grow(cases: Sequence[TrainingCase], schema: dict[str, str], cfg: TreeConfig
             if gain > best_gain + 1e-12:
                 best_gain = gain
                 best = (name, value, mask)
-    if best is None or best_gain < cfg.min_gain:
+    if best is None or best_gain < MIN_GAIN:
         return _leaf(cases)
 
     name, value, mask = best
@@ -160,18 +157,17 @@ def _grow(cases: Sequence[TrainingCase], schema: dict[str, str], cfg: TreeConfig
         feature=name,
         kind=schema[name],
         value=value,
-        left=_grow(left_cases, schema, cfg),
-        right=_grow(right_cases, schema, cfg),
+        left=_grow(left_cases, schema),
+        right=_grow(right_cases, schema),
     )
 
 
-def train_tree(cases: Sequence[TrainingCase], cfg: TreeConfig | None = None) -> DecisionTree:
+def train_tree(cases: Sequence[TrainingCase]) -> DecisionTree:
     """Fit a tree on labelled cases sharing one feature schema."""
     if not cases:
         raise NoTrainingData("cannot train a tree on zero cases")
-    cfg = cfg or TreeConfig()
     schema = _check_schema(cases)
-    return DecisionTree(root=_grow(list(cases), schema, cfg), schema=schema)
+    return DecisionTree(root=_grow(list(cases), schema), schema=schema)
 
 
 # --------------------------------------------------------------------------

@@ -109,12 +109,13 @@ def test_train_is_deterministic(workspace, tmp_path, capsys):
     [
         lambda data: "{not json",
         lambda data: {k: v for k, v in data.items() if k != "phrasal"},
-        lambda data: {**data, "format": 2},
+        # Format 1 conjunctive trees split on features that no longer exist.
+        lambda data: {**data, "format": 1},
         lambda data: {**data, "scorer": "parser"},
         lambda data: {**data, "probe_size": 3},
         lambda data: {**data, "ensemble": None},
     ],
-    ids=["not-json", "missing-key", "format-2", "unknown-scorer", "probe-size-3", "no-ensemble"],
+    ids=["not-json", "missing-key", "format-1", "unknown-scorer", "probe-size-3", "no-ensemble"],
 )
 def test_bad_models_file_is_data_error(workspace, models_dir, tmp_path, capsys, edit):
     data = json.loads(open(os.path.join(models_dir, "models.json"), encoding="utf-8").read())
@@ -149,6 +150,45 @@ def test_model_policies_without_models_are_usage_errors(workspace, monkeypatch, 
     args = [workspace["dataset"] if a == "DATASET" else a for a in args]
     assert main(args + ["--corpus", workspace["corpus"]]) == 1
     assert "--models" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["ask", "Who painted the quartz mill?", "--policy", "likelihood", "--n", "0"], "--n"),
+        (["ask", "Who painted the quartz mill?", "--policy", "likelihood", "--n", "-2"], "--n"),
+        (["ask", "Who painted the quartz mill?", "--policy", "cost-benefit", "--k", "0"], "--k"),
+        (["ask", "Who painted the quartz mill?", "--policy", "cost-benefit", "--c", "-1"], "--c"),
+        (["evaluate", "--dataset", "DATASET", "--policy", "random", "--n", "0"], "--n"),
+        (["evaluate", "--dataset", "DATASET", "--k", "0"], "--k"),
+        (["evaluate", "--dataset", "DATASET", "--sweep-k", "5,ten"], "--sweep-k"),
+        (["evaluate", "--dataset", "DATASET", "--sweep-k", "5,0"], "--sweep-k"),
+        (["evaluate", "--dataset", "DATASET", "--sweep-k", ","], "--sweep-k"),
+        (["evaluate", "--dataset", "DATASET", "--sweep-n", "--seeds", "0,x"], "--seeds"),
+    ],
+    ids=["ask-n-0", "ask-n-negative", "ask-k-0", "ask-c-negative", "evaluate-n-0", "evaluate-k-0",
+         "sweep-k-unparsed", "sweep-k-0", "sweep-k-empty", "seeds-unparsed"],
+)
+def test_bad_serving_option_is_usage_error(workspace, models_dir, monkeypatch, capsys, args, option):
+    def no_query(self, rewrite, limit):
+        raise AssertionError("a query was issued")
+
+    monkeypatch.setattr(OfflineProvider, "execute", no_query)
+    args = [workspace["dataset"] if a == "DATASET" else a for a in args]
+    assert main(args + ["--corpus", workspace["corpus"], "--models", models_dir]) == 1
+    assert f"'{option}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", "ten"), ("k", 0), ("c", -1.0), ("k", True), ("c", None), ("window", 0), ("limit", 2.5),
+     ("limit", "100"), ("max_in_flight", 0)],
+)
+def test_bad_config_value_is_data_error(workspace, tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus": workspace["corpus"], field: value}), encoding="utf-8")
+    assert main(["ask", "Who did it?", "--config", str(cfg)]) == 2
+    assert f"data error: {field} must be a positive" in capsys.readouterr().err
 
 
 def test_evaluate_policy_table(workspace, models_dir, capsys):

@@ -21,9 +21,6 @@ from budgetqa.text import default_stopwords
 
 from oracles import all_fixpoints, mine_in_order, stepwise_best_fixpoint, tile_all_pairs
 
-EMPTY = frozenset()
-
-
 def _snip(text):
     return Snippet(text=text, source_doc="d")
 
@@ -43,7 +40,7 @@ def _by_key(cands):
 
 
 def test_single_snippet_all_ngrams_scored():
-    cands = _by_key(mine_ngrams([(5.0, [_snip("John Wilkes Booth")])], stop=EMPTY))
+    cands = _by_key(mine_ngrams([(5.0, [_snip("John Wilkes Booth")])]))
     expected = {
         ("john",): 5.0,
         ("wilkes",): 5.0,
@@ -58,7 +55,7 @@ def test_single_snippet_all_ngrams_scored():
 
 def test_scores_add_across_rewrites():
     evidence = [(5.0, [_snip("John Wilkes Booth")]), (1.0, [_snip("John Wilkes Booth")])]
-    cands = _by_key(mine_ngrams(evidence, stop=EMPTY))
+    cands = _by_key(mine_ngrams(evidence))
     assert cands[("john", "wilkes", "booth")].score == 6.0
     assert cands[("john", "wilkes", "booth")].support == 2
 
@@ -66,7 +63,7 @@ def test_scores_add_across_rewrites():
 def test_question_tokens_are_excluded():
     cands = _by_key(
         mine_ngrams([(5.0, [_snip("Booth killed Abraham Lincoln")])],
-                    exclude=["killed", "abraham", "lincoln"], stop=EMPTY)
+                    exclude=["killed", "abraham", "lincoln"])
     )
     assert ("booth",) in cands
     assert all("killed" not in k and "abraham" not in k for k in cands)

@@ -114,7 +114,7 @@ def test_incomplete_threshold_runs_rejected(small_setup, tmp_path):
 # SHA-256 of every trained tree (quality models, then the ensemble by
 # threshold) on generate_benchmark(80, seed=0). Run features that read the
 # wrong evidence change the ensemble even when no report table moves.
-MODELS_GOLDEN_DIGEST = "6faafeee7912409df649f94ff329c695feb5589a3af9cca4d01f64a55124f9a6"
+MODELS_GOLDEN_DIGEST = "c369496e28008107df92e07b8f464f1e14314d81753e084406c992d5646be2f0"
 
 
 def _models_digest(models: ModelSet) -> str:

@@ -8,7 +8,6 @@ from budgetqa.models import (
     ModelSet,
     extract_run_features,
     order_rewrites,
-    score_rewrite,
     train_threshold_ensemble,
     weight_class,
 )
@@ -43,22 +42,20 @@ def _conj(*parts):
 
 
 # --------------------------------------------------------------------------
-# score_rewrite / order_rewrites
+# quality_score / order_rewrites
 
 
 def test_score_dispatches_by_kind():
-    conj_tree = _leaf_tree(0.25)
-    phrasal_tree = _leaf_tree(0.75)
-    assert score_rewrite(conj_tree, phrasal_tree, _conj("who", "did")) == 0.25
-    assert score_rewrite(conj_tree, phrasal_tree, _phrasal("did the thing")) == 0.75
+    models = ModelSet(_leaf_tree(0.25), _leaf_tree(0.75))
+    assert models.quality_score(_conj("who", "did")) == 0.25
+    assert models.quality_score(_phrasal("did the thing")) == 0.75
 
 
 def test_scores_stay_inside_unit_interval_on_generated_rewrites():
-    conj_tree = _leaf_tree(0.4)
-    phrasal_tree = _leaf_tree(0.6)
+    models = ModelSet(_leaf_tree(0.4), _leaf_tree(0.6), scorer=StubGrammarScorer())
     for text in ["Who painted the old mill?", "Where was the amber tower restored?"]:
         for r in generate_rewrites(Question.from_text(text)):
-            score = score_rewrite(conj_tree, phrasal_tree, r, StubGrammarScorer())
+            score = models.quality_score(r)
             assert 0.0 < score < 1.0
 
 
@@ -193,10 +190,9 @@ def test_model_set_save_load_round_trip(tmp_path):
     "ensemble, scorer, error",
     [
         (None, AdjacencyGrammarScorer(), IncompleteEnsemble),
-        ("trained", AdjacencyGrammarScorer(violation_penalty=0.5), ValueError),
         ("trained", StubGrammarScorer(), ValueError),
     ],
-    ids=["no-ensemble", "non-default-penalty", "unnamed-scorer"],
+    ids=["no-ensemble", "unnamed-scorer"],
 )
 def test_model_set_save_refuses_what_load_cannot_rebuild(tmp_path, ensemble, scorer, error):
     tree = train_tree(_constant_cases(True))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from budgetqa.errors import EmptyQuestion, WrongRewriteKind
@@ -15,7 +15,7 @@ from budgetqa.rewrite import (
     generate_rewrites,
     phrasal_features,
 )
-from budgetqa.text import AUXILIARIES, default_stopwords, tokenize
+from budgetqa.text import AUXILIARIES, default_stopwords, tokenize, word_tokens
 
 from stubs import StubGrammarScorer
 
@@ -117,6 +117,16 @@ def test_generate_is_deterministic_with_one_conjunctive(text):
     assert sum(1 for r in first if r.kind is RewriteKind.CONJUNCTIVE) == 1
 
 
+@given(st.one_of(_questions, st.text(max_size=40)))
+def test_conjunctive_parts_are_single_words(text):
+    # query_conjunctive matches each part as one word, and the conjunctive
+    # features have no phrase counts, so no part may contain whitespace.
+    assume(word_tokens(text))
+    rewrites = generate_rewrites(Question.from_text(text))
+    (conj,) = [r for r in rewrites if r.kind is RewriteKind.CONJUNCTIVE]
+    assert conj.parts and all(part.split() == [part] for part in conj.parts)
+
+
 # Content vocabulary avoids auxiliaries and "by" so the inserted function
 # words can be separated back out when checking token conservation.
 _content = st.sampled_from(["painted", "designed", "bridge", "tower", "Maren", "Velt", "old", "red"])
@@ -158,13 +168,6 @@ def _phrasal(phrase, weight=5.0, slot=AnswerSlot.LEFT):
     return Rewrite(RewriteKind.PHRASAL, (phrase,), slot, weight)
 
 
-def test_conj_features_counts_phrases():
-    feats = conjunctive_features(_conj(["population", "of Japan"]))
-    assert feats.numphrases == 2
-    assert feats.longphrase == 2
-    assert feats.numwords == 3
-
-
 def test_conj_features_counts_capitals():
     feats = conjunctive_features(_conj(["who", "killed", "Abraham", "Lincoln"]))
     assert feats.numcap == 2
@@ -188,7 +191,7 @@ def test_pctstop_is_exactly_rational(parts):
 
 
 def test_phrasal_features_sgm_in_unit_range():
-    feats = phrasal_features(_phrasal("Abraham Lincoln was killed by"))
+    feats = phrasal_features(_phrasal("Abraham Lincoln was killed by"), HeuristicGrammarScorer())
     assert 0.0 <= feats.sgm <= 1.0
     assert feats.primary_parses == 1
 
@@ -200,7 +203,7 @@ def test_phrasal_features_stub_passthrough():
 
 def test_phrasal_features_rejects_conjunctive():
     with pytest.raises(WrongRewriteKind):
-        phrasal_features(_conj(["who", "killed"]))
+        phrasal_features(_conj(["who", "killed"]), HeuristicGrammarScorer())
 
 
 def test_heuristic_scorer_clamps_to_unit_interval():

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -11,7 +10,6 @@ from budgetqa.tree import (
     DecisionTree,
     Leaf,
     TrainingCase,
-    TreeConfig,
     train_tree,
     tree_to_dict,
 )
@@ -32,7 +30,7 @@ def test_uninformative_data_gives_single_laplace_leaf():
 
 def test_perfectly_separable_binary_feature():
     cases = [_case(True, flag=1.0) for _ in range(6)] + [_case(False, flag=0.0) for _ in range(4)]
-    tree = train_tree(cases, TreeConfig(min_leaf=2))
+    tree = train_tree(cases)
     assert tree.depth() == 1
     pos_leaf = tree.predict({"flag": 1.0})
     neg_leaf = tree.predict({"flag": 0.0})
@@ -44,7 +42,7 @@ def test_categorical_one_vs_rest_split():
     cases = [_case(True, color="red") for _ in range(5)] + [
         _case(False, color=c) for c in ["blue"] * 3 + ["green"] * 2
     ]
-    tree = train_tree(cases, TreeConfig(min_leaf=2))
+    tree = train_tree(cases)
     assert tree.predict({"color": "red"}) > 0.5
     assert tree.predict({"color": "blue"}) < 0.5
 
@@ -66,7 +64,7 @@ def test_schema_mismatch_on_mixed_kinds():
 
 def test_missing_feature_on_predict():
     cases = [_case(True, x=1.0) for _ in range(5)] + [_case(False, x=0.0) for _ in range(5)]
-    tree = train_tree(cases, TreeConfig(min_leaf=2))
+    tree = train_tree(cases)
     with pytest.raises(MissingFeature):
         tree.predict({"y": 1.0})
 
@@ -121,30 +119,6 @@ def test_training_is_deterministic():
     rng = random.Random(7)
     cases = _random_cases(rng, 150)
     assert tree_to_dict(train_tree(cases)) == tree_to_dict(train_tree(cases))
-
-
-def _empirical_loglik(tree, cases):
-    buckets = route_cases(tree, cases)
-    leaves = {id(l): l for l in _leaf_nodes(tree)}
-    total = 0.0
-    for leaf_id, routed in buckets.items():
-        leaf = leaves[leaf_id]
-        if not routed:
-            continue
-        rate = leaf.positives / leaf.support
-        for case in routed:
-            p = rate if case.label else 1 - rate
-            total += math.log(p) if p > 0 else float("-inf")
-    return total
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_deeper_config_never_decreases_training_loglik(seed):
-    rng = random.Random(200 + seed)
-    cases = _random_cases(rng, 120)
-    shallow = train_tree(cases, TreeConfig(min_gain=0.05, min_leaf=20))
-    deep = train_tree(cases, TreeConfig(min_gain=1e-6, min_leaf=2))
-    assert _empirical_loglik(deep, cases) >= _empirical_loglik(shallow, cases) - 1e-9
 
 
 def test_round_trip_is_bit_exact(tmp_path):
