@@ -120,11 +120,12 @@ def _load_models(cfg: Config, needed_by: str | None) -> ModelSet | None:
 @cli.command("index")
 @click.option("--corpus", "corpus_path", type=click.Path(), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--window", type=int, default=None, help="Snippet window in words each side.")
-def cmd_index(corpus_path: str, out_path: str, window: int | None):
+@click.option("--window", type=click.IntRange(min=1), default=DEFAULT_WINDOW,
+              help="Snippet window in words each side.")
+def cmd_index(corpus_path: str, out_path: str, window: int):
     """Build the offline inverted index from a JSONL corpus."""
     docs = load_corpus(corpus_path)
-    index = build_index(docs, window=window or DEFAULT_WINDOW)
+    index = build_index(docs, window=window)
     save_index(index, out_path)
     click.echo(f"indexed {len(docs)} documents -> {out_path}")
 
@@ -132,7 +133,7 @@ def cmd_index(corpus_path: str, out_path: str, window: int | None):
 @cli.command("ask")
 @click.argument("question")
 @_serving_options(default_policy="all")
-@click.option("--top", type=int, default=5, help="Ranked answers to print.")
+@click.option("--top", type=click.IntRange(min=1), default=5, help="Ranked answers to print.")
 def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, index_path, models_dir, top):
     """Answer one question with the configured policy."""
     cfg = load_config(

@@ -5,6 +5,11 @@ A ``Run`` is the one code path that executes queries. It holds a question's
 rewrites in submission order, executes each at most once, records a backend
 failure on its rewrite without aborting the question, and composes any
 prefix from a single mining that also yields the prefix's run features.
+The rewrites a prefix still lacks (the probe, the extension after the
+budget choice, or a fixed policy's whole selection) are independent
+queries, so a provider with an ``execute_many`` method, such as the remote
+one, receives them as one concurrent batch; the per-query cost and every
+decision stay the same, only the wall time shrinks.
 Serving (``run_policy``) and training (``harness``) both go through it, so
 the threshold models learn from exactly the evidence, filters and error
 handling the controller sees.
@@ -116,12 +121,16 @@ class QuestionResult:
 class Run:
     """One question's rewrites in submission order, each executed at most once.
 
-    Rewrites execute on demand, in order, when a prefix is composed. Each
-    executed rewrite's snippets stay in their own list, which is how
-    composition and run features know the rewrite behind every snippet. A
-    backend failure is recorded on its rewrite, which then contributes no
+    Rewrites execute on demand when a prefix is composed: one at a time
+    through ``execute``, or, when the provider has ``execute_many`` and more
+    than one is missing, as one batch. Outcomes are recorded in submission
+    order either way. Each executed rewrite's snippets stay in their own
+    list, which is how composition and run features know the rewrite behind
+    every snippet. A backend failure (``RetryableError`` or
+    ``ProviderError``) is recorded on its rewrite, which then contributes no
     snippets; it never aborts the question, and the failed query still
-    counts as issued.
+    counts as issued. Any other exception propagates after the outcomes
+    before it are recorded, as it would from serial calls.
     """
 
     def __init__(
@@ -140,14 +149,22 @@ class Run:
         return len(self.snippets)
 
     def _execute(self, n: int) -> None:
-        for i in range(len(self.snippets), n):
-            rewrite = self.rewrites[i]
-            try:
-                found = self.provider.execute(rewrite, self.limit)
-            except (RetryableError, ProviderError) as exc:
-                self.errors.append(f"{rewrite.as_query()}: {exc}")
+        pending = self.rewrites[len(self.snippets) : n]
+        batch = getattr(self.provider, "execute_many", None) if len(pending) > 1 else None
+        outcomes = batch(pending, self.limit) if batch else map(self._attempt, pending)
+        for rewrite, found in zip(pending, outcomes):
+            if isinstance(found, (RetryableError, ProviderError)):
+                self.errors.append(f"{rewrite.as_query()}: {found}")
                 found = []
+            elif isinstance(found, BaseException):
+                raise found
             self.snippets.append(found)
+
+    def _attempt(self, rewrite: Rewrite) -> list[Snippet] | BaseException:
+        try:
+            return self.provider.execute(rewrite, self.limit)
+        except (RetryableError, ProviderError) as exc:
+            return exc
 
     def compose(self, n: int) -> Candidates:
         """Ranked answers from the first n rewrites (capped at the run's

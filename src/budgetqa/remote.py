@@ -7,14 +7,22 @@ for, capped at the request timeout. A failure that survives all attempts
 surfaces as RetryableError and a response that cannot be parsed as
 ProviderError. Both are per-rewrite conditions: callers treat them as a
 failed query, not as a failed question.
+
+``execute_many`` sends a batch of rewrites concurrently, each through
+``execute`` on a worker thread that ends with the batch, and returns every
+outcome in submission order. The provider's ``max_in_flight`` semaphore is
+the only cap on concurrent requests.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from typing import Sequence
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from .errors import ProviderError, RetryableError
 from .rewrite import Rewrite
@@ -44,6 +52,11 @@ class RemoteProvider:
     Each result object must carry the summary text under ``summary_key``.
 
     A semaphore caps concurrent in-flight requests to bound backend load.
+    One ``requests.Session`` is shared by every thread that executes through
+    the provider (``execute_many``'s workers, or an evaluation's jobs). That
+    is safe: urllib3's connection pool is thread-safe and no cookies are
+    used. The pool keeps up to ``max_in_flight`` connections per host, so
+    none is discarded when that many requests are in flight.
     """
 
     def __init__(
@@ -65,8 +78,12 @@ class RemoteProvider:
         self.token = token
         self.backoff = backoff
         self.timeout = timeout
+        self.max_in_flight = max_in_flight
         self._gate = threading.Semaphore(max_in_flight)
         self._session = requests.Session()
+        adapter = HTTPAdapter(pool_maxsize=max_in_flight)
+        self._session.mount("http://", adapter)
+        self._session.mount("https://", adapter)
 
     def _get(self, query: str) -> requests.Response:
         headers = {}
@@ -120,3 +137,12 @@ class RemoteProvider:
             snippets.append(Snippet(text=row[self.summary_key], source_doc=str(row.get("id", "remote"))))
         return snippets
 
+    def execute_many(
+        self, rewrites: Sequence[Rewrite], limit: int = DEFAULT_LIMIT
+    ) -> list[list[Snippet] | BaseException]:
+        """``execute`` each rewrite concurrently; per rewrite, in submission
+        order, its snippets or the exception it raised. Every worker thread
+        has ended when this returns."""
+        with ThreadPoolExecutor(max_workers=min(len(rewrites), self.max_in_flight) or 1) as pool:
+            futures = [pool.submit(self.execute, rewrite, limit) for rewrite in rewrites]
+        return [future.exception() or future.result() for future in futures]

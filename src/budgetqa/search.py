@@ -17,8 +17,9 @@ fewest against the rest.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 from .errors import DatasetParseError, DuplicateDocument, EmptyCorpus
 from .rewrite import Rewrite, RewriteKind
@@ -43,7 +44,13 @@ class Snippet:
 
 
 class SearchProvider(Protocol):
-    """Anything that can execute a rewrite and return snippets."""
+    """Anything that can execute a rewrite and return snippets.
+
+    A provider whose queries wait on a backend may also offer
+    ``execute_many(rewrites, limit)``: it executes a batch concurrently and
+    returns, per rewrite in submission order, its snippets or the exception
+    its ``execute`` raised. A ``Run`` uses it when present.
+    """
 
     def execute(self, rewrite: Rewrite, limit: int) -> list[Snippet]: ...
 
@@ -163,15 +170,32 @@ class OfflineProvider:
 
 
 class MeteredProvider:
-    """Wraps a provider and counts execute calls (used to audit query costs)."""
+    """Wraps a provider and counts the rewrites it executes (used to audit
+    query costs), one per ``execute`` call and one per rewrite of a batch.
+
+    It has ``execute_many`` exactly when the wrapped provider does, so a run
+    batches through a meter as it would without one. The count is kept under
+    a lock, so threads may share one meter.
+    """
 
     def __init__(self, inner: SearchProvider):
         self.inner = inner
         self.calls = 0
+        self._lock = threading.Lock()
+        if hasattr(inner, "execute_many"):
+            self.execute_many = self._execute_many
+
+    def _count(self, calls: int) -> None:
+        with self._lock:
+            self.calls += calls
 
     def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT) -> list[Snippet]:
-        self.calls += 1
+        self._count(1)
         return self.inner.execute(rewrite, limit)
+
+    def _execute_many(self, rewrites: Sequence[Rewrite], limit: int = DEFAULT_LIMIT) -> list:
+        self._count(len(rewrites))
+        return self.inner.execute_many(rewrites, limit)
 
 
 # --------------------------------------------------------------------------
@@ -218,5 +242,8 @@ def load_index(path: str) -> Index:
         payload = json.load(fh)
     if payload.get("format") != "budgetqa-index":
         raise DatasetParseError("not an index file")
+    window = payload.get("window", DEFAULT_WINDOW)
+    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
+        raise DatasetParseError(f"index window must be a positive integer, not {window!r}")
     docs = [Document(id=row["id"], text=row["text"]) for row in payload["docs"]]
-    return build_index(docs, window=payload.get("window", DEFAULT_WINDOW))
+    return build_index(docs, window=window)

@@ -47,6 +47,24 @@ def test_index_round_trip(workspace, capsys):
     ]
 
 
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_index_window_below_one_is_usage_error(workspace, tmp_path, capsys, window):
+    out = tmp_path / "index.json"
+    assert main(["index", "--corpus", workspace["corpus"], "--out", str(out), "--window", window]) == 1
+    assert "'--window'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", [0, -3, 2.5, "10", True, None])
+def test_index_file_with_bad_window_is_data_error(workspace, tmp_path, capsys, window):
+    index = tmp_path / "index.json"
+    assert main(["index", "--corpus", workspace["corpus"], "--out", str(index)]) == 0
+    payload = json.loads(index.read_text(encoding="utf-8"))
+    index.write_text(json.dumps({**payload, "window": window}), encoding="utf-8")
+    assert main(["ask", "Who painted the quartz mill?", "--index", str(index), "--policy", "all"]) == 2
+    assert "data error: index window must be a positive integer" in capsys.readouterr().err
+
+
 def test_index_missing_file_nonzero_exit():
     assert main(["index", "--corpus", "/nonexistent/corpus.jsonl", "--out", "/tmp/x.json"]) != 0
 
@@ -159,6 +177,8 @@ def test_model_policies_without_models_are_usage_errors(workspace, monkeypatch, 
         (["ask", "Who painted the quartz mill?", "--policy", "likelihood", "--n", "-2"], "--n"),
         (["ask", "Who painted the quartz mill?", "--policy", "cost-benefit", "--k", "0"], "--k"),
         (["ask", "Who painted the quartz mill?", "--policy", "cost-benefit", "--c", "-1"], "--c"),
+        (["ask", "Who painted the quartz mill?", "--policy", "all", "--top", "0"], "--top"),
+        (["ask", "Who painted the quartz mill?", "--policy", "all", "--top", "-1"], "--top"),
         (["evaluate", "--dataset", "DATASET", "--policy", "random", "--n", "0"], "--n"),
         (["evaluate", "--dataset", "DATASET", "--k", "0"], "--k"),
         (["evaluate", "--dataset", "DATASET", "--sweep-k", "5,ten"], "--sweep-k"),
@@ -166,7 +186,8 @@ def test_model_policies_without_models_are_usage_errors(workspace, monkeypatch, 
         (["evaluate", "--dataset", "DATASET", "--sweep-k", ","], "--sweep-k"),
         (["evaluate", "--dataset", "DATASET", "--sweep-n", "--seeds", "0,x"], "--seeds"),
     ],
-    ids=["ask-n-0", "ask-n-negative", "ask-k-0", "ask-c-negative", "evaluate-n-0", "evaluate-k-0",
+    ids=["ask-n-0", "ask-n-negative", "ask-k-0", "ask-c-negative", "ask-top-0", "ask-top-negative",
+         "evaluate-n-0", "evaluate-k-0",
          "sweep-k-unparsed", "sweep-k-0", "sweep-k-empty", "seeds-unparsed"],
 )
 def test_bad_serving_option_is_usage_error(workspace, models_dir, monkeypatch, capsys, args, option):

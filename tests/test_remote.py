@@ -1,14 +1,17 @@
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 import pytest
 
 from budgetqa import remote as remote_module
+from budgetqa.control import Run
 from budgetqa.errors import ProviderError, RetryableError
 from budgetqa.remote import RemoteProvider
-from budgetqa.rewrite import AnswerSlot, Rewrite, RewriteKind
+from budgetqa.rewrite import AnswerSlot, Question, Rewrite, RewriteKind, generate_rewrites
+from budgetqa.search import MeteredProvider
 
 PHRASAL = Rewrite(RewriteKind.PHRASAL, ("killed Abraham Lincoln",), AnswerSlot.LEFT, 5.0)
 CONJ = Rewrite(RewriteKind.CONJUNCTIVE, ("who", "killed", "of Japan"), AnswerSlot.NONE, 1.0)
@@ -43,9 +46,9 @@ def stub_server():
     _stop(server)
 
 
-def _serve(handler):
+def _serve(handler, server_class=HTTPServer):
     # A short poll interval, so that shutdown() does not wait out the 0.5 s default.
-    server = HTTPServer(("127.0.0.1", 0), handler)
+    server = server_class(("127.0.0.1", 0), handler)
     threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
     return server
 
@@ -176,3 +179,166 @@ def test_bearer_token_header(stub_server):
     finally:
         _stop(server)
     assert captured["auth"] == "Bearer sesame"
+
+
+# --------------------------------------------------------------------------
+# Concurrent batches, against a threading stub that answers from a table
+
+
+DELAY_S = 0.2
+
+
+class TableHandler(BaseHTTPRequestHandler):
+    """Answers each query from ``table`` (status, body) after its delay in
+    ``delays`` (default ``delay``); records the order responses are sent in."""
+
+    table: dict = {}
+    delays: dict = {}
+    delay = DELAY_S
+    finished: list = []
+
+    def do_GET(self):
+        query = parse_qs(urlparse(self.path).query)["q"][0]
+        time.sleep(TableHandler.delays.get(query, TableHandler.delay))
+        status, body = TableHandler.table.get(query, (200, json.dumps({"results": []})))
+        TableHandler.finished.append(query)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(body.encode("utf-8"))
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def table_server():
+    server = _serve(TableHandler, ThreadingHTTPServer)
+    TableHandler.table, TableHandler.delays, TableHandler.finished = {}, {}, []
+    TableHandler.delay = DELAY_S
+    yield f"http://127.0.0.1:{server.server_port}/search"
+    _stop(server)
+
+
+def _rewrites(*phrases):
+    return [Rewrite(RewriteKind.PHRASAL, (p,), AnswerSlot.LEFT, 5.0) for p in phrases]
+
+
+def _hits(*snippets):
+    """A 200 body of (text, doc id) results; a bare string is a text from doc "d"."""
+    rows = [(s, "d") if isinstance(s, str) else s for s in snippets]
+    return 200, json.dumps({"results": [{"summary": text, "id": doc} for text, doc in rows]})
+
+
+def test_batch_of_two_waits_about_one_delay(table_server):
+    provider = _provider(table_server)
+    batch = _rewrites("first query", "second query")
+    provider.execute_many(batch, 10)  # warm-up: connections are open afterwards
+    start = time.perf_counter()
+    outcomes = provider.execute_many(batch, 10)
+    took = time.perf_counter() - start
+    assert outcomes == [[], []]
+    assert took < 1.5 * DELAY_S
+
+
+def test_batch_outcomes_keep_submission_order(table_server):
+    slow, failing, fast = _rewrites("slow one", "failing one", "fast one")
+    TableHandler.table = {
+        slow.as_query(): _hits("slow hit"),
+        failing.as_query(): (404, "not found"),
+        fast.as_query(): _hits("fast hit"),
+    }
+    TableHandler.delay, TableHandler.delays = 0.0, {slow.as_query(): DELAY_S}
+    run = Run(Question.from_text("Who did it?"), [slow, failing, fast], _provider(table_server), 10)
+    run.compose(3)
+    assert TableHandler.finished[-1] == slow.as_query()  # the first rewrite finished last
+    assert [[s.text for s in found] for found in run.snippets] == [["slow hit"], [], ["fast hit"]]
+    assert run.errors == [f"{failing.as_query()}: HTTP 404 from backend"]
+
+
+def test_404_in_a_batch_is_that_rewrites_error(table_server):
+    batch = _rewrites("alpha", "beta", "gamma")
+    TableHandler.table = {q.as_query(): _hits(f"{q.parts[0]} hit") for q in batch}
+    TableHandler.table[batch[1].as_query()] = (404, "not found")
+    TableHandler.delay = 0.0
+    first, second, third = _provider(table_server).execute_many(batch, 10)
+    assert [s.text for s in first] == ["alpha hit"]
+    assert isinstance(second, ProviderError) and "404" in str(second)
+    assert [s.text for s in third] == ["gamma hit"]
+    assert len(TableHandler.finished) == 3
+
+
+def test_batch_workers_end_with_the_batch(table_server, monkeypatch):
+    workers = []
+    execute = RemoteProvider.execute
+
+    def recording(self, rewrite, limit):
+        workers.append(threading.current_thread())
+        return execute(self, rewrite, limit)
+
+    monkeypatch.setattr(RemoteProvider, "execute", recording)
+    TableHandler.delay = 0.0
+    _provider(table_server, max_in_flight=2).execute_many(_rewrites("a", "b", "c", "d", "e"), 10)
+    assert len(workers) == 5
+    assert threading.main_thread() not in workers
+    assert len(set(workers)) <= 2  # no more workers than max_in_flight
+    assert not any(t.is_alive() for t in workers)
+
+
+def test_other_worker_exceptions_propagate_as_from_serial_calls(table_server, monkeypatch):
+    execute = RemoteProvider.execute
+
+    def broken(self, rewrite, limit):
+        if rewrite.parts[0] == "broken":
+            raise KeyError("not a backend failure")
+        return execute(self, rewrite, limit)
+
+    monkeypatch.setattr(RemoteProvider, "execute", broken)
+    TableHandler.delay = 0.0
+    rewrites = _rewrites("fine", "broken", "after")
+    run = Run(Question.from_text("Who did it?"), rewrites, _provider(table_server), 10)
+    with pytest.raises(KeyError, match="not a backend failure"):
+        run.compose(3)
+    assert run.snippets == [[]]  # the rewrite before it is recorded, as in a serial run
+    assert run.errors == []
+
+
+class _FailsOne:
+    """The offline provider, answering one query with the error the remote
+    client raises for a 404."""
+
+    def __init__(self, inner, failing: str):
+        self.inner = inner
+        self.failing = failing
+
+    def execute(self, rewrite, limit):
+        if rewrite.as_query() == self.failing:
+            raise ProviderError("HTTP 404 from backend")
+        return self.inner.execute(rewrite, limit)
+
+
+def test_run_over_remote_matches_run_over_offline(table_server, lincoln_provider):
+    question = Question.from_text("Who killed Abraham Lincoln?")
+    rewrites = generate_rewrites(question)
+    failing = rewrites[1].as_query()
+    for rewrite in rewrites:
+        found = lincoln_provider.execute(rewrite, 10)
+        TableHandler.table[rewrite.as_query()] = _hits(*((s.text, s.source_doc) for s in found))
+    TableHandler.table[failing] = (404, "not found")
+    TableHandler.delay = 0.01
+
+    def play(provider):
+        meter = MeteredProvider(provider)
+        run = Run(question, rewrites, meter, 10)
+        probe = run.compose(2)  # a probe batch, then the extension batch
+        result = run.result(len(rewrites))
+        answers = [(c.text, c.score, c.support) for c in result.answers]
+        probe = [(c.text, c.score) for c in probe]
+        return probe, answers, result.queries_issued, meter.calls, result.backend_errors
+
+    remote = play(_provider(table_server))
+    offline = play(_FailsOne(lincoln_provider, failing))
+    assert remote == offline
+    assert remote[1][0][0] == "John Wilkes Booth"
+    assert remote[2] == remote[3] == len(rewrites)
+    assert remote[4] == [f"{failing}: HTTP 404 from backend"]

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from budgetqa.search import (
     Document,
     MeteredProvider,
     OfflineProvider,
+    Snippet,
     build_index,
     load_corpus,
     load_index,
@@ -206,6 +209,53 @@ def test_offline_provider_dispatch_and_meter():
     assert provider.execute(phrasal, 100) == query_phrase(idx, ["killed", "Abraham", "Lincoln"])
     assert provider.execute(conj, 100) == query_conjunctive(idx, ["killed", "Abraham", "Lincoln"])
     assert provider.calls == 2
+
+
+class _Echo:
+    """A provider whose every query returns one snippet naming it."""
+
+    def execute(self, rewrite, limit):
+        return [Snippet(rewrite.as_query(), "d")]
+
+
+class _EchoBatch(_Echo):
+    def execute_many(self, rewrites, limit):
+        return [self.execute(r, limit) for r in rewrites]
+
+
+def test_meter_forwards_batches_only_when_the_inner_provider_has_them():
+    assert not hasattr(MeteredProvider(_Echo()), "execute_many")
+    assert not hasattr(MeteredProvider(OfflineProvider(build_index([LINCOLN_DOC]))), "execute_many")
+    meter = MeteredProvider(_EchoBatch())
+    rewrites = [Rewrite(RewriteKind.PHRASAL, (w,), AnswerSlot.LEFT, 5.0) for w in ("a b", "c d")]
+    assert meter.execute_many(rewrites, 10) == [[Snippet('"a b"', "d")], [Snippet('"c d"', "d")]]
+    assert meter.calls == 2
+
+
+def test_meter_counts_every_call_from_many_threads():
+    meter = MeteredProvider(_EchoBatch())
+    rewrite = Rewrite(RewriteKind.PHRASAL, ("a b",), AnswerSlot.LEFT, 5.0)
+    threads, rounds = 8, 2_000
+    start = threading.Barrier(threads)
+
+    def hammer():
+        start.wait()
+        for _ in range(rounds):
+            meter.execute(rewrite, 10)
+            meter.execute_many([rewrite, rewrite], 10)
+
+    workers = [threading.Thread(target=hammer) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert meter.calls == threads * rounds * 3
 
 
 def test_execute_never_exceeds_limit():
