@@ -65,6 +65,24 @@ def test_index_file_with_bad_window_is_data_error(workspace, tmp_path, capsys, w
     assert "data error: index window must be a positive integer" in capsys.readouterr().err
 
 
+_INDEX_HEAD = '{"format": "budgetqa-index", "version": 1, "window": 10'
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("{not json", id="invalid-json"),
+    pytest.param('["budgetqa-index"]', id="not-an-object"),
+    pytest.param(_INDEX_HEAD + "}", id="no-docs"),
+    pytest.param(_INDEX_HEAD + ', "docs": [{"text": "a b"}]}', id="doc-without-id"),
+    pytest.param(_INDEX_HEAD + ', "docs": [{"id": "d"}]}', id="doc-without-text"),
+    pytest.param(_INDEX_HEAD + ', "docs": ["d"]}', id="doc-not-an-object"),
+])
+def test_malformed_index_file_is_data_error(tmp_path, capsys, text):
+    index = tmp_path / "index.json"
+    index.write_text(text, encoding="utf-8")
+    assert main(["ask", "Who painted the quartz mill?", "--index", str(index), "--policy", "all"]) == 2
+    assert "data error: " in capsys.readouterr().err
+
+
 def test_index_missing_file_nonzero_exit():
     assert main(["index", "--corpus", "/nonexistent/corpus.jsonl", "--out", "/tmp/x.json"]) != 0
 

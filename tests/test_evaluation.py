@@ -4,7 +4,7 @@ import re
 import pytest
 
 from budgetqa.bench import generate_benchmark
-from budgetqa.control import AllRewrites, ConjunctiveOnly, RandomN
+from budgetqa.control import AllRewrites, ConjunctiveOnly, RandomN, Run
 from budgetqa.errors import DatasetParseError
 from budgetqa.evaluation import (
     Judgment,
@@ -19,7 +19,8 @@ from budgetqa.evaluation import (
     render_reports,
     write_reports_jsonl,
 )
-from budgetqa.search import MeteredProvider, OfflineProvider, build_index
+from budgetqa.rewrite import Question, generate_rewrites
+from budgetqa.search import DEFAULT_LIMIT, MeteredProvider, OfflineProvider, build_index
 
 
 # --------------------------------------------------------------------------
@@ -135,6 +136,25 @@ def test_accounting_identity_and_meter(small_bench):
     report = evaluate(AllRewrites(), bench.items, meter)
     assert report.correct + report.incorrect + report.abstained == report.total_questions
     assert report.total_cost == meter.calls
+
+
+def test_queries_answered_from_the_memo_are_charged(small_bench):
+    bench, _ = small_bench
+    meter = MeteredProvider(OfflineProvider(build_index(bench.corpus)))
+    # The first pass searches; the second is answered from the provider's memo.
+    first = evaluate(AllRewrites(), bench.items, meter)
+    second = evaluate(AllRewrites(), bench.items, meter)
+    assert first.to_json() == second.to_json()
+    assert first.per_question == second.per_question
+    assert meter.calls == first.total_cost + second.total_cost == 2 * first.total_cost
+
+    question = Question.from_text(bench.items[0].question)
+    rewrites = generate_rewrites(question)
+    runs = [Run(question, rewrites, meter, DEFAULT_LIMIT) for _ in range(2)]
+    for run in runs:
+        run.compose(len(rewrites))
+    assert runs[0].issued == runs[1].issued == len(rewrites)
+    assert runs[0].snippets == runs[1].snippets
 
 
 def test_backend_failures_recorded_per_rewrite_not_fatal(small_bench):

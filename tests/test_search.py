@@ -2,15 +2,18 @@ import hashlib
 import json
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from budgetqa import search
 from budgetqa.bench import generate_benchmark
 from budgetqa.errors import DuplicateDocument, EmptyCorpus
 from budgetqa.rewrite import AnswerSlot, Question, Rewrite, RewriteKind, generate_rewrites
 from budgetqa.search import (
+    DEFAULT_LIMIT,
     DEFAULT_WINDOW,
     Document,
     MeteredProvider,
@@ -265,6 +268,116 @@ def test_execute_never_exceeds_limit():
     assert len(provider.execute(phrasal, 4)) == 4
 
 
+# --------------------------------------------------------------------------
+# OfflineProvider's memo
+
+
+def _direct(index, rewrite, limit):
+    """The search a provider's execute stands for, run without its memo."""
+    if rewrite.kind is RewriteKind.PHRASAL:
+        return query_phrase(index, rewrite.parts[0].split(), limit)
+    return query_conjunctive(index, list(rewrite.parts), limit)
+
+
+@st.composite
+def _corpus_and_rewrite(draw):
+    docs_text = draw(st.lists(_doc_text, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        phrase = draw(_phrase_in(docs_text, 3))
+        return docs_text, Rewrite(RewriteKind.PHRASAL, (" ".join(phrase),), AnswerSlot.LEFT, 5.0)
+    parts = draw(st.lists(_phrase_in(docs_text, 1).map(" ".join), min_size=1, max_size=3))
+    return docs_text, Rewrite(RewriteKind.CONJUNCTIVE, tuple(parts), AnswerSlot.NONE, 1.0)
+
+
+@given(
+    case=_corpus_and_rewrite(),
+    limits=st.lists(st.sampled_from([1, 2, 3, DEFAULT_LIMIT]), min_size=2, max_size=2, unique=True),
+)
+@settings(deadline=None, max_examples=80)
+def test_memoised_results_equal_direct_queries(case, limits):
+    docs_text, rewrite = case
+    index = build_index(_docs(docs_text), window=1)
+    provider = OfflineProvider(index)
+    for limit in limits:
+        expected = _direct(index, rewrite, limit)
+        first = provider.execute(rewrite, limit)
+        assert first == expected
+        first.append(Snippet("planted by a caller", "nowhere"))
+        assert provider.execute(rewrite, limit) == expected
+    # One entry per limit, even where both limits give the same snippets.
+    assert provider._memo.cache_info().currsize == 2
+
+
+def _count_searches(monkeypatch):
+    """Replace the module's query functions with spies counting their calls."""
+    calls = Counter()
+    lock = threading.Lock()
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            with lock:
+                calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("query_phrase", "query_conjunctive"):
+        monkeypatch.setattr(search, name, spy(name, getattr(search, name)))
+    return calls
+
+
+def test_memo_sits_below_the_module_query_functions(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    index = build_index([LINCOLN_DOC])
+    phrasal = Rewrite(RewriteKind.PHRASAL, ("killed Abraham Lincoln",), AnswerSlot.LEFT, 5.0)
+    conj = Rewrite(RewriteKind.CONJUNCTIVE, ("killed", "Abraham", "Lincoln"), AnswerSlot.NONE, 1.0)
+    provider = OfflineProvider(index)
+    for rewrite in (phrasal, conj):
+        assert provider.execute(rewrite) == provider.execute(rewrite, DEFAULT_LIMIT)
+    assert calls == {"query_phrase": 1, "query_conjunctive": 1}
+    # A second provider over the same index keeps its own memo.
+    OfflineProvider(index).execute(phrasal)
+    assert calls == {"query_phrase": 2, "query_conjunctive": 1}
+
+
+def test_memo_shared_by_many_threads_matches_a_serial_run(monkeypatch):
+    bench = generate_benchmark(20, seed=0)
+    rewrites = [r for item in bench.items for r in generate_rewrites(Question.from_text(item.question))]
+    serial_provider = OfflineProvider(build_index(bench.corpus))
+    serial = [serial_provider.execute(r, 5) for r in rewrites]
+    calls = _count_searches(monkeypatch)
+    provider = OfflineProvider(build_index(bench.corpus))
+    threads = 8
+    start = threading.Barrier(threads)
+    results: dict[int, list] = {}
+
+    def hammer(worker):
+        start.wait()
+        # Each thread takes the rewrites in its own order, so that threads
+        # miss, fill and hit the same entries at overlapping times.
+        order = rewrites[worker::threads] + rewrites
+        results[worker] = [(r, provider.execute(r, 5)) for r in order]
+
+    workers = [threading.Thread(target=hammer, args=(w,)) for w in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    expected = dict(zip(rewrites, serial))
+    for found in results.values():
+        assert all(snippets == expected[r] for r, snippets in found)
+    # A thread searches each distinct query at most once; threads that miss
+    # on one query at the same time may each search it.
+    distinct = {(r.kind, r.parts) for r in rewrites}
+    assert len(distinct) <= sum(calls.values()) <= threads * len(distinct)
+
+
 def test_corpus_and_index_round_trip(tmp_path):
     docs = [Document("a", "one two three"), Document("b", "four five")]
     corpus_path = tmp_path / "corpus.jsonl"
@@ -300,13 +413,12 @@ SEARCH_GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("window", sorted(SEARCH_GOLDEN_DIGESTS))
-def test_offline_results_match_golden_digest(window):
-    bench = generate_benchmark(240, seed=0)
-    provider = OfflineProvider(build_index(bench.corpus, window=window))
+def _results_digest(provider, items):
+    """How many rewrites of the items were executed, and the digest of what
+    each returned."""
     digest = hashlib.sha256()
     executed = 0
-    for item in bench.items:
+    for item in items:
         for i, rewrite in enumerate(generate_rewrites(Question.from_text(item.question))):
             found = provider.execute(rewrite)
             record = [
@@ -316,5 +428,13 @@ def test_offline_results_match_golden_digest(window):
             ]
             digest.update(json.dumps(record).encode("utf-8"))
             executed += 1
-    assert executed == 1536
-    assert digest.hexdigest() == SEARCH_GOLDEN_DIGESTS[window]
+    return executed, digest.hexdigest()
+
+
+@pytest.mark.parametrize("window", sorted(SEARCH_GOLDEN_DIGESTS))
+def test_offline_results_match_golden_digest(window):
+    bench = generate_benchmark(240, seed=0)
+    provider = OfflineProvider(build_index(bench.corpus, window=window))
+    # The second pass is answered from the provider's memo.
+    for _ in range(2):
+        assert _results_digest(provider, bench.items) == (1536, SEARCH_GOLDEN_DIGESTS[window])
