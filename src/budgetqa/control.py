@@ -37,7 +37,7 @@ from typing import Mapping, Sequence, Union
 
 from .compose import Candidates, NGramCandidate, compose_answers
 from .errors import ProviderError, RetryableError
-from .models import PROBE_SIZE, ModelSet, RunFeatures, extract_run_features, order_rewrites
+from .models import PROBE_SIZE, ModelSet, extract_run_features
 from .rewrite import Question, Rewrite, RewriteKind, generate_rewrites
 from .search import DEFAULT_LIMIT, SearchProvider, Snippet
 from .tree import FeatureValue
@@ -179,17 +179,14 @@ class Run:
             )
         return self._composed[n]
 
-    def features(self, n: int) -> RunFeatures:
+    def features(self, n: int) -> dict[str, FeatureValue]:
         """Run features of the first n rewrites, from that prefix's mining.
-        Every weight in the run is a feature, so all runs share a schema."""
+        The schema is fixed, so every run, even a one-rewrite one, has the
+        keys the threshold trees were trained on."""
         n = min(n, len(self.rewrites))
         answers = self.compose(n)
         return extract_run_features(
-            self.question,
-            self.rewrites[:n],
-            self.snippets[:n],
-            answers,
-            weight_classes=[r.weight for r in self.rewrites],
+            self.question, list(zip(self.rewrites, self.snippets[:n])), answers
         )
 
     def result(self, n: int, decision: BudgetDecision | None = None) -> QuestionResult:
@@ -217,7 +214,7 @@ class Run:
 def _quality_order(rewrites: Sequence[Rewrite], models: ModelSet | None) -> list[Rewrite]:
     if models is None:
         raise ValueError("this policy orders rewrites by quality and requires quality models")
-    return order_rewrites(rewrites, [models.quality_score(r) for r in rewrites])
+    return models.order(rewrites)
 
 
 class _SubmitAll:
@@ -294,8 +291,7 @@ class CostBenefit:
             raise ValueError("CostBenefit requires quality models and a threshold ensemble")
         if prefs is None:
             raise ValueError("CostBenefit requires preferences")
-        features = run.features(PROBE_SIZE).as_features()
-        decision = choose_n(models.ensemble, features, prefs)
+        decision = choose_n(models.ensemble, run.features(PROBE_SIZE), prefs)
         return run.result(PROBE_SIZE if decision.abstained else decision.n, decision)
 
 

@@ -41,10 +41,6 @@ class MissingFeature(BudgetQAError):
     """A feature tested by a tree is absent from the supplied feature vector."""
 
 
-class LengthMismatch(BudgetQAError):
-    """Paired sequences (e.g. rewrites and scores) have different lengths."""
-
-
 class IncompleteEnsemble(BudgetQAError):
     """Threshold ensemble training data is missing one or more thresholds."""
 

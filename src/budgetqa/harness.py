@@ -59,13 +59,9 @@ def generate_quality_cases(
         for rewrite in generate_rewrites(question):
             label = _correct(Run(question, [rewrite], provider, limit).compose(1), item)
             if rewrite.kind is RewriteKind.CONJUNCTIVE:
-                conj_cases.append(
-                    TrainingCase(conjunctive_features(rewrite).as_features(), label)
-                )
+                conj_cases.append(TrainingCase(conjunctive_features(rewrite), label))
             else:
-                phrasal_cases.append(
-                    TrainingCase(phrasal_features(rewrite, scorer).as_features(), label)
-                )
+                phrasal_cases.append(TrainingCase(phrasal_features(rewrite, scorer), label))
     return conj_cases, phrasal_cases
 
 
@@ -91,7 +87,7 @@ def generate_threshold_cases(
     for item in dataset:
         question = Question.from_text(item.question)
         run = Run(question, policy.select(generate_rewrites(question), models, 0), provider, limit)
-        probe_features = run.features(PROBE_SIZE).as_features()
+        probe_features = run.features(PROBE_SIZE)
         for n in DEFAULT_THRESHOLDS:
             cases[n].append(TrainingCase(probe_features, _correct(run.compose(n), item)))
     return cases

@@ -5,6 +5,12 @@ features into the probability that a single query leads to a correct
 answer; that score orders rewrite submission. A 13-member ensemble of
 trees, one per rewrite budget in {1..10, 12, 15, 20}, predicts end-to-end
 answer accuracy for a run from its run features.
+
+Every feature set is the plain dict the trees read. Run features have one
+fixed schema: the mined-candidate count of each of the two rewrite weights
+(``rulescore_1``, ``rulescore_5``) is a feature whether or not the run used
+that weight, so a one-word question's lone conjunctive rewrite yields the
+same keys as any other run.
 """
 
 from __future__ import annotations
@@ -16,8 +22,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .compose import Candidates
-from .errors import ConfigError, IncompleteEnsemble, LengthMismatch
+from .errors import ConfigError, IncompleteEnsemble
 from .rewrite import (
+    CONJUNCTIVE_WEIGHT,
+    PHRASAL_WEIGHT,
     SCORERS,
     GrammarScorer,
     HeuristicGrammarScorer,
@@ -45,52 +53,8 @@ DEFAULT_THRESHOLDS: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20
 PROBE_SIZE = 2
 
 
-def order_rewrites(rewrites: Sequence[Rewrite], scores: Sequence[float]) -> list[Rewrite]:
-    """Stable descending sort by score; ties keep generation order."""
-    if len(rewrites) != len(scores):
-        raise LengthMismatch(f"{len(rewrites)} rewrites but {len(scores)} scores")
-    ranked = sorted(range(len(rewrites)), key=lambda i: (-scores[i], i))
-    return [rewrites[i] for i in ranked]
-
-
 # --------------------------------------------------------------------------
 # Run features
-
-
-@dataclass(frozen=True)
-class RunFeatures:
-    """Features of one completed question-answering run."""
-
-    average_snippets_per_rewrite: float
-    diff_scores_1_2: float
-    filter: str
-    maxrule: float
-    numngrams: int
-    rulescore: dict[str, int]  # weight class label -> mined candidate count
-    std_deviation_answer_scores: float
-    totalqueries: int
-    totnonbagsnips: int
-    totsnips: int
-
-    def as_features(self) -> dict[str, FeatureValue]:
-        flat: dict[str, FeatureValue] = {
-            "average_snippets_per_rewrite": self.average_snippets_per_rewrite,
-            "diff_scores_1_2": self.diff_scores_1_2,
-            "filter": self.filter,
-            "maxrule": self.maxrule,
-            "numngrams": float(self.numngrams),
-            "std_deviation_answer_scores": self.std_deviation_answer_scores,
-            "totalqueries": float(self.totalqueries),
-            "totnonbagsnips": float(self.totnonbagsnips),
-            "totsnips": float(self.totsnips),
-        }
-        for cls, count in self.rulescore.items():
-            flat[f"rulescore_{cls}"] = float(count)
-        return flat
-
-
-def weight_class(weight: float) -> str:
-    return f"{weight:g}"
 
 
 def _pstdev(values: Sequence[float]) -> float:
@@ -102,50 +66,36 @@ def _pstdev(values: Sequence[float]) -> float:
 
 def extract_run_features(
     question: Question,
-    rewrites_used: Sequence[Rewrite],
-    snippets: Sequence[Sequence[Snippet]],
+    evidence: Sequence[tuple[Rewrite, Sequence[Snippet]]],
     ranked_answers: Candidates,
-    *,
-    weight_classes: Sequence[float] | None = None,
-) -> RunFeatures:
+) -> dict[str, FeatureValue]:
     """Compute run features after composition.
 
-    ``snippets`` holds one list per rewrite of ``rewrites_used``, in the
-    same order, and ``ranked_answers`` must be what ``compose_answers``
+    ``evidence`` pairs each executed rewrite with its snippets, in
+    submission order, and ``ranked_answers`` must be what ``compose_answers``
     returned for them: the mined-candidate counts are read from it, not
-    mined again. ``weight_classes`` fixes the set of per-weight count
-    features so that every run in a training set shares one schema.
+    mined again. Those counts are features for both rewrite weights
+    (``rulescore_1`` and ``rulescore_5``), zero for a weight the run did not
+    use, so every run has one schema.
     """
-    if not rewrites_used:
-        raise ValueError("a run uses at least one rewrite")
-    if len(snippets) != len(rewrites_used):
-        raise LengthMismatch(f"{len(rewrites_used)} rewrites but {len(snippets)} snippet lists")
-    totsnips = sum(len(found) for found in snippets)
-
-    by_class: dict[str, int] = {}
-    classes = set(weight_classes or ()) | {r.weight for r in rewrites_used}
-    for cls_weight in classes:
-        by_class.setdefault(weight_class(cls_weight), 0)
-    for weight in {r.weight for r in rewrites_used}:
-        by_class[weight_class(weight)] = ranked_answers.mined_by_weight.get(weight, 0)
-
+    totsnips = sum(len(found) for _, found in evidence)
     top_scores = [c.score for c in ranked_answers[:5]]
-    diff = top_scores[0] - top_scores[1] if len(top_scores) >= 2 else 0.0
-
-    return RunFeatures(
-        average_snippets_per_rewrite=totsnips / len(rewrites_used),
-        diff_scores_1_2=diff,
-        filter=f"{question.qtype.value}_filter",
-        maxrule=max(r.weight for r in rewrites_used),
-        numngrams=ranked_answers.mined,
-        rulescore=by_class,
-        std_deviation_answer_scores=_pstdev(top_scores),
-        totalqueries=len(rewrites_used),
-        totnonbagsnips=sum(
-            len(found) for r, found in zip(rewrites_used, snippets) if r.kind is RewriteKind.PHRASAL
+    features: dict[str, FeatureValue] = {
+        "average_snippets_per_rewrite": totsnips / len(evidence),
+        "diff_scores_1_2": top_scores[0] - top_scores[1] if len(top_scores) >= 2 else 0.0,
+        "filter": f"{question.qtype.value}_filter",
+        "maxrule": max(r.weight for r, _ in evidence),
+        "numngrams": float(ranked_answers.mined),
+        "std_deviation_answer_scores": _pstdev(top_scores),
+        "totalqueries": float(len(evidence)),
+        "totnonbagsnips": float(
+            sum(len(found) for r, found in evidence if r.kind is RewriteKind.PHRASAL)
         ),
-        totsnips=totsnips,
-    )
+        "totsnips": float(totsnips),
+    }
+    for weight in (CONJUNCTIVE_WEIGHT, PHRASAL_WEIGHT):
+        features[f"rulescore_{weight:g}"] = float(ranked_answers.mined_by_weight.get(weight, 0))
+    return features
 
 
 # --------------------------------------------------------------------------
@@ -206,8 +156,12 @@ class ModelSet:
     def quality_score(self, rewrite: Rewrite) -> float:
         """Query-quality score: probability that this single rewrite succeeds."""
         if rewrite.kind is RewriteKind.CONJUNCTIVE:
-            return self.conjunctive.predict(conjunctive_features(rewrite).as_features())
-        return self.phrasal.predict(phrasal_features(rewrite, self.scorer).as_features())
+            return self.conjunctive.predict(conjunctive_features(rewrite))
+        return self.phrasal.predict(phrasal_features(rewrite, self.scorer))
+
+    def order(self, rewrites: Sequence[Rewrite]) -> list[Rewrite]:
+        """Rewrites by descending quality score; ties keep generation order."""
+        return sorted(rewrites, key=self.quality_score, reverse=True)
 
     def save(self, directory: str) -> str:
         """Write ``models.json`` under ``directory`` and return its path. The

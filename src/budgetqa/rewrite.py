@@ -170,64 +170,25 @@ def generate_rewrites(q: Question) -> list[Rewrite]:
 # Rewrite features
 
 
-@dataclass(frozen=True)
-class ConjFeatures:
-    longwd: int
-    numcap: int
-    numstop: int
-    numwords: int
-    pctstop: float
-
-    def as_features(self) -> dict[str, float]:
-        return {
-            "longwd": float(self.longwd),
-            "numcap": float(self.numcap),
-            "numstop": float(self.numstop),
-            "numwords": float(self.numwords),
-            "pctstop": self.pctstop,
-        }
-
-
-@dataclass(frozen=True)
-class PhrasalFeatures:
-    numcap: int
-    numstop: int
-    pctstop: float
-    primary_parses: int
-    secondary_parses: int
-    sgm: float
-
-    def as_features(self) -> dict[str, float]:
-        return {
-            "numcap": float(self.numcap),
-            "numstop": float(self.numstop),
-            "pctstop": self.pctstop,
-            "primary_parses": float(self.primary_parses),
-            "secondary_parses": float(self.secondary_parses),
-            "sgm": self.sgm,
-        }
-
-
-def _count_stats(words: list[str]) -> tuple[int, int, float, int]:
+def _count_stats(words: list[str]) -> dict[str, float]:
+    """The count features every rewrite kind shares."""
     stop = default_stopwords()
-    numcap = sum(1 for w in words if w[:1].isupper())
     numstop = sum(1 for w in words if token_key(w) in stop)
-    numwords = len(words)
-    pctstop = numstop / numwords if numwords else 0.0
-    return numcap, numstop, pctstop, numwords
+    return {
+        "numcap": float(sum(1 for w in words if w[:1].isupper())),
+        "numstop": float(numstop),
+        "pctstop": numstop / len(words) if words else 0.0,
+    }
 
 
-def conjunctive_features(r: Rewrite) -> ConjFeatures:
+def conjunctive_features(r: Rewrite) -> dict[str, float]:
     """The five count features, computable for any rewrite kind."""
     words = r.all_words()
-    numcap, numstop, pctstop, numwords = _count_stats(words)
-    return ConjFeatures(
-        longwd=max((len(w) for w in words), default=0),
-        numcap=numcap,
-        numstop=numstop,
-        numwords=numwords,
-        pctstop=pctstop,
-    )
+    return {
+        "longwd": float(max((len(w) for w in words), default=0)),
+        "numwords": float(len(words)),
+        **_count_stats(words),
+    }
 
 
 class GrammarScorer(Protocol):
@@ -255,10 +216,7 @@ class HeuristicGrammarScorer:
 
     def score(self, phrase: str) -> tuple[int, int, float]:
         words = phrase.split()
-        stop = default_stopwords()
-        numstop = sum(1 for w in words if token_key(w) in stop)
-        pctstop = numstop / len(words) if words else 0.0
-        sgm = 1.0 - PCTSTOP_PENALTY * pctstop
+        sgm = 1.0 - PCTSTOP_PENALTY * _count_stats(words)["pctstop"]
         if not any(_looks_verbal(token_key(w)) for w in words):
             sgm -= FRAG_PENALTY
         return 1, 0, min(1.0, max(0.0, sgm))
@@ -303,17 +261,14 @@ SCORERS = {
 }
 
 
-def phrasal_features(r: Rewrite, scorer: GrammarScorer) -> PhrasalFeatures:
+def phrasal_features(r: Rewrite, scorer: GrammarScorer) -> dict[str, float]:
     """Count features plus parse-derived features for a phrasal rewrite."""
     if r.kind is not RewriteKind.PHRASAL:
         raise WrongRewriteKind("phrasal features require a PHRASAL rewrite")
-    numcap, numstop, pctstop, _ = _count_stats(r.all_words())
     primary, secondary, sgm = scorer.score(r.parts[0])
-    return PhrasalFeatures(
-        numcap=numcap,
-        numstop=numstop,
-        pctstop=pctstop,
-        primary_parses=primary,
-        secondary_parses=secondary,
-        sgm=sgm,
-    )
+    return {
+        **_count_stats(r.all_words()),
+        "primary_parses": float(primary),
+        "secondary_parses": float(secondary),
+        "sgm": sgm,
+    }

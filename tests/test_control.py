@@ -16,9 +16,17 @@ from budgetqa.control import (
     net_expected_value,
     run_policy,
 )
-from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet, ThresholdEnsemble, weight_class
-from budgetqa.rewrite import AnswerSlot, Question, Rewrite, RewriteKind
-from budgetqa.search import MeteredProvider, Snippet
+from budgetqa.models import DEFAULT_THRESHOLDS, PROBE_SIZE, ModelSet, ThresholdEnsemble
+from budgetqa.rewrite import (
+    CONJUNCTIVE_WEIGHT,
+    PHRASAL_WEIGHT,
+    AnswerSlot,
+    Question,
+    Rewrite,
+    RewriteKind,
+    generate_rewrites,
+)
+from budgetqa.search import DEFAULT_LIMIT, MeteredProvider, Snippet
 from budgetqa.text import default_stopwords
 from budgetqa.tree import DecisionTree, Leaf
 
@@ -257,16 +265,19 @@ def test_run_features_match_remining_oracle(evidence, prefix):
     ]
     texts = [found for _, _, found in evidence]
     run = Run(question, rewrites, _ScriptedProvider(texts), limit=100)
-    feats = run.features(prefix).as_features()
+    feats = run.features(prefix)
 
     used = rewrites[:prefix]
     snippets = [[Snippet(t, "d") for t in found] for found in texts[:prefix]]
     numngrams, per_weight = remined_counts(
         used, snippets, question.token_keys(), default_stopwords()
     )
-    expected_rulescore = {f"rulescore_{weight_class(r.weight)}": 0.0 for r in rewrites}
-    for weight, count in per_weight.items():
-        expected_rulescore[f"rulescore_{weight_class(weight)}"] = float(count)
+    # Only the package's two weights are features; weight 2.0 is counted in
+    # numngrams alone.
+    expected_rulescore = {
+        f"rulescore_{weight:g}": float(per_weight.get(weight, 0))
+        for weight in (CONJUNCTIVE_WEIGHT, PHRASAL_WEIGHT)
+    }
     assert feats["numngrams"] == numngrams
     assert {k: v for k, v in feats.items() if k.startswith("rulescore_")} == expected_rulescore
     assert feats["totalqueries"] == len(used)
@@ -275,3 +286,15 @@ def test_run_features_match_remining_oracle(evidence, prefix):
         len(found) for r, found in zip(used, snippets) if r.kind is RewriteKind.PHRASAL
     )
     assert run.issued == len(used)
+
+
+def test_one_word_question_has_the_run_feature_schema(lincoln_provider):
+    # A one-word question has only the conjunctive rewrite, yet its probe
+    # features must carry every key a threshold tree can split on.
+    def keys(text):
+        question = Question.from_text(text)
+        run = Run(question, generate_rewrites(question), lincoln_provider, DEFAULT_LIMIT)
+        return set(run.features(PROBE_SIZE))
+
+    assert keys("Velt?") == keys("Who killed Abraham Lincoln?")
+    assert {"rulescore_1", "rulescore_5"} <= keys("Velt?")

@@ -6,7 +6,7 @@ import pytest
 from budgetqa.bench import generate_benchmark
 from budgetqa.control import LikelihoodN, run_policy
 from budgetqa.errors import IncompleteEnsemble, RetryableError
-from budgetqa.evaluation import Judgment, judge
+from budgetqa.evaluation import Judgment, QAItem, judge
 from budgetqa.cli import main
 from budgetqa.evaluation import dump_dataset
 from budgetqa.harness import generate_quality_cases, generate_threshold_cases, train_models
@@ -102,6 +102,15 @@ def test_train_models_produces_complete_set(small_setup):
     assert models.ensemble.thresholds == DEFAULT_THRESHOLDS
     # training executed each rewrite once per phase (quality + threshold)
     assert meter.calls > 0
+
+
+def test_train_models_accepts_a_one_word_question(small_setup):
+    # "Velt?" has only the conjunctive rewrite; its run features must share
+    # the schema of every other question's, or tree training refuses them.
+    bench, provider = small_setup
+    items = list(bench.items) + [QAItem.make("Velt?", ["Maren"])]
+    models = train_models(items, provider, scorer=AdjacencyGrammarScorer())
+    assert models.ensemble.thresholds == DEFAULT_THRESHOLDS
 
 
 def test_incomplete_threshold_runs_rejected(small_setup, tmp_path):

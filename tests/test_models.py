@@ -2,14 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from budgetqa.errors import IncompleteEnsemble, LengthMismatch
+from budgetqa.errors import IncompleteEnsemble
 from budgetqa.models import (
     DEFAULT_THRESHOLDS,
     ModelSet,
     extract_run_features,
-    order_rewrites,
     train_threshold_ensemble,
-    weight_class,
 )
 from budgetqa.rewrite import (
     AdjacencyGrammarScorer,
@@ -42,7 +40,7 @@ def _conj(*parts):
 
 
 # --------------------------------------------------------------------------
-# quality_score / order_rewrites
+# quality_score / order
 
 
 def test_score_dispatches_by_kind():
@@ -59,23 +57,25 @@ def test_scores_stay_inside_unit_interval_on_generated_rewrites():
             assert 0.0 < score < 1.0
 
 
-def test_order_rewrites_sorts_descending_with_stable_ties():
+def _scored(rewrites, scores):
+    """A model set whose quality score for each of ``rewrites`` is given."""
+    models = ModelSet(_leaf_tree(0.5), _leaf_tree(0.5))
+    models.quality_score = dict(zip(rewrites, scores)).__getitem__
+    return models
+
+
+def test_order_sorts_descending_with_stable_ties():
     rewrites = [_phrasal("a"), _phrasal("b"), _phrasal("c")]
-    ordered = order_rewrites(rewrites, [0.2, 0.9, 0.5])
+    ordered = _scored(rewrites, [0.2, 0.9, 0.5]).order(rewrites)
     assert [r.parts[0] for r in ordered] == ["b", "c", "a"]
-    same = order_rewrites(rewrites, [0.5, 0.5, 0.5])
+    same = _scored(rewrites, [0.5, 0.5, 0.5]).order(rewrites)
     assert [r.parts[0] for r in same] == ["a", "b", "c"]
 
 
-def test_order_rewrites_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        order_rewrites([_phrasal("a")], [0.1, 0.2])
-
-
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
-def test_order_rewrites_is_permutation_and_topn_maximizes_score(scores):
+def test_order_is_permutation_and_topn_maximizes_score(scores):
     rewrites = [_phrasal(f"p{i}") for i in range(len(scores))]
-    ordered = order_rewrites(rewrites, scores)
+    ordered = _scored(rewrites, scores).order(rewrites)
     assert sorted(r.parts[0] for r in ordered) == sorted(r.parts[0] for r in rewrites)
     by_name = dict(zip([f"p{i}" for i in range(len(scores))], scores))
     for n in range(1, len(scores) + 1):
@@ -95,48 +95,45 @@ def _answers(*scores):
 def test_average_snippets_per_rewrite():
     q = Question.from_text("Who painted the old mill?")
     rewrites = [_phrasal("painted the old mill"), _phrasal("the old mill painted"), _conj("who")]
-    snippets = [[Snippet("Maren Velt painted things", "d")] * 10 for _ in rewrites]
-    feats = extract_run_features(q, rewrites, snippets, _answers(10.0, 4.0))
-    assert feats.average_snippets_per_rewrite == 10.0
-    assert feats.totalqueries == 3
-    assert feats.totsnips == 30
+    evidence = [(r, [Snippet("Maren Velt painted things", "d")] * 10) for r in rewrites]
+    feats = extract_run_features(q, evidence, _answers(10.0, 4.0))
+    assert feats["average_snippets_per_rewrite"] == 10.0
+    assert feats["totalqueries"] == 3
+    assert feats["totsnips"] == 30
 
 
 def test_diff_scores_and_std():
     q = Question.from_text("Who painted the old mill?")
-    rewrites = [_conj("who", "painted")]
-    feats = extract_run_features(q, rewrites, [[]], _answers(10.0, 4.0))
-    assert feats.diff_scores_1_2 == 6.0
-    assert feats.numngrams == 0
-    single = extract_run_features(q, rewrites, [[]], _answers(10.0))
-    assert single.diff_scores_1_2 == 0.0
-    assert single.std_deviation_answer_scores == 0.0
+    evidence = [(_conj("who", "painted"), [])]
+    feats = extract_run_features(q, evidence, _answers(10.0, 4.0))
+    assert feats["diff_scores_1_2"] == 6.0
+    assert feats["numngrams"] == 0
+    single = extract_run_features(q, evidence, _answers(10.0))
+    assert single["diff_scores_1_2"] == 0.0
+    assert single["std_deviation_answer_scores"] == 0.0
 
 
 def test_totnonbagsnips_counts_only_phrasal_sources():
     q = Question.from_text("Who painted the old mill?")
-    rewrites = [_phrasal("painted the old mill"), _conj("who", "painted", "mill")]
-    snippets = [[Snippet("x", "d"), Snippet("y", "d")], [Snippet("z", "d")]]
-    feats = extract_run_features(q, rewrites, snippets, _answers())
-    recount = sum(
-        len(found) for r, found in zip(rewrites, snippets) if r.kind is RewriteKind.PHRASAL
-    )
-    assert feats.totnonbagsnips == recount == 2
-    assert feats.maxrule == 5.0
+    evidence = [
+        (_phrasal("painted the old mill"), [Snippet("x", "d"), Snippet("y", "d")]),
+        (_conj("who", "painted", "mill"), [Snippet("z", "d")]),
+    ]
+    feats = extract_run_features(q, evidence, _answers())
+    recount = sum(len(found) for r, found in evidence if r.kind is RewriteKind.PHRASAL)
+    assert feats["totnonbagsnips"] == recount == 2
+    assert feats["maxrule"] == 5.0
 
 
 def test_rulescore_classes_and_filter_names():
     q = Question.from_text("Who painted the old mill?")
-    rewrites = [_phrasal("painted the old mill"), _conj("who", "painted")]
-    snippets = [[Snippet("Maren Velt stood alone", "d")], []]
-    answers = compose_answers([(5.0, snippets[0]), (1.0, [])], q.qtype, exclude=q.token_keys())
-    feats = extract_run_features(q, rewrites, snippets, answers)
-    flat = feats.as_features()
-    assert flat["filter"] == "who_filter"
-    assert "rulescore_5" in flat and "rulescore_1" in flat
-    assert flat["rulescore_1"] == 0.0
-    assert flat["rulescore_5"] > 0
-    assert weight_class(5.0) == "5"
+    snippets = [Snippet("Maren Velt stood alone", "d")]
+    answers = compose_answers([(5.0, snippets)], q.qtype, exclude=q.token_keys())
+    feats = extract_run_features(q, [(_phrasal("painted the old mill"), snippets)], answers)
+    assert feats["filter"] == "who_filter"
+    # The conjunctive weight is a feature even though this run never used it.
+    assert feats["rulescore_1"] == 0.0
+    assert feats["rulescore_5"] > 0
 
 
 # --------------------------------------------------------------------------

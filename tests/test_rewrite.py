@@ -150,10 +150,10 @@ def test_feature_extraction_never_fails_on_generated_rewrites(text):
     q = Question.from_text(text)
     for r in generate_rewrites(q):
         feats = conjunctive_features(r)
-        assert feats.numstop <= feats.numwords
+        assert feats["numstop"] <= feats["numwords"]
         if r.kind is RewriteKind.PHRASAL:
             pf = phrasal_features(r, AdjacencyGrammarScorer())
-            assert 0.0 <= pf.sgm <= 1.0
+            assert 0.0 <= pf["sgm"] <= 1.0
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def _phrasal(phrase, weight=5.0, slot=AnswerSlot.LEFT):
 
 def test_conj_features_counts_capitals():
     feats = conjunctive_features(_conj(["who", "killed", "Abraham", "Lincoln"]))
-    assert feats.numcap == 2
+    assert feats["numcap"] == 2
 
 
 def test_pctstop_matches_hand_count_against_shipped_list():
@@ -178,27 +178,27 @@ def test_pctstop_matches_hand_count_against_shipped_list():
     assert {"the", "of", "is"} <= stop
     assert "population" not in stop and "japan" not in stop
     feats = conjunctive_features(_phrasal("the population of Japan is"))
-    assert feats.numstop == 3
-    assert feats.numwords == 5
-    assert feats.pctstop == 3 / 5
+    assert feats["numstop"] == 3
+    assert feats["numwords"] == 5
+    assert feats["pctstop"] == 3 / 5
 
 
 @given(st.lists(_words, min_size=1, max_size=6))
 def test_pctstop_is_exactly_rational(parts):
     feats = conjunctive_features(_conj(parts))
-    if feats.numwords:
-        assert abs(feats.pctstop * feats.numwords - feats.numstop) < 1e-9
+    if feats["numwords"]:
+        assert abs(feats["pctstop"] * feats["numwords"] - feats["numstop"]) < 1e-9
 
 
 def test_phrasal_features_sgm_in_unit_range():
     feats = phrasal_features(_phrasal("Abraham Lincoln was killed by"), HeuristicGrammarScorer())
-    assert 0.0 <= feats.sgm <= 1.0
-    assert feats.primary_parses == 1
+    assert 0.0 <= feats["sgm"] <= 1.0
+    assert feats["primary_parses"] == 1
 
 
 def test_phrasal_features_stub_passthrough():
     feats = phrasal_features(_phrasal("Abraham Lincoln was killed by"), StubGrammarScorer(1, 0, 0.5))
-    assert (feats.primary_parses, feats.secondary_parses, feats.sgm) == (1, 0, 0.5)
+    assert (feats["primary_parses"], feats["secondary_parses"], feats["sgm"]) == (1, 0, 0.5)
 
 
 def test_phrasal_features_rejects_conjunctive():
