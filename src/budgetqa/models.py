@@ -133,7 +133,7 @@ def train_threshold_ensemble(runs: Mapping[int, Sequence[TrainingCase]]) -> Thre
 MODELS_FILE = "models.json"
 # Raised whenever a tree's feature schema changes, since a tree from another
 # format may split on features that are no longer computed.
-MODELS_FORMAT = 2
+MODELS_FORMAT = 3
 
 
 def _scorer_name(scorer: GrammarScorer) -> str:

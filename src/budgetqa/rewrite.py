@@ -195,11 +195,11 @@ class GrammarScorer(Protocol):
     """Pluggable stand-in for a statistical parser.
 
     Implementations must be safe for concurrent read-only use and return
-    ``(primary_parses, secondary_parses, sgm)`` for a phrase, with sgm the
+    ``(secondary_parses, sgm)`` for a phrase, with sgm the
     grammaticality score.
     """
 
-    def score(self, phrase: str) -> tuple[int, int, float]: ...
+    def score(self, phrase: str) -> tuple[int, float]: ...
 
 
 def _looks_verbal(key: str) -> bool:
@@ -214,12 +214,12 @@ FRAG_PENALTY = 0.25
 class HeuristicGrammarScorer:
     """Default scorer: penalize stop-word density and verbless fragments."""
 
-    def score(self, phrase: str) -> tuple[int, int, float]:
+    def score(self, phrase: str) -> tuple[int, float]:
         words = phrase.split()
         sgm = 1.0 - PCTSTOP_PENALTY * _count_stats(words)["pctstop"]
         if not any(_looks_verbal(token_key(w)) for w in words):
             sgm -= FRAG_PENALTY
-        return 1, 0, min(1.0, max(0.0, sgm))
+        return 0, min(1.0, max(0.0, sgm))
 
 
 _DETERMINERS = frozenset({"the", "a", "an", "this", "that", "these", "those"})
@@ -238,7 +238,7 @@ class AdjacencyGrammarScorer:
     The violation count is exposed as secondary_parses.
     """
 
-    def score(self, phrase: str) -> tuple[int, int, float]:
+    def score(self, phrase: str) -> tuple[int, float]:
         keys = [token_key(w) for w in phrase.split()]
         violations = 0
         if keys and keys[0] in _AUX_LIKE:
@@ -252,7 +252,7 @@ class AdjacencyGrammarScorer:
                 if prev not in _DETERMINERS:  # determiner case already counted
                     violations += 1
         sgm = max(0.0, 1.0 - VIOLATION_PENALTY * violations)
-        return 1, violations, sgm
+        return violations, sgm
 
 
 SCORERS = {
@@ -265,10 +265,9 @@ def phrasal_features(r: Rewrite, scorer: GrammarScorer) -> dict[str, float]:
     """Count features plus parse-derived features for a phrasal rewrite."""
     if r.kind is not RewriteKind.PHRASAL:
         raise WrongRewriteKind("phrasal features require a PHRASAL rewrite")
-    primary, secondary, sgm = scorer.score(r.parts[0])
+    secondary, sgm = scorer.score(r.parts[0])
     return {
         **_count_stats(r.all_words()),
-        "primary_parses": float(primary),
         "secondary_parses": float(secondary),
         "sgm": sgm,
     }

@@ -2,10 +2,10 @@
 
 
 class StubGrammarScorer:
-    """Returns a fixed triple; used as a wiring check."""
+    """Returns a fixed pair; used as a wiring check."""
 
-    def __init__(self, primary: int = 1, secondary: int = 0, sgm: float = 0.5):
-        self.triple = (primary, secondary, sgm)
+    def __init__(self, secondary: int = 0, sgm: float = 0.5):
+        self.pair = (secondary, sgm)
 
-    def score(self, phrase: str) -> tuple[int, int, float]:
-        return self.triple
+    def score(self, phrase: str) -> tuple[int, float]:
+        return self.pair

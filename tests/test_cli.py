@@ -147,11 +147,14 @@ def test_train_is_deterministic(workspace, tmp_path, capsys):
         lambda data: {k: v for k, v in data.items() if k != "phrasal"},
         # Format 1 conjunctive trees split on features that no longer exist.
         lambda data: {**data, "format": 1},
+        # Format 2 phrasal trees list the constant feature primary_parses.
+        lambda data: {**data, "format": 2},
         lambda data: {**data, "scorer": "parser"},
         lambda data: {**data, "probe_size": 3},
         lambda data: {**data, "ensemble": None},
     ],
-    ids=["not-json", "missing-key", "format-1", "unknown-scorer", "probe-size-3", "no-ensemble"],
+    ids=["not-json", "missing-key", "format-1", "format-2", "unknown-scorer", "probe-size-3",
+         "no-ensemble"],
 )
 def test_bad_models_file_is_data_error(workspace, models_dir, tmp_path, capsys, edit):
     data = json.loads(open(os.path.join(models_dir, "models.json"), encoding="utf-8").read())
