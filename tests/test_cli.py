@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -105,7 +106,7 @@ def test_ask_likelihood_respects_budget(workspace, models_dir, capsys):
 
 
 def test_ask_cost_benefit_prints_threshold_table(workspace, models_dir, capsys):
-    item = json.loads(open(workspace["dataset"]).readline())
+    item = json.loads(Path(workspace["dataset"]).read_text().splitlines()[0])
     assert main([
         "ask", item["question"], "--corpus", workspace["corpus"],
         "--models", models_dir, "--policy", "cost-benefit", "--k", "10", "--c", "1",
@@ -157,7 +158,7 @@ def test_train_is_deterministic(workspace, tmp_path, capsys):
          "no-ensemble"],
 )
 def test_bad_models_file_is_data_error(workspace, models_dir, tmp_path, capsys, edit):
-    data = json.loads(open(os.path.join(models_dir, "models.json"), encoding="utf-8").read())
+    data = json.loads(Path(models_dir, "models.json").read_text(encoding="utf-8"))
     edited = edit(data)
     bad = tmp_path / "models.json"
     bad.write_text(edited if isinstance(edited, str) else json.dumps(edited), encoding="utf-8")
@@ -251,7 +252,7 @@ def test_evaluate_sweep_k_shape_and_jsonl(workspace, models_dir, tmp_path, capsy
     ]) == 0
     table = capsys.readouterr().out
     assert table.count("cost_benefit") == 0  # table uses k column, not policy ids
-    rows = [json.loads(line) for line in open(out)]
+    rows = [json.loads(line) for line in Path(out).read_text().splitlines()]
     assert len(rows) == 4
 
 
@@ -309,7 +310,7 @@ def test_gen_bench_round_trip(tmp_path):
     from budgetqa.evaluation import load_dataset
 
     assert len(load_dataset(dataset)) == 10
-    assert len(open(corpus).readlines()) >= 10
+    assert len(Path(corpus).read_text().splitlines()) >= 10
 
 
 def test_usage_error_exit_code():
