@@ -95,7 +95,6 @@ class QuestionRecord:
     judgment: Judgment
     queries_issued: int
     top_answer: str | None
-    decided_n: int | None = None
     error: str | None = None
 
 
@@ -172,7 +171,6 @@ def evaluate(
             judgment=verdict,
             queries_issued=result.queries_issued,
             top_answer=result.top_answer,
-            decided_n=result.decision.n if result.decision else None,
             error="; ".join(result.backend_errors) or None,
         )
 
