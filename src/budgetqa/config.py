@@ -18,8 +18,8 @@ from .search import DEFAULT_LIMIT, DEFAULT_WINDOW, OfflineProvider, SearchProvid
 
 @dataclass
 class Config:
-    corpus_path: str | None = None
-    index_path: str | None = None
+    corpus: str | None = None
+    index: str | None = None
     endpoint: str | None = None
     token: str | None = None
     query_param: str = "q"
@@ -42,12 +42,12 @@ class Config:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, not {value!r}")
-        backends = sum(1 for b in (self.corpus_path, self.index_path, self.endpoint) if b)
+        backends = sum(1 for b in (self.corpus, self.index, self.endpoint) if b)
         if backends > 1:
             raise ConfigError("configure exactly one backend (corpus, index or endpoint)")
         for label, path in (
-            ("corpus", self.corpus_path),
-            ("index", self.index_path),
+            ("corpus", self.corpus),
+            ("index", self.index),
             ("models_dir", self.models_dir),
         ):
             if path and not os.path.exists(path):
@@ -69,17 +69,11 @@ class Config:
                 token=self.token,
                 max_in_flight=self.max_in_flight,
             )
-        if self.index_path:
-            return OfflineProvider(load_index(self.index_path))
-        if self.corpus_path:
-            return OfflineProvider(build_index(load_corpus(self.corpus_path), window=self.window))
+        if self.index:
+            return OfflineProvider(load_index(self.index))
+        if self.corpus:
+            return OfflineProvider(build_index(load_corpus(self.corpus), window=self.window))
         raise ConfigError("no backend configured: set corpus, index or endpoint")
-
-
-_FIELD_ALIASES = {
-    "corpus": "corpus_path",
-    "index": "index_path",
-}
 
 
 def load_config(path: str | None, **overrides) -> Config:
@@ -93,13 +87,8 @@ def load_config(path: str | None, **overrides) -> Config:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    kwargs: dict = {}
-    for key, value in data.items():
-        kwargs[_FIELD_ALIASES.get(key, key)] = value
-    for key, value in overrides.items():
-        if value is not None:
-            kwargs[_FIELD_ALIASES.get(key, key)] = value
+    data.update((key, value) for key, value in overrides.items() if value is not None)
     try:
-        return Config(**kwargs)
+        return Config(**data)
     except TypeError as exc:
         raise ConfigError(f"bad config field: {exc}") from exc

@@ -337,6 +337,8 @@ def test_conflicting_backends_is_data_error(workspace, tmp_path):
         {"probe_size": 3},
         # The models file records its grammar scorer.
         {"scorer": "adjacency"},
+        # Each setting has one name; the old field name is not an alias.
+        {"corpus_path": workspace["corpus"]},
     ]:
         cfg.write_text(json.dumps({"corpus": workspace["corpus"], **extra}), encoding="utf-8")
         assert main(["ask", "Who did it?", "--config", str(cfg)]) == 2, extra
