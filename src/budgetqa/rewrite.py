@@ -195,8 +195,8 @@ class GrammarScorer(Protocol):
     """Pluggable stand-in for a statistical parser.
 
     Implementations must be safe for concurrent read-only use and return
-    ``(secondary_parses, sgm)`` for a phrase, with sgm the
-    grammaticality score.
+    ``(secondary_parses, sgm)`` for a phrase, with sgm the grammaticality
+    score.
     """
 
     def score(self, phrase: str) -> tuple[int, float]: ...

@@ -123,8 +123,6 @@ def test_incomplete_threshold_runs_rejected(small_setup, tmp_path):
 # SHA-256 of every trained tree (quality models, then the ensemble by
 # threshold) on generate_benchmark(80, seed=0). Run features that read the
 # wrong evidence change the ensemble even when no report table moves.
-# Models format 3 changed it only by dropping the constant primary_parses
-# from the phrasal trees' schema; every split and leaf stayed the same.
 MODELS_GOLDEN_DIGEST = "14af2ec48707b8f091bced01268d19f6b24da2b59aacc69f017381bffc95deb2"
 
 
