@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: index, ask, train, evaluate, gen-bench. ``train`` writes one
+Subcommands: ask, train, evaluate, gen-bench. ``train`` writes one
 ``models.json`` that records the grammar scorer it was trained with;
 ``ask`` and ``evaluate`` load it with ``--models`` and serve with that scorer.
+All three search one backend, set by ``--corpus`` or ``--config``.
 Exit codes: 0 success or abstain, 1 usage error, 2 data error, 3 backend error.
 """
 
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .models import ModelSet
 from .rewrite import SCORERS
-from .search import DEFAULT_WINDOW, build_index, load_corpus, save_index
+from .search import save_corpus
 from .tree import describe_tree
 
 EXIT_OK = 0
@@ -65,7 +66,6 @@ def _serving_options(default_policy: str):
         click.option("--k", type=_POSITIVE, default=None, help="Answer value as a multiple of query cost."),
         click.option("--c", type=_POSITIVE, default=None, help="Cost per query."),
         click.option("--corpus", "corpus_path", type=click.Path(), default=None),
-        click.option("--index", "index_path", type=click.Path(), default=None),
         click.option("--models", "models_dir", type=click.Path(), default=None),
     ]
 
@@ -117,29 +117,13 @@ def _load_models(cfg: Config, needed_by: str | None) -> ModelSet | None:
     return None
 
 
-@cli.command("index")
-@click.option("--corpus", "corpus_path", type=click.Path(), required=True)
-@click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--window", type=click.IntRange(min=1), default=DEFAULT_WINDOW,
-              help="Snippet window in words each side.")
-def cmd_index(corpus_path: str, out_path: str, window: int):
-    """Build the offline inverted index from a JSONL corpus."""
-    docs = load_corpus(corpus_path)
-    index = build_index(docs, window=window)
-    save_index(index, out_path)
-    click.echo(f"indexed {len(docs)} documents -> {out_path}")
-
-
 @cli.command("ask")
 @click.argument("question")
 @_serving_options(default_policy="all")
 @click.option("--top", type=click.IntRange(min=1), default=5, help="Ranked answers to print.")
-def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, index_path, models_dir, top):
+def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, models_dir, top):
     """Answer one question with the configured policy."""
-    cfg = load_config(
-        config_path, corpus=corpus_path, index=index_path, models_dir=models_dir, k=k, c=c,
-        seed=seed,
-    )
+    cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, c=c, seed=seed)
     models = _load_models(cfg, f"--policy {policy}" if policy in _MODEL_POLICIES else None)
     provider = cfg.make_provider()
     result = run_policy(
@@ -182,13 +166,12 @@ def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, index_pat
 @click.option("--dataset", "dataset_path", type=click.Path(), required=True)
 @_config_option
 @click.option("--corpus", "corpus_path", type=click.Path(), default=None)
-@click.option("--index", "index_path", type=click.Path(), default=None)
 @click.option("--scorer", type=click.Choice(sorted(SCORERS)), default="adjacency",
               help="Grammar scorer for the phrasal quality model; recorded in models.json.")
 @click.option("--out", "out_dir", type=click.Path(), required=True, help="Directory for models.json.")
-def cmd_train(dataset_path, config_path, corpus_path, index_path, scorer, out_dir):
+def cmd_train(dataset_path, config_path, corpus_path, scorer, out_dir):
     """Train the quality models and the threshold ensemble on a labelled dataset."""
-    cfg = load_config(config_path, corpus=corpus_path, index=index_path)
+    cfg = load_config(config_path, corpus=corpus_path)
     dataset = evaluation.load_dataset(dataset_path)
     models = harness.train_models(
         dataset, cfg.make_provider(), scorer=SCORERS[scorer](), limit=cfg.limit
@@ -209,17 +192,14 @@ def cmd_train(dataset_path, config_path, corpus_path, index_path, scorer, out_di
               help="Comma-separated k values.")
 @click.option("--sweep-n", "sweep_n_flag", is_flag=True, help="Random vs likelihood over the threshold set.")
 @click.option("--seeds", default="0,1,2", callback=_comma_list(click.INT), help="Random-order seeds for --sweep-n.")
-@click.option("--jobs", type=int, default=None,
+@click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="Parallel questions (default: 1 offline, where search is CPU-bound; "
                    "cpu count capped at max_in_flight for a remote endpoint).")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write reports as JSONL.")
-def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, index_path,
-                 models_dir, sweep_k_values, sweep_n_flag, seeds, jobs, out_path):
+def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, models_dir,
+                 sweep_k_values, sweep_n_flag, seeds, jobs, out_path):
     """Evaluate a policy (or run a sweep) over a dataset."""
-    cfg = load_config(
-        config_path, corpus=corpus_path, index=index_path, models_dir=models_dir, k=k, c=c,
-        seed=seed,
-    )
+    cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, c=c, seed=seed)
     dataset = evaluation.load_dataset(dataset_path)
     if not dataset:
         raise DatasetParseError("dataset is empty")
@@ -261,16 +241,14 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, 
 
 
 @cli.command("gen-bench")
-@click.option("--questions", type=int, default=100)
-@click.option("--redundancy", type=int, default=3)
-@click.option("--distractors", type=int, default=40)
+@click.option("--questions", type=click.IntRange(min=1), default=100)
+@click.option("--redundancy", type=click.IntRange(min=1), default=3)
+@click.option("--distractors", type=click.IntRange(min=0), default=40)
 @click.option("--seed", type=int, default=0)
 @click.option("--out-corpus", type=click.Path(), required=True)
 @click.option("--out-dataset", type=click.Path(), required=True)
 def cmd_gen_bench(questions, redundancy, distractors, seed, out_corpus, out_dataset):
     """Generate a synthetic benchmark corpus and dataset."""
-    from .search import save_corpus
-
     result = bench.generate_benchmark(
         questions, redundancy=redundancy, distractors=distractors, seed=seed
     )

@@ -128,9 +128,6 @@ class AnswerFilter:
     pattern: re.Pattern
     factor: float
 
-    def applies(self, qtype: QuestionType, text: str) -> bool:
-        return qtype in self.applicable_types and bool(self.pattern.search(text))
-
 
 def _f(name: str, types: Iterable[QuestionType], pattern: str, factor: float, flags: int = 0) -> AnswerFilter:
     return AnswerFilter(name, frozenset(types), re.compile(pattern, flags), factor)
@@ -179,15 +176,6 @@ def filter_ngrams(cands: Sequence[NGramCandidate], qtype: QuestionType) -> list[
                 factor *= flt.factor
         out.append(cand if factor == 1.0 else NGramCandidate(cand.tokens, cand.score * factor, cand.support))
     return out
-
-
-def applied_filter_names(cands: Sequence[NGramCandidate], qtype: QuestionType) -> list[str]:
-    """Names of the filters that matched at least one candidate."""
-    names = []
-    for flt in DEFAULT_FILTERS:
-        if any(flt.applies(qtype, c.text) for c in cands):
-            names.append(flt.name)
-    return names
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Runtime configuration: a JSON file with CLI-flag overrides.
 
 Precedence is flag > file > default. Exactly one search backend must be
-configured and every referenced path must resolve at load time.
+configured: a ``corpus`` file, searched offline with a snippet ``window``
+of that many words each side, or a remote ``endpoint``. Every referenced
+path must resolve at load time, and the file must hold a JSON object.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from dataclasses import dataclass
 
 from .control import Preferences
 from .errors import ConfigError
-from .search import DEFAULT_LIMIT, DEFAULT_WINDOW, OfflineProvider, SearchProvider, build_index, load_corpus, load_index
+from .search import DEFAULT_LIMIT, DEFAULT_WINDOW, OfflineProvider, SearchProvider, build_index, load_corpus
 
 
 @dataclass
 class Config:
     corpus: str | None = None
-    index: str | None = None
     endpoint: str | None = None
     token: str | None = None
     query_param: str = "q"
@@ -42,14 +43,9 @@ class Config:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, not {value!r}")
-        backends = sum(1 for b in (self.corpus, self.index, self.endpoint) if b)
-        if backends > 1:
-            raise ConfigError("configure exactly one backend (corpus, index or endpoint)")
-        for label, path in (
-            ("corpus", self.corpus),
-            ("index", self.index),
-            ("models_dir", self.models_dir),
-        ):
+        if self.corpus and self.endpoint:
+            raise ConfigError("configure exactly one backend (corpus or endpoint)")
+        for label, path in (("corpus", self.corpus), ("models_dir", self.models_dir)):
             if path and not os.path.exists(path):
                 raise ConfigError(f"{label} path does not exist: {path}")
 
@@ -69,11 +65,9 @@ class Config:
                 token=self.token,
                 max_in_flight=self.max_in_flight,
             )
-        if self.index:
-            return OfflineProvider(load_index(self.index))
         if self.corpus:
             return OfflineProvider(build_index(load_corpus(self.corpus), window=self.window))
-        raise ConfigError("no backend configured: set corpus, index or endpoint")
+        raise ConfigError("no backend configured: set corpus or endpoint")
 
 
 def load_config(path: str | None, **overrides) -> Config:
@@ -87,6 +81,8 @@ def load_config(path: str | None, **overrides) -> Config:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(data).__name__}")
     data.update((key, value) for key, value in overrides.items() if value is not None)
     try:
         return Config(**data)

@@ -228,7 +228,7 @@ class MeteredProvider:
 
 
 # --------------------------------------------------------------------------
-# Corpus and index files
+# Corpus files
 
 
 def load_corpus(path: str) -> list[Document]:
@@ -251,36 +251,3 @@ def save_corpus(docs: list[Document], path: str) -> None:
         for doc in docs:
             fh.write(json.dumps({"id": doc.id, "text": doc.text}) + "\n")
 
-
-def save_index(index: Index, path: str) -> None:
-    """Serialize an index. The normalized corpus is stored; postings are
-    rebuilt deterministically on load, which keeps the file small and the
-    round trip exact."""
-    payload = {
-        "format": "budgetqa-index",
-        "version": 1,
-        "window": index.window,
-        "docs": [{"id": d.id, "text": d.text} for d in index.docs],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_index(path: str) -> Index:
-    """Read an index file written by ``save_index``; a file that is not one
-    raises ``DatasetParseError``."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DatasetParseError(f"index file is not JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != "budgetqa-index":
-        raise DatasetParseError("not an index file")
-    window = payload.get("window", DEFAULT_WINDOW)
-    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
-        raise DatasetParseError(f"index window must be a positive integer, not {window!r}")
-    try:
-        docs = [Document(id=str(row["id"]), text=str(row["text"])) for row in payload["docs"]]
-    except (KeyError, TypeError) as exc:
-        raise DatasetParseError(f"index docs must be objects with id and text: {exc!r}") from exc
-    return build_index(docs, window=window)

@@ -78,14 +78,6 @@ class DecisionTree:
                 stack.extend([node.left, node.right])
         return out
 
-    def depth(self) -> int:
-        def walk(node: Node) -> int:
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
-
 
 def _entropy(pos: int, total: int) -> float:
     if total == 0 or pos == 0 or pos == total:

@@ -7,7 +7,7 @@ import pytest
 from budgetqa.bench import generate_benchmark
 from budgetqa.cli import main
 from budgetqa.evaluation import dump_dataset
-from budgetqa.search import OfflineProvider, build_index, load_index, query_phrase, save_corpus
+from budgetqa.search import OfflineProvider, save_corpus
 
 
 @pytest.fixture(scope="module")
@@ -33,59 +33,6 @@ def models_dir(workspace):
         "--out", directory,
     ]) == 0
     return directory
-
-
-def test_index_round_trip(workspace, capsys):
-    out = str(workspace["root"] / "index.json")
-    assert main(["index", "--corpus", workspace["corpus"], "--out", out]) == 0
-    rebuilt = load_index(out)
-    from budgetqa.search import load_corpus
-
-    fresh = build_index(load_corpus(workspace["corpus"]))
-    probe = ["are", "in"]
-    assert [s.text for s in query_phrase(rebuilt, probe)] == [
-        s.text for s in query_phrase(fresh, probe)
-    ]
-
-
-@pytest.mark.parametrize("window", ["0", "-3"])
-def test_index_window_below_one_is_usage_error(workspace, tmp_path, capsys, window):
-    out = tmp_path / "index.json"
-    assert main(["index", "--corpus", workspace["corpus"], "--out", str(out), "--window", window]) == 1
-    assert "'--window'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("window", [0, -3, 2.5, "10", True, None])
-def test_index_file_with_bad_window_is_data_error(workspace, tmp_path, capsys, window):
-    index = tmp_path / "index.json"
-    assert main(["index", "--corpus", workspace["corpus"], "--out", str(index)]) == 0
-    payload = json.loads(index.read_text(encoding="utf-8"))
-    index.write_text(json.dumps({**payload, "window": window}), encoding="utf-8")
-    assert main(["ask", "Who painted the quartz mill?", "--index", str(index), "--policy", "all"]) == 2
-    assert "data error: index window must be a positive integer" in capsys.readouterr().err
-
-
-_INDEX_HEAD = '{"format": "budgetqa-index", "version": 1, "window": 10'
-
-
-@pytest.mark.parametrize("text", [
-    pytest.param("{not json", id="invalid-json"),
-    pytest.param('["budgetqa-index"]', id="not-an-object"),
-    pytest.param(_INDEX_HEAD + "}", id="no-docs"),
-    pytest.param(_INDEX_HEAD + ', "docs": [{"text": "a b"}]}', id="doc-without-id"),
-    pytest.param(_INDEX_HEAD + ', "docs": [{"id": "d"}]}', id="doc-without-text"),
-    pytest.param(_INDEX_HEAD + ', "docs": ["d"]}', id="doc-not-an-object"),
-])
-def test_malformed_index_file_is_data_error(tmp_path, capsys, text):
-    index = tmp_path / "index.json"
-    index.write_text(text, encoding="utf-8")
-    assert main(["ask", "Who painted the quartz mill?", "--index", str(index), "--policy", "all"]) == 2
-    assert "data error: " in capsys.readouterr().err
-
-
-def test_index_missing_file_nonzero_exit():
-    assert main(["index", "--corpus", "/nonexistent/corpus.jsonl", "--out", "/tmp/x.json"]) != 0
 
 
 def test_ask_lincoln_on_bundled_corpus(tmp_path, capsys, lincoln_docs):
@@ -234,6 +181,14 @@ def test_bad_config_value_is_data_error(workspace, tmp_path, capsys, field, valu
     assert f"data error: {field} must be a positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '"corpus.jsonl"', "3"], ids=["list", "string", "number"])
+def test_config_that_is_not_an_object_is_data_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["ask", "Who did it?", "--config", str(cfg)]) == 2
+    assert "data error: config must be a JSON object" in capsys.readouterr().err
+
+
 def test_evaluate_policy_table(workspace, models_dir, capsys):
     assert main([
         "evaluate", "--dataset", workspace["dataset"], "--corpus", workspace["corpus"],
@@ -318,6 +273,31 @@ def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["gen-bench", "--questions", "0"], "--questions"),
+        (["gen-bench", "--questions", "-3"], "--questions"),
+        (["gen-bench", "--redundancy", "0"], "--redundancy"),
+        (["gen-bench", "--redundancy", "-1"], "--redundancy"),
+        (["gen-bench", "--distractors", "-2"], "--distractors"),
+        (["evaluate", "--jobs", "0"], "--jobs"),
+        (["evaluate", "--jobs", "-4"], "--jobs"),
+    ],
+    ids=["questions-0", "questions-negative", "redundancy-0", "redundancy-negative",
+         "distractors-negative", "jobs-0", "jobs-negative"],
+)
+def test_out_of_range_count_is_usage_error(workspace, tmp_path, capsys, args, option):
+    corpus, dataset = tmp_path / "c.jsonl", tmp_path / "d.jsonl"
+    if args[0] == "gen-bench":
+        args = args + ["--out-corpus", str(corpus), "--out-dataset", str(dataset)]
+    else:
+        args = args + ["--dataset", workspace["dataset"], "--corpus", workspace["corpus"], "--policy", "all"]
+    assert main(args) == 1
+    assert f"'{option}'" in capsys.readouterr().err
+    assert not corpus.exists() and not dataset.exists()
+
+
 def test_conflicting_backends_is_data_error(workspace, tmp_path):
     cfg = tmp_path / "cfg.json"
     for extra in [
@@ -339,6 +319,8 @@ def test_conflicting_backends_is_data_error(workspace, tmp_path):
         {"scorer": "adjacency"},
         # Each setting has one name; the old field name is not an alias.
         {"corpus_path": workspace["corpus"]},
+        # The offline backend is the corpus; there is no separate index file.
+        {"index": "i.json"},
     ]:
         cfg.write_text(json.dumps({"corpus": workspace["corpus"], **extra}), encoding="utf-8")
         assert main(["ask", "Who did it?", "--config", str(cfg)]) == 2, extra

@@ -8,7 +8,6 @@ from budgetqa.bench import generate_benchmark
 from budgetqa.compose import (
     DEFAULT_FILTERS,
     NGramCandidate,
-    applied_filter_names,
     compose_answers,
     filter_ngrams,
     mine_ngrams,
@@ -169,11 +168,6 @@ def test_filtering_preserves_order_and_support():
 
 def test_default_table_has_fifteen_filters():
     assert len(DEFAULT_FILTERS) == 15
-
-
-def test_applied_filter_names():
-    names = applied_filter_names([_cand("John Booth", 1.0)], QuestionType.WHO)
-    assert "who_capital_boost" in names
 
 
 # --------------------------------------------------------------------------

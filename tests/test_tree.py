@@ -9,6 +9,7 @@ from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet, ThresholdEnsemble
 from budgetqa.tree import (
     DecisionTree,
     Leaf,
+    Split,
     TrainingCase,
     train_tree,
     tree_to_dict,
@@ -31,7 +32,8 @@ def test_uninformative_data_gives_single_laplace_leaf():
 def test_perfectly_separable_binary_feature():
     cases = [_case(True, flag=1.0) for _ in range(6)] + [_case(False, flag=0.0) for _ in range(4)]
     tree = train_tree(cases)
-    assert tree.depth() == 1
+    assert isinstance(tree.root, Split) and tree.root.feature == "flag"
+    assert isinstance(tree.root.left, Leaf) and isinstance(tree.root.right, Leaf)
     pos_leaf = tree.predict({"flag": 1.0})
     neg_leaf = tree.predict({"flag": 0.0})
     assert pos_leaf == pytest.approx(7 / 8)  # (6+1)/(6+2)
