@@ -34,9 +34,20 @@ from budgetqa.rewrite import AdjacencyGrammarScorer
 from budgetqa.search import OfflineProvider, build_index
 
 
+def _at_least_two(text: str) -> int:
+    """--questions: half train and half evaluate, so each half needs one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--questions", type=int, default=400, help="total questions; half train, half eval")
+    parser.add_argument("--questions", type=_at_least_two, default=400, help="total questions (at least 2); half train, half eval")
     parser.add_argument("--redundancy", type=int, default=3)
     parser.add_argument("--distractors", type=int, default=40)
     parser.add_argument("--seed", type=int, default=0)

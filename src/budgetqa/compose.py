@@ -7,6 +7,10 @@ useless as answers, so mining drops any n-gram containing a question token
 and any n-gram that starts or ends with a stop word (which also removes
 all-stopword n-grams).
 
+A snippet's candidate n-grams do not depend on the question, so each
+``Snippet`` derives them once (``Snippet.grams``) and keeps them for its
+lifetime; mining drops those that share a key with the question.
+
 Mining also counts, per rewrite weight, the distinct candidates that
 weight's snippets produced. Composition hands those counts on with its
 ranked answers, so the run features need no second mining.
@@ -29,9 +33,7 @@ from typing import Iterable, Sequence
 
 from .rewrite import QuestionType
 from .search import Snippet
-from .text import default_stopwords, token_key, word_tokens
-
-MAX_NGRAM = 3
+from .text import token_key
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,6 @@ def mine_ngrams(
     reported for each candidate is the most frequent one seen (first seen
     wins ties), matched case-insensitively.
     """
-    stop = default_stopwords()
     excluded = frozenset(token_key(t) for t in exclude)
 
     found: dict[tuple[str, ...], list] = {}  # key -> [score, support, {surface form: count}]
@@ -86,27 +87,16 @@ def mine_ngrams(
 
     for weight, snippet in ((weight, s) for weight, group in evidence for s in group):
         touched = by_weight.setdefault(weight, set())
-        words = word_tokens(snippet.text)
-        keys = [token_key(w) for w in words]
-        # A gram survives when every token is usable and both edges are
-        # usable non-stop words, so each token is tested once, not per gram.
-        usable = [bool(k) and k not in excluded for k in keys]
-        edge = [u and k not in stop for u, k in zip(usable, keys)]
-        n_tokens = len(words)
-        for n in range(1, MAX_NGRAM + 1):
-            for i in range(n_tokens - n + 1):
-                last = i + n - 1
-                if not (edge[i] and edge[last] and (n < 3 or all(usable[i + 1 : last]))):
-                    continue
-                gram_keys = tuple(keys[i : i + n])
-                entry = found.get(gram_keys)
-                if entry is None:
-                    entry = found[gram_keys] = [0.0, 0, {}]
-                entry[0] += weight
-                entry[1] += 1
-                touched.add(gram_keys)
-                form = tuple(words[i : i + n])
-                entry[2][form] = entry[2].get(form, 0) + 1
+        for gram_keys, form in snippet.grams:
+            if not excluded.isdisjoint(gram_keys):
+                continue
+            entry = found.get(gram_keys)
+            if entry is None:
+                entry = found[gram_keys] = [0.0, 0, {}]
+            entry[0] += weight
+            entry[1] += 1
+            touched.add(gram_keys)
+            entry[2][form] = entry[2].get(form, 0) + 1
 
     out = []
     for score, support, forms in found.values():

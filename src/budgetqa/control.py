@@ -38,7 +38,9 @@ from typing import Mapping, Sequence, Union
 from .compose import Candidates, NGramCandidate, compose_answers
 from .errors import ProviderError, RetryableError
 from .models import PROBE_SIZE, ModelSet, extract_run_features
-from .rewrite import Question, Rewrite, RewriteKind, generate_rewrites
+# generate_rewrites is no longer called here (a Question generates its own
+# rewrites once); perfbench/spans.py still binds the name in this module.
+from .rewrite import Question, Rewrite, RewriteKind, generate_rewrites  # noqa: F401
 from .search import DEFAULT_LIMIT, SearchProvider, Snippet
 from .tree import FeatureValue
 
@@ -175,7 +177,7 @@ class Run:
             self._composed[n] = compose_answers(
                 [(r.weight, found) for r, found in zip(self.rewrites, self.snippets[:n])],
                 self.question.qtype,
-                exclude=self.question.token_keys(),
+                exclude=self.question.token_keys,
             )
         return self._composed[n]
 
@@ -312,9 +314,10 @@ def run_policy(
 
     ``queries_issued`` equals the number of provider execute calls made for
     this question. ``question_index`` only seeds RandomN selection so that a
-    parallel evaluation stays reproducible.
+    parallel evaluation stays reproducible. A ``Question`` keeps its
+    rewrites, so pass one ``Question`` to run a question repeatedly.
     """
     if isinstance(question, str):
         question = Question.from_text(question)
-    selection = policy.select(generate_rewrites(question), models, question_index)
+    selection = policy.select(question.rewrites, models, question_index)
     return policy.play(Run(question, selection, provider, limit), models, prefs)

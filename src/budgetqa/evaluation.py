@@ -13,6 +13,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 from .control import (
@@ -25,13 +26,26 @@ from .control import (
 )
 from .errors import DatasetParseError
 from .models import DEFAULT_THRESHOLDS, ModelSet
+from .rewrite import Question
 from .search import DEFAULT_LIMIT, SearchProvider
 
 
 @dataclass(frozen=True)
 class QAItem:
+    """A question and its answer patterns.
+
+    ``parsed``, the question's ``Question``, is parsed on first use and kept
+    for the item's lifetime; with the rewrites that ``Question`` keeps, every
+    evaluation of the item reuses one parse and one set of rewrites. It is
+    not a field, so equality, hashing and ``dataclasses.replace`` ignore it.
+    """
+
     question: str
     patterns: tuple[re.Pattern, ...]
+
+    @cached_property
+    def parsed(self) -> Question:
+        return Question.from_text(self.question)
 
     @classmethod
     def make(cls, question: str, patterns: Sequence[str]) -> "QAItem":
@@ -153,7 +167,7 @@ def evaluate(
         idx, item = indexed
         result = run_policy(
             policy,
-            item.question,
+            item.parsed,
             provider,
             models,
             prefs,

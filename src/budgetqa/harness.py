@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-# compose_answers and extract_run_features are no longer called here (the
-# Run calls them); perfbench/spans.py still binds both names in this module.
+# compose_answers, extract_run_features and generate_rewrites are no longer
+# called here (the Run calls the first two, and a Question generates its own
+# rewrites); perfbench/spans.py still binds all three names in this module.
 from .compose import compose_answers  # noqa: F401
 from .control import CostBenefit, Run
 from .evaluation import Judgment, QAItem, judge
@@ -30,10 +31,9 @@ from .models import (
 )
 from .rewrite import (
     GrammarScorer,
-    Question,
     RewriteKind,
     conjunctive_features,
-    generate_rewrites,
+    generate_rewrites,  # noqa: F401
     phrasal_features,
 )
 from .search import DEFAULT_LIMIT, SearchProvider
@@ -55,8 +55,8 @@ def generate_quality_cases(
     """(conjunctive cases, phrasal cases) from single-query runs."""
     conj_cases, phrasal_cases = [], []
     for item in dataset:
-        question = Question.from_text(item.question)
-        for rewrite in generate_rewrites(question):
+        question = item.parsed
+        for rewrite in question.rewrites:
             label = _correct(Run(question, [rewrite], provider, limit).compose(1), item)
             if rewrite.kind is RewriteKind.CONJUNCTIVE:
                 conj_cases.append(TrainingCase(conjunctive_features(rewrite), label))
@@ -85,8 +85,8 @@ def generate_threshold_cases(
     models = ModelSet(conjunctive=conj_tree, phrasal=phrasal_tree, scorer=scorer)
     cases: dict[int, list[TrainingCase]] = {n: [] for n in DEFAULT_THRESHOLDS}
     for item in dataset:
-        question = Question.from_text(item.question)
-        run = Run(question, policy.select(generate_rewrites(question), models, 0), provider, limit)
+        question = item.parsed
+        run = Run(question, policy.select(question.rewrites, models, 0), provider, limit)
         probe_features = run.features(PROBE_SIZE)
         for n in DEFAULT_THRESHOLDS:
             cases[n].append(TrainingCase(probe_features, _correct(run.compose(n), item)))

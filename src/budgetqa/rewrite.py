@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Protocol
 
 from .errors import WrongRewriteKind
@@ -47,6 +48,14 @@ class AnswerSlot(Enum):
 
 @dataclass(frozen=True)
 class Question:
+    """A parsed question.
+
+    ``rewrites`` and ``token_keys`` are derived on first use and kept for the
+    question's lifetime, so running one question again does not rewrite it
+    again. They are not fields, so equality, hashing and
+    ``dataclasses.replace`` ignore them.
+    """
+
     raw_text: str
     tokens: tuple[str, ...]
     qtype: QuestionType
@@ -56,8 +65,14 @@ class Question:
         tokens = tuple(tokenize(text))
         return cls(raw_text=text, tokens=tokens, qtype=classify_tokens(tokens))
 
+    @cached_property
     def token_keys(self) -> frozenset[str]:
         return frozenset(token_key(t) for t in self.tokens)
+
+    @cached_property
+    def rewrites(self) -> tuple[Rewrite, ...]:
+        """``generate_rewrites(self)``, generated once."""
+        return tuple(generate_rewrites(self))
 
 
 @dataclass(frozen=True)

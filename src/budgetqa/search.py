@@ -21,6 +21,12 @@ k sweep evaluate the same questions over and over. The memo keeps the
 ``MEMO_SIZE`` most recently used queries and lives as long as its provider.
 It sits below everything that counts queries, so every ``execute`` call is
 still one query issued and charged.
+
+A ``Snippet`` derives its candidate n-grams (``grams``) on first mining and
+keeps them as long as it lives. The memo returns the same snippets on every
+repeat, so a replayed query's snippets are never tokenized twice; a remote
+provider's snippets, n-grams included, are freed with the run that fetched
+them.
 """
 
 from __future__ import annotations
@@ -28,12 +34,12 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Protocol, Sequence
 
 from .errors import DatasetParseError, DuplicateDocument, EmptyCorpus
 from .rewrite import Rewrite, RewriteKind
-from .text import token_key
+from .text import Gram, ngrams, token_key
 
 DEFAULT_WINDOW = 10
 DEFAULT_LIMIT = 100
@@ -50,10 +56,15 @@ class Document:
 
 @dataclass(frozen=True)
 class Snippet:
-    """A word window around one match."""
+    """A word window around one match. ``grams`` is not a field, so
+    equality, hashing and ``dataclasses.replace`` ignore it."""
 
     text: str
     source_doc: str
+
+    @cached_property
+    def grams(self) -> tuple[Gram, ...]:
+        return ngrams(self.text)
 
 
 class SearchProvider(Protocol):

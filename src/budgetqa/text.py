@@ -1,4 +1,5 @@
-"""Tokenization, token normalization and the shipped stop-word list."""
+"""Tokenization, token normalization, the shipped stop-word list and the
+candidate n-grams of a text."""
 
 from functools import lru_cache
 from importlib import resources
@@ -10,6 +11,9 @@ from .errors import EmptyQuestion
 BOUNDARY_PUNCT = ".,;:!?\"'()[]{}<>`«»“”‘’–—"
 
 AUXILIARIES = frozenset({"is", "was", "did", "does", "do", "are", "were"})
+
+MAX_NGRAM = 3
+Gram = tuple[tuple[str, ...], tuple[str, ...]]  # (keys, surface form)
 
 
 def word_tokens(text: str) -> list[str]:
@@ -49,3 +53,26 @@ def default_stopwords() -> frozenset[str]:
     data = resources.files("budgetqa").joinpath("data/stopwords.txt").read_text("utf-8")
     return frozenset(line.strip() for line in data.splitlines() if line.strip())
 
+
+def ngrams(text: str) -> tuple[Gram, ...]:
+    """Every candidate 1/2/3-gram of a text as (keys, surface form) pairs,
+    n = 1..MAX_NGRAM outer and position inner.
+
+    A gram is a candidate when both edge keys are non-empty and not stop
+    words, and a 3-gram's middle key is non-empty. No question's tokens are
+    excluded here: that is up to the caller. When a gram's surface form
+    equals its keys, the keys tuple stands in for the form.
+    """
+    stop = default_stopwords()
+    words = word_tokens(text)
+    keys = [token_key(w) for w in words]
+    edge = [bool(k) and k not in stop for k in keys]
+    out = []
+    for n in range(1, MAX_NGRAM + 1):
+        for i in range(len(words) - n + 1):
+            last = i + n - 1
+            if edge[i] and edge[last] and (n < 3 or all(keys[i + 1 : last])):
+                gram_keys = tuple(keys[i : i + n])
+                form = tuple(words[i : i + n])
+                out.append((gram_keys, gram_keys if form == gram_keys else form))
+    return tuple(out)

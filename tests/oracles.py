@@ -8,7 +8,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from budgetqa.text import token_key
+from budgetqa.compose import Candidates, NGramCandidate
+from budgetqa.text import default_stopwords, token_key, word_tokens
+
+MAX_NGRAM = 3
 
 
 def _normalize(word: str) -> str:
@@ -150,6 +153,48 @@ def mine_in_order(evidence, exclude=(), stop=frozenset(), max_n=3):
         best = max(forms, key=lambda form: (forms.count(form), -forms.index(form)))
         out.append((best, score, support))
     return out
+
+
+def mine_per_call(evidence, *, exclude=()):
+    """Mining that tokenizes every snippet and enumerates its n-grams on each
+    call, applying the question's exclusions during the enumeration: the
+    reference for ``compose.mine_ngrams``, which walks the n-grams each
+    snippet keeps and applies the exclusions afterwards."""
+    stop = default_stopwords()
+    excluded = frozenset(token_key(t) for t in exclude)
+
+    found: dict[tuple[str, ...], list] = {}  # key -> [score, support, {surface form: count}]
+    by_weight: dict[float, set[tuple[str, ...]]] = {}
+
+    for weight, snippet in ((weight, s) for weight, group in evidence for s in group):
+        touched = by_weight.setdefault(weight, set())
+        words = word_tokens(snippet.text)
+        keys = [token_key(w) for w in words]
+        # A gram survives when every token is usable and both edges are
+        # usable non-stop words, so each token is tested once, not per gram.
+        usable = [bool(k) and k not in excluded for k in keys]
+        edge = [u and k not in stop for u, k in zip(usable, keys)]
+        n_tokens = len(words)
+        for n in range(1, MAX_NGRAM + 1):
+            for i in range(n_tokens - n + 1):
+                last = i + n - 1
+                if not (edge[i] and edge[last] and (n < 3 or all(usable[i + 1 : last]))):
+                    continue
+                gram_keys = tuple(keys[i : i + n])
+                entry = found.get(gram_keys)
+                if entry is None:
+                    entry = found[gram_keys] = [0.0, 0, {}]
+                entry[0] += weight
+                entry[1] += 1
+                touched.add(gram_keys)
+                form = tuple(words[i : i + n])
+                entry[2][form] = entry[2].get(form, 0) + 1
+
+    out = []
+    for score, support, forms in found.values():
+        best = max(forms, key=forms.__getitem__)  # ties: first seen
+        out.append(NGramCandidate(tokens=best, score=score, support=support))
+    return Candidates(out, len(out), {w: len(keys) for w, keys in by_weight.items()})
 
 
 def remined_counts(rewrites_used, snippets, exclude, stop):

@@ -18,7 +18,7 @@ from budgetqa.rewrite import Question, QuestionType, generate_rewrites
 from budgetqa.search import DEFAULT_LIMIT, OfflineProvider, Snippet, build_index
 from budgetqa.text import default_stopwords
 
-from oracles import all_fixpoints, mine_in_order, stepwise_best_fixpoint, tile_all_pairs
+from oracles import all_fixpoints, mine_in_order, mine_per_call, stepwise_best_fixpoint, tile_all_pairs
 
 def _snip(text):
     return Snippet(text=text, source_doc="d")
@@ -129,6 +129,62 @@ def test_mining_scores_are_exactly_additive_over_splits(snips):
             second[key].score if key in second else 0.0
         )
         assert cand.score == total
+
+
+# Punctuation at the edges and inside, possessives, stop words, mixed case,
+# and words that are all punctuation.
+_rich_vocab = [
+    "Booth", "booth", "BOOTH", "Booth's", "booth’s", "Ford's,", "(Lincoln)", "Lincoln.",
+    "the", "The", "of", "was", "an", "by", "killed", "Killed", "3.5", "$100", "'s", "--", "—", "...",
+]
+_rich_words = st.one_of(
+    st.sampled_from(_rich_vocab),
+    st.text(alphabet="aBz's.,’-", min_size=1, max_size=4),
+)
+_rich_texts = st.lists(_rich_words, max_size=10).map(" ".join)
+# (weight, texts) per rewrite; a rewrite may have retrieved nothing.
+_evidence_texts = st.lists(
+    st.tuples(st.sampled_from([5.0, 2.0, 1.0]), st.lists(_rich_texts, max_size=3)), max_size=5
+)
+_exclusions = st.lists(st.sampled_from(_rich_vocab + ["lincoln", "ford", "KILLED"]), max_size=4)
+
+
+def _mined(cands):
+    return [(c.tokens, c.score, c.support) for c in cands], cands.mined, cands.mined_by_weight
+
+
+@given(texts=_evidence_texts, exclude=_exclusions)
+@settings(deadline=None, max_examples=200)
+def test_mining_matches_per_call_oracle(texts, exclude):
+    evidence = [(weight, [_snip(t) for t in group]) for weight, group in texts]
+    got = mine_ngrams(evidence, exclude=exclude)
+    want = mine_per_call(evidence, exclude=exclude)
+    assert _mined(got) == _mined(want)
+    # A weight is listed exactly when one of its snippets was mined, even
+    # when that snippet produced nothing.
+    assert set(got.mined_by_weight) == {w for w, group in texts if group}
+
+
+@given(texts=_evidence_texts, first=_exclusions, second=_exclusions, swap=st.booleans())
+@settings(deadline=None, max_examples=100)
+def test_kept_ngrams_serve_any_later_exclusions(texts, first, second, swap):
+    # The same snippet objects mined under two exclusion sets, in either
+    # order: what a snippet keeps must not depend on the first question.
+    evidence = [(weight, [_snip(t) for t in group]) for weight, group in texts]
+    for exclude in (second, first) if swap else (first, second):
+        got = mine_ngrams(evidence, exclude=exclude)
+        fresh = [(weight, [_snip(t) for t in group]) for weight, group in texts]
+        assert _mined(got) == _mined(mine_per_call(fresh, exclude=exclude))
+    assert all("grams" in s.__dict__ for _, group in evidence for s in group)
+
+
+def test_mutating_a_mined_list_leaves_later_minings_alone():
+    evidence = [(5.0, [_snip("John Wilkes Booth"), _snip("Booth was an actor")])]
+    first = mine_ngrams(evidence)
+    expected = _mined(mine_per_call(evidence))
+    first.clear()
+    first.mined_by_weight.clear()
+    assert _mined(mine_ngrams(evidence)) == expected
 
 
 # --------------------------------------------------------------------------

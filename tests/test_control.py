@@ -270,7 +270,7 @@ def test_run_features_match_remining_oracle(evidence, prefix):
     used = rewrites[:prefix]
     snippets = [[Snippet(t, "d") for t in found] for found in texts[:prefix]]
     numngrams, per_weight = remined_counts(
-        used, snippets, question.token_keys(), default_stopwords()
+        used, snippets, question.token_keys, default_stopwords()
     )
     # Only the package's two weights are features; weight 2.0 is counted in
     # numngrams alone.

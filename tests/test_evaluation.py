@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import re
+from collections import Counter
 
 import pytest
 
+from budgetqa import rewrite
 from budgetqa.bench import generate_benchmark
-from budgetqa.control import AllRewrites, ConjunctiveOnly, RandomN, Run
+from budgetqa.control import AllRewrites, ConjunctiveOnly, RandomN, Run, run_policy
 from budgetqa.errors import DatasetParseError
 from budgetqa.evaluation import (
     Judgment,
@@ -186,6 +189,47 @@ def test_all_rewrites_beats_or_ties_prefix_policies(small_bench):
     bench, provider = small_bench
     full = evaluate(AllRewrites(), bench.items, provider)
     assert full.correct >= 1  # the benchmark is answerable at all
+
+
+def test_item_keeps_its_parsed_question_outside_its_value():
+    item = QAItem.make("Who killed Abraham Lincoln?", [r"(John )?Wilkes Booth"])
+    parsed = item.parsed
+    assert parsed == Question.from_text(item.question) and item.parsed is parsed
+    twin = QAItem.make(item.question, [r"(John )?Wilkes Booth"])
+    assert twin == item and hash(twin) == hash(item)
+    assert "parsed" not in twin.__dict__
+    moved = dataclasses.replace(item, question="Who shot Lincoln?")
+    assert "parsed" not in moved.__dict__
+    assert moved.parsed == Question.from_text("Who shot Lincoln?")
+
+
+def test_evaluations_rewrite_each_item_once(small_bench, monkeypatch):
+    bench, provider = small_bench
+    items = [QAItem(item.question, item.patterns) for item in bench.items]  # none parsed yet
+    generate = rewrite.generate_rewrites
+    calls = Counter()
+
+    def counted(question):
+        calls[question.raw_text] += 1
+        return generate(question)
+
+    monkeypatch.setattr(rewrite, "generate_rewrites", counted)
+    evaluate(AllRewrites(), items, provider)
+    evaluate(RandomN(n=2, seed=1), items, provider)
+    assert calls == Counter(item.question for item in items)
+
+
+def test_changing_a_result_leaves_later_runs_alone(small_bench):
+    bench, provider = small_bench
+    question = Question.from_text(bench.items[0].question)
+    first = run_policy(AllRewrites(), question, provider)
+    answers, used = list(first.answers), list(first.rewrites_used)
+    assert answers and len(used) > 1
+    first.answers.clear()
+    first.rewrites_used.reverse()
+    AllRewrites().select(question.rewrites, None, 0).clear()
+    second = run_policy(AllRewrites(), question, provider)
+    assert second.answers == answers and second.rewrites_used == used == list(question.rewrites)
 
 
 # --------------------------------------------------------------------------

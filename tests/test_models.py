@@ -128,7 +128,7 @@ def test_totnonbagsnips_counts_only_phrasal_sources():
 def test_rulescore_classes_and_filter_names():
     q = Question.from_text("Who painted the old mill?")
     snippets = [Snippet("Maren Velt stood alone", "d")]
-    answers = compose_answers([(5.0, snippets)], q.qtype, exclude=q.token_keys())
+    answers = compose_answers([(5.0, snippets)], q.qtype, exclude=q.token_keys)
     feats = extract_run_features(q, [(_phrasal("painted the old mill"), snippets)], answers)
     assert feats["filter"] == "who_filter"
     # The conjunctive weight is a feature even though this run never used it.

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -154,6 +156,21 @@ def test_feature_extraction_never_fails_on_generated_rewrites(text):
         if r.kind is RewriteKind.PHRASAL:
             pf = phrasal_features(r, AdjacencyGrammarScorer())
             assert 0.0 <= pf["sgm"] <= 1.0
+
+
+def test_question_keeps_its_rewrites_outside_its_value():
+    question = Question.from_text("Who killed Abraham Lincoln?")
+    rewrites = question.rewrites
+    assert isinstance(rewrites, tuple) and question.rewrites is rewrites
+    assert list(rewrites) == generate_rewrites(question)
+    assert question.token_keys == {"who", "killed", "abraham", "lincoln"}
+    twin = Question.from_text("Who killed Abraham Lincoln?")
+    assert twin == question and hash(twin) == hash(question)
+    assert "rewrites" not in twin.__dict__
+    moved = dataclasses.replace(question, tokens=("Who", "shot", "Lincoln"))
+    assert "rewrites" not in moved.__dict__ and "token_keys" not in moved.__dict__
+    assert list(moved.rewrites) == generate_rewrites(moved)
+    assert moved.token_keys == {"who", "shot", "lincoln"}
 
 
 # --------------------------------------------------------------------------

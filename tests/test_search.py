@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import sys
@@ -25,6 +26,7 @@ from budgetqa.search import (
     query_phrase,
     save_corpus,
 )
+from budgetqa.text import ngrams
 
 from oracles import (
     query_keys,
@@ -428,3 +430,28 @@ def test_offline_results_match_golden_digest(window):
     # The second pass is answered from the provider's memo.
     for _ in range(2):
         assert _results_digest(provider, bench.items) == (1536, SEARCH_GOLDEN_DIGESTS[window])
+
+
+def test_snippet_keeps_its_ngrams_outside_its_value():
+    snippet, twin = Snippet("John Wilkes Booth", "d1"), Snippet("John Wilkes Booth", "d1")
+    grams = snippet.grams
+    assert grams == ngrams("John Wilkes Booth") and snippet.grams is grams
+    assert snippet == twin and hash(snippet) == hash(twin)
+    assert "grams" not in twin.__dict__
+    moved = dataclasses.replace(snippet, text="Booth was an actor")
+    assert "grams" not in moved.__dict__
+    assert moved.grams == ngrams("Booth was an actor") != grams
+
+
+def test_ngrams_are_taken_before_any_exclusion():
+    # Stop words may not sit at an edge, empty keys nowhere; the question's
+    # words are still there.
+    assert [keys for keys, _ in ngrams("Booth was the killer of Lincoln")] == [
+        ("booth",), ("killer",), ("lincoln",), ("killer", "of", "lincoln"),
+    ]
+    # The surface form keeps case and possessives; equal forms share the keys.
+    assert ngrams("Ford's theatre") == (
+        (("ford",), ("Ford's",)),
+        (("theatre",), ("theatre",)),
+        (("ford", "theatre"), ("Ford's", "theatre")),
+    )
