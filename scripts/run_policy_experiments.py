@@ -34,26 +34,52 @@ from budgetqa.rewrite import AdjacencyGrammarScorer
 from budgetqa.search import OfflineProvider, build_index
 
 
-def _at_least_two(text: str) -> int:
-    """--questions: half train and half evaluate, so each half needs one."""
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
     return value
+
+
+def _seed_list(text: str) -> list[int]:
+    """Comma-separated integer seeds, at least one."""
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError("needs at least one seed")
+    return seeds
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--questions", type=_at_least_two, default=400, help="total questions (at least 2); half train, half eval")
-    parser.add_argument("--redundancy", type=int, default=3)
-    parser.add_argument("--distractors", type=int, default=40)
+    # Half the questions train and half evaluate, so each half needs one.
+    parser.add_argument("--questions", type=_int_at_least(2), default=400, help="total questions (at least 2); half train, half eval")
+    parser.add_argument("--redundancy", type=_int_at_least(1), default=3)
+    parser.add_argument("--distractors", type=_int_at_least(0), default=40)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--k", type=float, default=10.0)
-    parser.add_argument("--c", type=float, default=1.0)
-    parser.add_argument("--seeds", default="0,1,2,3,4", help="random-order seeds for the N sweep")
+    parser.add_argument("--k", type=_positive, default=10.0)
+    parser.add_argument("--c", type=_positive, default=1.0)
+    parser.add_argument("--seeds", type=_seed_list, default="0,1,2,3,4", help="random-order seeds for the N sweep")
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
 
@@ -74,11 +100,10 @@ def main() -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = [int(s) for s in args.seeds.split(",")]
     prefs = Preferences(k=args.k, c=args.c)
 
     print("\n== fixed budgets: random vs likelihood order ==")
-    rows = sweep_n(eval_items, provider, models, seeds=seeds)
+    rows = sweep_n(eval_items, provider, models, seeds=args.seeds)
     print(render_n_sweep(rows))
 
     print("\n== policy comparison ==")

@@ -14,6 +14,21 @@ Serving (``run_policy``) and training (``harness``) both go through it, so
 the threshold models learn from exactly the evidence, filters and error
 handling the controller sees.
 
+A question replayed under one order at growing budgets (the N sweep) repeats
+work from one run to the next, so each ``Question`` keeps two slots
+(``Question.last``). The order slot holds its latest selection order, keyed
+by what fixes it: the ``ModelSet`` object for quality order, and the seed
+and question index for a random shuffle. ``LikelihoodN``, ``RandomN`` and
+``CostBenefit`` each take a prefix of it. The composition slot holds the
+evidence of its latest composition, the prefix's (weight, snippets) pairs,
+and a copy of the candidates composed from it. A run whose prefix has equal
+evidence gets a new copy of those candidates instead of composing again, so
+no run can change what a later run gets. Since the offline memo returns the
+same snippet objects each time, that check is one list comparison that
+short-circuits on identity. The key is the evidence, not the rewrites, so a
+question run against two providers never mixes their results. A question
+holds one entry per slot, so memory does not grow with traffic.
+
 The controller values a correct answer at v = k * c (k times the cost of a
 single query) and the value of no valid answer at zero, so submitting n
 queries with predicted success probability p has net expected value
@@ -170,15 +185,26 @@ class Run:
 
     def compose(self, n: int) -> Candidates:
         """Ranked answers from the first n rewrites (capped at the run's
-        length), executing any not yet run. Each prefix is mined once."""
+        length), executing any not yet run. Each prefix is mined once per
+        run, and not at all when it has the evidence of the question's
+        latest composition; either way the run gets its own copy."""
         n = min(n, len(self.rewrites))
         if n not in self._composed:
             self._execute(n)
-            self._composed[n] = compose_answers(
-                [(r.weight, found) for r, found in zip(self.rewrites, self.snippets[:n])],
-                self.question.qtype,
-                exclude=self.question.token_keys,
-            )
+            evidence = [(r.weight, found) for r, found in zip(self.rewrites, self.snippets[:n])]
+            last = self.question.last.composition  # read once: threads may replace it
+            if last is not None and last[0] == evidence:
+                answers, mined, mined_by_weight = last[1]
+                composed = Candidates(answers, mined, dict(mined_by_weight))
+            else:
+                composed = compose_answers(
+                    evidence, self.question.qtype, exclude=self.question.token_keys
+                )
+                # The slot keeps its own copy, so changing a result changes
+                # no later run's.
+                snapshot = (tuple(composed), composed.mined, dict(composed.mined_by_weight))
+                self.question.last.composition = (evidence, snapshot)
+            self._composed[n] = composed
         return self._composed[n]
 
     def features(self, n: int) -> dict[str, FeatureValue]:
@@ -210,13 +236,19 @@ class Run:
 
 # --------------------------------------------------------------------------
 # Policies: each selects the rewrites to submit, in order, and plays a Run
-# over them.
+# over them. A selection is always a new list, so changing it leaves the
+# question's remembered order alone.
 
 
-def _quality_order(rewrites: Sequence[Rewrite], models: ModelSet | None) -> list[Rewrite]:
+def _quality_order(question: Question, models: ModelSet | None) -> list[Rewrite]:
+    """The question's rewrites in ``models``' quality order, remembered in
+    its order slot under the model set itself."""
     if models is None:
         raise ValueError("this policy orders rewrites by quality and requires quality models")
-    return models.order(rewrites)
+    last = question.last.order
+    if last is None or last[0] is not models:
+        last = question.last.order = (models, models.order(question.rewrites))
+    return last[1]
 
 
 class _SubmitAll:
@@ -238,11 +270,14 @@ class RandomN(_SubmitAll):
     def name(self) -> str:
         return f"random_{self.n}"
 
-    def select(self, rewrites, models, question_index: int) -> list[Rewrite]:
-        rng = random.Random(self.seed * 1_000_003 + question_index)
-        order = list(range(len(rewrites)))
-        rng.shuffle(order)
-        return [rewrites[i] for i in order[: self.n]]
+    def select(self, question: Question, models, question_index: int) -> list[Rewrite]:
+        key = (self.seed, question_index)
+        last = question.last.order
+        if last is None or last[0] != key:
+            order = list(question.rewrites)
+            random.Random(self.seed * 1_000_003 + question_index).shuffle(order)
+            last = question.last.order = (key, order)
+        return last[1][: self.n]
 
 
 @dataclass(frozen=True)
@@ -255,8 +290,8 @@ class LikelihoodN(_SubmitAll):
     def name(self) -> str:
         return f"likelihood_{self.n}"
 
-    def select(self, rewrites, models, question_index: int) -> list[Rewrite]:
-        return _quality_order(rewrites, models)[: self.n]
+    def select(self, question: Question, models, question_index: int) -> list[Rewrite]:
+        return _quality_order(question, models)[: self.n]
 
 
 @dataclass(frozen=True)
@@ -265,8 +300,8 @@ class ConjunctiveOnly(_SubmitAll):
 
     name = "conjunctive_only"
 
-    def select(self, rewrites, models, question_index: int) -> list[Rewrite]:
-        return [r for r in rewrites if r.kind is RewriteKind.CONJUNCTIVE]
+    def select(self, question: Question, models, question_index: int) -> list[Rewrite]:
+        return [r for r in question.rewrites if r.kind is RewriteKind.CONJUNCTIVE]
 
 
 @dataclass(frozen=True)
@@ -275,8 +310,8 @@ class AllRewrites(_SubmitAll):
 
     name = "all_rewrites"
 
-    def select(self, rewrites, models, question_index: int) -> list[Rewrite]:
-        return list(rewrites)
+    def select(self, question: Question, models, question_index: int) -> list[Rewrite]:
+        return list(question.rewrites)
 
 
 @dataclass(frozen=True)
@@ -285,8 +320,8 @@ class CostBenefit:
 
     name = "cost_benefit"
 
-    def select(self, rewrites, models, question_index: int) -> list[Rewrite]:
-        return _quality_order(rewrites, models)
+    def select(self, question: Question, models, question_index: int) -> list[Rewrite]:
+        return list(_quality_order(question, models))
 
     def play(self, run: Run, models: ModelSet | None, prefs: Preferences | None) -> QuestionResult:
         if models is None or models.ensemble is None:
@@ -315,9 +350,10 @@ def run_policy(
     ``queries_issued`` equals the number of provider execute calls made for
     this question. ``question_index`` only seeds RandomN selection so that a
     parallel evaluation stays reproducible. A ``Question`` keeps its
-    rewrites, so pass one ``Question`` to run a question repeatedly.
+    rewrites and what its latest run produced, so pass one ``Question`` to
+    run a question repeatedly.
     """
     if isinstance(question, str):
         question = Question.from_text(question)
-    selection = policy.select(question.rewrites, models, question_index)
+    selection = policy.select(question, models, question_index)
     return policy.play(Run(question, selection, provider, limit), models, prefs)

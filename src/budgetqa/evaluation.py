@@ -13,7 +13,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 from .control import (
@@ -253,21 +253,38 @@ def sweep_n(
     training threshold N.
 
     Random-order correctness is averaged over the given seeds; cost is the
-    same for both orders at a given N (same number of submissions).
+    same for both orders at a given N (same number of submissions), and a
+    report whose cost is not the sum of min(N, rewrites) over the questions
+    raises ``RuntimeError``. Each order walks every N in ascending order
+    before the next order starts (each seed's random order, then the
+    likelihood order), so a question's consecutive runs share its
+    remembered order and, once N covers all its rewrites, its composition.
     """
+    if not seeds:
+        raise ValueError("sweep_n needs at least one random-order seed")
+
+    def walk(policy_at) -> list[tuple[int, int]]:
+        """(correct, total_cost) at each threshold, in ascending order."""
+        out = []
+        for n in DEFAULT_THRESHOLDS:
+            report = evaluate(policy_at(n), dataset, provider, models, limit=limit, jobs=jobs)
+            out.append((report.correct, report.total_cost))
+        return out
+
+    random_walks = [walk(partial(RandomN, seed=seed)) for seed in seeds]
+    likelihood_walk = walk(LikelihoodN)
     rows = []
-    for n in DEFAULT_THRESHOLDS:
-        random_reports = [
-            evaluate(RandomN(n=n, seed=seed), dataset, provider, models, limit=limit, jobs=jobs)
-            for seed in seeds
-        ]
-        likelihood = evaluate(LikelihoodN(n=n), dataset, provider, models, limit=limit, jobs=jobs)
+    for i, n in enumerate(DEFAULT_THRESHOLDS):
+        correct, cost = likelihood_walk[i]
+        expected = sum(min(n, len(item.parsed.rewrites)) for item in dataset)
+        if any(w[i][1] != cost for w in random_walks) or cost != expected:
+            raise RuntimeError(f"N sweep cost at N={n} is not {expected} for every order")
         rows.append(
             {
                 "n": n,
-                "total_cost": likelihood.total_cost,
-                "random_correct": sum(r.correct for r in random_reports) / len(random_reports),
-                "likelihood_correct": likelihood.correct,
+                "total_cost": cost,
+                "random_correct": sum(w[i][0] for w in random_walks) / len(random_walks),
+                "likelihood_correct": correct,
             }
         )
     return rows

@@ -86,7 +86,7 @@ def generate_threshold_cases(
     cases: dict[int, list[TrainingCase]] = {n: [] for n in DEFAULT_THRESHOLDS}
     for item in dataset:
         question = item.parsed
-        run = Run(question, policy.select(question.rewrites, models, 0), provider, limit)
+        run = Run(question, policy.select(question, models, 0), provider, limit)
         probe_features = run.features(PROBE_SIZE)
         for n in DEFAULT_THRESHOLDS:
             cases[n].append(TrainingCase(probe_features, _correct(run.compose(n), item)))

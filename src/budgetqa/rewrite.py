@@ -46,13 +46,29 @@ class AnswerSlot(Enum):
     NONE = "none"
 
 
+class LastRun:
+    """What a question's latest run produced, kept for its next run (see
+    ``control.py``): one selection ``order`` and one ``composition``, each a
+    (key, value) pair or None. A pair is replaced whole, so threads sharing
+    a question always read a value with the key it was made from."""
+
+    __slots__ = ("order", "composition")
+
+    def __init__(self):
+        self.order: tuple | None = None
+        self.composition: tuple | None = None
+
+
 @dataclass(frozen=True)
 class Question:
     """A parsed question.
 
     ``rewrites`` and ``token_keys`` are derived on first use and kept for the
     question's lifetime, so running one question again does not rewrite it
-    again. They are not fields, so equality, hashing and
+    again. ``last`` holds two slots: the selection order of its latest run,
+    keyed by what fixed it, and its latest composition, keyed by the
+    evidence composed. A question holds at most one of each, and they go
+    with it. None of the three is a field, so equality, hashing and
     ``dataclasses.replace`` ignore them.
     """
 
@@ -73,6 +89,10 @@ class Question:
     def rewrites(self) -> tuple[Rewrite, ...]:
         """``generate_rewrites(self)``, generated once."""
         return tuple(generate_rewrites(self))
+
+    @cached_property
+    def last(self) -> LastRun:
+        return LastRun()
 
 
 @dataclass(frozen=True)

@@ -298,3 +298,92 @@ def test_one_word_question_has_the_run_feature_schema(lincoln_provider):
 
     assert keys("Velt?") == keys("Who killed Abraham Lincoln?")
     assert {"rulescore_1", "rulescore_5"} <= keys("Velt?")
+
+
+# --------------------------------------------------------------------------
+# What a question remembers from its latest run
+
+
+class _FixedProvider:
+    """Serves the same snippet texts for every rewrite."""
+
+    def __init__(self, *texts):
+        self.snippets = [Snippet(t, "d") for t in texts]
+
+    def execute(self, rewrite, limit):
+        return self.snippets[:limit]
+
+
+def _outcome(result):
+    return (
+        [(c.tokens, c.score, c.support) for c in result.answers],
+        result.answers.mined,
+        dict(result.answers.mined_by_weight),
+        list(result.rewrites_used),
+        result.queries_issued,
+    )
+
+
+def test_a_question_composes_each_providers_evidence():
+    # Both runs submit the same rewrites, so only the evidence tells the
+    # second run that the first one's composition does not apply.
+    booth = _FixedProvider("John Wilkes Booth shot the President", "Booth fled")
+    oswald = _FixedProvider("Lee Harvey Oswald shot the President", "Oswald fled")
+    question = Question.from_text(QUESTION)
+    outcomes = []
+    for provider in (booth, oswald, booth):
+        result = run_policy(AllRewrites(), question, provider)
+        fresh = run_policy(AllRewrites(), Question.from_text(QUESTION), provider)
+        outcomes.append(_outcome(result))
+        assert outcomes[-1] == _outcome(fresh)
+    assert outcomes[0] != outcomes[1]
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [LikelihoodN(5), LikelihoodN(20), RandomN(5, seed=1), RandomN(20, seed=1), CostBenefit()],
+    ids=lambda p: p.name,
+)
+def test_changing_a_result_leaves_the_remembered_run_alone(policy, lincoln_provider):
+    # At N >= the question's five rewrites each run has the previous run's
+    # order and evidence, so it is built from what that run left.
+    probs = {n: 0.0 for n in DEFAULT_THRESHOLDS}
+    probs[5] = 0.99
+    models = _stub_models(conj_p=0.9, phrasal_p=0.4, probs=probs)
+    prefs = Preferences(k=10, c=1)
+    question = Question.from_text(QUESTION)
+    result = run_policy(policy, question, lincoln_provider, models, prefs, question_index=3)
+    expected = _outcome(result)
+    assert expected[0] and len(expected[3]) == 5
+    for _ in range(2):
+        result.answers.clear()
+        result.answers.mined_by_weight.clear()
+        result.rewrites_used.reverse()
+        policy.select(question, models, 3).clear()
+        result = run_policy(policy, question, lincoln_provider, models, prefs, question_index=3)
+        assert _outcome(result) == expected
+
+
+def test_another_model_set_reorders_the_question():
+    question = Question.from_text(QUESTION)
+    conjunctive_first = _stub_models(conj_p=0.9, phrasal_p=0.1)
+    phrasal_first = _stub_models(conj_p=0.1, phrasal_p=0.9)
+    for models in (conjunctive_first, phrasal_first, conjunctive_first):
+        for policy in (LikelihoodN(3), CostBenefit()):
+            assert policy.select(question, models, 0) == policy.select(
+                Question.from_text(QUESTION), models, 0
+            )
+    assert LikelihoodN(1).select(question, conjunctive_first, 0)[0].kind is RewriteKind.CONJUNCTIVE
+    assert LikelihoodN(1).select(question, phrasal_first, 0)[0].kind is RewriteKind.PHRASAL
+
+
+def test_another_seed_or_question_index_reshuffles_the_question():
+    question = Question.from_text(QUESTION)
+    keys = [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]
+    selections = []
+    for seed, index in keys:
+        selection = RandomN(5, seed=seed).select(question, None, index)
+        assert selection == RandomN(5, seed=seed).select(Question.from_text(QUESTION), None, index)
+        selections.append(selection)
+    # Each change of seed or index alone gives another order here.
+    assert all(a != b for a, b in zip(selections, selections[1:]))

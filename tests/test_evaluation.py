@@ -1,13 +1,23 @@
 import dataclasses
+import hashlib
 import json
 import re
 from collections import Counter
 
 import pytest
 
-from budgetqa import rewrite
+from budgetqa import evaluation, rewrite
 from budgetqa.bench import generate_benchmark
-from budgetqa.control import AllRewrites, ConjunctiveOnly, RandomN, Run, run_policy
+from budgetqa.control import (
+    AllRewrites,
+    ConjunctiveOnly,
+    CostBenefit,
+    LikelihoodN,
+    Preferences,
+    RandomN,
+    Run,
+    run_policy,
+)
 from budgetqa.errors import DatasetParseError
 from budgetqa.evaluation import (
     Judgment,
@@ -20,10 +30,15 @@ from budgetqa.evaluation import (
     render_k_sweep,
     render_n_sweep,
     render_reports,
+    sweep_k,
+    sweep_n,
     write_reports_jsonl,
 )
-from budgetqa.rewrite import Question, generate_rewrites
+from budgetqa.harness import train_models
+from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet
+from budgetqa.rewrite import AdjacencyGrammarScorer, Question, generate_rewrites
 from budgetqa.search import DEFAULT_LIMIT, MeteredProvider, OfflineProvider, build_index
+from budgetqa.tree import DecisionTree, Leaf
 
 
 # --------------------------------------------------------------------------
@@ -227,9 +242,93 @@ def test_changing_a_result_leaves_later_runs_alone(small_bench):
     assert answers and len(used) > 1
     first.answers.clear()
     first.rewrites_used.reverse()
-    AllRewrites().select(question.rewrites, None, 0).clear()
+    AllRewrites().select(question, None, 0).clear()
     second = run_policy(AllRewrites(), question, provider)
     assert second.answers == answers and second.rewrites_used == used == list(question.rewrites)
+
+
+# --------------------------------------------------------------------------
+# sweep_n
+
+
+def _leaf_models():
+    def leaf(p):
+        return DecisionTree(root=Leaf(probability=p, support=10, positives=5))
+
+    return ModelSet(conjunctive=leaf(0.5), phrasal=leaf(0.7))
+
+
+def test_sweep_n_makes_one_evaluation_per_order_and_threshold(small_bench, monkeypatch):
+    # The benchmark's experiment checks this count of evaluate calls.
+    bench, provider = small_bench
+    policies = []
+
+    def counted(policy, *args, **kwargs):
+        policies.append(policy)
+        return evaluate(policy, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "evaluate", counted)
+    rows = sweep_n(bench.items, provider, _leaf_models(), seeds=(0, 1, 2))
+    assert len(policies) == len(DEFAULT_THRESHOLDS) * (3 + 1)
+    assert sorted(map(repr, policies)) == sorted(
+        [repr(RandomN(n=n, seed=s)) for n in DEFAULT_THRESHOLDS for s in (0, 1, 2)]
+        + [repr(LikelihoodN(n=n)) for n in DEFAULT_THRESHOLDS]
+    )
+    assert [row["total_cost"] for row in rows] == [
+        sum(min(n, len(item.parsed.rewrites)) for item in bench.items) for n in DEFAULT_THRESHOLDS
+    ]
+
+
+def test_sweep_n_rejects_no_seeds(small_bench):
+    bench, provider = small_bench
+    with pytest.raises(ValueError, match="seed"):
+        sweep_n(bench.items, provider, _leaf_models(), seeds=())
+
+
+def test_sweep_n_rejects_a_row_whose_costs_disagree(small_bench, monkeypatch):
+    bench, provider = small_bench
+
+    def overcharged(policy, *args, **kwargs):
+        report = evaluate(policy, *args, **kwargs)
+        if policy == RandomN(n=3, seed=1):
+            report.total_cost += 1
+        return report
+
+    monkeypatch.setattr(evaluation, "evaluate", overcharged)
+    with pytest.raises(RuntimeError, match="N=3"):
+        sweep_n(bench.items, provider, _leaf_models(), seeds=(0, 1))
+
+
+# --------------------------------------------------------------------------
+# Golden digest: the experiment's tables, pinned.
+
+# Digested before the N sweep was reordered to walk each order's budgets in
+# turn; any change to a row of the N sweep, the policy comparison or the k
+# sweep changes it.
+TABLES_GOLDEN_DIGEST = "97576b805c1de6a4ba82f4393f88f610635cf3fb62ac097962aabe0621040ca4"
+
+
+def test_experiment_tables_match_golden_digest():
+    """The experiment script's three tables on an 80-question benchmark,
+    trained on the first half and evaluated on the second."""
+    bench = generate_benchmark(80, seed=0)
+    provider = OfflineProvider(build_index(bench.corpus))
+    train_items, eval_items = bench.items[:40], bench.items[40:]
+    models = train_models(train_items, provider, scorer=AdjacencyGrammarScorer())
+    prefs = Preferences(k=10.0, c=1.0)
+    # The script's order: a question's remembered order and composition
+    # carry from one table into the next.
+    n_rows = sweep_n(eval_items, provider, models, seeds=(0, 1))
+    reports = [
+        evaluate(ConjunctiveOnly(), eval_items, provider, models),
+        evaluate(CostBenefit(), eval_items, provider, models, prefs, label="cost_benefit_k10_c1"),
+        evaluate(AllRewrites(), eval_items, provider, models),
+    ]
+    k_results = sweep_k(eval_items, provider, models, [5.0, 10.0, 15.0, 20.0])
+    tables = "\n\n".join(
+        [render_n_sweep(n_rows), render_reports(reports), render_k_sweep(k_results)]
+    )
+    assert hashlib.sha256(tables.encode("utf-8")).hexdigest() == TABLES_GOLDEN_DIGEST
 
 
 # --------------------------------------------------------------------------
