@@ -15,21 +15,25 @@ Mining also counts, per rewrite weight, the distinct candidates that
 weight's snippets produced. Composition hands those counts on with its
 ranked answers, so the run features need no second mining.
 
-Tiling keeps each candidate's key tuple and extends it on a merge. B can
-only overlap A if B's first key occurs somewhere in A's key, so each merge
-step indexes the pool by first key and tests A only against those partners
-(the first-key lookup of a positional index; Manning, Raghavan & Schütze,
-*Introduction to Information Retrieval*, §2.4). Partners are visited in
-ascending pool order and a pair replaces the best only when strictly
-better, so among pairs equal in score, overlap and key pair the first in
-row-major order still wins, exactly as a scan of all pairs would pick.
+A filter's factor depends only on the question type and the candidate's
+text, so each type's active filters are fixed at import and its factor per
+text is memoised in a fixed-size ``lru_cache``.
+
+Tiling starts from the key tuples mining found (``Candidates.keys``) and
+extends a candidate's keys on a merge. B can only overlap A if B's first
+key occurs somewhere in A's key, so each merge step scans the pool in
+row-major order and tests that membership before looking for an overlap.
+A pair replaces the best only when strictly better, so among pairs equal
+in score, overlap and key pair the first in row-major order wins, exactly
+as a scan of all pairs would pick.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Sequence
 
 from .rewrite import QuestionType
 from .search import Snippet
@@ -57,13 +61,22 @@ class Candidates(list):
 
     ``mined`` is the number of distinct n-grams mined; ``mined_by_weight``
     maps each rewrite weight to how many of them that weight's snippets
-    produced (a weight whose snippets produced none may be absent).
+    produced (a weight whose snippets produced none may be absent). Mining
+    also sets ``keys``, each candidate's key tuple in list order; otherwise
+    it is None.
     """
 
-    def __init__(self, items: Iterable[NGramCandidate], mined: int, mined_by_weight: dict[float, int]):
+    def __init__(
+        self,
+        items: Iterable[NGramCandidate],
+        mined: int,
+        mined_by_weight: dict[float, int],
+        keys: list[tuple[str, ...]] | None = None,
+    ):
         super().__init__(items)
         self.mined = mined
         self.mined_by_weight = mined_by_weight
+        self.keys = keys
 
 
 def mine_ngrams(
@@ -75,12 +88,14 @@ def mine_ngrams(
 
     ``evidence`` holds one (weight, snippets) pair per rewrite in submission
     order: the snippets the rewrite retrieved and its weight. ``exclude``
-    holds normalized question tokens; candidates containing one are dropped.
-    Candidates are returned in first-occurrence order. The surface form
-    reported for each candidate is the most frequent one seen (first seen
-    wins ties), matched case-insensitively.
+    holds question tokens; candidates containing one's key are dropped. A
+    frozenset is taken as keys already (``Question.token_keys``) and used as
+    it is; the tokens of any other iterable are normalized with
+    ``token_key``. Candidates are returned in first-occurrence order, with
+    their keys. The surface form reported for each candidate is the most
+    frequent one seen (first seen wins ties), matched case-insensitively.
     """
-    excluded = frozenset(token_key(t) for t in exclude)
+    excluded = exclude if isinstance(exclude, frozenset) else frozenset(map(token_key, exclude))
 
     found: dict[tuple[str, ...], list] = {}  # key -> [score, support, {surface form: count}]
     by_weight: dict[float, set[tuple[str, ...]]] = {}
@@ -102,7 +117,7 @@ def mine_ngrams(
     for score, support, forms in found.values():
         best = max(forms, key=forms.__getitem__)  # ties: first seen
         out.append(NGramCandidate(tokens=best, score=score, support=support))
-    return Candidates(out, len(out), {w: len(keys) for w, keys in by_weight.items()})
+    return Candidates(out, len(out), {w: len(keys) for w, keys in by_weight.items()}, list(found))
 
 
 # --------------------------------------------------------------------------
@@ -151,19 +166,35 @@ DEFAULT_FILTERS: tuple[AnswerFilter, ...] = (
 )
 
 
+def _factor_of(qtype: QuestionType) -> Callable[[tuple[str, ...]], float]:
+    """The product of the factors of ``qtype``'s filters that match a
+    candidate's text, memoised per candidate tokens."""
+    active = tuple(flt for flt in DEFAULT_FILTERS if qtype in flt.applicable_types)
+
+    @lru_cache(maxsize=1 << 16)  # a pure function over a small vocabulary of answers
+    def factor_of(tokens: tuple[str, ...]) -> float:
+        text = " ".join(tokens)
+        factor = 1.0
+        for flt in active:
+            if flt.pattern.search(text):
+                factor *= flt.factor
+        return factor
+
+    return factor_of
+
+
+_FACTORS = {qtype: _factor_of(qtype) for qtype in QuestionType}
+
+
 def filter_ngrams(cands: Sequence[NGramCandidate], qtype: QuestionType) -> list[NGramCandidate]:
     """Re-weight candidates by every applicable matching filter.
 
     Input order is preserved; support is never changed.
     """
-    active = [flt for flt in DEFAULT_FILTERS if qtype in flt.applicable_types]
+    factor_of = _FACTORS[qtype]
     out = []
     for cand in cands:
-        text = cand.text
-        factor = 1.0
-        for flt in active:
-            if flt.pattern.search(text):
-                factor *= flt.factor
+        factor = factor_of(cand.tokens)
         out.append(cand if factor == 1.0 else NGramCandidate(cand.tokens, cand.score * factor, cand.support))
     return out
 
@@ -180,33 +211,39 @@ def _overlap(ka: tuple[str, ...], kb: tuple[str, ...]) -> int:
     return 0
 
 
-def tile_ngrams(cands: Sequence[NGramCandidate]) -> list[NGramCandidate]:
+def tile_ngrams(
+    cands: Sequence[NGramCandidate], keys: Sequence[tuple[str, ...]] | None = None
+) -> list[NGramCandidate]:
     """Greedy tiling: repeatedly merge the overlapping pair with the highest
     combined score (ties: longest overlap, then lexicographically smallest
     key pair, then the first pair in row-major order) until no pair
     overlaps, then sort by score descending.
 
-    Merging (A, B) with overlap L yields A's tokens followed by B's tokens
-    after the first L, with score and support both summed. Sorting is stable,
-    so equal-score candidates keep their working order.
+    ``keys``, when given, holds each candidate's ``key()`` in order, as
+    mining found them; otherwise they are computed here. Merging (A, B)
+    with overlap L yields A's tokens followed by B's tokens after the first
+    L, with score and support both summed. Sorting is stable, so
+    equal-score candidates keep their working order.
     """
     pool: list[NGramCandidate] = list(cands)
-    keys = [c.key() for c in pool]  # kept in step with pool
+    # Kept in step with pool. A candidate without tokens has no first key
+    # and overlaps nothing.
+    keys = list(keys) if keys is not None else [c.key() for c in pool]
+    firsts = [kb[0] if kb else None for kb in keys]
     while True:
-        by_first: dict[str, list[int]] = {}  # first key -> pool indices, ascending
-        for j, kb in enumerate(keys):
-            if kb:
-                by_first.setdefault(kb[0], []).append(j)
         best = None  # (rank, key pair, i, j)
         for i, ka in enumerate(keys):
             score = pool[i].score
-            for j in sorted(j for k in dict.fromkeys(ka) for j in by_first.get(k, ())):
-                overlap = _overlap(ka, keys[j]) if j != i else 0
+            for j, first in enumerate(firsts):
+                if first not in ka or j == i:
+                    continue
+                kb = keys[j]
+                overlap = _overlap(ka, kb)
                 if not overlap:
                     continue
                 rank = (score + pool[j].score, overlap)
-                if best is None or rank > best[0] or (rank == best[0] and (ka, keys[j]) < best[1]):
-                    best = (rank, (ka, keys[j]), i, j)
+                if best is None or rank > best[0] or (rank == best[0] and (ka, kb) < best[1]):
+                    best = (rank, (ka, kb), i, j)
         if best is None:
             break
         (_, overlap), _, i, j = best
@@ -217,7 +254,7 @@ def tile_ngrams(cands: Sequence[NGramCandidate]) -> list[NGramCandidate]:
             support=a.support + b.support,
         )
         keys[i] = keys[i] + keys[j][overlap:]
-        del pool[j], keys[j]
+        del pool[j], keys[j], firsts[j]
     return sorted(pool, key=lambda c: -c.score)
 
 
@@ -235,4 +272,4 @@ def compose_answers(
         return Candidates([], 0, {})
     mined = mine_ngrams(evidence, exclude=exclude)
     filtered = filter_ngrams(mined, qtype)
-    return Candidates(tile_ngrams(filtered), mined.mined, mined.mined_by_weight)
+    return Candidates(tile_ngrams(filtered, mined.keys), mined.mined, mined.mined_by_weight)

@@ -15,19 +15,23 @@ the threshold models learn from exactly the evidence, filters and error
 handling the controller sees.
 
 A question replayed under one order at growing budgets (the N sweep) repeats
-work from one run to the next, so each ``Question`` keeps two slots
-(``Question.last``). The order slot holds its latest selection order, keyed
-by what fixes it: the ``ModelSet`` object for quality order, and the seed
-and question index for a random shuffle. ``LikelihoodN``, ``RandomN`` and
-``CostBenefit`` each take a prefix of it. The composition slot holds the
-evidence of its latest composition, the prefix's (weight, snippets) pairs,
-and a copy of the candidates composed from it. A run whose prefix has equal
+work from one run to the next, so each ``Question`` remembers what its runs
+produced (``Question.last``). The order slot holds its latest selection
+order, keyed by what fixes it: the ``ModelSet`` object for quality order,
+and the seed and question index for a random shuffle. ``LikelihoodN``,
+``RandomN`` and ``CostBenefit`` each take a prefix of it. For each prefix
+length there is one composition slot, holding the evidence of the latest
+composition of that length, the prefix's (weight, snippets) pairs, and a
+copy of the candidates composed from it. A run whose prefix has equal
 evidence gets a new copy of those candidates instead of composing again, so
 no run can change what a later run gets. Since the offline memo returns the
 same snippet objects each time, that check is one list comparison that
 short-circuits on identity. The key is the evidence, not the rewrites, so a
-question run against two providers never mixes their results. A question
-holds one entry per slot, so memory does not grow with traffic.
+question run against two providers never mixes their results. Because each
+length has its own slot, a cost-benefit run's probe and its chosen budget
+do not evict each other, and the policy comparison and the k sweep reuse
+the likelihood walk's compositions. A question holds one order and at most
+one composition per prefix length, so memory does not grow with traffic.
 
 The controller values a correct answer at v = k * c (k times the cost of a
 single query) and the value of no valid answer at zero, so submitting n
@@ -187,12 +191,14 @@ class Run:
         """Ranked answers from the first n rewrites (capped at the run's
         length), executing any not yet run. Each prefix is mined once per
         run, and not at all when it has the evidence of the question's
-        latest composition; either way the run gets its own copy."""
+        latest composition of that length; either way the run gets its own
+        copy."""
         n = min(n, len(self.rewrites))
         if n not in self._composed:
             self._execute(n)
             evidence = [(r.weight, found) for r, found in zip(self.rewrites, self.snippets[:n])]
-            last = self.question.last.composition  # read once: threads may replace it
+            slots = self.question.last.composition
+            last = slots.get(n)  # read once: threads may replace it
             if last is not None and last[0] == evidence:
                 answers, mined, mined_by_weight = last[1]
                 composed = Candidates(answers, mined, dict(mined_by_weight))
@@ -201,9 +207,11 @@ class Run:
                     evidence, self.question.qtype, exclude=self.question.token_keys
                 )
                 # The slot keeps its own copy, so changing a result changes
-                # no later run's.
-                snapshot = (tuple(composed), composed.mined, dict(composed.mined_by_weight))
-                self.question.last.composition = (evidence, snapshot)
+                # no later run's. An empty prefix composes nothing and
+                # gets no slot.
+                if n:
+                    snapshot = (tuple(composed), composed.mined, dict(composed.mined_by_weight))
+                    slots[n] = (evidence, snapshot)
             self._composed[n] = composed
         return self._composed[n]
 

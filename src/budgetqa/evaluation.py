@@ -75,7 +75,10 @@ def judge(top_answer: str | None, patterns: Sequence[re.Pattern]) -> Judgment:
 
 
 def load_dataset(path: str) -> list[QAItem]:
-    """One JSON object per line: {"question": ..., "patterns": [...]}."""
+    """One JSON object per line: {"question": ..., "patterns": [...]}, where
+    ``patterns`` is a list of strings. Any other ``patterns`` (a bare
+    string would become one regex per character) raises
+    ``DatasetParseError`` with the line number."""
     items = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -83,7 +86,10 @@ def load_dataset(path: str) -> list[QAItem]:
                 continue
             try:
                 row = json.loads(line)
-                items.append(QAItem.make(str(row["question"]), list(row["patterns"])))
+                patterns = row["patterns"]
+                if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
+                    raise DatasetParseError("patterns must be a JSON list of strings")
+                items.append(QAItem.make(str(row["question"]), patterns))
             except DatasetParseError as exc:
                 raise DatasetParseError(str(exc), line_no) from exc
             except (json.JSONDecodeError, KeyError, TypeError, re.error) as exc:

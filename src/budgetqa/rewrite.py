@@ -47,16 +47,18 @@ class AnswerSlot(Enum):
 
 
 class LastRun:
-    """What a question's latest run produced, kept for its next run (see
-    ``control.py``): one selection ``order`` and one ``composition``, each a
-    (key, value) pair or None. A pair is replaced whole, so threads sharing
-    a question always read a value with the key it was made from."""
+    """What a question's latest runs produced, kept for its next run (see
+    ``control.py``): one selection ``order``, a (key, value) pair or None,
+    and ``composition``, which maps a prefix length to the (evidence,
+    candidates) pair of that length's latest composition, so it holds at
+    most one per rewrite. A pair is replaced whole, so threads sharing a
+    question always read a value with the key it was made from."""
 
     __slots__ = ("order", "composition")
 
     def __init__(self):
         self.order: tuple | None = None
-        self.composition: tuple | None = None
+        self.composition: dict[int, tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,11 @@ class Question:
 
     ``rewrites`` and ``token_keys`` are derived on first use and kept for the
     question's lifetime, so running one question again does not rewrite it
-    again. ``last`` holds two slots: the selection order of its latest run,
-    keyed by what fixed it, and its latest composition, keyed by the
-    evidence composed. A question holds at most one of each, and they go
-    with it. None of the three is a field, so equality, hashing and
-    ``dataclasses.replace`` ignore them.
+    again. ``last`` holds the selection order of its latest run, keyed by
+    what fixed it, and one composition per prefix length, keyed by the
+    evidence composed. A question holds one order and at most one
+    composition per rewrite, and they go with it. None of the three is a
+    field, so equality, hashing and ``dataclasses.replace`` ignore them.
     """
 
     raw_text: str

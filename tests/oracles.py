@@ -6,9 +6,10 @@ helpers with the code under test beyond the token normalization contract.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
-from budgetqa.compose import Candidates, NGramCandidate
+from budgetqa.compose import DEFAULT_FILTERS, Candidates, NGramCandidate
 from budgetqa.text import default_stopwords, token_key, word_tokens
 
 MAX_NGRAM = 3
@@ -209,6 +210,26 @@ def remined_counts(rewrites_used, snippets, exclude, stop):
         subset = [(w, found) for w, found in evidence if w == weight]
         per_weight[weight] = len(count_ngrams(subset, exclude, stop))
     return numngrams, per_weight
+
+
+# --------------------------------------------------------------------------
+# Filtering: every filter's pattern searched afresh on every candidate.
+
+
+def filter_factor(text, qtype):
+    """The product of the factors of the table's filters that apply to
+    ``qtype`` and whose pattern matches ``text``, searched with ``re.search``
+    from the pattern's source and flags on every call."""
+    factor = 1.0
+    for flt in DEFAULT_FILTERS:
+        if qtype in flt.applicable_types and re.search(flt.pattern.pattern, text, flt.pattern.flags):
+            factor *= flt.factor
+    return factor
+
+
+def filter_each(cands, qtype):
+    """Every candidate with its score times its text's filter factor."""
+    return [NGramCandidate(c.tokens, c.score * filter_factor(c.text, qtype), c.support) for c in cands]
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from budgetqa import compose
 from budgetqa.bench import generate_benchmark
 from budgetqa.compose import (
     DEFAULT_FILTERS,
@@ -16,9 +17,16 @@ from budgetqa.compose import (
 from budgetqa.control import Run
 from budgetqa.rewrite import Question, QuestionType, generate_rewrites
 from budgetqa.search import DEFAULT_LIMIT, OfflineProvider, Snippet, build_index
-from budgetqa.text import default_stopwords
+from budgetqa.text import default_stopwords, token_key
 
-from oracles import all_fixpoints, mine_in_order, mine_per_call, stepwise_best_fixpoint, tile_all_pairs
+from oracles import (
+    all_fixpoints,
+    filter_each,
+    mine_in_order,
+    mine_per_call,
+    stepwise_best_fixpoint,
+    tile_all_pairs,
+)
 
 def _snip(text):
     return Snippet(text=text, source_doc="d")
@@ -226,6 +234,32 @@ def test_default_table_has_fifteen_filters():
     assert len(DEFAULT_FILTERS) == 15
 
 
+# Words that the filters test for: months, years, digits, scale words,
+# units and capitalised words, mixed with plain and stop words.
+_answer_vocab = [
+    "April", "march", "May", "december", "1865", "2004", "999", "14", "3.5", "$100",
+    "million", "Dozen", "percent", "hours", "feet", "Miles", "century",
+    "Booth", "Lincoln", "Ford's", "BOOTH", "the", "of", "bullet", "actor", "--",
+]
+_answer_tokens = st.lists(st.sampled_from(_answer_vocab), min_size=1, max_size=5).map(tuple)
+
+
+def _listed(cands):
+    return [(c.tokens, c.score, c.support) for c in cands]
+
+
+@given(st.lists(_answer_tokens, min_size=1, max_size=10))
+@settings(deadline=None, max_examples=150)
+def test_filtering_matches_product_of_matching_filters(token_lists):
+    cands = [NGramCandidate(t, float(i % 4 + 1), i % 3 + 1) for i, t in enumerate(token_lists)]
+    for factor_of in compose._FACTORS.values():
+        factor_of.cache_clear()
+    for qtype in QuestionType:
+        want = _listed(filter_each(cands, qtype))
+        assert _listed(filter_ngrams(cands, qtype)) == want  # computed
+        assert _listed(filter_ngrams(cands, qtype)) == want  # memoised
+
+
 # --------------------------------------------------------------------------
 # tile_ngrams
 
@@ -314,7 +348,7 @@ _tile_pool = st.lists(
         st.lists(_tile_words, min_size=1, max_size=4), st.integers(1, 4), st.integers(1, 3)
     ),
     min_size=1,
-    max_size=8,
+    max_size=12,
 ).map(lambda items: [NGramCandidate(tuple(w), float(s), n) for w, s, n in items])
 
 
@@ -326,6 +360,36 @@ def test_tiling_matches_all_pairs_oracle_exactly(cands):
         return [(c.tokens, c.score, c.support) for c in out]
 
     assert listed(tile_ngrams(cands)) == listed(tile_all_pairs(cands))
+
+
+# Small enough for the all-pairs oracle to tile quickly.
+_answer_texts = st.lists(st.sampled_from(_answer_vocab), max_size=5).map(" ".join)
+# (weight, texts) per rewrite; a rewrite may have retrieved nothing.
+_answer_evidence = st.lists(
+    st.tuples(st.sampled_from([5.0, 2.0, 1.0]), st.lists(_answer_texts, max_size=2)), max_size=3
+).map(lambda texts: [(weight, [_snip(t) for t in group]) for weight, group in texts])
+_answer_exclusions = st.lists(st.sampled_from(_answer_vocab), max_size=3)
+
+
+@given(evidence=_answer_evidence, exclude=_answer_exclusions)
+@settings(deadline=None, max_examples=150)
+def test_tiling_from_mined_keys_matches_all_pairs_oracle(evidence, exclude):
+    mined = mine_ngrams(evidence, exclude=exclude)
+    assert mined.keys == [c.key() for c in mined]
+    assert _listed(tile_ngrams(mined, mined.keys)) == _listed(tile_all_pairs(mined))
+
+
+@given(evidence=_answer_evidence, exclude=_answer_exclusions, qtype=st.sampled_from(QuestionType))
+@settings(deadline=None, max_examples=150)
+def test_composition_matches_mine_filter_tile_oracles(evidence, exclude, qtype):
+    # Exclusions go in as a question's normalized keys, as a run passes them.
+    got = compose_answers(evidence, qtype, exclude=frozenset(map(token_key, exclude)))
+    mined = [
+        NGramCandidate(tokens, score, support)
+        for tokens, score, support in mine_in_order(evidence, exclude, default_stopwords())
+    ]
+    assert _listed(got) == _listed(tile_all_pairs(filter_each(mined, qtype)))
+    assert got.mined == len(mined)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -324,7 +326,7 @@ def _outcome(result):
     )
 
 
-def test_a_question_composes_each_providers_evidence():
+def _composes_each_providers_evidence(policy, models=None, prefs=None):
     # Both runs submit the same rewrites, so only the evidence tells the
     # second run that the first one's composition does not apply.
     booth = _FixedProvider("John Wilkes Booth shot the President", "Booth fled")
@@ -332,11 +334,68 @@ def test_a_question_composes_each_providers_evidence():
     question = Question.from_text(QUESTION)
     outcomes = []
     for provider in (booth, oswald, booth):
-        result = run_policy(AllRewrites(), question, provider)
-        fresh = run_policy(AllRewrites(), Question.from_text(QUESTION), provider)
+        result = run_policy(policy, question, provider, models, prefs)
+        fresh = run_policy(policy, Question.from_text(QUESTION), provider, models, prefs)
         outcomes.append(_outcome(result))
         assert outcomes[-1] == _outcome(fresh)
     assert outcomes[0] != outcomes[1]
+
+
+def test_a_question_composes_each_providers_evidence():
+    _composes_each_providers_evidence(AllRewrites())
+
+
+def test_a_cost_benefit_question_composes_each_providers_evidence():
+    # The probe and the chosen budget of five each have their own slot.
+    probs = {n: 0.0 for n in DEFAULT_THRESHOLDS}
+    probs[5] = 0.99
+    models = _stub_models(conj_p=0.9, phrasal_p=0.4, probs=probs)
+    _composes_each_providers_evidence(CostBenefit(), models, Preferences(k=10, c=1))
+    question = Question.from_text(QUESTION)
+    run_policy(CostBenefit(), question, _FixedProvider("Booth fled"), models, Preferences(k=10, c=1))
+    assert sorted(question.last.composition) == [PROBE_SIZE, 5]
+
+
+def test_threads_sharing_a_question_get_their_own_evidences_answers():
+    # Threads run one question at every budget against two providers, so
+    # they keep replacing each other's composition slots. Every run must
+    # still get what a fresh question gets from the same provider.
+    providers = [
+        _FixedProvider("John Wilkes Booth shot the President", "Booth fled"),
+        _FixedProvider("Lee Harvey Oswald shot the President", "Oswald fled"),
+    ]
+    budgets = range(1, 6)
+    expected = {
+        (n, p): _outcome(run_policy(RandomN(n, seed=2), Question.from_text(QUESTION), providers[p]))
+        for n in budgets
+        for p in (0, 1)
+    }
+    question = Question.from_text(QUESTION)
+    threads, rounds = 4, 300
+    start = threading.Barrier(threads)
+    mismatches = []
+
+    def hammer(worker):
+        start.wait()
+        for i in range(rounds):
+            n, p = budgets[(i + worker) % len(budgets)], (i // 2 + worker) % 2
+            got = _outcome(run_policy(RandomN(n, seed=2), question, providers[p]))
+            if got != expected[n, p]:
+                mismatches.append((n, p))
+
+    workers = [threading.Thread(target=hammer, args=(w,)) for w in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert mismatches == []
+    assert sorted(question.last.composition) == list(budgets)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from budgetqa import evaluation, rewrite
+from budgetqa import control, evaluation, rewrite
 from budgetqa.bench import generate_benchmark
 from budgetqa.control import (
     AllRewrites,
@@ -94,6 +94,21 @@ def test_load_dataset_bad_regex_reports_line(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(DatasetParseError) as err:
+        load_dataset(str(path))
+    assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("patterns", ['"Booth"', '["Booth", 3]', '{"Booth": 1}', "null"])
+def test_load_dataset_requires_a_list_of_pattern_strings(tmp_path, patterns):
+    # A bare string used to become one single-character regex per letter,
+    # so "o" judged correct and "Booth" incorrect.
+    path = tmp_path / "data.jsonl"
+    path.write_text(
+        '{"question": "ok", "patterns": ["fine"]}\n'
+        f'{{"question": "Who shot Lincoln?", "patterns": {patterns}}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(DatasetParseError, match="list of strings") as err:
         load_dataset(str(path))
     assert err.value.line_no == 2
 
@@ -329,6 +344,38 @@ def test_experiment_tables_match_golden_digest():
         [render_n_sweep(n_rows), render_reports(reports), render_k_sweep(k_results)]
     )
     assert hashlib.sha256(tables.encode("utf-8")).hexdigest() == TABLES_GOLDEN_DIGEST
+
+
+def test_a_question_keeps_one_composition_per_prefix_length(monkeypatch):
+    # The script's steps in its order. After them, a question holds at most
+    # one composition per rewrite, and the k sweep finds every probe and
+    # every chosen budget among the compositions already made.
+    bench = generate_benchmark(40, seed=0)
+    provider = OfflineProvider(build_index(bench.corpus))
+    train_items, eval_items = bench.items[:20], bench.items[20:]
+    models = train_models(train_items, provider, scorer=AdjacencyGrammarScorer())
+    prefs = Preferences(k=10.0, c=1.0)
+    ks = [5.0, 10.0, 15.0, 20.0]
+    sweep_n(eval_items, provider, models, seeds=(0, 1))
+    for policy in (ConjunctiveOnly(), CostBenefit(), AllRewrites()):
+        evaluate(policy, eval_items, provider, models, prefs)
+    sweep_k(eval_items, provider, models, ks)
+    for item in bench.items:
+        assert 0 < len(item.parsed.last.composition) <= len(item.parsed.rewrites)
+
+    calls = []
+    compose_answers = control.compose_answers
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compose_answers(*args, **kwargs)
+
+    monkeypatch.setattr(control, "compose_answers", counted)
+    again = sweep_k(eval_items, provider, models, ks)
+    assert calls == []
+    fresh = [QAItem(item.question, item.patterns) for item in eval_items]
+    assert again == sweep_k(fresh, provider, models, ks)
+    assert calls
 
 
 # --------------------------------------------------------------------------
