@@ -13,7 +13,9 @@ lifetime; mining drops those that share a key with the question.
 
 Mining also counts, per rewrite weight, the distinct candidates that
 weight's snippets produced. Composition hands those counts on with its
-ranked answers, so the run features need no second mining.
+ranked answers, so the run features need no second mining. Its result,
+``Candidates``, is a tuple with a read-only count mapping, so one
+composition can be shared by every run that has its evidence.
 
 A filter's factor depends only on the question type and the candidate's
 text, so each type's active filters are fixed at import and its factor per
@@ -33,7 +35,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .rewrite import QuestionType
 from .search import Snippet
@@ -56,54 +59,55 @@ class NGramCandidate:
         return tuple(token_key(t) for t in self.tokens)
 
 
-class Candidates(list):
-    """A candidate list that also reports the mining it came from.
+class Candidates(tuple):
+    """A tuple of candidates that also reports the mining it came from.
 
-    ``mined`` is the number of distinct n-grams mined; ``mined_by_weight``
-    maps each rewrite weight to how many of them that weight's snippets
-    produced (a weight whose snippets produced none may be absent). Mining
-    also sets ``keys``, each candidate's key tuple in list order; otherwise
-    it is None.
+    ``mined`` is the number of distinct n-grams mined; ``mined_by_weight``,
+    a read-only mapping, maps each rewrite weight to how many of them that
+    weight's snippets produced (a weight whose snippets produced none may
+    be absent). Mining also sets ``keys``, each candidate's key tuple in
+    order; otherwise it is None. None of the three can be reassigned.
     """
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         items: Iterable[NGramCandidate],
         mined: int,
-        mined_by_weight: dict[float, int],
-        keys: list[tuple[str, ...]] | None = None,
+        mined_by_weight: Mapping[float, int],
+        keys: tuple[tuple[str, ...], ...] | None = None,
     ):
-        super().__init__(items)
-        self.mined = mined
-        self.mined_by_weight = mined_by_weight
-        self.keys = keys
+        self = super().__new__(cls, items)
+        vars(self).update(mined=mined, mined_by_weight=MappingProxyType(mined_by_weight), keys=keys)
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Candidates are read-only; cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def mine_ngrams(
     evidence: Iterable[tuple[float, Sequence[Snippet]]],
     *,
-    exclude: Iterable[str] = (),
+    exclude: frozenset[str] = frozenset(),
 ) -> Candidates:
     """Every surviving 1/2/3-gram across the snippets, scored additively.
 
     ``evidence`` holds one (weight, snippets) pair per rewrite in submission
     order: the snippets the rewrite retrieved and its weight. ``exclude``
-    holds question tokens; candidates containing one's key are dropped. A
-    frozenset is taken as keys already (``Question.token_keys``) and used as
-    it is; the tokens of any other iterable are normalized with
-    ``token_key``. Candidates are returned in first-occurrence order, with
-    their keys. The surface form reported for each candidate is the most
-    frequent one seen (first seen wins ties), matched case-insensitively.
+    holds the question's token keys (``Question.token_keys``); candidates
+    containing one are dropped. Candidates are returned in first-occurrence
+    order, with their keys. The surface form reported for each candidate is
+    the most frequent one seen (first seen wins ties), matched
+    case-insensitively.
     """
-    excluded = exclude if isinstance(exclude, frozenset) else frozenset(map(token_key, exclude))
-
     found: dict[tuple[str, ...], list] = {}  # key -> [score, support, {surface form: count}]
     by_weight: dict[float, set[tuple[str, ...]]] = {}
 
     for weight, snippet in ((weight, s) for weight, group in evidence for s in group):
         touched = by_weight.setdefault(weight, set())
         for gram_keys, form in snippet.grams:
-            if not excluded.isdisjoint(gram_keys):
+            if not exclude.isdisjoint(gram_keys):
                 continue
             entry = found.get(gram_keys)
             if entry is None:
@@ -117,7 +121,7 @@ def mine_ngrams(
     for score, support, forms in found.values():
         best = max(forms, key=forms.__getitem__)  # ties: first seen
         out.append(NGramCandidate(tokens=best, score=score, support=support))
-    return Candidates(out, len(out), {w: len(keys) for w, keys in by_weight.items()}, list(found))
+    return Candidates(out, len(out), {w: len(keys) for w, keys in by_weight.items()}, tuple(found))
 
 
 # --------------------------------------------------------------------------
@@ -262,14 +266,14 @@ def compose_answers(
     evidence: Sequence[tuple[float, Sequence[Snippet]]],
     qtype: QuestionType,
     *,
-    exclude: Iterable[str] = (),
+    exclude: frozenset[str] = frozenset(),
 ) -> Candidates:
-    """Full composition pipeline over (weight, snippets) pairs as
-    ``mine_ngrams`` takes them: mine, filter, tile. Head of the result is
-    the answer; evidence without snippets yields an empty list. The result
-    carries the counts of the one mining it was composed from."""
+    """Full composition pipeline over (weight, snippets) pairs and excluded
+    keys as ``mine_ngrams`` takes them: mine, filter, tile. Head of the
+    result is the answer; evidence without snippets yields no candidates.
+    The result carries the counts of the one mining it was composed from."""
     if not any(snippets for _, snippets in evidence):
-        return Candidates([], 0, {})
+        return Candidates((), 0, {})
     mined = mine_ngrams(evidence, exclude=exclude)
     filtered = filter_ngrams(mined, qtype)
     return Candidates(tile_ngrams(filtered, mined.keys), mined.mined, mined.mined_by_weight)

@@ -16,22 +16,15 @@ handling the controller sees.
 
 A question replayed under one order at growing budgets (the N sweep) repeats
 work from one run to the next, so each ``Question`` remembers what its runs
-produced (``Question.last``). The order slot holds its latest selection
-order, keyed by what fixes it: the ``ModelSet`` object for quality order,
-and the seed and question index for a random shuffle. ``LikelihoodN``,
-``RandomN`` and ``CostBenefit`` each take a prefix of it. For each prefix
-length there is one composition slot, holding the evidence of the latest
-composition of that length, the prefix's (weight, snippets) pairs, and a
-copy of the candidates composed from it. A run whose prefix has equal
-evidence gets a new copy of those candidates instead of composing again, so
-no run can change what a later run gets. Since the offline memo returns the
-same snippet objects each time, that check is one list comparison that
-short-circuits on identity. The key is the evidence, not the rewrites, so a
-question run against two providers never mixes their results. Because each
-length has its own slot, a cost-benefit run's probe and its chosen budget
-do not evict each other, and the policy comparison and the k sweep reuse
-the likelihood walk's compositions. A question holds one order and at most
-one composition per prefix length, so memory does not grow with traffic.
+produced (``Question.last``): its latest selection order, keyed by what
+fixes it (the ``ModelSet`` object for quality order, the seed and question
+index for a random shuffle), and per prefix length the latest composition,
+keyed by its evidence, the prefix's (weight, snippets) pairs. Orders,
+snippets and compositions are tuples, so runs share them. Keying by the
+evidence, not the rewrites, keeps a question run against two providers
+from mixing their results; one slot per length lets a cost-benefit run's
+probe and its chosen budget, and the policy comparison and the k sweep,
+reuse the likelihood walk's compositions.
 
 The controller values a correct answer at v = k * c (k times the cost of a
 single query) and the value of no valid answer at zero, so submitting n
@@ -51,7 +44,7 @@ charged and count toward n, even when the chosen n is below the probe size.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .compose import Candidates, NGramCandidate, compose_answers
@@ -122,21 +115,24 @@ def choose_n(
 # The budgeted run
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuestionResult:
+    """A run's outcome. An abstention has no answers."""
+
     question: Question
-    answers: list[NGramCandidate]
+    answers: tuple[NGramCandidate, ...]
     queries_issued: int
-    abstained: bool = False
     decision: BudgetDecision | None = None
-    rewrites_used: list[Rewrite] = field(default_factory=list)
-    backend_errors: list[str] = field(default_factory=list)
+    rewrites_used: tuple[Rewrite, ...] = ()
+    backend_errors: tuple[str, ...] = ()
+
+    @property
+    def abstained(self) -> bool:
+        return self.decision is not None and self.decision.abstained
 
     @property
     def top_answer(self) -> str | None:
-        if self.abstained or not self.answers:
-            return None
-        return self.answers[0].text
+        return self.answers[0].text if self.answers else None
 
 
 class Run:
@@ -145,9 +141,9 @@ class Run:
     Rewrites execute on demand when a prefix is composed: one at a time
     through ``execute``, or, when the provider has ``execute_many`` and more
     than one is missing, as one batch. Outcomes are recorded in submission
-    order either way. Each executed rewrite's snippets stay in their own
-    list, which is how composition and run features know the rewrite behind
-    every snippet. A backend failure (``RetryableError`` or
+    order either way. Each executed rewrite's snippets stay apart, which is
+    how composition and run features know the rewrite behind every
+    snippet. A backend failure (``RetryableError`` or
     ``ProviderError``) is recorded on its rewrite, which then contributes no
     snippets; it never aborts the question, and the failed query still
     counts as issued. Any other exception propagates after the outcomes
@@ -155,15 +151,14 @@ class Run:
     """
 
     def __init__(
-        self, question: Question, rewrites: Sequence[Rewrite], provider: SearchProvider, limit: int
+        self, question: Question, rewrites: tuple[Rewrite, ...], provider: SearchProvider, limit: int
     ):
         self.question = question
-        self.rewrites = list(rewrites)
+        self.rewrites = rewrites
         self.provider = provider
         self.limit = limit
-        self.snippets: list[list[Snippet]] = []  # per executed rewrite
+        self.snippets: list[Sequence[Snippet]] = []  # per executed rewrite
         self.errors: list[str] = []
-        self._composed: dict[int, Candidates] = {}
 
     @property
     def issued(self) -> int:
@@ -176,12 +171,12 @@ class Run:
         for rewrite, found in zip(pending, outcomes):
             if isinstance(found, (RetryableError, ProviderError)):
                 self.errors.append(f"{rewrite.as_query()}: {found}")
-                found = []
+                found = ()
             elif isinstance(found, BaseException):
                 raise found
             self.snippets.append(found)
 
-    def _attempt(self, rewrite: Rewrite) -> list[Snippet] | BaseException:
+    def _attempt(self, rewrite: Rewrite) -> Sequence[Snippet] | BaseException:
         try:
             return self.provider.execute(rewrite, self.limit)
         except (RetryableError, ProviderError) as exc:
@@ -189,31 +184,20 @@ class Run:
 
     def compose(self, n: int) -> Candidates:
         """Ranked answers from the first n rewrites (capped at the run's
-        length), executing any not yet run. Each prefix is mined once per
-        run, and not at all when it has the evidence of the question's
-        latest composition of that length; either way the run gets its own
-        copy."""
+        length), executing any not yet run. When the prefix has the evidence
+        of the question's latest composition of that length, that
+        composition itself is returned; otherwise the prefix is composed
+        and becomes the latest."""
         n = min(n, len(self.rewrites))
-        if n not in self._composed:
-            self._execute(n)
-            evidence = [(r.weight, found) for r, found in zip(self.rewrites, self.snippets[:n])]
-            slots = self.question.last.composition
-            last = slots.get(n)  # read once: threads may replace it
-            if last is not None and last[0] == evidence:
-                answers, mined, mined_by_weight = last[1]
-                composed = Candidates(answers, mined, dict(mined_by_weight))
-            else:
-                composed = compose_answers(
-                    evidence, self.question.qtype, exclude=self.question.token_keys
-                )
-                # The slot keeps its own copy, so changing a result changes
-                # no later run's. An empty prefix composes nothing and
-                # gets no slot.
-                if n:
-                    snapshot = (tuple(composed), composed.mined, dict(composed.mined_by_weight))
-                    slots[n] = (evidence, snapshot)
-            self._composed[n] = composed
-        return self._composed[n]
+        self._execute(n)
+        evidence = [(r.weight, found) for r, found in zip(self.rewrites, self.snippets[:n])]
+        slots = self.question.last.composition
+        last = slots.get(n)  # read once: threads may replace it
+        if last is not None and last[0] == evidence:
+            return last[1]
+        composed = compose_answers(evidence, self.question.qtype, exclude=self.question.token_keys)
+        slots[n] = (evidence, composed)
+        return composed
 
     def features(self, n: int) -> dict[str, FeatureValue]:
         """Run features of the first n rewrites, from that prefix's mining.
@@ -230,25 +214,22 @@ class Run:
         abstain, report the n rewrites it was taken on. Rewrites already
         executed past n (a probe larger than the budget) stay charged."""
         abstained = decision is not None and decision.abstained
-        answers = [] if abstained else self.compose(n)
         return QuestionResult(
             question=self.question,
-            answers=answers,
+            answers=() if abstained else self.compose(n),
             queries_issued=self.issued,
-            abstained=abstained,
             decision=decision,
             rewrites_used=self.rewrites[:n],
-            backend_errors=self.errors,
+            backend_errors=tuple(self.errors),
         )
 
 
 # --------------------------------------------------------------------------
 # Policies: each selects the rewrites to submit, in order, and plays a Run
-# over them. A selection is always a new list, so changing it leaves the
-# question's remembered order alone.
+# over them.
 
 
-def _quality_order(question: Question, models: ModelSet | None) -> list[Rewrite]:
+def _quality_order(question: Question, models: ModelSet | None) -> tuple[Rewrite, ...]:
     """The question's rewrites in ``models``' quality order, remembered in
     its order slot under the model set itself."""
     if models is None:
@@ -278,13 +259,13 @@ class RandomN(_SubmitAll):
     def name(self) -> str:
         return f"random_{self.n}"
 
-    def select(self, question: Question, models, question_index: int) -> list[Rewrite]:
+    def select(self, question: Question, models, question_index: int) -> tuple[Rewrite, ...]:
         key = (self.seed, question_index)
         last = question.last.order
         if last is None or last[0] != key:
             order = list(question.rewrites)
             random.Random(self.seed * 1_000_003 + question_index).shuffle(order)
-            last = question.last.order = (key, order)
+            last = question.last.order = (key, tuple(order))
         return last[1][: self.n]
 
 
@@ -298,7 +279,7 @@ class LikelihoodN(_SubmitAll):
     def name(self) -> str:
         return f"likelihood_{self.n}"
 
-    def select(self, question: Question, models, question_index: int) -> list[Rewrite]:
+    def select(self, question: Question, models, question_index: int) -> tuple[Rewrite, ...]:
         return _quality_order(question, models)[: self.n]
 
 
@@ -308,8 +289,8 @@ class ConjunctiveOnly(_SubmitAll):
 
     name = "conjunctive_only"
 
-    def select(self, question: Question, models, question_index: int) -> list[Rewrite]:
-        return [r for r in question.rewrites if r.kind is RewriteKind.CONJUNCTIVE]
+    def select(self, question: Question, models, question_index: int) -> tuple[Rewrite, ...]:
+        return tuple(r for r in question.rewrites if r.kind is RewriteKind.CONJUNCTIVE)
 
 
 @dataclass(frozen=True)
@@ -318,8 +299,8 @@ class AllRewrites(_SubmitAll):
 
     name = "all_rewrites"
 
-    def select(self, question: Question, models, question_index: int) -> list[Rewrite]:
-        return list(question.rewrites)
+    def select(self, question: Question, models, question_index: int) -> tuple[Rewrite, ...]:
+        return question.rewrites
 
 
 @dataclass(frozen=True)
@@ -328,8 +309,8 @@ class CostBenefit:
 
     name = "cost_benefit"
 
-    def select(self, question: Question, models, question_index: int) -> list[Rewrite]:
-        return list(_quality_order(question, models))
+    def select(self, question: Question, models, question_index: int) -> tuple[Rewrite, ...]:
+        return _quality_order(question, models)
 
     def play(self, run: Run, models: ModelSet | None, prefs: Preferences | None) -> QuestionResult:
         if models is None or models.ensemble is None:

@@ -180,15 +180,10 @@ def evaluate(
             limit=limit,
             question_index=idx,
         )
-        verdict = (
-            Judgment.ABSTAINED
-            if result.abstained
-            else judge(result.top_answer, item.patterns)
-        )
         return QuestionRecord(
             index=idx,
             question=item.question,
-            judgment=verdict,
+            judgment=judge(result.top_answer, item.patterns),
             queries_issued=result.queries_issued,
             top_answer=result.top_answer,
             error="; ".join(result.backend_errors) or None,

@@ -57,7 +57,7 @@ def generate_quality_cases(
     for item in dataset:
         question = item.parsed
         for rewrite in question.rewrites:
-            label = _correct(Run(question, [rewrite], provider, limit).compose(1), item)
+            label = _correct(Run(question, (rewrite,), provider, limit).compose(1), item)
             if rewrite.kind is RewriteKind.CONJUNCTIVE:
                 conj_cases.append(TrainingCase(conjunctive_features(rewrite), label))
             else:

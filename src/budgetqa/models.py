@@ -159,9 +159,9 @@ class ModelSet:
             return self.conjunctive.predict(conjunctive_features(rewrite))
         return self.phrasal.predict(phrasal_features(rewrite, self.scorer))
 
-    def order(self, rewrites: Sequence[Rewrite]) -> list[Rewrite]:
+    def order(self, rewrites: Sequence[Rewrite]) -> tuple[Rewrite, ...]:
         """Rewrites by descending quality score; ties keep generation order."""
-        return sorted(rewrites, key=self.quality_score, reverse=True)
+        return tuple(sorted(rewrites, key=self.quality_score, reverse=True))
 
     def save(self, directory: str) -> str:
         """Write ``models.json`` under ``directory`` and return its path. The

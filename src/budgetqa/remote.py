@@ -116,7 +116,7 @@ class RemoteProvider:
             return response
         raise RetryableError(f"backend failed after {MAX_ATTEMPTS} attempts: {last_exc}")
 
-    def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT) -> list[Snippet]:
+    def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT) -> tuple[Snippet, ...]:
         response = self._get(rewrite.as_query())
         try:
             payload = response.json()
@@ -130,16 +130,14 @@ class RemoteProvider:
         else:
             raise ProviderError(f"no result array under {self.results_key!r}")
 
-        snippets = []
-        for row in rows[:limit]:
-            if not isinstance(row, dict) or not isinstance(row.get(self.summary_key), str):
-                raise ProviderError(f"result object lacks a {self.summary_key!r} string")
-            snippets.append(Snippet(text=row[self.summary_key], source_doc=str(row.get("id", "remote"))))
-        return snippets
+        rows = rows[:limit]
+        if not all(isinstance(row, dict) and isinstance(row.get(self.summary_key), str) for row in rows):
+            raise ProviderError(f"result object lacks a {self.summary_key!r} string")
+        return tuple(Snippet(text=row[self.summary_key], source_doc=str(row.get("id", "remote"))) for row in rows)
 
     def execute_many(
         self, rewrites: Sequence[Rewrite], limit: int = DEFAULT_LIMIT
-    ) -> list[list[Snippet] | BaseException]:
+    ) -> list[tuple[Snippet, ...] | BaseException]:
         """``execute`` each rewrite concurrently; per rewrite, in submission
         order, its snippets or the exception it raised. Every worker thread
         has ended when this returns."""

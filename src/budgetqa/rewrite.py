@@ -5,7 +5,8 @@ exact-phrase rewrites built by moving the (auxiliary) verb through the
 remaining tokens, one passive construction when the main verb looks like a
 past participle, and a single conjunctive back-off that ANDs every question
 word. Phrasal rewrites carry an answer slot marking the side on which the
-answer text is expected to appear in matching documents.
+answer text is expected to appear in matching documents. A ``Question``
+keeps its rewrites as a tuple, so every run's selection can share it.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ class AnswerSlot(Enum):
 
 class LastRun:
     """What a question's latest runs produced, kept for its next run (see
-    ``control.py``): one selection ``order``, a (key, value) pair or None,
-    and ``composition``, which maps a prefix length to the (evidence,
-    candidates) pair of that length's latest composition, so it holds at
-    most one per rewrite. A pair is replaced whole, so threads sharing a
-    question always read a value with the key it was made from."""
+    ``control.py``): one selection ``order``, a (key, rewrite tuple) pair or
+    None, and ``composition``, which maps a prefix length to the (evidence,
+    candidates) pair of that length's latest composition. A pair is
+    replaced whole, so threads sharing a question always read a value with
+    the key it was made from."""
 
     __slots__ = ("order", "composition")
 
@@ -67,11 +68,10 @@ class Question:
 
     ``rewrites`` and ``token_keys`` are derived on first use and kept for the
     question's lifetime, so running one question again does not rewrite it
-    again. ``last`` holds the selection order of its latest run, keyed by
-    what fixed it, and one composition per prefix length, keyed by the
-    evidence composed. A question holds one order and at most one
-    composition per rewrite, and they go with it. None of the three is a
-    field, so equality, hashing and ``dataclasses.replace`` ignore them.
+    again. ``last`` holds the selection order of its latest run and one
+    composition per prefix length, so it does not grow with traffic. None
+    of the three is a field, so equality, hashing and
+    ``dataclasses.replace`` ignore them.
     """
 
     raw_text: str

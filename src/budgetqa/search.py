@@ -13,14 +13,14 @@ single words: it reads each word's first position per document from the
 index's first-position map, and checks the documents of the word with the
 fewest against the rest.
 
-Each ``OfflineProvider`` memoises its results, keyed by the rewrite's kind,
-its parts and the limit. That is correct because those are all a result
-depends on and the index never changes. It pays because the paper's
-experiments replay the same rewrites: the N sweep, the policy table and the
-k sweep evaluate the same questions over and over. The memo keeps the
-``MEMO_SIZE`` most recently used queries and lives as long as its provider.
-It sits below everything that counts queries, so every ``execute`` call is
-still one query issued and charged.
+Search results are tuples of frozen snippets, so they can be shared. Each
+``OfflineProvider`` memoises its results, keyed by the rewrite's kind, its
+parts and the limit: those are all a result depends on, and the index never
+changes. It pays because the paper's experiments replay the same rewrites:
+the N sweep, the policy table and the k sweep evaluate the same questions
+over and over. The memo keeps the ``MEMO_SIZE`` most recently used queries
+and lives as long as its provider. It sits below everything that counts
+queries, so every ``execute`` call is still one query issued and charged.
 
 A ``Snippet`` derives its candidate n-grams (``grams``) on first mining and
 keeps them as long as it lives. The memo returns the same snippets on every
@@ -70,13 +70,14 @@ class Snippet:
 class SearchProvider(Protocol):
     """Anything that can execute a rewrite and return snippets.
 
-    A provider whose queries wait on a backend may also offer
-    ``execute_many(rewrites, limit)``: it executes a batch concurrently and
-    returns, per rewrite in submission order, its snippets or the exception
-    its ``execute`` raised. A ``Run`` uses it when present.
+    ``execute`` returns a sequence that neither the provider nor its caller
+    changes afterwards. A provider whose queries wait on a backend may also
+    offer ``execute_many(rewrites, limit)``: it executes a batch
+    concurrently and returns, per rewrite in submission order, its snippets
+    or the exception its ``execute`` raised. A ``Run`` uses it when present.
     """
 
-    def execute(self, rewrite: Rewrite, limit: int) -> list[Snippet]: ...
+    def execute(self, rewrite: Rewrite, limit: int) -> Sequence[Snippet]: ...
 
 
 class Index:
@@ -153,60 +154,57 @@ def _phrase_keys(tokens: Iterable[str]) -> list[str]:
     return [k for k in (token_key(t) for t in tokens) if k]
 
 
-def query_phrase(index: Index, phrase: list[str], limit: int = DEFAULT_LIMIT) -> list[Snippet]:
+def query_phrase(index: Index, phrase: Sequence[str], limit: int = DEFAULT_LIMIT) -> tuple[Snippet, ...]:
     """Snippets for every contiguous, case-insensitive occurrence of ``phrase``.
 
     Results are ordered by (document id, position) and truncated to ``limit``.
     """
     keys = _phrase_keys(phrase)
     if not keys:
-        return []
+        return ()
     hits = index.phrase_positions(keys)
     hits.sort(key=lambda hit: (index.docs[hit[0]].id, hit[1]))
-    return [index._snippet(o, p, p + len(keys)) for o, p in hits[:limit]]
+    return tuple(index._snippet(o, p, p + len(keys)) for o, p in hits[:limit])
 
 
-def query_conjunctive(index: Index, parts: list[str], limit: int = DEFAULT_LIMIT) -> list[Snippet]:
+def query_conjunctive(index: Index, parts: Sequence[str], limit: int = DEFAULT_LIMIT) -> tuple[Snippet, ...]:
     """Documents containing every single-word part anywhere; one snippet per
     document, centered on the first part's first occurrence in it.
     """
     keys = _phrase_keys(parts)
     if not keys:
-        return []
+        return ()
 
     starts = [index.first_positions.get(k, {}) for k in keys]
     fewest = min(starts, key=len)
     matched = [o for o in fewest if all(o in found for found in starts)]
     matched.sort(key=lambda o: index.docs[o].id)
-    return [index._snippet(o, starts[0][o], starts[0][o] + 1) for o in matched[:limit]]
+    return tuple(index._snippet(o, starts[0][o], starts[0][o] + 1) for o in matched[:limit])
 
 
-def _search(index: Index, kind: RewriteKind, parts: tuple[str, ...], limit: int) -> tuple[Snippet, ...]:
+def _search(index: Index, phrasal: bool, parts: tuple[str, ...], limit: int) -> tuple[Snippet, ...]:
     # Looks the query functions up by module name on every miss, so that
     # rebinding them (as a tracer does) takes effect.
-    if kind is RewriteKind.PHRASAL:
-        return tuple(query_phrase(index, parts[0].split(), limit))
-    return tuple(query_conjunctive(index, list(parts), limit))
+    if phrasal:
+        return query_phrase(index, parts[0].split(), limit)
+    return query_conjunctive(index, parts, limit)
 
 
 class OfflineProvider:
     """SearchProvider over an in-memory index. Deterministic.
 
-    Results are memoised per provider, keyed by ``(rewrite.kind,
-    rewrite.parts, limit)``, up to ``MEMO_SIZE`` queries. Each is stored as
-    a tuple and every call returns a new list, so no caller can change what
-    a later call gets. Threads may share a provider: two that miss on one
-    query at once both search it and store equal results. A call answered
-    from the memo is still a query to whatever counts them
-    (``MeteredProvider``, ``Run.issued``); only the search is skipped.
+    A repeat returns the memo's own tuple. The memo is keyed by whether the
+    rewrite is phrasal (``RewriteKind``'s hash is Python code), its parts
+    and the limit. Threads may share a provider: two that miss on one query
+    at once both search it and store equal results.
     """
 
     def __init__(self, index: Index):
         self.index = index
         self._memo = lru_cache(maxsize=MEMO_SIZE)(partial(_search, index))
 
-    def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT) -> list[Snippet]:
-        return list(self._memo(rewrite.kind, rewrite.parts, limit))
+    def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT) -> tuple[Snippet, ...]:
+        return self._memo(rewrite.kind is RewriteKind.PHRASAL, rewrite.parts, limit)
 
 
 class MeteredProvider:
@@ -229,7 +227,7 @@ class MeteredProvider:
         with self._lock:
             self.calls += calls
 
-    def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT) -> list[Snippet]:
+    def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT) -> Sequence[Snippet]:
         self._count(1)
         return self.inner.execute(rewrite, limit)
 

@@ -31,7 +31,7 @@ from budgetqa.rewrite import (
     generate_rewrites,
 )
 from budgetqa.search import MeteredProvider, OfflineProvider, Snippet, build_index
-from budgetqa.text import default_stopwords
+from budgetqa.text import default_stopwords, token_key
 from budgetqa.tree import DecisionTree, Leaf, TrainingCase, train_tree
 
 from oracles import (
@@ -113,7 +113,8 @@ def test_criterion_2_composition_oracles():
     for _ in range(120):
         evidence = _random_evidence(rng, weights)
         exclude = ["bullet"] if rng.random() < 0.3 else []
-        mined = {c.key(): (c.score, c.support) for c in mine_ngrams(evidence, exclude=exclude)}
+        excluded = frozenset(map(token_key, exclude))
+        mined = {c.key(): (c.score, c.support) for c in mine_ngrams(evidence, exclude=excluded)}
         assert mined == count_ngrams(evidence, exclude=exclude, stop=stop)
 
     keys = ["a", "b", "c", "d"]

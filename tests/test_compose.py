@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +43,11 @@ def _by_key(cands):
     return {c.key(): c for c in cands}
 
 
+def _excluded(tokens):
+    """Question tokens as the keys mining excludes, as a run passes them."""
+    return frozenset(map(token_key, tokens))
+
+
 # --------------------------------------------------------------------------
 # mine_ngrams
 
@@ -70,7 +76,7 @@ def test_scores_add_across_rewrites():
 def test_question_tokens_are_excluded():
     cands = _by_key(
         mine_ngrams([(5.0, [_snip("Booth killed Abraham Lincoln")])],
-                    exclude=["killed", "abraham", "lincoln"])
+                    exclude=_excluded(["killed", "abraham", "lincoln"]))
     )
     assert ("booth",) in cands
     assert all("killed" not in k and "abraham" not in k for k in cands)
@@ -91,7 +97,7 @@ def test_majority_surface_form_reported():
 
 
 def test_empty_snippets_empty_result():
-    assert mine_ngrams([]) == []
+    assert mine_ngrams([]) == ()
 
 
 # "Ford's," and "ford" share a key; "--" is a word of its own and "—" no
@@ -114,7 +120,7 @@ def test_mining_matches_brute_force_oracle(snips, exclude):
     # candidates, their first-occurrence order, majority surface form (first
     # seen wins ties), score and support
     evidence = _one_per_snippet(snips, {0: 5.0, 1: 2.0, 2: 1.0})
-    mined = mine_ngrams(evidence, exclude=exclude)
+    mined = mine_ngrams(evidence, exclude=_excluded(exclude))
     expected = mine_in_order(evidence, exclude=exclude, stop=default_stopwords())
     assert [(c.tokens, c.score, c.support) for c in mined] == expected
     assert mined.mined == len(expected)
@@ -165,7 +171,7 @@ def _mined(cands):
 @settings(deadline=None, max_examples=200)
 def test_mining_matches_per_call_oracle(texts, exclude):
     evidence = [(weight, [_snip(t) for t in group]) for weight, group in texts]
-    got = mine_ngrams(evidence, exclude=exclude)
+    got = mine_ngrams(evidence, exclude=_excluded(exclude))
     want = mine_per_call(evidence, exclude=exclude)
     assert _mined(got) == _mined(want)
     # A weight is listed exactly when one of its snippets was mined, even
@@ -180,7 +186,7 @@ def test_kept_ngrams_serve_any_later_exclusions(texts, first, second, swap):
     # order: what a snippet keeps must not depend on the first question.
     evidence = [(weight, [_snip(t) for t in group]) for weight, group in texts]
     for exclude in (second, first) if swap else (first, second):
-        got = mine_ngrams(evidence, exclude=exclude)
+        got = mine_ngrams(evidence, exclude=_excluded(exclude))
         fresh = [(weight, [_snip(t) for t in group]) for weight, group in texts]
         assert _mined(got) == _mined(mine_per_call(fresh, exclude=exclude))
     assert all("grams" in s.__dict__ for _, group in evidence for s in group)
@@ -190,9 +196,20 @@ def test_mutating_a_mined_list_leaves_later_minings_alone():
     evidence = [(5.0, [_snip("John Wilkes Booth"), _snip("Booth was an actor")])]
     first = mine_ngrams(evidence)
     expected = _mined(mine_per_call(evidence))
-    first.clear()
-    first.mined_by_weight.clear()
-    assert _mined(mine_ngrams(evidence)) == expected
+    assert _mined(first) == expected
+    with pytest.raises(AttributeError):
+        first.clear()
+    with pytest.raises(AttributeError):
+        first.append(first[0])
+    with pytest.raises(TypeError):
+        first.mined_by_weight[5.0] = 0
+    with pytest.raises(TypeError):
+        first[0] = first[1]
+    with pytest.raises(AttributeError):
+        first.mined = 0
+    with pytest.raises(AttributeError):
+        del first.keys
+    assert _mined(first) == _mined(mine_ngrams(evidence)) == expected
 
 
 # --------------------------------------------------------------------------
@@ -374,16 +391,15 @@ _answer_exclusions = st.lists(st.sampled_from(_answer_vocab), max_size=3)
 @given(evidence=_answer_evidence, exclude=_answer_exclusions)
 @settings(deadline=None, max_examples=150)
 def test_tiling_from_mined_keys_matches_all_pairs_oracle(evidence, exclude):
-    mined = mine_ngrams(evidence, exclude=exclude)
-    assert mined.keys == [c.key() for c in mined]
+    mined = mine_ngrams(evidence, exclude=_excluded(exclude))
+    assert mined.keys == tuple(c.key() for c in mined)
     assert _listed(tile_ngrams(mined, mined.keys)) == _listed(tile_all_pairs(mined))
 
 
 @given(evidence=_answer_evidence, exclude=_answer_exclusions, qtype=st.sampled_from(QuestionType))
 @settings(deadline=None, max_examples=150)
 def test_composition_matches_mine_filter_tile_oracles(evidence, exclude, qtype):
-    # Exclusions go in as a question's normalized keys, as a run passes them.
-    got = compose_answers(evidence, qtype, exclude=frozenset(map(token_key, exclude)))
+    got = compose_answers(evidence, qtype, exclude=_excluded(exclude))
     mined = [
         NGramCandidate(tokens, score, support)
         for tokens, score, support in mine_in_order(evidence, exclude, default_stopwords())
@@ -407,8 +423,8 @@ def test_compose_is_deterministic(lincoln_provider):
 
 
 def test_compose_empty_snippets():
-    assert compose_answers([], QuestionType.WHO) == []
-    assert compose_answers([(5.0, []), (1.0, [])], QuestionType.WHO) == []
+    assert compose_answers([], QuestionType.WHO) == ()
+    assert compose_answers([(5.0, []), (1.0, [])], QuestionType.WHO) == ()
 
 
 def test_support_conserved_through_filtering():

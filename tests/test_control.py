@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import threading
@@ -415,12 +416,37 @@ def test_changing_a_result_leaves_the_remembered_run_alone(policy, lincoln_provi
     expected = _outcome(result)
     assert expected[0] and len(expected[3]) == 5
     for _ in range(2):
-        result.answers.clear()
-        result.answers.mined_by_weight.clear()
-        result.rewrites_used.reverse()
-        policy.select(question, models, 3).clear()
+        with pytest.raises(AttributeError):
+            result.answers.clear()
+        with pytest.raises(AttributeError):
+            result.answers.mined_by_weight.clear()
+        with pytest.raises(TypeError):
+            result.answers.mined_by_weight[5.0] = 0
+        with pytest.raises(AttributeError):
+            result.rewrites_used.reverse()
+        with pytest.raises(AttributeError):
+            policy.select(question, models, 3).clear()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.answers = ()
         result = run_policy(policy, question, lincoln_provider, models, prefs, question_index=3)
         assert _outcome(result) == expected
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [LikelihoodN(2), LikelihoodN(5), RandomN(3, seed=1), AllRewrites(), CostBenefit()],
+    ids=lambda p: p.name,
+)
+def test_a_repeated_run_returns_the_remembered_composition(policy, lincoln_provider):
+    probs = {n: 0.0 for n in DEFAULT_THRESHOLDS}
+    probs[4] = 0.99
+    models = _stub_models(conj_p=0.9, phrasal_p=0.4, probs=probs)
+    prefs = Preferences(k=10, c=1)
+    question = Question.from_text(QUESTION)
+    first = run_policy(policy, question, lincoln_provider, models, prefs)
+    again = run_policy(policy, question, lincoln_provider, models, prefs)
+    slot = question.last.composition[len(first.rewrites_used)]
+    assert first.answers and again.answers is first.answers is slot[1]
 
 
 def test_another_model_set_reorders_the_question():

@@ -237,7 +237,7 @@ def test_batch_of_two_waits_about_one_delay(table_server):
     start = time.perf_counter()
     outcomes = provider.execute_many(batch, 10)
     took = time.perf_counter() - start
-    assert outcomes == [[], []]
+    assert outcomes == [(), ()]
     assert took < 1.5 * DELAY_S
 
 
@@ -299,7 +299,7 @@ def test_other_worker_exceptions_propagate_as_from_serial_calls(table_server, mo
     run = Run(Question.from_text("Who did it?"), rewrites, _provider(table_server), 10)
     with pytest.raises(KeyError, match="not a backend failure"):
         run.compose(3)
-    assert run.snippets == [[]]  # the rewrite before it is recorded, as in a serial run
+    assert run.snippets == [()]  # the rewrite before it is recorded, as in a serial run
     assert run.errors == []
 
 
@@ -341,4 +341,4 @@ def test_run_over_remote_matches_run_over_offline(table_server, lincoln_provider
     assert remote == offline
     assert remote[1][0][0] == "John Wilkes Booth"
     assert remote[2] == remote[3] == len(rewrites)
-    assert remote[4] == [f"{failing}: HTTP 404 from backend"]
+    assert remote[4] == (f"{failing}: HTTP 404 from backend",)

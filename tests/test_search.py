@@ -77,7 +77,7 @@ def test_phrase_query_finds_the_match():
 
 def test_phrase_query_no_match_is_empty():
     idx = build_index([LINCOLN_DOC])
-    assert query_phrase(idx, ["purple", "cow"]) == []
+    assert query_phrase(idx, ["purple", "cow"]) == ()
 
 
 def test_phrase_query_respects_limit():
@@ -89,13 +89,13 @@ def test_phrase_query_respects_limit():
 def test_phrase_query_case_insensitive_and_possessive():
     idx = build_index([LINCOLN_DOC])
     assert query_phrase(idx, ["FORD'S", "THEATER"])
-    assert query_phrase(idx, ["fords", "theater"]) == []  # different key
+    assert query_phrase(idx, ["fords", "theater"]) == ()  # different key
 
 
 def test_conjunctive_query_and_semantics():
     idx = build_index([LINCOLN_DOC, Document("d2", "someone killed someone")])
     hits = query_conjunctive(idx, ["who", "killed", "Abraham", "Lincoln"])
-    assert hits == []  # "who" is absent from both docs
+    assert hits == ()  # "who" is absent from both docs
     hits = query_conjunctive(idx, ["killed", "Abraham", "Lincoln"])
     assert [s.source_doc for s in hits] == ["d1"]
 
@@ -302,8 +302,10 @@ def test_memoised_results_equal_direct_queries(case, limits):
         expected = _direct(index, rewrite, limit)
         first = provider.execute(rewrite, limit)
         assert first == expected
-        first.append(Snippet("planted by a caller", "nowhere"))
-        assert provider.execute(rewrite, limit) == expected
+        with pytest.raises(AttributeError):
+            first.append(Snippet("planted by a caller", "nowhere"))
+        assert provider.execute(rewrite, limit) is first
+        assert first == expected
     # One entry per limit, even where both limits give the same snippets.
     assert provider._memo.cache_info().currsize == 2
 
