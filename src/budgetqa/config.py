@@ -2,8 +2,9 @@
 
 Precedence is flag > file > default. Exactly one search backend must be
 configured: a ``corpus`` file, searched offline with a snippet ``window``
-of that many words each side, or a remote ``endpoint``. Every referenced
-path must resolve at load time, and the file must hold a JSON object.
+of that many words each side, or a remote ``endpoint``, an http:// or
+https:// URL with a host and no ``user:password@``. Every referenced path
+must resolve at load time, and the file must hold a JSON object.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ class Config:
                 raise ConfigError(f"{name} must be a positive integer, not {value!r}")
         if self.corpus and self.endpoint:
             raise ConfigError("configure exactly one backend (corpus or endpoint)")
+        if self.endpoint:
+            from .remote import parse_endpoint
+
+            parse_endpoint(self.endpoint)
         for label, path in (("corpus", self.corpus), ("models_dir", self.models_dir)):
             if path and not os.path.exists(path):
                 raise ConfigError(f"{label} path does not exist: {path}")

@@ -9,7 +9,9 @@ The rewrites a prefix still lacks (the probe, the extension after the
 budget choice, or a fixed policy's whole selection) are independent
 queries, so a provider with an ``execute_many`` method, such as the remote
 one, receives them as one concurrent batch; the per-query cost and every
-decision stay the same, only the wall time shrinks.
+decision stay the same, only the wall time shrinks. Every batch of a run
+tells the provider when the run's first batch started, so a provider's
+deadline bounds the whole question.
 Serving (``run_policy``) and training (``harness``) both go through it, so
 the threshold models learn from exactly the evidence, filters and error
 handling the controller sees.
@@ -44,6 +46,7 @@ charged and count toward n, even when the chosen n is below the probe size.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -139,14 +142,15 @@ class Run:
     """One question's rewrites in submission order, each executed at most once.
 
     Rewrites execute on demand when a prefix is composed: one at a time
-    through ``execute``, or, when the provider has ``execute_many`` and more
-    than one is missing, as one batch. Outcomes are recorded in submission
-    order either way. Each executed rewrite's snippets stay apart, which is
-    how composition and run features know the rewrite behind every
-    snippet. A backend failure (``RetryableError`` or
-    ``ProviderError``) is recorded on its rewrite, which then contributes no
-    snippets; it never aborts the question, and the failed query still
-    counts as issued. Any other exception propagates after the outcomes
+    through ``execute``, or, when the provider has ``execute_many``, as one
+    batch, even of one rewrite. The first batch's start time goes with every
+    batch of the run as ``started``, so the provider's deadline bounds the
+    whole question. Outcomes are recorded in submission order either way.
+    Each executed rewrite's snippets stay apart, which is how composition
+    and run features know the rewrite behind every snippet. A backend
+    failure (``RetryableError`` or ``ProviderError``) is recorded on its
+    rewrite, which then contributes no snippets; it never aborts the
+    question, and the failed query still counts as issued. Any other exception propagates after the outcomes
     before it are recorded, as it would from serial calls.
     """
 
@@ -159,6 +163,7 @@ class Run:
         self.limit = limit
         self.snippets: list[Sequence[Snippet]] = []  # per executed rewrite
         self.errors: list[str] = []
+        self.started: float | None = None  # time.monotonic() instant of the first batch
 
     @property
     def issued(self) -> int:
@@ -166,8 +171,15 @@ class Run:
 
     def _execute(self, n: int) -> None:
         pending = self.rewrites[len(self.snippets) : n]
-        batch = getattr(self.provider, "execute_many", None) if len(pending) > 1 else None
-        outcomes = batch(pending, self.limit) if batch else map(self._attempt, pending)
+        if not pending:
+            return
+        batch = getattr(self.provider, "execute_many", None)
+        if batch is None:
+            outcomes = map(self._attempt, pending)
+        else:
+            if self.started is None:
+                self.started = time.monotonic()
+            outcomes = batch(pending, self.limit, started=self.started)
         for rewrite, found in zip(pending, outcomes):
             if isinstance(found, (RetryableError, ProviderError)):
                 self.errors.append(f"{rewrite.as_query()}: {found}")

@@ -72,9 +72,12 @@ class SearchProvider(Protocol):
 
     ``execute`` returns a sequence that neither the provider nor its caller
     changes afterwards. A provider whose queries wait on a backend may also
-    offer ``execute_many(rewrites, limit)``: it executes a batch
-    concurrently and returns, per rewrite in submission order, its snippets
-    or the exception its ``execute`` raised. A ``Run`` uses it when present.
+    offer ``execute_many(rewrites, limit, started=None)``: it executes a
+    batch concurrently and returns, per rewrite in submission order, its
+    snippets or the exception its ``execute`` raised. ``started``, a
+    ``time.monotonic()`` instant, is when the question began; the provider
+    fails any rewrite still pending once its own time per question has run
+    out since then. A ``Run`` batches through it when present.
     """
 
     def execute(self, rewrite: Rewrite, limit: int) -> Sequence[Snippet]: ...
@@ -211,9 +214,10 @@ class MeteredProvider:
     """Wraps a provider and counts the rewrites it executes (used to audit
     query costs), one per ``execute`` call and one per rewrite of a batch.
 
-    It has ``execute_many`` exactly when the wrapped provider does, so a run
-    batches through a meter as it would without one. The count is kept under
-    a lock, so threads may share one meter.
+    It has ``execute_many`` exactly when the wrapped provider does, and
+    forwards a batch's ``started``, so a run batches through a meter as it
+    would without one. The count is kept under a lock, so threads may share
+    one meter.
     """
 
     def __init__(self, inner: SearchProvider):
@@ -231,9 +235,9 @@ class MeteredProvider:
         self._count(1)
         return self.inner.execute(rewrite, limit)
 
-    def _execute_many(self, rewrites: Sequence[Rewrite], limit: int = DEFAULT_LIMIT) -> list:
+    def _execute_many(self, rewrites: Sequence[Rewrite], limit: int = DEFAULT_LIMIT, **kwargs) -> list:
         self._count(len(rewrites))
-        return self.inner.execute_many(rewrites, limit)
+        return self.inner.execute_many(rewrites, limit, **kwargs)
 
 
 # --------------------------------------------------------------------------

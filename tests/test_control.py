@@ -2,6 +2,7 @@ import dataclasses
 import random
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -301,6 +302,36 @@ def test_one_word_question_has_the_run_feature_schema(lincoln_provider):
 
     assert keys("Velt?") == keys("Who killed Abraham Lincoln?")
     assert {"rulescore_1", "rulescore_5"} <= keys("Velt?")
+
+
+class _BatchRecorder:
+    """A batch provider that records each batch's size and start time."""
+
+    def __init__(self):
+        self.batches = []
+
+    def execute(self, rewrite, limit):
+        raise AssertionError("a run sends a batch provider batches only")
+
+    def execute_many(self, rewrites, limit, started=None):
+        self.batches.append((len(rewrites), started))
+        return [() for _ in rewrites]
+
+
+def test_every_batch_of_a_run_shares_the_start_of_its_first():
+    recorder = _BatchRecorder()
+    meter = MeteredProvider(recorder)
+    before = time.monotonic()
+    run = Run(Question.from_text(QUESTION), Question.from_text(QUESTION).rewrites[:3], meter, 10)
+    run.compose(2)  # a probe
+    run.compose(2)  # nothing left to execute
+    run.compose(3)  # a lone extension rewrite is a batch too
+    after = time.monotonic()
+    assert [size for size, _ in recorder.batches] == [2, 1]
+    (_, first), (_, second) = recorder.batches
+    assert first == second
+    assert before <= first <= after
+    assert meter.calls == run.issued == 3
 
 
 # --------------------------------------------------------------------------

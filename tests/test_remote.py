@@ -1,7 +1,14 @@
 import json
+import os
+import re
+import socket
+import subprocess
+import sys
 import threading
 import time
+from http.client import HTTPConnection, HTTPSConnection
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 import pytest
@@ -102,15 +109,29 @@ def sleeps(monkeypatch):
     return waits
 
 
+def _assert_full_jitter(sleeps, steps, play):
+    """Each recorded wait lies within its backoff step, and playing the
+    same exchange again waits exactly the same."""
+    assert len(sleeps) == len(steps) and all(0 <= wait <= step for wait, step in zip(sleeps, steps))
+    first = list(sleeps)
+    sleeps.clear()
+    play()
+    assert sleeps == first
+
+
 def test_429_is_retried_with_backoff(stub_server, sleeps):
-    StubHandler.script = [
+    script = [
         (429, "slow down"),
         (429, "slow down"),
         (200, json.dumps({"results": [{"summary": "ok"}]})),
     ]
-    snippets = _provider(stub_server, backoff=0.5).execute(PHRASAL, 10)
-    assert [s.text for s in snippets] == ["ok"]
-    assert sleeps == [0.5, 1.0]
+
+    def play():
+        StubHandler.script = list(script)
+        return _provider(stub_server, backoff=0.5).execute(PHRASAL, 10)
+
+    assert [s.text for s in play()] == ["ok"]
+    _assert_full_jitter(sleeps, [0.5, 1.0], play)
 
 
 def test_429_on_every_attempt_is_retryable(stub_server, sleeps):
@@ -131,13 +152,18 @@ def test_numeric_retry_after_replaces_backoff_capped_at_timeout(stub_server, sle
 
 
 def test_unusable_retry_after_falls_back_to_backoff(stub_server, sleeps):
-    StubHandler.script = [
+    script = [
         (429, "slow down", {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
         (429, "slow down", {"Retry-After": "-1"}),
         (200, json.dumps({"results": []})),
     ]
-    _provider(stub_server, backoff=0.5).execute(PHRASAL, 10)
-    assert sleeps == [0.5, 1.0]
+
+    def play():
+        StubHandler.script = list(script)
+        _provider(stub_server, backoff=0.5).execute(PHRASAL, 10)
+
+    play()
+    _assert_full_jitter(sleeps, [0.5, 1.0], play)
 
 
 def test_non_json_body_is_provider_error(stub_server):
@@ -342,3 +368,239 @@ def test_run_over_remote_matches_run_over_offline(table_server, lincoln_provider
     assert remote[1][0][0] == "John Wilkes Booth"
     assert remote[2] == remote[3] == len(rewrites)
     assert remote[4] == (f"{failing}: HTTP 404 from backend",)
+
+
+def test_question_deadline_bounds_a_stalled_query(table_server, lincoln_provider):
+    question = Question.from_text("Who killed Abraham Lincoln?")
+    rewrites = generate_rewrites(question)[:2]
+    stalled = rewrites[1].as_query()
+    for rewrite in rewrites:
+        found = lincoln_provider.execute(rewrite, 10)
+        TableHandler.table[rewrite.as_query()] = _hits(*((s.text, s.source_doc) for s in found))
+    TableHandler.delay, TableHandler.delays = 0.0, {stalled: 1.0}
+    # A question may take three timeouts, 0.2 s; backoff steps of 0.2 s and
+    # 0.4 s leave no time for a third attempt.
+    meter = MeteredProvider(_provider(table_server, timeout=0.2 / 3, backoff=0.2))
+    start = time.perf_counter()
+    result = Run(question, rewrites, meter, 10).result(2)
+    assert time.perf_counter() - start < 0.5
+    assert result.queries_issued == meter.calls == 2  # the stalled query is charged
+    assert len(result.backend_errors) == 1
+    assert re.fullmatch(
+        re.escape(f"{stalled}: question deadline passed after ") + r"[12] of 3 attempts: timed out",
+        result.backend_errors[0],
+    )
+    # Answered from the other rewrite of the batch, as if the stalled one had failed.
+    offline = Run(question, rewrites, _FailsOne(lincoln_provider, stalled), 10).result(2)
+    assert [(c.text, c.score) for c in result.answers] == [(c.text, c.score) for c in offline.answers]
+    assert result.answers
+
+
+def test_batch_past_its_deadline_sends_nothing(table_server):
+    provider = _provider(table_server)
+    outcomes = provider.execute_many(_rewrites("late"), 10, started=time.monotonic() - provider.deadline)
+    assert isinstance(outcomes[0], RetryableError)
+    assert str(outcomes[0]) == "question deadline passed after 0 of 3 attempts"
+    assert TableHandler.finished == []
+
+
+def test_waiting_for_a_connection_slot_ends_at_the_deadline(table_server):
+    # The only slot is held by a query the server stalls for 1 s; a batch
+    # with 0.05 s of its question left gives up then, without sending.
+    TableHandler.delay, TableHandler.delays = 0.0, {"stalled": 1.0}
+    provider = _provider(table_server, max_in_flight=1, timeout=0.3)
+    holder = threading.Thread(target=provider.execute_many, args=(_rewrites("stalled"), 10))
+    holder.start()
+    while provider._gate.acquire(blocking=False):  # until the holder has the slot
+        provider._gate.release()
+        time.sleep(0.001)
+    start = time.perf_counter()
+    [outcome] = provider.execute_many(_rewrites("late"), 10, started=time.monotonic() - provider.deadline + 0.05)
+    assert time.perf_counter() - start < 0.2
+    assert isinstance(outcome, RetryableError)
+    assert str(outcome) == "question deadline passed after 0 of 3 attempts"
+    holder.join()
+    provider.close()
+    assert "late" not in TableHandler.finished
+
+
+def test_redirect_is_provider_error_naming_its_location(stub_server):
+    StubHandler.script = [(301, "", {"Location": "https://elsewhere.example/search"})]
+    with pytest.raises(ProviderError, match="HTTP 301 from backend to https://elsewhere.example/search"):
+        _provider(stub_server).execute(PHRASAL, 10)
+    assert len(StubHandler.requests_seen) == 1
+
+
+# --------------------------------------------------------------------------
+# The connection pool, against an HTTP/1.1 keep-alive stub
+
+
+class KeepAliveHandler(BaseHTTPRequestHandler):
+    """Answers every GET with no results over HTTP/1.1 keep-alive; the
+    server counts the connections it accepts and how many are open."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # else delayed ACKs add ~40 ms per request
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+            self.server.open += 1
+            self.server.most_open = max(self.server.most_open, self.server.open)
+
+    def finish(self):
+        with self.server.lock:
+            self.server.open -= 1
+        super().finish()
+        self.server.closed.set()
+
+    def do_GET(self):
+        with self.server.lock:
+            self.server.paths.append(urlparse(self.path))
+        if self.server.delay:  # the sleeps fixture patches time.sleep everywhere
+            time.sleep(self.server.delay)
+        body = json.dumps({"results": []}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class IdleClosingHandler(KeepAliveHandler):
+    timeout = 0.05  # the server drops a connection idle this long
+
+
+class KeepAliveServer(ThreadingHTTPServer):
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self.lock = threading.Lock()
+        self.connections = self.open = self.most_open = 0
+        self.paths = []
+        self.delay = 0.0
+        self.closed = threading.Event()  # set when a connection ends
+
+    @property
+    def endpoint(self):
+        return f"http://127.0.0.1:{self.server_port}/search"
+
+
+@pytest.fixture(params=[KeepAliveHandler])
+def keepalive(request):
+    server = _serve(request.param, KeepAliveServer)
+    yield server
+    _stop(server)
+
+
+def test_sequential_requests_share_one_connection(keepalive):
+    with _provider(keepalive.endpoint) as provider:
+        for _ in range(20):
+            assert provider.execute(PHRASAL, 10) == ()
+    assert len(keepalive.paths) == 20
+    assert keepalive.connections == 1
+
+
+@pytest.mark.parametrize("keepalive", [IdleClosingHandler], indirect=True)
+def test_connection_closed_while_idle_costs_one_reconnect(keepalive, sleeps):
+    with _provider(keepalive.endpoint) as provider:
+        provider.execute(PHRASAL, 10)
+        assert keepalive.closed.wait(timeout=5)
+        provider.execute(PHRASAL, 10)
+    assert len(keepalive.paths) == 2  # one request per execute
+    assert keepalive.connections == 2
+    assert sleeps == []  # the reconnect is not a retry
+
+
+def test_pooled_socket_has_nagle_off(keepalive):
+    with _provider(keepalive.endpoint) as provider:
+        provider.execute(PHRASAL, 10)
+        [conn] = provider._idle
+        assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def test_endpoint_query_string_is_kept(keepalive):
+    with _provider(keepalive.endpoint + "?key=abc&lang=en") as provider:
+        provider.execute(CONJ, 10)
+    [path] = keepalive.paths
+    assert path.path == "/search"
+    assert parse_qs(path.query) == {"key": ["abc"], "lang": ["en"], "q": ['who killed "of Japan"']}
+
+
+def test_concurrent_batches_hold_at_most_max_in_flight_connections(keepalive):
+    # More client threads than cores and than connections, switching as
+    # often as the interpreter allows, so a lost pool update would show.
+    keepalive.delay = 0.002
+    clients, batches, batch = 6, 3, _rewrites("a", "b", "c", "d", "e")
+    outcomes = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _provider(keepalive.endpoint, max_in_flight=2) as provider:
+            def client():
+                for _ in range(batches):
+                    outcomes.extend(provider.execute_many(batch, 10))
+
+            threads = [threading.Thread(target=client) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(provider._idle) <= 2
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcomes == [()] * (clients * batches * len(batch))
+    assert len(keepalive.paths) == clients * batches * len(batch)
+    assert keepalive.most_open <= 2
+    assert keepalive.connections <= 2
+
+
+class _StaleConnection:
+    """A kept-alive connection the server has closed; finding that out
+    takes ``delay`` seconds."""
+
+    sock = None
+
+    def __init__(self, delay):
+        self.delay = delay
+
+    def request(self, *args, **kwargs):
+        time.sleep(self.delay)
+        raise ConnectionResetError("reset by peer")
+
+    def close(self):
+        pass
+
+
+def test_reconnect_after_a_stale_connection_counts_against_the_deadline(keepalive):
+    with _provider(keepalive.endpoint, timeout=0.05) as provider:
+        provider._idle.append(_StaleConnection(provider.deadline))
+        with pytest.raises(RetryableError, match="question deadline passed after 0 of 3 attempts"):
+            provider.execute(PHRASAL, 10)
+    assert keepalive.paths == []
+
+
+def test_https_endpoint_builds_an_https_connection():
+    with RemoteProvider("https://search.example/s") as provider:
+        assert isinstance(provider._new_connection(), HTTPSConnection)
+    with RemoteProvider("http://search.example/s") as provider:
+        assert type(provider._new_connection()) is HTTPConnection
+
+
+def test_neither_requests_nor_urllib3_is_imported():
+    src = Path(remote_module.__file__).resolve().parents[1]
+    probe = "import sys, budgetqa.cli, budgetqa.remote; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    tomllib = pytest.importorskip("tomllib")
+    with open(src.parent / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert not [d for d in dependencies if d.lower().startswith("requests")]
