@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from budgetqa.bench import generate_benchmark
+from budgetqa.bench import generate_benchmark, size_error
 from budgetqa.control import AllRewrites, ConjunctiveOnly, CostBenefit, Preferences
 from budgetqa.evaluation import (
     evaluate,
@@ -82,6 +82,8 @@ def main() -> int:
     parser.add_argument("--seeds", type=_seed_list, default="0,1,2,3,4", help="random-order seeds for the N sweep")
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
+    if problem := size_error(args.questions, args.distractors):
+        parser.error(problem)
 
     t0 = time.time()
     bench = generate_benchmark(

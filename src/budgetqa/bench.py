@@ -206,6 +206,15 @@ def _tease_doc(fact: Fact) -> str:
     return f"Few could say what it was made from, but {o} kept its secret."
 
 
+def size_error(num_questions: int, distractors: int) -> str | None:
+    """Why a benchmark of this size cannot be built (each fact and each
+    distractor takes its own adjective-noun entity pair), or None."""
+    pairs = len(ADJECTIVES) * len(NOUNS)
+    if num_questions + distractors > pairs:
+        return f"questions + distractors must be at most {pairs} entity pairs, got {num_questions} + {distractors}"
+    return None
+
+
 def generate_benchmark(
     num_questions: int,
     *,
@@ -227,13 +236,11 @@ def generate_benchmark(
     deep_rate: chance a WHO fact keeps only its passive-voice document,
         which only a mid-ranked rewrite reaches, so extra budget pays off.
     """
+    if problem := size_error(num_questions, distractors):
+        raise ValueError(problem)
     rng = random.Random(seed)
     pairs = [(adj, noun) for adj in ADJECTIVES for noun in NOUNS]
     rng.shuffle(pairs)
-    if num_questions + distractors > len(pairs):
-        raise ValueError(
-            f"at most {len(pairs) - distractors} questions with {distractors} distractors"
-        )
     person_pairs = [(f, l) for f in FIRST_NAMES for l in LAST_NAMES]
     rng.shuffle(person_pairs)
 

@@ -199,6 +199,8 @@ def cmd_train(dataset_path, config_path, corpus_path, scorer, out_dir):
 def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, models_dir,
                  sweep_k_values, sweep_n_flag, seeds, jobs, out_path):
     """Evaluate a policy (or run a sweep) over a dataset."""
+    if sweep_k_values and sweep_n_flag:
+        raise click.UsageError("'--sweep-k' and '--sweep-n' are separate runs; give one of them")
     cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, c=c, seed=seed)
     dataset = evaluation.load_dataset(dataset_path)
     if not dataset:
@@ -249,6 +251,8 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, 
 @click.option("--out-dataset", type=click.Path(), required=True)
 def cmd_gen_bench(questions, redundancy, distractors, seed, out_corpus, out_dataset):
     """Generate a synthetic benchmark corpus and dataset."""
+    if problem := bench.size_error(questions, distractors):
+        raise click.UsageError(problem)
     result = bench.generate_benchmark(
         questions, redundancy=redundancy, distractors=distractors, seed=seed
     )

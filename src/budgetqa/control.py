@@ -122,7 +122,6 @@ def choose_n(
 class QuestionResult:
     """A run's outcome. An abstention has no answers."""
 
-    question: Question
     answers: tuple[NGramCandidate, ...]
     queries_issued: int
     decision: BudgetDecision | None = None
@@ -227,7 +226,6 @@ class Run:
         executed past n (a probe larger than the budget) stay charged."""
         abstained = decision is not None and decision.abstained
         return QuestionResult(
-            question=self.question,
             answers=() if abstained else self.compose(n),
             queries_issued=self.issued,
             decision=decision,

@@ -110,7 +110,6 @@ def dump_dataset(items: Sequence[QAItem], path: str) -> None:
 
 @dataclass
 class QuestionRecord:
-    index: int
     question: str
     judgment: Judgment
     queries_issued: int
@@ -164,13 +163,11 @@ def evaluate(
     """Run the policy over every question, judge and aggregate.
 
     Failed rewrites are recorded per question (the pipeline continues on the
-    remaining rewrites) and the evaluation run always continues. Aggregation
-    is ordered by question index, so parallel execution does not change the
-    report.
+    remaining rewrites) and the evaluation run always continues. Records
+    keep dataset order, so parallel execution does not change the report.
     """
 
-    def one(indexed: tuple[int, QAItem]) -> QuestionRecord:
-        idx, item = indexed
+    def one(idx: int, item: QAItem) -> QuestionRecord:
         result = run_policy(
             policy,
             item.parsed,
@@ -181,7 +178,6 @@ def evaluate(
             question_index=idx,
         )
         return QuestionRecord(
-            index=idx,
             question=item.question,
             judgment=judge(result.top_answer, item.patterns),
             queries_issued=result.queries_issued,
@@ -189,13 +185,11 @@ def evaluate(
             error="; ".join(result.backend_errors) or None,
         )
 
-    indexed = list(enumerate(dataset))
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(one, indexed))
+            records = list(pool.map(one, range(len(dataset)), dataset))
     else:
-        records = [one(pair) for pair in indexed]
-    records.sort(key=lambda r: r.index)
+        records = [one(idx, item) for idx, item in enumerate(dataset)]
 
     report = Report(
         policy=label or policy.name,

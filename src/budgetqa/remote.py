@@ -17,38 +17,37 @@ environment variables, and takes no ``user:password@`` in the URL, which
 ``parse_endpoint`` rejects as a ConfigError along with anything that is
 not an http:// or https:// URL with a host.
 
-Connections are kept alive in a pool of at most ``max_in_flight``, checked
-out under the semaphore that caps requests in flight, so no more than that
-many are ever open. ``http.client`` sets ``TCP_NODELAY`` on each new socket
-and closes it when a response says it will close; the client closes it on
-any error. A kept-alive connection the server has closed in the meantime
-costs one reconnect, which is not a retry attempt.
+The provider's pool is one LIFO queue of ``max_in_flight`` connection
+slots, both the cap on requests in flight and the keep-alive pool: a
+request takes a slot and puts it back when done, so the connection used
+last is reused first and no more than ``max_in_flight`` are ever open. A
+slot builds its connection on its first request. ``http.client`` sets
+``TCP_NODELAY`` on each new socket and closes it when a response says it
+will close, the client closes it on any error, and a closed connection
+reconnects on its next request. A slot's connection from an earlier
+request that the server has closed costs one reconnect, not an attempt.
 
-A question may take ``deadline`` seconds, three request timeouts, from the
-instant a ``Run`` passes as ``started`` with its first batch; a lone
-``execute`` counts from its own start. Waiting for a free connection slot
-ends at the deadline, each attempt and the reconnect of a stale connection
-get a socket timeout of the request timeout or the time left, if less, and
-no backoff that would end past the deadline is slept. A rewrite out of time
-raises RetryableError("question deadline ..."), a failed query like any
-other. The socket timeout bounds each wait for data, not a whole response,
-so a server that keeps sending slowly can still hold an attempt past the
-deadline.
-
-``execute_many`` sends a batch of rewrites concurrently, each through
-``execute`` on a worker thread that ends with the batch, and returns every
-outcome in submission order. The provider's ``max_in_flight`` semaphore is
-the only cap on concurrent requests.
+A question may take ``deadline`` seconds, three request timeouts, from
+``started``, a ``time.monotonic()`` instant that ``execute`` and
+``execute_many`` take (default: the call's start; a ``Run`` passes its
+first batch's). Waiting for a slot ends at the deadline, each attempt and
+a stale connection's reconnect get a socket timeout of the request timeout
+or the time left, if less, and no backoff that would end past the deadline
+is slept. A rewrite out of time raises RetryableError("question deadline
+..."), a failed query like any other. The socket timeout bounds each wait
+for data, not a whole response, so a server that keeps sending slowly can
+still hold an attempt past the deadline.
 """
 
 from __future__ import annotations
 
 import json
+import queue
 import random
-import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from http.client import HTTPConnection, HTTPException, HTTPMessage, HTTPSConnection, RemoteDisconnected
 from typing import Sequence
 from urllib.parse import SplitResult, urlencode, urlsplit
@@ -61,10 +60,9 @@ MAX_ATTEMPTS = 3
 _CONNECTIONS = {"http": HTTPConnection, "https": HTTPSConnection}
 # What reusing a kept-alive connection raises when the server has closed it.
 _STALE = (RemoteDisconnected, ConnectionResetError, BrokenPipeError)
-
-
-class _OutOfTime(Exception):
-    """The question's deadline passed before an attempt could run."""
+# The question's deadline passed before an attempt could run: what waiting
+# for a slot raises at the deadline, and what _time_left raises after it.
+_OutOfTime = queue.Empty
 
 
 def parse_endpoint(endpoint) -> SplitResult:
@@ -109,12 +107,32 @@ def _deadline_passed(attempts: int, last_exc: Exception | None) -> RetryableErro
     return RetryableError(f"question deadline passed after {attempts} of {MAX_ATTEMPTS} attempts{cause}")
 
 
-def _close_all(connections: list[HTTPConnection]) -> None:
-    while True:
-        try:
-            connections.pop().close()
-        except IndexError:  # pop is atomic; another thread may empty the list
-            return
+def _close_free_slots(pool: queue.LifoQueue) -> None:
+    """Close the connections of the slots no request holds, each taken out
+    of the pool while it closes."""
+    free = []
+    try:
+        while True:
+            free.append(pool.get_nowait())
+    except queue.Empty:
+        pass
+    for conn in reversed(free):
+        if conn is not None:
+            conn.close()
+        pool.put(conn)
+
+
+def _exchange(conn: HTTPConnection, target: str, headers: dict, timeout: float) -> tuple[int, HTTPMessage, bytes]:
+    try:
+        conn.timeout = timeout  # for the connect, when it is closed
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        conn.request("GET", target, headers=headers)
+        response = conn.getresponse()
+        return response.status, response.msg, response.read()
+    except BaseException:
+        conn.close()  # it reconnects on its next request
+        raise
 
 
 class RemoteProvider:
@@ -126,11 +144,10 @@ class RemoteProvider:
     an object holding that list under ``results_key``. Each result object
     must carry the summary text under ``summary_key``.
 
-    A semaphore caps concurrent in-flight requests to bound backend load,
-    and every thread that executes through the provider (``execute_many``'s
-    workers, or an evaluation's jobs) shares its pool of kept-alive
-    connections. ``close()``, or leaving a ``with`` block, closes the pooled
-    connections; so does garbage collection of the provider.
+    Every thread that executes through the provider takes a slot of its
+    one pool per request, so at most ``max_in_flight`` requests are in
+    flight. ``close()``, leaving a ``with`` block or garbage collection
+    closes the connections of the idle slots.
     """
 
     def __init__(
@@ -155,28 +172,23 @@ class RemoteProvider:
         self.timeout = timeout
         self.deadline = MAX_ATTEMPTS * timeout  # seconds a question may take
         self.max_in_flight = max_in_flight
-        self._connection = _CONNECTIONS[url.scheme]
-        self._netloc = url.netloc
+        self._connection = partial(_CONNECTIONS[url.scheme], url.netloc)  # unconnected until its first request
         self._path = url.path or "/"
         self._query = url.query
-        self._gate = threading.Semaphore(max_in_flight)
-        self._idle: list[HTTPConnection] = []  # kept alive; appended and popped atomically
-        self._batch = threading.local()  # a batch worker's deadline
-        weakref.finalize(self, _close_all, self._idle)
+        self._pool: queue.LifoQueue[HTTPConnection | None] = queue.LifoQueue()
+        for _ in range(max_in_flight):
+            self._pool.put(None)  # a slot whose connection is not built yet
+        weakref.finalize(self, _close_free_slots, self._pool)
 
     def close(self) -> None:
-        """Close the pooled connections. A later request opens a new one."""
-        _close_all(self._idle)
+        """Close the idle pooled connections. A later request reopens one."""
+        _close_free_slots(self._pool)
 
     def __enter__(self) -> RemoteProvider:
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _new_connection(self) -> HTTPConnection:
-        """An unconnected connection to the endpoint; it connects on its first request."""
-        return self._connection(self._netloc)
 
     def _target(self, query: str) -> str:
         params = urlencode({self.query_param: query})
@@ -191,45 +203,22 @@ class RemoteProvider:
 
     def _request(self, target: str, headers: dict, deadline: float) -> tuple[int, HTTPMessage, bytes]:
         """One GET through a pooled connection: status, headers and body.
-        Waiting for a free slot, a stale connection and its reconnect all
-        count against ``deadline``."""
-        left = deadline - time.monotonic()
-        if left <= 0 or not self._gate.acquire(timeout=left):
-            raise _OutOfTime
+        Waiting for a slot, a stale connection and its reconnect all count
+        against ``deadline``."""
+        kept = self._pool.get(timeout=max(0.0, deadline - time.monotonic()))
+        conn = kept or self._connection()
         try:
-            try:
-                kept = self._idle.pop()
-            except IndexError:
-                kept = None
-            if kept is not None:
+            if kept:
                 try:
-                    return self._exchange(kept, target, headers, self._time_left(deadline))
+                    return _exchange(conn, target, headers, self._time_left(deadline))
                 except _STALE:
                     pass  # the server closed it while idle: reconnect once
-            return self._exchange(self._new_connection(), target, headers, self._time_left(deadline))
+            return _exchange(conn, target, headers, self._time_left(deadline))
         finally:
-            self._gate.release()
+            self._pool.put(conn)
 
-    def _exchange(self, conn: HTTPConnection, target: str, headers: dict, timeout: float):
-        try:
-            conn.timeout = timeout  # for the connect, when it is new
-            if conn.sock is not None:
-                conn.sock.settimeout(timeout)
-            conn.request("GET", target, headers=headers)
-            response = conn.getresponse()
-            body = response.read()
-        except BaseException:
-            conn.close()
-            raise
-        # A response that says it will close has already closed the socket;
-        # the connection reconnects on its next request.
-        self._idle.append(conn)
-        return response.status, response.msg, body
-
-    def _get(self, query: str) -> bytes:
-        deadline = getattr(self._batch, "deadline", None)
-        if deadline is None:
-            deadline = time.monotonic() + self.deadline
+    def _get(self, query: str, started: float | None) -> bytes:
+        deadline = (time.monotonic() if started is None else started) + self.deadline
         target = self._target(query)
         headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
         last_exc: Exception | None = None
@@ -262,8 +251,12 @@ class RemoteProvider:
             return body
         raise RetryableError(f"backend failed after {MAX_ATTEMPTS} attempts: {last_exc}")
 
-    def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT) -> tuple[Snippet, ...]:
-        body = self._get(rewrite.as_query())
+    def execute(
+        self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT, started: float | None = None
+    ) -> tuple[Snippet, ...]:
+        """The rewrite's snippets, within ``self.deadline`` seconds of
+        ``started``, a ``time.monotonic()`` instant (default: now)."""
+        body = self._get(rewrite.as_query(), started)
         try:
             payload = json.loads(body)
         except ValueError as exc:
@@ -285,16 +278,11 @@ class RemoteProvider:
         self, rewrites: Sequence[Rewrite], limit: int = DEFAULT_LIMIT, started: float | None = None
     ) -> list[tuple[Snippet, ...] | BaseException]:
         """``execute`` each rewrite concurrently; per rewrite, in submission
-        order, its snippets or the exception it raised. Every rewrite of the
-        batch must finish within ``self.deadline`` seconds of ``started``, a
-        ``time.monotonic()`` instant (default: now). Every worker thread has
-        ended when this returns."""
-        deadline = (time.monotonic() if started is None else started) + self.deadline
+        order, its snippets or the exception it raised. Every rewrite must
+        finish within ``self.deadline`` seconds of ``started`` (default:
+        now). Every worker thread has ended when this returns."""
+        if started is None:
+            started = time.monotonic()
         with ThreadPoolExecutor(max_workers=min(len(rewrites), self.max_in_flight) or 1) as pool:
-            futures = [pool.submit(self._execute_by, deadline, rewrite, limit) for rewrite in rewrites]
+            futures = [pool.submit(self.execute, rewrite, limit, started) for rewrite in rewrites]
         return [future.exception() or future.result() for future in futures]
-
-    def _execute_by(self, deadline: float, rewrite: Rewrite, limit: int) -> tuple[Snippet, ...]:
-        # A worker thread ends with its batch, so its deadline goes with it.
-        self._batch.deadline = deadline
-        return self.execute(rewrite, limit)

@@ -155,10 +155,11 @@ def test_model_policies_without_models_are_usage_errors(workspace, monkeypatch, 
         (["evaluate", "--dataset", "DATASET", "--sweep-k", "5,0"], "--sweep-k"),
         (["evaluate", "--dataset", "DATASET", "--sweep-k", ","], "--sweep-k"),
         (["evaluate", "--dataset", "DATASET", "--sweep-n", "--seeds", "0,x"], "--seeds"),
+        (["evaluate", "--dataset", "DATASET", "--sweep-k", "5,10", "--sweep-n"], "--sweep-n"),
     ],
     ids=["ask-n-0", "ask-n-negative", "ask-k-0", "ask-c-negative", "ask-top-0", "ask-top-negative",
          "evaluate-n-0", "evaluate-k-0",
-         "sweep-k-unparsed", "sweep-k-0", "sweep-k-empty", "seeds-unparsed"],
+         "sweep-k-unparsed", "sweep-k-0", "sweep-k-empty", "seeds-unparsed", "sweep-k-and-sweep-n"],
 )
 def test_bad_serving_option_is_usage_error(workspace, models_dir, monkeypatch, capsys, args, option):
     def no_query(self, rewrite, limit):
@@ -296,6 +297,20 @@ def test_out_of_range_count_is_usage_error(workspace, tmp_path, capsys, args, op
         args = args + ["--dataset", workspace["dataset"], "--corpus", workspace["corpus"], "--policy", "all"]
     assert main(args) == 1
     assert f"'{option}'" in capsys.readouterr().err
+    assert not corpus.exists() and not dataset.exists()
+
+
+@pytest.mark.parametrize(
+    "args, sizes",
+    [(["--questions", "500"], "500 + 40"), (["--questions", "10", "--distractors", "100000"], "10 + 100000")],
+    ids=["questions-500", "distractors-100000"],
+)
+def test_oversized_benchmark_is_usage_error(tmp_path, capsys, args, sizes):
+    corpus, dataset = tmp_path / "c.jsonl", tmp_path / "d.jsonl"
+    assert main(["gen-bench", *args, "--out-corpus", str(corpus), "--out-dataset", str(dataset)]) == 1
+    err = capsys.readouterr().err
+    assert f"questions + distractors must be at most 480 entity pairs, got {sizes}" in err
+    assert "Traceback" not in err
     assert not corpus.exists() and not dataset.exists()
 
 

@@ -298,9 +298,9 @@ def test_batch_workers_end_with_the_batch(table_server, monkeypatch):
     workers = []
     execute = RemoteProvider.execute
 
-    def recording(self, rewrite, limit):
+    def recording(self, rewrite, limit, started=None):
         workers.append(threading.current_thread())
-        return execute(self, rewrite, limit)
+        return execute(self, rewrite, limit, started)
 
     monkeypatch.setattr(RemoteProvider, "execute", recording)
     TableHandler.delay = 0.0
@@ -314,10 +314,10 @@ def test_batch_workers_end_with_the_batch(table_server, monkeypatch):
 def test_other_worker_exceptions_propagate_as_from_serial_calls(table_server, monkeypatch):
     execute = RemoteProvider.execute
 
-    def broken(self, rewrite, limit):
+    def broken(self, rewrite, limit, started=None):
         if rewrite.parts[0] == "broken":
             raise KeyError("not a backend failure")
-        return execute(self, rewrite, limit)
+        return execute(self, rewrite, limit, started)
 
     monkeypatch.setattr(RemoteProvider, "execute", broken)
     TableHandler.delay = 0.0
@@ -411,8 +411,7 @@ def test_waiting_for_a_connection_slot_ends_at_the_deadline(table_server):
     provider = _provider(table_server, max_in_flight=1, timeout=0.3)
     holder = threading.Thread(target=provider.execute_many, args=(_rewrites("stalled"), 10))
     holder.start()
-    while provider._gate.acquire(blocking=False):  # until the holder has the slot
-        provider._gate.release()
+    while provider._pool.qsize():  # until the holder has the slot
         time.sleep(0.001)
     start = time.perf_counter()
     [outcome] = provider.execute_many(_rewrites("late"), 10, started=time.monotonic() - provider.deadline + 0.05)
@@ -518,7 +517,7 @@ def test_connection_closed_while_idle_costs_one_reconnect(keepalive, sleeps):
 def test_pooled_socket_has_nagle_off(keepalive):
     with _provider(keepalive.endpoint) as provider:
         provider.execute(PHRASAL, 10)
-        [conn] = provider._idle
+        [conn] = [slot for slot in provider._pool.queue if slot is not None]
         assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
@@ -550,13 +549,30 @@ def test_concurrent_batches_hold_at_most_max_in_flight_connections(keepalive):
             for thread in threads:
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
-            assert len(provider._idle) <= 2
+            assert len([slot for slot in provider._pool.queue if slot is not None]) <= 2
     finally:
         sys.setswitchinterval(interval)
     assert outcomes == [()] * (clients * batches * len(batch))
     assert len(keepalive.paths) == clients * batches * len(batch)
     assert keepalive.most_open <= 2
     assert keepalive.connections <= 2
+
+
+def test_close_leaves_a_checked_out_connection_open(keepalive):
+    keepalive.delay = 0.2
+    with _provider(keepalive.endpoint, max_in_flight=2) as provider:
+        assert provider.execute_many(_rewrites("a", "b"), 10) == [(), ()]  # two idle connections
+        busy = []
+        holder = threading.Thread(target=lambda: busy.append(provider.execute(PHRASAL, 10)))
+        holder.start()
+        while provider._pool.qsize() == 2:  # until the holder has a slot
+            time.sleep(0.001)
+        provider.close()
+        holder.join()
+        assert busy == [()]
+        # The idle connection is closed, the checked-out one is still open.
+        assert sorted(slot.sock is not None for slot in provider._pool.queue) == [False, True]
+    assert keepalive.connections == 2
 
 
 class _StaleConnection:
@@ -578,7 +594,8 @@ class _StaleConnection:
 
 def test_reconnect_after_a_stale_connection_counts_against_the_deadline(keepalive):
     with _provider(keepalive.endpoint, timeout=0.05) as provider:
-        provider._idle.append(_StaleConnection(provider.deadline))
+        provider._pool.get()
+        provider._pool.put(_StaleConnection(provider.deadline))
         with pytest.raises(RetryableError, match="question deadline passed after 0 of 3 attempts"):
             provider.execute(PHRASAL, 10)
     assert keepalive.paths == []
@@ -586,9 +603,9 @@ def test_reconnect_after_a_stale_connection_counts_against_the_deadline(keepaliv
 
 def test_https_endpoint_builds_an_https_connection():
     with RemoteProvider("https://search.example/s") as provider:
-        assert isinstance(provider._new_connection(), HTTPSConnection)
+        assert isinstance(provider._connection(), HTTPSConnection)
     with RemoteProvider("http://search.example/s") as provider:
-        assert type(provider._new_connection()) is HTTPConnection
+        assert type(provider._connection()) is HTTPConnection
 
 
 def test_neither_requests_nor_urllib3_is_imported():

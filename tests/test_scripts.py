@@ -44,6 +44,8 @@ BAD_ARGUMENTS = [
     (["--c", "-2"], "--c: must be above 0"),
     (["--seeds", "x"], "--seeds: not a comma-separated list of integers"),
     (["--seeds", ","], "--seeds: needs at least one seed"),
+    (["--questions", "500"], "questions + distractors must be at most 480 entity pairs, got 500 + 40"),
+    (["--distractors", "100000"], "questions + distractors must be at most 480 entity pairs, got 400 + 100000"),
 ]
 
 
