@@ -12,13 +12,14 @@ Writes aligned tables to stdout and JSON lines under --out-dir.
 """
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from budgetqa.bench import generate_benchmark, size_error
+from budgetqa.bench import generate_benchmark, redundancy_error, size_error
 from budgetqa.control import AllRewrites, ConjunctiveOnly, CostBenefit, Preferences
 from budgetqa.evaluation import (
     evaluate,
@@ -54,8 +55,8 @@ def _positive(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be above 0 and finite, got {text}")
     return value
 
 
@@ -82,7 +83,7 @@ def main() -> int:
     parser.add_argument("--seeds", type=_seed_list, default="0,1,2,3,4", help="random-order seeds for the N sweep")
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
-    if problem := size_error(args.questions, args.distractors):
+    if problem := size_error(args.questions, args.distractors) or redundancy_error(args.redundancy):
         parser.error(problem)
 
     t0 = time.time()

@@ -8,7 +8,8 @@ rewrites, one states the fact in reported speech so the conjunctive rewrite
 (which includes the question word) can hit it. A fraction of facts are
 sparse (only the reported-speech document exists) or empty (no answer in
 the corpus at all), and "tease" documents repeat the question's vocabulary
-without the answer so the conjunctive rewrite sees noise.
+without the answer so the conjunctive rewrite sees noise. Every question
+type's wording lives in one ``Template`` record of ``TEMPLATES``.
 """
 
 from __future__ import annotations
@@ -67,15 +68,6 @@ MATERIALS = [
     "bronze", "limestone", "cedar",
 ]
 
-_QTYPE_CYCLE = (
-    QuestionType.WHO,
-    QuestionType.WHEN,
-    QuestionType.WHERE,
-    QuestionType.HOW_MANY,
-    QuestionType.WHAT,
-)
-
-
 @dataclass(frozen=True)
 class Fact:
     qtype: QuestionType
@@ -95,115 +87,107 @@ class Benchmark:
     facts: list[Fact]
 
 
-def _cap(phrase: str) -> str:
-    return phrase[0].upper() + phrase[1:]
+@dataclass(frozen=True)
+class Template:
+    """One question type's wording, as ``str.format`` templates over the
+    fields ``_fields`` names for a fact.
 
-
-def _question(fact: Fact) -> str:
-    if fact.qtype is QuestionType.WHO:
-        return f"Who {fact.verb} {fact.obj}?"
-    if fact.qtype is QuestionType.WHEN:
-        return f"When was {fact.obj} {fact.verb}?"
-    if fact.qtype is QuestionType.WHERE:
-        return f"Where was {fact.obj} {fact.verb}?"
-    if fact.qtype is QuestionType.HOW_MANY:
-        return f"How many {fact.unit} are in {fact.obj}?"
-    return f"What was {fact.obj} made from?"
-
-
-def _patterns(fact: Fact) -> list[str]:
-    if fact.qtype is QuestionType.WHO:
-        first, last = fact.answer.split()
-        return [rf"(?:{first}\s+)?{last}"]
-    if fact.qtype is QuestionType.WHEN:
-        return [rf"(?:in\s+)?{fact.answer}"]
-    if fact.qtype is QuestionType.WHERE:
-        return [rf"(?:in\s+)?{fact.answer}"]
-    if fact.qtype is QuestionType.HOW_MANY:
-        return [rf"{fact.answer}(?:\s+{fact.unit})?"]
-    return [fact.answer]
-
-
-def _answer_docs(fact: Fact) -> list[str]:
-    """Paraphrase pool, ordered so a redundancy prefix always mixes phrasal
+    ``paraphrases`` is ordered so a redundancy prefix always mixes phrasal
     and conjunctive coverage. Answer tokens are kept flanked by stop words
     or question words so tiling cannot weld junk onto them, and the
     conjunctive paraphrases keep the answer within the snippet window that
-    is centered on the question word."""
-    o, oc, v, a = fact.obj, _cap(fact.obj), fact.verb, fact.answer
-    if fact.qtype is QuestionType.WHO:
-        return [
-            f"{a} {v} {o}.",
-            f"{oc} was {v} by {a}.",
-            f"Some asked who {v} {o}, and it was {a}.",
-            f"It was {a} that {v} {o}.",
-            f"Many people say that {o} was {v} by {a}.",
-        ]
-    if fact.qtype is QuestionType.WHEN:
-        return [
-            f"{oc} was {v} in {a}.",
-            f"Some asked when {o} was {v}, and it was in {a}.",
-            f"It was in {a} that {o} was {v}.",
-            f"People remember that {o} was {v} in {a}.",
-        ]
-    if fact.qtype is QuestionType.WHERE:
-        return [
-            f"{oc} was {v} in {a}.",
-            f"Some asked where {o} was {v}, and it was in {a}.",
-            f"It was in {a} that {o} was {v}.",
-            f"People remember that {o} was {v} in {a}.",
-        ]
-    if fact.qtype is QuestionType.HOW_MANY:
-        u = fact.unit
-        return [
-            f"Many {u} are in {o}, and there are {a} of them.",
-            f"People asked how many {u} are in {o}: there are {a} of them.",
-            f"Most of the {u} are in {o}, and there are {a} of them in all.",
-            f"The {u} are in {o}, and people say there are {a} of them.",
-        ]
-    return [
-        f"{oc} was made from {a}.",
-        f"Some asked what {o} was made from, and it was {a}.",
-        f"It was {a} that {o} was made from.",
-        f"People say that {o} was made from {a}.",
-    ]
+    is centered on the question word. ``sparse`` states the answer in
+    reported speech with the phrase order broken, so only the conjunctive
+    rewrite (all question words ANDed) can reach it. ``tease`` repeats the
+    question's vocabulary without the answer, as conjunctive-rewrite noise;
+    it starts with a stop word so the junk it contributes stays
+    uncapitalized and stop-edged, which keeps mined noise weak.
+    """
+
+    question: str
+    pattern: str
+    paraphrases: tuple[str, ...]
+    sparse: str
+    tease: str
 
 
-def _sparse_doc(fact: Fact) -> str:
-    """Answer stated in reported speech with the phrase order broken, so
-    only the conjunctive rewrite (all question words ANDed) can reach it."""
-    o, v, a = fact.obj, fact.verb, fact.answer
-    if fact.qtype is QuestionType.WHO:
-        return f"Some asked who {v} it, and heard it was {a}, or so people near {o} said."
-    if fact.qtype is QuestionType.WHEN:
-        return f"Some asked when it was {v}, and heard it was in {a}, or so people near {o} said."
-    if fact.qtype is QuestionType.WHERE:
-        return f"Some asked where it was {v}, and heard it was in {a}, or so people near {o} said."
-    if fact.qtype is QuestionType.HOW_MANY:
-        return (
-            f"Some asked how many {fact.unit} it had, and heard there are {a} of them, "
-            f"or so people near {o} said in the end."
-        )
-    return f"Some asked what it was made from, and heard it was {a}, or so people near {o} said."
+# A deep fact keeps only this paraphrase, which only a mid-ranked rewrite reaches.
+_PASSIVE = "{O} was {v} by {a}."
+
+_WHEN_WHERE = Template(
+    question="{Wh} was {o} {v}?",
+    pattern=r"(?:in\s+)?{a}",
+    paraphrases=(
+        "{O} was {v} in {a}.",
+        "Some asked {wh} {o} was {v}, and it was in {a}.",
+        "It was in {a} that {o} was {v}.",
+        "People remember that {o} was {v} in {a}.",
+    ),
+    sparse="Some asked {wh} it was {v}, and heard it was in {a}, or so people near {o} said.",
+    tease="Few could say {wh} it was {v}, but {o} kept its secret.",
+)
+
+#: Every question type's wording; facts cycle through the types in this order.
+TEMPLATES: dict[QuestionType, Template] = {
+    QuestionType.WHO: Template(
+        question="Who {v} {o}?",
+        pattern=r"(?:{first}\s+)?{last}",
+        paraphrases=(
+            "{a} {v} {o}.",
+            _PASSIVE,
+            "Some asked who {v} {o}, and it was {a}.",
+            "It was {a} that {v} {o}.",
+            "Many people say that {o} was {v} by {a}.",
+        ),
+        sparse="Some asked who {v} it, and heard it was {a}, or so people near {o} said.",
+        tease="Few could say who {v} it, but {o} kept its secret.",
+    ),
+    QuestionType.WHEN: _WHEN_WHERE,
+    QuestionType.WHERE: _WHEN_WHERE,
+    QuestionType.HOW_MANY: Template(
+        question="How many {u} are in {o}?",
+        pattern=r"{a}(?:\s+{u})?",
+        paraphrases=(
+            "Many {u} are in {o}, and there are {a} of them.",
+            "People asked how many {u} are in {o}: there are {a} of them.",
+            "Most of the {u} are in {o}, and there are {a} of them in all.",
+            "The {u} are in {o}, and people say there are {a} of them.",
+        ),
+        sparse=(
+            "Some asked how many {u} it had, and heard there are {a} of them, "
+            "or so people near {o} said in the end."
+        ),
+        tease="Few could say how many {u} are around, but {o} kept its secret in the end.",
+    ),
+    QuestionType.WHAT: Template(
+        question="What was {o} made from?",
+        pattern="{a}",
+        paraphrases=(
+            "{O} was made from {a}.",
+            "Some asked what {o} was made from, and it was {a}.",
+            "It was {a} that {o} was made from.",
+            "People say that {o} was made from {a}.",
+        ),
+        sparse="Some asked what it was made from, and heard it was {a}, or so people near {o} said.",
+        tease="Few could say what it was made from, but {o} kept its secret.",
+    ),
+}
+
+#: The most paraphrase documents a fact can have.
+MAX_REDUNDANCY = max(len(t.paraphrases) for t in TEMPLATES.values())
 
 
-def _tease_doc(fact: Fact) -> str:
-    """Question vocabulary without the answer; conjunctive-rewrite noise.
-    Starts with a stop word so the junk it contributes stays uncapitalized
-    and stop-edged, which keeps mined noise weak."""
-    o, v = fact.obj, fact.verb
-    if fact.qtype is QuestionType.WHO:
-        return f"Few could say who {v} it, but {o} kept its secret."
-    if fact.qtype is QuestionType.WHEN:
-        return f"Few could say when it was {v}, but {o} kept its secret."
-    if fact.qtype is QuestionType.WHERE:
-        return f"Few could say where it was {v}, but {o} kept its secret."
-    if fact.qtype is QuestionType.HOW_MANY:
-        return (
-            f"Few could say how many {fact.unit} are around, "
-            f"but {o} kept its secret in the end."
-        )
-    return f"Few could say what it was made from, but {o} kept its secret."
+def _fields(fact: Fact) -> dict[str, str]:
+    """What a template can name: {o} the fact's object, {O} the object
+    capitalized, {v} its verb, {a} its answer, {first} and {last} the
+    answer's leading words and last word, {u} its unit, and {wh} and {Wh}
+    the question word. Built once per fact, for all of its templates."""
+    first, _, last = fact.answer.rpartition(" ")
+    wh = fact.qtype.value
+    return {
+        "o": fact.obj, "O": fact.obj.capitalize(), "v": fact.verb, "a": fact.answer,
+        "first": first, "last": last, "u": fact.unit, "wh": wh, "Wh": wh.capitalize(),
+    }
 
 
 def size_error(num_questions: int, distractors: int) -> str | None:
@@ -212,6 +196,13 @@ def size_error(num_questions: int, distractors: int) -> str | None:
     pairs = len(ADJECTIVES) * len(NOUNS)
     if num_questions + distractors > pairs:
         return f"questions + distractors must be at most {pairs} entity pairs, got {num_questions} + {distractors}"
+    return None
+
+
+def redundancy_error(redundancy: int) -> str | None:
+    """Why no fact can have ``redundancy`` paraphrase documents, or None."""
+    if not 1 <= redundancy <= MAX_REDUNDANCY:
+        return f"redundancy must be between 1 and {MAX_REDUNDANCY}, got {redundancy}"
     return None
 
 
@@ -228,7 +219,8 @@ def generate_benchmark(
 ) -> Benchmark:
     """Build a corpus and QA items for ``num_questions`` facts.
 
-    redundancy: answer paraphrase documents per normal fact.
+    redundancy: answer paraphrase documents per normal fact, from 1 to
+        ``MAX_REDUNDANCY``; a type with a shorter pool gets all of its own.
     distractors: inert documents about unused entities.
     tease_rate: chance a fact also gets a no-answer vocabulary document.
     sparse_rate: chance a fact keeps only its reported-speech document.
@@ -236,7 +228,7 @@ def generate_benchmark(
     deep_rate: chance a WHO fact keeps only its passive-voice document,
         which only a mid-ranked rewrite reaches, so extra budget pays off.
     """
-    if problem := size_error(num_questions, distractors):
+    if problem := size_error(num_questions, distractors) or redundancy_error(redundancy):
         raise ValueError(problem)
     rng = random.Random(seed)
     pairs = [(adj, noun) for adj in ADJECTIVES for noun in NOUNS]
@@ -244,9 +236,10 @@ def generate_benchmark(
     person_pairs = [(f, l) for f in FIRST_NAMES for l in LAST_NAMES]
     rng.shuffle(person_pairs)
 
+    cycle = list(TEMPLATES)
     facts: list[Fact] = []
     for i in range(num_questions):
-        qtype = _QTYPE_CYCLE[i % len(_QTYPE_CYCLE)]
+        qtype = cycle[i % len(cycle)]
         adj, noun = pairs[i]
         obj = f"the {adj} {noun}"
         verb = rng.choice(VERBS)
@@ -268,49 +261,27 @@ def generate_benchmark(
         roll = rng.random()
         empty = roll < empty_rate
         sparse = empty_rate <= roll < empty_rate + sparse_rate
-        deep = (
-            qtype is QuestionType.WHO
-            and not (empty or sparse)
-            and rng.random() < deep_rate
-        )
-        facts.append(
-            Fact(
-                qtype=qtype,
-                obj=obj,
-                verb=verb,
-                answer=answer,
-                unit=unit,
-                empty=empty,
-                sparse=sparse,
-                deep=deep,
-            )
-        )
+        deep = qtype is QuestionType.WHO and not (empty or sparse) and rng.random() < deep_rate
+        facts.append(Fact(qtype, obj, verb, answer, unit, sparse=sparse, empty=empty, deep=deep))
 
-    corpus: list[Document] = []
-
-    def add(text: str) -> None:
-        corpus.append(Document(id=f"d{len(corpus):05d}", text=text))
-
-    items = []
+    items: list[QAItem] = []
+    texts: list[str] = []
     for fact in facts:
-        items.append(QAItem.make(_question(fact), _patterns(fact)))
+        template, fields = TEMPLATES[fact.qtype], _fields(fact)
+        items.append(QAItem.make(template.question.format_map(fields), [template.pattern.format_map(fields)]))
         if fact.empty:
-            docs: list[str] = []
+            docs: tuple[str, ...] = ()
         elif fact.sparse:
-            docs = [_sparse_doc(fact)]
+            docs = (template.sparse,)
         elif fact.deep:
-            docs = [f"{_cap(fact.obj)} was {fact.verb} by {fact.answer}."]
+            docs = (_PASSIVE,)
         else:
-            pool = _answer_docs(fact)
-            docs = pool[: max(1, min(redundancy, len(pool)))]
-        for text in docs:
-            add(text)
+            docs = template.paraphrases[:redundancy]
         if rng.random() < tease_rate:
-            add(_tease_doc(fact))
-
-    for j in range(distractors):
-        adj, noun = pairs[num_questions + j]
-        add(f"The {adj} {noun} was a quiet place where people spent their days.")
-
+            docs += (template.tease,)
+        texts += [text.format_map(fields) for text in docs]
+    for adj, noun in pairs[num_questions : num_questions + distractors]:
+        texts.append(f"The {adj} {noun} was a quiet place where people spent their days.")
+    corpus = [Document(id=f"d{i:05d}", text=text) for i, text in enumerate(texts)]
     rng.shuffle(corpus)  # interleave so doc order carries no signal
     return Benchmark(corpus=corpus, items=items, facts=facts)

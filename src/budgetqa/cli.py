@@ -22,7 +22,7 @@ from .control import (
     ConjunctiveOnly,
     CostBenefit,
     LikelihoodN,
-    Policy,
+    Preferences,
     RandomN,
     run_policy,
 )
@@ -52,19 +52,40 @@ def cli():
 
 _config_option = click.option("--config", "config_path", type=click.Path(), default=None, help="JSON config file.")
 
-_POLICIES = ("random", "likelihood", "conjunctive", "all", "cost-benefit")
-_POSITIVE = click.FloatRange(min=0, min_open=True)
+#: Each ``--policy`` and how it is built from ``--n`` and the configured seed.
+_POLICIES = {
+    "random": lambda n, seed: RandomN(n=n or 1, seed=seed),
+    "likelihood": lambda n, seed: LikelihoodN(n=n or 3),
+    "conjunctive": lambda n, seed: ConjunctiveOnly(),
+    "all": lambda n, seed: AllRewrites(),
+    "cost-benefit": lambda n, seed: CostBenefit(),
+}
+
+
+class _Preference(click.ParamType):
+    """A number that ``Preferences`` accepts as its ``field``, k or c."""
+
+    name = "float"
+
+    def __init__(self, field: str):
+        self.field = field
+
+    def convert(self, value, param, ctx):
+        value = click.FLOAT.convert(value, param, ctx)
+        if problem := Preferences.error(self.field, value):
+            self.fail(problem, param, ctx)
+        return value
 
 
 def _serving_options(default_policy: str):
     """The options ``ask`` and ``evaluate`` share, in their help order."""
     options = [
         _config_option,
-        click.option("--policy", type=click.Choice(_POLICIES), default=default_policy),
+        click.option("--policy", type=click.Choice(list(_POLICIES)), default=default_policy),
         click.option("--n", type=click.IntRange(min=1), default=None, help="Budget for random/likelihood policies."),
         click.option("--seed", type=int, default=None),
-        click.option("--k", type=_POSITIVE, default=None, help="Answer value as a multiple of query cost."),
-        click.option("--c", type=_POSITIVE, default=None, help="Cost per query."),
+        click.option("--k", type=_Preference("k"), default=None, help="Answer value as a multiple of query cost."),
+        click.option("--c", type=_Preference("c"), default=None, help="Cost per query."),
         click.option("--corpus", "corpus_path", type=click.Path(), default=None),
         click.option("--models", "models_dir", type=click.Path(), default=None),
     ]
@@ -91,16 +112,14 @@ def _comma_list(item_type: click.ParamType):
     return parse
 
 
-def _policy_from_flags(policy: str, n: int | None, cfg: Config) -> Policy:
-    if policy == "random":
-        return RandomN(n=n or 1, seed=cfg.seed)
-    if policy == "likelihood":
-        return LikelihoodN(n=n or 3)
-    if policy == "conjunctive":
-        return ConjunctiveOnly()
-    if policy == "all":
-        return AllRewrites()
-    return CostBenefit()
+def _refuse_idle_policy_flags(policy: str | None, n: int | None, seed: int | None) -> None:
+    """A usage error for ``--n`` or ``--seed`` when the policy that runs
+    never reads it; ``policy`` is None when a sweep runs instead."""
+    ran = f"--policy {policy}" if policy else "a sweep"
+    if n is not None and policy not in ("random", "likelihood"):
+        raise click.UsageError(f"'--n' takes effect only with --policy random or likelihood, not {ran}")
+    if seed is not None and policy != "random":
+        raise click.UsageError(f"'--seed' takes effect only with --policy random, not {ran}")
 
 
 #: Policies that order rewrites by the trained quality models.
@@ -123,11 +142,12 @@ def _load_models(cfg: Config, needed_by: str | None) -> ModelSet | None:
 @click.option("--top", type=click.IntRange(min=1), default=5, help="Ranked answers to print.")
 def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, models_dir, top):
     """Answer one question with the configured policy."""
+    _refuse_idle_policy_flags(policy, n, seed)
     cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, c=c, seed=seed)
     models = _load_models(cfg, f"--policy {policy}" if policy in _MODEL_POLICIES else None)
     provider = cfg.make_provider()
     result = run_policy(
-        _policy_from_flags(policy, n, cfg),
+        _POLICIES[policy](n, cfg.seed),
         question,
         provider,
         models,
@@ -188,10 +208,11 @@ def cmd_train(dataset_path, config_path, corpus_path, scorer, out_dir):
 @cli.command("evaluate")
 @click.option("--dataset", "dataset_path", type=click.Path(), required=True)
 @_serving_options(default_policy="cost-benefit")
-@click.option("--sweep-k", "sweep_k_values", default=None, callback=_comma_list(_POSITIVE),
+@click.option("--sweep-k", "sweep_k_values", default=None, callback=_comma_list(_Preference("k")),
               help="Comma-separated k values.")
 @click.option("--sweep-n", "sweep_n_flag", is_flag=True, help="Random vs likelihood over the threshold set.")
-@click.option("--seeds", default="0,1,2", callback=_comma_list(click.INT), help="Random-order seeds for --sweep-n.")
+@click.option("--seeds", default=None, callback=_comma_list(click.INT),
+              help="Random-order seeds for --sweep-n (default 0,1,2).")
 @click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="Parallel questions (default: 1 offline, where search is CPU-bound; "
                    "cpu count capped at max_in_flight for a remote endpoint).")
@@ -201,6 +222,9 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, 
     """Evaluate a policy (or run a sweep) over a dataset."""
     if sweep_k_values and sweep_n_flag:
         raise click.UsageError("'--sweep-k' and '--sweep-n' are separate runs; give one of them")
+    if seeds and not sweep_n_flag:
+        raise click.UsageError("'--seeds' takes effect only with --sweep-n")
+    _refuse_idle_policy_flags(None if sweep_k_values or sweep_n_flag else policy, n, seed)
     cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, c=c, seed=seed)
     dataset = evaluation.load_dataset(dataset_path)
     if not dataset:
@@ -223,7 +247,7 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, 
         click.echo(evaluation.render_k_sweep(results))
         reports = [r for _, r in results]
     elif sweep_n_flag:
-        rows = evaluation.sweep_n(dataset, provider, models, seeds, limit=cfg.limit, jobs=jobs)
+        rows = evaluation.sweep_n(dataset, provider, models, seeds or [0, 1, 2], limit=cfg.limit, jobs=jobs)
         click.echo(evaluation.render_n_sweep(rows))
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -232,7 +256,7 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, 
             click.echo(f"wrote {len(rows)} row(s) -> {out_path}")
     else:
         report = evaluation.evaluate(
-            _policy_from_flags(policy, n, cfg), dataset, provider, models, cfg.preferences,
+            _POLICIES[policy](n, cfg.seed), dataset, provider, models, cfg.preferences,
             limit=cfg.limit, jobs=jobs,
         )
         click.echo(evaluation.render_reports([report]))
@@ -244,7 +268,7 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, 
 
 @cli.command("gen-bench")
 @click.option("--questions", type=click.IntRange(min=1), default=100)
-@click.option("--redundancy", type=click.IntRange(min=1), default=3)
+@click.option("--redundancy", type=click.IntRange(min=1, max=bench.MAX_REDUNDANCY), default=3)
 @click.option("--distractors", type=click.IntRange(min=0), default=40)
 @click.option("--seed", type=int, default=0)
 @click.option("--out-corpus", type=click.Path(), required=True)

@@ -10,7 +10,6 @@ must resolve at load time, and the file must hold a JSON object.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -36,10 +35,8 @@ class Config:
     max_in_flight: int = 4
 
     def __post_init__(self):
-        for name in ("k", "c"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
-                raise ConfigError(f"{name} must be a positive number, not {value!r}")
+        if problem := Preferences.error("k", self.k) or Preferences.error("c", self.c):
+            raise ConfigError(problem)
         for name in ("window", "limit", "max_in_flight"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:

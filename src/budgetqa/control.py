@@ -45,6 +45,7 @@ charged and count toward n, even when the chosen n is below the probe size.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -68,8 +69,16 @@ class Preferences:
     c: float
 
     def __post_init__(self):
-        if self.k <= 0 or self.c <= 0:
-            raise ValueError("preferences require k > 0 and c > 0")
+        if problem := self.error("k", self.k) or self.error("c", self.c):
+            raise ValueError(problem)
+
+    @staticmethod
+    def error(name: str, value: object) -> str | None:
+        """Why ``value`` cannot be k or c (named ``name``): it must be a
+        finite real number above 0. None if it can."""
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+            return f"{name} must be a positive finite number, not {value!r}"
+        return None
 
 
 def net_expected_value(p: float, n: int, prefs: Preferences) -> float:

@@ -113,9 +113,6 @@ class Index:
             key: dict(reversed(plist)) for key, plist in self.postings.items()
         }
 
-    def __len__(self) -> int:
-        return len(self.docs)
-
     def _snippet(self, ordinal: int, start: int, end: int) -> Snippet:
         words = self.raw_words[ordinal]
         lo = max(0, start - self.window)

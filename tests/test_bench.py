@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from budgetqa.bench import generate_benchmark
@@ -48,6 +51,13 @@ def test_redundancy_knob_controls_doc_count():
     assert len(rich.corpus) == 80
 
 
+@pytest.mark.parametrize("redundancy", [0, 6, 50])
+def test_redundancy_beyond_the_paraphrase_pools_is_refused(redundancy):
+    # WHO facts have five paraphrases and every other type four.
+    with pytest.raises(ValueError, match="redundancy must be between 1 and 5"):
+        generate_benchmark(10, redundancy=redundancy)
+
+
 @pytest.fixture(scope="module")
 def trained_small():
     bench = generate_benchmark(
@@ -83,3 +93,34 @@ def test_all_rewrites_at_least_as_good_as_any_prefix(trained_small):
     full = evaluate(AllRewrites(), items, provider, models).correct
     for n in (1, 3, 8):
         assert full >= evaluate(LikelihoodN(n), items, provider, models).correct
+
+
+# --------------------------------------------------------------------------
+# Golden digest: the generator's output, pinned.
+
+# Digested before the per-type wording moved into one template table. The
+# stub search server and the reference answers regenerate these corpora in
+# their own processes, so any change to a document, question, pattern or
+# fact changes what a remote run is checked against.
+BENCH_GOLDEN_DIGEST = "b36531fb35e64c744a267e892b6c3b62741321343b579266467a38dcd0bb374d"
+_GOLDEN_SIZES = [(440, 0), (440, 1), (440, 2), (440, 3), (60, 13), (20, 6)]
+_GOLDEN_KNOBS = [{}, {"redundancy": 1}, {"redundancy": 5, "tease_rate": 1.0}]
+
+
+def test_generated_benchmark_matches_golden_digest():
+    digest = hashlib.sha256()
+    seen = {"empty": 0, "sparse": 0, "deep": 0, "tease": 0}
+    for num_questions, seed in _GOLDEN_SIZES:
+        for knobs in _GOLDEN_KNOBS:
+            bench = generate_benchmark(num_questions, seed=seed, **knobs)
+            record = [
+                [[d.id, d.text] for d in bench.corpus],
+                [[item.question, [p.pattern for p in item.patterns]] for item in bench.items],
+                [repr(fact) for fact in bench.facts],
+            ]
+            digest.update(json.dumps(record).encode("utf-8"))
+            for kind in ("empty", "sparse", "deep"):
+                seen[kind] += sum(getattr(fact, kind) for fact in bench.facts)
+            seen["tease"] += sum("kept its secret" in d.text for d in bench.corpus)
+    assert all(seen.values()), seen
+    assert digest.hexdigest() == BENCH_GOLDEN_DIGEST

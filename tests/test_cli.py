@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -156,10 +157,27 @@ def test_model_policies_without_models_are_usage_errors(workspace, monkeypatch, 
         (["evaluate", "--dataset", "DATASET", "--sweep-k", ","], "--sweep-k"),
         (["evaluate", "--dataset", "DATASET", "--sweep-n", "--seeds", "0,x"], "--seeds"),
         (["evaluate", "--dataset", "DATASET", "--sweep-k", "5,10", "--sweep-n"], "--sweep-n"),
+        # k and c must be finite: an infinite answer value makes every budget worth it.
+        (["ask", "Who painted the quartz mill?", "--policy", "cost-benefit", "--k", "inf"], "--k"),
+        (["ask", "Who painted the quartz mill?", "--policy", "cost-benefit", "--k", "nan"], "--k"),
+        (["ask", "Who painted the quartz mill?", "--policy", "cost-benefit", "--c", "inf"], "--c"),
+        (["evaluate", "--dataset", "DATASET", "--c", "nan"], "--c"),
+        (["evaluate", "--dataset", "DATASET", "--sweep-k", "inf,nan,5"], "--sweep-k"),
+        (["evaluate", "--dataset", "DATASET", "--sweep-k", "5,nan"], "--sweep-k"),
+        # A flag that the run never reads.
+        (["ask", "Who painted the quartz mill?", "--policy", "conjunctive", "--n", "4", "--seed", "9"], "--n"),
+        (["ask", "Who painted the quartz mill?", "--policy", "likelihood", "--seed", "9"], "--seed"),
+        (["evaluate", "--dataset", "DATASET", "--policy", "all", "--n", "3"], "--n"),
+        (["evaluate", "--dataset", "DATASET", "--policy", "all", "--seeds", "1,2"], "--seeds"),
+        (["evaluate", "--dataset", "DATASET", "--sweep-k", "5", "--seeds", "1"], "--seeds"),
+        (["evaluate", "--dataset", "DATASET", "--policy", "random", "--sweep-n", "--seed", "3"], "--seed"),
     ],
     ids=["ask-n-0", "ask-n-negative", "ask-k-0", "ask-c-negative", "ask-top-0", "ask-top-negative",
          "evaluate-n-0", "evaluate-k-0",
-         "sweep-k-unparsed", "sweep-k-0", "sweep-k-empty", "seeds-unparsed", "sweep-k-and-sweep-n"],
+         "sweep-k-unparsed", "sweep-k-0", "sweep-k-empty", "seeds-unparsed", "sweep-k-and-sweep-n",
+         "ask-k-inf", "ask-k-nan", "ask-c-inf", "evaluate-c-nan", "sweep-k-inf", "sweep-k-nan",
+         "ask-n-with-conjunctive", "ask-seed-with-likelihood", "evaluate-n-with-all",
+         "seeds-without-sweep-n", "seeds-with-sweep-k", "seed-with-sweep-n"],
 )
 def test_bad_serving_option_is_usage_error(workspace, models_dir, monkeypatch, capsys, args, option):
     def no_query(self, rewrite, limit):
@@ -173,7 +191,8 @@ def test_bad_serving_option_is_usage_error(workspace, models_dir, monkeypatch, c
 
 @pytest.mark.parametrize(
     "field, value",
-    [("k", "ten"), ("k", 0), ("c", -1.0), ("k", True), ("c", None), ("window", 0), ("limit", 2.5),
+    [("k", "ten"), ("k", 0), ("c", -1.0), ("k", True), ("c", None), ("k", math.inf), ("c", math.nan),
+     ("window", 0), ("limit", 2.5),
      ("limit", "100"), ("max_in_flight", 0)],
 )
 def test_bad_config_value_is_data_error(workspace, tmp_path, capsys, field, value):
@@ -282,12 +301,14 @@ def test_usage_error_exit_code():
         (["gen-bench", "--questions", "-3"], "--questions"),
         (["gen-bench", "--redundancy", "0"], "--redundancy"),
         (["gen-bench", "--redundancy", "-1"], "--redundancy"),
+        (["gen-bench", "--redundancy", "6"], "--redundancy"),
+        (["gen-bench", "--redundancy", "50"], "--redundancy"),
         (["gen-bench", "--distractors", "-2"], "--distractors"),
         (["evaluate", "--jobs", "0"], "--jobs"),
         (["evaluate", "--jobs", "-4"], "--jobs"),
     ],
     ids=["questions-0", "questions-negative", "redundancy-0", "redundancy-negative",
-         "distractors-negative", "jobs-0", "jobs-negative"],
+         "redundancy-6", "redundancy-50", "distractors-negative", "jobs-0", "jobs-negative"],
 )
 def test_out_of_range_count_is_usage_error(workspace, tmp_path, capsys, args, option):
     corpus, dataset = tmp_path / "c.jsonl", tmp_path / "d.jsonl"

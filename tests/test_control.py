@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import sys
 import threading
@@ -72,6 +73,16 @@ def test_preferences_must_be_positive():
         Preferences(k=0, c=1)
     with pytest.raises(ValueError):
         Preferences(k=10, c=-1)
+
+
+@pytest.mark.parametrize(
+    "k, c",
+    [(math.inf, 1), (math.nan, 1), (10, math.inf), (10, math.nan), (True, 1), ("10", 1)],
+    ids=["k-inf", "k-nan", "c-inf", "c-nan", "k-bool", "k-string"],
+)
+def test_preferences_must_be_finite_real_numbers(k, c):
+    with pytest.raises(ValueError, match="must be a positive finite number"):
+        Preferences(k=k, c=c)
 
 
 def test_two_point_argmax():

@@ -42,6 +42,10 @@ BAD_ARGUMENTS = [
     (["--distractors", "-1"], "--distractors: must be at least 0"),
     (["--k", "0"], "--k: must be above 0"),
     (["--c", "-2"], "--c: must be above 0"),
+    (["--k", "inf"], "--k: must be above 0 and finite"),
+    (["--k", "nan"], "--k: must be above 0 and finite"),
+    (["--c", "inf"], "--c: must be above 0 and finite"),
+    (["--redundancy", "6"], "redundancy must be between 1 and 5, got 6"),
     (["--seeds", "x"], "--seeds: not a comma-separated list of integers"),
     (["--seeds", ","], "--seeds: needs at least one seed"),
     (["--questions", "500"], "questions + distractors must be at most 480 entity pairs, got 500 + 40"),
