@@ -112,14 +112,20 @@ def _comma_list(item_type: click.ParamType):
     return parse
 
 
-def _refuse_idle_policy_flags(policy: str | None, n: int | None, seed: int | None) -> None:
-    """A usage error for ``--n`` or ``--seed`` when the policy that runs
-    never reads it; ``policy`` is None when a sweep runs instead."""
-    ran = f"--policy {policy}" if policy else "a sweep"
-    if n is not None and policy not in ("random", "likelihood"):
+def _refuse_idle_policy_flags(
+    ran: str, n: int | None, seed: int | None, k: float | None, c: float | None
+) -> None:
+    """A usage error for ``--n``, ``--seed``, ``--k`` or ``--c`` when what
+    runs never reads it; ``ran`` is ``--policy NAME``, ``--sweep-k`` or
+    ``--sweep-n``."""
+    if n is not None and ran not in ("--policy random", "--policy likelihood"):
         raise click.UsageError(f"'--n' takes effect only with --policy random or likelihood, not {ran}")
-    if seed is not None and policy != "random":
+    if seed is not None and ran != "--policy random":
         raise click.UsageError(f"'--seed' takes effect only with --policy random, not {ran}")
+    if k is not None and ran != "--policy cost-benefit":
+        raise click.UsageError(f"'--k' takes effect only with --policy cost-benefit, not {ran}")
+    if c is not None and ran not in ("--policy cost-benefit", "--sweep-k"):
+        raise click.UsageError(f"'--c' takes effect only with --policy cost-benefit or --sweep-k, not {ran}")
 
 
 #: Policies that order rewrites by the trained quality models.
@@ -142,7 +148,7 @@ def _load_models(cfg: Config, needed_by: str | None) -> ModelSet | None:
 @click.option("--top", type=click.IntRange(min=1), default=5, help="Ranked answers to print.")
 def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, models_dir, top):
     """Answer one question with the configured policy."""
-    _refuse_idle_policy_flags(policy, n, seed)
+    _refuse_idle_policy_flags(f"--policy {policy}", n, seed, k, c)
     cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, c=c, seed=seed)
     models = _load_models(cfg, f"--policy {policy}" if policy in _MODEL_POLICIES else None)
     provider = cfg.make_provider()
@@ -224,16 +230,14 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, 
         raise click.UsageError("'--sweep-k' and '--sweep-n' are separate runs; give one of them")
     if seeds and not sweep_n_flag:
         raise click.UsageError("'--seeds' takes effect only with --sweep-n")
-    _refuse_idle_policy_flags(None if sweep_k_values or sweep_n_flag else policy, n, seed)
+    ran = "--sweep-k" if sweep_k_values else "--sweep-n" if sweep_n_flag else f"--policy {policy}"
+    _refuse_idle_policy_flags(ran, n, seed, k, c)
     cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, c=c, seed=seed)
     dataset = evaluation.load_dataset(dataset_path)
     if not dataset:
         raise DatasetParseError("dataset is empty")
-    if sweep_k_values or sweep_n_flag:
-        needed_by = "--sweep-k" if sweep_k_values else "--sweep-n"
-    else:
-        needed_by = f"--policy {policy}" if policy in _MODEL_POLICIES else None
-    models = _load_models(cfg, needed_by)
+    needs_models = ran.startswith("--sweep") or policy in _MODEL_POLICIES
+    models = _load_models(cfg, ran if needs_models else None)
     provider = cfg.make_provider()
     if jobs is None:
         # Offline search holds the GIL, so threads only add overhead there.

@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -103,24 +104,31 @@ def mine_ngrams(
     """
     found: dict[tuple[str, ...], list] = {}  # key -> [score, support, {surface form: count}]
     by_weight: dict[float, set[tuple[str, ...]]] = {}
+    isdisjoint = exclude.isdisjoint
 
-    for weight, snippet in ((weight, s) for weight, group in evidence for s in group):
+    for weight, group in evidence:
+        if not group:
+            continue
         touched = by_weight.setdefault(weight, set())
-        for gram_keys, form in snippet.grams:
-            if not exclude.isdisjoint(gram_keys):
-                continue
-            entry = found.get(gram_keys)
-            if entry is None:
-                entry = found[gram_keys] = [0.0, 0, {}]
-            entry[0] += weight
-            entry[1] += 1
-            touched.add(gram_keys)
-            entry[2][form] = entry[2].get(form, 0) + 1
+        for snippet in group:
+            for gram_keys, form in snippet.grams:
+                if not isdisjoint(gram_keys):
+                    continue
+                touched.add(gram_keys)
+                entry = found.get(gram_keys)
+                if entry is None:
+                    found[gram_keys] = [weight, 1, {form: 1}]
+                    continue
+                entry[0] += weight
+                entry[1] += 1
+                forms = entry[2]
+                forms[form] = forms.get(form, 0) + 1
 
     out = []
     for score, support, forms in found.values():
-        best = max(forms, key=forms.__getitem__)  # ties: first seen
-        out.append(NGramCandidate(tokens=best, score=score, support=support))
+        # the most frequent form, the first seen on ties; a lone form needs no max
+        best = next(iter(forms)) if len(forms) == 1 else max(forms, key=forms.__getitem__)
+        out.append(NGramCandidate(best, score, support))
     return Candidates(out, len(out), {w: len(keys) for w, keys in by_weight.items()}, tuple(found))
 
 
@@ -230,6 +238,8 @@ def tile_ngrams(
     equal-score candidates keep their working order.
     """
     pool: list[NGramCandidate] = list(cands)
+    if len(pool) < 2:
+        return pool
     # Kept in step with pool. A candidate without tokens has no first key
     # and overlaps nothing.
     keys = list(keys) if keys is not None else [c.key() for c in pool]
@@ -259,7 +269,7 @@ def tile_ngrams(
         )
         keys[i] = keys[i] + keys[j][overlap:]
         del pool[j], keys[j], firsts[j]
-    return sorted(pool, key=lambda c: -c.score)
+    return sorted(pool, key=attrgetter("score"), reverse=True)
 
 
 def compose_answers(

@@ -149,17 +149,19 @@ class QuestionResult:
 class Run:
     """One question's rewrites in submission order, each executed at most once.
 
-    Rewrites execute on demand when a prefix is composed: one at a time
-    through ``execute``, or, when the provider has ``execute_many``, as one
-    batch, even of one rewrite. The first batch's start time goes with every
-    batch of the run as ``started``, so the provider's deadline bounds the
-    whole question. Outcomes are recorded in submission order either way.
-    Each executed rewrite's snippets stay apart, which is how composition
-    and run features know the rewrite behind every snippet. A backend
-    failure (``RetryableError`` or ``ProviderError``) is recorded on its
-    rewrite, which then contributes no snippets; it never aborts the
-    question, and the failed query still counts as issued. Any other exception propagates after the outcomes
-    before it are recorded, as it would from serial calls.
+    Rewrites execute on demand when a prefix is composed. Without
+    ``execute_many`` one loop calls the provider's ``execute`` per pending
+    rewrite and records each outcome as it comes. A provider with
+    ``execute_many`` gets the pending rewrites as one batch, even of one
+    rewrite; the first batch's start time goes with every batch of the run
+    as ``started``, so the provider's deadline bounds the whole question.
+    Outcomes are recorded in submission order either way. Each executed
+    rewrite's snippets stay apart, which is how composition and run
+    features know the rewrite behind every snippet. A backend failure
+    (``RetryableError`` or ``ProviderError``) is recorded on its rewrite,
+    which then contributes no snippets; it never aborts the question, and
+    the failed query still counts as issued. Any other exception propagates
+    after the outcomes before it are recorded.
     """
 
     def __init__(
@@ -183,24 +185,24 @@ class Run:
             return
         batch = getattr(self.provider, "execute_many", None)
         if batch is None:
-            outcomes = map(self._attempt, pending)
-        else:
-            if self.started is None:
-                self.started = time.monotonic()
-            outcomes = batch(pending, self.limit, started=self.started)
-        for rewrite, found in zip(pending, outcomes):
+            execute = self.provider.execute
+            for rewrite in pending:
+                try:
+                    found = execute(rewrite, self.limit)
+                except (RetryableError, ProviderError) as exc:
+                    self.errors.append(f"{rewrite.as_query()}: {exc}")
+                    found = ()
+                self.snippets.append(found)
+            return
+        if self.started is None:
+            self.started = time.monotonic()
+        for rewrite, found in zip(pending, batch(pending, self.limit, started=self.started)):
             if isinstance(found, (RetryableError, ProviderError)):
                 self.errors.append(f"{rewrite.as_query()}: {found}")
                 found = ()
             elif isinstance(found, BaseException):
                 raise found
             self.snippets.append(found)
-
-    def _attempt(self, rewrite: Rewrite) -> Sequence[Snippet] | BaseException:
-        try:
-            return self.provider.execute(rewrite, self.limit)
-        except (RetryableError, ProviderError) as exc:
-            return exc
 
     def compose(self, n: int) -> Candidates:
         """Ranked answers from the first n rewrites (capped at the run's

@@ -177,11 +177,12 @@ def evaluate(
             limit=limit,
             question_index=idx,
         )
+        top = result.top_answer
         return QuestionRecord(
             question=item.question,
-            judgment=judge(result.top_answer, item.patterns),
+            judgment=judge(top, item.patterns),
             queries_issued=result.queries_issued,
-            top_answer=result.top_answer,
+            top_answer=top,
             error="; ".join(result.backend_errors) or None,
         )
 

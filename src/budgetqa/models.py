@@ -118,13 +118,19 @@ class ThresholdEnsemble:
 
 def train_threshold_ensemble(runs: Mapping[int, Sequence[TrainingCase]]) -> ThresholdEnsemble:
     """Train one tree per threshold of ``DEFAULT_THRESHOLDS``; every
-    threshold must have data."""
+    threshold must have data. A threshold whose cases equal the previous
+    threshold's shares that threshold's tree: training is deterministic, so
+    it would grow the same one."""
     missing = [n for n in DEFAULT_THRESHOLDS if not runs.get(n)]
     if missing:
         raise IncompleteEnsemble(f"no training runs for thresholds {missing}")
-    return ThresholdEnsemble(
-        trees={n: train_tree(list(runs[n])) for n in DEFAULT_THRESHOLDS}
-    )
+    trees: dict[int, DecisionTree] = {}
+    cases: list[TrainingCase] | None = None
+    for n in DEFAULT_THRESHOLDS:
+        if (own := list(runs[n])) != cases:
+            cases, tree = own, train_tree(own)
+        trees[n] = tree
+    return ThresholdEnsemble(trees=trees)
 
 
 # --------------------------------------------------------------------------

@@ -46,6 +46,7 @@ DEFAULT_LIMIT = 100
 # Queries one provider remembers; the experiment script makes 2,560 distinct
 # ones at its default of 400 questions.
 MEMO_SIZE = 1 << 16
+_PHRASAL = RewriteKind.PHRASAL  # a global read, not an enum attribute lookup, per query
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ class OfflineProvider:
         self._memo = lru_cache(maxsize=MEMO_SIZE)(partial(_search, index))
 
     def execute(self, rewrite: Rewrite, limit: int = DEFAULT_LIMIT) -> tuple[Snippet, ...]:
-        return self._memo(rewrite.kind is RewriteKind.PHRASAL, rewrite.parts, limit)
+        return self._memo(rewrite.kind is _PHRASAL, rewrite.parts, limit)
 
 
 class MeteredProvider:

@@ -6,12 +6,26 @@ sorted distinct values, categorical features split one-vs-rest. Leaves hold
 Laplace-smoothed probabilities (pos + 1) / (total + 2), so every prediction
 is strictly inside (0, 1). Induction is deterministic: features are visited
 in name order and the first best split wins ties.
+
+Splits are found as C4.5 finds them, by one sorted scan per node and
+numeric feature: the node's (value, label) pairs are sorted once, a prefix
+count gives the positives below each position, and a threshold's left side
+is the ``bisect_right`` count of values at or below it, which stays exact
+when a midpoint rounds onto the higher of two adjacent floats. A
+categorical feature's (cases, positives) per category come from one pass.
+Only the winning split's cases are partitioned.
+
+Training is a pure function of the cases, so ``train_threshold_ensemble``
+gives a threshold whose cases equal the previous threshold's that tree
+instead of growing the same one again.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping, Sequence, Union
 
 from .errors import MissingFeature, NoTrainingData, SchemaMismatch
@@ -93,9 +107,10 @@ def _leaf(cases: Sequence[TrainingCase]) -> Leaf:
 
 def _check_schema(cases: Sequence[TrainingCase]) -> dict[str, str]:
     names = sorted(cases[0].features)
+    keys = set(names)
     schema: dict[str, str] = {}
     for case in cases:
-        if sorted(case.features) != names:
+        if case.features.keys() != keys:
             raise SchemaMismatch("training cases disagree on feature names")
         for name in names:
             kind = "categorical" if isinstance(case.features[name], str) else "numeric"
@@ -105,17 +120,30 @@ def _check_schema(cases: Sequence[TrainingCase]) -> dict[str, str]:
 
 
 def _candidate_splits(cases: Sequence[TrainingCase], name: str, kind: str):
-    values = [c.features[name] for c in cases]
+    """(value, cases going left, positives going left) per candidate split of
+    feature ``name``, in visiting order: thresholds ascending, categories
+    sorted."""
     if kind == "numeric":
-        distinct = sorted({float(v) for v in values})
-        for lo, hi in zip(distinct, distinct[1:]):
-            threshold = (lo + hi) / 2
-            yield threshold, [float(c.features[name]) <= threshold for c in cases]
+        pairs = sorted((float(c.features[name]), c.label) for c in cases)
+        values = [v for v, _ in pairs]
+        # below[i]: positives among the i smallest values
+        below = list(accumulate((label for _, label in pairs), initial=0))
+        for lo, hi in zip(values, values[1:]):
+            if lo != hi:
+                threshold = (lo + hi) / 2
+                # The midpoint may round onto hi; bisect counts what <= keeps.
+                n_left = bisect_right(values, threshold)
+                yield threshold, n_left, below[n_left]
     else:
-        for category in sorted(set(values)):
-            mask = [c.features[name] == category for c in cases]
-            if not all(mask):  # one-vs-rest needs a nonempty rest
-                yield category, mask
+        counts: dict[FeatureValue, list[int]] = {}
+        for c in cases:
+            entry = counts.setdefault(c.features[name], [0, 0])
+            entry[0] += 1
+            entry[1] += c.label
+        for category in sorted(counts):
+            n_left, pos_left = counts[category]
+            if n_left < len(cases):  # one-vs-rest needs a nonempty rest
+                yield category, n_left, pos_left
 
 
 def _grow(cases: Sequence[TrainingCase], schema: dict[str, str]) -> Node:
@@ -127,9 +155,7 @@ def _grow(cases: Sequence[TrainingCase], schema: dict[str, str]) -> Node:
     best_gain = 0.0
     best = None
     for name in sorted(schema):
-        for value, mask in _candidate_splits(cases, name, schema[name]):
-            n_left = sum(mask)
-            pos_left = sum(1 for c, m in zip(cases, mask) if m and c.label)
+        for value, n_left, pos_left in _candidate_splits(cases, name, schema[name]):
             n_right = len(cases) - n_left
             pos_right = pos - pos_left
             child = (n_left / len(cases)) * _entropy(pos_left, n_left) + (
@@ -138,11 +164,15 @@ def _grow(cases: Sequence[TrainingCase], schema: dict[str, str]) -> Node:
             gain = parent - child
             if gain > best_gain + 1e-12:
                 best_gain = gain
-                best = (name, value, mask)
+                best = (name, value)
     if best is None or best_gain < MIN_GAIN:
         return _leaf(cases)
 
-    name, value, mask = best
+    name, value = best
+    if schema[name] == "numeric":
+        mask = [float(c.features[name]) <= value for c in cases]
+    else:
+        mask = [c.features[name] == value for c in cases]
     left_cases = [c for c, m in zip(cases, mask) if m]
     right_cases = [c for c, m in zip(cases, mask) if not m]
     return Split(

@@ -392,3 +392,61 @@ def best_subset_score(scores, n):
     if n >= len(scores):
         return sum(scores)
     return max(sum(combo) for combo in combinations(scores, n))
+
+
+# --------------------------------------------------------------------------
+# Trees: the mask-based split search, one boolean mask per candidate split.
+
+
+def _candidate_splits(cases, name, kind):
+    values = [c.features[name] for c in cases]
+    if kind == "numeric":
+        distinct = sorted({float(v) for v in values})
+        for lo, hi in zip(distinct, distinct[1:]):
+            threshold = (lo + hi) / 2
+            yield threshold, [float(c.features[name]) <= threshold for c in cases]
+    else:
+        for category in sorted(set(values)):
+            mask = [c.features[name] == category for c in cases]
+            if not all(mask):  # one-vs-rest needs a nonempty rest
+                yield category, mask
+
+
+def grow_by_masks(cases, schema):
+    """The tree ``train_tree`` grows, found by building a mask for every
+    candidate split and counting through it."""
+    from budgetqa.tree import MIN_GAIN, MIN_LEAF, Split, _entropy, _leaf
+
+    pos = sum(1 for c in cases if c.label)
+    if len(cases) < MIN_LEAF or pos in (0, len(cases)):
+        return _leaf(cases)
+
+    parent = _entropy(pos, len(cases))
+    best_gain = 0.0
+    best = None
+    for name in sorted(schema):
+        for value, mask in _candidate_splits(cases, name, schema[name]):
+            n_left = sum(mask)
+            pos_left = sum(1 for c, m in zip(cases, mask) if m and c.label)
+            n_right = len(cases) - n_left
+            pos_right = pos - pos_left
+            child = (n_left / len(cases)) * _entropy(pos_left, n_left) + (
+                n_right / len(cases)
+            ) * _entropy(pos_right, n_right)
+            gain = parent - child
+            if gain > best_gain + 1e-12:
+                best_gain = gain
+                best = (name, value, mask)
+    if best is None or best_gain < MIN_GAIN:
+        return _leaf(cases)
+
+    name, value, mask = best
+    left_cases = [c for c, m in zip(cases, mask) if m]
+    right_cases = [c for c, m in zip(cases, mask) if not m]
+    return Split(
+        feature=name,
+        kind=schema[name],
+        value=value,
+        left=grow_by_masks(left_cases, schema),
+        right=grow_by_masks(right_cases, schema),
+    )

@@ -171,13 +171,21 @@ def test_model_policies_without_models_are_usage_errors(workspace, monkeypatch, 
         (["evaluate", "--dataset", "DATASET", "--policy", "all", "--seeds", "1,2"], "--seeds"),
         (["evaluate", "--dataset", "DATASET", "--sweep-k", "5", "--seeds", "1"], "--seeds"),
         (["evaluate", "--dataset", "DATASET", "--policy", "random", "--sweep-n", "--seed", "3"], "--seed"),
+        (["evaluate", "--dataset", "DATASET", "--sweep-k", "5,10", "--k", "3"], "--k"),
+        (["evaluate", "--dataset", "DATASET", "--sweep-n", "--k", "3"], "--k"),
+        (["evaluate", "--dataset", "DATASET", "--sweep-n", "--c", "2"], "--c"),
+        (["evaluate", "--dataset", "DATASET", "--policy", "likelihood", "--c", "2"], "--c"),
+        (["ask", "Who painted the quartz mill?", "--policy", "all", "--k", "3", "--c", "7"], "--k"),
+        (["ask", "Who painted the quartz mill?", "--policy", "random", "--c", "7"], "--c"),
     ],
     ids=["ask-n-0", "ask-n-negative", "ask-k-0", "ask-c-negative", "ask-top-0", "ask-top-negative",
          "evaluate-n-0", "evaluate-k-0",
          "sweep-k-unparsed", "sweep-k-0", "sweep-k-empty", "seeds-unparsed", "sweep-k-and-sweep-n",
          "ask-k-inf", "ask-k-nan", "ask-c-inf", "evaluate-c-nan", "sweep-k-inf", "sweep-k-nan",
          "ask-n-with-conjunctive", "ask-seed-with-likelihood", "evaluate-n-with-all",
-         "seeds-without-sweep-n", "seeds-with-sweep-k", "seed-with-sweep-n"],
+         "seeds-without-sweep-n", "seeds-with-sweep-k", "seed-with-sweep-n",
+         "k-with-sweep-k", "k-with-sweep-n", "c-with-sweep-n", "evaluate-c-with-likelihood",
+         "ask-k-with-all", "ask-c-with-random"],
 )
 def test_bad_serving_option_is_usage_error(workspace, models_dir, monkeypatch, capsys, args, option):
     def no_query(self, rewrite, limit):
@@ -187,6 +195,18 @@ def test_bad_serving_option_is_usage_error(workspace, models_dir, monkeypatch, c
     args = [workspace["dataset"] if a == "DATASET" else a for a in args]
     assert main(args + ["--corpus", workspace["corpus"], "--models", models_dir]) == 1
     assert f"'{option}'" in capsys.readouterr().err
+
+
+def test_k_and_c_from_a_config_file_are_accepted_by_every_run(workspace, models_dir, tmp_path):
+    # A config file serves many runs, so its k and c are not refused where
+    # the run does not read them; on the command line --c prices a k sweep.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus": workspace["corpus"], "k": 3, "c": 7}), encoding="utf-8")
+    assert main(["ask", "Who painted the quartz mill?", "--config", str(cfg), "--policy", "all"]) == 0
+    assert main([
+        "evaluate", "--dataset", workspace["dataset"], "--config", str(cfg), "--models", models_dir,
+        "--sweep-k", "5", "--c", "2", "--jobs", "1",
+    ]) == 0
 
 
 @pytest.mark.parametrize(

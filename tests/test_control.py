@@ -21,6 +21,7 @@ from budgetqa.control import (
     net_expected_value,
     run_policy,
 )
+from budgetqa.errors import ProviderError, RetryableError
 from budgetqa.models import DEFAULT_THRESHOLDS, PROBE_SIZE, ModelSet, ThresholdEnsemble
 from budgetqa.rewrite import (
     CONJUNCTIVE_WEIGHT,
@@ -343,6 +344,39 @@ def test_every_batch_of_a_run_shares_the_start_of_its_first():
     assert first == second
     assert before <= first <= after
     assert meter.calls == run.issued == 3
+
+
+class _FailingProvider:
+    """A serial provider whose first three rewrites fail, each its own way."""
+
+    failures = {
+        "p0": RetryableError("gave up after 3 attempts"),
+        "p1": ProviderError("malformed response"),
+        "p2": RuntimeError("a bug, not a backend failure"),
+    }
+
+    def __init__(self):
+        self.executed = []
+
+    def execute(self, rewrite, limit):
+        self.executed.append(rewrite.parts[0])
+        raise self.failures.get(rewrite.parts[0], AssertionError("executed past a bug"))
+
+
+def test_a_serial_run_records_backend_failures_and_raises_anything_else():
+    rewrites = [Rewrite(RewriteKind.CONJUNCTIVE, (f"p{i}",), AnswerSlot.NONE, 1.0) for i in range(4)]
+    provider = _FailingProvider()
+    run = Run(Question.from_text(QUESTION), rewrites, provider, 10)
+    with pytest.raises(RuntimeError, match="a bug"):
+        run.compose(4)
+    assert provider.executed == ["p0", "p1", "p2"]
+    assert run.issued == 2
+    assert run.snippets == [(), ()]
+    assert run.errors == [
+        f"{rewrites[0].as_query()}: gave up after 3 attempts",
+        f"{rewrites[1].as_query()}: malformed response",
+    ]
+    assert run.started is None  # only a batch starts the question's clock
 
 
 # --------------------------------------------------------------------------

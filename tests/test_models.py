@@ -157,6 +157,25 @@ def test_ensemble_keys_are_the_thirteen_thresholds():
     assert len(ensemble.trees) == 13
 
 
+def _mixed_cases(seed, n=24):
+    return [
+        TrainingCase({"x": float((i * 7 + seed) % 5), "kind": "ab"[(i + seed) % 2]}, (i * seed) % 3 == 0)
+        for i in range(n)
+    ]
+
+
+def test_ensemble_trees_equal_each_thresholds_own_tree():
+    # Equal lists next to each other (1..4), lists that differ, and a list
+    # equal to an earlier one that is not adjacent to it (9 and 20).
+    seeds = {1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 3, 7: 2, 8: 4, 9: 5, 10: 6, 12: 6, 15: 2, 20: 5}
+    runs = {n: _mixed_cases(seeds[n]) for n in DEFAULT_THRESHOLDS}
+    assert runs[1] == runs[2] and runs[4] != runs[5] and runs[9] == runs[20]
+    ensemble = train_threshold_ensemble(runs)
+    assert len({repr(tree_to_dict(t)) for t in ensemble.trees.values()}) > 1
+    for n in DEFAULT_THRESHOLDS:
+        assert tree_to_dict(ensemble.trees[n]) == tree_to_dict(train_tree(runs[n]))
+
+
 def test_constant_labels_give_single_leaf_trees():
     runs = {n: _constant_cases(True) for n in DEFAULT_THRESHOLDS}
     ensemble = train_threshold_ensemble(runs)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from budgetqa.errors import MissingFeature, NoTrainingData, SchemaMismatch
 from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet, ThresholdEnsemble
 from budgetqa.tree import (
+    MIN_LEAF,
     DecisionTree,
     Leaf,
     Split,
@@ -15,7 +17,7 @@ from budgetqa.tree import (
     tree_to_dict,
 )
 
-from oracles import route_cases
+from oracles import grow_by_masks, route_cases
 
 
 def _case(label, **features):
@@ -149,3 +151,50 @@ def test_single_leaf_probability_formula(labels):
     assert isinstance(tree.root, Leaf)
     assert tree.root.probability == (pos + 1) / (len(labels) + 2)
     assert tree.predict({"x": 0.0}) == tree.root.probability
+
+
+@st.composite
+def _split_cases(draw):
+    """Cases over two numeric features and one categorical one. The numeric
+    pools repeat values, mix ints with floats, and hold a float next to its
+    successor, whose midpoint rounds onto one of the two; the categorical
+    value may hold every case. Sizes straddle ``MIN_LEAF``."""
+    x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    i = draw(st.integers(-3, 3))
+    pool = [x, math.nextafter(x, math.inf), i, float(i) + 0.5, draw(st.floats(-10, 10))]
+    one_category = draw(st.booleans())
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(pool),
+                st.sampled_from([0, 1, 1.0, 2.5]),
+                st.sampled_from(["p", "q", "r"]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=4 * MIN_LEAF,
+        )
+    )
+    return [
+        TrainingCase({"a": a, "b": b, "c": "p" if one_category else c}, label)
+        for a, b, c, label in rows
+    ]
+
+
+@given(_split_cases())
+def test_sorted_scan_grows_the_mask_search_tree(cases):
+    tree = train_tree(cases)
+    oracle = DecisionTree(root=grow_by_masks(list(cases), tree.schema), schema=tree.schema)
+    assert tree_to_dict(tree) == tree_to_dict(oracle)
+
+
+def test_midpoint_rounding_onto_the_higher_value_splits_like_the_mask():
+    # Two adjacent floats whose midpoint rounds (to even) onto the higher
+    # one: the split's left side then holds the higher value's cases too.
+    lo = math.nextafter(1.0, math.inf)
+    hi = math.nextafter(lo, math.inf)
+    assert (lo + hi) / 2 == hi
+    cases = [_case(True, x=lo)] * 4 + [_case(False, x=hi)] * 4 + [_case(False, x=3)] * 2
+    tree = train_tree(cases)
+    oracle = DecisionTree(root=grow_by_masks(cases, tree.schema), schema=tree.schema)
+    assert tree_to_dict(tree) == tree_to_dict(oracle)
