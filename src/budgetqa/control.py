@@ -20,13 +20,18 @@ A question replayed under one order at growing budgets (the N sweep) repeats
 work from one run to the next, so each ``Question`` remembers what its runs
 produced (``Question.last``): its latest selection order, keyed by what
 fixes it (the ``ModelSet`` object for quality order, the seed and question
-index for a random shuffle), and per prefix length the latest composition,
-keyed by its evidence, the prefix's (weight, snippets) pairs. Orders,
-snippets and compositions are tuples, so runs share them. Keying by the
-evidence, not the rewrites, keeps a question run against two providers
-from mixing their results; one slot per length lets a cost-benefit run's
-probe and its chosen budget, and the policy comparison and the k sweep,
-reuse the likelihood walk's compositions.
+index for a random shuffle), and per count of non-empty rewrites the latest
+composition, keyed by its evidence, the (weight, snippets) pairs of the
+prefix's rewrites that returned snippets. A rewrite that found nothing adds
+no evidence, so a prefix whose new rewrites all came back empty reuses the
+composition before them, wherever in the order they sit. Orders, snippets
+and compositions are tuples, so runs share them. Keying by the evidence,
+not the rewrites, keeps a question run against two providers from mixing
+their results; one slot per count lets a cost-benefit run's probe and its
+chosen budget, and the policy comparison and the k sweep, reuse the
+likelihood walk's compositions. The k sweep may still compose a probe
+again when the policy comparison's conjunctive-only or all-rewrites run
+took the probe's slot.
 
 The controller values a correct answer at v = k * c (k times the cost of a
 single query) and the value of no valid answer at zero, so submitting n
@@ -206,19 +211,21 @@ class Run:
 
     def compose(self, n: int) -> Candidates:
         """Ranked answers from the first n rewrites (capped at the run's
-        length), executing any not yet run. When the prefix has the evidence
-        of the question's latest composition of that length, that
-        composition itself is returned; otherwise the prefix is composed
-        and becomes the latest."""
+        length), executing any not yet run. Only the rewrites that returned
+        snippets are evidence: mining skips an empty group before it touches
+        anything, so leaving those out composes the same answers. When the
+        question's latest composition of that many non-empty rewrites has
+        this evidence, that composition itself is returned; otherwise the
+        evidence is composed and becomes the latest."""
         n = min(n, len(self.rewrites))
         self._execute(n)
-        evidence = [(r.weight, found) for r, found in zip(self.rewrites, self.snippets[:n])]
+        evidence = [(r.weight, found) for r, found in zip(self.rewrites, self.snippets[:n]) if found]
         slots = self.question.last.composition
-        last = slots.get(n)  # read once: threads may replace it
+        last = slots.get(len(evidence))  # read once: threads may replace it
         if last is not None and last[0] == evidence:
             return last[1]
         composed = compose_answers(evidence, self.question.qtype, exclude=self.question.token_keys)
-        slots[n] = (evidence, composed)
+        slots[len(evidence)] = (evidence, composed)
         return composed
 
     def features(self, n: int) -> dict[str, FeatureValue]:

@@ -50,10 +50,10 @@ class AnswerSlot(Enum):
 class LastRun:
     """What a question's latest runs produced, kept for its next run (see
     ``control.py``): one selection ``order``, a (key, rewrite tuple) pair or
-    None, and ``composition``, which maps a prefix length to the (evidence,
-    candidates) pair of that length's latest composition. A pair is
-    replaced whole, so threads sharing a question always read a value with
-    the key it was made from."""
+    None, and ``composition``, which maps a count of rewrites that returned
+    snippets to the (evidence, candidates) pair of the latest composition of
+    that many. A pair is replaced whole, so threads sharing a question
+    always read a value with the key it was made from."""
 
     __slots__ = ("order", "composition")
 
@@ -69,9 +69,9 @@ class Question:
     ``rewrites`` and ``token_keys`` are derived on first use and kept for the
     question's lifetime, so running one question again does not rewrite it
     again. ``last`` holds the selection order of its latest run and one
-    composition per prefix length, so it does not grow with traffic. None
-    of the three is a field, so equality, hashing and
-    ``dataclasses.replace`` ignore them.
+    composition per count of non-empty rewrites, at most one more than it
+    has rewrites, so it does not grow with traffic. None of the three is a
+    field, so equality, hashing and ``dataclasses.replace`` ignore them.
     """
 
     raw_text: str

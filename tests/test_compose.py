@@ -408,6 +408,37 @@ def test_composition_matches_mine_filter_tile_oracles(evidence, exclude, qtype):
     assert got.mined == len(mined)
 
 
+def _everything(cands):
+    return _listed(cands), cands.mined, dict(cands.mined_by_weight), cands.keys
+
+
+# Where to insert an empty group and its weight; 3.0 and 0.5 weigh no
+# snippet that the evidence strategies draw.
+_empty_groups = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=8), st.sampled_from([5.0, 2.0, 1.0, 3.0, 0.5])),
+    max_size=4,
+)
+
+
+@given(evidence=_answer_evidence, empties=_empty_groups, exclude=_answer_exclusions,
+       qtype=st.sampled_from(QuestionType))
+@settings(deadline=None, max_examples=150)
+def test_empty_groups_change_no_mining_or_composition(evidence, empties, exclude, qtype):
+    # A run composes only the rewrites that returned snippets, which is
+    # sound only if an empty group, wherever it sits, changes nothing.
+    padded = list(evidence)
+    for position, weight in empties:
+        padded.insert(position % (len(padded) + 1), (weight, ()))
+    stripped = [(weight, group) for weight, group in padded if group]
+    keys = _excluded(exclude)
+    assert _everything(mine_ngrams(padded, exclude=keys)) == _everything(
+        mine_ngrams(stripped, exclude=keys)
+    )
+    assert _everything(compose_answers(padded, qtype, exclude=keys)) == _everything(
+        compose_answers(stripped, qtype, exclude=keys)
+    )
+
+
 # --------------------------------------------------------------------------
 # compose_answers
 

@@ -521,8 +521,71 @@ def test_a_repeated_run_returns_the_remembered_composition(policy, lincoln_provi
     question = Question.from_text(QUESTION)
     first = run_policy(policy, question, lincoln_provider, models, prefs)
     again = run_policy(policy, question, lincoln_provider, models, prefs)
-    slot = question.last.composition[len(first.rewrites_used)]
+    # A question's compositions are kept per count of rewrites that returned snippets.
+    nonempty = sum(1 for r in first.rewrites_used if lincoln_provider.execute(r, DEFAULT_LIMIT))
+    slot = question.last.composition[nonempty]
     assert first.answers and again.answers is first.answers is slot[1]
+
+
+class _EmptyFor(_FixedProvider):
+    """Serves nothing for the given rewrites and the fixed texts for the rest."""
+
+    def __init__(self, empty, *texts):
+        super().__init__(*texts)
+        self.empty = frozenset(empty)
+
+    def execute(self, rewrite, limit):
+        return () if rewrite in self.empty else super().execute(rewrite, limit)
+
+
+def _counting_compositions(monkeypatch) -> list:
+    """Patches ``control.compose_answers`` to record each call's evidence."""
+    from budgetqa import control
+
+    calls = []
+    compose = control.compose_answers
+
+    def counted(evidence, *args, **kwargs):
+        calls.append(evidence)
+        return compose(evidence, *args, **kwargs)
+
+    monkeypatch.setattr(control, "compose_answers", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_a_prefix_whose_new_rewrite_found_nothing_reuses_the_last_composition(k, monkeypatch):
+    models = _stub_models(conj_p=0.9, phrasal_p=0.4)
+    question = Question.from_text(QUESTION)
+    order = LikelihoodN(len(question.rewrites)).select(question, models, 0)
+    provider = _EmptyFor([order[k - 1]], "John Wilkes Booth shot the President", "Booth fled")
+    calls = _counting_compositions(monkeypatch)
+    results = {
+        n: run_policy(LikelihoodN(n), question, provider, models)
+        for n in range(1, len(order) + 1)
+    }
+    # One composition per distinct non-empty prefix: N = k adds nothing to N = k - 1.
+    assert len(calls) == len(order) - 1
+    assert results[k].answers is results[k - 1].answers
+    assert results[k].queries_issued == k
+    for n, result in results.items():
+        fresh = run_policy(LikelihoodN(n), Question.from_text(QUESTION), provider, models)
+        assert _outcome(result) == _outcome(fresh)
+
+
+def test_a_cost_benefit_extension_that_found_nothing_answers_with_the_probe(monkeypatch):
+    probs = {n: 0.0 for n in DEFAULT_THRESHOLDS}
+    probs[5] = 0.99
+    models = _stub_models(conj_p=0.9, phrasal_p=0.4, probs=probs)
+    question = Question.from_text(QUESTION)
+    order = CostBenefit().select(question, models, 0)
+    provider = _EmptyFor(order[PROBE_SIZE:], "John Wilkes Booth shot the President", "Booth fled")
+    calls = _counting_compositions(monkeypatch)
+    result = run_policy(CostBenefit(), question, provider, models, Preferences(k=10, c=1))
+    assert result.decision.n == 5 and result.queries_issued == 5
+    assert len(calls) == 1
+    assert result.answers is Run(question, order, provider, DEFAULT_LIMIT).compose(PROBE_SIZE)
+    assert result.answers is question.last.composition[PROBE_SIZE][1]
 
 
 def test_another_model_set_reorders_the_question():
