@@ -20,18 +20,22 @@ A question replayed under one order at growing budgets (the N sweep) repeats
 work from one run to the next, so each ``Question`` remembers what its runs
 produced (``Question.last``): its latest selection order, keyed by what
 fixes it (the ``ModelSet`` object for quality order, the seed and question
-index for a random shuffle), and per count of non-empty rewrites the latest
-composition, keyed by its evidence, the (weight, snippets) pairs of the
-prefix's rewrites that returned snippets. A rewrite that found nothing adds
-no evidence, so a prefix whose new rewrites all came back empty reuses the
-composition before them, wherever in the order they sit. Orders, snippets
-and compositions are tuples, so runs share them. Keying by the evidence,
-not the rewrites, keeps a question run against two providers from mixing
-their results; one slot per count lets a cost-benefit run's probe and its
-chosen budget, and the policy comparison and the k sweep, reuse the
-likelihood walk's compositions. The k sweep may still compose a probe
-again when the policy comparison's conjunctive-only or all-rewrites run
-took the probe's slot.
+index for a random shuffle), and its compositions. A composition is a
+function of its evidence, the (weight, snippets) pairs of the prefix's
+rewrites that returned snippets, in submission order. A run records that
+evidence as it executes, with each such rewrite's position among the
+question's own rewrites, and the question keeps one composition per tuple
+of those positions. A rewrite that found nothing adds no evidence, so a
+prefix whose new rewrites all came back empty reuses the composition before
+them, wherever in the order they sit; two orders that reach the same
+rewrites in another order are two keys, since mining's ties follow the
+order. Orders, snippets and compositions are tuples, so runs share them. A
+composition is reused only when its stored evidence equals the run's, so a
+question run against two providers never mixes their results. The key is
+positional because a ``Rewrite`` hashes by value in Python code; rewrites
+that are not the question's own share one position, so runs over copies do
+not grow the memo. With one provider, a question thus composes each
+distinct ordered evidence once, however many orders and budgets replay it.
 
 The controller values a correct answer at v = k * c (k times the cost of a
 single query) and the value of no valid answer at zero, so submitting n
@@ -120,7 +124,7 @@ def choose_n(
     decision is to abstain.
     """
     nets = {
-        n: net_expected_value(ensemble.predict(n, features), n, prefs) for n in ensemble.thresholds
+        n: net_expected_value(p, n, prefs) for n, p in ensemble.predict_all(features).items()
     }
     best_n = min(nets, key=lambda n: (-nets[n], n))
     if nets[best_n] < 0:
@@ -161,8 +165,9 @@ class Run:
     rewrite; the first batch's start time goes with every batch of the run
     as ``started``, so the provider's deadline bounds the whole question.
     Outcomes are recorded in submission order either way. Each executed
-    rewrite's snippets stay apart, which is how composition and run
-    features know the rewrite behind every snippet. A backend failure
+    rewrite's snippets stay apart, which is how run features know the
+    rewrite behind every snippet; those that returned snippets are also
+    recorded as the evidence composition reads. A backend failure
     (``RetryableError`` or ``ProviderError``) is recorded on its rewrite,
     which then contributes no snippets; it never aborts the question, and
     the failed query still counts as issued. Any other exception propagates
@@ -177,6 +182,13 @@ class Run:
         self.provider = provider
         self.limit = limit
         self.snippets: list[Sequence[Snippet]] = []  # per executed rewrite
+        # The executed rewrites that returned snippets, in submission order:
+        # their (weight, snippets) pairs and each one's position among the
+        # question's own rewrites (None for a rewrite that is not one of
+        # them). nonempty[i] counts them among the first i executed.
+        self.evidence: list[tuple[float, Sequence[Snippet]]] = []
+        self.positions: list[int | None] = []
+        self.nonempty: list[int] = [0]
         self.errors: list[str] = []
         self.started: float | None = None  # time.monotonic() instant of the first batch
 
@@ -188,6 +200,10 @@ class Run:
         pending = self.rewrites[len(self.snippets) : n]
         if not pending:
             return
+        snippets, evidence, positions, nonempty = (
+            self.snippets, self.evidence, self.positions, self.nonempty
+        )
+        position = self.question.rewrite_positions.get
         batch = getattr(self.provider, "execute_many", None)
         if batch is None:
             execute = self.provider.execute
@@ -197,7 +213,11 @@ class Run:
                 except (RetryableError, ProviderError) as exc:
                     self.errors.append(f"{rewrite.as_query()}: {exc}")
                     found = ()
-                self.snippets.append(found)
+                snippets.append(found)
+                if found:
+                    evidence.append((rewrite.weight, found))
+                    positions.append(position(id(rewrite)))
+                nonempty.append(len(evidence))
             return
         if self.started is None:
             self.started = time.monotonic()
@@ -207,25 +227,32 @@ class Run:
                 found = ()
             elif isinstance(found, BaseException):
                 raise found
-            self.snippets.append(found)
+            snippets.append(found)
+            if found:
+                evidence.append((rewrite.weight, found))
+                positions.append(position(id(rewrite)))
+            nonempty.append(len(evidence))
 
     def compose(self, n: int) -> Candidates:
         """Ranked answers from the first n rewrites (capped at the run's
         length), executing any not yet run. Only the rewrites that returned
         snippets are evidence: mining skips an empty group before it touches
-        anything, so leaving those out composes the same answers. When the
-        question's latest composition of that many non-empty rewrites has
-        this evidence, that composition itself is returned; otherwise the
-        evidence is composed and becomes the latest."""
+        anything, so leaving those out composes the same answers. The
+        question keeps its compositions keyed by the positions of those
+        rewrites in submission order; when the one under this key has this
+        evidence, that composition itself is returned, otherwise the
+        evidence is composed and stored under the key."""
         n = min(n, len(self.rewrites))
         self._execute(n)
-        evidence = [(r.weight, found) for r, found in zip(self.rewrites, self.snippets[:n]) if found]
-        slots = self.question.last.composition
-        last = slots.get(len(evidence))  # read once: threads may replace it
+        used = self.nonempty[n]
+        evidence = self.evidence[:used]
+        key = tuple(self.positions[:used])
+        memo = self.question.last.composition
+        last = memo.get(key)  # read once: threads may replace it
         if last is not None and last[0] == evidence:
             return last[1]
         composed = compose_answers(evidence, self.question.qtype, exclude=self.question.token_keys)
-        slots[len(evidence)] = (evidence, composed)
+        memo[key] = (evidence, composed)
         return composed
 
     def features(self, n: int) -> dict[str, FeatureValue]:

@@ -254,9 +254,9 @@ def sweep_n(
     raises ``RuntimeError``. Each order walks every N in ascending order
     before the next order starts (each seed's random order, then the
     likelihood order), so a question's consecutive runs share its
-    remembered order, and a run whose new rewrites returned no snippets,
-    or whose N covers all its rewrites, reuses the previous run's
-    composition.
+    remembered order. A run reuses any earlier composition of the same
+    ordered evidence: one whose new rewrites returned no snippets, or whose
+    N covers all its rewrites, reuses the previous run's.
     """
     if not seeds:
         raise ValueError("sweep_n needs at least one random-order seed")

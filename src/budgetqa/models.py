@@ -19,6 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .compose import Candidates
@@ -104,16 +105,27 @@ def extract_run_features(
 
 @dataclass
 class ThresholdEnsemble:
-    """One accuracy model per rewrite-budget threshold."""
+    """One accuracy model per rewrite-budget threshold. ``trees`` is not
+    changed after the ensemble is built."""
 
     trees: dict[int, DecisionTree]
 
-    @property
+    @cached_property
     def thresholds(self) -> tuple[int, ...]:
         return tuple(sorted(self.trees))
 
-    def predict(self, n: int, features: Mapping[str, FeatureValue]) -> float:
-        return self.trees[n].predict(features)
+    def predict_all(self, features: Mapping[str, FeatureValue]) -> dict[int, float]:
+        """p for every threshold, ascending. Thresholds that share a tree
+        (see ``train_threshold_ensemble``) share its one prediction."""
+        by_tree: dict[int, float] = {}
+        probs = {}
+        for n in self.thresholds:
+            tree = self.trees[n]
+            p = by_tree.get(id(tree))
+            if p is None:
+                p = by_tree[id(tree)] = tree.predict(features)
+            probs[n] = p
+        return probs
 
 
 def train_threshold_ensemble(runs: Mapping[int, Sequence[TrainingCase]]) -> ThresholdEnsemble:

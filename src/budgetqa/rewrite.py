@@ -50,16 +50,17 @@ class AnswerSlot(Enum):
 class LastRun:
     """What a question's latest runs produced, kept for its next run (see
     ``control.py``): one selection ``order``, a (key, rewrite tuple) pair or
-    None, and ``composition``, which maps a count of rewrites that returned
-    snippets to the (evidence, candidates) pair of the latest composition of
-    that many. A pair is replaced whole, so threads sharing a question
-    always read a value with the key it was made from."""
+    None, and ``composition``, which maps the positions of the rewrites that
+    returned snippets, in submission order (None for a rewrite that is not
+    the question's own), to the (evidence, candidates) pair of the latest
+    composition under that key. A pair is replaced whole, so threads sharing
+    a question always read a value with the key it was made from."""
 
     __slots__ = ("order", "composition")
 
     def __init__(self):
         self.order: tuple | None = None
-        self.composition: dict[int, tuple] = {}
+        self.composition: dict[tuple[int | None, ...], tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,10 @@ class Question:
     ``rewrites`` and ``token_keys`` are derived on first use and kept for the
     question's lifetime, so running one question again does not rewrite it
     again. ``last`` holds the selection order of its latest run and one
-    composition per count of non-empty rewrites, at most one more than it
-    has rewrites, so it does not grow with traffic. None of the three is a
-    field, so equality, hashing and ``dataclasses.replace`` ignore them.
+    composition per distinct ordered tuple of its own rewrites that
+    returned snippets, so it grows with the orders it is run under, not
+    with traffic. None of these is a field, so equality, hashing and
+    ``dataclasses.replace`` ignore them.
     """
 
     raw_text: str
@@ -91,6 +93,12 @@ class Question:
     def rewrites(self) -> tuple[Rewrite, ...]:
         """``generate_rewrites(self)``, generated once."""
         return tuple(generate_rewrites(self))
+
+    @cached_property
+    def rewrite_positions(self) -> dict[int, int]:
+        """The position of each of ``rewrites``, keyed by its ``id``, since
+        a ``Rewrite`` hashes by value in Python code."""
+        return {id(r): i for i, r in enumerate(self.rewrites)}
 
     @cached_property
     def last(self) -> LastRun:

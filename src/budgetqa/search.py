@@ -130,11 +130,16 @@ class Index:
             return []  # a key that occurs nowhere (or is empty) matches nothing
         offset = min(range(len(plists)), key=lambda j: len(plists[j]))
         size = len(phrase_keys)
+        # A document without the rarest key's neighbour cannot hold the
+        # phrase, so one lookup skips it. A one-key phrase's only key is
+        # its own "neighbour", which every posting's document has.
+        near = self.first_positions[phrase_keys[offset + 1 if offset + 1 < size else offset - 1]]
         doc_keys = self.keys
         return [
             (ordinal, pos - offset)
             for ordinal, pos in plists[offset]
-            if pos >= offset
+            if ordinal in near
+            and pos >= offset
             and doc_keys[ordinal][pos - offset : pos - offset + size] == phrase_keys
         ]
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from budgetqa.bench import generate_benchmark
 from budgetqa.control import (
     AllRewrites,
     ConjunctiveOnly,
@@ -22,17 +23,19 @@ from budgetqa.control import (
     run_policy,
 )
 from budgetqa.errors import ProviderError, RetryableError
+from budgetqa.harness import train_models
 from budgetqa.models import DEFAULT_THRESHOLDS, PROBE_SIZE, ModelSet, ThresholdEnsemble
 from budgetqa.rewrite import (
     CONJUNCTIVE_WEIGHT,
     PHRASAL_WEIGHT,
+    AdjacencyGrammarScorer,
     AnswerSlot,
     Question,
     Rewrite,
     RewriteKind,
     generate_rewrites,
 )
-from budgetqa.search import DEFAULT_LIMIT, MeteredProvider, Snippet
+from budgetqa.search import DEFAULT_LIMIT, MeteredProvider, OfflineProvider, Snippet, build_index
 from budgetqa.text import default_stopwords
 from budgetqa.tree import DecisionTree, Leaf
 
@@ -158,6 +161,34 @@ def test_decision_internal_consistency():
     if not decision.abstained:
         assert decision.expected_net == max(decision.per_threshold_net.values())
         assert decision.per_threshold_net[decision.n] == decision.expected_net
+
+
+def test_choose_n_asks_each_distinct_tree_once(monkeypatch):
+    bench = generate_benchmark(40, seed=0)
+    provider = OfflineProvider(build_index(bench.corpus))
+    models = train_models(bench.items[:20], provider, scorer=AdjacencyGrammarScorer())
+    trees = models.ensemble.trees
+    distinct = len({id(tree) for tree in trees.values()})
+    assert distinct < len(trees)  # equal case lists share a tree
+    prefs = Preferences(k=10, c=1)
+    predict = DecisionTree.predict
+    asked = []
+
+    def counted(tree, features):
+        asked.append(tree)
+        return predict(tree, features)
+
+    monkeypatch.setattr(DecisionTree, "predict", counted)
+    for item in bench.items[20:]:
+        order = CostBenefit().select(item.parsed, models, 0)
+        features = Run(item.parsed, order, provider, DEFAULT_LIMIT).features(PROBE_SIZE)
+        asked.clear()
+        decision = choose_n(models.ensemble, features, prefs)
+        assert len(asked) == distinct
+        assert list(decision.per_threshold_net) == list(DEFAULT_THRESHOLDS)
+        assert decision.per_threshold_net == {
+            n: net_expected_value(predict(trees[n], features), n, prefs) for n in DEFAULT_THRESHOLDS
+        }
 
 
 # --------------------------------------------------------------------------
@@ -393,6 +424,12 @@ class _FixedProvider:
         return self.snippets[:limit]
 
 
+def _key(question, rewrites):
+    """The key a question keeps the composition of ``rewrites`` under: their
+    positions among its own rewrites, in submission order."""
+    return tuple(question.rewrites.index(r) for r in rewrites)
+
+
 def _outcome(result):
     return (
         [(c.tokens, c.score, c.support) for c in result.answers],
@@ -423,19 +460,21 @@ def test_a_question_composes_each_providers_evidence():
 
 
 def test_a_cost_benefit_question_composes_each_providers_evidence():
-    # The probe and the chosen budget of five each have their own slot.
+    # The probe and the chosen budget of five each have their own entry.
     probs = {n: 0.0 for n in DEFAULT_THRESHOLDS}
     probs[5] = 0.99
     models = _stub_models(conj_p=0.9, phrasal_p=0.4, probs=probs)
     _composes_each_providers_evidence(CostBenefit(), models, Preferences(k=10, c=1))
     question = Question.from_text(QUESTION)
     run_policy(CostBenefit(), question, _FixedProvider("Booth fled"), models, Preferences(k=10, c=1))
-    assert sorted(question.last.composition) == [PROBE_SIZE, 5]
+    order = CostBenefit().select(question, models, 0)
+    probe, chosen = _key(question, order[:PROBE_SIZE]), _key(question, order[:5])
+    assert set(question.last.composition) == {probe, chosen}
 
 
 def test_threads_sharing_a_question_get_their_own_evidences_answers():
     # Threads run one question at every budget against two providers, so
-    # they keep replacing each other's composition slots. Every run must
+    # they keep replacing each other's compositions. Every run must
     # still get what a fresh question gets from the same provider.
     providers = [
         _FixedProvider("John Wilkes Booth shot the President", "Booth fled"),
@@ -472,7 +511,8 @@ def test_threads_sharing_a_question_get_their_own_evidences_answers():
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert mismatches == []
-    assert sorted(question.last.composition) == list(budgets)
+    order = RandomN(max(budgets), seed=2).select(question, None, 0)
+    assert set(question.last.composition) == {_key(question, order[:n]) for n in budgets}
 
 
 @pytest.mark.parametrize(
@@ -521,10 +561,10 @@ def test_a_repeated_run_returns_the_remembered_composition(policy, lincoln_provi
     question = Question.from_text(QUESTION)
     first = run_policy(policy, question, lincoln_provider, models, prefs)
     again = run_policy(policy, question, lincoln_provider, models, prefs)
-    # A question's compositions are kept per count of rewrites that returned snippets.
-    nonempty = sum(1 for r in first.rewrites_used if lincoln_provider.execute(r, DEFAULT_LIMIT))
-    slot = question.last.composition[nonempty]
-    assert first.answers and again.answers is first.answers is slot[1]
+    # A question's compositions are keyed by the rewrites that returned snippets.
+    found = [r for r in first.rewrites_used if lincoln_provider.execute(r, DEFAULT_LIMIT)]
+    kept = question.last.composition[_key(question, found)]
+    assert first.answers and again.answers is first.answers is kept[1]
 
 
 class _EmptyFor(_FixedProvider):
@@ -585,7 +625,54 @@ def test_a_cost_benefit_extension_that_found_nothing_answers_with_the_probe(monk
     assert result.decision.n == 5 and result.queries_issued == 5
     assert len(calls) == 1
     assert result.answers is Run(question, order, provider, DEFAULT_LIMIT).compose(PROBE_SIZE)
-    assert result.answers is question.last.composition[PROBE_SIZE][1]
+    assert result.answers is question.last.composition[_key(question, order[:PROBE_SIZE])][1]
+
+
+def test_two_orders_of_the_same_evidence_are_each_composed_once(lincoln_provider, monkeypatch):
+    # Rewrites 1 and 2 find nothing, so the first order's N = 2 and 3 add
+    # nothing to N = 1, and the second order's N = 3 and 4 nothing to N = 2.
+    # Both orders end with the same three rewrites' evidence in opposite
+    # order, which mining ranks differently (equal scores keep their
+    # first-seen order).
+    question = Question.from_text(QUESTION)
+    forward = question.rewrites
+    backward = forward[::-1]
+    assert [bool(lincoln_provider.execute(r, DEFAULT_LIMIT)) for r in forward] == [
+        True, False, False, True, True
+    ]
+    calls = _counting_compositions(monkeypatch)
+    walks = {}
+    for _ in range(2):
+        for order in (forward, backward):
+            walks[order] = [
+                Run(question, order, lincoln_provider, DEFAULT_LIMIT).compose(n)
+                for n in range(1, len(order) + 1)
+            ]
+        assert len(calls) == 6  # each distinct ordered evidence, once
+    assert walks[forward][0] is walks[forward][1] is walks[forward][2]
+    assert walks[backward][1] is walks[backward][2] is walks[backward][3]
+    assert walks[forward][4] is not walks[backward][4]
+    assert list(walks[forward][4]) != list(walks[backward][4])
+    for order, step in ((forward, 1), (backward, -1)):
+        fresh = Question.from_text(QUESTION)
+        again = Run(fresh, fresh.rewrites[::step], lincoln_provider, DEFAULT_LIMIT).compose(5)
+        assert list(walks[order][4]) == list(again)
+    assert set(question.last.composition) == {(0,), (0, 3), (0, 3, 4), (4,), (4, 3), (4, 3, 0)}
+
+
+def test_runs_over_fresh_rewrite_objects_keep_the_memo_bounded(lincoln_provider, monkeypatch):
+    # Every run gets its own equal copies of the question's rewrites, all
+    # kept alive so that no object id is reused. They are not the question's
+    # own, so they share one key per count and add no entries.
+    question = Question.from_text(QUESTION)
+    calls = _counting_compositions(monkeypatch)
+    copies = [tuple(generate_rewrites(question)) for _ in range(20)]
+    for rewrites in copies:
+        run = Run(question, rewrites, lincoln_provider, DEFAULT_LIMIT)
+        for n in range(1, len(rewrites) + 1):
+            run.compose(n)
+    assert len(question.last.composition) == 3  # 1 to 3 rewrites that returned snippets
+    assert len(calls) == 3
 
 
 def test_another_model_set_reorders_the_question():

@@ -349,10 +349,11 @@ def test_experiment_tables_match_golden_digest():
     assert hashlib.sha256(tables.encode("utf-8")).hexdigest() == TABLES_GOLDEN_DIGEST
 
 
-def test_a_question_keeps_one_composition_per_prefix_length(monkeypatch):
-    # The script's steps in its order. After them, a question holds at most
-    # one composition per rewrite, and the k sweep finds every probe and
-    # every chosen budget among the compositions already made.
+def test_a_question_keeps_one_composition_per_ordered_evidence(monkeypatch):
+    # The script's steps in its order. After them, a question holds one
+    # composition per ordered tuple of its rewrites that returned snippets,
+    # keyed by their positions, and the k sweep finds every probe and every
+    # chosen budget among the compositions already made.
     bench = generate_benchmark(40, seed=0)
     provider = OfflineProvider(build_index(bench.corpus))
     train_items, eval_items = bench.items[:20], bench.items[20:]
@@ -364,7 +365,12 @@ def test_a_question_keeps_one_composition_per_prefix_length(monkeypatch):
         evaluate(policy, eval_items, provider, models, prefs)
     sweep_k(eval_items, provider, models, ks)
     for item in bench.items:
-        assert 0 < len(item.parsed.last.composition) <= len(item.parsed.rewrites)
+        rewrites = item.parsed.rewrites
+        assert item.parsed.last.composition
+        for key, (evidence, _) in item.parsed.last.composition.items():
+            assert len(set(key)) == len(key) and set(key) <= set(range(len(rewrites)))
+            assert all(found for _, found in evidence)
+            assert [found for _, found in evidence] == [provider.execute(rewrites[i]) for i in key]
 
     calls = []
     compose_answers = control.compose_answers

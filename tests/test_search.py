@@ -161,6 +161,20 @@ def test_phrase_query_equals_linear_scan(case, window):
     assert got == scan_snippets(docs, hits, len(query_keys(phrase)), window)
 
 
+@given(case=_corpus_and_phrase(max_size=4))
+# "theta" is the rarest key: one document has it without its neighbour, one
+# has the neighbour elsewhere.
+@example(case=(["theta alpha eta", "alpha theta", "eta eta theta"], ["eta", "theta"]))
+@example(case=(["gamma beta alpha", "beta alpha gamma alpha"], ["beta", "alpha", "gamma"]))
+@example(case=(["beta gamma", "gamma delta beta"], ["gamma"]))  # a key is its own neighbour
+@settings(deadline=None, max_examples=150)
+def test_phrase_positions_equal_linear_scan(case):
+    docs_text, phrase = case
+    docs = _docs(docs_text)
+    got = build_index(docs).phrase_positions(query_keys(phrase))
+    assert [(docs[o].id, p) for o, p in got] == scan_phrase(docs, phrase)
+
+
 @given(case=_corpus_and_parts(), window=st.integers(0, 3))
 @example(case=(["eta eta theta x eta eta", "theta eta eta"], ["eta", "theta"]), window=1)
 @example(case=(["-- beta gamma", "beta -- gamma"], ["--", "beta", "gamma"]), window=0)
