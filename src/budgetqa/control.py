@@ -16,26 +16,23 @@ Serving (``run_policy``) and training (``harness``) both go through it, so
 the threshold models learn from exactly the evidence, filters and error
 handling the controller sees.
 
-A question replayed under one order at growing budgets (the N sweep) repeats
-work from one run to the next, so each ``Question`` remembers what its runs
-produced (``Question.last``): its latest selection order, keyed by what
-fixes it (the ``ModelSet`` object for quality order, the seed and question
-index for a random shuffle), and its compositions. A composition is a
-function of its evidence, the (weight, snippets) pairs of the prefix's
-rewrites that returned snippets, in submission order. A run records that
-evidence as it executes, with each such rewrite's position among the
-question's own rewrites, and the question keeps one composition per tuple
-of those positions. A rewrite that found nothing adds no evidence, so a
-prefix whose new rewrites all came back empty reuses the composition before
-them, wherever in the order they sit; two orders that reach the same
-rewrites in another order are two keys, since mining's ties follow the
-order. Orders, snippets and compositions are tuples, so runs share them. A
-composition is reused only when its stored evidence equals the run's, so a
-question run against two providers never mixes their results. The key is
-positional because a ``Rewrite`` hashes by value in Python code; rewrites
-that are not the question's own share one position, so runs over copies do
-not grow the memo. With one provider, a question thus composes each
-distinct ordered evidence once, however many orders and budgets replay it.
+A question replayed under several orders and budgets (the N sweep) repeats
+work, so each ``Question`` remembers what its runs produced in two maps.
+``orders`` maps what fixes a selection order (the ``ModelSet`` itself,
+which hashes by identity, or a shuffle's seed and question index) to that
+order. ``compositions`` maps the positions of a prefix's rewrites that
+returned snippets, in submission order, to the (evidence, candidates) pair
+composed from them; the evidence is those rewrites' (weight, snippets)
+pairs, which a run records as it executes. So a prefix whose new rewrites
+all came back empty reuses the composition before them, and two orders of
+the same rewrites are two keys, since mining's ties follow the order. A
+``Rewrite`` carries its ``position`` from ``generate_rewrites`` (None when
+built by hand), so copies key like the question's own. A composition is
+reused only when its stored evidence equals the run's, so two providers or
+two rewrites that share a key never mix results, and a pair is replaced
+whole for threads sharing a question. Orders and compositions are tuples,
+so runs share them. With one provider, a question thus orders once per
+model set or shuffle and composes each distinct ordered evidence once.
 
 The controller values a correct answer at v = k * c (k times the cost of a
 single query) and the value of no valid answer at zero, so submitting n
@@ -183,9 +180,8 @@ class Run:
         self.limit = limit
         self.snippets: list[Sequence[Snippet]] = []  # per executed rewrite
         # The executed rewrites that returned snippets, in submission order:
-        # their (weight, snippets) pairs and each one's position among the
-        # question's own rewrites (None for a rewrite that is not one of
-        # them). nonempty[i] counts them among the first i executed.
+        # their (weight, snippets) pairs and positions. nonempty[i] counts
+        # them among the first i executed.
         self.evidence: list[tuple[float, Sequence[Snippet]]] = []
         self.positions: list[int | None] = []
         self.nonempty: list[int] = [0]
@@ -203,7 +199,6 @@ class Run:
         snippets, evidence, positions, nonempty = (
             self.snippets, self.evidence, self.positions, self.nonempty
         )
-        position = self.question.rewrite_positions.get
         batch = getattr(self.provider, "execute_many", None)
         if batch is None:
             execute = self.provider.execute
@@ -216,7 +211,7 @@ class Run:
                 snippets.append(found)
                 if found:
                     evidence.append((rewrite.weight, found))
-                    positions.append(position(id(rewrite)))
+                    positions.append(rewrite.position)
                 nonempty.append(len(evidence))
             return
         if self.started is None:
@@ -230,27 +225,25 @@ class Run:
             snippets.append(found)
             if found:
                 evidence.append((rewrite.weight, found))
-                positions.append(position(id(rewrite)))
+                positions.append(rewrite.position)
             nonempty.append(len(evidence))
 
     def compose(self, n: int) -> Candidates:
         """Ranked answers from the first n rewrites (capped at the run's
         length), executing any not yet run. Only the rewrites that returned
         snippets are evidence: mining skips an empty group before it touches
-        anything, so leaving those out composes the same answers. The
-        question keeps its compositions keyed by the positions of those
-        rewrites in submission order; when the one under this key has this
-        evidence, that composition itself is returned, otherwise the
-        evidence is composed and stored under the key."""
+        anything, so leaving those out composes the same answers. A
+        composition the question remembers for this evidence is returned
+        itself (see the module docstring)."""
         n = min(n, len(self.rewrites))
         self._execute(n)
         used = self.nonempty[n]
         evidence = self.evidence[:used]
         key = tuple(self.positions[:used])
-        memo = self.question.last.composition
-        last = memo.get(key)  # read once: threads may replace it
-        if last is not None and last[0] == evidence:
-            return last[1]
+        memo = self.question.compositions
+        kept = memo.get(key)  # read once: threads may replace it
+        if kept is not None and kept[0] == evidence:
+            return kept[1]
         composed = compose_answers(evidence, self.question.qtype, exclude=self.question.token_keys)
         memo[key] = (evidence, composed)
         return composed
@@ -285,14 +278,14 @@ class Run:
 
 
 def _quality_order(question: Question, models: ModelSet | None) -> tuple[Rewrite, ...]:
-    """The question's rewrites in ``models``' quality order, remembered in
-    its order slot under the model set itself."""
+    """The question's rewrites in ``models``' quality order, remembered
+    under the model set itself."""
     if models is None:
         raise ValueError("this policy orders rewrites by quality and requires quality models")
-    last = question.last.order
-    if last is None or last[0] is not models:
-        last = question.last.order = (models, models.order(question.rewrites))
-    return last[1]
+    order = question.orders.get(models)
+    if order is None:
+        order = question.orders[models] = models.order(question.rewrites)
+    return order
 
 
 class _SubmitAll:
@@ -316,12 +309,12 @@ class RandomN(_SubmitAll):
 
     def select(self, question: Question, models, question_index: int) -> tuple[Rewrite, ...]:
         key = (self.seed, question_index)
-        last = question.last.order
-        if last is None or last[0] != key:
-            order = list(question.rewrites)
-            random.Random(self.seed * 1_000_003 + question_index).shuffle(order)
-            last = question.last.order = (key, tuple(order))
-        return last[1][: self.n]
+        order = question.orders.get(key)
+        if order is None:
+            shuffled = list(question.rewrites)
+            random.Random(self.seed * 1_000_003 + question_index).shuffle(shuffled)
+            order = question.orders[key] = tuple(shuffled)
+        return order[: self.n]
 
 
 @dataclass(frozen=True)
@@ -394,8 +387,8 @@ def run_policy(
     ``queries_issued`` equals the number of provider execute calls made for
     this question. ``question_index`` only seeds RandomN selection so that a
     parallel evaluation stays reproducible. A ``Question`` keeps its
-    rewrites and what its latest run produced, so pass one ``Question`` to
-    run a question repeatedly.
+    rewrites and what its runs produced, so pass one ``Question`` to run a
+    question repeatedly.
     """
     if isinstance(question, str):
         question = Question.from_text(question)

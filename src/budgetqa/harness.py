@@ -20,7 +20,7 @@ from typing import Sequence
 # called here (the Run calls the first two, and a Question generates its own
 # rewrites); perfbench/spans.py still binds all three names in this module.
 from .compose import compose_answers  # noqa: F401
-from .control import CostBenefit, Run
+from .control import Run
 from .evaluation import Judgment, QAItem, judge
 from .models import (
     DEFAULT_THRESHOLDS,
@@ -81,12 +81,11 @@ def generate_threshold_cases(
     and each distinct prefix composed once, no matter how many thresholds
     are trained.
     """
-    policy = CostBenefit()
     models = ModelSet(conjunctive=conj_tree, phrasal=phrasal_tree, scorer=scorer)
     cases: dict[int, list[TrainingCase]] = {n: [] for n in DEFAULT_THRESHOLDS}
     for item in dataset:
         question = item.parsed
-        run = Run(question, policy.select(question, models, 0), provider, limit)
+        run = Run(question, models.order(question.rewrites), provider, limit)
         probe_features = run.features(PROBE_SIZE)
         for n in DEFAULT_THRESHOLDS:
             cases[n].append(TrainingCase(probe_features, _correct(run.compose(n), item)))

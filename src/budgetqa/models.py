@@ -162,9 +162,11 @@ def _scorer_name(scorer: GrammarScorer) -> str:
     raise ValueError(f"{scorer!r} is not a named scorer; a models file cannot record it")
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelSet:
-    """Everything the controller needs: quality models, ensemble, scorer."""
+    """Everything the controller needs: quality models, ensemble, scorer.
+    A model set hashes by identity, so a question can remember its order
+    under it."""
 
     conjunctive: DecisionTree
     phrasal: DecisionTree
@@ -203,8 +205,10 @@ class ModelSet:
     @classmethod
     def load(cls, directory: str) -> "ModelSet":
         """Read ``models.json`` under ``directory`` with the scorer it names.
-        A file of another format, an unknown scorer, another probe size or
-        no ensemble raises ``ConfigError``."""
+        A threshold whose tree equals the previous threshold's shares it,
+        as in ``train_threshold_ensemble``. A file of another format, an
+        unknown scorer, another probe size or no ensemble raises
+        ``ConfigError``."""
         path = os.path.join(directory, MODELS_FILE)
         try:
             with open(path, encoding="utf-8") as fh:
@@ -217,12 +221,16 @@ class ModelSet:
                 raise ValueError(f"probe size {data['probe_size']!r} is not {PROBE_SIZE}")
             if not data["ensemble"]:
                 raise ValueError("no threshold ensemble")
+            trees: dict[int, DecisionTree] = {}
+            previous = None
+            for n, shape in data["ensemble"].items():
+                if shape != previous:
+                    previous, tree = shape, tree_from_dict(shape)
+                trees[int(n)] = tree
             return cls(
                 conjunctive=tree_from_dict(data["conjunctive"]),
                 phrasal=tree_from_dict(data["phrasal"]),
-                ensemble=ThresholdEnsemble(
-                    trees={int(n): tree_from_dict(t) for n, t in data["ensemble"].items()}
-                ),
+                ensemble=ThresholdEnsemble(trees=trees),
                 scorer=SCORERS[data["scorer"]](),
             )
         except KeyError as exc:

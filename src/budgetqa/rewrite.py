@@ -11,7 +11,7 @@ keeps its rewrites as a tuple, so every run's selection can share it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Protocol
@@ -47,33 +47,15 @@ class AnswerSlot(Enum):
     NONE = "none"
 
 
-class LastRun:
-    """What a question's latest runs produced, kept for its next run (see
-    ``control.py``): one selection ``order``, a (key, rewrite tuple) pair or
-    None, and ``composition``, which maps the positions of the rewrites that
-    returned snippets, in submission order (None for a rewrite that is not
-    the question's own), to the (evidence, candidates) pair of the latest
-    composition under that key. A pair is replaced whole, so threads sharing
-    a question always read a value with the key it was made from."""
-
-    __slots__ = ("order", "composition")
-
-    def __init__(self):
-        self.order: tuple | None = None
-        self.composition: dict[tuple[int | None, ...], tuple] = {}
-
-
 @dataclass(frozen=True)
 class Question:
     """A parsed question.
 
     ``rewrites`` and ``token_keys`` are derived on first use and kept for the
     question's lifetime, so running one question again does not rewrite it
-    again. ``last`` holds the selection order of its latest run and one
-    composition per distinct ordered tuple of its own rewrites that
-    returned snippets, so it grows with the orders it is run under, not
-    with traffic. None of these is a field, so equality, hashing and
-    ``dataclasses.replace`` ignore them.
+    again. ``orders`` and ``compositions`` remember what its runs produced
+    (see ``control.py``). None of these is a field, so equality, hashing
+    and ``dataclasses.replace`` ignore them.
     """
 
     raw_text: str
@@ -95,14 +77,12 @@ class Question:
         return tuple(generate_rewrites(self))
 
     @cached_property
-    def rewrite_positions(self) -> dict[int, int]:
-        """The position of each of ``rewrites``, keyed by its ``id``, since
-        a ``Rewrite`` hashes by value in Python code."""
-        return {id(r): i for i, r in enumerate(self.rewrites)}
+    def orders(self) -> dict[object, tuple[Rewrite, ...]]:
+        return {}
 
     @cached_property
-    def last(self) -> LastRun:
-        return LastRun()
+    def compositions(self) -> dict[tuple[int | None, ...], tuple]:
+        return {}
 
 
 @dataclass(frozen=True)
@@ -111,13 +91,16 @@ class Rewrite:
 
     ``parts`` is an ordered tuple of phrase strings. A phrasal rewrite has a
     single multi-word part; a conjunctive rewrite has one single-word part
-    per term.
+    per term. ``position`` is its place among its question's rewrites when
+    ``generate_rewrites`` made it, None otherwise; it takes no part in
+    equality or hashing.
     """
 
     kind: RewriteKind
     parts: tuple[str, ...]
     answer_slot: AnswerSlot
     weight: float
+    position: int | None = field(default=None, compare=False)
 
     def as_query(self) -> str:
         """Serialize into engine query syntax: quoted phrases, bare terms."""
@@ -175,7 +158,8 @@ def generate_rewrites(q: Question) -> list[Rewrite]:
     the verb gets a LEFT answer slot, the others RIGHT. When the verb is a
     plain past form (ends in "ed") a passive construction
     "<rest> was <verb> by" is added as well. Phrasal output is capped at
-    MAX_PHRASAL; the conjunctive rewrite is always emitted, last.
+    MAX_PHRASAL; the conjunctive rewrite is always emitted, last. Each
+    rewrite's ``position`` is its index in the returned list.
 
     Sentence-initial capitalization carries no signal, so the first question
     token is lowercased before it enters any rewrite.
@@ -183,18 +167,9 @@ def generate_rewrites(q: Question) -> list[Rewrite]:
     tokens = list(q.tokens)
     tokens[0] = tokens[0].lower()
 
-    conjunctive = Rewrite(
-        kind=RewriteKind.CONJUNCTIVE,
-        parts=tuple(tokens),
-        answer_slot=AnswerSlot.NONE,
-        weight=CONJUNCTIVE_WEIGHT,
-    )
-    if len(tokens) < 2:
-        return [conjunctive]
-
     remaining = tokens[_WH_STRIP[q.qtype] :]
     phrases: list[tuple[str, AnswerSlot]] = []
-    if remaining:
+    if len(tokens) >= 2 and remaining:
         verb, rest = remaining[0], remaining[1:]
         for i in range(len(rest) + 1):
             phrase_tokens = rest[:i] + [verb] + rest[i:]
@@ -204,10 +179,12 @@ def generate_rewrites(q: Question) -> list[Rewrite]:
             phrases.append((" ".join(rest + ["was", verb, "by"]), AnswerSlot.RIGHT))
 
     rewrites = [
-        Rewrite(RewriteKind.PHRASAL, (phrase,), slot, PHRASAL_WEIGHT)
-        for phrase, slot in phrases[:MAX_PHRASAL]
+        Rewrite(RewriteKind.PHRASAL, (phrase,), slot, PHRASAL_WEIGHT, i)
+        for i, (phrase, slot) in enumerate(phrases[:MAX_PHRASAL])
     ]
-    rewrites.append(conjunctive)
+    rewrites.append(
+        Rewrite(RewriteKind.CONJUNCTIVE, tuple(tokens), AnswerSlot.NONE, CONJUNCTIVE_WEIGHT, len(rewrites))
+    )
     return rewrites
 
 

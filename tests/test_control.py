@@ -411,7 +411,7 @@ def test_a_serial_run_records_backend_failures_and_raises_anything_else():
 
 
 # --------------------------------------------------------------------------
-# What a question remembers from its latest run
+# What a question remembers from its runs
 
 
 class _FixedProvider:
@@ -469,7 +469,7 @@ def test_a_cost_benefit_question_composes_each_providers_evidence():
     run_policy(CostBenefit(), question, _FixedProvider("Booth fled"), models, Preferences(k=10, c=1))
     order = CostBenefit().select(question, models, 0)
     probe, chosen = _key(question, order[:PROBE_SIZE]), _key(question, order[:5])
-    assert set(question.last.composition) == {probe, chosen}
+    assert set(question.compositions) == {probe, chosen}
 
 
 def test_threads_sharing_a_question_get_their_own_evidences_answers():
@@ -512,7 +512,7 @@ def test_threads_sharing_a_question_get_their_own_evidences_answers():
     assert not any(worker.is_alive() for worker in workers)
     assert mismatches == []
     order = RandomN(max(budgets), seed=2).select(question, None, 0)
-    assert set(question.last.composition) == {_key(question, order[:n]) for n in budgets}
+    assert set(question.compositions) == {_key(question, order[:n]) for n in budgets}
 
 
 @pytest.mark.parametrize(
@@ -563,7 +563,7 @@ def test_a_repeated_run_returns_the_remembered_composition(policy, lincoln_provi
     again = run_policy(policy, question, lincoln_provider, models, prefs)
     # A question's compositions are keyed by the rewrites that returned snippets.
     found = [r for r in first.rewrites_used if lincoln_provider.execute(r, DEFAULT_LIMIT)]
-    kept = question.last.composition[_key(question, found)]
+    kept = question.compositions[_key(question, found)]
     assert first.answers and again.answers is first.answers is kept[1]
 
 
@@ -625,7 +625,7 @@ def test_a_cost_benefit_extension_that_found_nothing_answers_with_the_probe(monk
     assert result.decision.n == 5 and result.queries_issued == 5
     assert len(calls) == 1
     assert result.answers is Run(question, order, provider, DEFAULT_LIMIT).compose(PROBE_SIZE)
-    assert result.answers is question.last.composition[_key(question, order[:PROBE_SIZE])][1]
+    assert result.answers is question.compositions[_key(question, order[:PROBE_SIZE])][1]
 
 
 def test_two_orders_of_the_same_evidence_are_each_composed_once(lincoln_provider, monkeypatch):
@@ -657,13 +657,13 @@ def test_two_orders_of_the_same_evidence_are_each_composed_once(lincoln_provider
         fresh = Question.from_text(QUESTION)
         again = Run(fresh, fresh.rewrites[::step], lincoln_provider, DEFAULT_LIMIT).compose(5)
         assert list(walks[order][4]) == list(again)
-    assert set(question.last.composition) == {(0,), (0, 3), (0, 3, 4), (4,), (4, 3), (4, 3, 0)}
+    assert set(question.compositions) == {(0,), (0, 3), (0, 3, 4), (4,), (4, 3), (4, 3, 0)}
 
 
 def test_runs_over_fresh_rewrite_objects_keep_the_memo_bounded(lincoln_provider, monkeypatch):
     # Every run gets its own equal copies of the question's rewrites, all
-    # kept alive so that no object id is reused. They are not the question's
-    # own, so they share one key per count and add no entries.
+    # kept alive. Each copy carries its original's position, so the copies
+    # key like the question's own rewrites and add no entries.
     question = Question.from_text(QUESTION)
     calls = _counting_compositions(monkeypatch)
     copies = [tuple(generate_rewrites(question)) for _ in range(20)]
@@ -671,8 +671,27 @@ def test_runs_over_fresh_rewrite_objects_keep_the_memo_bounded(lincoln_provider,
         run = Run(question, rewrites, lincoln_provider, DEFAULT_LIMIT)
         for n in range(1, len(rewrites) + 1):
             run.compose(n)
-    assert len(question.last.composition) == 3  # 1 to 3 rewrites that returned snippets
+    assert len(question.compositions) == 3  # 1 to 3 rewrites that returned snippets
     assert len(calls) == 3
+
+
+def test_alternating_orders_of_one_question_order_it_once(monkeypatch):
+    # A random order between two quality-ordered runs does not make the
+    # second one order the question again.
+    models = _stub_models(conj_p=0.9, phrasal_p=0.4)
+    policies = (LikelihoodN(3), RandomN(3, seed=0), LikelihoodN(3))
+    expected = [p.select(Question.from_text(QUESTION), models, 0) for p in policies]
+    question = Question.from_text(QUESTION)
+    ordered = []
+    order = ModelSet.order
+
+    def counted(self, rewrites):
+        ordered.append(self)
+        return order(self, rewrites)
+
+    monkeypatch.setattr(ModelSet, "order", counted)
+    assert [p.select(question, models, 0) for p in policies] == expected
+    assert ordered == [models]
 
 
 def test_another_model_set_reorders_the_question():

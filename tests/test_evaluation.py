@@ -366,8 +366,8 @@ def test_a_question_keeps_one_composition_per_ordered_evidence(monkeypatch):
     sweep_k(eval_items, provider, models, ks)
     for item in bench.items:
         rewrites = item.parsed.rewrites
-        assert item.parsed.last.composition
-        for key, (evidence, _) in item.parsed.last.composition.items():
+        assert item.parsed.compositions
+        for key, (evidence, _) in item.parsed.compositions.items():
             assert len(set(key)) == len(key) and set(key) <= set(range(len(rewrites)))
             assert all(found for _, found in evidence)
             assert [found for _, found in evidence] == [provider.execute(rewrites[i]) for i in key]

@@ -4,15 +4,15 @@ import json
 import pytest
 
 from budgetqa.bench import generate_benchmark
-from budgetqa.control import LikelihoodN, run_policy
+from budgetqa.control import LikelihoodN, Run, run_policy
 from budgetqa.errors import IncompleteEnsemble, RetryableError
 from budgetqa.evaluation import Judgment, QAItem, judge
 from budgetqa.cli import main
 from budgetqa.evaluation import dump_dataset
 from budgetqa.harness import generate_quality_cases, generate_threshold_cases, train_models
-from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet
+from budgetqa.models import DEFAULT_THRESHOLDS, PROBE_SIZE, ModelSet
 from budgetqa.rewrite import AdjacencyGrammarScorer
-from budgetqa.search import MeteredProvider, OfflineProvider, build_index, save_corpus
+from budgetqa.search import DEFAULT_LIMIT, MeteredProvider, OfflineProvider, build_index, save_corpus
 from budgetqa.tree import train_tree, tree_to_dict
 
 
@@ -133,6 +133,21 @@ def _models_digest(models: ModelSet) -> str:
     for tree in trees:
         digest.update(json.dumps(tree_to_dict(tree), sort_keys=True).encode("utf-8"))
     return digest.hexdigest()
+
+
+def test_loaded_models_share_trees_as_trained_ones_do(tmp_path):
+    bench = generate_benchmark(40, seed=0)
+    provider = OfflineProvider(build_index(bench.corpus))
+    models = train_models(bench.items[:20], provider, scorer=AdjacencyGrammarScorer())
+    trained = len({id(tree) for tree in models.ensemble.trees.values()})
+    assert trained < len(DEFAULT_THRESHOLDS)  # equal case lists share a tree
+    models.save(str(tmp_path))
+    loaded = ModelSet.load(str(tmp_path))
+    assert len({id(tree) for tree in loaded.ensemble.trees.values()}) == trained
+    for item in bench.items[20:]:
+        run = Run(item.parsed, models.order(item.parsed.rewrites), provider, DEFAULT_LIMIT)
+        features = run.features(PROBE_SIZE)
+        assert loaded.ensemble.predict_all(features) == models.ensemble.predict_all(features)
 
 
 def test_trained_models_match_golden_digest(tmp_path):

@@ -173,6 +173,20 @@ def test_question_keeps_its_rewrites_outside_its_value():
     assert moved.token_keys == {"who", "shot", "lincoln"}
 
 
+def test_generated_rewrites_carry_their_positions_outside_their_value():
+    capped = "Who painted the very large old red wooden barn door panel mural?"
+    for text in ("Who killed Abraham Lincoln?", "Lincoln?", capped):
+        rewrites = generate_rewrites(Question.from_text(text))
+        assert [r.position for r in rewrites] == list(range(len(rewrites)))
+        assert rewrites[-1].kind is RewriteKind.CONJUNCTIVE
+    generated = generate_rewrites(Question.from_text("Who killed Abraham Lincoln?"))[1]
+    by_hand = Rewrite(generated.kind, generated.parts, generated.answer_slot, generated.weight)
+    assert generated.position == 1 and by_hand.position is None
+    assert by_hand == generated and hash(by_hand) == hash(generated)
+    moved = dataclasses.replace(generated, position=7)
+    assert moved == generated and hash(moved) == hash(generated)
+
+
 # --------------------------------------------------------------------------
 # features
 
