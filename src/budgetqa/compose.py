@@ -44,7 +44,7 @@ from .search import Snippet
 from .text import token_key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NGramCandidate:
     """A scored answer candidate; ``tokens`` is the majority surface form."""
 

@@ -171,6 +171,11 @@ class Run:
     after the outcomes before it are recorded.
     """
 
+    __slots__ = (
+        "question", "rewrites", "provider", "limit", "snippets", "evidence", "positions",
+        "nonempty", "errors", "started",
+    )
+
     def __init__(
         self, question: Question, rewrites: tuple[Rewrite, ...], provider: SearchProvider, limit: int
     ):

@@ -4,6 +4,11 @@ Datasets follow the TREC style: a question plus answer patterns (regular
 expressions). An answer is correct when the top-ranked candidate matches
 any pattern, case-insensitively and in full after trimming; abstentions are
 counted separately and never as correct.
+
+Replays judge the same answers again and again (the experiment script
+evaluates each held-out question 85 times), so a ``QAItem`` remembers its
+verdict per top answer and ``evaluate`` and training judge through it:
+each distinct answer of an item is matched against its patterns once.
 """
 
 from __future__ import annotations
@@ -36,8 +41,10 @@ class QAItem:
 
     ``parsed``, the question's ``Question``, is parsed on first use and kept
     for the item's lifetime; with the rewrites that ``Question`` keeps, every
-    evaluation of the item reuses one parse and one set of rewrites. It is
-    not a field, so equality, hashing and ``dataclasses.replace`` ignore it.
+    evaluation of the item reuses one parse and one set of rewrites.
+    ``verdicts`` maps each top answer ``verdict`` was asked about to its
+    ``judge`` judgment. Neither is a field, so equality, hashing and
+    ``dataclasses.replace`` ignore them, and a copy starts empty.
     """
 
     question: str
@@ -46,6 +53,19 @@ class QAItem:
     @cached_property
     def parsed(self) -> Question:
         return Question.from_text(self.question)
+
+    @cached_property
+    def verdicts(self) -> dict[str | None, Judgment]:
+        return {}
+
+    def verdict(self, top_answer: str | None) -> Judgment:
+        """``judge(top_answer, self.patterns)``, judged once per answer.
+        Threads may share an item: two that miss at once store equal
+        judgments."""
+        judgment = self.verdicts.get(top_answer)
+        if judgment is None:
+            judgment = self.verdicts[top_answer] = judge(top_answer, self.patterns)
+        return judgment
 
     @classmethod
     def make(cls, question: str, patterns: Sequence[str]) -> "QAItem":
@@ -108,7 +128,7 @@ def dump_dataset(items: Sequence[QAItem], path: str) -> None:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class QuestionRecord:
     question: str
     judgment: Judgment
@@ -180,7 +200,7 @@ def evaluate(
         top = result.top_answer
         return QuestionRecord(
             question=item.question,
-            judgment=judge(top, item.patterns),
+            judgment=item.verdict(top),
             queries_issued=result.queries_issued,
             top_answer=top,
             error="; ".join(result.backend_errors) or None,

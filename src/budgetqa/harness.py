@@ -21,7 +21,7 @@ from typing import Sequence
 # rewrites); perfbench/spans.py still binds all three names in this module.
 from .compose import compose_answers  # noqa: F401
 from .control import Run
-from .evaluation import Judgment, QAItem, judge
+from .evaluation import Judgment, QAItem
 from .models import (
     DEFAULT_THRESHOLDS,
     PROBE_SIZE,
@@ -42,7 +42,7 @@ from .tree import DecisionTree, TrainingCase, train_tree
 
 def _correct(answers, item: QAItem) -> bool:
     top = answers[0].text if answers else None
-    return judge(top, item.patterns) is Judgment.CORRECT
+    return item.verdict(top) is Judgment.CORRECT
 
 
 def generate_quality_cases(

@@ -85,7 +85,7 @@ class Question:
         return {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rewrite:
     """One search-engine query derived from a question.
 

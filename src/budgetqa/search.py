@@ -9,9 +9,10 @@ after construction so concurrent queries are safe.
 A phrase is matched by scanning the postings of its rarest key and checking
 the document's keys around each posting (Manning, Raghavan & Schütze,
 *Introduction to Information Retrieval*, §2.4). A conjunctive query ANDs
-single words: it reads each word's first position per document from the
-index's first-position map, and checks the documents of the word with the
-fewest against the rest.
+single words: it intersects the words' document sets (the keys of the
+index's first-position maps), starting from the word with the fewest
+documents (§1.3), and reads the first word's first position in each
+document left from its map.
 
 Search results are tuples of frozen snippets, so they can be shared. Each
 ``OfflineProvider`` memoises its results, keyed by the rewrite's kind, its
@@ -182,10 +183,12 @@ def query_conjunctive(index: Index, parts: Sequence[str], limit: int = DEFAULT_L
         return ()
 
     starts = [index.first_positions.get(k, {}) for k in keys]
-    fewest = min(starts, key=len)
-    matched = [o for o in fewest if all(o in found for found in starts)]
-    matched.sort(key=lambda o: index.docs[o].id)
-    return tuple(index._snippet(o, starts[0][o], starts[0][o] + 1) for o in matched[:limit])
+    fewest, *rest = sorted(starts, key=len)
+    matched = fewest.keys()
+    for found in rest:
+        matched = matched & found.keys()  # iterates the smaller side, in C
+    ordered = sorted(matched, key=lambda o: index.docs[o].id)
+    return tuple(index._snippet(o, starts[0][o], starts[0][o] + 1) for o in ordered[:limit])
 
 
 def _search(index: Index, phrasal: bool, parts: tuple[str, ...], limit: int) -> tuple[Snippet, ...]:

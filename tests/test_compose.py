@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -94,6 +96,16 @@ def test_majority_surface_form_reported():
     snippets = [_snip("the BOOTH story"), _snip("near Booth today"), _snip("near Booth now")]
     cands = _by_key(mine_ngrams([(1.0, snippets)]))
     assert cands[("booth",)].tokens == ("Booth",)
+
+
+def test_mined_candidates_are_slotted_frozen_values():
+    cand = mine_ngrams([(1.0, [_snip("near Booth today")])])[0]
+    assert not hasattr(cand, "__dict__")
+    assert dataclasses.replace(cand) == cand and hash(dataclasses.replace(cand)) == hash(cand)
+    assert pickle.loads(pickle.dumps(cand)) == cand
+    assert dataclasses.replace(cand, support=cand.support + 1) != cand
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cand.score = 0.0
 
 
 def test_empty_snippets_empty_result():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import pickle
 import re
 from collections import Counter
 
@@ -22,6 +23,7 @@ from budgetqa.errors import DatasetParseError
 from budgetqa.evaluation import (
     Judgment,
     QAItem,
+    QuestionRecord,
     Report,
     dump_dataset,
     evaluate,
@@ -231,6 +233,60 @@ def test_item_keeps_its_parsed_question_outside_its_value():
     moved = dataclasses.replace(item, question="Who shot Lincoln?")
     assert "parsed" not in moved.__dict__
     assert moved.parsed == Question.from_text("Who shot Lincoln?")
+
+
+def test_item_verdicts_equal_judge_and_judge_each_answer_once(monkeypatch):
+    item = QAItem.make("Who killed Abraham Lincoln?", [r"(John )?Wilkes Booth"])
+    answers = [None, "  wilkes BOOTH ", "John Wilkes Booth", "bullet"]
+    expected = [judge(a, item.patterns) for a in answers]
+    assert expected == [Judgment.ABSTAINED, Judgment.CORRECT, Judgment.CORRECT, Judgment.INCORRECT]
+    calls = Counter()
+    pure = evaluation.judge
+
+    def counting(top_answer, patterns):
+        calls[top_answer] += 1
+        return pure(top_answer, patterns)
+
+    monkeypatch.setattr(evaluation, "judge", counting)
+    assert [item.verdict(a) for a in answers + answers] == expected + expected
+    assert calls == Counter(answers) and list(item.verdicts) == answers
+    moved = dataclasses.replace(item)
+    assert moved == item and "verdicts" not in moved.__dict__
+    assert moved.verdicts == {} and moved.verdict("bullet") is Judgment.INCORRECT
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_evaluations_judge_each_distinct_answer_of_an_item_once(small_bench, monkeypatch, jobs):
+    bench, provider = small_bench
+    policies = [ConjunctiveOnly(), RandomN(1, seed=0), RandomN(3, seed=1), AllRewrites()]
+    baseline = [evaluate(p, bench.items, provider).per_question for p in policies]
+    calls = Counter()
+    pure = evaluation.judge
+
+    def counting(top_answer, patterns):
+        calls[top_answer, patterns] += 1
+        return pure(top_answer, patterns)
+
+    monkeypatch.setattr(evaluation, "judge", counting)
+    items = [QAItem(item.question, item.patterns) for item in bench.items]  # none judged yet
+    records = [evaluate(p, items, provider, jobs=jobs).per_question for p in policies]
+    assert records == baseline
+    for i, item in enumerate(items):
+        tops = {report[i].top_answer for report in records}
+        assert set(item.verdicts) == tops
+        assert all(calls[top, item.patterns] == 1 for top in tops)
+    assert sum(calls.values()) == sum(len(item.verdicts) for item in items)
+
+
+def test_question_records_are_slotted_values(small_bench):
+    bench, provider = small_bench
+    record = evaluate(AllRewrites(), bench.items[:1], provider).per_question[0]
+    assert isinstance(record, QuestionRecord) and not hasattr(record, "__dict__")
+    assert dataclasses.replace(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert dataclasses.replace(record, error="down") != record
+    with pytest.raises(AttributeError):
+        record.note = "not a field"
 
 
 def test_evaluations_rewrite_each_item_once(small_bench, monkeypatch):

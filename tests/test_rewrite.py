@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -185,6 +186,12 @@ def test_generated_rewrites_carry_their_positions_outside_their_value():
     assert by_hand == generated and hash(by_hand) == hash(generated)
     moved = dataclasses.replace(generated, position=7)
     assert moved == generated and hash(moved) == hash(generated)
+    # Slotted: no instance dict, and a pickled copy keeps its value and position.
+    assert not hasattr(generated, "__dict__")
+    copied = pickle.loads(pickle.dumps(generated))
+    assert copied == generated and copied.position == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        generated.position = 2
 
 
 # --------------------------------------------------------------------------
