@@ -158,7 +158,6 @@ def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, models_di
         provider,
         models,
         cfg.preferences,
-        limit=cfg.limit,
     )
 
     if result.decision is not None:
@@ -200,7 +199,7 @@ def cmd_train(dataset_path, config_path, corpus_path, scorer, out_dir):
     cfg = load_config(config_path, corpus=corpus_path)
     dataset = evaluation.load_dataset(dataset_path)
     models = harness.train_models(
-        dataset, cfg.make_provider(), scorer=SCORERS[scorer](), limit=cfg.limit
+        dataset, cfg.make_provider(), scorer=SCORERS[scorer]()
     )
     path = models.save(out_dir)
     click.echo(f"trained on {len(dataset)} questions with the {scorer} scorer -> {path}")
@@ -246,12 +245,12 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, 
     reports = []
     if sweep_k_values:
         results = evaluation.sweep_k(
-            dataset, provider, models, sweep_k_values, cfg.c, limit=cfg.limit, jobs=jobs
+            dataset, provider, models, sweep_k_values, cfg.c, jobs=jobs
         )
         click.echo(evaluation.render_k_sweep(results))
         reports = [r for _, r in results]
     elif sweep_n_flag:
-        rows = evaluation.sweep_n(dataset, provider, models, seeds or [0, 1, 2], limit=cfg.limit, jobs=jobs)
+        rows = evaluation.sweep_n(dataset, provider, models, seeds or [0, 1, 2], jobs=jobs)
         click.echo(evaluation.render_n_sweep(rows))
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -261,7 +260,7 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, 
     else:
         report = evaluation.evaluate(
             _POLICIES[policy](n, cfg.seed), dataset, provider, models, cfg.preferences,
-            limit=cfg.limit, jobs=jobs,
+            jobs=jobs,
         )
         click.echo(evaluation.render_reports([report]))
         reports = [report]

@@ -1,10 +1,12 @@
 """Runtime configuration: a JSON file with CLI-flag overrides.
 
 Precedence is flag > file > default. Exactly one search backend must be
-configured: a ``corpus`` file, searched offline with a snippet ``window``
-of that many words each side, or a remote ``endpoint``, an http:// or
-https:// URL with a host and no ``user:password@``. Every referenced path
-must resolve at load time, and the file must hold a JSON object.
+configured: a ``corpus`` file, searched offline, or a remote ``endpoint``,
+an http:// or https:// URL with a host and no ``user:password@``. Every
+referenced path must resolve at load time, and the file must hold a JSON
+object. The search depth and the snippet width are not settings: the
+models were trained on ``search.DEFAULT_LIMIT`` snippets per query of
+``search.DEFAULT_WINDOW`` words each side, so serving uses the same.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from .control import Preferences
 from .errors import ConfigError
-from .search import DEFAULT_LIMIT, DEFAULT_WINDOW, OfflineProvider, SearchProvider, build_index, load_corpus
+from .search import OfflineProvider, SearchProvider, build_index, load_corpus
 
 
 @dataclass
@@ -26,8 +28,6 @@ class Config:
     query_param: str = "q"
     results_key: str = "results"
     summary_key: str = "summary"
-    window: int = DEFAULT_WINDOW
-    limit: int = DEFAULT_LIMIT
     k: float = 10.0
     c: float = 1.0
     seed: int = 0
@@ -37,10 +37,11 @@ class Config:
     def __post_init__(self):
         if problem := Preferences.error("k", self.k) or Preferences.error("c", self.c):
             raise ConfigError(problem)
-        for name in ("window", "limit", "max_in_flight"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, not {value!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an integer, not {self.seed!r}")
+        value = self.max_in_flight
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"max_in_flight must be a positive integer, not {value!r}")
         if self.corpus and self.endpoint:
             raise ConfigError("configure exactly one backend (corpus or endpoint)")
         if self.endpoint:
@@ -68,7 +69,7 @@ class Config:
                 max_in_flight=self.max_in_flight,
             )
         if self.corpus:
-            return OfflineProvider(build_index(load_corpus(self.corpus), window=self.window))
+            return OfflineProvider(build_index(load_corpus(self.corpus)))
         raise ConfigError("no backend configured: set corpus or endpoint")
 
 

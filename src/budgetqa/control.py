@@ -155,12 +155,14 @@ class QuestionResult:
 class Run:
     """One question's rewrites in submission order, each executed at most once.
 
-    Rewrites execute on demand when a prefix is composed. Without
-    ``execute_many`` one loop calls the provider's ``execute`` per pending
-    rewrite and records each outcome as it comes. A provider with
-    ``execute_many`` gets the pending rewrites as one batch, even of one
-    rewrite; the first batch's start time goes with every batch of the run
-    as ``started``, so the provider's deadline bounds the whole question.
+    Rewrites execute on demand when a prefix is composed, each asking for
+    ``search.DEFAULT_LIMIT`` snippets, the fixed depth the models were
+    trained on. Without ``execute_many`` one loop calls the provider's
+    ``execute`` per pending rewrite and records each outcome as it comes.
+    A provider with ``execute_many`` gets the pending rewrites as one batch,
+    even of one rewrite; the first batch's start time goes with every batch
+    of the run as ``started``, so the provider's deadline bounds the whole
+    question.
     Outcomes are recorded in submission order either way. Each executed
     rewrite's snippets stay apart, which is how run features know the
     rewrite behind every snippet; those that returned snippets are also
@@ -172,17 +174,16 @@ class Run:
     """
 
     __slots__ = (
-        "question", "rewrites", "provider", "limit", "snippets", "evidence", "positions",
+        "question", "rewrites", "provider", "snippets", "evidence", "positions",
         "nonempty", "errors", "started",
     )
 
     def __init__(
-        self, question: Question, rewrites: tuple[Rewrite, ...], provider: SearchProvider, limit: int
+        self, question: Question, rewrites: tuple[Rewrite, ...], provider: SearchProvider
     ):
         self.question = question
         self.rewrites = rewrites
         self.provider = provider
-        self.limit = limit
         self.snippets: list[Sequence[Snippet]] = []  # per executed rewrite
         # The executed rewrites that returned snippets, in submission order:
         # their (weight, snippets) pairs and positions. nonempty[i] counts
@@ -209,7 +210,7 @@ class Run:
             execute = self.provider.execute
             for rewrite in pending:
                 try:
-                    found = execute(rewrite, self.limit)
+                    found = execute(rewrite, DEFAULT_LIMIT)
                 except (RetryableError, ProviderError) as exc:
                     self.errors.append(f"{rewrite.as_query()}: {exc}")
                     found = ()
@@ -221,7 +222,7 @@ class Run:
             return
         if self.started is None:
             self.started = time.monotonic()
-        for rewrite, found in zip(pending, batch(pending, self.limit, started=self.started)):
+        for rewrite, found in zip(pending, batch(pending, DEFAULT_LIMIT, started=self.started)):
             if isinstance(found, (RetryableError, ProviderError)):
                 self.errors.append(f"{rewrite.as_query()}: {found}")
                 found = ()
@@ -384,7 +385,6 @@ def run_policy(
     models: ModelSet | None = None,
     prefs: Preferences | None = None,
     *,
-    limit: int = DEFAULT_LIMIT,
     question_index: int = 0,
 ) -> QuestionResult:
     """Select rewrites per the policy, execute them, compose answers.
@@ -398,4 +398,4 @@ def run_policy(
     if isinstance(question, str):
         question = Question.from_text(question)
     selection = policy.select(question, models, question_index)
-    return policy.play(Run(question, selection, provider, limit), models, prefs)
+    return policy.play(Run(question, selection, provider), models, prefs)

@@ -29,10 +29,10 @@ from .control import (
     LikelihoodN,
     run_policy,
 )
-from .errors import DatasetParseError
+from .errors import DatasetParseError, EmptyQuestion
 from .models import DEFAULT_THRESHOLDS, ModelSet
 from .rewrite import Question
-from .search import DEFAULT_LIMIT, SearchProvider
+from .search import SearchProvider
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,9 @@ def judge(top_answer: str | None, patterns: Sequence[re.Pattern]) -> Judgment:
 def load_dataset(path: str) -> list[QAItem]:
     """One JSON object per line: {"question": ..., "patterns": [...]}, where
     ``patterns`` is a list of strings. Any other ``patterns`` (a bare
-    string would become one regex per character) raises
-    ``DatasetParseError`` with the line number."""
+    string would become one regex per character), or a question with no
+    word tokens, raises ``DatasetParseError`` with the line number, before
+    any query is issued."""
     items = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -109,10 +110,12 @@ def load_dataset(path: str) -> list[QAItem]:
                 patterns = row["patterns"]
                 if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
                     raise DatasetParseError("patterns must be a JSON list of strings")
-                items.append(QAItem.make(str(row["question"]), patterns))
+                item = QAItem.make(str(row["question"]), patterns)
+                item.parsed  # parsed now, so a question with no word tokens fails here
+                items.append(item)
             except DatasetParseError as exc:
                 raise DatasetParseError(str(exc), line_no) from exc
-            except (json.JSONDecodeError, KeyError, TypeError, re.error) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, re.error, EmptyQuestion) as exc:
                 raise DatasetParseError(f"bad dataset record: {exc}", line_no) from exc
     return items
 
@@ -176,7 +179,6 @@ def evaluate(
     models: ModelSet | None = None,
     prefs: Preferences | None = None,
     *,
-    limit: int = DEFAULT_LIMIT,
     jobs: int = 1,
     label: str | None = None,
 ) -> Report:
@@ -194,7 +196,6 @@ def evaluate(
             provider,
             models,
             prefs,
-            limit=limit,
             question_index=idx,
         )
         top = result.top_answer
@@ -236,7 +237,6 @@ def sweep_k(
     ks: Sequence[float],
     c: float = 1.0,
     *,
-    limit: int = DEFAULT_LIMIT,
     jobs: int = 1,
 ) -> list[tuple[float, Report]]:
     """Cost-benefit evaluation at several answer values k."""
@@ -248,7 +248,6 @@ def sweep_k(
             provider,
             models,
             Preferences(k=k, c=c),
-            limit=limit,
             jobs=jobs,
             label=f"cost_benefit_k{k:g}",
         )
@@ -262,7 +261,6 @@ def sweep_n(
     models: ModelSet,
     seeds: Sequence[int] = (0,),
     *,
-    limit: int = DEFAULT_LIMIT,
     jobs: int = 1,
 ) -> list[dict]:
     """Fixed-budget comparison: random order vs likelihood order at every
@@ -280,10 +278,10 @@ def sweep_n(
     rows = []
     for n in DEFAULT_THRESHOLDS:
         randoms = [
-            evaluate(RandomN(n, seed=seed), dataset, provider, models, limit=limit, jobs=jobs)
+            evaluate(RandomN(n, seed=seed), dataset, provider, models, jobs=jobs)
             for seed in seeds
         ]
-        likelihood = evaluate(LikelihoodN(n), dataset, provider, models, limit=limit, jobs=jobs)
+        likelihood = evaluate(LikelihoodN(n), dataset, provider, models, jobs=jobs)
         cost = likelihood.total_cost
         expected = sum(min(n, len(item.parsed.rewrites)) for item in dataset)
         if any(r.total_cost != cost for r in randoms) or cost != expected:

@@ -3,7 +3,8 @@ dataset, and train the full model set from them.
 
 Every case comes from the controller's own ``Run`` (``control.py``), so
 training sees the evidence, answer filters and per-rewrite error handling
-that serving sees. Per-rewrite quality cases come from single-query runs:
+that serving sees, at the same fixed search depth (``search.DEFAULT_LIMIT``
+snippets per query). Per-rewrite quality cases come from single-query runs:
 each rewrite is run alone and labelled by whether the composed top answer
 matches the question's patterns. Threshold cases come from one run per
 question over the quality-ordered rewrites, the cost-benefit policy's
@@ -36,7 +37,7 @@ from .rewrite import (
     generate_rewrites,  # noqa: F401
     phrasal_features,
 )
-from .search import DEFAULT_LIMIT, SearchProvider
+from .search import SearchProvider
 from .tree import DecisionTree, TrainingCase, train_tree
 
 
@@ -50,14 +51,13 @@ def generate_quality_cases(
     provider: SearchProvider,
     *,
     scorer: GrammarScorer,
-    limit: int = DEFAULT_LIMIT,
 ) -> tuple[list[TrainingCase], list[TrainingCase]]:
     """(conjunctive cases, phrasal cases) from single-query runs."""
     conj_cases, phrasal_cases = [], []
     for item in dataset:
         question = item.parsed
         for rewrite in question.rewrites:
-            label = _correct(Run(question, (rewrite,), provider, limit).compose(1), item)
+            label = _correct(Run(question, (rewrite,), provider).compose(1), item)
             if rewrite.kind is RewriteKind.CONJUNCTIVE:
                 conj_cases.append(TrainingCase(conjunctive_features(rewrite), label))
             else:
@@ -72,7 +72,6 @@ def generate_threshold_cases(
     phrasal_tree: DecisionTree,
     *,
     scorer: GrammarScorer,
-    limit: int = DEFAULT_LIMIT,
 ) -> dict[int, list[TrainingCase]]:
     """Budget-capped runs at every training threshold over quality-ordered
     rewrites, each case carrying the run features of the controller's probe.
@@ -85,7 +84,7 @@ def generate_threshold_cases(
     cases: dict[int, list[TrainingCase]] = {n: [] for n in DEFAULT_THRESHOLDS}
     for item in dataset:
         question = item.parsed
-        run = Run(question, models.order(question.rewrites), provider, limit)
+        run = Run(question, models.order(question.rewrites), provider)
         probe_features = run.features(PROBE_SIZE)
         for n in DEFAULT_THRESHOLDS:
             cases[n].append(TrainingCase(probe_features, _correct(run.compose(n), item)))
@@ -97,11 +96,10 @@ def train_models(
     provider: SearchProvider,
     *,
     scorer: GrammarScorer,
-    limit: int = DEFAULT_LIMIT,
 ) -> ModelSet:
     """Both learning phases end to end: quality models, then the ensemble."""
     conj_cases, phrasal_cases = generate_quality_cases(
-        dataset, provider, scorer=scorer, limit=limit
+        dataset, provider, scorer=scorer
     )
     conj_tree = train_tree(conj_cases)
     phrasal_tree = train_tree(phrasal_cases)
@@ -111,7 +109,6 @@ def train_models(
         conj_tree,
         phrasal_tree,
         scorer=scorer,
-        limit=limit,
     )
     ensemble = train_threshold_ensemble(threshold_cases)
     return ModelSet(

@@ -219,7 +219,43 @@ def test_bad_config_value_is_data_error(workspace, tmp_path, capsys, field, valu
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"corpus": workspace["corpus"], field: value}), encoding="utf-8")
     assert main(["ask", "Who did it?", "--config", str(cfg)]) == 2
-    assert f"data error: {field} must be a positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if field in ("window", "limit"):
+        # The models fix the search depth and snippet width, so these are no
+        # longer settings: any value for them is an unknown field.
+        assert "data error: bad config field: " in err and f"'{field}'" in err
+    else:
+        assert f"data error: {field} must be a positive" in err
+
+
+@pytest.mark.parametrize("seed", ["abc", 1.5, True])
+def test_config_seed_that_is_not_an_integer_is_data_error(workspace, tmp_path, capsys, seed):
+    # "abc" used to reach RandomN.select and die there with a TypeError
+    # traceback; 1.5 was accepted although --seed takes integers only.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus": workspace["corpus"], "seed": seed}), encoding="utf-8")
+    assert main(["ask", "Who did it?", "--config", str(cfg), "--policy", "random"]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: seed must be an integer, not {seed!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["train", "--out", "OUT"], ["evaluate", "--policy", "all"]])
+def test_question_without_word_tokens_is_data_error_before_any_query(
+    workspace, tmp_path, monkeypatch, capsys, command
+):
+    def no_query(self, rewrite, limit):
+        raise AssertionError("a query was issued")
+
+    monkeypatch.setattr(OfflineProvider, "execute", no_query)
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(
+        '{"question": "Who did it?", "patterns": ["x"]}\n{"question": "?!", "patterns": ["x"]}\n',
+        encoding="utf-8",
+    )
+    args = [str(tmp_path / "models") if a == "OUT" else a for a in command]
+    assert main(args + ["--dataset", str(dataset), "--corpus", workspace["corpus"]]) == 2
+    assert "line 2: bad dataset record: question contains no word tokens" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", '"corpus.jsonl"', "3"], ids=["list", "string", "number"])
@@ -372,6 +408,9 @@ def test_conflicting_backends_is_data_error(workspace, tmp_path):
         # Training fixes the budgets and the probe; the ensemble carries them.
         {"thresholds": [1, 2, 25]},
         {"probe_size": 3},
+        # So are the search depth and the snippet width they were trained on.
+        {"limit": 100},
+        {"window": 10},
         # The models file records its grammar scorer.
         {"scorer": "adjacency"},
         # Each setting has one name; the old field name is not an alias.

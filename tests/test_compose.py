@@ -19,7 +19,7 @@ from budgetqa.compose import (
 )
 from budgetqa.control import Run
 from budgetqa.rewrite import Question, QuestionType, generate_rewrites
-from budgetqa.search import DEFAULT_LIMIT, OfflineProvider, Snippet, build_index
+from budgetqa.search import OfflineProvider, Snippet, build_index
 from budgetqa.text import default_stopwords, token_key
 
 from oracles import (
@@ -496,7 +496,7 @@ def test_compositions_match_golden_digest():
         question = Question.from_text(item.question)
         rewrites = generate_rewrites(question)
         for order in (rewrites, rewrites[::-1]):
-            run = Run(question, order, provider, DEFAULT_LIMIT)
+            run = Run(question, order, provider)
             for k in range(1, len(order) + 1):
                 answers = run.compose(k)
                 record = [

@@ -181,7 +181,7 @@ def test_choose_n_asks_each_distinct_tree_once(monkeypatch):
     monkeypatch.setattr(DecisionTree, "predict", counted)
     for item in bench.items[20:]:
         order = CostBenefit().select(item.parsed, models, 0)
-        features = Run(item.parsed, order, provider, DEFAULT_LIMIT).features(PROBE_SIZE)
+        features = Run(item.parsed, order, provider).features(PROBE_SIZE)
         asked.clear()
         decision = choose_n(models.ensemble, features, prefs)
         assert len(asked) == distinct
@@ -311,7 +311,7 @@ def test_run_features_match_remining_oracle(evidence, prefix):
         for i, (weight, kind, _) in enumerate(evidence)
     ]
     texts = [found for _, _, found in evidence]
-    run = Run(question, rewrites, _ScriptedProvider(texts), limit=100)
+    run = Run(question, rewrites, _ScriptedProvider(texts))
     feats = run.features(prefix)
 
     used = rewrites[:prefix]
@@ -340,7 +340,7 @@ def test_one_word_question_has_the_run_feature_schema(lincoln_provider):
     # features must carry every key a threshold tree can split on.
     def keys(text):
         question = Question.from_text(text)
-        run = Run(question, generate_rewrites(question), lincoln_provider, DEFAULT_LIMIT)
+        run = Run(question, generate_rewrites(question), lincoln_provider)
         return set(run.features(PROBE_SIZE))
 
     assert keys("Velt?") == keys("Who killed Abraham Lincoln?")
@@ -365,7 +365,7 @@ def test_every_batch_of_a_run_shares_the_start_of_its_first():
     recorder = _BatchRecorder()
     meter = MeteredProvider(recorder)
     before = time.monotonic()
-    run = Run(Question.from_text(QUESTION), Question.from_text(QUESTION).rewrites[:3], meter, 10)
+    run = Run(Question.from_text(QUESTION), Question.from_text(QUESTION).rewrites[:3], meter)
     run.compose(2)  # a probe
     run.compose(2)  # nothing left to execute
     run.compose(3)  # a lone extension rewrite is a batch too
@@ -397,7 +397,7 @@ class _FailingProvider:
 def test_a_serial_run_records_backend_failures_and_raises_anything_else():
     rewrites = [Rewrite(RewriteKind.CONJUNCTIVE, (f"p{i}",), AnswerSlot.NONE, 1.0) for i in range(4)]
     provider = _FailingProvider()
-    run = Run(Question.from_text(QUESTION), rewrites, provider, 10)
+    run = Run(Question.from_text(QUESTION), rewrites, provider)
     with pytest.raises(RuntimeError, match="a bug"):
         run.compose(4)
     assert provider.executed == ["p0", "p1", "p2"]
@@ -624,7 +624,7 @@ def test_a_cost_benefit_extension_that_found_nothing_answers_with_the_probe(monk
     result = run_policy(CostBenefit(), question, provider, models, Preferences(k=10, c=1))
     assert result.decision.n == 5 and result.queries_issued == 5
     assert len(calls) == 1
-    assert result.answers is Run(question, order, provider, DEFAULT_LIMIT).compose(PROBE_SIZE)
+    assert result.answers is Run(question, order, provider).compose(PROBE_SIZE)
     assert result.answers is question.compositions[_key(question, order[:PROBE_SIZE])][1]
 
 
@@ -645,7 +645,7 @@ def test_two_orders_of_the_same_evidence_are_each_composed_once(lincoln_provider
     for _ in range(2):
         for order in (forward, backward):
             walks[order] = [
-                Run(question, order, lincoln_provider, DEFAULT_LIMIT).compose(n)
+                Run(question, order, lincoln_provider).compose(n)
                 for n in range(1, len(order) + 1)
             ]
         assert len(calls) == 6  # each distinct ordered evidence, once
@@ -655,7 +655,7 @@ def test_two_orders_of_the_same_evidence_are_each_composed_once(lincoln_provider
     assert list(walks[forward][4]) != list(walks[backward][4])
     for order, step in ((forward, 1), (backward, -1)):
         fresh = Question.from_text(QUESTION)
-        again = Run(fresh, fresh.rewrites[::step], lincoln_provider, DEFAULT_LIMIT).compose(5)
+        again = Run(fresh, fresh.rewrites[::step], lincoln_provider).compose(5)
         assert list(walks[order][4]) == list(again)
     assert set(question.compositions) == {(0,), (0, 3), (0, 3, 4), (4,), (4, 3), (4, 3, 0)}
 
@@ -668,7 +668,7 @@ def test_runs_over_fresh_rewrite_objects_keep_the_memo_bounded(lincoln_provider,
     calls = _counting_compositions(monkeypatch)
     copies = [tuple(generate_rewrites(question)) for _ in range(20)]
     for rewrites in copies:
-        run = Run(question, rewrites, lincoln_provider, DEFAULT_LIMIT)
+        run = Run(question, rewrites, lincoln_provider)
         for n in range(1, len(rewrites) + 1):
             run.compose(n)
     assert len(question.compositions) == 3  # 1 to 3 rewrites that returned snippets

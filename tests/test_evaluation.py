@@ -39,7 +39,7 @@ from budgetqa.evaluation import (
 from budgetqa.harness import train_models
 from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet
 from budgetqa.rewrite import AdjacencyGrammarScorer, Question, generate_rewrites
-from budgetqa.search import DEFAULT_LIMIT, MeteredProvider, OfflineProvider, build_index
+from budgetqa.search import MeteredProvider, OfflineProvider, build_index
 from budgetqa.tree import DecisionTree, Leaf
 
 
@@ -115,6 +115,19 @@ def test_load_dataset_requires_a_list_of_pattern_strings(tmp_path, patterns):
     assert err.value.line_no == 2
 
 
+def test_load_dataset_rejects_a_question_without_word_tokens(tmp_path):
+    # Such a question used to load and stop evaluate or train mid-run,
+    # after the backend was built, with no line number.
+    path = tmp_path / "data.jsonl"
+    path.write_text(
+        '{"question": "ok", "patterns": ["fine"]}\n{"question": "?!", "patterns": ["x"]}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(DatasetParseError, match="no word tokens") as err:
+        load_dataset(str(path))
+    assert err.value.line_no == 2
+
+
 def test_dataset_round_trip(tmp_path):
     items = [QAItem.make("Who?", [r"(a )?b"]), QAItem.make("Where?", [r"x", r"y"])]
     path = tmp_path / "rt.jsonl"
@@ -185,7 +198,7 @@ def test_queries_answered_from_the_memo_are_charged(small_bench):
 
     question = Question.from_text(bench.items[0].question)
     rewrites = generate_rewrites(question)
-    runs = [Run(question, rewrites, meter, DEFAULT_LIMIT) for _ in range(2)]
+    runs = [Run(question, rewrites, meter) for _ in range(2)]
     for run in runs:
         run.compose(len(rewrites))
     assert runs[0].issued == runs[1].issued == len(rewrites)

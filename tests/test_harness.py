@@ -4,7 +4,7 @@ import json
 import pytest
 
 from budgetqa.bench import generate_benchmark
-from budgetqa.control import LikelihoodN, Run, run_policy
+from budgetqa.control import CostBenefit, LikelihoodN, Preferences, Run, run_policy
 from budgetqa.errors import IncompleteEnsemble, RetryableError
 from budgetqa.evaluation import Judgment, QAItem, judge
 from budgetqa.cli import main
@@ -71,6 +71,41 @@ class _FailingProvider:
         if rewrite.as_query() == self.failing_query:
             raise RetryableError("backend failed after 3 attempts: HTTP 503")
         return self.inner.execute(rewrite, limit)
+
+
+class _SerialLimits:
+    """Passes each query through and records the limit it asked for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.limits = []
+
+    def execute(self, rewrite, limit):
+        self.limits.append(limit)
+        return self.inner.execute(rewrite, limit)
+
+
+class _BatchLimits(_SerialLimits):
+    """Records the limit of each batch; a run sends it batches only."""
+
+    def execute(self, rewrite, limit):
+        raise AssertionError("a run sends a batch provider batches only")
+
+    def execute_many(self, rewrites, limit, started=None):
+        self.limits.append(limit)
+        return [self.inner.execute(rewrite, limit) for rewrite in rewrites]
+
+
+@pytest.mark.parametrize("recorder", [_SerialLimits, _BatchLimits], ids=["execute", "execute_many"])
+def test_training_and_serving_ask_the_provider_for_the_default_limit(small_setup, recorder):
+    # The search depth is fixed, so the models serve at the depth they learnt.
+    bench, provider = small_setup
+    recording = recorder(provider)
+    models = train_models(bench.items, recording, scorer=AdjacencyGrammarScorer())
+    trained = len(recording.limits)
+    run_policy(CostBenefit(), bench.items[0].question, recording, models, Preferences(k=10.0, c=1.0))
+    assert 0 < trained < len(recording.limits)
+    assert set(recording.limits) == {DEFAULT_LIMIT}
 
 
 def test_threshold_cases_label_a_failed_rewrite_like_serving(small_setup):
@@ -145,7 +180,7 @@ def test_loaded_models_share_trees_as_trained_ones_do(tmp_path):
     loaded = ModelSet.load(str(tmp_path))
     assert len({id(tree) for tree in loaded.ensemble.trees.values()}) == trained
     for item in bench.items[20:]:
-        run = Run(item.parsed, models.order(item.parsed.rewrites), provider, DEFAULT_LIMIT)
+        run = Run(item.parsed, models.order(item.parsed.rewrites), provider)
         features = run.features(PROBE_SIZE)
         assert loaded.ensemble.predict_all(features) == models.ensemble.predict_all(features)
 

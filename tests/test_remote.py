@@ -275,7 +275,7 @@ def test_batch_outcomes_keep_submission_order(table_server):
         fast.as_query(): _hits("fast hit"),
     }
     TableHandler.delay, TableHandler.delays = 0.0, {slow.as_query(): DELAY_S}
-    run = Run(Question.from_text("Who did it?"), [slow, failing, fast], _provider(table_server), 10)
+    run = Run(Question.from_text("Who did it?"), [slow, failing, fast], _provider(table_server))
     run.compose(3)
     assert TableHandler.finished[-1] == slow.as_query()  # the first rewrite finished last
     assert [[s.text for s in found] for found in run.snippets] == [["slow hit"], [], ["fast hit"]]
@@ -322,7 +322,7 @@ def test_other_worker_exceptions_propagate_as_from_serial_calls(table_server, mo
     monkeypatch.setattr(RemoteProvider, "execute", broken)
     TableHandler.delay = 0.0
     rewrites = _rewrites("fine", "broken", "after")
-    run = Run(Question.from_text("Who did it?"), rewrites, _provider(table_server), 10)
+    run = Run(Question.from_text("Who did it?"), rewrites, _provider(table_server))
     with pytest.raises(KeyError, match="not a backend failure"):
         run.compose(3)
     assert run.snippets == [()]  # the rewrite before it is recorded, as in a serial run
@@ -355,7 +355,7 @@ def test_run_over_remote_matches_run_over_offline(table_server, lincoln_provider
 
     def play(provider):
         meter = MeteredProvider(provider)
-        run = Run(question, rewrites, meter, 10)
+        run = Run(question, rewrites, meter)
         probe = run.compose(2)  # a probe batch, then the extension batch
         result = run.result(len(rewrites))
         answers = [(c.text, c.score, c.support) for c in result.answers]
@@ -382,7 +382,7 @@ def test_question_deadline_bounds_a_stalled_query(table_server, lincoln_provider
     # 0.4 s leave no time for a third attempt.
     meter = MeteredProvider(_provider(table_server, timeout=0.2 / 3, backoff=0.2))
     start = time.perf_counter()
-    result = Run(question, rewrites, meter, 10).result(2)
+    result = Run(question, rewrites, meter).result(2)
     assert time.perf_counter() - start < 0.5
     assert result.queries_issued == meter.calls == 2  # the stalled query is charged
     assert len(result.backend_errors) == 1
@@ -391,7 +391,7 @@ def test_question_deadline_bounds_a_stalled_query(table_server, lincoln_provider
         result.backend_errors[0],
     )
     # Answered from the other rewrite of the batch, as if the stalled one had failed.
-    offline = Run(question, rewrites, _FailsOne(lincoln_provider, stalled), 10).result(2)
+    offline = Run(question, rewrites, _FailsOne(lincoln_provider, stalled)).result(2)
     assert [(c.text, c.score) for c in result.answers] == [(c.text, c.score) for c in offline.answers]
     assert result.answers
 

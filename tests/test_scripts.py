@@ -66,3 +66,39 @@ def test_experiment_script_rejects_out_of_range_arguments(args, message, tmp_pat
     assert "Traceback" not in done.stderr
     assert message in done.stderr
     assert done.stdout == ""
+
+
+CODE_LINES_FIXTURE = '''"""A module docstring
+over two lines."""
+
+import os  # a comment after code leaves its line a code line
+
+# a comment line
+
+
+class Box:
+    """A class docstring."""
+
+    text = """a string that is
+not a docstring"""
+
+
+def wrap(x):
+    """A function docstring."""
+    return max(
+        x,
+        1,
+    )
+'''
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    # import, class, the two-line string, def and the four-line call: 9.
+    module = tmp_path / "fixture.py"
+    module.write_text(CODE_LINES_FIXTURE, encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS[0].parent / "code_lines.py"), str(module)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "     9  fixture.py\n     9  total\n"
