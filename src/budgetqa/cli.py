@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ask, train, evaluate, gen-bench. ``train`` writes one
-``models.json`` that records the grammar scorer it was trained with;
-``ask`` and ``evaluate`` load it with ``--models`` and serve with that scorer.
+``models.json``; ``ask`` and ``evaluate`` load it with ``--models``. Both
+sides use the one grammar scorer, ``AdjacencyGrammarScorer``.
 All three search one backend, set by ``--corpus`` or ``--config``.
 Exit codes: 0 success or abstain, 1 usage error, 2 data error, 3 backend error.
 """
@@ -34,8 +34,8 @@ from .errors import (
     ProviderError,
     RetryableError,
 )
-from .models import ModelSet
-from .rewrite import SCORERS
+from .models import SCORER_NAME, ModelSet
+from .rewrite import AdjacencyGrammarScorer
 from .search import save_corpus
 from .tree import describe_tree
 
@@ -191,18 +191,16 @@ def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, models_di
 @click.option("--dataset", "dataset_path", type=click.Path(), required=True)
 @_config_option
 @click.option("--corpus", "corpus_path", type=click.Path(), default=None)
-@click.option("--scorer", type=click.Choice(sorted(SCORERS)), default="adjacency",
-              help="Grammar scorer for the phrasal quality model; recorded in models.json.")
 @click.option("--out", "out_dir", type=click.Path(), required=True, help="Directory for models.json.")
-def cmd_train(dataset_path, config_path, corpus_path, scorer, out_dir):
+def cmd_train(dataset_path, config_path, corpus_path, out_dir):
     """Train the quality models and the threshold ensemble on a labelled dataset."""
     cfg = load_config(config_path, corpus=corpus_path)
     dataset = evaluation.load_dataset(dataset_path)
     models = harness.train_models(
-        dataset, cfg.make_provider(), scorer=SCORERS[scorer]()
+        dataset, cfg.make_provider(), scorer=AdjacencyGrammarScorer()
     )
     path = models.save(out_dir)
-    click.echo(f"trained on {len(dataset)} questions with the {scorer} scorer -> {path}")
+    click.echo(f"trained on {len(dataset)} questions with the {SCORER_NAME} scorer -> {path}")
     trees = [("conjunctive quality", models.conjunctive), ("phrasal quality", models.phrasal)]
     trees += [(f"threshold {t}", models.ensemble.trees[t]) for t in models.ensemble.thresholds]
     for label, tree in trees:

@@ -3,10 +3,11 @@
 Precedence is flag > file > default. Exactly one search backend must be
 configured: a ``corpus`` file, searched offline, or a remote ``endpoint``,
 an http:// or https:// URL with a host and no ``user:password@``. Every
-referenced path must resolve at load time, and the file must hold a JSON
-object. The search depth and the snippet width are not settings: the
-models were trained on ``search.DEFAULT_LIMIT`` snippets per query of
-``search.DEFAULT_WINDOW`` words each side, so serving uses the same.
+referenced path must be a string that resolves at load time, and the file
+must hold a JSON object. The search depth and the snippet width are not
+settings: the models were trained on ``search.DEFAULT_LIMIT`` snippets per
+query of ``search.DEFAULT_WINDOW`` words each side, so serving uses the
+same.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class Config:
 
             parse_endpoint(self.endpoint)
         for label, path in (("corpus", self.corpus), ("models_dir", self.models_dir)):
+            if path is not None and not isinstance(path, str):
+                raise ConfigError(f"{label} must be a path string, not {path!r}")
             if path and not os.path.exists(path):
                 raise ConfigError(f"{label} path does not exist: {path}")
 

@@ -96,10 +96,11 @@ def judge(top_answer: str | None, patterns: Sequence[re.Pattern]) -> Judgment:
 
 def load_dataset(path: str) -> list[QAItem]:
     """One JSON object per line: {"question": ..., "patterns": [...]}, where
-    ``patterns`` is a list of strings. Any other ``patterns`` (a bare
-    string would become one regex per character), or a question with no
-    word tokens, raises ``DatasetParseError`` with the line number, before
-    any query is issued."""
+    ``question`` is a string and ``patterns`` a list of strings. Any other
+    ``question`` or ``patterns`` (a bare string would become one regex per
+    character), or a question with no word tokens, raises
+    ``DatasetParseError`` with the line number, before any query is
+    issued."""
     items = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -107,10 +108,12 @@ def load_dataset(path: str) -> list[QAItem]:
                 continue
             try:
                 row = json.loads(line)
+                if not isinstance(question := row["question"], str):
+                    raise DatasetParseError(f"question is not a JSON string: {question!r}")
                 patterns = row["patterns"]
                 if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
                     raise DatasetParseError("patterns must be a JSON list of strings")
-                item = QAItem.make(str(row["question"]), patterns)
+                item = QAItem.make(question, patterns)
                 item.parsed  # parsed now, so a question with no word tokens fails here
                 items.append(item)
             except DatasetParseError as exc:

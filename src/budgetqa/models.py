@@ -27,9 +27,8 @@ from .errors import ConfigError, IncompleteEnsemble
 from .rewrite import (
     CONJUNCTIVE_WEIGHT,
     PHRASAL_WEIGHT,
-    SCORERS,
+    AdjacencyGrammarScorer,
     GrammarScorer,
-    HeuristicGrammarScorer,
     Question,
     Rewrite,
     RewriteKind,
@@ -152,26 +151,22 @@ MODELS_FILE = "models.json"
 # Raised whenever a tree's feature schema changes, since a tree from another
 # format may split on features that are no longer computed.
 MODELS_FORMAT = 3
-
-
-def _scorer_name(scorer: GrammarScorer) -> str:
-    """The ``SCORERS`` name of ``scorer``'s class."""
-    for name, cls in SCORERS.items():
-        if type(scorer) is cls:
-            return name
-    raise ValueError(f"{scorer!r} is not a named scorer; a models file cannot record it")
+# The name a models file records for ``AdjacencyGrammarScorer``, the only
+# scorer it can be trained or served with.
+SCORER_NAME = "adjacency"
 
 
 @dataclass(eq=False)
 class ModelSet:
     """Everything the controller needs: quality models, ensemble, scorer.
-    A model set hashes by identity, so a question can remember its order
-    under it."""
+    The scorer is an ``AdjacencyGrammarScorer`` unless a test substitutes
+    another, which then cannot be saved. A model set hashes by identity, so
+    a question can remember its order under it."""
 
     conjunctive: DecisionTree
     phrasal: DecisionTree
     ensemble: ThresholdEnsemble | None = None
-    scorer: GrammarScorer = field(default_factory=HeuristicGrammarScorer)
+    scorer: GrammarScorer = field(default_factory=AdjacencyGrammarScorer)
 
     def quality_score(self, rewrite: Rewrite) -> float:
         """Query-quality score: probability that this single rewrite succeeds."""
@@ -185,12 +180,16 @@ class ModelSet:
 
     def save(self, directory: str) -> str:
         """Write ``models.json`` under ``directory`` and return its path. The
-        file records the scorer and probe size the trees were trained with."""
+        file records the scorer and probe size the trees were trained with;
+        a scorer other than ``AdjacencyGrammarScorer`` raises ``ValueError``,
+        since loading could not rebuild it."""
         if self.ensemble is None:
             raise IncompleteEnsemble("a model set is saved with its threshold ensemble")
+        if type(self.scorer) is not AdjacencyGrammarScorer:
+            raise ValueError(f"{self.scorer!r} is not the scorer a models file records")
         data = {
             "format": MODELS_FORMAT,
-            "scorer": _scorer_name(self.scorer),
+            "scorer": SCORER_NAME,
             "probe_size": PROBE_SIZE,
             "conjunctive": tree_to_dict(self.conjunctive),
             "phrasal": tree_to_dict(self.phrasal),
@@ -204,19 +203,19 @@ class ModelSet:
 
     @classmethod
     def load(cls, directory: str) -> "ModelSet":
-        """Read ``models.json`` under ``directory`` with the scorer it names.
-        A threshold whose tree equals the previous threshold's shares it,
-        as in ``train_threshold_ensemble``. A file of another format, an
-        unknown scorer, another probe size or no ensemble raises
-        ``ConfigError``."""
+        """Read ``models.json`` under ``directory``; it serves with an
+        ``AdjacencyGrammarScorer``. A threshold whose tree equals the
+        previous threshold's shares it, as in ``train_threshold_ensemble``.
+        A file of another format, another scorer, another probe size or no
+        ensemble raises ``ConfigError``."""
         path = os.path.join(directory, MODELS_FILE)
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
             if data["format"] != MODELS_FORMAT:
                 raise ValueError(f"format {data['format']!r} is not {MODELS_FORMAT}")
-            if data["scorer"] not in SCORERS:
-                raise ValueError(f"unknown scorer {data['scorer']!r}; known: {sorted(SCORERS)}")
+            if data["scorer"] != SCORER_NAME:
+                raise ValueError(f"scorer {data['scorer']!r} is not {SCORER_NAME!r}")
             if data["probe_size"] != PROBE_SIZE:
                 raise ValueError(f"probe size {data['probe_size']!r} is not {PROBE_SIZE}")
             if not data["ensemble"]:
@@ -231,7 +230,6 @@ class ModelSet:
                 conjunctive=tree_from_dict(data["conjunctive"]),
                 phrasal=tree_from_dict(data["phrasal"]),
                 ensemble=ThresholdEnsemble(trees=trees),
-                scorer=SCORERS[data["scorer"]](),
             )
         except KeyError as exc:
             raise ConfigError(f"bad models file {path}: no field {exc}") from exc

@@ -214,34 +214,15 @@ def conjunctive_features(r: Rewrite) -> dict[str, float]:
 
 
 class GrammarScorer(Protocol):
-    """Pluggable stand-in for a statistical parser.
+    """What ``phrasal_features`` asks of a stand-in for a statistical parser.
 
     Implementations must be safe for concurrent read-only use and return
     ``(secondary_parses, sgm)`` for a phrase, with sgm the grammaticality
-    score.
+    score. ``AdjacencyGrammarScorer`` is the one the package trains and
+    serves with; tests may pass any other.
     """
 
     def score(self, phrase: str) -> tuple[int, float]: ...
-
-
-def _looks_verbal(key: str) -> bool:
-    return key in AUXILIARIES or key.endswith("ed") or key.endswith("ing")
-
-
-# Score lost per unit of stop-word share, and by a phrase without a verb.
-PCTSTOP_PENALTY = 0.5
-FRAG_PENALTY = 0.25
-
-
-class HeuristicGrammarScorer:
-    """Default scorer: penalize stop-word density and verbless fragments."""
-
-    def score(self, phrase: str) -> tuple[int, float]:
-        words = phrase.split()
-        sgm = 1.0 - PCTSTOP_PENALTY * _count_stats(words)["pctstop"]
-        if not any(_looks_verbal(token_key(w)) for w in words):
-            sgm -= FRAG_PENALTY
-        return 0, min(1.0, max(0.0, sgm))
 
 
 _DETERMINERS = frozenset({"the", "a", "an", "this", "that", "these", "those"})
@@ -250,7 +231,7 @@ VIOLATION_PENALTY = 0.35  # score lost per implausible adjacency
 
 
 class AdjacencyGrammarScorer:
-    """Word-order-sensitive scorer.
+    """The grammar scorer: word-order sensitive.
 
     Counts implausible adjacencies so that the verb-insertion variants of one
     question, which share every count feature, still receive distinct
@@ -275,12 +256,6 @@ class AdjacencyGrammarScorer:
                     violations += 1
         sgm = max(0.0, 1.0 - VIOLATION_PENALTY * violations)
         return violations, sgm
-
-
-SCORERS = {
-    "default": HeuristicGrammarScorer,
-    "adjacency": AdjacencyGrammarScorer,
-}
 
 
 def phrasal_features(r: Rewrite, scorer: GrammarScorer) -> dict[str, float]:

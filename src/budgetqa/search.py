@@ -251,7 +251,9 @@ class MeteredProvider:
 
 
 def load_corpus(path: str) -> list[Document]:
-    """Read a corpus file: one JSON object per line with ``id`` and ``text``."""
+    """Read a corpus file: one JSON object per line with ``id`` and ``text``.
+    A ``text`` that is not a JSON string raises ``DatasetParseError`` with
+    the line number; an integer ``id`` is read as its string."""
     docs = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -259,7 +261,9 @@ def load_corpus(path: str) -> list[Document]:
                 continue
             try:
                 row = json.loads(line)
-                docs.append(Document(id=str(row["id"]), text=str(row["text"])))
+                if not isinstance(text := row["text"], str):
+                    raise DatasetParseError(f"text is not a JSON string: {text!r}", line_no)
+                docs.append(Document(id=str(row["id"]), text=text))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DatasetParseError(f"bad corpus record: {exc}", line_no) from exc
     return docs

@@ -90,6 +90,17 @@ def test_train_is_deterministic(workspace, tmp_path, capsys):
     assert (out1 / "models.json").read_bytes() == (out2 / "models.json").read_bytes()
 
 
+def test_train_has_no_scorer_option(workspace, tmp_path, capsys):
+    # One grammar scorer trains and serves, so there is nothing to choose.
+    out = tmp_path / "models"
+    assert main([
+        "train", "--dataset", workspace["dataset"], "--corpus", workspace["corpus"],
+        "--scorer", "adjacency", "--out", str(out),
+    ]) == 1
+    assert "--scorer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -100,11 +111,13 @@ def test_train_is_deterministic(workspace, tmp_path, capsys):
         # Format 2 phrasal trees list the constant feature primary_parses.
         lambda data: {**data, "format": 2},
         lambda data: {**data, "scorer": "parser"},
+        # The heuristic scorer is gone; its trees must not be served with other features.
+        lambda data: {**data, "scorer": "default"},
         lambda data: {**data, "probe_size": 3},
         lambda data: {**data, "ensemble": None},
     ],
-    ids=["not-json", "missing-key", "format-1", "format-2", "unknown-scorer", "probe-size-3",
-         "no-ensemble"],
+    ids=["not-json", "missing-key", "format-1", "format-2", "unknown-scorer",
+         "default-scorer", "probe-size-3", "no-ensemble"],
 )
 def test_bad_models_file_is_data_error(workspace, models_dir, tmp_path, capsys, edit):
     data = json.loads(Path(models_dir, "models.json").read_text(encoding="utf-8"))
@@ -237,6 +250,25 @@ def test_config_seed_that_is_not_an_integer_is_data_error(workspace, tmp_path, c
     assert main(["ask", "Who did it?", "--config", str(cfg), "--policy", "random"]) == 2
     err = capsys.readouterr().err
     assert f"data error: seed must be an integer, not {seed!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["corpus", "models_dir"])
+def test_config_path_that_is_not_a_string_is_data_error(
+    workspace, tmp_path, monkeypatch, capsys, field
+):
+    # open() and os.path.exists() take an integer as a file descriptor: a
+    # corpus of 2 used to read stderr as the corpus and exit 1 with no
+    # output, and a models_dir of 2 died in os.path.join with a traceback.
+    def no_index(docs):
+        raise AssertionError("an index was built")
+
+    monkeypatch.setattr("budgetqa.config.build_index", no_index)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus": workspace["corpus"], field: 2}), encoding="utf-8")
+    assert main(["ask", "Who did it?", "--config", str(cfg), "--policy", "all"]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {field} must be a path string, not 2" in err
     assert "Traceback" not in err
 
 
@@ -411,7 +443,7 @@ def test_conflicting_backends_is_data_error(workspace, tmp_path):
         # So are the search depth and the snippet width they were trained on.
         {"limit": 100},
         {"window": 10},
-        # The models file records its grammar scorer.
+        # There is one grammar scorer; it is not a setting.
         {"scorer": "adjacency"},
         # Each setting has one name; the old field name is not an alias.
         {"corpus_path": workspace["corpus"]},

@@ -115,6 +115,22 @@ def test_load_dataset_requires_a_list_of_pattern_strings(tmp_path, patterns):
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize(
+    "question", ["null", '["Who", "shot", "Lincoln?"]', "7"], ids=["null", "list", "number"]
+)
+def test_load_dataset_requires_a_question_string(tmp_path, question):
+    # str() used to turn null into the question "None".
+    path = tmp_path / "data.jsonl"
+    path.write_text(
+        '{"question": "ok", "patterns": ["fine"]}\n'
+        f'{{"question": {question}, "patterns": ["Booth"]}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(DatasetParseError, match="question is not a JSON string") as err:
+        load_dataset(str(path))
+    assert err.value.line_no == 2
+
+
 def test_load_dataset_rejects_a_question_without_word_tokens(tmp_path):
     # Such a question used to load and stop evaluate or train mid-run,
     # after the backend was built, with no line number.

@@ -12,7 +12,6 @@ from budgetqa.models import (
 from budgetqa.rewrite import (
     AdjacencyGrammarScorer,
     AnswerSlot,
-    HeuristicGrammarScorer,
     Question,
     Rewrite,
     RewriteKind,
@@ -199,7 +198,7 @@ def test_model_set_save_load_round_trip(tmp_path):
     assert isinstance(loaded.scorer, AdjacencyGrammarScorer)
     # No scorer means the default one, and the file says so.
     ModelSet(conj, phrasal, models.ensemble).save(str(tmp_path / "default"))
-    assert isinstance(ModelSet.load(str(tmp_path / "default")).scorer, HeuristicGrammarScorer)
+    assert isinstance(ModelSet.load(str(tmp_path / "default")).scorer, AdjacencyGrammarScorer)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from budgetqa.errors import EmptyQuestion, WrongRewriteKind
 from budgetqa.rewrite import (
     AdjacencyGrammarScorer,
     AnswerSlot,
-    HeuristicGrammarScorer,
     Question,
     QuestionType,
     Rewrite,
@@ -229,7 +228,7 @@ def test_pctstop_is_exactly_rational(parts):
 
 
 def test_phrasal_features_sgm_in_unit_range():
-    feats = phrasal_features(_phrasal("Abraham Lincoln was killed by"), HeuristicGrammarScorer())
+    feats = phrasal_features(_phrasal("Abraham Lincoln was killed by"), AdjacencyGrammarScorer())
     assert 0.0 <= feats["sgm"] <= 1.0
     assert "primary_parses" not in feats
 
@@ -241,12 +240,7 @@ def test_phrasal_features_stub_passthrough():
 
 def test_phrasal_features_rejects_conjunctive():
     with pytest.raises(WrongRewriteKind):
-        phrasal_features(_conj(["who", "killed"]), HeuristicGrammarScorer())
-
-
-def test_heuristic_scorer_clamps_to_unit_interval():
-    _, sgm = HeuristicGrammarScorer().score("the of is was to")
-    assert 0.0 <= sgm <= 1.0
+        phrasal_features(_conj(["who", "killed"]), AdjacencyGrammarScorer())
 
 
 def test_adjacency_scorer_separates_natural_from_scrambled():

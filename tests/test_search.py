@@ -411,6 +411,29 @@ def test_load_corpus_reports_line_numbers(tmp_path):
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize(
+    "text", ["null", '["Booth", "shot", "Lincoln"]', "7"], ids=["null", "list", "number"]
+)
+def test_load_corpus_requires_a_text_string(tmp_path, text):
+    # str() used to index null as the word "None" and a list as its Python
+    # repr, so "Who shot Lincoln?" was answered "Booth" from a list.
+    from budgetqa.errors import DatasetParseError
+
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(
+        f'{{"id": "a", "text": "ok"}}\n{{"id": "b", "text": {text}}}\n', encoding="utf-8"
+    )
+    with pytest.raises(DatasetParseError, match="text is not a JSON string") as err:
+        load_corpus(str(bad))
+    assert err.value.line_no == 2
+
+
+def test_load_corpus_reads_an_integer_id_as_a_string(tmp_path):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"id": 7, "text": "one two"}\n', encoding="utf-8")
+    assert load_corpus(str(corpus)) == [Document("7", "one two")]
+
+
 # SHA-256 of every rewrite's offline results on generate_benchmark(240, seed=0).
 # Index optimisations must keep every snippet, its order, text and source.
 # Its documents average 12 words, so the default window covers nearly all of
