@@ -2,9 +2,10 @@
 submit/abstain decision, and the runnable querying policies.
 
 A ``Run`` is the one code path that executes queries. It holds a question's
-rewrites in submission order, executes each at most once, records a backend
-failure on its rewrite without aborting the question, and composes any
-prefix from a single mining that also yields the prefix's run features.
+rewrites in submission order, executes each at most once, records every
+outcome through one loop (a backend failure on its rewrite, without
+aborting the question), and composes any prefix from a single mining that
+also yields the prefix's run features.
 The rewrites a prefix still lacks (the probe, the extension after the
 budget choice, or a fixed policy's whole selection) are independent
 queries, so a provider with an ``execute_many`` method, such as the remote
@@ -23,16 +24,18 @@ which hashes by identity, or a shuffle's seed and question index) to that
 order. ``compositions`` maps the positions of a prefix's rewrites that
 returned snippets, in submission order, to the (evidence, candidates) pair
 composed from them; the evidence is those rewrites' (weight, snippets)
-pairs, which a run records as it executes. So a prefix whose new rewrites
-all came back empty reuses the composition before them, and two orders of
-the same rewrites are two keys, since mining's ties follow the order. A
-``Rewrite`` carries its ``position`` from ``generate_rewrites`` (None when
-built by hand), so copies key like the question's own. A composition is
-reused only when its stored evidence equals the run's, so two providers or
-two rewrites that share a key never mix results, and a pair is replaced
-whole for threads sharing a question. Orders and compositions are tuples,
-so runs share them. With one provider, a question thus orders once per
-model set or shuffle and composes each distinct ordered evidence once.
+pairs, and a run records both as it executes, the positions as one key
+per prefix length (``Run.keys``) that ``compose`` looks up directly. So a
+prefix whose new rewrites all came back empty reuses the composition
+before them, and two orders of the same rewrites are two keys, since
+mining's ties follow the order. A ``Rewrite`` carries its ``position``
+from ``generate_rewrites`` (None when built by hand), so copies key like
+the question's own. A composition is reused only when its stored evidence
+equals the run's, so two providers or two rewrites that share a key never
+mix results, and a pair is replaced whole for threads sharing a question.
+Orders and compositions are tuples, so runs share them. With one provider,
+a question thus orders once per model set or shuffle and composes each
+distinct ordered evidence once.
 
 The controller values a correct answer at v = k * c (k times the cost of a
 single query) and the value of no valid answer at zero, so submitting n
@@ -157,25 +160,26 @@ class Run:
 
     Rewrites execute on demand when a prefix is composed, each asking for
     ``search.DEFAULT_LIMIT`` snippets, the fixed depth the models were
-    trained on. Without ``execute_many`` one loop calls the provider's
-    ``execute`` per pending rewrite and records each outcome as it comes.
-    A provider with ``execute_many`` gets the pending rewrites as one batch,
-    even of one rewrite; the first batch's start time goes with every batch
-    of the run as ``started``, so the provider's deadline bounds the whole
-    question.
-    Outcomes are recorded in submission order either way. Each executed
-    rewrite's snippets stay apart, which is how run features know the
-    rewrite behind every snippet; those that returned snippets are also
-    recorded as the evidence composition reads. A backend failure
-    (``RetryableError`` or ``ProviderError``) is recorded on its rewrite,
-    which then contributes no snippets; it never aborts the question, and
-    the failed query still counts as issued. Any other exception propagates
-    after the outcomes before it are recorded.
+    trained on. One loop records every executed rewrite's outcome, in
+    submission order. Without ``execute_many`` it calls the provider's
+    ``execute`` for each pending rewrite as it goes. A provider with
+    ``execute_many`` gets the pending rewrites as one batch, even of one
+    rewrite, and the loop reads the batch's outcomes in order; the first
+    batch's start time goes with every batch of the run as ``started``, so
+    the provider's deadline bounds the whole question.
+    Each executed rewrite's snippets stay apart, which is how run features
+    know the rewrite behind every snippet; those that returned snippets are
+    also recorded as the evidence composition reads, and ``keys[i]`` holds
+    their positions among the first i executed, the memo key ``compose``
+    looks that prefix up under. A backend failure (``RetryableError`` or
+    ``ProviderError``) is recorded on its rewrite, which then contributes
+    no snippets; it never aborts the question, and the failed query still
+    counts as issued. Any other exception propagates after the outcomes
+    before it are recorded.
     """
 
     __slots__ = (
-        "question", "rewrites", "provider", "snippets", "evidence", "positions",
-        "nonempty", "errors", "started",
+        "question", "rewrites", "provider", "snippets", "evidence", "keys", "errors", "started",
     )
 
     def __init__(
@@ -186,11 +190,10 @@ class Run:
         self.provider = provider
         self.snippets: list[Sequence[Snippet]] = []  # per executed rewrite
         # The executed rewrites that returned snippets, in submission order:
-        # their (weight, snippets) pairs and positions. nonempty[i] counts
-        # them among the first i executed.
+        # their (weight, snippets) pairs, and per prefix length i the
+        # positions of those among the first i executed.
         self.evidence: list[tuple[float, Sequence[Snippet]]] = []
-        self.positions: list[int | None] = []
-        self.nonempty: list[int] = [0]
+        self.keys: list[tuple[int | None, ...]] = [()]
         self.errors: list[str] = []
         self.started: float | None = None  # time.monotonic() instant of the first batch
 
@@ -202,37 +205,27 @@ class Run:
         pending = self.rewrites[len(self.snippets) : n]
         if not pending:
             return
-        snippets, evidence, positions, nonempty = (
-            self.snippets, self.evidence, self.positions, self.nonempty
-        )
-        batch = getattr(self.provider, "execute_many", None)
-        if batch is None:
-            execute = self.provider.execute
-            for rewrite in pending:
-                try:
+        snippets, evidence, keys = self.snippets, self.evidence, self.keys
+        key = keys[-1]
+        execute, batch = self.provider.execute, getattr(self.provider, "execute_many", None)
+        if batch is not None:
+            if self.started is None:
+                self.started = time.monotonic()
+            outcomes = iter(batch(pending, DEFAULT_LIMIT, started=self.started))
+        for rewrite in pending:
+            try:
+                if batch is None:
                     found = execute(rewrite, DEFAULT_LIMIT)
-                except (RetryableError, ProviderError) as exc:
-                    self.errors.append(f"{rewrite.as_query()}: {exc}")
-                    found = ()
-                snippets.append(found)
-                if found:
-                    evidence.append((rewrite.weight, found))
-                    positions.append(rewrite.position)
-                nonempty.append(len(evidence))
-            return
-        if self.started is None:
-            self.started = time.monotonic()
-        for rewrite, found in zip(pending, batch(pending, DEFAULT_LIMIT, started=self.started)):
-            if isinstance(found, (RetryableError, ProviderError)):
-                self.errors.append(f"{rewrite.as_query()}: {found}")
+                elif isinstance(found := next(outcomes), BaseException):
+                    raise found
+            except (RetryableError, ProviderError) as exc:
+                self.errors.append(f"{rewrite.as_query()}: {exc}")
                 found = ()
-            elif isinstance(found, BaseException):
-                raise found
             snippets.append(found)
             if found:
                 evidence.append((rewrite.weight, found))
-                positions.append(rewrite.position)
-            nonempty.append(len(evidence))
+                key += (rewrite.position,)
+            keys.append(key)
 
     def compose(self, n: int) -> Candidates:
         """Ranked answers from the first n rewrites (capped at the run's
@@ -243,9 +236,8 @@ class Run:
         itself (see the module docstring)."""
         n = min(n, len(self.rewrites))
         self._execute(n)
-        used = self.nonempty[n]
-        evidence = self.evidence[:used]
-        key = tuple(self.positions[:used])
+        key = self.keys[n]
+        evidence = self.evidence[: len(key)]
         memo = self.question.compositions
         kept = memo.get(key)  # read once: threads may replace it
         if kept is not None and kept[0] == evidence:

@@ -7,10 +7,12 @@ that serving sees, at the same fixed search depth (``search.DEFAULT_LIMIT``
 snippets per query). Per-rewrite quality cases come from single-query runs:
 each rewrite is run alone and labelled by whether the composed top answer
 matches the question's patterns. Threshold cases come from one run per
-question over the quality-ordered rewrites, the cost-benefit policy's
-order: every threshold's case carries the probe prefix's run features (the
-evidence the controller has when it must pick a budget), while its label
-reflects the run's prefix at that threshold.
+question over the rewrites in the quality order of a ``ModelSet``, the
+cost-benefit policy's order: every threshold's case carries the probe
+prefix's run features (the evidence the controller has when it must pick a
+budget), while its label reflects the run's prefix at that threshold.
+``train_models`` builds that model set once from the quality trees, orders
+the threshold runs by it and returns it with the trained ensemble set.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .rewrite import (
     phrasal_features,
 )
 from .search import SearchProvider
-from .tree import DecisionTree, TrainingCase, train_tree
+from .tree import TrainingCase, train_tree
 
 
 def _correct(answers, item: QAItem) -> bool:
@@ -68,19 +70,17 @@ def generate_quality_cases(
 def generate_threshold_cases(
     dataset: Sequence[QAItem],
     provider: SearchProvider,
-    conj_tree: DecisionTree,
-    phrasal_tree: DecisionTree,
-    *,
-    scorer: GrammarScorer,
+    models: ModelSet,
 ) -> dict[int, list[TrainingCase]]:
-    """Budget-capped runs at every training threshold over quality-ordered
-    rewrites, each case carrying the run features of the controller's probe.
+    """Budget-capped runs at every training threshold over the rewrites in
+    ``models``' quality order, each case carrying the run features of the
+    controller's probe. Only the quality trees and scorer of ``models`` are
+    read; its ensemble, if any, is not.
 
     Each question gets one run, so every ordered rewrite is executed once
     and each distinct prefix composed once, no matter how many thresholds
     are trained.
     """
-    models = ModelSet(conjunctive=conj_tree, phrasal=phrasal_tree, scorer=scorer)
     cases: dict[int, list[TrainingCase]] = {n: [] for n in DEFAULT_THRESHOLDS}
     for item in dataset:
         question = item.parsed
@@ -97,20 +97,18 @@ def train_models(
     *,
     scorer: GrammarScorer,
 ) -> ModelSet:
-    """Both learning phases end to end: quality models, then the ensemble."""
+    """Both learning phases end to end: the quality models, then the
+    ensemble trained on runs in their order and set on the same model set."""
     conj_cases, phrasal_cases = generate_quality_cases(
         dataset, provider, scorer=scorer
     )
-    conj_tree = train_tree(conj_cases)
-    phrasal_tree = train_tree(phrasal_cases)
+    models = ModelSet(
+        conjunctive=train_tree(conj_cases), phrasal=train_tree(phrasal_cases), scorer=scorer
+    )
     threshold_cases = generate_threshold_cases(
         dataset,
         provider,
-        conj_tree,
-        phrasal_tree,
-        scorer=scorer,
+        models,
     )
-    ensemble = train_threshold_ensemble(threshold_cases)
-    return ModelSet(
-        conjunctive=conj_tree, phrasal=phrasal_tree, ensemble=ensemble, scorer=scorer
-    )
+    models.ensemble = train_threshold_ensemble(threshold_cases)
+    return models

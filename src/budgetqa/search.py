@@ -252,8 +252,9 @@ class MeteredProvider:
 
 def load_corpus(path: str) -> list[Document]:
     """Read a corpus file: one JSON object per line with ``id`` and ``text``.
-    A ``text`` that is not a JSON string raises ``DatasetParseError`` with
-    the line number; an integer ``id`` is read as its string."""
+    A ``text`` that is not a JSON string, or an ``id`` that is neither a
+    JSON string nor an integer, raises ``DatasetParseError`` with the line
+    number; an integer ``id`` is read as its string."""
     docs = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -263,7 +264,9 @@ def load_corpus(path: str) -> list[Document]:
                 row = json.loads(line)
                 if not isinstance(text := row["text"], str):
                     raise DatasetParseError(f"text is not a JSON string: {text!r}", line_no)
-                docs.append(Document(id=str(row["id"]), text=text))
+                if isinstance(doc_id := row["id"], bool) or not isinstance(doc_id, (str, int)):
+                    raise DatasetParseError(f"id is not a JSON string or integer: {doc_id!r}", line_no)
+                docs.append(Document(id=str(doc_id), text=text))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DatasetParseError(f"bad corpus record: {exc}", line_no) from exc
     return docs

@@ -113,6 +113,22 @@ def test_ties_go_to_smallest_n():
     assert decision.n == 1
 
 
+def test_an_exact_net_tie_goes_to_the_smaller_n():
+    # p1 = 0.5 and p2 = 0.6 at k=10, c=1 both net exactly 4.0.
+    decision = choose_n(_stub_ensemble({1: 0.5, 2: 0.6}), {}, Preferences(k=10, c=1))
+    assert decision.per_threshold_net == {1: 4.0, 2: 4.0}
+    assert decision.n == 1
+
+
+def test_a_best_net_of_exactly_zero_answers_rather_than_abstains():
+    # p = 0.1 at k=10, c=1 nets exactly 0.0 at n = 1: doing nothing is no
+    # better, so the controller answers.
+    decision = choose_n(_stub_ensemble({1: 0.1, 2: 0.1}), {}, Preferences(k=10, c=1))
+    assert not decision.abstained
+    assert decision.n == 1
+    assert decision.expected_net == 0.0
+
+
 @given(
     probs=st.lists(st.floats(min_value=0.001, max_value=0.999), min_size=13, max_size=13),
     k=st.floats(min_value=0.5, max_value=50),
@@ -126,6 +142,22 @@ def test_choose_n_matches_exhaustive_oracle(probs, k, c):
     assert decision.n == expect_n
     for n in DEFAULT_THRESHOLDS:
         assert decision.per_threshold_net[n] == pytest.approx(expect_nets[n])
+
+
+def test_an_exact_net_tie_goes_to_the_smaller_n():
+    # p1 = 0.5 and p2 = 0.6 at k=10, c=1 both net exactly 4.0.
+    decision = choose_n(_stub_ensemble({1: 0.5, 2: 0.6}), {}, Preferences(k=10, c=1))
+    assert decision.per_threshold_net == {1: 4.0, 2: 4.0}
+    assert decision.n == 1
+
+
+def test_a_best_net_of_exactly_zero_answers_rather_than_abstains():
+    # p = 0.1 at k=10, c=1 nets exactly 0.0 at n = 1: doing nothing is no
+    # better, so the controller answers.
+    decision = choose_n(_stub_ensemble({1: 0.1, 2: 0.1}), {}, Preferences(k=10, c=1))
+    assert not decision.abstained
+    assert decision.n == 1
+    assert decision.expected_net == 0.0
 
 
 @given(
@@ -394,20 +426,43 @@ class _FailingProvider:
         raise self.failures.get(rewrite.parts[0], AssertionError("executed past a bug"))
 
 
-def test_a_serial_run_records_backend_failures_and_raises_anything_else():
+class _FailingBatchProvider(_FailingProvider):
+    """A batch provider with the same outcomes: the three failures as the
+    batch's exceptions, then snippets."""
+
+    def execute(self, rewrite, limit):
+        raise AssertionError("a run sends a batch provider batches only")
+
+    def execute_many(self, rewrites, limit, started=None):
+        self.executed.extend(rewrite.parts[0] for rewrite in rewrites)
+        return [self.failures.get(r.parts[0], (Snippet("found", "d"),)) for r in rewrites]
+
+
+@pytest.mark.parametrize(
+    "provider, sent, batched",
+    [
+        (_FailingProvider, ["p0", "p1", "p2"], False),
+        (_FailingBatchProvider, ["p0", "p1", "p2", "p3"], True),
+    ],
+    ids=["execute", "execute_many"],
+)
+def test_a_serial_run_records_backend_failures_and_raises_anything_else(provider, sent, batched):
+    # Serial or batched, a run records outcomes through one loop: only what
+    # was sent differs (a batch sends every rewrite), and only a batch
+    # starts the question's clock.
     rewrites = [Rewrite(RewriteKind.CONJUNCTIVE, (f"p{i}",), AnswerSlot.NONE, 1.0) for i in range(4)]
-    provider = _FailingProvider()
+    provider = provider()
     run = Run(Question.from_text(QUESTION), rewrites, provider)
     with pytest.raises(RuntimeError, match="a bug"):
         run.compose(4)
-    assert provider.executed == ["p0", "p1", "p2"]
+    assert provider.executed == sent
     assert run.issued == 2
     assert run.snippets == [(), ()]
     assert run.errors == [
         f"{rewrites[0].as_query()}: gave up after 3 attempts",
         f"{rewrites[1].as_query()}: malformed response",
     ]
-    assert run.started is None  # only a batch starts the question's clock
+    assert (run.started is not None) == batched
 
 
 # --------------------------------------------------------------------------

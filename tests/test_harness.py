@@ -40,8 +40,7 @@ def test_threshold_cases_cover_all_thresholds_with_one_schema(small_setup):
     bench, provider = small_setup
     conj, phrasal = generate_quality_cases(bench.items, provider, scorer=AdjacencyGrammarScorer())
     cases = generate_threshold_cases(
-        bench.items, provider, train_tree(conj), train_tree(phrasal),
-        scorer=AdjacencyGrammarScorer(),
+        bench.items, provider, ModelSet(train_tree(conj), train_tree(phrasal)),
     )
     assert set(cases) == set(DEFAULT_THRESHOLDS)
     assert all(len(cs) == len(bench.items) for cs in cases.values())
@@ -53,8 +52,7 @@ def test_threshold_case_labels_non_decreasing_in_budget_on_average(small_setup):
     bench, provider = small_setup
     conj, phrasal = generate_quality_cases(bench.items, provider, scorer=AdjacencyGrammarScorer())
     cases = generate_threshold_cases(
-        bench.items, provider, train_tree(conj), train_tree(phrasal),
-        scorer=AdjacencyGrammarScorer(),
+        bench.items, provider, ModelSet(train_tree(conj), train_tree(phrasal)),
     )
     rates = [sum(c.label for c in cases[n]) / len(cases[n]) for n in sorted(cases)]
     assert rates[-1] >= rates[0]
@@ -112,8 +110,7 @@ def test_threshold_cases_label_a_failed_rewrite_like_serving(small_setup):
     bench, provider = small_setup
     scorer = AdjacencyGrammarScorer()
     conj, phrasal = generate_quality_cases(bench.items, provider, scorer=scorer)
-    conj_tree, phrasal_tree = train_tree(conj), train_tree(phrasal)
-    models = ModelSet(conj_tree, phrasal_tree, scorer=scorer)
+    models = ModelSet(train_tree(conj), train_tree(phrasal), scorer=scorer)
     item = bench.items[0]
     # The best-ranked rewrite is in every prefix, so its failure touches
     # every threshold's label.
@@ -121,7 +118,7 @@ def test_threshold_cases_label_a_failed_rewrite_like_serving(small_setup):
     failing = _FailingProvider(provider, top.as_query())
 
     cases = generate_threshold_cases(
-        [item], failing, conj_tree, phrasal_tree, scorer=scorer
+        [item], failing, models
     )
     for n in DEFAULT_THRESHOLDS:
         served = run_policy(LikelihoodN(n), item.question, failing, models)

@@ -428,6 +428,25 @@ def test_load_corpus_requires_a_text_string(tmp_path, text):
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize(
+    "doc_id",
+    ["null", "[1]", "true", "7.5", '{"n": 1}'],
+    ids=["null", "list", "bool", "float", "object"],
+)
+def test_load_corpus_requires_a_string_or_integer_id(tmp_path, doc_id):
+    # str() used to read null, [1] and true as the documents "None", "[1]"
+    # and "True" and index them.
+    from budgetqa.errors import DatasetParseError
+
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(
+        f'{{"id": "a", "text": "ok"}}\n{{"id": {doc_id}, "text": "one two"}}\n', encoding="utf-8"
+    )
+    with pytest.raises(DatasetParseError, match="id is not a JSON string or integer") as err:
+        load_corpus(str(bad))
+    assert err.value.line_no == 2
+
+
 def test_load_corpus_reads_an_integer_id_as_a_string(tmp_path):
     corpus = tmp_path / "c.jsonl"
     corpus.write_text('{"id": 7, "text": "one two"}\n', encoding="utf-8")
