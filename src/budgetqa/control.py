@@ -18,7 +18,7 @@ the threshold models learn from exactly the evidence, filters and error
 handling the controller sees.
 
 A question replayed under several orders and budgets (the N sweep) repeats
-work, so each ``Question`` remembers what its runs produced in two maps.
+work, so each ``Question`` remembers what its runs produced in three maps.
 ``orders`` maps what fixes a selection order (the ``ModelSet`` itself,
 which hashes by identity, or a shuffle's seed and question index) to that
 order. ``compositions`` maps the positions of a prefix's rewrites that
@@ -33,9 +33,18 @@ from ``generate_rewrites`` (None when built by hand), so copies key like
 the question's own. A composition is reused only when its stored evidence
 equals the run's, so two providers or two rewrites that share a key never
 mix results, and a pair is replaced whole for threads sharing a question.
+``probes`` maps a ``ModelSet`` to what the cost-benefit probe predicted
+under it: the probe's rewrites, their snippets, the threshold ensemble and
+the per-threshold probabilities. A run that probes the same rewrites, gets
+the same snippets and asks the same ensemble reuses those probabilities, so
+replaying a question at several answer values k extracts run features and
+asks the trees once; only the nets and the argmax are redone per
+``Preferences``. Any difference (another provider's snippets, a replaced
+ensemble, another model set's order) extracts and predicts again and
+replaces the entry whole.
 Orders and compositions are tuples, so runs share them. With one provider,
-a question thus orders once per model set or shuffle and composes each
-distinct ordered evidence once.
+a question thus orders once per model set or shuffle, composes each
+distinct ordered evidence once and predicts once per model set.
 
 The controller values a correct answer at v = k * c (k times the cost of a
 single query) and the value of no valid answer at zero, so submitting n
@@ -57,8 +66,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .compose import Candidates, NGramCandidate, compose_answers
 from .errors import ProviderError, RetryableError
@@ -123,9 +132,13 @@ def choose_n(
     Ties go to the smallest (cheapest) n. If all nets are negative the
     decision is to abstain.
     """
-    nets = {
-        n: net_expected_value(p, n, prefs) for n, p in ensemble.predict_all(features).items()
-    }
+    return decide(ensemble.predict_all(features), prefs)
+
+
+def decide(probs: Mapping[int, float], prefs: Preferences) -> BudgetDecision:
+    """``choose_n``'s decision from the per-threshold probabilities the
+    ensemble predicted."""
+    nets = {n: net_expected_value(p, n, prefs) for n, p in probs.items()}
     best_n = min(nets, key=lambda n: (-nets[n], n))
     if nets[best_n] < 0:
         return BudgetDecision(n=None, expected_net=0.0, per_threshold_net=nets)
@@ -136,9 +149,9 @@ def choose_n(
 # The budgeted run
 
 
-@dataclass(frozen=True)
-class QuestionResult:
-    """A run's outcome. An abstention has no answers."""
+class QuestionResult(NamedTuple):
+    """A run's outcome. An abstention has no answers. Immutable: assigning
+    an attribute raises ``dataclasses.FrozenInstanceError``."""
 
     answers: tuple[NGramCandidate, ...]
     queries_issued: int
@@ -153,6 +166,9 @@ class QuestionResult:
     @property
     def top_answer(self) -> str | None:
         return self.answers[0].text if self.answers else None
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 class Run:
@@ -256,17 +272,32 @@ class Run:
             self.question, list(zip(self.rewrites, self.snippets[:n])), answers
         )
 
+    def probe(self, models: ModelSet) -> dict[int, float]:
+        """The ensemble's per-threshold probabilities on the probe's run
+        features. The probe executes and composes; the prediction is the
+        one the question remembers under ``models`` when that entry's
+        rewrites, snippets and ensemble are the run's (see the module
+        docstring)."""
+        answers = self.compose(PROBE_SIZE)
+        rewrites, snippets = self.rewrites[:PROBE_SIZE], self.snippets[:PROBE_SIZE]
+        ensemble = models.ensemble
+        memo = self.question.probes
+        kept = memo.get(models)  # read once: threads may replace it
+        if kept is not None and kept[2] is ensemble and kept[0] == rewrites and kept[1] == snippets:
+            return kept[3]
+        features = extract_run_features(self.question, list(zip(rewrites, snippets)), answers)
+        probs = ensemble.predict_all(features)
+        memo[models] = (rewrites, snippets, ensemble, probs)
+        return probs
+
     def result(self, n: int, decision: BudgetDecision | None = None) -> QuestionResult:
         """Answer from the first n rewrites, or, when the decision is to
         abstain, report the n rewrites it was taken on. Rewrites already
         executed past n (a probe larger than the budget) stay charged."""
         abstained = decision is not None and decision.abstained
+        answers = () if abstained else self.compose(n)
         return QuestionResult(
-            answers=() if abstained else self.compose(n),
-            queries_issued=self.issued,
-            decision=decision,
-            rewrites_used=self.rewrites[:n],
-            backend_errors=tuple(self.errors),
+            answers, len(self.snippets), decision, self.rewrites[:n], tuple(self.errors)
         )
 
 
@@ -363,7 +394,7 @@ class CostBenefit:
             raise ValueError("CostBenefit requires quality models and a threshold ensemble")
         if prefs is None:
             raise ValueError("CostBenefit requires preferences")
-        decision = choose_n(models.ensemble, run.features(PROBE_SIZE), prefs)
+        decision = decide(run.probe(models), prefs)
         return run.result(PROBE_SIZE if decision.abstained else decision.n, decision)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -193,21 +194,12 @@ def evaluate(
     """
 
     def one(idx: int, item: QAItem) -> QuestionRecord:
-        result = run_policy(
-            policy,
-            item.parsed,
-            provider,
-            models,
-            prefs,
-            question_index=idx,
-        )
-        top = result.top_answer
+        result = run_policy(policy, item.parsed, provider, models, prefs, question_index=idx)
+        answers = result.answers
+        top = answers[0].text if answers else None
         return QuestionRecord(
-            question=item.question,
-            judgment=item.verdict(top),
-            queries_issued=result.queries_issued,
-            top_answer=top,
-            error="; ".join(result.backend_errors) or None,
+            item.question, item.verdict(top), result.queries_issued, top,
+            "; ".join(result.backend_errors) or None,
         )
 
     if jobs > 1:
@@ -216,12 +208,13 @@ def evaluate(
     else:
         records = [one(idx, item) for idx, item in enumerate(dataset)]
 
+    judged = Counter(r.judgment for r in records)
     report = Report(
         policy=label or policy.name,
         total_questions=len(records),
-        correct=sum(1 for r in records if r.judgment is Judgment.CORRECT),
-        incorrect=sum(1 for r in records if r.judgment is Judgment.INCORRECT),
-        abstained=sum(1 for r in records if r.judgment is Judgment.ABSTAINED),
+        correct=judged[Judgment.CORRECT],
+        incorrect=judged[Judgment.INCORRECT],
+        abstained=judged[Judgment.ABSTAINED],
         total_cost=sum(r.queries_issued for r in records),
         per_question=records,
     )

@@ -312,6 +312,14 @@ def test_subsumed_candidate_absorbed_without_token_change():
     assert out[0].score == 11.0
 
 
+@pytest.mark.parametrize("partners", [("b c", "b d"), ("b d", "b c")])
+def test_equal_tilings_merge_the_smaller_key_pair_first(partners):
+    # Both pairs through "a b" score the same and overlap by one key, so the
+    # key pair decides, whichever partner comes first in the pool.
+    out = tile_ngrams([_cand("a b", 1.0)] + [_cand(text, 1.0) for text in partners])
+    assert [c.text for c in out] == ["a b c", "b d"]
+
+
 def test_tiling_never_lowers_max_score():
     cands = [_cand("a b", 4.0), _cand("b c", 3.0), _cand("x", 9.0)]
     out = tile_ngrams(cands)

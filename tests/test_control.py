@@ -37,7 +37,7 @@ from budgetqa.rewrite import (
 )
 from budgetqa.search import DEFAULT_LIMIT, MeteredProvider, OfflineProvider, Snippet, build_index
 from budgetqa.text import default_stopwords
-from budgetqa.tree import DecisionTree, Leaf
+from budgetqa.tree import DecisionTree, Leaf, Split
 
 from oracles import best_budget, remined_counts
 
@@ -527,21 +527,22 @@ def test_a_cost_benefit_question_composes_each_providers_evidence():
     assert set(question.compositions) == {probe, chosen}
 
 
-def test_threads_sharing_a_question_get_their_own_evidences_answers():
-    # Threads run one question at every budget against two providers, so
-    # they keep replacing each other's compositions. Every run must
-    # still get what a fresh question gets from the same provider.
-    providers = [
-        _FixedProvider("John Wilkes Booth shot the President", "Booth fled"),
-        _FixedProvider("Lee Harvey Oswald shot the President", "Oswald fled"),
-    ]
-    budgets = range(1, 6)
+_TWO_PROVIDERS = (
+    _FixedProvider("John Wilkes Booth shot the President", "Booth fled"),
+    _FixedProvider("Lee Harvey Oswald shot the President", "Oswald fled"),
+)
+
+
+def _hammer(question, settings, play, providers=_TWO_PROVIDERS):
+    """Four threads run ``play(question, setting, provider)`` over every
+    setting against both providers, so they keep replacing what each other
+    left on the question. Returns the (setting, provider) pairs whose
+    result differed from a fresh question's."""
     expected = {
-        (n, p): _outcome(run_policy(RandomN(n, seed=2), Question.from_text(QUESTION), providers[p]))
-        for n in budgets
+        (s, p): play(Question.from_text(QUESTION), settings[s], providers[p])
+        for s in range(len(settings))
         for p in (0, 1)
     }
-    question = Question.from_text(QUESTION)
     threads, rounds = 4, 300
     start = threading.Barrier(threads)
     mismatches = []
@@ -549,10 +550,9 @@ def test_threads_sharing_a_question_get_their_own_evidences_answers():
     def hammer(worker):
         start.wait()
         for i in range(rounds):
-            n, p = budgets[(i + worker) % len(budgets)], (i // 2 + worker) % 2
-            got = _outcome(run_policy(RandomN(n, seed=2), question, providers[p]))
-            if got != expected[n, p]:
-                mismatches.append((n, p))
+            s, p = (i + worker) % len(settings), (i // 2 + worker) % 2
+            if play(question, settings[s], providers[p]) != expected[s, p]:
+                mismatches.append((s, p))
 
     workers = [threading.Thread(target=hammer, args=(w,)) for w in range(threads)]
     interval = sys.getswitchinterval()
@@ -565,9 +565,37 @@ def test_threads_sharing_a_question_get_their_own_evidences_answers():
     finally:
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
-    assert mismatches == []
+    return mismatches
+
+
+def test_threads_sharing_a_question_get_their_own_evidences_answers():
+    # Every budget against two providers keeps replacing compositions.
+    question = Question.from_text(QUESTION)
+    budgets = range(1, 6)
+
+    def play(question, n, provider):
+        return _outcome(run_policy(RandomN(n, seed=2), question, provider))
+
+    assert _hammer(question, budgets, play) == []
     order = RandomN(max(budgets), seed=2).select(question, None, 0)
     assert set(question.compositions) == {_key(question, order[:n]) for n in budgets}
+
+
+def test_threads_sharing_a_question_get_their_own_probes_decisions():
+    # Three answer values against two providers keep replacing the probe
+    # prediction the question remembers. The probe finds 4 snippets with
+    # the first provider and 2 with the second, which the trees split on.
+    providers = (_FixedProvider("Booth shot the President", "Booth fled"), _FixedProvider("Oswald"))
+    split = Split("totsnips", "numeric", 3.0, _leaf_tree(0.1).root, _leaf_tree(0.9).root)
+    models = _stub_models(conj_p=0.9, phrasal_p=0.4)
+    models.ensemble = ThresholdEnsemble(trees={n: DecisionTree(split) for n in DEFAULT_THRESHOLDS})
+    question = Question.from_text(QUESTION)
+
+    def play(question, k, provider):
+        return run_policy(CostBenefit(), question, provider, models, Preferences(k=k, c=1))
+
+    assert _hammer(question, (5, 10, 20), play, providers) == []
+    assert list(question.probes) == [models]
 
 
 @pytest.mark.parametrize(
@@ -772,3 +800,95 @@ def test_another_seed_or_question_index_reshuffles_the_question():
         selections.append(selection)
     # Each change of seed or index alone gives another order here.
     assert all(a != b for a, b in zip(selections, selections[1:]))
+
+
+class _CountingTree:
+    """Predicts a fixed probability and records each prediction in ``calls``."""
+
+    def __init__(self, p, calls):
+        self.p, self.calls = p, calls
+
+    def predict(self, features):
+        self.calls.append(self)
+        return self.p
+
+
+# Abstains at k = 5, submits 4 at k = 10 and 6 at k = 20 (c = 1).
+_PROBE_PROBS = {1: 0.15, 2: 0.3, 3: 0.5, 4: 0.75, 5: 0.8}
+
+
+def _counting_ensemble(calls, probs=_PROBE_PROBS):
+    return ThresholdEnsemble(
+        trees={n: _CountingTree(probs.get(n, 0.95), calls) for n in DEFAULT_THRESHOLDS}
+    )
+
+
+def _counting_models(calls, conj_p=0.9, phrasal_p=0.4):
+    models = _stub_models(conj_p=conj_p, phrasal_p=phrasal_p)
+    models.ensemble = _counting_ensemble(calls)
+    return models
+
+
+def _fresh_cost_benefit(provider, models, prefs):
+    return run_policy(CostBenefit(), Question.from_text(QUESTION), provider, models, prefs)
+
+
+def test_cost_benefit_at_several_k_predicts_once(lincoln_provider):
+    calls = []
+    models = _counting_models(calls)
+    question = Question.from_text(QUESTION)
+    results = {
+        k: run_policy(CostBenefit(), question, lincoln_provider, models, Preferences(k=k, c=1))
+        for k in (5, 10, 20)
+    }
+    assert sorted(map(id, calls)) == sorted(map(id, models.ensemble.trees.values()))
+    assert [r.decision.n for r in results.values()] == [None, 4, 6]
+    for k, result in results.items():
+        assert result == _fresh_cost_benefit(lincoln_provider, models, Preferences(k=k, c=1))
+
+
+def test_a_probe_with_other_snippets_predicts_again(lincoln_provider):
+    calls = []
+    models = _counting_models(calls)
+    prefs = Preferences(k=10, c=1)
+    question = Question.from_text(QUESTION)
+    run_policy(CostBenefit(), question, lincoln_provider, models, prefs)
+    other = _FixedProvider("John Wilkes Booth shot the President", "Booth fled")
+    result = run_policy(CostBenefit(), question, other, models, prefs)
+    assert len(calls) == 2 * len(DEFAULT_THRESHOLDS)
+    assert result == _fresh_cost_benefit(other, models, prefs)
+
+
+def test_a_replaced_ensemble_predicts_again(lincoln_provider):
+    calls = []
+    models = _counting_models(calls)
+    prefs = Preferences(k=10, c=1)
+    question = Question.from_text(QUESTION)
+    assert not run_policy(CostBenefit(), question, lincoln_provider, models, prefs).abstained
+    models.ensemble = _counting_ensemble(calls, probs={})  # every threshold at 0.95
+    result = run_policy(CostBenefit(), question, lincoln_provider, models, prefs)
+    assert len(calls) == 2 * len(DEFAULT_THRESHOLDS)
+    assert result == _fresh_cost_benefit(lincoln_provider, models, prefs)
+    assert result.decision.n == 1
+
+
+def test_a_probe_in_another_model_sets_order_predicts_again():
+    # Every rewrite finds the same snippets, so only the probe's rewrites differ.
+    provider = _FixedProvider("John Wilkes Booth shot the President", "Booth fled")
+    calls = []
+    conjunctive_first = _counting_models(calls, conj_p=0.9, phrasal_p=0.1)
+    phrasal_first = _stub_models(conj_p=0.1, phrasal_p=0.9)
+    phrasal_first.ensemble = conjunctive_first.ensemble
+    prefs = Preferences(k=10, c=1)
+    question = Question.from_text(QUESTION)
+    run_policy(CostBenefit(), question, provider, conjunctive_first, prefs)
+    result = run_policy(CostBenefit(), question, provider, phrasal_first, prefs)
+    assert len(calls) == 2 * len(DEFAULT_THRESHOLDS)
+    # The other model set's order, played under the first model set.
+    order = CostBenefit().select(question, phrasal_first, 0)
+    assert order[:PROBE_SIZE] != CostBenefit().select(question, conjunctive_first, 0)[:PROBE_SIZE]
+    played = CostBenefit().play(Run(question, order, provider), conjunctive_first, prefs)
+    assert len(calls) == 3 * len(DEFAULT_THRESHOLDS)
+    assert result == _fresh_cost_benefit(provider, phrasal_first, prefs)
+    fresh = Question.from_text(QUESTION)
+    assert played == CostBenefit().play(Run(fresh, order, provider), conjunctive_first, prefs)

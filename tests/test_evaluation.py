@@ -37,7 +37,7 @@ from budgetqa.evaluation import (
     write_reports_jsonl,
 )
 from budgetqa.harness import train_models
-from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet
+from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet, ThresholdEnsemble
 from budgetqa.rewrite import AdjacencyGrammarScorer, Question, generate_rewrites
 from budgetqa.search import MeteredProvider, OfflineProvider, build_index
 from budgetqa.tree import DecisionTree, Leaf
@@ -192,6 +192,24 @@ def test_parallel_evaluation_matches_serial(small_bench):
     serial = evaluate(AllRewrites(), bench.items, provider, jobs=1)
     parallel = evaluate(AllRewrites(), bench.items, provider, jobs=4)
     assert serial.to_json() == parallel.to_json()
+
+
+def test_parallel_k_sweep_matches_serial(small_bench):
+    # Threads share each question's remembered probe prediction across the
+    # k values; fresh item copies start both sides with empty maps.
+    bench, provider = small_bench
+    models = _leaf_models()
+    models.ensemble = ThresholdEnsemble(
+        trees={n: _leaf(min(0.95, 0.1 * n)) for n in DEFAULT_THRESHOLDS}
+    )
+    ks = [2.0, 5.0, 10.0, 20.0]
+    serial, parallel = (
+        sweep_k([dataclasses.replace(item) for item in bench.items], provider, models, ks, jobs=jobs)
+        for jobs in (1, 4)
+    )
+    assert [(k, r.to_json(), r.per_question) for k, r in serial] == [
+        (k, r.to_json(), r.per_question) for k, r in parallel
+    ]
 
 
 def test_accounting_identity_and_meter(small_bench):
@@ -354,11 +372,12 @@ def test_changing_a_result_leaves_later_runs_alone(small_bench):
 # sweep_n
 
 
-def _leaf_models():
-    def leaf(p):
-        return DecisionTree(root=Leaf(probability=p, support=10, positives=5))
+def _leaf(p):
+    return DecisionTree(root=Leaf(probability=p, support=10, positives=5))
 
-    return ModelSet(conjunctive=leaf(0.5), phrasal=leaf(0.7))
+
+def _leaf_models():
+    return ModelSet(conjunctive=_leaf(0.5), phrasal=_leaf(0.7))
 
 
 def test_sweep_n_makes_one_evaluation_per_order_and_threshold(small_bench, monkeypatch):
