@@ -1,0 +1,177 @@
+#!/usr/bin/env python3
+"""Run one-edit mutants of the source against the tests named to kill them.
+
+Each mutant is data: a file, an old text that must occur in it exactly once,
+the new text that replaces it, and the test files expected to fail under the
+change. A mutant runs in a temporary copy of the tree, with only its killer
+files (``pytest -x``), and prints one row:
+
+- ``killed``: a killer test failed, so the rule the mutant breaks is pinned;
+- ``survived``: every killer test passed, so nothing pins that rule;
+- ``stale``: the old text is not in the file exactly once (the code moved),
+  so the mutant did not run and its entry needs updating;
+- ``error N``: pytest exited with status N (not a test failure), or
+  ``timeout``.
+
+The exit status is 1 unless every mutant run was killed. With names, only
+those mutants run:
+
+    python scripts/mutants.py [NAME ...]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Sequence
+
+ROOT = Path(__file__).resolve().parent.parent
+COPY_IGNORE = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", "build", "dist"
+)
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the tree's root
+    old: str
+    new: str
+    killers: tuple[str, ...]  # test files, relative to the tree's root
+
+
+MUTANTS = [
+    # Composition and judging.
+    Mutant(
+        "tiling-tie-break-flipped", "src/budgetqa/compose.py",
+        "(rank == best[0] and (ka, kb) < best[1])", "(rank == best[0] and (ka, kb) > best[1])",
+        ("tests/test_compose.py",),
+    ),
+    Mutant(
+        "filters-off", "src/budgetqa/compose.py",
+        "factor = factor_of(cand.tokens)", "factor = 1.0",
+        ("tests/test_compose.py",),
+    ),
+    Mutant(
+        "question-tokens-not-excluded", "src/budgetqa/control.py",
+        "exclude=self.question.token_keys)", "exclude=frozenset())",
+        ("tests/test_control.py",),
+    ),
+    Mutant(
+        "judge-search-not-fullmatch", "src/budgetqa/evaluation.py",
+        "if pattern.fullmatch(trimmed):", "if pattern.search(trimmed):",
+        ("tests/test_evaluation.py",),
+    ),
+    # Models.
+    Mutant(
+        "quality-order-reversed", "src/budgetqa/models.py",
+        "key=self.quality_score, reverse=True)", "key=self.quality_score, reverse=False)",
+        ("tests/test_models.py",),
+    ),
+    Mutant(
+        "laplace-smoothing-changed", "src/budgetqa/tree.py",
+        "probability=(pos + 1) / (len(cases) + 2)", "probability=(pos + 2) / (len(cases) + 4)",
+        ("tests/test_tree.py",),
+    ),
+    # The run and the cost-benefit policy.
+    Mutant(
+        "probe-features-read-before-execution", "src/budgetqa/control.py",
+        "        answers = self.compose(PROBE_SIZE)\n"
+        "        rewrites, snippets = self.rewrites[:PROBE_SIZE], self.snippets[:PROBE_SIZE]\n",
+        "        rewrites, snippets = self.rewrites[:PROBE_SIZE], self.snippets[:PROBE_SIZE]\n"
+        "        answers = self.compose(PROBE_SIZE)\n",
+        ("tests/test_control.py",),
+    ),
+    Mutant(
+        "charge-only-the-rewrites-used", "src/budgetqa/control.py",
+        "answers, len(self.snippets), decision,", "answers, min(n, len(self.snippets)), decision,",
+        ("tests/test_control.py",),
+    ),
+    Mutant(
+        "answer-from-the-whole-probe", "src/budgetqa/control.py",
+        "else decision.n, decision)", "else max(decision.n, PROBE_SIZE), decision)",
+        ("tests/test_control.py",),
+    ),
+    # The budget choice.
+    Mutant(
+        "net-ties-go-to-the-larger-n", "src/budgetqa/control.py",
+        "        if units > best:\n", "        if units >= best:\n",
+        ("tests/test_control.py",),
+    ),
+    Mutant(
+        "abstain-on-a-best-net-of-zero", "src/budgetqa/control.py",
+        "    if best < 0:\n", "    if best <= 0:\n",
+        ("tests/test_control.py",),
+    ),
+    Mutant(
+        "rank-on-nets-scaled-by-c", "src/budgetqa/control.py",
+        "nets[n] = (units := p * k - n) * c", "nets[n] = units = p * k * c - n * c",
+        ("tests/test_control.py",),
+    ),
+    # The command line's mode table.
+    Mutant(
+        "random-row-without-seed", "src/budgetqa/cli.py",
+        'RandomN(n=n or 1, seed=seed), ("--n", "--seed"), False)', 'RandomN(n=n or 1, seed=seed), ("--n",), False)',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "likelihood-row-without-models", "src/budgetqa/cli.py",
+        'LikelihoodN(n=n or 3), ("--n",), True)', 'LikelihoodN(n=n or 3), ("--n",), False)',
+        ("tests/test_cli.py",),
+    ),
+]
+
+
+def is_stale(mutant: Mutant, root: Path = ROOT) -> bool:
+    """Whether the mutant's old text is not in its file exactly once."""
+    path = root / mutant.path
+    return not path.is_file() or path.read_text(encoding="utf-8").count(mutant.old) != 1
+
+
+def outcome(mutant: Mutant, root: Path = ROOT) -> str:
+    """Apply ``mutant`` in a temporary copy of ``root`` and run its killers."""
+    if is_stale(mutant, root):
+        return "stale"
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(root, tree, ignore=COPY_IGNORE)
+        target = tree / mutant.path
+        target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}  # as tier-1 runs
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.killers]
+        try:
+            done = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "timeout"
+    return {0: "survived", 1: "killed"}.get(done.returncode, f"error {done.returncode}")
+
+
+def run(mutants: Sequence[Mutant], root: Path = ROOT) -> list[str]:
+    """Each mutant's outcome, printed as a table row as it finishes."""
+    width = max(len(m.name) for m in mutants)
+    print(f"{'outcome':<9}  {'mutant':<{width}}  killers", flush=True)
+    outcomes = []
+    for mutant in mutants:
+        outcomes.append(outcome(mutant, root))
+        print(f"{outcomes[-1]:<9}  {mutant.name:<{width}}  {' '.join(mutant.killers)}", flush=True)
+    print(", ".join(f"{outcomes.count(o)} {o}" for o in sorted(set(outcomes))))
+    return outcomes
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="Mutants to run (default: all).")
+    names = parser.parse_args().names
+    if unknown := sorted(set(names) - {m.name for m in MUTANTS}):
+        parser.error(f"no such mutant: {', '.join(unknown)}")
+    outcomes = run([m for m in MUTANTS if not names or m.name in names])
+    sys.exit(0 if all(o == "killed" for o in outcomes) else 1)
+
+
+if __name__ == "__main__":
+    main()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import click
 
@@ -22,6 +23,7 @@ from .control import (
     ConjunctiveOnly,
     CostBenefit,
     LikelihoodN,
+    Policy,
     Preferences,
     RandomN,
     run_policy,
@@ -52,14 +54,30 @@ def cli():
 
 _config_option = click.option("--config", "config_path", type=click.Path(), default=None, help="JSON config file.")
 
-#: Each ``--policy`` and how it is built from ``--n`` and the configured seed.
+
+class _Mode(NamedTuple):
+    """What a run executes: the policy built from ``--n`` and the configured
+    seed (None for a sweep, which runs no ``--policy``), the command-line
+    flags it reads, and whether it needs trained models."""
+
+    build: Callable[[int | None, int], Policy] | None
+    reads: tuple[str, ...]
+    needs_models: bool
+
+
+#: Each ``--policy`` by name and each sweep by its flag, with the flags it
+#: reads: a flag given on the command line that the run's row does not read
+#: is a usage error.
 _POLICIES = {
-    "random": lambda n, seed: RandomN(n=n or 1, seed=seed),
-    "likelihood": lambda n, seed: LikelihoodN(n=n or 3),
-    "conjunctive": lambda n, seed: ConjunctiveOnly(),
-    "all": lambda n, seed: AllRewrites(),
-    "cost-benefit": lambda n, seed: CostBenefit(),
+    "random": _Mode(lambda n, seed: RandomN(n=n or 1, seed=seed), ("--n", "--seed"), False),
+    "likelihood": _Mode(lambda n, seed: LikelihoodN(n=n or 3), ("--n",), True),
+    "conjunctive": _Mode(lambda n, seed: ConjunctiveOnly(), (), False),
+    "all": _Mode(lambda n, seed: AllRewrites(), (), False),
+    "cost-benefit": _Mode(lambda n, seed: CostBenefit(), ("--k", "--c"), True),
 }
+_SWEEPS = {"--sweep-k": _Mode(None, (), True), "--sweep-n": _Mode(None, ("--seeds",), True)}
+#: Every row by the name usage errors give it.
+_RUNS = {**{f"--policy {name}": mode for name, mode in _POLICIES.items()}, **_SWEEPS}
 
 
 class _Preference(click.ParamType):
@@ -85,7 +103,6 @@ def _serving_options(default_policy: str):
         click.option("--n", type=click.IntRange(min=1), default=None, help="Budget for random/likelihood policies."),
         click.option("--seed", type=int, default=None),
         click.option("--k", type=_Preference("k"), default=None, help="Answer value as a multiple of query cost."),
-        click.option("--c", type=_Preference("c"), default=None, help="Cost per query."),
         click.option("--corpus", "corpus_path", type=click.Path(), default=None),
         click.option("--models", "models_dir", type=click.Path(), default=None),
     ]
@@ -112,48 +129,41 @@ def _comma_list(item_type: click.ParamType):
     return parse
 
 
-def _refuse_idle_policy_flags(
-    ran: str, n: int | None, seed: int | None, k: float | None, c: float | None
-) -> None:
-    """A usage error for ``--n``, ``--seed``, ``--k`` or ``--c`` when what
-    runs never reads it; ``ran`` is ``--policy NAME``, ``--sweep-k`` or
-    ``--sweep-n``."""
-    if n is not None and ran not in ("--policy random", "--policy likelihood"):
-        raise click.UsageError(f"'--n' takes effect only with --policy random or likelihood, not {ran}")
-    if seed is not None and ran != "--policy random":
-        raise click.UsageError(f"'--seed' takes effect only with --policy random, not {ran}")
-    if k is not None and ran != "--policy cost-benefit":
-        raise click.UsageError(f"'--k' takes effect only with --policy cost-benefit, not {ran}")
-    if c is not None and ran not in ("--policy cost-benefit", "--sweep-k"):
-        raise click.UsageError(f"'--c' takes effect only with --policy cost-benefit or --sweep-k, not {ran}")
+def _mode(ran: str, flags: dict[str, object]) -> _Mode:
+    """The row of ``ran``, a key of ``_RUNS``; a usage error for any flag
+    in ``flags`` (option name to value, None when not given) it never reads."""
+    mode = _RUNS[ran]
+    for flag, value in flags.items():
+        if value is not None and flag not in mode.reads:
+            readers = " or ".join(name for name, row in _RUNS.items() if flag in row.reads)
+            raise click.UsageError(f"'{flag}' takes effect only with {readers}, not {ran}")
+    return mode
 
 
-#: Policies that order rewrites by the trained quality models.
-_MODEL_POLICIES = ("likelihood", "cost-benefit")
-
-
-def _load_models(cfg: Config, needed_by: str | None) -> ModelSet | None:
-    """The configured model set. ``needed_by`` names the requested mode when
-    it cannot run without models; it is then a usage error to give none."""
+def _load_models(cfg: Config, ran: str) -> ModelSet | None:
+    """The configured model set; a usage error to give none when ``ran``, a
+    key of ``_RUNS``, cannot run without models."""
     if cfg.models_dir:
         return ModelSet.load(cfg.models_dir)
-    if needed_by:
-        raise click.UsageError(f"{needed_by} needs trained models: pass --models DIR from `budgetqa train`")
+    if _RUNS[ran].needs_models:
+        raise click.UsageError(f"{ran} needs trained models: pass --models DIR from `budgetqa train`")
     return None
 
 
 @cli.command("ask")
 @click.argument("question")
 @_serving_options(default_policy="all")
+@click.option("--c", type=_Preference("c"), default=None, help="Cost per query; scales the printed nets.")
 @click.option("--top", type=click.IntRange(min=1), default=5, help="Ranked answers to print.")
-def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, models_dir, top):
+def cmd_ask(question, config_path, policy, n, seed, k, corpus_path, models_dir, c, top):
     """Answer one question with the configured policy."""
-    _refuse_idle_policy_flags(f"--policy {policy}", n, seed, k, c)
+    ran = f"--policy {policy}"
+    mode = _mode(ran, {"--n": n, "--seed": seed, "--k": k, "--c": c})
     cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, c=c, seed=seed)
-    models = _load_models(cfg, f"--policy {policy}" if policy in _MODEL_POLICIES else None)
+    models = _load_models(cfg, ran)
     provider = cfg.make_provider()
     result = run_policy(
-        _POLICIES[policy](n, cfg.seed),
+        mode.build(n, cfg.seed),
         question,
         provider,
         models,
@@ -161,14 +171,11 @@ def cmd_ask(question, config_path, policy, n, seed, k, c, corpus_path, models_di
     )
 
     if result.decision is not None:
-        prefs = cfg.preferences
+        nets = result.decision.per_threshold_net
         click.echo("threshold  p(correct)  expected value  cost  net")
-        for t in sorted(result.decision.per_threshold_net):
-            net = result.decision.per_threshold_net[t]
-            cost = t * prefs.c
-            expected = net + cost
-            p = expected / (prefs.k * prefs.c)
-            click.echo(f"{t:>9}  {p:>10.3f}  {expected:>14.3f}  {cost:>4g}  {net:>8.3f}")
+        for t, p in sorted(result.decision.probabilities.items()):
+            cost, net = t * cfg.c, nets[t]
+            click.echo(f"{t:>9}  {p:>10.3f}  {net + cost:>14.3f}  {cost:>4g}  {net:>8.3f}")
 
     if result.abstained:
         click.echo("status: ABSTAINED")
@@ -220,51 +227,43 @@ def cmd_train(dataset_path, config_path, corpus_path, out_dir):
               help="Parallel questions (default: 1 offline, where search is CPU-bound; "
                    "cpu count capped at max_in_flight for a remote endpoint).")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write reports as JSONL.")
-def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, c, corpus_path, models_dir,
+def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, corpus_path, models_dir,
                  sweep_k_values, sweep_n_flag, seeds, jobs, out_path):
     """Evaluate a policy (or run a sweep) over a dataset."""
     if sweep_k_values and sweep_n_flag:
         raise click.UsageError("'--sweep-k' and '--sweep-n' are separate runs; give one of them")
-    if seeds and not sweep_n_flag:
-        raise click.UsageError("'--seeds' takes effect only with --sweep-n")
     ran = "--sweep-k" if sweep_k_values else "--sweep-n" if sweep_n_flag else f"--policy {policy}"
-    _refuse_idle_policy_flags(ran, n, seed, k, c)
-    cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, c=c, seed=seed)
+    mode = _mode(ran, {"--n": n, "--seed": seed, "--k": k, "--seeds": seeds})
+    cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, seed=seed)
     dataset = evaluation.load_dataset(dataset_path)
     if not dataset:
         raise DatasetParseError("dataset is empty")
-    needs_models = ran.startswith("--sweep") or policy in _MODEL_POLICIES
-    models = _load_models(cfg, ran if needs_models else None)
+    models = _load_models(cfg, ran)
     provider = cfg.make_provider()
     if jobs is None:
         # Offline search holds the GIL, so threads only add overhead there.
         jobs = min(os.cpu_count() or 1, cfg.max_in_flight) if cfg.endpoint else 1
 
-    reports = []
     if sweep_k_values:
         results = evaluation.sweep_k(
-            dataset, provider, models, sweep_k_values, cfg.c, jobs=jobs
+            dataset, provider, models, sweep_k_values, jobs=jobs
         )
         click.echo(evaluation.render_k_sweep(results))
-        reports = [r for _, r in results]
+        rows = [r.to_json() for _, r in results]
     elif sweep_n_flag:
         rows = evaluation.sweep_n(dataset, provider, models, seeds or [0, 1, 2], jobs=jobs)
         click.echo(evaluation.render_n_sweep(rows))
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                for row in rows:
-                    fh.write(json.dumps(row) + "\n")
-            click.echo(f"wrote {len(rows)} row(s) -> {out_path}")
     else:
         report = evaluation.evaluate(
-            _POLICIES[policy](n, cfg.seed), dataset, provider, models, cfg.preferences,
+            mode.build(n, cfg.seed), dataset, provider, models, cfg.preferences,
             jobs=jobs,
         )
         click.echo(evaluation.render_reports([report]))
-        reports = [report]
-    if out_path and reports:
-        evaluation.write_reports_jsonl(reports, out_path)
-        click.echo(f"wrote {len(reports)} report(s) -> {out_path}")
+        rows = [report.to_json()]
+    if out_path:  # one JSON object per line: a report each, or a sweep-n row each
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(row) + "\n" for row in rows)
+        click.echo(f"wrote {len(rows)} {'row(s)' if sweep_n_flag else 'report(s)'} -> {out_path}")
 
 
 @cli.command("gen-bench")

@@ -46,12 +46,13 @@ Orders and compositions are tuples, so runs share them. With one provider,
 a question thus orders once per model set or shuffle, composes each
 distinct ordered evidence once and predicts once per model set.
 
-The controller values a correct answer at v = k * c (k times the cost of a
-single query) and the value of no valid answer at zero, so submitting n
-queries with predicted success probability p has net expected value
-p * k * c - n * c. The best budget is the threshold with the highest net;
-when every threshold nets below zero the controller abstains and asks for a
-reformulation instead of querying.
+The controller values a correct answer at k queries and no valid answer at
+zero, so submitting n queries with predicted success probability p nets
+p * k - n queries. The best budget is the threshold with the highest net,
+the smallest on a tie; when every threshold nets below zero the controller
+abstains and asks for a reformulation instead of querying. The cost c of one
+query only converts those nets for reporting ((p * k - n) * c): scaling
+every net by the same c changes no ranking, so no decision reads c.
 
 Every policy is a selection of rewrites in submission order plus a budget.
 The fixed policies submit their whole selection. Because run features only
@@ -100,8 +101,9 @@ class Preferences:
 
 
 def net_expected_value(p: float, n: int, prefs: Preferences) -> float:
-    """p * k * c - n * c for submitting n queries with success probability p."""
-    return p * prefs.k * prefs.c - n * prefs.c
+    """(p * k - n) * c for submitting n queries with success probability p:
+    the net in query units, times the cost of one query."""
+    return (p * prefs.k - n) * prefs.c
 
 
 @dataclass(frozen=True)
@@ -110,11 +112,14 @@ class BudgetDecision:
 
     ``n`` is None on abstention, in which case every per-threshold net is
     negative and ``expected_net`` is 0.0 (the value of doing nothing).
+    ``probabilities`` are the per-threshold success probabilities the
+    decision ranked.
     """
 
     n: int | None
     expected_net: float
     per_threshold_net: dict[int, float]
+    probabilities: Mapping[int, float]
 
     @property
     def abstained(self) -> bool:
@@ -137,12 +142,17 @@ def choose_n(
 
 def decide(probs: Mapping[int, float], prefs: Preferences) -> BudgetDecision:
     """``choose_n``'s decision from the per-threshold probabilities the
-    ensemble predicted."""
-    nets = {n: net_expected_value(p, n, prefs) for n, p in probs.items()}
-    best_n = min(nets, key=lambda n: (-nets[n], n))
-    if nets[best_n] < 0:
-        return BudgetDecision(n=None, expected_net=0.0, per_threshold_net=nets)
-    return BudgetDecision(n=best_n, expected_net=nets[best_n], per_threshold_net=nets)
+    ensemble predicted, in one pass: budgets rank on their nets in query
+    units, and only the reported nets are scaled by c."""
+    k, c = prefs.k, prefs.c
+    nets, best_n, best = {}, None, -math.inf
+    for n, p in sorted(probs.items()):  # ascending, so a tie keeps the smaller n
+        nets[n] = (units := p * k - n) * c
+        if units > best:
+            best_n, best = n, units
+    if best < 0:
+        return BudgetDecision(n=None, expected_net=0.0, per_threshold_net=nets, probabilities=probs)
+    return BudgetDecision(n=best_n, expected_net=nets[best_n], per_threshold_net=nets, probabilities=probs)
 
 
 # --------------------------------------------------------------------------

@@ -378,11 +378,14 @@ def route_cases(tree, cases):
 
 
 def best_budget(probs: dict[int, float], k: float, c: float):
-    """(n or None, nets) by checking every threshold directly."""
-    nets = {n: p * k * c - n * c for n, p in probs.items()}
-    candidates = sorted(nets, key=lambda n: (-nets[n], n))
+    """(n or None, nets) by checking every threshold directly. Budgets rank
+    on their nets in query units, p * k - n; the nets returned are those
+    times c."""
+    units = {n: p * k - n for n, p in probs.items()}
+    candidates = sorted(units, key=lambda n: (-units[n], n))
     best = candidates[0]
-    if nets[best] < 0:
+    nets = {n: u * c for n, u in units.items()}
+    if units[best] < 0:
         return None, nets
     return best, nets
 

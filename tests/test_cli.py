@@ -174,7 +174,6 @@ def test_model_policies_without_models_are_usage_errors(workspace, monkeypatch, 
         (["ask", "Who painted the quartz mill?", "--policy", "cost-benefit", "--k", "inf"], "--k"),
         (["ask", "Who painted the quartz mill?", "--policy", "cost-benefit", "--k", "nan"], "--k"),
         (["ask", "Who painted the quartz mill?", "--policy", "cost-benefit", "--c", "inf"], "--c"),
-        (["evaluate", "--dataset", "DATASET", "--c", "nan"], "--c"),
         (["evaluate", "--dataset", "DATASET", "--sweep-k", "inf,nan,5"], "--sweep-k"),
         (["evaluate", "--dataset", "DATASET", "--sweep-k", "5,nan"], "--sweep-k"),
         # A flag that the run never reads.
@@ -186,18 +185,16 @@ def test_model_policies_without_models_are_usage_errors(workspace, monkeypatch, 
         (["evaluate", "--dataset", "DATASET", "--policy", "random", "--sweep-n", "--seed", "3"], "--seed"),
         (["evaluate", "--dataset", "DATASET", "--sweep-k", "5,10", "--k", "3"], "--k"),
         (["evaluate", "--dataset", "DATASET", "--sweep-n", "--k", "3"], "--k"),
-        (["evaluate", "--dataset", "DATASET", "--sweep-n", "--c", "2"], "--c"),
-        (["evaluate", "--dataset", "DATASET", "--policy", "likelihood", "--c", "2"], "--c"),
         (["ask", "Who painted the quartz mill?", "--policy", "all", "--k", "3", "--c", "7"], "--k"),
         (["ask", "Who painted the quartz mill?", "--policy", "random", "--c", "7"], "--c"),
     ],
     ids=["ask-n-0", "ask-n-negative", "ask-k-0", "ask-c-negative", "ask-top-0", "ask-top-negative",
          "evaluate-n-0", "evaluate-k-0",
          "sweep-k-unparsed", "sweep-k-0", "sweep-k-empty", "seeds-unparsed", "sweep-k-and-sweep-n",
-         "ask-k-inf", "ask-k-nan", "ask-c-inf", "evaluate-c-nan", "sweep-k-inf", "sweep-k-nan",
+         "ask-k-inf", "ask-k-nan", "ask-c-inf", "sweep-k-inf", "sweep-k-nan",
          "ask-n-with-conjunctive", "ask-seed-with-likelihood", "evaluate-n-with-all",
          "seeds-without-sweep-n", "seeds-with-sweep-k", "seed-with-sweep-n",
-         "k-with-sweep-k", "k-with-sweep-n", "c-with-sweep-n", "evaluate-c-with-likelihood",
+         "k-with-sweep-k", "k-with-sweep-n",
          "ask-k-with-all", "ask-c-with-random"],
 )
 def test_bad_serving_option_is_usage_error(workspace, models_dir, monkeypatch, capsys, args, option):
@@ -212,14 +209,74 @@ def test_bad_serving_option_is_usage_error(workspace, models_dir, monkeypatch, c
 
 def test_k_and_c_from_a_config_file_are_accepted_by_every_run(workspace, models_dir, tmp_path):
     # A config file serves many runs, so its k and c are not refused where
-    # the run does not read them; on the command line --c prices a k sweep.
+    # the run does not read them.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"corpus": workspace["corpus"], "k": 3, "c": 7}), encoding="utf-8")
     assert main(["ask", "Who painted the quartz mill?", "--config", str(cfg), "--policy", "all"]) == 0
     assert main([
         "evaluate", "--dataset", workspace["dataset"], "--config", str(cfg), "--models", models_dir,
-        "--sweep-k", "5", "--c", "2", "--jobs", "1",
+        "--sweep-k", "5", "--jobs", "1",
     ]) == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--policy", "likelihood"],
+        ["--policy", "cost-benefit"],
+        ["--sweep-k", "5,10"],
+        ["--sweep-n"],
+    ],
+    ids=["likelihood", "cost-benefit", "sweep-k", "sweep-n"],
+)
+def test_evaluate_has_no_c_option(workspace, models_dir, monkeypatch, capsys, args):
+    # No decision reads c (budgets rank on their nets in query units) and no
+    # report prints a net, so evaluate has nothing for --c to change. Click
+    # words an unknown option differently across versions, so only the
+    # option's name is checked.
+    def no_query(self, rewrite, limit):
+        raise AssertionError("a query was issued")
+
+    monkeypatch.setattr(OfflineProvider, "execute", no_query)
+    assert main([
+        "evaluate", "--dataset", workspace["dataset"], "--corpus", workspace["corpus"],
+        "--models", models_dir, *args, "--c", "2",
+    ]) == 1
+    assert "--c" in capsys.readouterr().err
+
+
+QUESTION = "Who painted the quartz mill?"
+
+#: Each --policy and each sweep given exactly the flags its row reads.
+ACCEPTED = [
+    ["ask", QUESTION, "--policy", "random", "--n", "2", "--seed", "3"],
+    ["ask", QUESTION, "--policy", "likelihood", "--n", "2"],
+    ["ask", QUESTION, "--policy", "conjunctive"],
+    ["ask", QUESTION, "--policy", "all"],
+    ["ask", QUESTION, "--policy", "cost-benefit", "--k", "5", "--c", "2"],
+    ["evaluate", "--policy", "random", "--n", "2", "--seed", "3"],
+    ["evaluate", "--policy", "likelihood", "--n", "2"],
+    ["evaluate", "--policy", "conjunctive"],
+    ["evaluate", "--policy", "all"],
+    ["evaluate", "--policy", "cost-benefit", "--k", "5"],
+    ["evaluate", "--sweep-k", "5,10"],
+    ["evaluate", "--sweep-n", "--seeds", "0,1"],
+]
+
+
+@pytest.mark.parametrize(
+    "args", ACCEPTED, ids=["-".join(a.lstrip("-") for a in args if a != QUESTION) for args in ACCEPTED]
+)
+def test_every_flag_a_run_reads_is_accepted(workspace, models_dir, tmp_path, capsys, args):
+    # The other side of test_bad_serving_option_is_usage_error: a row of the
+    # command line's mode table that dropped a flag it reads would refuse it.
+    if args[0] == "evaluate":
+        lines = Path(workspace["dataset"]).read_text(encoding="utf-8").splitlines(keepends=True)
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("".join(lines[:6]), encoding="utf-8")
+        args = args + ["--dataset", str(dataset), "--jobs", "1"]
+    assert main(args + ["--corpus", workspace["corpus"], "--models", models_dir]) == 0
+    assert "usage error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

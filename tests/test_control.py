@@ -19,6 +19,7 @@ from budgetqa.control import (
     RandomN,
     Run,
     choose_n,
+    decide,
     net_expected_value,
     run_policy,
 )
@@ -129,6 +130,18 @@ def test_a_best_net_of_exactly_zero_answers_rather_than_abstains():
     assert decision.expected_net == 0.0
 
 
+@pytest.mark.parametrize("c", [0.1, 1, 3, 7])
+def test_the_budget_choice_reads_k_alone(c):
+    # p1 = 0.5 and p2 = 0.6 at k=10 both net exactly 4 queries, so n = 1
+    # wins the tie at any c. Ranked on nets scaled by c = 0.1, the two read
+    # 0.4 and 0.4000000000000001 and the larger budget won.
+    decision = decide({1: 0.5, 2: 0.6}, Preferences(k=10, c=c))
+    assert decision.n == 1
+    assert decision.expected_net == 4.0 * c
+    assert decision.per_threshold_net == {1: 4.0 * c, 2: 4.0 * c}
+    assert decision.probabilities == {1: 0.5, 2: 0.6}
+
+
 @given(
     probs=st.lists(st.floats(min_value=0.001, max_value=0.999), min_size=13, max_size=13),
     k=st.floats(min_value=0.5, max_value=50),
@@ -142,22 +155,6 @@ def test_choose_n_matches_exhaustive_oracle(probs, k, c):
     assert decision.n == expect_n
     for n in DEFAULT_THRESHOLDS:
         assert decision.per_threshold_net[n] == pytest.approx(expect_nets[n])
-
-
-def test_an_exact_net_tie_goes_to_the_smaller_n():
-    # p1 = 0.5 and p2 = 0.6 at k=10, c=1 both net exactly 4.0.
-    decision = choose_n(_stub_ensemble({1: 0.5, 2: 0.6}), {}, Preferences(k=10, c=1))
-    assert decision.per_threshold_net == {1: 4.0, 2: 4.0}
-    assert decision.n == 1
-
-
-def test_a_best_net_of_exactly_zero_answers_rather_than_abstains():
-    # p = 0.1 at k=10, c=1 nets exactly 0.0 at n = 1: doing nothing is no
-    # better, so the controller answers.
-    decision = choose_n(_stub_ensemble({1: 0.1, 2: 0.1}), {}, Preferences(k=10, c=1))
-    assert not decision.abstained
-    assert decision.n == 1
-    assert decision.expected_net == 0.0
 
 
 @given(

@@ -212,6 +212,19 @@ def test_parallel_k_sweep_matches_serial(small_bench):
     ]
 
 
+def test_k_sweep_reports_do_not_depend_on_c():
+    # Budgets rank on their nets in query units, so the cost c of a query
+    # changes no decision: every report, per-question records included, is
+    # the same.
+    bench = generate_benchmark(40, seed=0)
+    provider = OfflineProvider(build_index(bench.corpus))
+    models = train_models(bench.items[:20], provider, scorer=AdjacencyGrammarScorer())
+    ks = [1.5, 2.0, 3.0, 5.0, 10.0, 20.0]
+    runs = [sweep_k(bench.items[20:], provider, models, ks, c) for c in (0.1, 1.0, 7.0)]
+    assert runs[0][0][1].per_question
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_accounting_identity_and_meter(small_bench):
     bench, provider = small_bench
     meter = MeteredProvider(provider)

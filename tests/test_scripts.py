@@ -2,6 +2,7 @@
 argument parser builds, so a script that names a deleted function fails
 here rather than for the first user who runs it."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -102,3 +103,48 @@ def test_code_lines_counts_code_only(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "     9  fixture.py\n     9  total\n"
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS[0].parent / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_mutant_applies_exactly_once():
+    # A mutant whose old text moved would be reported stale, not run.
+    mutants = _load_script("mutants")
+    root = SCRIPTS[0].parent.parent
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for mutant in mutants.MUTANTS:
+        assert not mutants.is_stale(mutant, root), mutant.name
+        assert mutant.new != mutant.old, mutant.name
+        assert mutant.killers and all((root / k).is_file() for k in mutant.killers), mutant.name
+
+
+def test_mutant_runner_on_a_fixture(tmp_path, capsys):
+    mutants = _load_script("mutants")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "calc.py").write_text(
+        "def double(x):\n    return x * 2\n\n\ndef unused():\n    return 0\n", encoding="utf-8"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_calc.py").write_text(
+        "from calc import double\n\n\ndef test_double():\n    assert double(3) == 6\n", encoding="utf-8"
+    )
+    Mutant = mutants.Mutant
+    fixture = [
+        Mutant("times-three", "src/calc.py", "return x * 2", "return x * 3", ("tests/test_calc.py",)),
+        Mutant("unused-one", "src/calc.py", "return 0", "return 1", ("tests/test_calc.py",)),
+        Mutant("moved", "src/calc.py", "return x * 4", "return x * 5", ("tests/test_calc.py",)),
+        Mutant("no-killer-file", "src/calc.py", "return x * 2", "return x * 3", ("tests/test_gone.py",)),
+    ]
+    assert mutants.run(fixture, tmp_path) == ["killed", "survived", "stale", "error 4"]
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].split() == ["outcome", "mutant", "killers"]
+    assert rows[1].split() == ["killed", "times-three", "tests/test_calc.py"]
+    assert rows[3].split() == ["stale", "moved", "tests/test_calc.py"]
+    assert rows[-1] == "1 error 4, 1 killed, 1 stale, 1 survived"
+    # The tree itself is never mutated.
+    assert "return x * 2" in (tmp_path / "src" / "calc.py").read_text(encoding="utf-8")
