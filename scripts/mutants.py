@@ -113,6 +113,43 @@ MUTANTS = [
         "nets[n] = (units := p * k - n) * c", "nets[n] = units = p * k * c - n * c",
         ("tests/test_control.py",),
     ),
+    # The speed-tuned kernels, each against its slow version in tests/oracles.py.
+    Mutant(
+        "ngrams-bigram-right-edge-unchecked", "src/budgetqa/text.py",
+        "        if i + 1 in is_edge:\n", "        if i + 1 < len(keys):\n",
+        ("tests/test_search.py",),
+    ),
+    Mutant(
+        "phrase-last-key-unchecked", "src/budgetqa/search.py",
+        "doc_keys[ordinal][start : start + size] == phrase_keys",
+        "doc_keys[ordinal][start : start + size - 1] == phrase_keys[:-1]",
+        ("tests/test_search.py",),
+    ),
+    Mutant(
+        "mining-second-form-count-dropped", "src/budgetqa/compose.py",
+        "entry[3] = {entry[2]: entry[1] - 1, form: 1}", "entry[3] = {entry[2]: 1, form: 1}",
+        ("tests/test_compose.py",),
+    ),
+    Mutant(
+        "tiling-stops-a-merge-early", "src/budgetqa/compose.py",
+        "while occurrences > distinct:", "while occurrences > distinct + 1:",
+        ("tests/test_compose.py",),
+    ),
+    Mutant(
+        "tiling-overlap-shortcut-unchecked", "src/budgetqa/compose.py",
+        "if overlap > len(kb) or ka[-overlap:] != kb[:overlap]:", "if overlap > len(kb):",
+        ("tests/test_compose.py",),
+    ),
+    Mutant(
+        "scorer-past-form-after-auxiliary-counted", "src/budgetqa/rewrite.py",
+        'violations += prev not in (None, "aux")', "violations += prev is not None",
+        ("tests/test_rewrite.py",),
+    ),
+    Mutant(
+        "count-stats-capitals-read-last-letter", "src/budgetqa/rewrite.py",
+        "if w[:1].isupper()", "if w[-1:].isupper()",
+        ("tests/test_rewrite.py",),
+    ),
     # The command line's mode table.
     Mutant(
         "random-row-without-seed", "src/budgetqa/cli.py",

@@ -11,23 +11,35 @@ A snippet's candidate n-grams do not depend on the question, so each
 ``Snippet`` derives them once (``Snippet.grams``) and keeps them for its
 lifetime; mining drops those that share a key with the question.
 
-Mining also counts, per rewrite weight, the distinct candidates that
-weight's snippets produced. Composition hands those counts on with its
-ranked answers, so the run features need no second mining. Its result,
-``Candidates``, is a tuple with a read-only count mapping, so one
-composition can be shared by every run that has its evidence.
+Mining keeps one entry per candidate key: its score, support and first
+surface form; a count per form is only made once a second form turns up,
+which few candidates see. It also counts, per rewrite weight, the distinct
+candidates that weight's snippets produced. Composition hands those counts
+on with its ranked answers, so the run features need no second mining.
+Its result, ``Candidates``, is a tuple with a read-only count mapping, so
+one composition can be shared by every run that has its evidence.
 
 A filter's factor depends only on the question type and the candidate's
 text, so each type's active filters are fixed at import and its factor per
 text is memoised in a fixed-size ``lru_cache``.
 
 Tiling starts from the key tuples mining found (``Candidates.keys``) and
-extends a candidate's keys on a merge. B can only overlap A if B's first
-key occurs somewhere in A's key, so each merge step scans the pool in
-row-major order and tests that membership before looking for an overlap.
-A pair replaces the best only when strictly better, so among pairs equal
-in score, overlap and key pair the first in row-major order wins, exactly
-as a scan of all pairs would pick.
+extends a candidate's keys on a merge. Two candidates can only overlap on a
+key that both hold, and a merge of A and B with overlap L keeps the pool's
+set of keys while it drops L of its key occurrences. So tiling counts the
+occurrences and the distinct keys once, returns a pool whose keys are all
+distinct (most pools) sorted at once, and otherwise stops as soon as the
+two counts meet, without a last scan that would find nothing. B can only
+overlap A if B's first key occurs somewhere in A's key, so each merge step
+scans the pool in row-major order and tests that membership before looking
+for an overlap; the longest overlap there can be starts at that key's first
+place in A, and is tried first. A pair replaces the best only when strictly
+better, so among pairs equal in score, overlap and key pair the first in
+row-major order wins, exactly as a scan of all pairs would pick.
+
+Mining, filtering and tiling build thousands of ``NGramCandidate`` values
+per experiment, so the class sets its three slots directly instead of
+through the frozen dataclass's ``object.__setattr__`` calls.
 """
 
 from __future__ import annotations
@@ -52,12 +64,23 @@ class NGramCandidate:
     score: float
     support: int
 
+    def __init__(self, tokens: tuple[str, ...], score: float, support: int):
+        # Through the slots' own descriptors (see the module docstring).
+        _set_tokens(self, tokens)
+        _set_score(self, score)
+        _set_support(self, support)
+
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
 
     def key(self) -> tuple[str, ...]:
         return tuple(token_key(t) for t in self.tokens)
+
+
+_set_tokens = NGramCandidate.tokens.__set__
+_set_score = NGramCandidate.score.__set__
+_set_support = NGramCandidate.support.__set__
 
 
 class Candidates(tuple):
@@ -77,8 +100,11 @@ class Candidates(tuple):
         mined_by_weight: Mapping[float, int],
         keys: tuple[tuple[str, ...], ...] | None = None,
     ):
-        self = super().__new__(cls, items)
-        vars(self).update(mined=mined, mined_by_weight=MappingProxyType(mined_by_weight), keys=keys)
+        self = tuple.__new__(cls, items)
+        attrs = vars(self)
+        attrs["mined"] = mined
+        attrs["mined_by_weight"] = MappingProxyType(mined_by_weight)
+        attrs["keys"] = keys
         return self
 
     def __setattr__(self, name, value=None):
@@ -102,7 +128,9 @@ def mine_ngrams(
     the most frequent one seen (first seen wins ties), matched
     case-insensitively.
     """
-    found: dict[tuple[str, ...], list] = {}  # key -> [score, support, {surface form: count}]
+    # key -> [score, support, first surface form, {surface form: count}];
+    # the count mapping is made only when a second form turns up.
+    found: dict[tuple[str, ...], list] = {}
     by_weight: dict[float, set[tuple[str, ...]]] = {}
     isdisjoint = exclude.isdisjoint
 
@@ -117,17 +145,20 @@ def mine_ngrams(
                 touched.add(gram_keys)
                 entry = found.get(gram_keys)
                 if entry is None:
-                    found[gram_keys] = [weight, 1, {form: 1}]
+                    found[gram_keys] = [weight, 1, form, None]
                     continue
                 entry[0] += weight
                 entry[1] += 1
-                forms = entry[2]
-                forms[form] = forms.get(form, 0) + 1
+                forms = entry[3]
+                if forms is not None:
+                    forms[form] = forms.get(form, 0) + 1
+                elif form != entry[2]:
+                    entry[3] = {entry[2]: entry[1] - 1, form: 1}
 
     out = []
-    for score, support, forms in found.values():
-        # the most frequent form, the first seen on ties; a lone form needs no max
-        best = next(iter(forms)) if len(forms) == 1 else max(forms, key=forms.__getitem__)
+    for score, support, form, forms in found.values():
+        # the most frequent form, the first seen on ties
+        best = form if forms is None else max(forms, key=forms.__getitem__)
         out.append(NGramCandidate(best, score, support))
     return Candidates(out, len(out), {w: len(keys) for w, keys in by_weight.items()}, tuple(found))
 
@@ -215,6 +246,9 @@ def filter_ngrams(cands: Sequence[NGramCandidate], qtype: QuestionType) -> list[
 # Tiling
 
 
+_score = attrgetter("score")
+
+
 def _overlap(ka: tuple[str, ...], kb: tuple[str, ...]) -> int:
     """Longest L >= 1 such that the last L keys of ka equal the first L of kb."""
     for length in range(min(len(ka), len(kb)), 0, -1):
@@ -237,24 +271,36 @@ def tile_ngrams(
     L, with score and support both summed. Sorting is stable, so
     equal-score candidates keep their working order.
     """
-    pool: list[NGramCandidate] = list(cands)
-    if len(pool) < 2:
-        return pool
+    if len(cands) < 2:
+        return list(cands)
+    if keys is None:
+        keys = [c.key() for c in cands]
+    # Once no key occurs twice, no pair overlaps (see the module docstring).
+    distinct = len(set().union(*keys))
+    occurrences = sum(map(len, keys))
+    if occurrences == distinct:
+        return sorted(cands, key=_score, reverse=True)
+    pool = list(cands)
     # Kept in step with pool. A candidate without tokens has no first key
     # and overlaps nothing.
-    keys = list(keys) if keys is not None else [c.key() for c in pool]
+    keys = list(keys)
     firsts = [kb[0] if kb else None for kb in keys]
-    while True:
+    while occurrences > distinct:
         best = None  # (rank, key pair, i, j)
         for i, ka in enumerate(keys):
             score = pool[i].score
+            size = len(ka)
             for j, first in enumerate(firsts):
                 if first not in ka or j == i:
                     continue
                 kb = keys[j]
-                overlap = _overlap(ka, kb)
-                if not overlap:
-                    continue
+                # The longest overlap there can be starts where kb's first
+                # key first occurs in ka; only if that fails are shorter ones tried.
+                overlap = size - ka.index(first)
+                if overlap > len(kb) or ka[-overlap:] != kb[:overlap]:
+                    overlap = _overlap(ka, kb)
+                    if not overlap:
+                        continue
                 rank = (score + pool[j].score, overlap)
                 if best is None or rank > best[0] or (rank == best[0] and (ka, kb) < best[1]):
                     best = (rank, (ka, kb), i, j)
@@ -269,7 +315,9 @@ def tile_ngrams(
         )
         keys[i] = keys[i] + keys[j][overlap:]
         del pool[j], keys[j], firsts[j]
-    return sorted(pool, key=attrgetter("score"), reverse=True)
+        occurrences -= overlap
+    pool.sort(key=_score, reverse=True)
+    return pool
 
 
 def compose_answers(

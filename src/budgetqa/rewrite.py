@@ -7,6 +7,12 @@ past participle, and a single conjunctive back-off that ANDs every question
 word. Phrasal rewrites carry an answer slot marking the side on which the
 answer text is expected to appear in matching documents. A ``Question``
 keeps its rewrites as a tuple, so every run's selection can share it.
+
+A rewrite's features are read off its words in few passes: ``all_words``
+splits the joined parts once, the count features key and count the words
+in ``map``/``sum`` chains, and the adjacency scorer gives each key one
+class (auxiliary, past form, determiner or other) and judges it against
+the previous key's class in a single loop.
 """
 
 from __future__ import annotations
@@ -114,10 +120,7 @@ class Rewrite:
         return " ".join(rendered)
 
     def all_words(self) -> list[str]:
-        words: list[str] = []
-        for part in self.parts:
-            words.extend(part.split())
-        return words
+        return " ".join(self.parts).split()
 
 
 def classify_tokens(tokens: tuple[str, ...]) -> QuestionType:
@@ -198,10 +201,9 @@ def generate_rewrites(q: Question) -> list[Rewrite]:
 
 def _count_stats(words: list[str]) -> dict[str, float]:
     """The count features every rewrite kind shares."""
-    stop = default_stopwords()
-    numstop = sum(1 for w in words if token_key(w) in stop)
+    numstop = sum(map(default_stopwords().__contains__, map(token_key, words)))
     return {
-        "numcap": float(sum(1 for w in words if w[:1].isupper())),
+        "numcap": float(len([w for w in words if w[:1].isupper()])),
         "numstop": float(numstop),
         "pctstop": numstop / len(words) if words else 0.0,
     }
@@ -211,7 +213,7 @@ def conjunctive_features(r: Rewrite) -> dict[str, float]:
     """The five count features, computable for any rewrite kind."""
     words = r.all_words()
     return {
-        "longwd": float(max((len(w) for w in words), default=0)),
+        "longwd": float(max(map(len, words), default=0)),
         "numwords": float(len(words)),
         **_count_stats(words),
     }
@@ -246,18 +248,19 @@ class AdjacencyGrammarScorer:
     """
 
     def score(self, phrase: str) -> tuple[int, float]:
-        keys = [token_key(w) for w in phrase.split()]
+        # No auxiliary or determiner ends in "ed" and the two lists share no
+        # word, so each key has one class.
         violations = 0
-        if keys and keys[0] in _AUX_LIKE:
-            violations += 1
-        for prev, cur in zip(keys, keys[1:]):
-            if prev in _DETERMINERS and (cur in _AUX_LIKE or cur.endswith("ed")):
-                violations += 1
-            elif prev in _AUX_LIKE and cur in _AUX_LIKE:
-                violations += 1
-            elif cur.endswith("ed") and cur not in _AUX_LIKE and prev not in _AUX_LIKE:
-                if prev not in _DETERMINERS:  # determiner case already counted
-                    violations += 1
+        prev = None  # the previous key's class; None before the first key
+        for key in map(token_key, phrase.split()):
+            if key in _AUX_LIKE:
+                violations += prev in (None, "aux", "det")
+                prev = "aux"
+            elif key.endswith("ed"):
+                violations += prev not in (None, "aux")
+                prev = "past"
+            else:
+                prev = "det" if key in _DETERMINERS else "other"
         sgm = max(0.0, 1.0 - VIOLATION_PENALTY * violations)
         return violations, sgm
 
@@ -267,8 +270,7 @@ def phrasal_features(r: Rewrite, scorer: GrammarScorer) -> dict[str, float]:
     if r.kind is not RewriteKind.PHRASAL:
         raise WrongRewriteKind("phrasal features require a PHRASAL rewrite")
     secondary, sgm = scorer.score(r.parts[0])
-    return {
-        **_count_stats(r.all_words()),
-        "secondary_parses": float(secondary),
-        "sgm": sgm,
-    }
+    features = _count_stats(r.all_words())
+    features["secondary_parses"] = float(secondary)
+    features["sgm"] = sgm
+    return features

@@ -1,5 +1,12 @@
 """Tokenization, token normalization, the shipped stop-word list and the
-candidate n-grams of a text."""
+candidate n-grams of a text.
+
+``ngrams`` keys each token once and lists the positions whose key may stand
+at a gram's edge (non-empty and not a stop word). It then builds the 1-, 2-
+and 3-grams in one loop each over those positions alone: a 2-gram also
+needs the next position to be an edge, a 3-gram the one after that and a
+non-empty key between them.
+"""
 
 from functools import lru_cache
 from importlib import resources
@@ -12,7 +19,6 @@ BOUNDARY_PUNCT = ".,;:!?\"'()[]{}<>`«»“”‘’–—"
 
 AUXILIARIES = frozenset({"is", "was", "did", "does", "do", "are", "were"})
 
-MAX_NGRAM = 3
 Gram = tuple[tuple[str, ...], tuple[str, ...]]  # (keys, surface form)
 
 
@@ -56,7 +62,7 @@ def default_stopwords() -> frozenset[str]:
 
 def ngrams(text: str) -> tuple[Gram, ...]:
     """Every candidate 1/2/3-gram of a text as (keys, surface form) pairs,
-    n = 1..MAX_NGRAM outer and position inner.
+    n = 1, 2, 3 outer and position inner.
 
     A gram is a candidate when both edge keys are non-empty and not stop
     words, and a 3-gram's middle key is non-empty. No question's tokens are
@@ -65,14 +71,23 @@ def ngrams(text: str) -> tuple[Gram, ...]:
     """
     stop = default_stopwords()
     words = word_tokens(text)
-    keys = [token_key(w) for w in words]
-    edge = [bool(k) and k not in stop for k in keys]
+    keys = list(map(token_key, words))
+    edges = [i for i, key in enumerate(keys) if key and key not in stop]
+    is_edge = set(edges)  # an n-gram starts at edge i and ends at edge i + n - 1
     out = []
-    for n in range(1, MAX_NGRAM + 1):
-        for i in range(len(words) - n + 1):
-            last = i + n - 1
-            if edge[i] and edge[last] and (n < 3 or all(keys[i + 1 : last])):
-                gram_keys = tuple(keys[i : i + n])
-                form = tuple(words[i : i + n])
-                out.append((gram_keys, gram_keys if form == gram_keys else form))
+    append = out.append
+    for i in edges:
+        key, word = keys[i], words[i]
+        gram_keys = (key,)
+        append((gram_keys, gram_keys if word == key else (word,)))
+    for i in edges:
+        if i + 1 in is_edge:
+            gram_keys = (keys[i], keys[i + 1])
+            form = (words[i], words[i + 1])
+            append((gram_keys, gram_keys if form == gram_keys else form))
+    for i in edges:
+        if i + 2 in is_edge and keys[i + 1]:
+            gram_keys = (keys[i], keys[i + 1], keys[i + 2])
+            form = (words[i], words[i + 1], words[i + 2])
+            append((gram_keys, gram_keys if form == gram_keys else form))
     return tuple(out)

@@ -2,14 +2,20 @@
 
 Everything here is deliberately naive: plain loops, no indexes, no shared
 helpers with the code under test beyond the token normalization contract.
+The last section is the exception: the earlier code of the kernels that
+were rewritten for speed, which reads the index and builds the package's
+own types, so that a rewrite can be held to exactly the same output.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import combinations
+from operator import attrgetter
 
 from budgetqa.compose import DEFAULT_FILTERS, Candidates, NGramCandidate
+from budgetqa.errors import WrongRewriteKind
+from budgetqa.rewrite import _AUX_LIKE, _DETERMINERS, VIOLATION_PENALTY, RewriteKind
 from budgetqa.text import default_stopwords, token_key, word_tokens
 
 MAX_NGRAM = 3
@@ -453,3 +459,189 @@ def grow_by_masks(cases, schema):
         left=grow_by_masks(left_cases, schema),
         right=grow_by_masks(right_cases, schema),
     )
+
+
+# --------------------------------------------------------------------------
+# Earlier implementations of the speed-tuned kernels, kept verbatim but for
+# their names (and ``self`` made an argument), so each rewrite can be checked
+# to return exactly what they return, order included. Unlike the oracles
+# above they read the index's postings and build the package's own types.
+
+
+def slow_ngrams(text: str) -> tuple:
+    """``text.ngrams`` before its loops were unrolled per n."""
+    stop = default_stopwords()
+    words = word_tokens(text)
+    keys = [token_key(w) for w in words]
+    edge = [bool(k) and k not in stop for k in keys]
+    out = []
+    for n in range(1, MAX_NGRAM + 1):
+        for i in range(len(words) - n + 1):
+            last = i + n - 1
+            if edge[i] and edge[last] and (n < 3 or all(keys[i + 1 : last])):
+                gram_keys = tuple(keys[i : i + n])
+                form = tuple(words[i : i + n])
+                out.append((gram_keys, gram_keys if form == gram_keys else form))
+    return tuple(out)
+
+
+def slow_phrase_positions(self, phrase_keys: list[str]) -> list[tuple[int, int]]:
+    """``Index.phrase_positions`` filtering on the rarest key's neighbour;
+    ``self`` is the ``Index``."""
+    if not phrase_keys:
+        return []
+    plists = [self.postings.get(k) for k in phrase_keys]
+    if not all(plists):
+        return []  # a key that occurs nowhere (or is empty) matches nothing
+    offset = min(range(len(plists)), key=lambda j: len(plists[j]))
+    size = len(phrase_keys)
+    # A document without the rarest key's neighbour cannot hold the
+    # phrase, so one lookup skips it. A one-key phrase's only key is
+    # its own "neighbour", which every posting's document has.
+    near = self.first_positions[phrase_keys[offset + 1 if offset + 1 < size else offset - 1]]
+    doc_keys = self.keys
+    return [
+        (ordinal, pos - offset)
+        for ordinal, pos in plists[offset]
+        if ordinal in near
+        and pos >= offset
+        and doc_keys[ordinal][pos - offset : pos - offset + size] == phrase_keys
+    ]
+
+
+def slow_mine_ngrams(evidence, *, exclude: frozenset[str] = frozenset()) -> Candidates:
+    """``compose.mine_ngrams`` with a form-count mapping per candidate."""
+    found: dict[tuple[str, ...], list] = {}  # key -> [score, support, {surface form: count}]
+    by_weight: dict[float, set[tuple[str, ...]]] = {}
+    isdisjoint = exclude.isdisjoint
+
+    for weight, group in evidence:
+        if not group:
+            continue
+        touched = by_weight.setdefault(weight, set())
+        for snippet in group:
+            for gram_keys, form in snippet.grams:
+                if not isdisjoint(gram_keys):
+                    continue
+                touched.add(gram_keys)
+                entry = found.get(gram_keys)
+                if entry is None:
+                    found[gram_keys] = [weight, 1, {form: 1}]
+                    continue
+                entry[0] += weight
+                entry[1] += 1
+                forms = entry[2]
+                forms[form] = forms.get(form, 0) + 1
+
+    out = []
+    for score, support, forms in found.values():
+        # the most frequent form, the first seen on ties; a lone form needs no max
+        best = next(iter(forms)) if len(forms) == 1 else max(forms, key=forms.__getitem__)
+        out.append(NGramCandidate(best, score, support))
+    return Candidates(out, len(out), {w: len(keys) for w, keys in by_weight.items()}, tuple(found))
+
+
+def slow_overlap(ka: tuple[str, ...], kb: tuple[str, ...]) -> int:
+    """Longest L >= 1 such that the last L keys of ka equal the first L of kb."""
+    for length in range(min(len(ka), len(kb)), 0, -1):
+        if ka[-length:] == kb[:length]:
+            return length
+    return 0
+
+
+def slow_tile_ngrams(cands, keys=None) -> list:
+    """``compose.tile_ngrams`` scanning every pair until none overlaps."""
+    pool: list[NGramCandidate] = list(cands)
+    if len(pool) < 2:
+        return pool
+    # Kept in step with pool. A candidate without tokens has no first key
+    # and overlaps nothing.
+    keys = list(keys) if keys is not None else [c.key() for c in pool]
+    firsts = [kb[0] if kb else None for kb in keys]
+    while True:
+        best = None  # (rank, key pair, i, j)
+        for i, ka in enumerate(keys):
+            score = pool[i].score
+            for j, first in enumerate(firsts):
+                if first not in ka or j == i:
+                    continue
+                kb = keys[j]
+                overlap = slow_overlap(ka, kb)
+                if not overlap:
+                    continue
+                rank = (score + pool[j].score, overlap)
+                if best is None or rank > best[0] or (rank == best[0] and (ka, kb) < best[1]):
+                    best = (rank, (ka, kb), i, j)
+        if best is None:
+            break
+        (_, overlap), _, i, j = best
+        a, b = pool[i], pool[j]
+        pool[i] = NGramCandidate(
+            tokens=a.tokens + b.tokens[overlap:],
+            score=a.score + b.score,
+            support=a.support + b.support,
+        )
+        keys[i] = keys[i] + keys[j][overlap:]
+        del pool[j], keys[j], firsts[j]
+    return sorted(pool, key=attrgetter("score"), reverse=True)
+
+
+def slow_all_words(self) -> list[str]:
+    """``Rewrite.all_words``; ``self`` is the ``Rewrite``."""
+    words: list[str] = []
+    for part in self.parts:
+        words.extend(part.split())
+    return words
+
+
+def slow_count_stats(words: list[str]) -> dict[str, float]:
+    """The count features every rewrite kind shares."""
+    stop = default_stopwords()
+    numstop = sum(1 for w in words if token_key(w) in stop)
+    return {
+        "numcap": float(sum(1 for w in words if w[:1].isupper())),
+        "numstop": float(numstop),
+        "pctstop": numstop / len(words) if words else 0.0,
+    }
+
+
+def slow_conjunctive_features(r) -> dict[str, float]:
+    """The five count features, computable for any rewrite kind."""
+    words = slow_all_words(r)
+    return {
+        "longwd": float(max((len(w) for w in words), default=0)),
+        "numwords": float(len(words)),
+        **slow_count_stats(words),
+    }
+
+
+class SlowAdjacencyGrammarScorer:
+    """``AdjacencyGrammarScorer`` checking each adjacent pair of keys."""
+
+    def score(self, phrase: str) -> tuple[int, float]:
+        keys = [token_key(w) for w in phrase.split()]
+        violations = 0
+        if keys and keys[0] in _AUX_LIKE:
+            violations += 1
+        for prev, cur in zip(keys, keys[1:]):
+            if prev in _DETERMINERS and (cur in _AUX_LIKE or cur.endswith("ed")):
+                violations += 1
+            elif prev in _AUX_LIKE and cur in _AUX_LIKE:
+                violations += 1
+            elif cur.endswith("ed") and cur not in _AUX_LIKE and prev not in _AUX_LIKE:
+                if prev not in _DETERMINERS:  # determiner case already counted
+                    violations += 1
+        sgm = max(0.0, 1.0 - VIOLATION_PENALTY * violations)
+        return violations, sgm
+
+
+def slow_phrasal_features(r, scorer) -> dict[str, float]:
+    """Count features plus parse-derived features for a phrasal rewrite."""
+    if r.kind is not RewriteKind.PHRASAL:
+        raise WrongRewriteKind("phrasal features require a PHRASAL rewrite")
+    secondary, sgm = scorer.score(r.parts[0])
+    return {
+        **slow_count_stats(slow_all_words(r)),
+        "secondary_parses": float(secondary),
+        "sgm": sgm,
+    }

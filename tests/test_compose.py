@@ -27,6 +27,8 @@ from oracles import (
     filter_each,
     mine_in_order,
     mine_per_call,
+    slow_mine_ngrams,
+    slow_tile_ngrams,
     stepwise_best_fixpoint,
     tile_all_pairs,
 )
@@ -202,6 +204,20 @@ def test_kept_ngrams_serve_any_later_exclusions(texts, first, second, swap):
         fresh = [(weight, [_snip(t) for t in group]) for weight, group in texts]
         assert _mined(got) == _mined(mine_per_call(fresh, exclude=exclude))
     assert all("grams" in s.__dict__ for _, group in evidence for s in group)
+
+
+@given(texts=_evidence_texts, exclude=_exclusions)
+# a second form that ties the first on count keeps the first seen
+@example(texts=[(5.0, ["Booth Booth BOOTH BOOTH booth"])], exclude=[])
+@example(texts=[(1.0, ["Booth's the"]), (5.0, []), (1.0, ["booth’s BOOTH BOOTH"])], exclude=["the"])
+@settings(deadline=None, max_examples=200)
+def test_mining_equals_the_slow_version(texts, exclude):
+    evidence = [(weight, [_snip(t) for t in group]) for weight, group in texts]
+    got = mine_ngrams(evidence, exclude=_excluded(exclude))
+    want = slow_mine_ngrams(evidence, exclude=_excluded(exclude))
+    assert _mined(got) == _mined(want) and got.keys == want.keys
+    assert list(got.mined_by_weight.items()) == list(want.mined_by_weight.items())
+    assert pickle.dumps(list(got)) == pickle.dumps(list(want))
 
 
 def test_mutating_a_mined_list_leaves_later_minings_alone():
@@ -397,6 +413,22 @@ def test_tiling_matches_all_pairs_oracle_exactly(cands):
         return [(c.tokens, c.score, c.support) for c in out]
 
     assert listed(tile_ngrams(cands)) == listed(tile_all_pairs(cands))
+
+
+@given(_tile_pool, st.booleans())
+# kb's first key is ka's first too, yet their tails differ: no overlap
+@example([_cand("a b", 2.0), _cand("a c"), _cand("b")], True)
+@example([_cand("a"), _cand("b"), _cand("a b")], False)
+@settings(deadline=None, max_examples=300)
+def test_tiling_equals_the_slow_version(cands, with_keys):
+    keys = [c.key() for c in cands] if with_keys else None
+    got, want = tile_ngrams(cands, keys), slow_tile_ngrams(cands, keys)
+    assert _listed(got) == _listed(want)
+    # which outputs are input candidates themselves, and which ones
+    def sources(out):
+        return [next((i for i, c in enumerate(cands) if c is a), None) for a in out]
+
+    assert sources(got) == sources(want)
 
 
 # Small enough for the all-pairs oracle to tile quickly.

@@ -2,9 +2,10 @@ import dataclasses
 import pickle
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from budgetqa.bench import generate_benchmark
 from budgetqa.errors import EmptyQuestion, WrongRewriteKind
 from budgetqa.rewrite import (
     AdjacencyGrammarScorer,
@@ -19,6 +20,12 @@ from budgetqa.rewrite import (
 )
 from budgetqa.text import AUXILIARIES, default_stopwords, tokenize, word_tokens
 
+from oracles import (
+    SlowAdjacencyGrammarScorer,
+    slow_all_words,
+    slow_conjunctive_features,
+    slow_phrasal_features,
+)
 from stubs import StubGrammarScorer
 
 
@@ -250,3 +257,55 @@ def test_adjacency_scorer_separates_natural_from_scrambled():
     leading_aux = scorer.score("was the crystal bridge designed")[1]
     assert natural > scrambled
     assert natural > leading_aux
+
+
+# --------------------------------------------------------------------------
+# The rewrite features against their slow versions, item for item and in
+# key order.
+
+
+def _same_features(got, want):
+    assert list(got.items()) == list(want.items())
+    assert repr(got) == repr(want)
+
+
+def test_rewrite_features_equal_the_slow_versions_on_a_benchmark():
+    bench = generate_benchmark(240, seed=0)
+    scorer, slow_scorer = AdjacencyGrammarScorer(), SlowAdjacencyGrammarScorer()
+    phrasal = 0
+    for item in bench.items:
+        for r in Question.from_text(item.question).rewrites:
+            assert r.all_words() == slow_all_words(r)
+            _same_features(conjunctive_features(r), slow_conjunctive_features(r))
+            if r.kind is RewriteKind.PHRASAL:
+                _same_features(phrasal_features(r, scorer), slow_phrasal_features(r, slow_scorer))
+                phrasal += 1
+    assert phrasal == 1296
+
+
+# Auxiliaries, determiners and past forms in every case and with boundary
+# punctuation, so that every adjacency rule fires; stop words, capitals and
+# possessives for the count features.
+_feature_words = [
+    "was", "Was", "is", "did", "has", "could", "will", "the", "The", "a", "those,", "killed",
+    "Painted", "led", "ed", "painted.", "(was", "Lincoln", "Ford's", "FORD’S", "of", "by", "3.5",
+    "--", "—", "'s", "", "x",
+]
+_feature_phrases = st.one_of(
+    st.lists(st.sampled_from(_feature_words), max_size=8).map(" ".join),
+    st.text(alphabet="aEdsw'’.( ", max_size=20),
+)
+
+
+@given(parts=st.lists(_feature_phrases, min_size=1, max_size=3))
+@example(parts=["the painted was killed by"])
+@example(parts=["was the has had killed", "Who led"])
+@settings(deadline=None, max_examples=300)
+def test_rewrite_features_equal_the_slow_versions_on_drawn_phrases(parts):
+    r = Rewrite(RewriteKind.PHRASAL, tuple(parts), AnswerSlot.RIGHT, 5.0)
+    assert r.all_words() == slow_all_words(r)
+    assert AdjacencyGrammarScorer().score(parts[0]) == SlowAdjacencyGrammarScorer().score(parts[0])
+    _same_features(
+        phrasal_features(r, AdjacencyGrammarScorer()), slow_phrasal_features(r, SlowAdjacencyGrammarScorer())
+    )
+    _same_features(conjunctive_features(r), slow_conjunctive_features(r))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import pickle
 import sys
 import threading
 from collections import Counter
@@ -26,7 +27,7 @@ from budgetqa.search import (
     query_phrase,
     save_corpus,
 )
-from budgetqa.text import ngrams
+from budgetqa.text import ngrams, token_key
 
 from oracles import (
     query_keys,
@@ -34,6 +35,8 @@ from oracles import (
     scan_conjunctive_snippets,
     scan_phrase,
     scan_snippets,
+    slow_ngrams,
+    slow_phrase_positions,
 )
 
 LINCOLN_DOC = Document("d1", "John Wilkes Booth killed Abraham Lincoln in Ford's theater")
@@ -513,3 +516,68 @@ def test_ngrams_are_taken_before_any_exclusion():
         (("theatre",), ("theatre",)),
         (("ford", "theatre"), ("Ford's", "theatre")),
     )
+
+
+# Tokens that read otherwise than they key: boundary punctuation, "'s" and
+# "’s" possessives, stop words, "--" (a word, keyed "--"), and pieces that
+# are all punctuation or key to nothing ("—", "'s", "“”"), which tokenizing
+# strips before any key is taken.
+_gram_tokens = [
+    "Booth", "booth,", "(Booth)", "“Lincoln”", "Lincoln.", "Ford's", "FORD’S", "ford’s", "x's'",
+    "the", "The", "of", "was", "an", "--", "—", "'s", "’s", "“”", "...", "3.5", "1865", "killed",
+]
+_gram_texts = st.one_of(
+    st.lists(st.sampled_from(_gram_tokens), max_size=14).map(" ".join),
+    st.text(alphabet="aB's’.,(-— ", max_size=30),
+)
+
+
+@given(text=_gram_texts)
+@example(text="the Booth of Lincoln the")  # stop words at both edges
+@example(text="The Ford's theatre -- killed ’s Lincoln. of")
+@settings(deadline=None, max_examples=300)
+def test_ngrams_equal_the_slow_version(text):
+    # Pickling also compares which forms are their keys tuple itself.
+    got, want = ngrams(text), slow_ngrams(text)
+    assert got == want
+    assert pickle.dumps(got) == pickle.dumps(want)
+
+
+# "Zeta's" and "alpha," key as "zeta" and "alpha"; "—" keys to nothing.
+_position_vocab = ["alpha", "beta", "gamma", "delta", "eta", "theta", "Zeta", "Zeta's", "alpha,", "--", "—"]
+
+
+@st.composite
+def _corpus_and_keys(draw):
+    """Documents over a small vocabulary and phrase keys, half of them a
+    slice of a document's keys, so that matches are common."""
+    docs_text = draw(st.lists(
+        st.lists(st.sampled_from(_position_vocab), min_size=1, max_size=10).map(" ".join),
+        min_size=1, max_size=10,
+    ))
+    if draw(st.booleans()):
+        keys = [token_key(w) for w in draw(st.sampled_from(docs_text)).split()]
+        start = draw(st.integers(0, len(keys) - 1))
+        keys = keys[start : start + draw(st.integers(1, 4))]
+    else:
+        # "iota" occurs nowhere and "" is no document word's key
+        any_key = st.sampled_from(["alpha", "beta", "eta", "theta", "zeta", "--", "iota", ""])
+        keys = draw(st.lists(any_key, max_size=4))
+    return docs_text, keys
+
+
+@given(case=_corpus_and_keys())
+# every key occurs, but never two of them in one document
+@example(case=(["alpha beta", "gamma delta", "beta alpha"], ["beta", "gamma"]))
+@example(case=(["eta eta eta theta", "theta eta eta", "eta"], ["eta", "eta"]))  # a repeated key
+# the rarest key ("theta") first, in the middle and last; in the first
+# case a document holds every key, but not in the phrase's order
+@example(case=(["theta eta beta gamma", "eta gamma eta gamma"], ["theta", "eta", "gamma"]))
+@example(case=(["eta theta gamma", "eta gamma eta gamma theta"], ["eta", "theta", "gamma"]))
+@example(case=(["eta gamma theta", "eta gamma eta gamma"], ["eta", "gamma", "theta"]))
+@example(case=(["alpha — beta", "alpha beta"], ["alpha", "", "beta"]))  # the empty key
+@settings(deadline=None, max_examples=300)
+def test_phrase_positions_equal_the_slow_version(case):
+    docs_text, keys = case
+    index = build_index(_docs(docs_text))
+    assert index.phrase_positions(list(keys)) == slow_phrase_positions(index, list(keys))
