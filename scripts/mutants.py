@@ -120,6 +120,11 @@ MUTANTS = [
         ("tests/test_search.py",),
     ),
     Mutant(
+        "index-first-posting-misplaced", "src/budgetqa/search.py",
+        "postings[key] = [(ordinal, pos)]", "postings[key] = [(ordinal, pos + 1)]",
+        ("tests/test_search.py",),
+    ),
+    Mutant(
         "phrase-last-key-unchecked", "src/budgetqa/search.py",
         "doc_keys[ordinal][start : start + size] == phrase_keys",
         "doc_keys[ordinal][start : start + size - 1] == phrase_keys[:-1]",

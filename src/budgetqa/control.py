@@ -100,12 +100,6 @@ class Preferences:
         return None
 
 
-def net_expected_value(p: float, n: int, prefs: Preferences) -> float:
-    """(p * k - n) * c for submitting n queries with success probability p:
-    the net in query units, times the cost of one query."""
-    return (p * prefs.k - n) * prefs.c
-
-
 @dataclass(frozen=True)
 class BudgetDecision:
     """Outcome of the budget choice: submit ``n`` rewrites, or abstain.
@@ -222,10 +216,6 @@ class Run:
         self.keys: list[tuple[int | None, ...]] = [()]
         self.errors: list[str] = []
         self.started: float | None = None  # time.monotonic() instant of the first batch
-
-    @property
-    def issued(self) -> int:
-        return len(self.snippets)
 
     def _execute(self, n: int) -> None:
         pending = self.rewrites[len(self.snippets) : n]

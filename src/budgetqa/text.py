@@ -2,10 +2,12 @@
 candidate n-grams of a text.
 
 ``ngrams`` keys each token once and lists the positions whose key may stand
-at a gram's edge (non-empty and not a stop word). It then builds the 1-, 2-
-and 3-grams in one loop each over those positions alone: a 2-gram also
-needs the next position to be an edge, a 3-gram the one after that and a
-non-empty key between them.
+at a gram's edge (not a stop word). It then builds the 1-, 2- and 3-grams
+in one loop each over those positions alone: a 2-gram also needs the next
+position to be an edge, a 3-gram the one after that. No key is tested for
+being empty: a token of ``word_tokens`` starts with a character that is not
+boundary punctuation, and its key keeps that character's case fold, so no
+token keys to "" (the tests check every BMP code point).
 """
 
 from functools import lru_cache
@@ -64,15 +66,15 @@ def ngrams(text: str) -> tuple[Gram, ...]:
     """Every candidate 1/2/3-gram of a text as (keys, surface form) pairs,
     n = 1, 2, 3 outer and position inner.
 
-    A gram is a candidate when both edge keys are non-empty and not stop
-    words, and a 3-gram's middle key is non-empty. No question's tokens are
-    excluded here: that is up to the caller. When a gram's surface form
-    equals its keys, the keys tuple stands in for the form.
+    A gram is a candidate when neither edge key is a stop word. No
+    question's tokens are excluded here: that is up to the caller. When a
+    gram's surface form equals its keys, the keys tuple stands in for the
+    form.
     """
     stop = default_stopwords()
     words = word_tokens(text)
     keys = list(map(token_key, words))
-    edges = [i for i, key in enumerate(keys) if key and key not in stop]
+    edges = [i for i, key in enumerate(keys) if key not in stop]
     is_edge = set(edges)  # an n-gram starts at edge i and ends at edge i + n - 1
     out = []
     append = out.append
@@ -86,7 +88,7 @@ def ngrams(text: str) -> tuple[Gram, ...]:
             form = (words[i], words[i + 1])
             append((gram_keys, gram_keys if form == gram_keys else form))
     for i in edges:
-        if i + 2 in is_edge and keys[i + 1]:
+        if i + 2 in is_edge:
             gram_keys = (keys[i], keys[i + 1], keys[i + 2])
             form = (words[i], words[i + 1], words[i + 2])
             append((gram_keys, gram_keys if form == gram_keys else form))

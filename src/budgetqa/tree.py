@@ -82,16 +82,6 @@ class DecisionTree:
             node = node.left if node.goes_left(features) else node.right
         return node.probability
 
-    def leaves(self) -> list[Leaf]:
-        out, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                out.append(node)
-            else:
-                stack.extend([node.left, node.right])
-        return out
-
 
 def _entropy(pos: int, total: int) -> float:
     if total == 0 or pos == 0 or pos == total:

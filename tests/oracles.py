@@ -16,6 +16,7 @@ from operator import attrgetter
 from budgetqa.compose import DEFAULT_FILTERS, Candidates, NGramCandidate
 from budgetqa.errors import WrongRewriteKind
 from budgetqa.rewrite import _AUX_LIKE, _DETERMINERS, VIOLATION_PENALTY, RewriteKind
+from budgetqa.search import DEFAULT_WINDOW, Document
 from budgetqa.text import default_stopwords, token_key, word_tokens
 
 MAX_NGRAM = 3
@@ -483,6 +484,28 @@ def slow_ngrams(text: str) -> tuple:
                 form = tuple(words[i : i + n])
                 out.append((gram_keys, gram_keys if form == gram_keys else form))
     return tuple(out)
+
+
+def slow_index_init(self, docs: list[Document], window: int = DEFAULT_WINDOW):
+    """``Index.__init__`` with one ``setdefault`` per token; ``self`` is an
+    ``Index`` made by ``Index.__new__``."""
+    self.docs = docs
+    self.window = window
+    self.raw_words: list[list[str]] = []
+    self.keys: list[list[str]] = []
+    self.postings: dict[str, list[tuple[int, int]]] = {}
+    for ordinal, doc in enumerate(docs):
+        words = doc.text.split()
+        keys = [token_key(w) for w in words]
+        self.raw_words.append(words)
+        self.keys.append(keys)
+        for pos, key in enumerate(keys):
+            if key:
+                self.postings.setdefault(key, []).append((ordinal, pos))
+    # Reversed so that each doc's first position is the one kept.
+    self.first_positions: dict[str, dict[int, int]] = {
+        key: dict(reversed(plist)) for key, plist in self.postings.items()
+    }
 
 
 def slow_phrase_positions(self, phrase_keys: list[str]) -> list[tuple[int, int]]:

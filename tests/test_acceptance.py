@@ -271,6 +271,15 @@ def test_criterion_7_k_sweep_monotonicity(trained_benchmark):
 def test_criterion_8_model_correctness(trained_benchmark):
     start = time.monotonic()
     rng = random.Random(5)
+
+    def collect(node, leaves):
+        if isinstance(node, Leaf):
+            leaves[id(node)] = node
+        else:
+            collect(node.left, leaves)
+            collect(node.right, leaves)
+        return leaves
+
     for trial in range(5):
         cases = []
         for _ in range(200):
@@ -281,16 +290,7 @@ def test_criterion_8_model_correctness(trained_benchmark):
             }
             cases.append(TrainingCase(feats, rng.random() < 0.3 + 0.1 * feats["x"]))
         tree = train_tree(cases)
-        leaves = {}
-
-        def collect(node):
-            if isinstance(node, Leaf):
-                leaves[id(node)] = node
-            else:
-                collect(node.left)
-                collect(node.right)
-
-        collect(tree.root)
+        leaves = collect(tree.root, {})
         for leaf in leaves.values():
             assert 0.0 < leaf.probability < 1.0
         routed = route_cases(tree, cases)
@@ -303,7 +303,7 @@ def test_criterion_8_model_correctness(trained_benchmark):
     _, models, _ = trained_benchmark
     assert models.ensemble.thresholds == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20)
     for tree in models.ensemble.trees.values():
-        for leaf in tree.leaves():
+        for leaf in collect(tree.root, {}).values():
             assert 0.0 < leaf.probability < 1.0
     elapsed = time.monotonic() - start
     assert elapsed < 60.0

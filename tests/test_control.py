@@ -20,7 +20,6 @@ from budgetqa.control import (
     Run,
     choose_n,
     decide,
-    net_expected_value,
     run_policy,
 )
 from budgetqa.errors import ProviderError, RetryableError
@@ -60,17 +59,18 @@ def _stub_models(conj_p=0.5, phrasal_p=0.5, probs=None):
 
 
 # --------------------------------------------------------------------------
-# net_expected_value / choose_n
+# the net expected value (decide's per-threshold nets) / choose_n
 
 
 def test_net_expected_value_arithmetic():
-    assert net_expected_value(0.8, 5, Preferences(k=10, c=1)) == pytest.approx(3.0)
-    assert net_expected_value(0.0, 4, Preferences(k=10, c=1)) == pytest.approx(-4.0)
+    # (p * k - n) * c per threshold n
+    assert decide({5: 0.8}, Preferences(k=10, c=1)).per_threshold_net[5] == pytest.approx(3.0)
+    assert decide({4: 0.0}, Preferences(k=10, c=1)).per_threshold_net[4] == pytest.approx(-4.0)
 
 
 def test_net_expected_value_scales_linearly_in_c():
-    base = net_expected_value(0.7, 3, Preferences(k=10, c=1.0))
-    assert net_expected_value(0.7, 3, Preferences(k=10, c=2.5)) == pytest.approx(2.5 * base)
+    base = decide({3: 0.7}, Preferences(k=10, c=1.0)).per_threshold_net[3]
+    assert decide({3: 0.7}, Preferences(k=10, c=2.5)).per_threshold_net[3] == pytest.approx(2.5 * base)
 
 
 def test_preferences_must_be_positive():
@@ -216,7 +216,7 @@ def test_choose_n_asks_each_distinct_tree_once(monkeypatch):
         assert len(asked) == distinct
         assert list(decision.per_threshold_net) == list(DEFAULT_THRESHOLDS)
         assert decision.per_threshold_net == {
-            n: net_expected_value(predict(trees[n], features), n, prefs) for n in DEFAULT_THRESHOLDS
+            n: (predict(trees[n], features) * prefs.k - n) * prefs.c for n in DEFAULT_THRESHOLDS
         }
 
 
@@ -361,7 +361,7 @@ def test_run_features_match_remining_oracle(evidence, prefix):
     assert feats["totnonbagsnips"] == sum(
         len(found) for r, found in zip(used, snippets) if r.kind is RewriteKind.PHRASAL
     )
-    assert run.issued == len(used)
+    assert len(run.snippets) == len(used)
 
 
 def test_one_word_question_has_the_run_feature_schema(lincoln_provider):
@@ -403,7 +403,7 @@ def test_every_batch_of_a_run_shares_the_start_of_its_first():
     (_, first), (_, second) = recorder.batches
     assert first == second
     assert before <= first <= after
-    assert meter.calls == run.issued == 3
+    assert meter.calls == len(run.snippets) == 3
 
 
 class _FailingProvider:
@@ -453,7 +453,7 @@ def test_a_serial_run_records_backend_failures_and_raises_anything_else(provider
     with pytest.raises(RuntimeError, match="a bug"):
         run.compose(4)
     assert provider.executed == sent
-    assert run.issued == 2
+    assert len(run.snippets) == 2
     assert run.snippets == [(), ()]
     assert run.errors == [
         f"{rewrites[0].as_query()}: gave up after 3 attempts",

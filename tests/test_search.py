@@ -18,6 +18,7 @@ from budgetqa.search import (
     DEFAULT_LIMIT,
     DEFAULT_WINDOW,
     Document,
+    Index,
     MeteredProvider,
     OfflineProvider,
     Snippet,
@@ -27,7 +28,7 @@ from budgetqa.search import (
     query_phrase,
     save_corpus,
 )
-from budgetqa.text import ngrams, token_key
+from budgetqa.text import ngrams, token_key, word_tokens
 
 from oracles import (
     query_keys,
@@ -35,6 +36,7 @@ from oracles import (
     scan_conjunctive_snippets,
     scan_phrase,
     scan_snippets,
+    slow_index_init,
     slow_ngrams,
     slow_phrase_positions,
 )
@@ -61,6 +63,35 @@ def test_phrase_positions_with_repeated_and_rare_last_keys():
     assert idx.phrase_positions(["eta", "eta", "theta"]) == [(0, 1)]
     assert idx.phrase_positions(["theta", "eta", "eta"]) == [(1, 0)]
     assert idx.phrase_positions(["eta", ""]) == []
+
+
+# Possessives, boundary punctuation, punctuation-only words and repeats. An
+# index keys raw whitespace words, so a bare "’s", "—" and "..." key to ""
+# there; "--" keys to itself.
+_index_vocab = ["alpha", "ALPHA", "alpha,", "Zeta", "Zeta's", "zeta’s", "’s", "—", "--", "...", "beta"]
+
+
+def _structures(index):
+    """An index's four structures, with every dict's key order spelled out."""
+    return (
+        list(index.postings.items()),
+        [(key, list(docs.items())) for key, docs in index.first_positions.items()],
+        index.keys,
+        index.raw_words,
+    )
+
+
+@given(docs_text=st.lists(st.lists(st.sampled_from(_index_vocab), max_size=10).map(" ".join), max_size=8))
+@example(docs_text=["alpha — alpha", "", "Zeta's zeta’s ’s alpha,", "... -- beta alpha"])
+@settings(deadline=None, max_examples=300)
+def test_index_equals_the_slow_version(docs_text):
+    # Empty documents included; an empty corpus is build_index's to reject.
+    docs = _docs(docs_text)
+    slow = Index.__new__(Index)
+    slow_index_init(slow, docs, window=3)
+    index = Index(docs, window=3)
+    assert _structures(index) == _structures(slow)
+    assert (index.docs, index.window) == (slow.docs, slow.window)
 
 
 def test_build_index_rejects_duplicates_and_empty():
@@ -111,11 +142,12 @@ def test_snippet_window_contains_full_match():
     assert len(snippet.text.split()) <= 2 + 2 * idx.window
 
 
-# "Zeta's" and "alpha," share keys with "Zeta" and "alpha"; "--" has the
-# empty key, which no query term matches.
+# "Zeta's" and "alpha," share keys with "Zeta" and "alpha"; "--" is a word
+# keyed "--", while "—" (a boundary dash) has the empty key, which no query
+# term matches.
 _vocab = [
     "alpha", "beta", "gamma", "delta", "epsilon", "Zeta", "eta", "theta",
-    "Zeta's", "alpha,", "--",
+    "Zeta's", "alpha,", "--", "—",
 ]
 _doc_text = st.lists(st.sampled_from(_vocab), min_size=1, max_size=12).map(" ".join)
 
@@ -516,6 +548,26 @@ def test_ngrams_are_taken_before_any_exclusion():
         (("theatre",), ("theatre",)),
         (("ford", "theatre"), ("Ford's", "theatre")),
     )
+
+
+def _nonempty_keys(text):
+    # token_key's unwrapped function, so that sweeping code points leaves
+    # its cache as it was.
+    return all(map(token_key.__wrapped__, word_tokens(text)))
+
+
+def test_no_token_of_any_bmp_code_point_keys_to_nothing():
+    # Each code point alone, before each possessive form ("ſ" case-folds to
+    # "s"), and after an apostrophe; ngrams relies on this.
+    for form in ("{}", "{}'s", "{}’s", "{}'S", "{}ſ", "{}'ſ", "'{}"):
+        assert _nonempty_keys(" ".join(form.format(chr(cp)) for cp in range(0x10000))), form
+
+
+@given(text=st.text())
+@example(text="—'s ’s 'S” (ſ) x's' «»")
+@settings(deadline=None, max_examples=300)
+def test_no_token_keys_to_nothing(text):
+    assert _nonempty_keys(text)
 
 
 # Tokens that read otherwise than they key: boundary punctuation, "'s" and
