@@ -67,6 +67,12 @@ MUTANTS = [
         "if pattern.fullmatch(trimmed):", "if pattern.search(trimmed):",
         ("tests/test_evaluation.py",),
     ),
+    # The experiments' sequence.
+    Mutant(
+        "k-sweep-grid-changed", "src/budgetqa/evaluation.py",
+        "K_SWEEP = (5.0, 10.0, 15.0, 20.0)", "K_SWEEP = (5.0, 10.0, 15.0, 25.0)",
+        ("tests/test_evaluation.py",),
+    ),
     # Models.
     Mutant(
         "quality-order-reversed", "src/budgetqa/models.py",

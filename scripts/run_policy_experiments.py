@@ -8,6 +8,7 @@ one half, then reproduces the three experiment shapes on the held-out half:
   2. policy comparison: conjunctive-only vs cost-benefit vs all rewrites
   3. answer-value sweep: cost-benefit at several settings of k
 
+The three run in that order through ``budgetqa.evaluation.reproduce``.
 Writes aligned tables to stdout and JSON lines under --out-dir.
 """
 
@@ -20,16 +21,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from budgetqa.bench import generate_benchmark, redundancy_error, size_error
-from budgetqa.control import AllRewrites, ConjunctiveOnly, CostBenefit, Preferences
-from budgetqa.evaluation import (
-    evaluate,
-    render_k_sweep,
-    render_n_sweep,
-    render_reports,
-    sweep_k,
-    sweep_n,
-    write_reports_jsonl,
-)
+from budgetqa.control import Preferences
+from budgetqa.evaluation import reproduce, write_jsonl
 from budgetqa.harness import train_models
 from budgetqa.rewrite import AdjacencyGrammarScorer
 from budgetqa.search import OfflineProvider, build_index
@@ -89,6 +82,11 @@ def main() -> int:
     args = parser.parse_args()
     if problem := size_error(args.questions, args.distractors) or redundancy_error(args.redundancy):
         parser.error(problem)
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out-dir: cannot create {out_dir}: {exc.strerror or exc}")
 
     t0 = time.perf_counter()
     bench = generate_benchmark(
@@ -106,28 +104,12 @@ def main() -> int:
     models = train_models(train_items, provider, scorer=AdjacencyGrammarScorer())
     print(f"models trained in {time.perf_counter() - t_train:.1f}s")
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prefs = Preferences(k=args.k, c=args.c)
-
-    print("\n== fixed budgets: random vs likelihood order ==")
-    rows = sweep_n(eval_items, provider, models, seeds=args.seeds)
-    print(render_n_sweep(rows))
-
-    print("\n== policy comparison ==")
-    reports = [
-        evaluate(ConjunctiveOnly(), eval_items, provider, models),
-        evaluate(CostBenefit(), eval_items, provider, models, prefs,
-                 label=f"cost_benefit_k{args.k:g}_c{args.c:g}"),
-        evaluate(AllRewrites(), eval_items, provider, models),
-    ]
-    print(render_reports(reports))
-    write_reports_jsonl(reports, str(out_dir / "policy_comparison.jsonl"))
-
-    print("\n== answer-value sweep ==")
-    k_results = sweep_k(eval_items, provider, models, [5.0, 10.0, 15.0, 20.0], args.c)
-    print(render_k_sweep(k_results))
-    write_reports_jsonl([r for _, r in k_results], str(out_dir / "k_sweep.jsonl"))
+    experiment = reproduce(eval_items, provider, models, Preferences(k=args.k, c=args.c), args.seeds)
+    headings = ("fixed budgets: random vs likelihood order", "policy comparison", "answer-value sweep")
+    for heading, table in zip(headings, experiment.tables()):
+        print(f"\n== {heading} ==\n{table}")
+    write_jsonl([r.to_json() for r in experiment.reports], str(out_dir / "policy_comparison.jsonl"))
+    write_jsonl([r.to_json() for _, r in experiment.k_results], str(out_dir / "k_sweep.jsonl"))
 
     print(f"\ndone in {time.perf_counter() - t0:.1f}s; reports under {out_dir}/")
     return 0

@@ -9,7 +9,6 @@ Exit codes: 0 success or abstain, 1 usage error, 2 data error, 3 backend error.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -261,8 +260,7 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, corpus_path, mod
         click.echo(evaluation.render_reports([report]))
         rows = [report.to_json()]
     if out_path:  # one JSON object per line: a report each, or a sweep-n row each
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(row) + "\n" for row in rows)
+        evaluation.write_jsonl(rows, out_path)
         click.echo(f"wrote {len(rows)} {'row(s)' if sweep_n_flag else 'report(s)'} -> {out_path}")
 
 

@@ -9,6 +9,11 @@ Replays judge the same answers again and again (the experiment script
 evaluates each held-out question 85 times), so a ``QAItem`` remembers its
 verdict per top answer and ``evaluate`` and training judge through it:
 each distinct answer of an item is matched against its patterns once.
+
+``reproduce`` runs the paper's experiments in one fixed sequence (the N
+sweep, the policy comparison, the k sweep); the experiment script and the
+golden tests call it. ``write_jsonl`` writes every JSON-lines file: datasets,
+the script's reports and ``evaluate --out``.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .control import (
+    AllRewrites,
+    ConjunctiveOnly,
     CostBenefit,
     Policy,
     Preferences,
@@ -125,14 +132,14 @@ def load_dataset(path: str) -> list[QAItem]:
 
 
 def dump_dataset(items: Sequence[QAItem], path: str) -> None:
+    rows = ({"question": item.question, "patterns": [p.pattern for p in item.patterns]} for item in items)
+    write_jsonl(rows, path)
+
+
+def write_jsonl(rows: Iterable[dict], path: str) -> None:
+    """One JSON object per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(
-                json.dumps(
-                    {"question": item.question, "patterns": [p.pattern for p in item.patterns]}
-                )
-                + "\n"
-            )
+        fh.writelines(json.dumps(row) + "\n" for row in rows)
 
 
 @dataclass(slots=True)
@@ -348,7 +355,42 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def write_reports_jsonl(reports: Sequence[Report], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for report in reports:
-            fh.write(json.dumps(report.to_json()) + "\n")
+# --------------------------------------------------------------------------
+# The paper's experiments
+
+K_SWEEP = (5.0, 10.0, 15.0, 20.0)
+
+
+class Experiment(NamedTuple):
+    """The rows and reports behind the experiments' three tables."""
+
+    n_rows: list[dict]
+    reports: list[Report]
+    k_results: list[tuple[float, Report]]
+
+    def tables(self) -> tuple[str, str, str]:
+        return render_n_sweep(self.n_rows), render_reports(self.reports), render_k_sweep(self.k_results)
+
+
+def reproduce(
+    dataset: Sequence[QAItem],
+    provider: SearchProvider,
+    models: ModelSet,
+    prefs: Preferences,
+    seeds: Sequence[int],
+) -> Experiment:
+    """The experiments on held-out questions: the fixed-budget N sweep over
+    ``seeds``, the policy comparison (conjunctive-only, cost-benefit at
+    ``prefs``, all rewrites) and the cost-benefit sweep over ``K_SWEEP``.
+
+    The steps run in this order, and a question's remembered orders and
+    compositions carry from one step into the next.
+    """
+    n_rows = sweep_n(dataset, provider, models, seeds=seeds)
+    reports = [
+        evaluate(ConjunctiveOnly(), dataset, provider, models),
+        evaluate(CostBenefit(), dataset, provider, models, prefs,
+                 label=f"cost_benefit_k{prefs.k:g}_c{prefs.c:g}"),
+        evaluate(AllRewrites(), dataset, provider, models),
+    ]
+    return Experiment(n_rows, reports, sweep_k(dataset, provider, models, K_SWEEP, prefs.c))

@@ -12,7 +12,6 @@ from budgetqa.bench import generate_benchmark
 from budgetqa.control import (
     AllRewrites,
     ConjunctiveOnly,
-    CostBenefit,
     LikelihoodN,
     Preferences,
     RandomN,
@@ -21,6 +20,7 @@ from budgetqa.control import (
 )
 from budgetqa.errors import DatasetParseError
 from budgetqa.evaluation import (
+    K_SWEEP,
     Judgment,
     QAItem,
     QuestionRecord,
@@ -32,9 +32,10 @@ from budgetqa.evaluation import (
     render_k_sweep,
     render_n_sweep,
     render_reports,
+    reproduce,
     sweep_k,
     sweep_n,
-    write_reports_jsonl,
+    write_jsonl,
 )
 from budgetqa.harness import train_models
 from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet, ThresholdEnsemble
@@ -450,37 +451,21 @@ def test_experiment_tables_match_golden_digest():
     provider = OfflineProvider(build_index(bench.corpus))
     train_items, eval_items = bench.items[:40], bench.items[40:]
     models = train_models(train_items, provider, scorer=AdjacencyGrammarScorer())
-    prefs = Preferences(k=10.0, c=1.0)
-    # The script's order: a question's remembered order and composition
-    # carry from one table into the next.
-    n_rows = sweep_n(eval_items, provider, models, seeds=(0, 1))
-    reports = [
-        evaluate(ConjunctiveOnly(), eval_items, provider, models),
-        evaluate(CostBenefit(), eval_items, provider, models, prefs, label="cost_benefit_k10_c1"),
-        evaluate(AllRewrites(), eval_items, provider, models),
-    ]
-    k_results = sweep_k(eval_items, provider, models, [5.0, 10.0, 15.0, 20.0])
-    tables = "\n\n".join(
-        [render_n_sweep(n_rows), render_reports(reports), render_k_sweep(k_results)]
-    )
+    experiment = reproduce(eval_items, provider, models, Preferences(k=10.0, c=1.0), seeds=(0, 1))
+    tables = "\n\n".join(experiment.tables())
     assert hashlib.sha256(tables.encode("utf-8")).hexdigest() == TABLES_GOLDEN_DIGEST
 
 
 def test_a_question_keeps_one_composition_per_ordered_evidence(monkeypatch):
-    # The script's steps in its order. After them, a question holds one
-    # composition per ordered tuple of its rewrites that returned snippets,
-    # keyed by their positions, and the k sweep finds every probe and every
-    # chosen budget among the compositions already made.
+    # After the experiments, a question holds one composition per ordered
+    # tuple of its rewrites that returned snippets, keyed by their
+    # positions, and the k sweep finds every probe and every chosen budget
+    # among the compositions already made.
     bench = generate_benchmark(40, seed=0)
     provider = OfflineProvider(build_index(bench.corpus))
     train_items, eval_items = bench.items[:20], bench.items[20:]
     models = train_models(train_items, provider, scorer=AdjacencyGrammarScorer())
-    prefs = Preferences(k=10.0, c=1.0)
-    ks = [5.0, 10.0, 15.0, 20.0]
-    sweep_n(eval_items, provider, models, seeds=(0, 1))
-    for policy in (ConjunctiveOnly(), CostBenefit(), AllRewrites()):
-        evaluate(policy, eval_items, provider, models, prefs)
-    sweep_k(eval_items, provider, models, ks)
+    reproduce(eval_items, provider, models, Preferences(k=10.0, c=1.0), seeds=(0, 1))
     for item in bench.items:
         rewrites = item.parsed.rewrites
         assert item.parsed.compositions
@@ -497,10 +482,10 @@ def test_a_question_keeps_one_composition_per_ordered_evidence(monkeypatch):
         return compose_answers(*args, **kwargs)
 
     monkeypatch.setattr(control, "compose_answers", counted)
-    again = sweep_k(eval_items, provider, models, ks)
+    again = sweep_k(eval_items, provider, models, K_SWEEP)
     assert calls == []
     fresh = [QAItem(item.question, item.patterns) for item in eval_items]
-    assert again == sweep_k(fresh, provider, models, ks)
+    assert again == sweep_k(fresh, provider, models, K_SWEEP)
     assert calls
 
 
@@ -524,9 +509,9 @@ def test_render_sweeps_shapes():
     assert "answer value" in render_k_sweep(k_rows)
 
 
-def test_write_reports_jsonl(tmp_path):
+def test_write_jsonl(tmp_path):
     path = tmp_path / "reports.jsonl"
-    write_reports_jsonl([Report("demo", 4, 2, 2, 0, 8)], str(path))
+    write_jsonl([Report("demo", 4, 2, 2, 0, 8).to_json()], str(path))
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert rows[0]["policy"] == "demo"
     assert rows[0]["total_cost"] == 8

@@ -69,6 +69,20 @@ def test_experiment_script_rejects_out_of_range_arguments(args, message, tmp_pat
     assert done.stdout == ""
 
 
+def test_experiment_script_rejects_an_out_dir_it_cannot_create(tmp_path):
+    # A usage error before any work, not a traceback after training.
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, str(EXPERIMENT_SCRIPT), "--questions", "10", "--out-dir", str(taken)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert f"--out-dir: cannot create {taken}" in done.stderr
+    assert done.stdout == ""
+
+
 CODE_LINES_FIXTURE = '''"""A module docstring
 over two lines."""
 
