@@ -73,6 +73,18 @@ MUTANTS = [
         "K_SWEEP = (5.0, 10.0, 15.0, 20.0)", "K_SWEEP = (5.0, 10.0, 15.0, 25.0)",
         ("tests/test_evaluation.py",),
     ),
+    # Question heads and JSON-lines files.
+    Mutant(
+        "how-long-head-dropped", "src/budgetqa/rewrite.py",
+        '    ("how", "long"): QuestionType.HOW_LONG,\n', "",
+        ("tests/test_rewrite.py",),
+    ),
+    Mutant(
+        "jsonl-line-number-dropped", "src/budgetqa/search.py",
+        'raise DatasetParseError(f"bad {what} record: {exc}", line_no) from exc',
+        'raise DatasetParseError(f"bad {what} record: {exc}") from exc',
+        ("tests/test_search.py",),
+    ),
     # Models.
     Mutant(
         "quality-order-reversed", "src/budgetqa/models.py",
@@ -87,10 +99,10 @@ MUTANTS = [
     # The run and the cost-benefit policy.
     Mutant(
         "probe-features-read-before-execution", "src/budgetqa/control.py",
-        "        answers = self.compose(PROBE_SIZE)\n"
+        "        self._execute(PROBE_SIZE)\n"
         "        rewrites, snippets = self.rewrites[:PROBE_SIZE], self.snippets[:PROBE_SIZE]\n",
         "        rewrites, snippets = self.rewrites[:PROBE_SIZE], self.snippets[:PROBE_SIZE]\n"
-        "        answers = self.compose(PROBE_SIZE)\n",
+        "        self._execute(PROBE_SIZE)\n",
         ("tests/test_control.py",),
     ),
     Mutant(

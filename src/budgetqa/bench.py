@@ -14,20 +14,19 @@ type's wording lives in one ``Template`` record of ``TEMPLATES``.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from importlib import resources
 
 from .evaluation import QAItem
 from .rewrite import QuestionType
-from .search import Document
+from .search import Document, load_corpus
 
 
 def lincoln_corpus() -> list[Document]:
     """The bundled 12-document demo corpus for the worked example."""
-    data = resources.files("budgetqa").joinpath("data/lincoln_corpus.jsonl").read_text("utf-8")
-    return [Document(**json.loads(line)) for line in data.splitlines() if line.strip()]
+    with resources.as_file(resources.files("budgetqa").joinpath("data/lincoln_corpus.jsonl")) as path:
+        return load_corpus(str(path))
 
 ADJECTIVES = [
     "crystal", "silver", "copper", "marble", "amber", "ivory", "scarlet",

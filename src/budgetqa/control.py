@@ -36,10 +36,10 @@ mix results, and a pair is replaced whole for threads sharing a question.
 ``probes`` maps a ``ModelSet`` to what the cost-benefit probe predicted
 under it: the probe's rewrites, their snippets, the threshold ensemble and
 the per-threshold probabilities. A run that probes the same rewrites, gets
-the same snippets and asks the same ensemble reuses those probabilities, so
-replaying a question at several answer values k extracts run features and
-asks the trees once; only the nets and the argmax are redone per
-``Preferences``. Any difference (another provider's snippets, a replaced
+the same snippets and asks the same ensemble reuses those probabilities
+and composes nothing, so replaying a question at several answer values k
+extracts run features and asks the trees once; only the nets and the argmax
+are redone per ``Preferences``. Any difference (another provider's snippets, a replaced
 ensemble, another model set's order) extracts and predicts again and
 replaces the entry whole.
 Orders and compositions are tuples, so runs share them. With one provider,
@@ -57,8 +57,9 @@ every net by the same c changes no ranking, so no decision reads c.
 Every policy is a selection of rewrites in submission order plus a budget.
 The fixed policies submit their whole selection. Because run features only
 exist after some querying, the cost-benefit policy first runs a bounded
-probe (the top quality-ordered rewrites), computes run features from the
-probe's prefix, and only then picks the total budget. Probe queries are
+probe (the top quality-ordered rewrites), reads the probe's run features
+through ``Run.features(PROBE_SIZE)``, the one call that training's
+threshold cases also make, and only then picks the total budget. Probe queries are
 charged and count toward n, even when the chosen n is below the probe size.
 """
 
@@ -273,20 +274,21 @@ class Run:
         )
 
     def probe(self, models: ModelSet) -> dict[int, float]:
-        """The ensemble's per-threshold probabilities on the probe's run
-        features. The probe executes and composes; the prediction is the
-        one the question remembers under ``models`` when that entry's
-        rewrites, snippets and ensemble are the run's (see the module
+        """The ensemble's per-threshold probabilities on
+        ``self.features(PROBE_SIZE)``, the probe's run features as training
+        reads them (``harness.generate_threshold_cases``). The probe
+        executes first; the prediction is the one the question remembers
+        under ``models`` when that entry's rewrites, snippets and ensemble
+        are the run's, and then nothing is composed (see the module
         docstring)."""
-        answers = self.compose(PROBE_SIZE)
+        self._execute(PROBE_SIZE)
         rewrites, snippets = self.rewrites[:PROBE_SIZE], self.snippets[:PROBE_SIZE]
         ensemble = models.ensemble
         memo = self.question.probes
         kept = memo.get(models)  # read once: threads may replace it
         if kept is not None and kept[2] is ensemble and kept[0] == rewrites and kept[1] == snippets:
             return kept[3]
-        features = extract_run_features(self.question, list(zip(rewrites, snippets)), answers)
-        probs = ensemble.predict_all(features)
+        probs = ensemble.predict_all(self.features(PROBE_SIZE))
         memo[models] = (rewrites, snippets, ensemble, probs)
         return probs
 

@@ -12,20 +12,21 @@ each distinct answer of an item is matched against its patterns once.
 
 ``reproduce`` runs the paper's experiments in one fixed sequence (the N
 sweep, the policy comparison, the k sweep); the experiment script and the
-golden tests call it. ``write_jsonl`` writes every JSON-lines file: datasets,
-the script's reports and ``evaluate --out``.
+golden tests call it. Dataset files are read and written through
+``search.read_jsonl`` and ``search.write_jsonl``, the one JSON-lines reader
+and writer, which this module re-exports for the script's reports and
+``evaluate --out``.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .control import (
     AllRewrites,
@@ -40,7 +41,7 @@ from .control import (
 from .errors import DatasetParseError, EmptyQuestion
 from .models import DEFAULT_THRESHOLDS, ModelSet
 from .rewrite import Question
-from .search import SearchProvider
+from .search import SearchProvider, read_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,17 @@ def judge(top_answer: str | None, patterns: Sequence[re.Pattern]) -> Judgment:
     return Judgment.INCORRECT
 
 
+def _item(row) -> QAItem:
+    if not isinstance(question := row["question"], str):
+        raise DatasetParseError(f"question is not a JSON string: {question!r}")
+    patterns = row["patterns"]
+    if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
+        raise DatasetParseError("patterns must be a JSON list of strings")
+    item = QAItem.make(question, patterns)
+    item.parsed  # parsed now, so a question with no word tokens fails here
+    return item
+
+
 def load_dataset(path: str) -> list[QAItem]:
     """One JSON object per line: {"question": ..., "patterns": [...]}, where
     ``question`` is a string and ``patterns`` a list of strings. Any other
@@ -109,37 +121,12 @@ def load_dataset(path: str) -> list[QAItem]:
     character), or a question with no word tokens, raises
     ``DatasetParseError`` with the line number, before any query is
     issued."""
-    items = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                if not isinstance(question := row["question"], str):
-                    raise DatasetParseError(f"question is not a JSON string: {question!r}")
-                patterns = row["patterns"]
-                if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
-                    raise DatasetParseError("patterns must be a JSON list of strings")
-                item = QAItem.make(question, patterns)
-                item.parsed  # parsed now, so a question with no word tokens fails here
-                items.append(item)
-            except DatasetParseError as exc:
-                raise DatasetParseError(str(exc), line_no) from exc
-            except (json.JSONDecodeError, KeyError, TypeError, re.error, EmptyQuestion) as exc:
-                raise DatasetParseError(f"bad dataset record: {exc}", line_no) from exc
-    return items
+    return read_jsonl(path, "dataset", _item, (re.error, EmptyQuestion))
 
 
 def dump_dataset(items: Sequence[QAItem], path: str) -> None:
     rows = ({"question": item.question, "patterns": [p.pattern for p in item.patterns]} for item in items)
     write_jsonl(rows, path)
-
-
-def write_jsonl(rows: Iterable[dict], path: str) -> None:
-    """One JSON object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(row) + "\n" for row in rows)
 
 
 @dataclass(slots=True)

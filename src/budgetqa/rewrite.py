@@ -123,37 +123,23 @@ class Rewrite:
         return " ".join(self.parts).split()
 
 
+# A question's leading keys and the type they mark; ``generate_rewrites``
+# drops those tokens before it places the verb.
+_HEADS = {
+    ("who",): QuestionType.WHO,
+    ("when",): QuestionType.WHEN,
+    ("where",): QuestionType.WHERE,
+    ("what",): QuestionType.WHAT,
+    ("how", "many"): QuestionType.HOW_MANY,
+    ("how", "long"): QuestionType.HOW_LONG,
+}
+_HEAD_SIZE = {qtype: len(head) for head, qtype in _HEADS.items()}
+
+
 def classify_tokens(tokens: tuple[str, ...]) -> QuestionType:
     """Question type from the leading token(s)."""
-    if not tokens:
-        return QuestionType.OTHER
-    head = token_key(tokens[0])
-    if head == "who":
-        return QuestionType.WHO
-    if head == "when":
-        return QuestionType.WHEN
-    if head == "where":
-        return QuestionType.WHERE
-    if head == "what":
-        return QuestionType.WHAT
-    if head == "how" and len(tokens) > 1:
-        second = token_key(tokens[1])
-        if second == "many":
-            return QuestionType.HOW_MANY
-        if second == "long":
-            return QuestionType.HOW_LONG
-    return QuestionType.OTHER
-
-
-_WH_STRIP = {
-    QuestionType.WHO: 1,
-    QuestionType.WHAT: 1,
-    QuestionType.WHEN: 1,
-    QuestionType.WHERE: 1,
-    QuestionType.HOW_MANY: 2,
-    QuestionType.HOW_LONG: 2,
-    QuestionType.OTHER: 0,
-}
+    keys = tuple(map(token_key, tokens[:2]))
+    return _HEADS.get(keys[:1]) or _HEADS.get(keys, QuestionType.OTHER)
 
 
 def generate_rewrites(q: Question) -> list[Rewrite]:
@@ -174,7 +160,7 @@ def generate_rewrites(q: Question) -> list[Rewrite]:
     tokens = list(q.tokens)
     tokens[0] = tokens[0].lower()
 
-    remaining = tokens[_WH_STRIP[q.qtype] :]
+    remaining = tokens[_HEAD_SIZE.get(q.qtype, 0) :]
     phrases: list[tuple[str, AnswerSlot]] = []
     if len(tokens) >= 2 and remaining:
         verb, rest = remaining[0], remaining[1:]

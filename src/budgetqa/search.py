@@ -42,6 +42,11 @@ keeps them as long as it lives. The memo returns the same snippets on every
 repeat, so a replayed query's snippets are never tokenized twice; a remote
 provider's snippets, n-grams included, are freed with the run that fetched
 them.
+
+Every JSON-lines file the package reads or writes (corpora, datasets, the
+bundled demo corpus, the experiment script's reports and ``evaluate
+--out``) goes through ``read_jsonl`` and ``write_jsonl`` here, so one loop
+skips blank lines and numbers the line of a bad record.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 from .errors import DatasetParseError, DuplicateDocument, EmptyCorpus
 from .rewrite import Rewrite, RewriteKind
@@ -270,7 +275,41 @@ class MeteredProvider:
 
 
 # --------------------------------------------------------------------------
-# Corpus files
+# JSON-lines files
+
+
+def read_jsonl(path: str, what: str, record: Callable, errors: tuple[type[Exception], ...] = ()) -> list:
+    """``record(row)`` for each JSON object of a JSON-lines file, in order;
+    blank lines are skipped. A ``DatasetParseError`` that ``record`` raises
+    gets the line number; malformed JSON, a missing key, a wrong type or
+    one of ``errors`` becomes ``DatasetParseError("bad {what} record: ...")``
+    with the line number."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                out.append(record(json.loads(line)))
+            except DatasetParseError as exc:
+                raise DatasetParseError(str(exc), line_no) from exc
+            except (json.JSONDecodeError, KeyError, TypeError, *errors) as exc:
+                raise DatasetParseError(f"bad {what} record: {exc}", line_no) from exc
+    return out
+
+
+def write_jsonl(rows: Iterable[dict], path: str) -> None:
+    """One JSON object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row) + "\n" for row in rows)
+
+
+def _document(row) -> Document:
+    if not isinstance(text := row["text"], str):
+        raise DatasetParseError(f"text is not a JSON string: {text!r}")
+    if isinstance(doc_id := row["id"], bool) or not isinstance(doc_id, (str, int)):
+        raise DatasetParseError(f"id is not a JSON string or integer: {doc_id!r}")
+    return Document(id=str(doc_id), text=text)
 
 
 def load_corpus(path: str) -> list[Document]:
@@ -278,25 +317,8 @@ def load_corpus(path: str) -> list[Document]:
     A ``text`` that is not a JSON string, or an ``id`` that is neither a
     JSON string nor an integer, raises ``DatasetParseError`` with the line
     number; an integer ``id`` is read as its string."""
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                if not isinstance(text := row["text"], str):
-                    raise DatasetParseError(f"text is not a JSON string: {text!r}", line_no)
-                if isinstance(doc_id := row["id"], bool) or not isinstance(doc_id, (str, int)):
-                    raise DatasetParseError(f"id is not a JSON string or integer: {doc_id!r}", line_no)
-                docs.append(Document(id=str(doc_id), text=text))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DatasetParseError(f"bad corpus record: {exc}", line_no) from exc
-    return docs
+    return read_jsonl(path, "corpus", _document)
 
 
 def save_corpus(docs: list[Document], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps({"id": doc.id, "text": doc.text}) + "\n")
-
+    write_jsonl(({"id": doc.id, "text": doc.text} for doc in docs), path)

@@ -15,7 +15,7 @@ from operator import attrgetter
 
 from budgetqa.compose import DEFAULT_FILTERS, Candidates, NGramCandidate
 from budgetqa.errors import WrongRewriteKind
-from budgetqa.rewrite import _AUX_LIKE, _DETERMINERS, VIOLATION_PENALTY, RewriteKind
+from budgetqa.rewrite import _AUX_LIKE, _DETERMINERS, VIOLATION_PENALTY, QuestionType, RewriteKind
 from budgetqa.search import DEFAULT_WINDOW, Document
 from budgetqa.text import default_stopwords, token_key, word_tokens
 
@@ -668,3 +668,37 @@ def slow_phrasal_features(r, scorer) -> dict[str, float]:
         "secondary_parses": float(secondary),
         "sgm": sgm,
     }
+
+
+def slow_classify_tokens(tokens: tuple[str, ...]) -> QuestionType:
+    """``rewrite.classify_tokens`` as one if-chain over the leading keys."""
+    if not tokens:
+        return QuestionType.OTHER
+    head = token_key(tokens[0])
+    if head == "who":
+        return QuestionType.WHO
+    if head == "when":
+        return QuestionType.WHEN
+    if head == "where":
+        return QuestionType.WHERE
+    if head == "what":
+        return QuestionType.WHAT
+    if head == "how" and len(tokens) > 1:
+        second = token_key(tokens[1])
+        if second == "many":
+            return QuestionType.HOW_MANY
+        if second == "long":
+            return QuestionType.HOW_LONG
+    return QuestionType.OTHER
+
+
+# How many leading tokens ``generate_rewrites`` drops per question type.
+WH_STRIP = {
+    QuestionType.WHO: 1,
+    QuestionType.WHAT: 1,
+    QuestionType.WHEN: 1,
+    QuestionType.WHERE: 1,
+    QuestionType.HOW_MANY: 2,
+    QuestionType.HOW_LONG: 2,
+    QuestionType.OTHER: 0,
+}

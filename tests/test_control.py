@@ -889,3 +889,30 @@ def test_a_probe_in_another_model_sets_order_predicts_again():
     assert result == _fresh_cost_benefit(provider, phrasal_first, prefs)
     fresh = Question.from_text(QUESTION)
     assert played == CostBenefit().play(Run(fresh, order, provider), conjunctive_first, prefs)
+
+
+class _RecordingEnsemble:
+    """Predicts 0.5 at every threshold and records the features it is asked on."""
+
+    def __init__(self):
+        self.seen = []
+
+    def predict_all(self, features):
+        self.seen.append(features)
+        return {n: 0.5 for n in DEFAULT_THRESHOLDS}
+
+
+@pytest.mark.parametrize("text", ["Lincoln?", QUESTION], ids=["one-rewrite", "many-rewrites"])
+def test_the_probe_predicts_on_the_run_features_training_reads(lincoln_provider, text):
+    # Training's threshold cases carry run.features(PROBE_SIZE); serving
+    # must predict on exactly those.
+    models = _stub_models(conj_p=0.9, phrasal_p=0.4)
+    models.ensemble = _RecordingEnsemble()
+    question = Question.from_text(text)
+    order = CostBenefit().select(question, models, 0)
+    assert (len(order) == 1) is (text == "Lincoln?")
+    run = Run(question, order, lincoln_provider)
+    assert run.probe(models) == {n: 0.5 for n in DEFAULT_THRESHOLDS}
+    fresh = Run(Question.from_text(text), order, lincoln_provider)
+    assert models.ensemble.seen == [run.features(PROBE_SIZE)] == [fresh.features(PROBE_SIZE)]
+    assert len(run.snippets) == min(PROBE_SIZE, len(order))

@@ -14,6 +14,7 @@ from budgetqa.rewrite import (
     QuestionType,
     Rewrite,
     RewriteKind,
+    classify_tokens,
     conjunctive_features,
     generate_rewrites,
     phrasal_features,
@@ -21,8 +22,10 @@ from budgetqa.rewrite import (
 from budgetqa.text import AUXILIARIES, default_stopwords, tokenize, word_tokens
 
 from oracles import (
+    WH_STRIP,
     SlowAdjacencyGrammarScorer,
     slow_all_words,
+    slow_classify_tokens,
     slow_conjunctive_features,
     slow_phrasal_features,
 )
@@ -70,6 +73,38 @@ def test_tokenize_keeps_possessive_surface():
 )
 def test_classify(text, expected):
     assert Question.from_text(text).qtype is expected
+
+
+# Head words and others in case variants, with possessives and boundary
+# punctuation, so that every key the head table reads comes up.
+_head_tokens = st.tuples(
+    st.sampled_from(["", '"', "(", "¿"]),
+    st.sampled_from(["who", "when", "where", "what", "how", "many", "long", "much", "is", "nile"]),
+    st.sampled_from([str.lower, str.upper, str.capitalize]),
+    st.sampled_from(["", "'s", "’s", "?", "'s?", ","]),
+).map(lambda t: t[0] + t[2](t[1]) + t[3])
+
+
+@given(st.lists(_head_tokens, max_size=3).map(tuple))
+@example(())
+@example(("How",))
+@example(("how", "much"))
+@example(("How", "long", "is"))
+@example(("HOW’s", "Many's"))
+@settings(max_examples=400)
+def test_classify_tokens_and_dropped_head_equal_the_if_chain(tokens):
+    qtype = classify_tokens(tokens)
+    assert qtype is slow_classify_tokens(tokens)
+    if not tokens:
+        return
+    # The first phrasal rewrite is the tokens left once the head is dropped.
+    lowered = [tokens[0].lower(), *tokens[1:]]
+    remaining = lowered[WH_STRIP[qtype] :]
+    rewrites = generate_rewrites(Question(" ".join(tokens), tokens, qtype))
+    if len(tokens) >= 2 and remaining:
+        assert rewrites[0].parts == (" ".join(remaining),)
+    else:
+        assert [r.kind for r in rewrites] == [RewriteKind.CONJUNCTIVE]
 
 
 # --------------------------------------------------------------------------

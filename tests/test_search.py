@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from budgetqa import search
 from budgetqa.bench import generate_benchmark
-from budgetqa.errors import DuplicateDocument, EmptyCorpus
+from budgetqa.errors import DatasetParseError, DuplicateDocument, EmptyCorpus
 from budgetqa.rewrite import AnswerSlot, Question, Rewrite, RewriteKind, generate_rewrites
 from budgetqa.search import (
     DEFAULT_LIMIT,
@@ -486,6 +486,45 @@ def test_load_corpus_reads_an_integer_id_as_a_string(tmp_path):
     corpus = tmp_path / "c.jsonl"
     corpus.write_text('{"id": 7, "text": "one two"}\n', encoding="utf-8")
     assert load_corpus(str(corpus)) == [Document("7", "one two")]
+
+
+def _row_value(row):
+    if row["a"] == 3:
+        raise DatasetParseError("three is not a value")
+    if row["a"] == 4:
+        raise ValueError("four is out of range")
+    return row["a"]
+
+
+@pytest.mark.parametrize(
+    "body, line_no, message, errors",
+    [
+        ('{"a": 1}\n\n{"b": 2}\n', 3, "bad row record: 'a'", ()),
+        ('\n   \n{"a": 1}\nnot json\n', 4, "bad row record: Expecting value: line 1 column 1 (char 0)", ()),
+        ('{"a": 1}\n{"a": 3}\n', 2, "three is not a value", ()),
+        ('{"a": 1}\n\n{"a": 4}\n', 3, "bad row record: four is out of range", (ValueError,)),
+        ('["a"]\n', 1, "bad row record: list indices must be integers or slices, not str", ()),
+    ],
+    ids=["missing-key", "bad-json-after-blank-lines", "record-error", "listed-error", "not-an-object"],
+)
+def test_read_jsonl_numbers_the_line_of_a_bad_record(tmp_path, body, line_no, message, errors):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(body, encoding="utf-8")
+    with pytest.raises(DatasetParseError) as err:
+        search.read_jsonl(str(rows), "row", _row_value, errors)
+    assert str(err.value) == f"line {line_no}: {message}"
+    assert err.value.line_no == line_no
+
+
+def test_read_jsonl_skips_blank_lines_and_raises_unlisted_errors(tmp_path):
+    rows = tmp_path / "rows.jsonl"
+    search.write_jsonl([{"a": 1}, {"a": 2}], str(rows))
+    assert rows.read_text(encoding="utf-8") == '{"a": 1}\n{"a": 2}\n'
+    rows.write_text('\n{"a": 1}\n \t\n{"a": 2}\n\n', encoding="utf-8")
+    assert search.read_jsonl(str(rows), "row", _row_value) == [1, 2]
+    rows.write_text('{"a": 4}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match="four is out of range"):
+        search.read_jsonl(str(rows), "row", _row_value)
 
 
 # SHA-256 of every rewrite's offline results on generate_benchmark(240, seed=0).
