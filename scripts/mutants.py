@@ -112,7 +112,7 @@ MUTANTS = [
     ),
     Mutant(
         "answer-from-the-whole-probe", "src/budgetqa/control.py",
-        "else decision.n, decision)", "else max(decision.n, PROBE_SIZE), decision)",
+        "else max(decision.n, PROBE_SIZE), decision)", "else decision.n, decision)",
         ("tests/test_control.py",),
     ),
     # The budget choice.

@@ -59,8 +59,11 @@ The fixed policies submit their whole selection. Because run features only
 exist after some querying, the cost-benefit policy first runs a bounded
 probe (the top quality-ordered rewrites), reads the probe's run features
 through ``Run.features(PROBE_SIZE)``, the one call that training's
-threshold cases also make, and only then picks the total budget. Probe queries are
-charged and count toward n, even when the chosen n is below the probe size.
+threshold cases also make, and only then picks the total budget. Probe
+queries are charged, and a run that does not abstain answers from
+max(n, PROBE_SIZE) rewrites: a chosen n below the probe size has paid for
+the whole probe, so the answer uses all of it. ``BudgetDecision.n`` stays
+what the decision chose.
 """
 
 from __future__ import annotations
@@ -294,8 +297,9 @@ class Run:
 
     def result(self, n: int, decision: BudgetDecision | None = None) -> QuestionResult:
         """Answer from the first n rewrites, or, when the decision is to
-        abstain, report the n rewrites it was taken on. Rewrites already
-        executed past n (a probe larger than the budget) stay charged."""
+        abstain, report the n rewrites it was taken on. Every rewrite
+        executed stays charged; the cost-benefit policy never asks for
+        fewer than it probed, so it answers from all it paid for."""
         abstained = decision is not None and decision.abstained
         answers = () if abstained else self.compose(n)
         return QuestionResult(
@@ -397,7 +401,7 @@ class CostBenefit:
         if prefs is None:
             raise ValueError("CostBenefit requires preferences")
         decision = decide(run.probe(models), prefs)
-        return run.result(PROBE_SIZE if decision.abstained else decision.n, decision)
+        return run.result(PROBE_SIZE if decision.abstained else max(decision.n, PROBE_SIZE), decision)
 
 
 Policy = Union[RandomN, LikelihoodN, ConjunctiveOnly, AllRewrites, CostBenefit]

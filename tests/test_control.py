@@ -293,8 +293,11 @@ def test_cost_benefit_budget_below_probe_still_charges_probe(lincoln_provider):
     models = _stub_models(probs=probs)
     result = run_policy(CostBenefit(), QUESTION, meter, models, Preferences(k=10, c=1))
     assert result.decision.n == 1
-    assert len(result.rewrites_used) == 1
     assert result.queries_issued == 2 == meter.calls
+    # The answer uses both probe rewrites the run paid for, not just n.
+    assert len(result.rewrites_used) == 2
+    probe = Run(Question.from_text(QUESTION), result.rewrites_used, lincoln_provider)
+    assert result.answers == probe.compose(2)
 
 
 def test_cost_benefit_requires_models_and_prefs(lincoln_provider):
