@@ -173,6 +173,13 @@ MUTANTS = [
         "if w[:1].isupper()", "if w[-1:].isupper()",
         ("tests/test_rewrite.py",),
     ),
+    # The configuration.
+    Mutant(
+        "config-results-key-unchecked", "src/budgetqa/config.py",
+        'for name in ("token", "query_param", "results_key", "summary_key"):',
+        'for name in ("token", "query_param", "summary_key"):',
+        ("tests/test_cli.py",),
+    ),
     # The command line's mode table.
     Mutant(
         "random-row-without-seed", "src/budgetqa/cli.py",

@@ -72,11 +72,6 @@ def main() -> int:
     parser.add_argument("--distractors", type=_int_at_least(0), default=40)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--k", type=_positive, default=10.0)
-    parser.add_argument(
-        "--c", type=_positive, default=1.0,
-        help="cost per query; no decision reads it: it only scales the nets a cost-benefit decision "
-        "records (these tables show none) and sets the cost_benefit_k<k>_c<c> label",
-    )
     parser.add_argument("--seeds", type=_seed_list, default="0,1,2,3,4", help="random-order seeds for the N sweep")
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
@@ -104,7 +99,8 @@ def main() -> int:
     models = train_models(train_items, provider, scorer=AdjacencyGrammarScorer())
     print(f"models trained in {time.perf_counter() - t_train:.1f}s")
 
-    experiment = reproduce(eval_items, provider, models, Preferences(k=args.k, c=args.c), args.seeds)
+    # No decision reads the cost per query c, so the tables run at c = 1.
+    experiment = reproduce(eval_items, provider, models, Preferences(k=args.k, c=1.0), args.seeds)
     headings = ("fixed budgets: random vs likelihood order", "policy comparison", "answer-value sweep")
     for heading, table in zip(headings, experiment.tables()):
         print(f"\n== {heading} ==\n{table}")

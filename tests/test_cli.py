@@ -8,6 +8,7 @@ import pytest
 
 from budgetqa.bench import generate_benchmark
 from budgetqa.cli import main
+from budgetqa.config import Config
 from budgetqa.evaluation import dump_dataset
 from budgetqa.search import OfflineProvider, save_corpus
 
@@ -327,6 +328,28 @@ def test_config_path_that_is_not_a_string_is_data_error(
     err = capsys.readouterr().err
     assert f"data error: {field} must be a path string, not 2" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("results_key", []), ("results_key", {"items": 1}), ("query_param", 5), ("query_param", None),
+     ("summary_key", ["summary"]), ("summary_key", False), ("token", 7), ("token", ["secret"])],
+)
+def test_config_remote_field_that_is_not_a_string_is_data_error(tmp_path, capsys, field, value):
+    # A results_key of [] used to load and then fail the first object
+    # response with an uncaught TypeError (unhashable type: 'list'), and a
+    # query_param of 5 silently sent ?5=...
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"endpoint": "http://127.0.0.1:9/search", field: value}), encoding="utf-8")
+    assert main(["ask", "Who did it?", "--config", str(cfg), "--policy", "all"]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {field} must be a JSON string, not {value!r}" in err
+    assert "Traceback" not in err
+
+
+def test_config_without_a_token_loads():
+    cfg = Config(endpoint="http://127.0.0.1:9/search", token=None, results_key="items")
+    assert (cfg.token, cfg.query_param, cfg.results_key, cfg.summary_key) == (None, "q", "items", "summary")
 
 
 @pytest.mark.parametrize("command", [["train", "--out", "OUT"], ["evaluate", "--policy", "all"]])

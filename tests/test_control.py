@@ -300,6 +300,19 @@ def test_cost_benefit_budget_below_probe_still_charges_probe(lincoln_provider):
     assert result.answers == probe.compose(2)
 
 
+def test_a_result_charges_every_rewrite_the_run_executed(lincoln_provider):
+    # A result answers from its first n rewrites, but every query the run
+    # issued, even past n, is charged.
+    meter = MeteredProvider(lincoln_provider)
+    question = Question.from_text(QUESTION)
+    run = Run(question, question.rewrites, meter)
+    run.compose(3)
+    result = run.result(1)
+    assert result.queries_issued == 3 == meter.calls
+    assert result.rewrites_used == question.rewrites[:1]
+    assert result.answers == run.compose(1)
+
+
 def test_cost_benefit_requires_models_and_prefs(lincoln_provider):
     with pytest.raises(ValueError):
         run_policy(CostBenefit(), QUESTION, lincoln_provider, None, Preferences(k=1, c=1))

@@ -42,10 +42,8 @@ BAD_ARGUMENTS = [
     (["--redundancy", "-1"], "--redundancy: must be at least 1"),
     (["--distractors", "-1"], "--distractors: must be at least 0"),
     (["--k", "0"], "--k: must be above 0"),
-    (["--c", "-2"], "--c: must be above 0"),
     (["--k", "inf"], "--k: must be above 0 and finite"),
     (["--k", "nan"], "--k: must be above 0 and finite"),
-    (["--c", "inf"], "--c: must be above 0 and finite"),
     (["--redundancy", "6"], "redundancy must be between 1 and 5, got 6"),
     (["--seeds", "x"], "--seeds: not a comma-separated list of integers"),
     (["--seeds", ","], "--seeds: needs at least one seed"),
@@ -66,6 +64,20 @@ def test_experiment_script_rejects_out_of_range_arguments(args, message, tmp_pat
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert message in done.stderr
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize("value", ["2", "-2", "inf"])
+def test_experiment_script_has_no_c_option(value, tmp_path):
+    # No decision and no table reads the cost per query, so the script runs
+    # at c = 1 and refuses --c as an unknown option before any work.
+    done = subprocess.run(
+        [sys.executable, str(EXPERIMENT_SCRIPT), "--c", value, "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert f"unrecognized arguments: --c {value}" in done.stderr
     assert done.stdout == ""
 
 
