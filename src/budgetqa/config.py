@@ -5,10 +5,10 @@ configured: a ``corpus`` file, searched offline, or a remote ``endpoint``,
 an http:// or https:// URL with a host and no ``user:password@``. Every
 referenced path must be a string that resolves at load time, the remote
 fields ``token`` (unless absent), ``query_param``, ``results_key`` and
-``summary_key`` must be strings, and the file must hold a JSON object. The search depth and the snippet width are not
-settings: the models were trained on ``search.DEFAULT_LIMIT`` snippets per
-query of ``search.DEFAULT_WINDOW`` words each side, so serving uses the
-same.
+``summary_key`` must be strings, and the file must hold a JSON object. The
+search depth and the snippet width are not settings: the models were
+trained on ``search.DEFAULT_LIMIT`` snippets per query of
+``search.DEFAULT_WINDOW`` words each side, so serving uses the same.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ class Config:
 
             parse_endpoint(self.endpoint)
         for name in ("token", "query_param", "results_key", "summary_key"):
-            value = getattr(self, name)
-            if not (isinstance(value, str) or value is None and name == "token"):
+            if not isinstance(value := getattr(self, name), str) and (value is not None or name != "token"):
                 raise ConfigError(f"{name} must be a JSON string, not {value!r}")
         for label, path in (("corpus", self.corpus), ("models_dir", self.models_dir)):
             if path is not None and not isinstance(path, str):

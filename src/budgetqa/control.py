@@ -38,10 +38,10 @@ under it: the probe's rewrites, their snippets, the threshold ensemble and
 the per-threshold probabilities. A run that probes the same rewrites, gets
 the same snippets and asks the same ensemble reuses those probabilities
 and composes nothing, so replaying a question at several answer values k
-extracts run features and asks the trees once; only the nets and the argmax
-are redone per ``Preferences``. Any difference (another provider's snippets, a replaced
-ensemble, another model set's order) extracts and predicts again and
-replaces the entry whole.
+extracts run features and asks the trees once; only the nets and the
+argmax are redone per ``Preferences``. Any difference (another provider's
+snippets, a replaced ensemble, another model set's order) extracts and
+predicts again and replaces the entry whole.
 Orders and compositions are tuples, so runs share them. With one provider,
 a question thus orders once per model set or shuffle, composes each
 distinct ordered evidence once and predicts once per model set.

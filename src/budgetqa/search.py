@@ -279,11 +279,12 @@ class MeteredProvider:
 
 
 def read_jsonl(path: str, what: str, record: Callable, errors: tuple[type[Exception], ...] = ()) -> list:
-    """``record(row)`` for each JSON object of a JSON-lines file, in order;
-    blank lines are skipped. A ``DatasetParseError`` that ``record`` raises
-    gets the line number; malformed JSON, a missing key, a wrong type or
-    one of ``errors`` becomes ``DatasetParseError("bad {what} record: ...")``
-    with the line number."""
+    """``record(row)`` for each row (one JSON value per line) of a
+    JSON-lines file, in order; blank lines are skipped. A
+    ``DatasetParseError`` that ``record`` raises gets the line number;
+    malformed JSON, a missing key, a wrong type or one of ``errors``
+    becomes ``DatasetParseError("bad {what} record: ...")`` with the line
+    number."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):

@@ -8,7 +8,6 @@ import pytest
 
 from budgetqa.bench import generate_benchmark
 from budgetqa.cli import main
-from budgetqa.config import Config
 from budgetqa.evaluation import dump_dataset
 from budgetqa.search import OfflineProvider, save_corpus
 
@@ -345,11 +344,6 @@ def test_config_remote_field_that_is_not_a_string_is_data_error(tmp_path, capsys
     err = capsys.readouterr().err
     assert f"data error: {field} must be a JSON string, not {value!r}" in err
     assert "Traceback" not in err
-
-
-def test_config_without_a_token_loads():
-    cfg = Config(endpoint="http://127.0.0.1:9/search", token=None, results_key="items")
-    assert (cfg.token, cfg.query_param, cfg.results_key, cfg.summary_key) == (None, "q", "items", "summary")
 
 
 @pytest.mark.parametrize("command", [["train", "--out", "OUT"], ["evaluate", "--policy", "all"]])
