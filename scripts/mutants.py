@@ -85,6 +85,12 @@ MUTANTS = [
         'raise DatasetParseError(f"bad {what} record: {exc}") from exc',
         ("tests/test_search.py",),
     ),
+    Mutant(
+        "jsonl-decode-outside-the-try", "src/budgetqa/search.py",
+        '            try:\n                text = line.decode("utf-8")\n',
+        '            text = line.decode("utf-8")\n            try:\n',
+        ("tests/test_cli.py",),
+    ),
     # Models.
     Mutant(
         "quality-order-reversed", "src/budgetqa/models.py",

@@ -36,51 +36,40 @@ for an overlap; the longest overlap there can be starts at that key's first
 place in A, and is tried first. A pair replaces the best only when strictly
 better, so among pairs equal in score, overlap and key pair the first in
 row-major order wins, exactly as a scan of all pairs would pick.
-
-Mining, filtering and tiling build thousands of ``NGramCandidate`` values
-per experiment, so the class sets its three slots directly instead of
-through the frozen dataclass's ``object.__setattr__`` calls.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .rewrite import QuestionType
 from .search import Snippet
-from .text import token_key
 
 
-@dataclass(frozen=True, slots=True)
-class NGramCandidate:
-    """A scored answer candidate; ``tokens`` is the majority surface form."""
+def frozen_setattr(self, name: str, value: object) -> None:
+    """``__setattr__`` of a named tuple that refuses assignment as a
+    frozen dataclass does."""
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+class NGramCandidate(NamedTuple):
+    """A scored answer candidate; ``tokens`` is the majority surface form.
+    Immutable: assigning a field raises ``dataclasses.FrozenInstanceError``."""
 
     tokens: tuple[str, ...]
     score: float
     support: int
 
-    def __init__(self, tokens: tuple[str, ...], score: float, support: int):
-        # Through the slots' own descriptors (see the module docstring).
-        _set_tokens(self, tokens)
-        _set_score(self, score)
-        _set_support(self, support)
-
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
 
-    def key(self) -> tuple[str, ...]:
-        return tuple(token_key(t) for t in self.tokens)
-
-
-_set_tokens = NGramCandidate.tokens.__set__
-_set_score = NGramCandidate.score.__set__
-_set_support = NGramCandidate.support.__set__
+    __setattr__ = frozen_setattr
 
 
 class Candidates(tuple):
@@ -257,24 +246,20 @@ def _overlap(ka: tuple[str, ...], kb: tuple[str, ...]) -> int:
     return 0
 
 
-def tile_ngrams(
-    cands: Sequence[NGramCandidate], keys: Sequence[tuple[str, ...]] | None = None
-) -> list[NGramCandidate]:
+def tile_ngrams(cands: Sequence[NGramCandidate], keys: Sequence[tuple[str, ...]]) -> list[NGramCandidate]:
     """Greedy tiling: repeatedly merge the overlapping pair with the highest
     combined score (ties: longest overlap, then lexicographically smallest
     key pair, then the first pair in row-major order) until no pair
     overlaps, then sort by score descending.
 
-    ``keys``, when given, holds each candidate's ``key()`` in order, as
-    mining found them; otherwise they are computed here. Merging (A, B)
-    with overlap L yields A's tokens followed by B's tokens after the first
-    L, with score and support both summed. Sorting is stable, so
-    equal-score candidates keep their working order.
+    ``keys`` holds each candidate's token keys in order, as mining found
+    them (``Candidates.keys``). Merging (A, B) with overlap L yields A's
+    tokens followed by B's tokens after the first L, with score and support
+    both summed. Sorting is stable, so equal-score candidates keep their
+    working order.
     """
     if len(cands) < 2:
         return list(cands)
-    if keys is None:
-        keys = [c.key() for c in cands]
     # Once no key occurs twice, no pair overlaps (see the module docstring).
     distinct = len(set().union(*keys))
     occurrences = sum(map(len, keys))

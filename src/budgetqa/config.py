@@ -89,6 +89,8 @@ def load_config(path: str | None, **overrides) -> Config:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):

@@ -71,10 +71,10 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .compose import Candidates, NGramCandidate, compose_answers
+from .compose import Candidates, NGramCandidate, compose_answers, frozen_setattr
 from .errors import ProviderError, RetryableError
 from .models import PROBE_SIZE, ModelSet, extract_run_features
 # generate_rewrites is no longer called here (a Question generates its own
@@ -175,8 +175,7 @@ class QuestionResult(NamedTuple):
     def top_answer(self) -> str | None:
         return self.answers[0].text if self.answers else None
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    __setattr__ = frozen_setattr
 
 
 class Run:

@@ -4,9 +4,8 @@ A question is turned into a weighted set of search-engine queries: several
 exact-phrase rewrites built by moving the (auxiliary) verb through the
 remaining tokens, one passive construction when the main verb looks like a
 past participle, and a single conjunctive back-off that ANDs every question
-word. Phrasal rewrites carry an answer slot marking the side on which the
-answer text is expected to appear in matching documents. A ``Question``
-keeps its rewrites as a tuple, so every run's selection can share it.
+word. A ``Question`` keeps its rewrites as a tuple, so every run's
+selection can share it.
 
 A rewrite's features are read off its words in few passes: ``all_words``
 splits the joined parts once, the count features key and count the words
@@ -47,12 +46,6 @@ class RewriteKind(Enum):
     CONJUNCTIVE = "conjunctive"
 
 
-class AnswerSlot(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-    NONE = "none"
-
-
 @dataclass(frozen=True)
 class Question:
     """A parsed question.
@@ -64,14 +57,13 @@ class Question:
     equality, hashing and ``dataclasses.replace`` ignore them.
     """
 
-    raw_text: str
     tokens: tuple[str, ...]
     qtype: QuestionType
 
     @classmethod
     def from_text(cls, text: str) -> "Question":
         tokens = tuple(tokenize(text))
-        return cls(raw_text=text, tokens=tokens, qtype=classify_tokens(tokens))
+        return cls(tokens=tokens, qtype=classify_tokens(tokens))
 
     @cached_property
     def token_keys(self) -> frozenset[str]:
@@ -108,7 +100,6 @@ class Rewrite:
 
     kind: RewriteKind
     parts: tuple[str, ...]
-    answer_slot: AnswerSlot
     weight: float
     position: int | None = field(default=None, compare=False)
 
@@ -147,8 +138,7 @@ def generate_rewrites(q: Question) -> list[Rewrite]:
 
     The verb-placement scheme: drop the wh prefix, take the next token as the
     verb (an auxiliary when present), and emit one quoted phrase per insertion
-    position of that verb among the remaining tokens. The phrase starting with
-    the verb gets a LEFT answer slot, the others RIGHT. When the verb is a
+    position of that verb among the remaining tokens. When the verb is a
     plain past form (ends in "ed") a passive construction
     "<rest> was <verb> by" is added as well. Phrasal output is capped at
     MAX_PHRASAL; the conjunctive rewrite is always emitted, last. Each
@@ -161,23 +151,17 @@ def generate_rewrites(q: Question) -> list[Rewrite]:
     tokens[0] = tokens[0].lower()
 
     remaining = tokens[_HEAD_SIZE.get(q.qtype, 0) :]
-    phrases: list[tuple[str, AnswerSlot]] = []
+    phrases: list[str] = []
     if len(tokens) >= 2 and remaining:
         verb, rest = remaining[0], remaining[1:]
-        for i in range(len(rest) + 1):
-            phrase_tokens = rest[:i] + [verb] + rest[i:]
-            slot = AnswerSlot.LEFT if i == 0 else AnswerSlot.RIGHT
-            phrases.append((" ".join(phrase_tokens), slot))
+        phrases = [" ".join(rest[:i] + [verb] + rest[i:]) for i in range(len(rest) + 1)]
         if rest and verb.lower().endswith("ed") and verb.lower() not in AUXILIARIES:
-            phrases.append((" ".join(rest + ["was", verb, "by"]), AnswerSlot.RIGHT))
+            phrases.append(" ".join(rest + ["was", verb, "by"]))
 
     rewrites = [
-        Rewrite(RewriteKind.PHRASAL, (phrase,), slot, PHRASAL_WEIGHT, i)
-        for i, (phrase, slot) in enumerate(phrases[:MAX_PHRASAL])
+        Rewrite(RewriteKind.PHRASAL, (phrase,), PHRASAL_WEIGHT, i) for i, phrase in enumerate(phrases[:MAX_PHRASAL])
     ]
-    rewrites.append(
-        Rewrite(RewriteKind.CONJUNCTIVE, tuple(tokens), AnswerSlot.NONE, CONJUNCTIVE_WEIGHT, len(rewrites))
-    )
+    rewrites.append(Rewrite(RewriteKind.CONJUNCTIVE, tuple(tokens), CONJUNCTIVE_WEIGHT, len(rewrites)))
     return rewrites
 
 

@@ -281,20 +281,22 @@ class MeteredProvider:
 def read_jsonl(path: str, what: str, record: Callable, errors: tuple[type[Exception], ...] = ()) -> list:
     """``record(row)`` for each row (one JSON value per line) of a
     JSON-lines file, in order; blank lines are skipped. A
-    ``DatasetParseError`` that ``record`` raises gets the line number;
-    malformed JSON, a missing key, a wrong type or one of ``errors``
-    becomes ``DatasetParseError("bad {what} record: ...")`` with the line
-    number."""
+    ``DatasetParseError`` that ``record`` raises gets the line number; a
+    line that is not UTF-8, malformed JSON, a missing key, a wrong type or
+    one of ``errors`` becomes ``DatasetParseError("bad {what} record:
+    ...")`` with the line number. Lines end at a line feed, as JSON Lines
+    has them, and each is decoded on its own, so a byte that is not UTF-8
+    is reported on its line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                out.append(record(json.loads(line)))
+                text = line.decode("utf-8")
+                if text.strip():
+                    out.append(record(json.loads(text)))
             except DatasetParseError as exc:
                 raise DatasetParseError(str(exc), line_no) from exc
-            except (json.JSONDecodeError, KeyError, TypeError, *errors) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, *errors) as exc:
                 raise DatasetParseError(f"bad {what} record: {exc}", line_no) from exc
     return out
 

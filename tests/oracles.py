@@ -26,6 +26,11 @@ def _normalize(word: str) -> str:
     return token_key(word)
 
 
+def candidate_key(cand) -> tuple[str, ...]:
+    """An ``NGramCandidate``'s token keys, as mining finds them."""
+    return tuple(map(token_key, cand.tokens))
+
+
 # --------------------------------------------------------------------------
 # Search: linear scans over raw document text.
 
@@ -285,7 +290,7 @@ def all_fixpoints(cands):
 
 def _best_overlap(a, b) -> int:
     """Longest L >= 1 such that the last L words of a equal the first L of b."""
-    ka, kb = a.key(), b.key()
+    ka, kb = candidate_key(a), candidate_key(b)
     for length in range(min(len(ka), len(kb)), 0, -1):
         if ka[-length:] == kb[:length]:
             return length
@@ -310,8 +315,9 @@ def tile_all_pairs(cands):
                 if not overlap:
                     continue
                 rank = (a.score + b.score, overlap)
-                if best is None or rank > best[0] or (rank == best[0] and (a.key(), b.key()) < best[1]):
-                    best = (rank, (a.key(), b.key()), i, j)
+                pair = (candidate_key(a), candidate_key(b))
+                if best is None or rank > best[0] or (rank == best[0] and pair < best[1]):
+                    best = (rank, pair, i, j)
         if best is None:
             break
         _, _, i, j = best
@@ -572,14 +578,14 @@ def slow_overlap(ka: tuple[str, ...], kb: tuple[str, ...]) -> int:
     return 0
 
 
-def slow_tile_ngrams(cands, keys=None) -> list:
+def slow_tile_ngrams(cands, keys) -> list:
     """``compose.tile_ngrams`` scanning every pair until none overlaps."""
     pool: list[NGramCandidate] = list(cands)
     if len(pool) < 2:
         return pool
     # Kept in step with pool. A candidate without tokens has no first key
     # and overlaps nothing.
-    keys = list(keys) if keys is not None else [c.key() for c in pool]
+    keys = list(keys)
     firsts = [kb[0] if kb else None for kb in keys]
     while True:
         best = None  # (rank, key pair, i, j)

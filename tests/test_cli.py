@@ -346,6 +346,38 @@ def test_config_remote_field_that_is_not_a_string_is_data_error(tmp_path, capsys
     assert "Traceback" not in err
 
 
+# "café" in Latin-1: 0xe9 is not UTF-8.
+_LATIN1 = '"caf\xe9"'.encode("latin-1")
+
+
+@pytest.mark.parametrize(
+    "what, command",
+    [("corpus", ["ask", "Who did it?", "--corpus", "FILE", "--policy", "all"]),
+     ("dataset", ["evaluate", "--dataset", "FILE", "--corpus", "CORPUS", "--policy", "all"])],
+    ids=["corpus", "dataset"],
+)
+def test_jsonl_line_that_is_not_utf8_is_data_error_naming_the_line(workspace, tmp_path, capsys, what, command):
+    # Lines used to be decoded outside the per-line try, so this was a
+    # UnicodeDecodeError traceback and exit 1.
+    path = tmp_path / f"{what}.jsonl"
+    good = Path(workspace[what]).read_bytes().split(b"\n")[0]
+    path.write_bytes(good + b'\n\n{"text": ' + _LATIN1 + b"}\n")
+    args = [{"FILE": str(path), "CORPUS": workspace["corpus"]}.get(a, a) for a in command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"data error: line 3: bad {what} record: 'utf-8' codec can't decode byte 0xe9" in err
+    assert "Traceback" not in err
+
+
+def test_config_that_is_not_utf8_is_data_error(workspace, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"corpus": ' + json.dumps(workspace["corpus"]).encode() + b', "token": ' + _LATIN1 + b"}")
+    assert main(["ask", "Who did it?", "--config", str(cfg), "--policy", "all"]) == 2
+    err = capsys.readouterr().err
+    assert "data error: config is not UTF-8: 'utf-8' codec can't decode byte 0xe9" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [["train", "--out", "OUT"], ["evaluate", "--policy", "all"]])
 def test_question_without_word_tokens_is_data_error_before_any_query(
     workspace, tmp_path, monkeypatch, capsys, command

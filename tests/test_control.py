@@ -29,7 +29,6 @@ from budgetqa.rewrite import (
     CONJUNCTIVE_WEIGHT,
     PHRASAL_WEIGHT,
     AdjacencyGrammarScorer,
-    AnswerSlot,
     Question,
     Rewrite,
     RewriteKind,
@@ -352,7 +351,7 @@ _rewrite_evidence = st.tuples(
 def test_run_features_match_remining_oracle(evidence, prefix):
     question = Question.from_text("Who killed the actor?")
     rewrites = [
-        Rewrite(kind, (f"p{i}",), AnswerSlot.NONE, weight)
+        Rewrite(kind, (f"p{i}",), weight)
         for i, (weight, kind, _) in enumerate(evidence)
     ]
     texts = [found for _, _, found in evidence]
@@ -463,7 +462,7 @@ def test_a_serial_run_records_backend_failures_and_raises_anything_else(provider
     # Serial or batched, a run records outcomes through one loop: only what
     # was sent differs (a batch sends every rewrite), and only a batch
     # starts the question's clock.
-    rewrites = [Rewrite(RewriteKind.CONJUNCTIVE, (f"p{i}",), AnswerSlot.NONE, 1.0) for i in range(4)]
+    rewrites = [Rewrite(RewriteKind.CONJUNCTIVE, (f"p{i}",), 1.0) for i in range(4)]
     provider = provider()
     run = Run(Question.from_text(QUESTION), rewrites, provider)
     with pytest.raises(RuntimeError, match="a bug"):

@@ -11,7 +11,6 @@ from budgetqa.models import (
 )
 from budgetqa.rewrite import (
     AdjacencyGrammarScorer,
-    AnswerSlot,
     Question,
     Rewrite,
     RewriteKind,
@@ -31,11 +30,11 @@ def _leaf_tree(p, support=10):
 
 
 def _phrasal(phrase):
-    return Rewrite(RewriteKind.PHRASAL, (phrase,), AnswerSlot.LEFT, 5.0)
+    return Rewrite(RewriteKind.PHRASAL, (phrase,), 5.0)
 
 
 def _conj(*parts):
-    return Rewrite(RewriteKind.CONJUNCTIVE, tuple(parts), AnswerSlot.NONE, 1.0)
+    return Rewrite(RewriteKind.CONJUNCTIVE, tuple(parts), 1.0)
 
 
 # --------------------------------------------------------------------------

@@ -17,11 +17,11 @@ from budgetqa import remote as remote_module
 from budgetqa.control import Run
 from budgetqa.errors import ProviderError, RetryableError
 from budgetqa.remote import RemoteProvider
-from budgetqa.rewrite import AnswerSlot, Question, Rewrite, RewriteKind, generate_rewrites
+from budgetqa.rewrite import Question, Rewrite, RewriteKind, generate_rewrites
 from budgetqa.search import MeteredProvider
 
-PHRASAL = Rewrite(RewriteKind.PHRASAL, ("killed Abraham Lincoln",), AnswerSlot.LEFT, 5.0)
-CONJ = Rewrite(RewriteKind.CONJUNCTIVE, ("who", "killed", "of Japan"), AnswerSlot.NONE, 1.0)
+PHRASAL = Rewrite(RewriteKind.PHRASAL, ("killed Abraham Lincoln",), 5.0)
+CONJ = Rewrite(RewriteKind.CONJUNCTIVE, ("who", "killed", "of Japan"), 1.0)
 
 
 class StubHandler(BaseHTTPRequestHandler):
@@ -247,7 +247,7 @@ def table_server():
 
 
 def _rewrites(*phrases):
-    return [Rewrite(RewriteKind.PHRASAL, (p,), AnswerSlot.LEFT, 5.0) for p in phrases]
+    return [Rewrite(RewriteKind.PHRASAL, (p,), 5.0) for p in phrases]
 
 
 def _hits(*snippets):

@@ -9,7 +9,6 @@ from budgetqa.bench import generate_benchmark
 from budgetqa.errors import EmptyQuestion, WrongRewriteKind
 from budgetqa.rewrite import (
     AdjacencyGrammarScorer,
-    AnswerSlot,
     Question,
     QuestionType,
     Rewrite,
@@ -100,7 +99,7 @@ def test_classify_tokens_and_dropped_head_equal_the_if_chain(tokens):
     # The first phrasal rewrite is the tokens left once the head is dropped.
     lowered = [tokens[0].lower(), *tokens[1:]]
     remaining = lowered[WH_STRIP[qtype] :]
-    rewrites = generate_rewrites(Question(" ".join(tokens), tokens, qtype))
+    rewrites = generate_rewrites(Question(tokens, qtype))
     if len(tokens) >= 2 and remaining:
         assert rewrites[0].parts == (" ".join(remaining),)
     else:
@@ -113,13 +112,12 @@ def test_classify_tokens_and_dropped_head_equal_the_if_chain(tokens):
 
 def test_lincoln_rewrites_contain_the_three_documented_forms():
     rewrites = generate_rewrites(Question.from_text("Who killed Abraham Lincoln?"))
-    phrasal = {(r.parts[0], r.answer_slot) for r in rewrites if r.kind is RewriteKind.PHRASAL}
-    assert ("killed Abraham Lincoln", AnswerSlot.LEFT) in phrasal
-    assert ("Abraham Lincoln was killed by", AnswerSlot.RIGHT) in phrasal
+    phrasal = {r.parts[0] for r in rewrites if r.kind is RewriteKind.PHRASAL}
+    assert "killed Abraham Lincoln" in phrasal
+    assert "Abraham Lincoln was killed by" in phrasal
     conj = [r for r in rewrites if r.kind is RewriteKind.CONJUNCTIVE]
     assert len(conj) == 1
     assert conj[0].parts == ("who", "killed", "Abraham", "Lincoln")
-    assert conj[0].answer_slot is AnswerSlot.NONE
 
 
 def test_conjunctive_is_last_and_single_token_question_degenerates():
@@ -222,7 +220,7 @@ def test_generated_rewrites_carry_their_positions_outside_their_value():
         assert [r.position for r in rewrites] == list(range(len(rewrites)))
         assert rewrites[-1].kind is RewriteKind.CONJUNCTIVE
     generated = generate_rewrites(Question.from_text("Who killed Abraham Lincoln?"))[1]
-    by_hand = Rewrite(generated.kind, generated.parts, generated.answer_slot, generated.weight)
+    by_hand = Rewrite(generated.kind, generated.parts, generated.weight)
     assert generated.position == 1 and by_hand.position is None
     assert by_hand == generated and hash(by_hand) == hash(generated)
     moved = dataclasses.replace(generated, position=7)
@@ -240,11 +238,11 @@ def test_generated_rewrites_carry_their_positions_outside_their_value():
 
 
 def _conj(parts, weight=1.0):
-    return Rewrite(RewriteKind.CONJUNCTIVE, tuple(parts), AnswerSlot.NONE, weight)
+    return Rewrite(RewriteKind.CONJUNCTIVE, tuple(parts), weight)
 
 
-def _phrasal(phrase, weight=5.0, slot=AnswerSlot.LEFT):
-    return Rewrite(RewriteKind.PHRASAL, (phrase,), slot, weight)
+def _phrasal(phrase, weight=5.0):
+    return Rewrite(RewriteKind.PHRASAL, (phrase,), weight)
 
 
 def test_conj_features_counts_capitals():
@@ -337,7 +335,7 @@ _feature_phrases = st.one_of(
 @example(parts=["was the has had killed", "Who led"])
 @settings(deadline=None, max_examples=300)
 def test_rewrite_features_equal_the_slow_versions_on_drawn_phrases(parts):
-    r = Rewrite(RewriteKind.PHRASAL, tuple(parts), AnswerSlot.RIGHT, 5.0)
+    r = Rewrite(RewriteKind.PHRASAL, tuple(parts), 5.0)
     assert r.all_words() == slow_all_words(r)
     assert AdjacencyGrammarScorer().score(parts[0]) == SlowAdjacencyGrammarScorer().score(parts[0])
     _same_features(

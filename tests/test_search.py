@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from budgetqa import search
 from budgetqa.bench import generate_benchmark
 from budgetqa.errors import DatasetParseError, DuplicateDocument, EmptyCorpus
-from budgetqa.rewrite import AnswerSlot, Question, Rewrite, RewriteKind, generate_rewrites
+from budgetqa.rewrite import Question, Rewrite, RewriteKind, generate_rewrites
 from budgetqa.search import (
     DEFAULT_LIMIT,
     DEFAULT_WINDOW,
@@ -256,8 +256,8 @@ def test_thousand_doc_corpus_matches_linear_scan_on_query_fuzz_set():
 def test_offline_provider_dispatch_and_meter():
     idx = build_index([LINCOLN_DOC])
     provider = MeteredProvider(OfflineProvider(idx))
-    phrasal = Rewrite(RewriteKind.PHRASAL, ("killed Abraham Lincoln",), AnswerSlot.LEFT, 5.0)
-    conj = Rewrite(RewriteKind.CONJUNCTIVE, ("killed", "Abraham", "Lincoln"), AnswerSlot.NONE, 1.0)
+    phrasal = Rewrite(RewriteKind.PHRASAL, ("killed Abraham Lincoln",), 5.0)
+    conj = Rewrite(RewriteKind.CONJUNCTIVE, ("killed", "Abraham", "Lincoln"), 1.0)
     assert provider.execute(phrasal, 100) == query_phrase(idx, ["killed", "Abraham", "Lincoln"])
     assert provider.execute(conj, 100) == query_conjunctive(idx, ["killed", "Abraham", "Lincoln"])
     assert provider.calls == 2
@@ -279,14 +279,14 @@ def test_meter_forwards_batches_only_when_the_inner_provider_has_them():
     assert not hasattr(MeteredProvider(_Echo()), "execute_many")
     assert not hasattr(MeteredProvider(OfflineProvider(build_index([LINCOLN_DOC]))), "execute_many")
     meter = MeteredProvider(_EchoBatch())
-    rewrites = [Rewrite(RewriteKind.PHRASAL, (w,), AnswerSlot.LEFT, 5.0) for w in ("a b", "c d")]
+    rewrites = [Rewrite(RewriteKind.PHRASAL, (w,), 5.0) for w in ("a b", "c d")]
     assert meter.execute_many(rewrites, 10) == [[Snippet('"a b"', "d")], [Snippet('"c d"', "d")]]
     assert meter.calls == 2
 
 
 def test_meter_counts_every_call_from_many_threads():
     meter = MeteredProvider(_EchoBatch())
-    rewrite = Rewrite(RewriteKind.PHRASAL, ("a b",), AnswerSlot.LEFT, 5.0)
+    rewrite = Rewrite(RewriteKind.PHRASAL, ("a b",), 5.0)
     threads, rounds = 8, 2_000
     start = threading.Barrier(threads)
 
@@ -313,7 +313,7 @@ def test_meter_counts_every_call_from_many_threads():
 def test_execute_never_exceeds_limit():
     docs = [Document(f"d{i}", "red fox red fox red fox") for i in range(5)]
     provider = OfflineProvider(build_index(docs))
-    phrasal = Rewrite(RewriteKind.PHRASAL, ("red fox",), AnswerSlot.LEFT, 5.0)
+    phrasal = Rewrite(RewriteKind.PHRASAL, ("red fox",), 5.0)
     assert len(provider.execute(phrasal, 4)) == 4
 
 
@@ -333,9 +333,9 @@ def _corpus_and_rewrite(draw):
     docs_text = draw(st.lists(_doc_text, min_size=1, max_size=8))
     if draw(st.booleans()):
         phrase = draw(_phrase_in(docs_text, 3))
-        return docs_text, Rewrite(RewriteKind.PHRASAL, (" ".join(phrase),), AnswerSlot.LEFT, 5.0)
+        return docs_text, Rewrite(RewriteKind.PHRASAL, (" ".join(phrase),), 5.0)
     parts = draw(st.lists(_phrase_in(docs_text, 1).map(" ".join), min_size=1, max_size=3))
-    return docs_text, Rewrite(RewriteKind.CONJUNCTIVE, tuple(parts), AnswerSlot.NONE, 1.0)
+    return docs_text, Rewrite(RewriteKind.CONJUNCTIVE, tuple(parts), 1.0)
 
 
 @given(
@@ -380,8 +380,8 @@ def _count_searches(monkeypatch):
 def test_memo_sits_below_the_module_query_functions(monkeypatch):
     calls = _count_searches(monkeypatch)
     index = build_index([LINCOLN_DOC])
-    phrasal = Rewrite(RewriteKind.PHRASAL, ("killed Abraham Lincoln",), AnswerSlot.LEFT, 5.0)
-    conj = Rewrite(RewriteKind.CONJUNCTIVE, ("killed", "Abraham", "Lincoln"), AnswerSlot.NONE, 1.0)
+    phrasal = Rewrite(RewriteKind.PHRASAL, ("killed Abraham Lincoln",), 5.0)
+    conj = Rewrite(RewriteKind.CONJUNCTIVE, ("killed", "Abraham", "Lincoln"), 1.0)
     provider = OfflineProvider(index)
     for rewrite in (phrasal, conj):
         assert provider.execute(rewrite) == provider.execute(rewrite, DEFAULT_LIMIT)
