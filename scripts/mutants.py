@@ -67,6 +67,11 @@ MUTANTS = [
         "if pattern.fullmatch(trimmed):", "if pattern.search(trimmed):",
         ("tests/test_evaluation.py",),
     ),
+    Mutant(
+        "dataset-patterns-compiled-late", "src/budgetqa/evaluation.py",
+        "    item.patterns  # compiled now, so a bad regex fails here\n", "",
+        ("tests/test_evaluation.py",),
+    ),
     # The experiments' sequence.
     Mutant(
         "k-sweep-grid-changed", "src/budgetqa/evaluation.py",
@@ -178,6 +183,12 @@ MUTANTS = [
         "count-stats-capitals-read-last-letter", "src/budgetqa/rewrite.py",
         "if w[:1].isupper()", "if w[-1:].isupper()",
         ("tests/test_rewrite.py",),
+    ),
+    # Relations the pipeline keeps.
+    Mutant(
+        "conjunctive-hits-in-corpus-order", "src/budgetqa/search.py",
+        "ordered = sorted(matched, key=lambda o: index.docs[o].id)", "ordered = sorted(matched)",
+        ("tests/test_evaluation.py",),
     ),
     # The configuration.
     Mutant(

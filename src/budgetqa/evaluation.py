@@ -5,6 +5,12 @@ expressions). An answer is correct when the top-ranked candidate matches
 any pattern, case-insensitively and in full after trimming; abstentions are
 counted separately and never as correct.
 
+A ``QAItem`` keeps its patterns as strings and compiles them the first time
+``patterns`` is read, so generating or writing a dataset compiles nothing
+and an item that is never judged is never compiled. ``QAItem.make`` does not
+validate the patterns; ``load_dataset`` compiles each item's as it reads
+them, so a bad regex in a file fails at load with its line number.
+
 Replays judge the same answers again and again (the experiment script
 evaluates each held-out question 85 times), so a ``QAItem`` remembers its
 verdict per top answer and ``evaluate`` and training judge through it:
@@ -48,16 +54,24 @@ from .search import SearchProvider, read_jsonl, write_jsonl
 class QAItem:
     """A question and its answer patterns.
 
+    ``pattern_texts`` holds the patterns as written; ``patterns``, their
+    case-insensitive regexes, is compiled on first use and kept, so an item
+    that is never judged is never compiled. ``make`` does not check that the
+    strings compile; ``load_dataset`` does, per line.
     ``parsed``, the question's ``Question``, is parsed on first use and kept
     for the item's lifetime; with the rewrites that ``Question`` keeps, every
     evaluation of the item reuses one parse and one set of rewrites.
     ``verdicts`` maps each top answer ``verdict`` was asked about to its
-    ``judge`` judgment. Neither is a field, so equality, hashing and
-    ``dataclasses.replace`` ignore them, and a copy starts empty.
+    ``judge`` judgment. None of the three is a field, so equality, hashing
+    and ``dataclasses.replace`` ignore them, and a copy starts empty.
     """
 
     question: str
-    patterns: tuple[re.Pattern, ...]
+    pattern_texts: tuple[str, ...]
+
+    @cached_property
+    def patterns(self) -> tuple[re.Pattern, ...]:
+        return tuple(re.compile(p, re.IGNORECASE) for p in self.pattern_texts)
 
     @cached_property
     def parsed(self) -> Question:
@@ -80,10 +94,7 @@ class QAItem:
     def make(cls, question: str, patterns: Sequence[str]) -> "QAItem":
         if not patterns:
             raise DatasetParseError("item needs at least one answer pattern")
-        return cls(
-            question=question,
-            patterns=tuple(re.compile(p, re.IGNORECASE) for p in patterns),
-        )
+        return cls(question=question, pattern_texts=tuple(patterns))
 
 
 class Judgment(Enum):
@@ -111,6 +122,7 @@ def _item(row) -> QAItem:
         raise DatasetParseError("patterns must be a JSON list of strings")
     item = QAItem.make(question, patterns)
     item.parsed  # parsed now, so a question with no word tokens fails here
+    item.patterns  # compiled now, so a bad regex fails here
     return item
 
 
@@ -118,14 +130,14 @@ def load_dataset(path: str) -> list[QAItem]:
     """One JSON object per line: {"question": ..., "patterns": [...]}, where
     ``question`` is a string and ``patterns`` a list of strings. Any other
     ``question`` or ``patterns`` (a bare string would become one regex per
-    character), or a question with no word tokens, raises
-    ``DatasetParseError`` with the line number, before any query is
-    issued."""
+    character), a pattern that does not compile, or a question with no word
+    tokens, raises ``DatasetParseError`` with the line number, before any
+    query is issued."""
     return read_jsonl(path, "dataset", _item, (re.error, EmptyQuestion))
 
 
 def dump_dataset(items: Sequence[QAItem], path: str) -> None:
-    rows = ({"question": item.question, "patterns": [p.pattern for p in item.patterns]} for item in items)
+    rows = ({"question": item.question, "patterns": list(item.pattern_texts)} for item in items)
     write_jsonl(rows, path)
 
 

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import re
 
 import pytest
 
 from budgetqa.bench import generate_benchmark
 from budgetqa.control import AllRewrites, LikelihoodN, RandomN
-from budgetqa.evaluation import evaluate
+from budgetqa.evaluation import Judgment, dump_dataset, evaluate, judge
 from budgetqa.harness import train_models
 from budgetqa.rewrite import AdjacencyGrammarScorer, Question
 from budgetqa.search import OfflineProvider, build_index
@@ -30,7 +31,23 @@ def test_questions_parse_and_patterns_compile():
     for item, fact in zip(bench.items, bench.facts):
         q = Question.from_text(item.question)
         assert q.qtype is fact.qtype
-        assert item.patterns  # compiled at construction
+        assert judge(fact.answer, item.patterns) is Judgment.CORRECT
+
+
+def test_generating_and_writing_a_dataset_compile_no_pattern(tmp_path, monkeypatch):
+    # Patterns compile when an item is first judged, so a template whose
+    # pattern is broken shows in the test above, not here.
+    calls = []
+    compile_ = re.compile
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compile_(*args, **kwargs)
+
+    monkeypatch.setattr(re, "compile", counting)
+    bench = generate_benchmark(40, seed=0)
+    dump_dataset(bench.items, str(tmp_path / "dataset.jsonl"))
+    assert calls == []
 
 
 def test_empty_facts_have_no_answer_docs():

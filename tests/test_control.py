@@ -170,14 +170,24 @@ def test_argmax_invariant_under_c_scaling(probs, k):
     assert actions[0] == actions[1] == actions[2]
 
 
-@given(probs=st.lists(st.floats(min_value=0.001, max_value=0.999), min_size=13, max_size=13))
-@settings(deadline=None, max_examples=60)
-def test_chosen_n_is_monotone_in_k(probs):
+@given(
+    probs=st.one_of(
+        st.lists(st.floats(min_value=0.001, max_value=0.999), min_size=13, max_size=13),
+        st.lists(st.fractions(min_value=0, max_value=1, max_denominator=1000), min_size=13, max_size=13),
+    ),
+    ks=st.lists(st.integers(min_value=1, max_value=200), max_size=8),
+)
+@settings(deadline=None, max_examples=120)
+def test_chosen_n_is_monotone_in_k(probs, ks):
+    # p(n) * k - n are lines in k, and the decision follows their upper
+    # envelope: as k rises the chosen n never falls and an answer never turns
+    # into an abstention (counted as 0). Fractions keep the nets exact, so
+    # ties are real.
     table = dict(zip(DEFAULT_THRESHOLDS, probs))
     ensemble = _stub_ensemble(table)
     previous = 0
-    for k in (1, 2, 5, 10, 20, 50, 100):
-        decision = choose_n(ensemble, {}, Preferences(k=k, c=1.0))
+    for k in sorted({1, 2, 5, 10, 20, 50, 100, *ks}):
+        decision = choose_n(ensemble, {}, Preferences(k=k, c=1))
         n = decision.n if decision.n is not None else 0
         assert n >= previous
         previous = n

@@ -2,10 +2,13 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import random
 import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from budgetqa import control, evaluation, rewrite
 from budgetqa.bench import generate_benchmark
@@ -148,9 +151,14 @@ def test_load_dataset_rejects_a_question_without_word_tokens(tmp_path):
 
 def test_dataset_round_trip(tmp_path):
     items = [QAItem.make("Who?", [r"(a )?b"]), QAItem.make("Where?", [r"x", r"y"])]
-    path = tmp_path / "rt.jsonl"
+    items += [QAItem.make("Où est le pont?", [r"\d+ (feet|ft)", "caf\u00e9", r'"quoted"'])]
+    items += generate_benchmark(20, seed=2).items
+    path, again = tmp_path / "rt.jsonl", tmp_path / "again.jsonl"
     dump_dataset(items, str(path))
-    assert load_dataset(str(path)) == items
+    loaded = load_dataset(str(path))
+    assert loaded == items
+    dump_dataset(loaded, str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_empty_patterns_rejected():
@@ -279,6 +287,23 @@ def test_backend_failures_recorded_per_rewrite_not_fatal(small_bench):
     assert report.correct > 0
 
 
+@given(seed=st.integers(min_value=0, max_value=9), order=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(deadline=None, max_examples=8)
+def test_corpus_order_changes_no_top_answer(seed, order):
+    # Results sort by document id, so the order the corpus lists its
+    # documents in must not reach any answer.
+    bench = generate_benchmark(40, seed=seed)
+    shuffled = list(bench.corpus)
+    random.Random(order).shuffle(shuffled)
+    for policy in (AllRewrites(), ConjunctiveOnly()):
+        tops = []
+        for corpus in (bench.corpus, shuffled):
+            items = [QAItem(item.question, item.pattern_texts) for item in bench.items]
+            report = evaluate(policy, items, OfflineProvider(build_index(corpus)))
+            tops.append([record.top_answer for record in report.per_question])
+        assert tops[0] == tops[1]
+
+
 def test_all_rewrites_beats_or_ties_prefix_policies(small_bench):
     bench, provider = small_bench
     full = evaluate(AllRewrites(), bench.items, provider)
@@ -295,6 +320,24 @@ def test_item_keeps_its_parsed_question_outside_its_value():
     moved = dataclasses.replace(item, question="Who shot Lincoln?")
     assert "parsed" not in moved.__dict__
     assert moved.parsed == Question.from_text("Who shot Lincoln?")
+
+
+def test_items_from_equal_pattern_strings_are_equal_judged_or_not():
+    judged = QAItem.make("Who killed Abraham Lincoln?", [r"(John )?Wilkes Booth"])
+    assert judged.verdict(" wilkes booth ") is Judgment.CORRECT
+    twin = QAItem.make(judged.question, (r"(John )?Wilkes Booth",))
+    assert "patterns" in judged.__dict__ and "patterns" not in twin.__dict__
+    assert twin == judged and hash(twin) == hash(judged)
+    assert twin != QAItem.make(judged.question, [r"(John )?Wilkes Booth", r"Booth"])
+
+
+def test_a_judged_item_survives_pickle():
+    item = QAItem.make("Who killed Abraham Lincoln?", [r"(John )?Wilkes Booth"])
+    assert item.verdict(" wilkes booth ") is Judgment.CORRECT
+    copy = pickle.loads(pickle.dumps(item))
+    assert copy == item and hash(copy) == hash(item)
+    assert copy.patterns == item.patterns and copy.verdicts == item.verdicts
+    assert copy.verdict("bullet") is Judgment.INCORRECT
 
 
 def test_item_verdicts_equal_judge_and_judge_each_answer_once(monkeypatch):
@@ -330,7 +373,7 @@ def test_evaluations_judge_each_distinct_answer_of_an_item_once(small_bench, mon
         return pure(top_answer, patterns)
 
     monkeypatch.setattr(evaluation, "judge", counting)
-    items = [QAItem(item.question, item.patterns) for item in bench.items]  # none judged yet
+    items = [QAItem(item.question, item.pattern_texts) for item in bench.items]  # none judged yet
     records = [evaluate(p, items, provider, jobs=jobs).per_question for p in policies]
     assert records == baseline
     for i, item in enumerate(items):
@@ -353,7 +396,7 @@ def test_question_records_are_slotted_values(small_bench):
 
 def test_evaluations_rewrite_each_item_once(small_bench, monkeypatch):
     bench, provider = small_bench
-    items = [QAItem(item.question, item.patterns) for item in bench.items]  # none parsed yet
+    items = [QAItem(item.question, item.pattern_texts) for item in bench.items]  # none parsed yet
     generate = rewrite.generate_rewrites
     calls = Counter()
 
@@ -485,7 +528,7 @@ def test_a_question_keeps_one_composition_per_ordered_evidence(monkeypatch):
     monkeypatch.setattr(control, "compose_answers", counted)
     again = sweep_k(eval_items, provider, models, K_SWEEP)
     assert calls == []
-    fresh = [QAItem(item.question, item.patterns) for item in eval_items]
+    fresh = [QAItem(item.question, item.pattern_texts) for item in eval_items]
     assert again == sweep_k(fresh, provider, models, K_SWEEP)
     assert calls
 
