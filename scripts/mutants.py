@@ -98,6 +98,12 @@ MUTANTS = [
     ),
     # Models.
     Mutant(
+        "models-budgets-unchecked", "src/budgetqa/models.py",
+        'if (budgets := sorted(map(int, data["ensemble"] or ()))) != list(DEFAULT_THRESHOLDS):',
+        'if not data["ensemble"]:',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
         "quality-order-reversed", "src/budgetqa/models.py",
         "key=self.quality_score, reverse=True)", "key=self.quality_score, reverse=False)",
         ("tests/test_models.py",),
@@ -197,7 +203,7 @@ MUTANTS = [
         'for name in ("token", "query_param", "summary_key"):',
         ("tests/test_cli.py",),
     ),
-    # The command line's mode table.
+    # The command line's mode table and options.
     Mutant(
         "random-row-without-seed", "src/budgetqa/cli.py",
         'RandomN(n=n or 1, seed=seed), ("--n", "--seed"), False)', 'RandomN(n=n or 1, seed=seed), ("--n",), False)',
@@ -207,6 +213,12 @@ MUTANTS = [
         "likelihood-row-without-models", "src/budgetqa/cli.py",
         'LikelihoodN(n=n or 3), ("--n",), True)', 'LikelihoodN(n=n or 3), ("--n",), False)',
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "reproduce-takes-one-question", "src/budgetqa/cli.py",
+        "@_generator_options(min_questions=2, default_questions=400)",
+        "@_generator_options(min_questions=1, default_questions=400)",
+        ("tests/test_scripts.py",),
     ),
 ]
 

@@ -198,13 +198,6 @@ def size_error(num_questions: int, distractors: int) -> str | None:
     return None
 
 
-def redundancy_error(redundancy: int) -> str | None:
-    """Why no fact can have ``redundancy`` paraphrase documents, or None."""
-    if not 1 <= redundancy <= MAX_REDUNDANCY:
-        return f"redundancy must be between 1 and {MAX_REDUNDANCY}, got {redundancy}"
-    return None
-
-
 def generate_benchmark(
     num_questions: int,
     *,
@@ -227,8 +220,10 @@ def generate_benchmark(
     deep_rate: chance a WHO fact keeps only its passive-voice document,
         which only a mid-ranked rewrite reaches, so extra budget pays off.
     """
-    if problem := size_error(num_questions, distractors) or redundancy_error(redundancy):
+    if problem := size_error(num_questions, distractors):
         raise ValueError(problem)
+    if not 1 <= redundancy <= MAX_REDUNDANCY:
+        raise ValueError(f"redundancy must be between 1 and {MAX_REDUNDANCY}, got {redundancy}")
     rng = random.Random(seed)
     pairs = [(adj, noun) for adj in ADJECTIVES for noun in NOUNS]
     rng.shuffle(pairs)

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: ask, train, evaluate, gen-bench. ``train`` writes one
-``models.json``; ``ask`` and ``evaluate`` load it with ``--models``. Both
+Subcommands: ask, train, evaluate, gen-bench, reproduce. ``train`` writes
+one ``models.json``; ``ask`` and ``evaluate`` load it with ``--models``. Both
 sides use the one grammar scorer, ``AdjacencyGrammarScorer``.
 All three search one backend, set by ``--corpus`` or ``--config``.
+``reproduce`` runs the paper's experiments end to end on a generated
+benchmark; ``scripts/run_policy_experiments.py`` is that command.
 Exit codes: 0 success or abstain, 1 usage error, 2 data error, 3 backend error.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 from typing import Callable, NamedTuple
 
 import click
@@ -37,7 +40,7 @@ from .errors import (
 )
 from .models import SCORER_NAME, ModelSet
 from .rewrite import AdjacencyGrammarScorer
-from .search import save_corpus
+from .search import OfflineProvider, build_index, save_corpus
 from .tree import describe_tree
 
 EXIT_OK = 0
@@ -94,17 +97,8 @@ class _Preference(click.ParamType):
         return value
 
 
-def _serving_options(default_policy: str):
-    """The options ``ask`` and ``evaluate`` share, in their help order."""
-    options = [
-        _config_option,
-        click.option("--policy", type=click.Choice(list(_POLICIES)), default=default_policy),
-        click.option("--n", type=click.IntRange(min=1), default=None, help="Budget for random/likelihood policies."),
-        click.option("--seed", type=int, default=None),
-        click.option("--k", type=_Preference("k"), default=None, help="Answer value as a multiple of query cost."),
-        click.option("--corpus", "corpus_path", type=click.Path(), default=None),
-        click.option("--models", "models_dir", type=click.Path(), default=None),
-    ]
+def _options(options: list):
+    """A decorator that adds ``options`` to a command, in their help order."""
 
     def decorate(command):
         for option in reversed(options):
@@ -112,6 +106,38 @@ def _serving_options(default_policy: str):
         return command
 
     return decorate
+
+
+def _serving_options(default_policy: str):
+    """The options ``ask`` and ``evaluate`` share, in their help order."""
+    return _options([
+        _config_option,
+        click.option("--policy", type=click.Choice(list(_POLICIES)), default=default_policy),
+        click.option("--n", type=click.IntRange(min=1), default=None, help="Budget for random/likelihood policies."),
+        click.option("--seed", type=int, default=None),
+        click.option("--k", type=_Preference("k"), default=None, help="Answer value as a multiple of query cost."),
+        click.option("--corpus", "corpus_path", type=click.Path(), default=None),
+        click.option("--models", "models_dir", type=click.Path(), default=None),
+    ])
+
+
+def _generator_options(min_questions: int, default_questions: int):
+    """The benchmark generator's options, which ``gen-bench`` and
+    ``reproduce`` share; each command sets its own ``--questions`` floor."""
+    return _options([
+        click.option("--questions", type=click.IntRange(min=min_questions), default=default_questions),
+        click.option("--redundancy", type=click.IntRange(min=1, max=bench.MAX_REDUNDANCY), default=3),
+        click.option("--distractors", type=click.IntRange(min=0), default=40),
+        click.option("--seed", type=int, default=0),
+    ])
+
+
+def _generate(questions: int, redundancy: int, distractors: int, seed: int) -> bench.Benchmark:
+    """The benchmark the generator options describe; a usage error for a
+    size the generator cannot build."""
+    if problem := bench.size_error(questions, distractors):
+        raise click.UsageError(problem)
+    return bench.generate_benchmark(questions, redundancy=redundancy, distractors=distractors, seed=seed)
 
 
 def _comma_list(item_type: click.ParamType):
@@ -225,7 +251,7 @@ def cmd_train(dataset_path, config_path, corpus_path, out_dir):
 @click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="Parallel questions (default: 1 offline, where search is CPU-bound; "
                    "cpu count capped at max_in_flight for a remote endpoint).")
-@click.option("--out", "out_path", type=click.Path(), default=None, help="Write reports as JSONL.")
+@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None, help="Write reports as JSONL.")
 def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, corpus_path, models_dir,
                  sweep_k_values, sweep_n_flag, seeds, jobs, out_path):
     """Evaluate a policy (or run a sweep) over a dataset."""
@@ -233,6 +259,8 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, corpus_path, mod
         raise click.UsageError("'--sweep-k' and '--sweep-n' are separate runs; give one of them")
     ran = "--sweep-k" if sweep_k_values else "--sweep-n" if sweep_n_flag else f"--policy {policy}"
     mode = _mode(ran, {"--n": n, "--seed": seed, "--k": k, "--seeds": seeds})
+    if out_path and not os.path.isdir(os.path.dirname(out_path) or "."):
+        raise click.BadParameter(f"no directory to write {out_path} in", param_hint="'--out'")
     cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, seed=seed)
     dataset = evaluation.load_dataset(dataset_path)
     if not dataset:
@@ -265,25 +293,59 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, corpus_path, mod
 
 
 @cli.command("gen-bench")
-@click.option("--questions", type=click.IntRange(min=1), default=100)
-@click.option("--redundancy", type=click.IntRange(min=1, max=bench.MAX_REDUNDANCY), default=3)
-@click.option("--distractors", type=click.IntRange(min=0), default=40)
-@click.option("--seed", type=int, default=0)
+@_generator_options(min_questions=1, default_questions=100)
 @click.option("--out-corpus", type=click.Path(), required=True)
 @click.option("--out-dataset", type=click.Path(), required=True)
 def cmd_gen_bench(questions, redundancy, distractors, seed, out_corpus, out_dataset):
     """Generate a synthetic benchmark corpus and dataset."""
-    if problem := bench.size_error(questions, distractors):
-        raise click.UsageError(problem)
-    result = bench.generate_benchmark(
-        questions, redundancy=redundancy, distractors=distractors, seed=seed
-    )
+    result = _generate(questions, redundancy, distractors, seed)
     save_corpus(result.corpus, out_corpus)
     evaluation.dump_dataset(result.items, out_dataset)
     click.echo(
         f"{len(result.items)} questions, {len(result.corpus)} documents -> "
         f"{out_dataset}, {out_corpus}"
     )
+
+
+@cli.command("reproduce")
+# Half the questions train and half evaluate, so each half needs one.
+@_generator_options(min_questions=2, default_questions=400)
+@click.option("--k", type=_Preference("k"), default=10.0, help="Answer value as a multiple of query cost.")
+@click.option("--seeds", default="0,1,2,3,4", callback=_comma_list(click.INT),
+              help="Random-order seeds for the N sweep (default 0,1,2,3,4).")
+@click.option("--out-dir", type=click.Path(), default="results", help="Directory for the JSONL reports.")
+def cmd_reproduce(questions, redundancy, distractors, seed, k, seeds, out_dir):
+    """Reproduce the paper's experiments on a synthetic benchmark.
+
+    Trains the quality models and the threshold ensemble on half the
+    questions, then runs on the other half the fixed-budget random vs
+    likelihood sweep, the policy comparison and the answer-value sweep
+    (``evaluation.reproduce``). Prints their tables and writes
+    policy_comparison.jsonl and k_sweep.jsonl under --out-dir."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise click.BadParameter(f"cannot create {out_dir}: {exc.strerror or exc}", param_hint="'--out-dir'")
+    t0 = time.perf_counter()
+    result = _generate(questions, redundancy, distractors, seed)
+    half = questions // 2
+    train_items, eval_items = result.items[:half], result.items[half:]
+    provider = OfflineProvider(build_index(result.corpus))
+    click.echo(f"benchmark: {len(result.corpus)} docs, {half} train / {len(eval_items)} eval questions")
+
+    t_train = time.perf_counter()
+    models = harness.train_models(train_items, provider, scorer=AdjacencyGrammarScorer())
+    click.echo(f"models trained in {time.perf_counter() - t_train:.1f}s")
+
+    # No decision reads the cost per query c, so the tables run at c = 1.
+    experiment = evaluation.reproduce(eval_items, provider, models, Preferences(k=k, c=1.0), seeds)
+    headings = ("fixed budgets: random vs likelihood order", "policy comparison", "answer-value sweep")
+    for heading, table in zip(headings, experiment.tables()):
+        click.echo(f"\n== {heading} ==\n{table}")
+    evaluation.write_jsonl([r.to_json() for r in experiment.reports], os.path.join(out_dir, "policy_comparison.jsonl"))
+    evaluation.write_jsonl([r.to_json() for _, r in experiment.k_results], os.path.join(out_dir, "k_sweep.jsonl"))
+
+    click.echo(f"\ndone in {time.perf_counter() - t0:.1f}s; reports under {out_dir}/")
 
 
 def main(argv: list[str] | None = None) -> int:

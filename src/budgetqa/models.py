@@ -181,12 +181,15 @@ class ModelSet:
     def save(self, directory: str) -> str:
         """Write ``models.json`` under ``directory`` and return its path. The
         file records the scorer and probe size the trees were trained with;
-        a scorer other than ``AdjacencyGrammarScorer`` raises ``ValueError``,
-        since loading could not rebuild it."""
+        a scorer other than ``AdjacencyGrammarScorer`` or budgets other than
+        ``DEFAULT_THRESHOLDS`` raise ``ValueError``, since loading could not
+        rebuild them."""
         if self.ensemble is None:
             raise IncompleteEnsemble("a model set is saved with its threshold ensemble")
         if type(self.scorer) is not AdjacencyGrammarScorer:
             raise ValueError(f"{self.scorer!r} is not the scorer a models file records")
+        if self.ensemble.thresholds != DEFAULT_THRESHOLDS:
+            raise ValueError(f"ensemble budgets {list(self.ensemble.thresholds)} are not {list(DEFAULT_THRESHOLDS)}")
         data = {
             "format": MODELS_FORMAT,
             "scorer": SCORER_NAME,
@@ -206,8 +209,9 @@ class ModelSet:
         """Read ``models.json`` under ``directory``; it serves with an
         ``AdjacencyGrammarScorer``. A threshold whose tree equals the
         previous threshold's shares it, as in ``train_threshold_ensemble``.
-        A file of another format, another scorer, another probe size or no
-        ensemble raises ``ConfigError``."""
+        A file of another format, another scorer, another probe size or an
+        ensemble whose budgets are not ``DEFAULT_THRESHOLDS`` raises
+        ``ConfigError``."""
         path = os.path.join(directory, MODELS_FILE)
         try:
             with open(path, encoding="utf-8") as fh:
@@ -218,8 +222,8 @@ class ModelSet:
                 raise ValueError(f"scorer {data['scorer']!r} is not {SCORER_NAME!r}")
             if data["probe_size"] != PROBE_SIZE:
                 raise ValueError(f"probe size {data['probe_size']!r} is not {PROBE_SIZE}")
-            if not data["ensemble"]:
-                raise ValueError("no threshold ensemble")
+            if (budgets := sorted(map(int, data["ensemble"] or ()))) != list(DEFAULT_THRESHOLDS):
+                raise ValueError(f"ensemble budgets {budgets} are not {list(DEFAULT_THRESHOLDS)}")
             trees: dict[int, DecisionTree] = {}
             previous = None
             for n, shape in data["ensemble"].items():

@@ -8,8 +8,11 @@ import pytest
 
 from budgetqa.bench import generate_benchmark
 from budgetqa.cli import main
-from budgetqa.evaluation import dump_dataset
-from budgetqa.search import OfflineProvider, save_corpus
+from budgetqa.control import Preferences
+from budgetqa.evaluation import dump_dataset, reproduce
+from budgetqa.harness import train_models
+from budgetqa.rewrite import AdjacencyGrammarScorer
+from budgetqa.search import OfflineProvider, build_index, save_corpus
 
 
 @pytest.fixture(scope="module")
@@ -115,9 +118,11 @@ def test_train_has_no_scorer_option(workspace, tmp_path, capsys):
         lambda data: {**data, "scorer": "default"},
         lambda data: {**data, "probe_size": 3},
         lambda data: {**data, "ensemble": None},
+        # The cost-benefit policy weighs exactly the budgets training fixes.
+        lambda data: {**data, "ensemble": {"25": data["ensemble"]["20"]}},
     ],
     ids=["not-json", "missing-key", "format-1", "format-2", "unknown-scorer",
-         "default-scorer", "probe-size-3", "no-ensemble"],
+         "default-scorer", "probe-size-3", "no-ensemble", "other-budgets"],
 )
 def test_bad_models_file_is_data_error(workspace, models_dir, tmp_path, capsys, edit):
     data = json.loads(Path(models_dir, "models.json").read_text(encoding="utf-8"))
@@ -426,6 +431,23 @@ def test_evaluate_sweep_k_shape_and_jsonl(workspace, models_dir, tmp_path, capsy
     assert len(rows) == 4
 
 
+def test_evaluate_out_without_its_directory_is_usage_error_before_any_query(
+    workspace, models_dir, tmp_path, monkeypatch, capsys
+):
+    def no_query(self, rewrite, limit):
+        raise AssertionError("a query was issued")
+
+    monkeypatch.setattr(OfflineProvider, "execute", no_query)
+    out = tmp_path / "missing" / "reports.jsonl"
+    assert main([
+        "evaluate", "--dataset", workspace["dataset"], "--corpus", workspace["corpus"],
+        "--models", models_dir, "--out", str(out),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert f"usage error: Invalid value for '--out': no directory to write {out} in" in captured.err
+    assert captured.out == ""
+
+
 def test_evaluate_sweep_n_shape(workspace, models_dir, capsys):
     assert main([
         "evaluate", "--dataset", workspace["dataset"], "--corpus", workspace["corpus"],
@@ -481,6 +503,25 @@ def test_gen_bench_round_trip(tmp_path):
 
     assert len(load_dataset(dataset)) == 10
     assert len(Path(corpus).read_text().splitlines()) >= 10
+
+
+def test_reproduce_prints_the_experiment_tables_and_writes_the_reports(tmp_path, capsys):
+    # The command trains on the first half and runs ``evaluation.reproduce``
+    # on the second, so on the same inputs it prints the same tables.
+    assert main(["reproduce", "--questions", "40", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    output = capsys.readouterr().out
+    bench = generate_benchmark(40, seed=0)
+    provider = OfflineProvider(build_index(bench.corpus))
+    models = train_models(bench.items[:20], provider, scorer=AdjacencyGrammarScorer())
+    experiment = reproduce(bench.items[20:], provider, models, Preferences(k=10.0, c=1.0), seeds=range(5))
+    assert output.startswith(f"benchmark: {len(bench.corpus)} docs, 20 train / 20 eval questions\n")
+    for table in experiment.tables():
+        assert f" ==\n{table}\n" in output
+    k_reports = [r for _, r in experiment.k_results]
+    assert (len(experiment.reports), len(k_reports)) == (3, 4)
+    for name, reports in [("policy_comparison", experiment.reports), ("k_sweep", k_reports)]:
+        lines = (tmp_path / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == [r.to_json() for r in reports]
 
 
 def test_usage_error_exit_code():

@@ -6,6 +6,7 @@ from budgetqa.errors import IncompleteEnsemble
 from budgetqa.models import (
     DEFAULT_THRESHOLDS,
     ModelSet,
+    ThresholdEnsemble,
     extract_run_features,
     train_threshold_ensemble,
 )
@@ -205,13 +206,16 @@ def test_model_set_save_load_round_trip(tmp_path):
     [
         (None, AdjacencyGrammarScorer(), IncompleteEnsemble),
         ("trained", StubGrammarScorer(), ValueError),
+        ("other-budgets", AdjacencyGrammarScorer(), ValueError),
     ],
-    ids=["no-ensemble", "unnamed-scorer"],
+    ids=["no-ensemble", "unnamed-scorer", "other-budgets"],
 )
 def test_model_set_save_refuses_what_load_cannot_rebuild(tmp_path, ensemble, scorer, error):
     tree = train_tree(_constant_cases(True))
     if ensemble == "trained":
         ensemble = train_threshold_ensemble({n: _constant_cases(True) for n in DEFAULT_THRESHOLDS})
+    elif ensemble == "other-budgets":
+        ensemble = ThresholdEnsemble(trees={25: tree})
     with pytest.raises(error):
         ModelSet(tree, tree, ensemble, scorer).save(str(tmp_path))
     assert not (tmp_path / "models.json").exists()

@@ -1,6 +1,7 @@
 """Every script under ``scripts/`` starts: its imports resolve and its
 argument parser builds, so a script that names a deleted function fails
-here rather than for the first user who runs it."""
+here rather than for the first user who runs it. The experiment script is
+``budgetqa reproduce``; its refusals run in-process through ``cli.main``."""
 
 import importlib.util
 import subprocess
@@ -8,6 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from budgetqa import bench
+from budgetqa.cli import main
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
@@ -18,35 +22,53 @@ def test_script_help_exits_zero(script):
         [sys.executable, str(script), "--help"], capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert "usage" in done.stdout
+    assert "usage" in done.stdout.lower()  # argparse writes usage:, click Usage:
 
 
 EXPERIMENT_SCRIPT = SCRIPTS[0].parent / "run_policy_experiments.py"
 
 
-@pytest.mark.parametrize("questions", ["0", "1"])
-def test_experiment_script_rejects_fewer_than_two_questions(questions, tmp_path):
-    # Half the questions train and half evaluate, so fewer than two leaves
-    # nothing to train on: a usage error, not a traceback from training.
+def test_experiment_script_is_the_reproduce_command(tmp_path):
+    # The script adds src/ to the path and hands its arguments to
+    # ``budgetqa reproduce``, so it refuses what the command refuses.
     done = subprocess.run(
-        [sys.executable, str(EXPERIMENT_SCRIPT), "--questions", questions, "--out-dir", str(tmp_path)],
+        [sys.executable, str(EXPERIMENT_SCRIPT), "--questions", "1", "--out-dir", str(tmp_path)],
         capture_output=True, text=True, timeout=60,
     )
-    assert done.returncode == 2
+    assert done.returncode == 1
     assert "Traceback" not in done.stderr
-    assert "--questions: must be at least 2" in done.stderr
+    assert "usage error: Invalid value for '--questions': 1 is not in the range x>=2." in done.stderr
+    assert done.stdout == ""
+
+
+def _refused(args, capsys):
+    """``budgetqa reproduce`` on ``args``: a usage error (exit 1) with no
+    traceback and no output, and the message it wrote to stderr."""
+    assert main(["reproduce", *args]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize("questions", ["0", "1"])
+def test_experiment_script_rejects_fewer_than_two_questions(questions, tmp_path, capsys):
+    # Half the questions train and half evaluate, so fewer than two leaves
+    # nothing to train on: a usage error, not a traceback from training.
+    err = _refused(["--questions", questions, "--out-dir", str(tmp_path)], capsys)
+    assert f"'--questions': {questions} is not in the range x>=2." in err
 
 
 BAD_ARGUMENTS = [
-    (["--redundancy", "0"], "--redundancy: must be at least 1"),
-    (["--redundancy", "-1"], "--redundancy: must be at least 1"),
-    (["--distractors", "-1"], "--distractors: must be at least 0"),
-    (["--k", "0"], "--k: must be above 0"),
-    (["--k", "inf"], "--k: must be above 0 and finite"),
-    (["--k", "nan"], "--k: must be above 0 and finite"),
-    (["--redundancy", "6"], "redundancy must be between 1 and 5, got 6"),
-    (["--seeds", "x"], "--seeds: not a comma-separated list of integers"),
-    (["--seeds", ","], "--seeds: needs at least one seed"),
+    (["--redundancy", "0"], "'--redundancy': 0 is not in the range 1<=x<=5."),
+    (["--redundancy", "-1"], "'--redundancy': -1 is not in the range 1<=x<=5."),
+    (["--distractors", "-1"], "'--distractors': -1 is not in the range x>=0."),
+    (["--k", "0"], "'--k': k must be a positive finite number, not 0.0"),
+    (["--k", "inf"], "'--k': k must be a positive finite number, not inf"),
+    (["--k", "nan"], "'--k': k must be a positive finite number, not nan"),
+    (["--redundancy", "6"], "'--redundancy': 6 is not in the range 1<=x<=5."),
+    (["--seeds", "x"], "'--seeds': 'x' is not a valid integer."),
+    (["--seeds", ","], "'--seeds': needs at least one value"),
     (["--questions", "500"], "questions + distractors must be at most 480 entity pairs, got 500 + 40"),
     (["--distractors", "100000"], "questions + distractors must be at most 480 entity pairs, got 400 + 100000"),
 ]
@@ -55,44 +77,30 @@ BAD_ARGUMENTS = [
 @pytest.mark.parametrize(
     "args, message", BAD_ARGUMENTS, ids=[" ".join(args) for args, _ in BAD_ARGUMENTS]
 )
-def test_experiment_script_rejects_out_of_range_arguments(args, message, tmp_path):
+def test_experiment_script_rejects_out_of_range_arguments(args, message, tmp_path, capsys, monkeypatch):
     # A usage error before any work, not a traceback after training.
-    done = subprocess.run(
-        [sys.executable, str(EXPERIMENT_SCRIPT), *args, "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert message in done.stderr
-    assert done.stdout == ""
+    def no_benchmark(*_, **__):
+        raise AssertionError("a benchmark was generated")
+
+    monkeypatch.setattr(bench, "generate_benchmark", no_benchmark)
+    assert message in _refused([*args, "--out-dir", str(tmp_path)], capsys)
 
 
 @pytest.mark.parametrize("value", ["2", "-2", "inf"])
-def test_experiment_script_has_no_c_option(value, tmp_path):
-    # No decision and no table reads the cost per query, so the script runs
-    # at c = 1 and refuses --c as an unknown option before any work.
-    done = subprocess.run(
-        [sys.executable, str(EXPERIMENT_SCRIPT), "--c", value, "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert f"unrecognized arguments: --c {value}" in done.stderr
-    assert done.stdout == ""
+def test_experiment_script_has_no_c_option(value, tmp_path, capsys):
+    # No decision and no table reads the cost per query, so the command runs
+    # at c = 1 and refuses --c as an unknown option before any work. Click
+    # words an unknown option differently across versions.
+    err = _refused(["--c", value, "--out-dir", str(tmp_path)], capsys)
+    assert "No such option" in err and "--c" in err
 
 
-def test_experiment_script_rejects_an_out_dir_it_cannot_create(tmp_path):
+def test_experiment_script_rejects_an_out_dir_it_cannot_create(tmp_path, capsys):
     # A usage error before any work, not a traceback after training.
     taken = tmp_path / "taken"
     taken.write_text("", encoding="utf-8")
-    done = subprocess.run(
-        [sys.executable, str(EXPERIMENT_SCRIPT), "--questions", "10", "--out-dir", str(taken)],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert f"--out-dir: cannot create {taken}" in done.stderr
-    assert done.stdout == ""
+    err = _refused(["--questions", "10", "--out-dir", str(taken)], capsys)
+    assert f"'--out-dir': cannot create {taken}" in err
 
 
 CODE_LINES_FIXTURE = '''"""A module docstring
