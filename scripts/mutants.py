@@ -115,11 +115,12 @@ MUTANTS = [
     ),
     # The run and the cost-benefit policy.
     Mutant(
-        "probe-features-read-before-execution", "src/budgetqa/control.py",
-        "        self._execute(PROBE_SIZE)\n"
-        "        rewrites, snippets = self.rewrites[:PROBE_SIZE], self.snippets[:PROBE_SIZE]\n",
-        "        rewrites, snippets = self.rewrites[:PROBE_SIZE], self.snippets[:PROBE_SIZE]\n"
-        "        self._execute(PROBE_SIZE)\n",
+        "features-read-before-execution", "src/budgetqa/control.py",
+        "        answers = self.compose(n)\n"
+        "        return extract_run_features(\n"
+        "            self.question, list(zip(self.rewrites, self.snippets[:n])), answers\n",
+        "        return extract_run_features(\n"
+        "            self.question, list(zip(self.rewrites, self.snippets[:n])), self.compose(n)\n",
         ("tests/test_control.py",),
     ),
     Mutant(
@@ -147,6 +148,11 @@ MUTANTS = [
         "rank-on-nets-scaled-by-c", "src/budgetqa/control.py",
         "nets[n] = (units := p * k - n) * c", "nets[n] = units = p * k * c - n * c",
         ("tests/test_control.py",),
+    ),
+    Mutant(
+        "net-falls-as-k-rises", "src/budgetqa/control.py",
+        "nets[n] = (units := p * k - n) * c", "nets[n] = (units := p * (101 - k) - n) * c",
+        ("tests/test_evaluation.py",),
     ),
     # The speed-tuned kernels, each against its slow version in tests/oracles.py.
     Mutant(

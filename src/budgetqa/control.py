@@ -18,7 +18,7 @@ the threshold models learn from exactly the evidence, filters and error
 handling the controller sees.
 
 A question replayed under several orders and budgets (the N sweep) repeats
-work, so each ``Question`` remembers what its runs produced in three maps.
+work, so each ``Question`` remembers what its runs produced in two maps.
 ``orders`` maps what fixes a selection order (the ``ModelSet`` itself,
 which hashes by identity, or a shuffle's seed and question index) to that
 order. ``compositions`` maps the positions of a prefix's rewrites that
@@ -33,18 +33,10 @@ from ``generate_rewrites`` (None when built by hand), so copies key like
 the question's own. A composition is reused only when its stored evidence
 equals the run's, so two providers or two rewrites that share a key never
 mix results, and a pair is replaced whole for threads sharing a question.
-``probes`` maps a ``ModelSet`` to what the cost-benefit probe predicted
-under it: the probe's rewrites, their snippets, the threshold ensemble and
-the per-threshold probabilities. A run that probes the same rewrites, gets
-the same snippets and asks the same ensemble reuses those probabilities
-and composes nothing, so replaying a question at several answer values k
-extracts run features and asks the trees once; only the nets and the
-argmax are redone per ``Preferences``. Any difference (another provider's
-snippets, a replaced ensemble, another model set's order) extracts and
-predicts again and replaces the entry whole.
 Orders and compositions are tuples, so runs share them. With one provider,
-a question thus orders once per model set or shuffle, composes each
-distinct ordered evidence once and predicts once per model set.
+a question thus orders once per model set or shuffle and composes each
+distinct ordered evidence once. No prediction is remembered: every
+cost-benefit run predicts on its own probe.
 
 The controller values a correct answer at k queries and no valid answer at
 zero, so submitting n queries with predicted success probability p nets
@@ -275,25 +267,6 @@ class Run:
             self.question, list(zip(self.rewrites, self.snippets[:n])), answers
         )
 
-    def probe(self, models: ModelSet) -> dict[int, float]:
-        """The ensemble's per-threshold probabilities on
-        ``self.features(PROBE_SIZE)``, the probe's run features as training
-        reads them (``harness.generate_threshold_cases``). The probe
-        executes first; the prediction is the one the question remembers
-        under ``models`` when that entry's rewrites, snippets and ensemble
-        are the run's, and then nothing is composed (see the module
-        docstring)."""
-        self._execute(PROBE_SIZE)
-        rewrites, snippets = self.rewrites[:PROBE_SIZE], self.snippets[:PROBE_SIZE]
-        ensemble = models.ensemble
-        memo = self.question.probes
-        kept = memo.get(models)  # read once: threads may replace it
-        if kept is not None and kept[2] is ensemble and kept[0] == rewrites and kept[1] == snippets:
-            return kept[3]
-        probs = ensemble.predict_all(self.features(PROBE_SIZE))
-        memo[models] = (rewrites, snippets, ensemble, probs)
-        return probs
-
     def result(self, n: int, decision: BudgetDecision | None = None) -> QuestionResult:
         """Answer from the first n rewrites, or, when the decision is to
         abstain, report the n rewrites it was taken on. Every rewrite
@@ -399,7 +372,7 @@ class CostBenefit:
             raise ValueError("CostBenefit requires quality models and a threshold ensemble")
         if prefs is None:
             raise ValueError("CostBenefit requires preferences")
-        decision = decide(run.probe(models), prefs)
+        decision = decide(models.ensemble.predict_all(run.features(PROBE_SIZE)), prefs)
         return run.result(PROBE_SIZE if decision.abstained else max(decision.n, PROBE_SIZE), decision)
 
 

@@ -30,6 +30,7 @@ from .rewrite import (
     AdjacencyGrammarScorer,
     GrammarScorer,
     Question,
+    QuestionType,
     Rewrite,
     RewriteKind,
     conjunctive_features,
@@ -64,6 +65,10 @@ def _pstdev(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
 
 
+_FILTER_NAMES = {qtype: f"{qtype.value}_filter" for qtype in QuestionType}
+_RULESCORE_1, _RULESCORE_5 = (f"rulescore_{w:g}" for w in (CONJUNCTIVE_WEIGHT, PHRASAL_WEIGHT))
+
+
 def extract_run_features(
     question: Question,
     evidence: Sequence[tuple[Rewrite, Sequence[Snippet]]],
@@ -76,26 +81,32 @@ def extract_run_features(
     returned for them: the mined-candidate counts are read from it, not
     mined again. Those counts are features for both rewrite weights
     (``rulescore_1`` and ``rulescore_5``), zero for a weight the run did not
-    use, so every run has one schema.
+    use, so every run has one schema. One loop over the evidence sums what
+    the snippet features count.
     """
-    totsnips = sum(len(found) for _, found in evidence)
+    totsnips = totnonbagsnips = 0
+    maxrule = -math.inf
+    for rewrite, found in evidence:
+        totsnips += len(found)
+        if rewrite.kind is RewriteKind.PHRASAL:
+            totnonbagsnips += len(found)
+        if rewrite.weight > maxrule:
+            maxrule = rewrite.weight
     top_scores = [c.score for c in ranked_answers[:5]]
-    features: dict[str, FeatureValue] = {
+    by_weight = ranked_answers.mined_by_weight
+    return {
         "average_snippets_per_rewrite": totsnips / len(evidence),
         "diff_scores_1_2": top_scores[0] - top_scores[1] if len(top_scores) >= 2 else 0.0,
-        "filter": f"{question.qtype.value}_filter",
-        "maxrule": max(r.weight for r, _ in evidence),
+        "filter": _FILTER_NAMES[question.qtype],
+        "maxrule": maxrule,
         "numngrams": float(ranked_answers.mined),
         "std_deviation_answer_scores": _pstdev(top_scores),
         "totalqueries": float(len(evidence)),
-        "totnonbagsnips": float(
-            sum(len(found) for r, found in evidence if r.kind is RewriteKind.PHRASAL)
-        ),
+        "totnonbagsnips": float(totnonbagsnips),
         "totsnips": float(totsnips),
+        _RULESCORE_1: float(by_weight.get(CONJUNCTIVE_WEIGHT, 0)),
+        _RULESCORE_5: float(by_weight.get(PHRASAL_WEIGHT, 0)),
     }
-    for weight in (CONJUNCTIVE_WEIGHT, PHRASAL_WEIGHT):
-        features[f"rulescore_{weight:g}"] = float(ranked_answers.mined_by_weight.get(weight, 0))
-    return features
 
 
 # --------------------------------------------------------------------------
@@ -109,21 +120,26 @@ class ThresholdEnsemble:
 
     trees: dict[int, DecisionTree]
 
+    def __post_init__(self):
+        # Each distinct tree with the thresholds that share it (see
+        # ``train_threshold_ensemble``), by its smallest threshold.
+        groups: dict[int, tuple[DecisionTree, list[int]]] = {}
+        for n in self.thresholds:
+            groups.setdefault(id(self.trees[n]), (self.trees[n], []))[1].append(n)
+        self._groups = tuple(groups.values())
+
     @cached_property
     def thresholds(self) -> tuple[int, ...]:
         return tuple(sorted(self.trees))
 
     def predict_all(self, features: Mapping[str, FeatureValue]) -> dict[int, float]:
         """p for every threshold, ascending. Thresholds that share a tree
-        (see ``train_threshold_ensemble``) share its one prediction."""
-        by_tree: dict[int, float] = {}
-        probs = {}
-        for n in self.thresholds:
-            tree = self.trees[n]
-            p = by_tree.get(id(tree))
-            if p is None:
-                p = by_tree[id(tree)] = tree.predict(features)
-            probs[n] = p
+        share its one prediction."""
+        probs = dict.fromkeys(self.thresholds)
+        for tree, budgets in self._groups:
+            p = tree.predict(features)
+            for n in budgets:
+                probs[n] = p
         return probs
 
 

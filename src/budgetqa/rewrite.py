@@ -52,9 +52,9 @@ class Question:
 
     ``rewrites`` and ``token_keys`` are derived on first use and kept for the
     question's lifetime, so running one question again does not rewrite it
-    again. ``orders``, ``compositions`` and ``probes`` remember what its
-    runs produced (see ``control.py``). None of these is a field, so
-    equality, hashing and ``dataclasses.replace`` ignore them.
+    again. ``orders`` and ``compositions`` remember what its runs produced
+    (see ``control.py``). None of these is a field, so equality, hashing
+    and ``dataclasses.replace`` ignore them.
     """
 
     tokens: tuple[str, ...]
@@ -80,10 +80,6 @@ class Question:
 
     @cached_property
     def compositions(self) -> dict[tuple[int | None, ...], tuple]:
-        return {}
-
-    @cached_property
-    def probes(self) -> dict[object, tuple]:
         return {}
 
 

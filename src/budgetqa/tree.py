@@ -57,16 +57,6 @@ class Split:
     left: "Node"
     right: "Node"
 
-    def goes_left(self, features: Mapping[str, FeatureValue]) -> bool:
-        if self.feature not in features:
-            raise MissingFeature(f"feature {self.feature!r} not supplied")
-        value = features[self.feature]
-        if self.kind == "numeric":
-            if isinstance(value, str):
-                raise SchemaMismatch(f"feature {self.feature!r} expects a number, got {value!r}")
-            return float(value) <= self.value
-        return value == self.value
-
 
 Node = Union[Leaf, Split]
 
@@ -79,7 +69,15 @@ class DecisionTree:
     def predict(self, features: Mapping[str, FeatureValue]) -> float:
         node = self.root
         while isinstance(node, Split):
-            node = node.left if node.goes_left(features) else node.right
+            if node.feature not in features:
+                raise MissingFeature(f"feature {node.feature!r} not supplied")
+            value = features[node.feature]
+            if node.kind == "numeric":
+                if isinstance(value, str):
+                    raise SchemaMismatch(f"feature {node.feature!r} expects a number, got {value!r}")
+                node = node.left if float(value) <= node.value else node.right
+            else:
+                node = node.left if value == node.value else node.right
         return node.probability
 
 

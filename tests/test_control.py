@@ -604,9 +604,9 @@ def test_threads_sharing_a_question_get_their_own_evidences_answers():
 
 
 def test_threads_sharing_a_question_get_their_own_probes_decisions():
-    # Three answer values against two providers keep replacing the probe
-    # prediction the question remembers. The probe finds 4 snippets with
-    # the first provider and 2 with the second, which the trees split on.
+    # Three answer values against two providers share the question's order
+    # and compositions. The probe finds 4 snippets with the first provider
+    # and 2 with the second, which the trees split on.
     providers = (_FixedProvider("Booth shot the President", "Booth fled"), _FixedProvider("Oswald"))
     split = Split("totsnips", "numeric", 3.0, _leaf_tree(0.1).root, _leaf_tree(0.9).root)
     models = _stub_models(conj_p=0.9, phrasal_p=0.4)
@@ -617,7 +617,6 @@ def test_threads_sharing_a_question_get_their_own_probes_decisions():
         return run_policy(CostBenefit(), question, provider, models, Preferences(k=k, c=1))
 
     assert _hammer(question, (5, 10, 20), play, providers) == []
-    assert list(question.probes) == [models]
 
 
 @pytest.mark.parametrize(
@@ -824,30 +823,17 @@ def test_another_seed_or_question_index_reshuffles_the_question():
     assert all(a != b for a, b in zip(selections, selections[1:]))
 
 
-class _CountingTree:
-    """Predicts a fixed probability and records each prediction in ``calls``."""
-
-    def __init__(self, p, calls):
-        self.p, self.calls = p, calls
-
-    def predict(self, features):
-        self.calls.append(self)
-        return self.p
-
-
 # Abstains at k = 5, submits 4 at k = 10 and 6 at k = 20 (c = 1).
 _PROBE_PROBS = {1: 0.15, 2: 0.3, 3: 0.5, 4: 0.75, 5: 0.8}
 
 
-def _counting_ensemble(calls, probs=_PROBE_PROBS):
-    return ThresholdEnsemble(
-        trees={n: _CountingTree(probs.get(n, 0.95), calls) for n in DEFAULT_THRESHOLDS}
-    )
+def _probe_ensemble(probs=_PROBE_PROBS):
+    return _stub_ensemble({n: probs.get(n, 0.95) for n in DEFAULT_THRESHOLDS})
 
 
-def _counting_models(calls, conj_p=0.9, phrasal_p=0.4):
+def _probe_models(conj_p=0.9, phrasal_p=0.4):
     models = _stub_models(conj_p=conj_p, phrasal_p=phrasal_p)
-    models.ensemble = _counting_ensemble(calls)
+    models.ensemble = _probe_ensemble()
     return models
 
 
@@ -855,41 +841,35 @@ def _fresh_cost_benefit(provider, models, prefs):
     return run_policy(CostBenefit(), Question.from_text(QUESTION), provider, models, prefs)
 
 
-def test_cost_benefit_at_several_k_predicts_once(lincoln_provider):
-    calls = []
-    models = _counting_models(calls)
+def test_cost_benefit_at_several_k_decides_like_fresh_runs(lincoln_provider):
+    models = _probe_models()
     question = Question.from_text(QUESTION)
     results = {
         k: run_policy(CostBenefit(), question, lincoln_provider, models, Preferences(k=k, c=1))
         for k in (5, 10, 20)
     }
-    assert sorted(map(id, calls)) == sorted(map(id, models.ensemble.trees.values()))
     assert [r.decision.n for r in results.values()] == [None, 4, 6]
     for k, result in results.items():
         assert result == _fresh_cost_benefit(lincoln_provider, models, Preferences(k=k, c=1))
 
 
 def test_a_probe_with_other_snippets_predicts_again(lincoln_provider):
-    calls = []
-    models = _counting_models(calls)
+    models = _probe_models()
     prefs = Preferences(k=10, c=1)
     question = Question.from_text(QUESTION)
     run_policy(CostBenefit(), question, lincoln_provider, models, prefs)
     other = _FixedProvider("John Wilkes Booth shot the President", "Booth fled")
     result = run_policy(CostBenefit(), question, other, models, prefs)
-    assert len(calls) == 2 * len(DEFAULT_THRESHOLDS)
     assert result == _fresh_cost_benefit(other, models, prefs)
 
 
 def test_a_replaced_ensemble_predicts_again(lincoln_provider):
-    calls = []
-    models = _counting_models(calls)
+    models = _probe_models()
     prefs = Preferences(k=10, c=1)
     question = Question.from_text(QUESTION)
     assert not run_policy(CostBenefit(), question, lincoln_provider, models, prefs).abstained
-    models.ensemble = _counting_ensemble(calls, probs={})  # every threshold at 0.95
+    models.ensemble = _probe_ensemble(probs={})  # every threshold at 0.95
     result = run_policy(CostBenefit(), question, lincoln_provider, models, prefs)
-    assert len(calls) == 2 * len(DEFAULT_THRESHOLDS)
     assert result == _fresh_cost_benefit(lincoln_provider, models, prefs)
     assert result.decision.n == 1
 
@@ -897,20 +877,17 @@ def test_a_replaced_ensemble_predicts_again(lincoln_provider):
 def test_a_probe_in_another_model_sets_order_predicts_again():
     # Every rewrite finds the same snippets, so only the probe's rewrites differ.
     provider = _FixedProvider("John Wilkes Booth shot the President", "Booth fled")
-    calls = []
-    conjunctive_first = _counting_models(calls, conj_p=0.9, phrasal_p=0.1)
+    conjunctive_first = _probe_models(conj_p=0.9, phrasal_p=0.1)
     phrasal_first = _stub_models(conj_p=0.1, phrasal_p=0.9)
     phrasal_first.ensemble = conjunctive_first.ensemble
     prefs = Preferences(k=10, c=1)
     question = Question.from_text(QUESTION)
     run_policy(CostBenefit(), question, provider, conjunctive_first, prefs)
     result = run_policy(CostBenefit(), question, provider, phrasal_first, prefs)
-    assert len(calls) == 2 * len(DEFAULT_THRESHOLDS)
     # The other model set's order, played under the first model set.
     order = CostBenefit().select(question, phrasal_first, 0)
     assert order[:PROBE_SIZE] != CostBenefit().select(question, conjunctive_first, 0)[:PROBE_SIZE]
     played = CostBenefit().play(Run(question, order, provider), conjunctive_first, prefs)
-    assert len(calls) == 3 * len(DEFAULT_THRESHOLDS)
     assert result == _fresh_cost_benefit(provider, phrasal_first, prefs)
     fresh = Question.from_text(QUESTION)
     assert played == CostBenefit().play(Run(fresh, order, provider), conjunctive_first, prefs)
@@ -937,7 +914,8 @@ def test_the_probe_predicts_on_the_run_features_training_reads(lincoln_provider,
     order = CostBenefit().select(question, models, 0)
     assert (len(order) == 1) is (text == "Lincoln?")
     run = Run(question, order, lincoln_provider)
-    assert run.probe(models) == {n: 0.5 for n in DEFAULT_THRESHOLDS}
+    decision = CostBenefit().play(run, models, Preferences(k=10, c=1)).decision
+    assert decision.probabilities == {n: 0.5 for n in DEFAULT_THRESHOLDS}
     fresh = Run(Question.from_text(text), order, lincoln_provider)
     assert models.ensemble.seen == [run.features(PROBE_SIZE)] == [fresh.features(PROBE_SIZE)]
     assert len(run.snippets) == min(PROBE_SIZE, len(order))

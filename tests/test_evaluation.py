@@ -15,6 +15,7 @@ from budgetqa.bench import generate_benchmark
 from budgetqa.control import (
     AllRewrites,
     ConjunctiveOnly,
+    CostBenefit,
     LikelihoodN,
     Preferences,
     RandomN,
@@ -43,8 +44,8 @@ from budgetqa.evaluation import (
 from budgetqa.harness import train_models
 from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet, ThresholdEnsemble
 from budgetqa.rewrite import AdjacencyGrammarScorer, Question, generate_rewrites
-from budgetqa.search import MeteredProvider, OfflineProvider, build_index
-from budgetqa.text import tokenize
+from budgetqa.search import Document, MeteredProvider, OfflineProvider, build_index
+from budgetqa.text import token_key, tokenize
 from budgetqa.tree import DecisionTree, Leaf
 
 
@@ -302,6 +303,74 @@ def test_corpus_order_changes_no_top_answer(seed, order):
             report = evaluate(policy, items, OfflineProvider(build_index(corpus)))
             tops.append([record.top_answer for record in report.per_question])
         assert tops[0] == tops[1]
+
+
+def _trained_half(seed):
+    """A 40-question benchmark, its provider, models trained on its first
+    half, and its held-out second half."""
+    bench = generate_benchmark(40, seed=seed)
+    provider = OfflineProvider(build_index(bench.corpus))
+    models = train_models(bench.items[:20], provider, scorer=AdjacencyGrammarScorer())
+    return bench, provider, models, bench.items[20:]
+
+
+@given(seed=st.integers(min_value=0, max_value=9))
+@settings(deadline=None, max_examples=4)
+def test_cost_benefit_cost_is_monotone_in_k_through_the_pipeline(seed):
+    # The best net p(n) * k - n moves to larger n as k grows, and from
+    # abstaining to answering, never back. Each k predicts on its own
+    # probe, so this also pins that the repeated predictions agree.
+    _, provider, models, held_out = _trained_half(seed)
+    ks = (1.01, 1.5, 2, 3, 5, 10, 20, 100)
+    for item in held_out:
+        results = [
+            run_policy(CostBenefit(), item.parsed, provider, models, Preferences(k=k, c=1)) for k in ks
+        ]
+        for lower, higher in zip(results, results[1:]):
+            assert higher.queries_issued >= lower.queries_issued, item.question
+            assert lower.abstained or not higher.abstained, item.question
+
+
+@given(seed=st.integers(min_value=0, max_value=9))
+@settings(deadline=None, max_examples=2)
+def test_a_questions_record_does_not_depend_on_the_questions_before_it(seed):
+    # Evaluated in order and reversed, each with fresh items and a fresh
+    # provider, every question gets the same record. RandomN is left out:
+    # it seeds its shuffle on the question's index in the dataset.
+    bench, _, models, held_out = _trained_half(seed)
+    policies = (ConjunctiveOnly(), AllRewrites(), LikelihoodN(3), CostBenefit())
+    prefs = Preferences(k=10, c=1)
+    for policy in policies:
+        records = []
+        for items in (held_out, held_out[::-1]):
+            fresh = [dataclasses.replace(item) for item in items]
+            provider = OfflineProvider(build_index(bench.corpus))
+            records.append(evaluate(policy, fresh, provider, models, prefs).per_question)
+        assert records[0] == records[1][::-1], policy.name
+
+
+@given(seed=st.integers(min_value=0, max_value=9))
+@settings(deadline=None, max_examples=3)
+def test_documents_sharing_no_key_with_a_question_change_no_answer(seed):
+    # Documents whose words key to nothing in any question match no
+    # rewrite, wherever their ids sort among the others'.
+    bench = generate_benchmark(40, seed=seed)
+    question_keys = set().union(*(item.parsed.token_keys for item in bench.items))
+    words = ["zorbel", "quimset", "flundra", "vexhollow", "praddock"]
+    assert not question_keys & set(map(token_key, words))
+    unrelated = [
+        Document(doc_id, " ".join(words[i:] + words[:i]) + ".")
+        for i, doc_id in enumerate(["a0", "d00000a", "d99999", "zz"])
+    ]
+    ids = sorted(doc.id for doc in bench.corpus + unrelated)
+    assert ids[0] == "a0" and ids[-1] == "zz"
+    for policy in (AllRewrites(), ConjunctiveOnly()):
+        tops = []
+        for corpus in (bench.corpus, bench.corpus + unrelated):
+            items = [dataclasses.replace(item) for item in bench.items]
+            report = evaluate(policy, items, OfflineProvider(build_index(corpus)))
+            tops.append([record.top_answer for record in report.per_question])
+        assert tops[0] == tops[1], policy.name
 
 
 def test_all_rewrites_beats_or_ties_prefix_policies(small_bench):

@@ -175,6 +175,26 @@ def test_ensemble_trees_equal_each_thresholds_own_tree():
         assert tree_to_dict(ensemble.trees[n]) == tree_to_dict(train_tree(runs[n]))
 
 
+def test_predict_all_asks_each_distinct_tree_once_in_ascending_order():
+    # Two trees shared by thresholds that are neither adjacent nor listed
+    # in order.
+    calls = []
+
+    class Counting:
+        def __init__(self, p):
+            self.p = p
+
+        def predict(self, features):
+            calls.append(self)
+            return self.p
+
+    low, high = Counting(0.2), Counting(0.7)
+    ensemble = ThresholdEnsemble(trees={5: low, 1: high, 3: low, 2: high, 4: Counting(0.4)})
+    probs = ensemble.predict_all({})
+    assert list(probs.items()) == [(1, 0.7), (2, 0.7), (3, 0.2), (4, 0.4), (5, 0.2)]
+    assert len(calls) == 3 and {id(low), id(high)} < set(map(id, calls))
+
+
 def test_constant_labels_give_single_leaf_trees():
     runs = {n: _constant_cases(True) for n in DEFAULT_THRESHOLDS}
     ensemble = train_threshold_ensemble(runs)
