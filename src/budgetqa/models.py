@@ -115,14 +115,18 @@ def extract_run_features(
 
 @dataclass
 class ThresholdEnsemble:
-    """One accuracy model per rewrite-budget threshold. ``trees`` is not
-    changed after the ensemble is built."""
+    """One accuracy model per rewrite-budget threshold. Thresholds whose
+    trees are equal share one tree object from when the ensemble is built,
+    however the trees were made; ``trees`` is not changed after that."""
 
     trees: dict[int, DecisionTree]
 
     def __post_init__(self):
-        # Each distinct tree with the thresholds that share it (see
-        # ``train_threshold_ensemble``), by its smallest threshold.
+        # A threshold takes the first tree equal to its own (``index``
+        # compares with ``==``), then each distinct tree is kept with the
+        # thresholds that share it, by its smallest threshold.
+        trees = list(self.trees.values())
+        self.trees = {n: trees[trees.index(tree)] for n, tree in self.trees.items()}
         groups: dict[int, tuple[DecisionTree, list[int]]] = {}
         for n in self.thresholds:
             groups.setdefault(id(self.trees[n]), (self.trees[n], []))[1].append(n)
@@ -146,8 +150,8 @@ class ThresholdEnsemble:
 def train_threshold_ensemble(runs: Mapping[int, Sequence[TrainingCase]]) -> ThresholdEnsemble:
     """Train one tree per threshold of ``DEFAULT_THRESHOLDS``; every
     threshold must have data. A threshold whose cases equal the previous
-    threshold's shares that threshold's tree: training is deterministic, so
-    it would grow the same one."""
+    threshold's is not trained again but takes that threshold's tree:
+    training is deterministic, so it would grow the same one."""
     missing = [n for n in DEFAULT_THRESHOLDS if not runs.get(n)]
     if missing:
         raise IncompleteEnsemble(f"no training runs for thresholds {missing}")
@@ -170,6 +174,9 @@ MODELS_FORMAT = 3
 # The name a models file records for ``AdjacencyGrammarScorer``, the only
 # scorer it can be trained or served with.
 SCORER_NAME = "adjacency"
+# What a models file records besides its trees, as ``save`` writes it and
+# ``load`` requires it: the trees hold only for this format, scorer and probe.
+MODELS_HEADER = {"format": MODELS_FORMAT, "scorer": SCORER_NAME, "probe_size": PROBE_SIZE}
 
 
 @dataclass(eq=False)
@@ -207,9 +214,7 @@ class ModelSet:
         if self.ensemble.thresholds != DEFAULT_THRESHOLDS:
             raise ValueError(f"ensemble budgets {list(self.ensemble.thresholds)} are not {list(DEFAULT_THRESHOLDS)}")
         data = {
-            "format": MODELS_FORMAT,
-            "scorer": SCORER_NAME,
-            "probe_size": PROBE_SIZE,
+            **MODELS_HEADER,
             "conjunctive": tree_to_dict(self.conjunctive),
             "phrasal": tree_to_dict(self.phrasal),
             "ensemble": {str(n): tree_to_dict(t) for n, t in self.ensemble.trees.items()},
@@ -223,33 +228,24 @@ class ModelSet:
     @classmethod
     def load(cls, directory: str) -> "ModelSet":
         """Read ``models.json`` under ``directory``; it serves with an
-        ``AdjacencyGrammarScorer``. A threshold whose tree equals the
-        previous threshold's shares it, as in ``train_threshold_ensemble``.
-        A file of another format, another scorer, another probe size or an
-        ensemble whose budgets are not ``DEFAULT_THRESHOLDS`` raises
+        ``AdjacencyGrammarScorer``. Thresholds whose trees are equal share
+        one, as ``ThresholdEnsemble`` makes them. A file whose header is not
+        ``MODELS_HEADER`` (another format, scorer or probe size) or whose
+        ensemble budgets are not ``DEFAULT_THRESHOLDS`` raises
         ``ConfigError``."""
         path = os.path.join(directory, MODELS_FILE)
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-            if data["format"] != MODELS_FORMAT:
-                raise ValueError(f"format {data['format']!r} is not {MODELS_FORMAT}")
-            if data["scorer"] != SCORER_NAME:
-                raise ValueError(f"scorer {data['scorer']!r} is not {SCORER_NAME!r}")
-            if data["probe_size"] != PROBE_SIZE:
-                raise ValueError(f"probe size {data['probe_size']!r} is not {PROBE_SIZE}")
+            for name, value in MODELS_HEADER.items():
+                if data[name] != value:
+                    raise ValueError(f"{name} {data[name]!r} is not {value!r}")
             if (budgets := sorted(map(int, data["ensemble"] or ()))) != list(DEFAULT_THRESHOLDS):
                 raise ValueError(f"ensemble budgets {budgets} are not {list(DEFAULT_THRESHOLDS)}")
-            trees: dict[int, DecisionTree] = {}
-            previous = None
-            for n, shape in data["ensemble"].items():
-                if shape != previous:
-                    previous, tree = shape, tree_from_dict(shape)
-                trees[int(n)] = tree
             return cls(
                 conjunctive=tree_from_dict(data["conjunctive"]),
                 phrasal=tree_from_dict(data["phrasal"]),
-                ensemble=ThresholdEnsemble(trees=trees),
+                ensemble=ThresholdEnsemble({int(n): tree_from_dict(shape) for n, shape in data["ensemble"].items()}),
             )
         except KeyError as exc:
             raise ConfigError(f"bad models file {path}: no field {exc}") from exc

@@ -1,9 +1,11 @@
 """Offline search backend: a positional inverted index over a document corpus.
 
 The index supports exact-phrase and conjunctive lookup and returns page
-summaries in the form of word windows around the match. It is the
-reproducible stand-in for a remote search engine: matching is
-case-insensitive, results are deterministic, and the index is immutable
+summaries: the words from ``DEFAULT_WINDOW`` before a match to
+``DEFAULT_WINDOW`` after it, clipped to the document. That width is fixed,
+not set per index, since the models are trained on snippets of that width.
+The index is the reproducible stand-in for a remote search engine: matching
+is case-insensitive, results are deterministic, and the index is immutable
 after construction so concurrent queries are safe.
 
 The index is built in one pass over the documents' token keys: each token
@@ -78,7 +80,7 @@ class Document:
 
 @dataclass(frozen=True)
 class Snippet:
-    """A word window around one match. ``grams`` is not a field, so
+    """The words around one match. ``grams`` is not a field, so
     equality, hashing and ``dataclasses.replace`` ignore it."""
 
     text: str
@@ -116,9 +118,8 @@ class Index:
     is normalized.
     """
 
-    def __init__(self, docs: list[Document], window: int = DEFAULT_WINDOW):
+    def __init__(self, docs: list[Document]):
         self.docs = docs
-        self.window = window
         self.raw_words: list[list[str]] = [doc.text.split() for doc in docs]
         self.keys: list[list[str]] = [list(map(token_key, words)) for words in self.raw_words]
         postings: dict[str, list[tuple[int, int]]] = {}
@@ -135,8 +136,8 @@ class Index:
         }
 
     def _snippet(self, ordinal: int, start: int, end: int) -> Snippet:
-        lo = start - self.window
-        words = self.raw_words[ordinal][lo if lo > 0 else 0 : end + self.window]
+        lo = start - DEFAULT_WINDOW
+        words = self.raw_words[ordinal][lo if lo > 0 else 0 : end + DEFAULT_WINDOW]
         return Snippet(text=" ".join(words), source_doc=self.docs[ordinal].id)
 
     def phrase_positions(self, phrase_keys: list[str]) -> list[tuple[int, int]]:
@@ -167,7 +168,7 @@ class Index:
         ]
 
 
-def build_index(corpus: list[Document], window: int = DEFAULT_WINDOW) -> Index:
+def build_index(corpus: list[Document]) -> Index:
     """Build the inverted index; ids must be unique and the corpus nonempty."""
     if not corpus:
         raise EmptyCorpus("cannot index an empty corpus")
@@ -176,7 +177,7 @@ def build_index(corpus: list[Document], window: int = DEFAULT_WINDOW) -> Index:
         if doc.id in seen:
             raise DuplicateDocument(f"duplicate document id: {doc.id}")
         seen.add(doc.id)
-    return Index(corpus, window=window)
+    return Index(corpus)
 
 
 def _phrase_keys(tokens: Iterable[str]) -> list[str]:

@@ -16,7 +16,7 @@ from operator import attrgetter
 from budgetqa.compose import DEFAULT_FILTERS, Candidates, NGramCandidate
 from budgetqa.errors import WrongRewriteKind
 from budgetqa.rewrite import _AUX_LIKE, _DETERMINERS, VIOLATION_PENALTY, QuestionType, RewriteKind
-from budgetqa.search import DEFAULT_WINDOW, Document
+from budgetqa.search import Document
 from budgetqa.text import default_stopwords, token_key, word_tokens
 
 MAX_NGRAM = 3
@@ -492,11 +492,10 @@ def slow_ngrams(text: str) -> tuple:
     return tuple(out)
 
 
-def slow_index_init(self, docs: list[Document], window: int = DEFAULT_WINDOW):
+def slow_index_init(self, docs: list[Document]):
     """``Index.__init__`` with one ``setdefault`` per token; ``self`` is an
     ``Index`` made by ``Index.__new__``."""
     self.docs = docs
-    self.window = window
     self.raw_words: list[list[str]] = []
     self.keys: list[list[str]] = []
     self.postings: dict[str, list[tuple[int, int]]] = {}

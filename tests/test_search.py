@@ -88,10 +88,10 @@ def test_index_equals_the_slow_version(docs_text):
     # Empty documents included; an empty corpus is build_index's to reject.
     docs = _docs(docs_text)
     slow = Index.__new__(Index)
-    slow_index_init(slow, docs, window=3)
-    index = Index(docs, window=3)
+    slow_index_init(slow, docs)
+    index = Index(docs)
     assert _structures(index) == _structures(slow)
-    assert (index.docs, index.window) == (slow.docs, slow.window)
+    assert index.docs == slow.docs
 
 
 def test_build_index_rejects_duplicates_and_empty():
@@ -139,7 +139,7 @@ def test_snippet_window_contains_full_match():
     idx = build_index([Document("d", words + " alpha beta " + words)])
     (snippet,) = query_phrase(idx, ["alpha", "beta"])
     assert "alpha beta" in snippet.text
-    assert len(snippet.text.split()) <= 2 + 2 * idx.window
+    assert len(snippet.text.split()) == 2 + 2 * DEFAULT_WINDOW
 
 
 # "Zeta's" and "alpha," share keys with "Zeta" and "alpha"; "--" is a word
@@ -150,6 +150,13 @@ _vocab = [
     "Zeta's", "alpha,", "--", "—",
 ]
 _doc_text = st.lists(st.sampled_from(_vocab), min_size=1, max_size=12).map(" ".join)
+# Some documents longer than a match of up to 3 words with DEFAULT_WINDOW
+# words on each side, so that a snippet's cut falls inside the document at
+# both ends.
+_snippet_doc_text = st.one_of(
+    _doc_text,
+    st.lists(st.sampled_from(_vocab), min_size=2 * DEFAULT_WINDOW + 4, max_size=3 * DEFAULT_WINDOW).map(" ".join),
+)
 
 
 @st.composite
@@ -163,15 +170,15 @@ def _phrase_in(draw, docs_text, max_size):
 
 
 @st.composite
-def _corpus_and_phrase(draw, max_docs=12, max_size=3):
-    docs_text = draw(st.lists(_doc_text, min_size=1, max_size=max_docs))
+def _corpus_and_phrase(draw, max_docs=12, max_size=3, doc_text=_doc_text):
+    docs_text = draw(st.lists(doc_text, min_size=1, max_size=max_docs))
     return docs_text, draw(_phrase_in(docs_text, max_size))
 
 
 @st.composite
-def _corpus_and_parts(draw, max_docs=10):
+def _corpus_and_parts(draw, max_docs=10, doc_text=_doc_text):
     # Conjunctive parts are single words, as generate_rewrites emits them.
-    docs_text = draw(st.lists(_doc_text, min_size=1, max_size=max_docs))
+    docs_text = draw(st.lists(doc_text, min_size=1, max_size=max_docs))
     parts = draw(st.lists(_phrase_in(docs_text, 1).map(" ".join), min_size=1, max_size=3))
     return docs_text, parts
 
@@ -180,20 +187,22 @@ def _docs(docs_text):
     return [Document(f"d{i:03d}", text) for i, text in enumerate(docs_text)]
 
 
-@given(case=_corpus_and_phrase(), window=st.integers(0, 3))
-@example(  # a repeated key, and the rarest key last
-    case=(["eta eta theta eta eta theta", "eta theta", "eta eta"], ["eta", "eta", "theta"]),
-    window=1,
-)
-@example(case=(["alpha alpha, alpha -- alpha", "Zeta's alpha"], ["alpha", "ALPHA"]), window=0)
+_LONG_DOC = " ".join(["alpha"] * 12 + ["eta", "eta", "theta"] + ["beta"] * 12 + ["eta", "theta", "gamma"])
+
+
+@given(case=_corpus_and_phrase(doc_text=_snippet_doc_text))
+# a repeated key, and the rarest key last; the first match is cut inside
+# the document at both ends, the second at its start
+@example(case=([_LONG_DOC, "eta eta theta eta eta theta", "eta theta"], ["eta", "eta", "theta"]))
+@example(case=([_LONG_DOC, "alpha alpha, alpha -- alpha", "Zeta's alpha"], ["alpha", "ALPHA"]))
 @settings(deadline=None, max_examples=80)
-def test_phrase_query_equals_linear_scan(case, window):
+def test_phrase_query_equals_linear_scan(case):
     docs_text, phrase = case
     docs = _docs(docs_text)
-    idx = build_index(docs, window=window)
+    idx = build_index(docs)
     got = [(s.source_doc, s.text) for s in query_phrase(idx, phrase, limit=10_000)]
     hits = scan_phrase(docs, phrase)
-    assert got == scan_snippets(docs, hits, len(query_keys(phrase)), window)
+    assert got == scan_snippets(docs, hits, len(query_keys(phrase)), DEFAULT_WINDOW)
 
 
 @given(case=_corpus_and_phrase(max_size=4))
@@ -210,17 +219,19 @@ def test_phrase_positions_equal_linear_scan(case):
     assert [(docs[o].id, p) for o, p in got] == scan_phrase(docs, phrase)
 
 
-@given(case=_corpus_and_parts(), window=st.integers(0, 3))
-@example(case=(["eta eta theta x eta eta", "theta eta eta"], ["eta", "theta"]), window=1)
-@example(case=(["-- beta gamma", "beta -- gamma"], ["--", "beta", "gamma"]), window=0)
+@given(case=_corpus_and_parts(doc_text=_snippet_doc_text))
+# each snippet is cut around the first "eta", in _LONG_DOC inside the
+# document at both ends
+@example(case=([_LONG_DOC, "eta eta theta x eta eta", "theta eta eta"], ["eta", "theta"]))
+@example(case=(["-- beta gamma", "beta -- gamma", _LONG_DOC], ["--", "beta", "gamma"]))
 @settings(deadline=None, max_examples=80)
-def test_conjunctive_query_equals_linear_scan(case, window):
+def test_conjunctive_query_equals_linear_scan(case):
     docs_text, parts = case
     docs = _docs(docs_text)
-    idx = build_index(docs, window=window)
+    idx = build_index(docs)
     got = [(s.source_doc, s.text) for s in query_conjunctive(idx, parts, limit=10_000)]
     assert [d for d, _ in got] == scan_conjunctive(docs, parts)
-    assert got == scan_conjunctive_snippets(docs, parts, window)
+    assert got == scan_conjunctive_snippets(docs, parts, DEFAULT_WINDOW)
 
 
 @given(
@@ -241,16 +252,16 @@ def test_thousand_doc_corpus_matches_linear_scan_on_query_fuzz_set():
     docs = [
         Document(
             f"d{i:04d}",
-            " ".join(rng.choice(_vocab) for _ in range(rng.randint(3, 15))),
+            " ".join(rng.choice(_vocab) for _ in range(rng.randint(3, 3 * DEFAULT_WINDOW))),
         )
         for i in range(1000)
     ]
-    idx = build_index(docs, window=2)
+    idx = build_index(docs)
     for _ in range(25):
         phrase = [rng.choice(_vocab) for _ in range(rng.randint(1, 3))]
         got = [(s.source_doc, s.text) for s in query_phrase(idx, phrase, limit=10_000)]
         hits = scan_phrase(docs, phrase)
-        assert got == scan_snippets(docs, hits, len(query_keys(phrase)), 2)
+        assert got == scan_snippets(docs, hits, len(query_keys(phrase)), DEFAULT_WINDOW)
 
 
 def test_offline_provider_dispatch_and_meter():
@@ -345,7 +356,7 @@ def _corpus_and_rewrite(draw):
 @settings(deadline=None, max_examples=80)
 def test_memoised_results_equal_direct_queries(case, limits):
     docs_text, rewrite = case
-    index = build_index(_docs(docs_text), window=1)
+    index = build_index(_docs(docs_text))
     provider = OfflineProvider(index)
     for limit in limits:
         expected = _direct(index, rewrite, limit)
@@ -529,12 +540,10 @@ def test_read_jsonl_skips_blank_lines_and_raises_unlisted_errors(tmp_path):
 
 # SHA-256 of every rewrite's offline results on generate_benchmark(240, seed=0).
 # Index optimisations must keep every snippet, its order, text and source.
-# Its documents average 12 words, so the default window covers nearly all of
-# each; the narrow window also pins where each match starts.
-SEARCH_GOLDEN_DIGESTS = {
-    DEFAULT_WINDOW: "44800af695fc9737f57ae789567908f268898ac42e7c8646e2cc8c0aee3df6f9",
-    2: "91ef315867517ac68cb4f6cd01be2aea403feaa289aec9712a1ac9a24e548d34",
-}
+# Its documents average 12 words, so the DEFAULT_WINDOW cut covers nearly all
+# of each; the linear-scan tests above draw documents that it cuts at both
+# ends.
+SEARCH_GOLDEN_DIGEST = "44800af695fc9737f57ae789567908f268898ac42e7c8646e2cc8c0aee3df6f9"
 
 
 def _results_digest(provider, items):
@@ -555,13 +564,12 @@ def _results_digest(provider, items):
     return executed, digest.hexdigest()
 
 
-@pytest.mark.parametrize("window", sorted(SEARCH_GOLDEN_DIGESTS))
-def test_offline_results_match_golden_digest(window):
+def test_offline_results_match_golden_digest():
     bench = generate_benchmark(240, seed=0)
-    provider = OfflineProvider(build_index(bench.corpus, window=window))
+    provider = OfflineProvider(build_index(bench.corpus))
     # The second pass is answered from the provider's memo.
     for _ in range(2):
-        assert _results_digest(provider, bench.items) == (1536, SEARCH_GOLDEN_DIGESTS[window])
+        assert _results_digest(provider, bench.items) == (1536, SEARCH_GOLDEN_DIGEST)
 
 
 def test_snippet_keeps_its_ngrams_outside_its_value():
