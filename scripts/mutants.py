@@ -104,6 +104,16 @@ MUTANTS = [
         ("tests/test_cli.py",),
     ),
     Mutant(
+        "models-header-field-skipped", "src/budgetqa/models.py",
+        "for name, value in MODELS_HEADER.items():", "for name, value in list(MODELS_HEADER.items())[:-1]:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "ensemble-shares-only-identical-trees", "src/budgetqa/models.py",
+        "{n: trees[trees.index(tree)] for n, tree", "{n: tree for n, tree",
+        ("tests/test_models.py", "tests/test_harness.py"),
+    ),
+    Mutant(
         "quality-order-reversed", "src/budgetqa/models.py",
         "key=self.quality_score, reverse=True)", "key=self.quality_score, reverse=False)",
         ("tests/test_models.py",),

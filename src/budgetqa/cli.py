@@ -140,6 +140,20 @@ def _generate(questions: int, redundancy: int, distractors: int, seed: int) -> b
     return bench.generate_benchmark(questions, redundancy=redundancy, distractors=distractors, seed=seed)
 
 
+def _require_directory(path: str, option: str) -> None:
+    """A usage error unless the directory a file ``path`` goes in exists."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise click.BadParameter(f"no directory to write {path} in", param_hint=f"'{option}'")
+
+
+def _make_directory(path: str, option: str) -> None:
+    """Create the directory ``path`` if it is missing; a usage error if it cannot be."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise click.BadParameter(f"cannot create {path}: {exc.strerror or exc}", param_hint=f"'{option}'")
+
+
 def _comma_list(item_type: click.ParamType):
     """Option callback: a comma-separated list of at least one ``item_type``."""
 
@@ -227,6 +241,7 @@ def cmd_ask(question, config_path, policy, n, seed, k, corpus_path, models_dir, 
 def cmd_train(dataset_path, config_path, corpus_path, out_dir):
     """Train the quality models and the threshold ensemble on a labelled dataset."""
     cfg = load_config(config_path, corpus=corpus_path)
+    _make_directory(out_dir, "--out")
     dataset = evaluation.load_dataset(dataset_path)
     models = harness.train_models(
         dataset, cfg.make_provider(), scorer=AdjacencyGrammarScorer()
@@ -259,8 +274,8 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, corpus_path, mod
         raise click.UsageError("'--sweep-k' and '--sweep-n' are separate runs; give one of them")
     ran = "--sweep-k" if sweep_k_values else "--sweep-n" if sweep_n_flag else f"--policy {policy}"
     mode = _mode(ran, {"--n": n, "--seed": seed, "--k": k, "--seeds": seeds})
-    if out_path and not os.path.isdir(os.path.dirname(out_path) or "."):
-        raise click.BadParameter(f"no directory to write {out_path} in", param_hint="'--out'")
+    if out_path:
+        _require_directory(out_path, "--out")
     cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, seed=seed)
     dataset = evaluation.load_dataset(dataset_path)
     if not dataset:
@@ -294,10 +309,12 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, corpus_path, mod
 
 @cli.command("gen-bench")
 @_generator_options(min_questions=1, default_questions=100)
-@click.option("--out-corpus", type=click.Path(), required=True)
-@click.option("--out-dataset", type=click.Path(), required=True)
+@click.option("--out-corpus", type=click.Path(dir_okay=False), required=True)
+@click.option("--out-dataset", type=click.Path(dir_okay=False), required=True)
 def cmd_gen_bench(questions, redundancy, distractors, seed, out_corpus, out_dataset):
     """Generate a synthetic benchmark corpus and dataset."""
+    _require_directory(out_corpus, "--out-corpus")
+    _require_directory(out_dataset, "--out-dataset")
     result = _generate(questions, redundancy, distractors, seed)
     save_corpus(result.corpus, out_corpus)
     evaluation.dump_dataset(result.items, out_dataset)
@@ -322,10 +339,7 @@ def cmd_reproduce(questions, redundancy, distractors, seed, k, seeds, out_dir):
     likelihood sweep, the policy comparison and the answer-value sweep
     (``evaluation.reproduce``). Prints their tables and writes
     policy_comparison.jsonl and k_sweep.jsonl under --out-dir."""
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise click.BadParameter(f"cannot create {out_dir}: {exc.strerror or exc}", param_hint="'--out-dir'")
+    _make_directory(out_dir, "--out-dir")
     t0 = time.perf_counter()
     result = _generate(questions, redundancy, distractors, seed)
     half = questions // 2

@@ -11,6 +11,14 @@ fixed schema: the mined-candidate count of each of the two rewrite weights
 (``rulescore_1``, ``rulescore_5``) is a feature whether or not the run used
 that weight, so a one-word question's lone conjunctive rewrite yields the
 same keys as any other run.
+
+The trees hold only for what they were trained with, so a models file
+records it once, as ``MODELS_HEADER`` (format, scorer and probe size):
+``ModelSet.save`` writes that mapping and ``ModelSet.load`` requires it.
+Thresholds whose trees are equal share one tree object, and so one
+prediction: ``ThresholdEnsemble`` makes them share when it is built, from
+trained or loaded trees alike, while ``train_threshold_ensemble`` trains a
+case list equal to the previous threshold's only once.
 """
 
 from __future__ import annotations

@@ -104,6 +104,43 @@ def test_train_has_no_scorer_option(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_out_that_is_a_file_is_usage_error_before_training(workspace, tmp_path, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr("budgetqa.harness.train_models", no_training)
+    out = tmp_path / "taken"
+    out.write_text("not a directory", encoding="utf-8")
+    assert main([
+        "train", "--dataset", workspace["dataset"], "--corpus", workspace["corpus"], "--out", str(out),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert f"usage error: Invalid value for '--out': cannot create {out}: File exists" in captured.err
+    assert captured.out == ""
+    assert out.read_text(encoding="utf-8") == "not a directory"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("option", ["--out-corpus", "--out-dataset"])
+def test_gen_bench_output_without_its_directory_is_usage_error_before_generating(
+    tmp_path, monkeypatch, capsys, option
+):
+    def no_generating(*args, **kwargs):
+        raise AssertionError("a benchmark was generated")
+
+    monkeypatch.setattr("budgetqa.bench.generate_benchmark", no_generating)
+    outs = {"--out-corpus": tmp_path / "c.jsonl", "--out-dataset": tmp_path / "d.jsonl"}
+    outs[option] = tmp_path / "missing" / outs[option].name
+    assert main([
+        "gen-bench", "--questions", "10",
+        "--out-corpus", str(outs["--out-corpus"]), "--out-dataset", str(outs["--out-dataset"]),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert f"usage error: Invalid value for '{option}': no directory to write {outs[option]} in" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "edit",
     [

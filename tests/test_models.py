@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from budgetqa.rewrite import (
 )
 from budgetqa.compose import Candidates, NGramCandidate, compose_answers
 from budgetqa.search import Snippet
-from budgetqa.tree import Leaf, DecisionTree, TrainingCase, train_tree, tree_to_dict
+from budgetqa.tree import Leaf, DecisionTree, TrainingCase, train_tree, tree_from_dict, tree_to_dict
 
 from oracles import best_subset_score
 from stubs import StubGrammarScorer
@@ -193,6 +195,32 @@ def test_predict_all_asks_each_distinct_tree_once_in_ascending_order():
     probs = ensemble.predict_all({})
     assert list(probs.items()) == [(1, 0.7), (2, 0.7), (3, 0.2), (4, 0.4), (5, 0.2)]
     assert len(calls) == 3 and {id(low), id(high)} < set(map(id, calls))
+
+
+def test_loaded_ensemble_shares_equal_trees_that_are_not_adjacent(tmp_path, monkeypatch):
+    # Budget 1's tree copied to budget 20, with other trees between them:
+    # the two still share one tree object and so one prediction.
+    seeds = {n: 1 if n == 1 else 2 if n < 10 else 3 for n in DEFAULT_THRESHOLDS}
+    tree = train_tree(_constant_cases(True))
+    ensemble = train_threshold_ensemble({n: _mixed_cases(seeds[n]) for n in DEFAULT_THRESHOLDS})
+    ModelSet(tree, tree, ensemble).save(str(tmp_path))
+    data = json.loads((tmp_path / "models.json").read_text(encoding="utf-8"))
+    shapes = data["ensemble"]
+    shapes["20"] = shapes["1"]
+    assert len({json.dumps(shape) for shape in shapes.values()}) == 3
+    (tmp_path / "models.json").write_text(json.dumps(data), encoding="utf-8")
+    loaded = ModelSet.load(str(tmp_path)).ensemble
+    assert loaded.trees[20] is loaded.trees[1] is not loaded.trees[15]
+
+    calls = []
+    predict = DecisionTree.predict
+    monkeypatch.setattr(DecisionTree, "predict", lambda self, features: calls.append(self) or predict(self, features))
+    for features in ({"x": x, "kind": kind} for x in (0.0, 2.0, 4.0) for kind in "ab"):
+        calls.clear()
+        probs = loaded.predict_all(features)
+        assert len(calls) == 3
+        assert list(probs) == list(DEFAULT_THRESHOLDS)
+        assert probs == {n: predict(tree_from_dict(shapes[str(n)]), features) for n in DEFAULT_THRESHOLDS}
 
 
 def test_constant_labels_give_single_leaf_trees():
