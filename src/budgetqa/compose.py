@@ -315,8 +315,6 @@ def compose_answers(
     keys as ``mine_ngrams`` takes them: mine, filter, tile. Head of the
     result is the answer; evidence without snippets yields no candidates.
     The result carries the counts of the one mining it was composed from."""
-    if not any(snippets for _, snippets in evidence):
-        return Candidates((), 0, {})
     mined = mine_ngrams(evidence, exclude=exclude)
     filtered = filter_ngrams(mined, qtype)
     return Candidates(tile_ngrams(filtered, mined.keys), mined.mined, mined.mined_by_weight)

@@ -61,13 +61,16 @@ class QAItem:
     ``parsed``, the question's ``Question``, is parsed on first use and kept
     for the item's lifetime; with the rewrites that ``Question`` keeps, every
     evaluation of the item reuses one parse and one set of rewrites.
-    ``verdicts`` maps each top answer ``verdict`` was asked about to its
-    ``judge`` judgment. None of the three is a field, so equality, hashing
-    and ``dataclasses.replace`` ignore them, and a copy starts empty.
+    Neither ``patterns`` nor ``parsed`` is a field, so equality, hashing
+    and ``dataclasses.replace`` ignore them. ``verdicts`` maps each top answer
+    ``verdict`` was asked about to its ``judge`` judgment; it is a declared
+    field that equality, hashing and ``repr`` ignore, and a copy starts it
+    empty.
     """
 
     question: str
     pattern_texts: tuple[str, ...]
+    verdicts: dict[str | None, Judgment] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def patterns(self) -> tuple[re.Pattern, ...]:
@@ -76,10 +79,6 @@ class QAItem:
     @cached_property
     def parsed(self) -> Question:
         return Question.from_text(self.question)
-
-    @cached_property
-    def verdicts(self) -> dict[str | None, Judgment]:
-        return {}
 
     def verdict(self, top_answer: str | None) -> Judgment:
         """``judge(top_answer, self.patterns)``, judged once per answer.
@@ -201,8 +200,7 @@ def evaluate(
 
     def one(idx: int, item: QAItem) -> QuestionRecord:
         result = run_policy(policy, item.parsed, provider, models, prefs, question_index=idx)
-        answers = result.answers
-        top = answers[0].text if answers else None
+        top = result.top_answer
         return QuestionRecord(
             item.question, item.verdict(top), result.queries_issued, top,
             "; ".join(result.backend_errors) or None,

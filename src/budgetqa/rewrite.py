@@ -52,13 +52,15 @@ class Question:
 
     ``rewrites`` and ``token_keys`` are derived on first use and kept for the
     question's lifetime, so running one question again does not rewrite it
-    again. ``orders`` and ``compositions`` remember what its runs produced
-    (see ``control.py``). None of these is a field, so equality, hashing
-    and ``dataclasses.replace`` ignore them.
+    again; neither is a field. ``orders`` and ``compositions`` remember what
+    its runs produced (see ``control.py``); they are declared fields that
+    equality, hashing and ``repr`` ignore, and a copy starts them empty.
     """
 
     tokens: tuple[str, ...]
     qtype: QuestionType
+    orders: dict[object, tuple[Rewrite, ...]] = field(default_factory=dict, init=False, compare=False, repr=False)
+    compositions: dict[tuple[int | None, ...], tuple] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_text(cls, text: str) -> "Question":
@@ -73,14 +75,6 @@ class Question:
     def rewrites(self) -> tuple[Rewrite, ...]:
         """``generate_rewrites(self)``, generated once."""
         return tuple(generate_rewrites(self))
-
-    @cached_property
-    def orders(self) -> dict[object, tuple[Rewrite, ...]]:
-        return {}
-
-    @cached_property
-    def compositions(self) -> dict[tuple[int | None, ...], tuple]:
-        return {}
 
 
 @dataclass(frozen=True, slots=True)
