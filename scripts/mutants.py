@@ -72,6 +72,19 @@ MUTANTS = [
         "    item.patterns  # compiled now, so a bad regex fails here\n", "",
         ("tests/test_evaluation.py",),
     ),
+    # The memo maps stay out of a question's and an item's value.
+    Mutant(
+        "item-verdicts-compared", "src/budgetqa/evaluation.py",
+        "verdicts: dict[str | None, Judgment] = field(default_factory=dict, init=False, compare=False, repr=False)",
+        "verdicts: dict[str | None, Judgment] = field(default_factory=dict, init=False, repr=False)",
+        ("tests/test_evaluation.py",),
+    ),
+    Mutant(
+        "question-compositions-compared", "src/budgetqa/rewrite.py",
+        "compositions: dict[tuple[int | None, ...], tuple] = field(default_factory=dict, init=False, compare=False,",
+        "compositions: dict[tuple[int | None, ...], tuple] = field(default_factory=dict, init=False,",
+        ("tests/test_rewrite.py",),
+    ),
     # The experiments' sequence.
     Mutant(
         "k-sweep-grid-changed", "src/budgetqa/evaluation.py",

@@ -146,6 +146,14 @@ def _require_directory(path: str, option: str) -> None:
         raise click.BadParameter(f"no directory to write {path} in", param_hint=f"'{option}'")
 
 
+def _refuse_overwrite(path: str, option: str, others: dict[str, str | None]) -> None:
+    """A usage error if ``path`` names the same file as any of ``others``
+    (what each file is, to its path, or None when there is none)."""
+    for what, other in others.items():
+        if other and os.path.realpath(other) == os.path.realpath(path):
+            raise click.BadParameter(f"{path} is also the {what}", param_hint=f"'{option}'")
+
+
 def _make_directory(path: str, option: str) -> None:
     """Create the directory ``path`` if it is missing; a usage error if it cannot be."""
     try:
@@ -241,8 +249,8 @@ def cmd_ask(question, config_path, policy, n, seed, k, corpus_path, models_dir, 
 def cmd_train(dataset_path, config_path, corpus_path, out_dir):
     """Train the quality models and the threshold ensemble on a labelled dataset."""
     cfg = load_config(config_path, corpus=corpus_path)
-    _make_directory(out_dir, "--out")
     dataset = evaluation.load_dataset(dataset_path)
+    _make_directory(out_dir, "--out")
     models = harness.train_models(
         dataset, cfg.make_provider(), scorer=AdjacencyGrammarScorer()
     )
@@ -274,9 +282,10 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, corpus_path, mod
         raise click.UsageError("'--sweep-k' and '--sweep-n' are separate runs; give one of them")
     ran = "--sweep-k" if sweep_k_values else "--sweep-n" if sweep_n_flag else f"--policy {policy}"
     mode = _mode(ran, {"--n": n, "--seed": seed, "--k": k, "--seeds": seeds})
+    cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, seed=seed)
     if out_path:
         _require_directory(out_path, "--out")
-    cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, seed=seed)
+        _refuse_overwrite(out_path, "--out", {"dataset": dataset_path, "corpus": cfg.corpus})
     dataset = evaluation.load_dataset(dataset_path)
     if not dataset:
         raise DatasetParseError("dataset is empty")
@@ -315,6 +324,7 @@ def cmd_gen_bench(questions, redundancy, distractors, seed, out_corpus, out_data
     """Generate a synthetic benchmark corpus and dataset."""
     _require_directory(out_corpus, "--out-corpus")
     _require_directory(out_dataset, "--out-dataset")
+    _refuse_overwrite(out_dataset, "--out-dataset", {"corpus": out_corpus})
     result = _generate(questions, redundancy, distractors, seed)
     save_corpus(result.corpus, out_corpus)
     evaluation.dump_dataset(result.items, out_dataset)

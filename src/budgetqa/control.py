@@ -18,7 +18,9 @@ the threshold models learn from exactly the evidence, filters and error
 handling the controller sees.
 
 A question replayed under several orders and budgets (the N sweep) repeats
-work, so each ``Question`` remembers what its runs produced in two maps.
+work, so each ``Question`` remembers what its runs produced in two maps,
+declared as its fields ``orders`` and ``compositions`` (equality, hashing
+and ``repr`` ignore both, and ``dataclasses.replace`` starts them empty).
 ``orders`` maps what fixes a selection order (the ``ModelSet`` itself,
 which hashes by identity, or a shuffle's seed and question index) to that
 order. ``compositions`` maps the positions of a prefix's rewrites that

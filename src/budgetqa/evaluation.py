@@ -64,8 +64,8 @@ class QAItem:
     Neither ``patterns`` nor ``parsed`` is a field, so equality, hashing
     and ``dataclasses.replace`` ignore them. ``verdicts`` maps each top answer
     ``verdict`` was asked about to its ``judge`` judgment; it is a declared
-    field that equality, hashing and ``repr`` ignore, and a copy starts it
-    empty.
+    field that equality, hashing and ``repr`` ignore, and
+    ``dataclasses.replace`` starts it empty.
     """
 
     question: str

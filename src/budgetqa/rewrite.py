@@ -54,7 +54,8 @@ class Question:
     question's lifetime, so running one question again does not rewrite it
     again; neither is a field. ``orders`` and ``compositions`` remember what
     its runs produced (see ``control.py``); they are declared fields that
-    equality, hashing and ``repr`` ignore, and a copy starts them empty.
+    equality, hashing and ``repr`` ignore, and ``dataclasses.replace``
+    starts them empty.
     """
 
     tokens: tuple[str, ...]

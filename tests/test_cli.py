@@ -121,6 +121,35 @@ def test_train_out_that_is_a_file_is_usage_error_before_training(workspace, tmp_
     assert list(tmp_path.iterdir()) == [out]
 
 
+def test_train_reads_its_dataset_before_it_creates_out(workspace, tmp_path, capsys):
+    out = tmp_path / "models"
+    assert main([
+        "train", "--dataset", str(tmp_path / "missing.jsonl"), "--corpus", workspace["corpus"],
+        "--out", str(out),
+    ]) == 2
+    assert "missing.jsonl" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("dataset_name", ["x.jsonl", "./x.jsonl", "sub/../x.jsonl"])
+def test_gen_bench_one_file_for_both_outputs_is_usage_error_before_generating(
+    tmp_path, monkeypatch, capsys, dataset_name
+):
+    def no_generating(*args, **kwargs):
+        raise AssertionError("a benchmark was generated")
+
+    monkeypatch.setattr("budgetqa.bench.generate_benchmark", no_generating)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main([
+        "gen-bench", "--questions", "10", "--out-corpus", "x.jsonl", "--out-dataset", dataset_name,
+    ]) == 1
+    captured = capsys.readouterr()
+    assert f"usage error: Invalid value for '--out-dataset': {dataset_name} is also the corpus" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
+
+
 @pytest.mark.parametrize("option", ["--out-corpus", "--out-dataset"])
 def test_gen_bench_output_without_its_directory_is_usage_error_before_generating(
     tmp_path, monkeypatch, capsys, option
@@ -483,6 +512,28 @@ def test_evaluate_out_without_its_directory_is_usage_error_before_any_query(
     captured = capsys.readouterr()
     assert f"usage error: Invalid value for '--out': no directory to write {out} in" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("what", ["dataset", "corpus"])
+def test_evaluate_out_that_is_an_input_is_usage_error_before_any_query(
+    workspace, models_dir, tmp_path, monkeypatch, capsys, what
+):
+    def no_query(self, rewrite, limit):
+        raise AssertionError("a query was issued")
+
+    monkeypatch.setattr(OfflineProvider, "execute", no_query)
+    inputs = {name: tmp_path / f"{name}.jsonl" for name in ("dataset", "corpus")}
+    for name, path in inputs.items():
+        path.write_bytes(Path(workspace[name]).read_bytes())
+    assert main([
+        "evaluate", "--dataset", str(inputs["dataset"]), "--corpus", str(inputs["corpus"]),
+        "--models", models_dir, "--out", f"{tmp_path}/./{what}.jsonl",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert "usage error: Invalid value for '--out':" in captured.err and f"is also the {what}" in captured.err
+    assert captured.out == ""
+    for name, path in inputs.items():
+        assert path.read_bytes() == Path(workspace[name]).read_bytes()
 
 
 def test_evaluate_sweep_n_shape(workspace, models_dir, capsys):

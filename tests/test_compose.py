@@ -512,8 +512,10 @@ def test_compose_is_deterministic(lincoln_provider):
 
 
 def test_compose_empty_snippets():
-    assert compose_answers([], QuestionType.WHO) == ()
-    assert compose_answers([(5.0, []), (1.0, [])], QuestionType.WHO) == ()
+    for evidence in ([], [(5.0, []), (1.0, [])]):
+        composed = compose_answers(evidence, QuestionType.WHO)
+        assert composed == ()
+        assert composed.mined == 0 and dict(composed.mined_by_weight) == {} and composed.keys is None
 
 
 def test_support_conserved_through_filtering():

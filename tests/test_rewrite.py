@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from budgetqa.bench import generate_benchmark
+from budgetqa.control import RandomN, run_policy
 from budgetqa.errors import EmptyQuestion, WrongRewriteKind
 from budgetqa.rewrite import (
     AdjacencyGrammarScorer,
@@ -198,7 +199,7 @@ def test_feature_extraction_never_fails_on_generated_rewrites(text):
             assert 0.0 <= pf["sgm"] <= 1.0
 
 
-def test_question_keeps_its_rewrites_outside_its_value():
+def test_question_keeps_its_rewrites_outside_its_value(lincoln_provider):
     question = Question.from_text("Who killed Abraham Lincoln?")
     rewrites = question.rewrites
     assert isinstance(rewrites, tuple) and question.rewrites is rewrites
@@ -211,6 +212,13 @@ def test_question_keeps_its_rewrites_outside_its_value():
     assert "rewrites" not in moved.__dict__ and "token_keys" not in moved.__dict__
     assert list(moved.rewrites) == generate_rewrites(moved)
     assert moved.token_keys == {"who", "shot", "lincoln"}
+    # What its runs produced is no part of its value either.
+    run_policy(RandomN(3, seed=0), question, lincoln_provider)
+    assert question.orders and question.compositions
+    assert twin == question and hash(twin) == hash(question)
+    assert repr(question) == repr(twin) == f"Question(tokens={question.tokens!r}, qtype={question.qtype!r})"
+    copy = dataclasses.replace(question)
+    assert copy == question and copy.orders == {} and copy.compositions == {}
 
 
 def test_generated_rewrites_carry_their_positions_outside_their_value():
