@@ -243,6 +243,12 @@ MUTANTS = [
         'LikelihoodN(n=n or 3), ("--n",), True)', 'LikelihoodN(n=n or 3), ("--n",), False)',
         ("tests/test_cli.py",),
     ),
+    # The command line's declaration of each command's files.
+    Mutant(
+        "evaluate-reads-no-models-file", "src/budgetqa/cli.py",
+        '"corpus": cfg.corpus, "models file": models_file}', '"corpus": cfg.corpus}',
+        ("tests/test_cli.py",),
+    ),
     Mutant(
         "reproduce-takes-one-question", "src/budgetqa/cli.py",
         "@_generator_options(min_questions=2, default_questions=400)",

@@ -7,6 +7,15 @@ All three search one backend, set by ``--corpus`` or ``--config``.
 ``reproduce`` runs the paper's experiments end to end on a generated
 benchmark; ``scripts/run_policy_experiments.py`` is that command.
 Exit codes: 0 success or abstain, 1 usage error, 2 data error, 3 backend error.
+
+Each command that writes declares its files once, in one ``_check_files``
+call after its config loads and before any other work: what it reads (the
+dataset, the config file, the corpus and the models file, the last two
+also when only the config names them) and what it writes (a file, or a
+directory and the names it writes there). An output that resolves to an
+input or to another output, or whose directory does not exist and cannot
+be made, is a usage error. The check creates nothing; a directory is made
+only when a file is written in it.
 """
 
 from __future__ import annotations
@@ -30,15 +39,8 @@ from .control import (
     RandomN,
     run_policy,
 )
-from .errors import (
-    BudgetQAError,
-    ConfigError,
-    DatasetParseError,
-    IncompleteEnsemble,
-    ProviderError,
-    RetryableError,
-)
-from .models import SCORER_NAME, ModelSet
+from .errors import BudgetQAError, ProviderError, RetryableError
+from .models import MODELS_FILE, SCORER_NAME, ModelSet
 from .rewrite import AdjacencyGrammarScorer
 from .search import OfflineProvider, build_index, save_corpus
 from .tree import describe_tree
@@ -140,26 +142,28 @@ def _generate(questions: int, redundancy: int, distractors: int, seed: int) -> b
     return bench.generate_benchmark(questions, redundancy=redundancy, distractors=distractors, seed=seed)
 
 
-def _require_directory(path: str, option: str) -> None:
-    """A usage error unless the directory a file ``path`` goes in exists."""
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise click.BadParameter(f"no directory to write {path} in", param_hint=f"'{option}'")
-
-
-def _refuse_overwrite(path: str, option: str, others: dict[str, str | None]) -> None:
-    """A usage error if ``path`` names the same file as any of ``others``
-    (what each file is, to its path, or None when there is none)."""
-    for what, other in others.items():
-        if other and os.path.realpath(other) == os.path.realpath(path):
-            raise click.BadParameter(f"{path} is also the {what}", param_hint=f"'{option}'")
-
-
-def _make_directory(path: str, option: str) -> None:
-    """Create the directory ``path`` if it is missing; a usage error if it cannot be."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise click.BadParameter(f"cannot create {path}: {exc.strerror or exc}", param_hint=f"'{option}'")
+def _check_files(reads: dict[str, str | None], writes: list[tuple[str, str, str, str]]) -> None:
+    """A usage error for an output that resolves to an input or to another
+    output, or whose directory does not exist and cannot be made; it creates
+    nothing. ``reads`` gives each input's path (None for none) by what it
+    is. Each of ``writes`` is what an output holds, the option naming it,
+    its path and a name: "" when the path is the file, whose directory must
+    exist, else the file's name in the directory ``path``, which must exist
+    or be creatable."""
+    seen = {os.path.realpath(path): what for what, path in reads.items() if path}
+    for what, option, path, name in writes:
+        found = path if name else os.path.dirname(path) or "."
+        while name and not os.path.lexists(found):
+            found = os.path.dirname(found) or "."
+        if not os.path.isdir(found):
+            problem = f"cannot create {path}: " + ("File exists" if found == path else "Not a directory")
+            raise click.BadParameter(problem if name else f"no directory to write {path} in", param_hint=f"'{option}'")
+        if name and found != path and not os.access(found, os.W_OK | os.X_OK):
+            raise click.BadParameter(f"cannot create {path}: Permission denied", param_hint=f"'{option}'")
+        file = os.path.join(path, name) if name else path
+        if (real := os.path.realpath(file)) in seen:
+            raise click.BadParameter(f"{file} is also the {seen[real]}", param_hint=f"'{option}'")
+        seen[real] = what
 
 
 def _comma_list(item_type: click.ParamType):
@@ -249,8 +253,9 @@ def cmd_ask(question, config_path, policy, n, seed, k, corpus_path, models_dir, 
 def cmd_train(dataset_path, config_path, corpus_path, out_dir):
     """Train the quality models and the threshold ensemble on a labelled dataset."""
     cfg = load_config(config_path, corpus=corpus_path)
+    _check_files({"dataset": dataset_path, "config": config_path, "corpus": cfg.corpus},
+                 [("models file", "--out", out_dir, MODELS_FILE)])
     dataset = evaluation.load_dataset(dataset_path)
-    _make_directory(out_dir, "--out")
     models = harness.train_models(
         dataset, cfg.make_provider(), scorer=AdjacencyGrammarScorer()
     )
@@ -283,12 +288,10 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, corpus_path, mod
     ran = "--sweep-k" if sweep_k_values else "--sweep-n" if sweep_n_flag else f"--policy {policy}"
     mode = _mode(ran, {"--n": n, "--seed": seed, "--k": k, "--seeds": seeds})
     cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, seed=seed)
-    if out_path:
-        _require_directory(out_path, "--out")
-        _refuse_overwrite(out_path, "--out", {"dataset": dataset_path, "corpus": cfg.corpus})
+    models_file = cfg.models_dir and os.path.join(cfg.models_dir, MODELS_FILE)
+    _check_files({"dataset": dataset_path, "config": config_path, "corpus": cfg.corpus, "models file": models_file},
+                 [("report file", "--out", out_path, "")] if out_path else [])
     dataset = evaluation.load_dataset(dataset_path)
-    if not dataset:
-        raise DatasetParseError("dataset is empty")
     models = _load_models(cfg, ran)
     provider = cfg.make_provider()
     if jobs is None:
@@ -322,9 +325,7 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, corpus_path, mod
 @click.option("--out-dataset", type=click.Path(dir_okay=False), required=True)
 def cmd_gen_bench(questions, redundancy, distractors, seed, out_corpus, out_dataset):
     """Generate a synthetic benchmark corpus and dataset."""
-    _require_directory(out_corpus, "--out-corpus")
-    _require_directory(out_dataset, "--out-dataset")
-    _refuse_overwrite(out_dataset, "--out-dataset", {"corpus": out_corpus})
+    _check_files({}, [("corpus", "--out-corpus", out_corpus, ""), ("dataset", "--out-dataset", out_dataset, "")])
     result = _generate(questions, redundancy, distractors, seed)
     save_corpus(result.corpus, out_corpus)
     evaluation.dump_dataset(result.items, out_dataset)
@@ -349,7 +350,8 @@ def cmd_reproduce(questions, redundancy, distractors, seed, k, seeds, out_dir):
     likelihood sweep, the policy comparison and the answer-value sweep
     (``evaluation.reproduce``). Prints their tables and writes
     policy_comparison.jsonl and k_sweep.jsonl under --out-dir."""
-    _make_directory(out_dir, "--out-dir")
+    names = ("policy_comparison.jsonl", "k_sweep.jsonl")
+    _check_files({}, [(name, "--out-dir", out_dir, name) for name in names])
     t0 = time.perf_counter()
     result = _generate(questions, redundancy, distractors, seed)
     half = questions // 2
@@ -366,8 +368,10 @@ def cmd_reproduce(questions, redundancy, distractors, seed, k, seeds, out_dir):
     headings = ("fixed budgets: random vs likelihood order", "policy comparison", "answer-value sweep")
     for heading, table in zip(headings, experiment.tables()):
         click.echo(f"\n== {heading} ==\n{table}")
-    evaluation.write_jsonl([r.to_json() for r in experiment.reports], os.path.join(out_dir, "policy_comparison.jsonl"))
-    evaluation.write_jsonl([r.to_json() for _, r in experiment.k_results], os.path.join(out_dir, "k_sweep.jsonl"))
+    os.makedirs(out_dir, exist_ok=True)
+    reports = ([r.to_json() for r in experiment.reports], [r.to_json() for _, r in experiment.k_results])
+    for name, rows in zip(names, reports):
+        evaluation.write_jsonl(rows, os.path.join(out_dir, name))
 
     click.echo(f"\ndone in {time.perf_counter() - t0:.1f}s; reports under {out_dir}/")
 
@@ -382,14 +386,11 @@ def main(argv: list[str] | None = None) -> int:
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return EXIT_USAGE
-    except (DatasetParseError, ConfigError, IncompleteEnsemble) as exc:
-        click.echo(f"data error: {exc}", err=True)
-        return EXIT_DATA
     except (RetryableError, ProviderError) as exc:
         click.echo(f"backend error: {exc}", err=True)
         return EXIT_BACKEND
     except (BudgetQAError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"data error: {exc}", err=True)
         return EXIT_DATA
 
 

@@ -131,8 +131,11 @@ def load_dataset(path: str) -> list[QAItem]:
     ``question`` or ``patterns`` (a bare string would become one regex per
     character), a pattern that does not compile, or a question with no word
     tokens, raises ``DatasetParseError`` with the line number, before any
-    query is issued."""
-    return read_jsonl(path, "dataset", _item, (re.error, EmptyQuestion))
+    query is issued; so does a file with no items ("dataset is empty"),
+    which no command can train on or evaluate."""
+    if not (items := read_jsonl(path, "dataset", _item, (re.error, EmptyQuestion))):
+        raise DatasetParseError("dataset is empty")
+    return items
 
 
 def dump_dataset(items: Sequence[QAItem], path: str) -> None:

@@ -287,9 +287,15 @@ def read_jsonl(path: str, what: str, record: Callable, errors: tuple[type[Except
     one of ``errors`` becomes ``DatasetParseError("bad {what} record:
     ...")`` with the line number. Lines end at a line feed, as JSON Lines
     has them, and each is decoded on its own, so a byte that is not UTF-8
-    is reported on its line."""
+    is reported on its line. A file that cannot be opened (missing, or a
+    directory) raises ``DatasetParseError("cannot read {what} {path}:
+    ...")``."""
     out = []
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DatasetParseError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             try:
                 text = line.decode("utf-8")

@@ -121,6 +121,24 @@ def test_train_out_that_is_a_file_is_usage_error_before_training(workspace, tmp_
     assert list(tmp_path.iterdir()) == [out]
 
 
+def test_out_dir_under_an_unwritable_directory_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys):
+    # Faked through os.access, since a privileged user may write anywhere.
+    def no_benchmark(*args, **kwargs):
+        raise AssertionError("generation ran")
+
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    real_access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: path != str(locked) and real_access(path, mode))
+    monkeypatch.setattr("budgetqa.bench.generate_benchmark", no_benchmark)
+    out = locked / "results"
+    assert main(["reproduce", "--questions", "10", "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"usage error: Invalid value for '--out-dir': cannot create {out}: Permission denied" in captured.err
+    assert list(locked.iterdir()) == []
+
+
 def test_train_reads_its_dataset_before_it_creates_out(workspace, tmp_path, capsys):
     out = tmp_path / "models"
     assert main([
@@ -534,6 +552,108 @@ def test_evaluate_out_that_is_an_input_is_usage_error_before_any_query(
     assert captured.out == ""
     for name, path in inputs.items():
         assert path.read_bytes() == Path(workspace[name]).read_bytes()
+
+
+# Each command that writes, with an output named as one of its inputs or as
+# its other output: the arguments, with "@" where the output's spelling
+# "./" or "sub/../" goes, and what the output also is. The files sit in one
+# directory laid out by _one_file_twice_layout. reproduce has no case: it
+# reads nothing, and its two outputs differ in name within one directory.
+_ONE_FILE_TWICE = {
+    "train-dataset": (["train", "--dataset", "t/models.json", "--corpus", "corpus.jsonl", "--out", "@t"], "dataset"),
+    "train-corpus": (["train", "--dataset", "dataset.jsonl", "--corpus", "u/models.json", "--out", "@u"], "corpus"),
+    "train-config": (["train", "--dataset", "dataset.jsonl", "--config", "v/models.json", "--out", "@v"], "config"),
+    "train-config-corpus": (["train", "--dataset", "dataset.jsonl", "--config", "w.json", "--out", "@u"], "corpus"),
+    "evaluate-dataset": (["evaluate", "--dataset", "dataset.jsonl", "--corpus", "corpus.jsonl", "--policy", "all",
+                          "--out", "@dataset.jsonl"], "dataset"),
+    "evaluate-corpus": (["evaluate", "--dataset", "dataset.jsonl", "--corpus", "corpus.jsonl", "--policy", "all",
+                         "--out", "@corpus.jsonl"], "corpus"),
+    "evaluate-config": (["evaluate", "--dataset", "dataset.jsonl", "--config", "cfg.json", "--policy", "all",
+                         "--out", "@cfg.json"], "config"),
+    "evaluate-config-corpus": (["evaluate", "--dataset", "dataset.jsonl", "--config", "cfg.json", "--policy", "all",
+                                "--out", "@corpus.jsonl"], "corpus"),
+    "evaluate-models": (["evaluate", "--dataset", "dataset.jsonl", "--corpus", "corpus.jsonl", "--models", "models",
+                         "--policy", "all", "--out", "@models/models.json"], "models file"),
+    "evaluate-config-models": (["evaluate", "--dataset", "dataset.jsonl", "--config", "cfg-models.json",
+                                "--policy", "all", "--out", "@models/models.json"], "models file"),
+    "gen-bench-outputs": (["gen-bench", "--questions", "10", "--out-corpus", "x.jsonl", "--out-dataset", "@x.jsonl"],
+                          "corpus"),
+}
+
+
+def _one_file_twice_layout(workspace, models_dir, root):
+    """The files _ONE_FILE_TWICE names, written under ``root``."""
+    dataset, corpus = (Path(workspace[name]).read_bytes() for name in ("dataset", "corpus"))
+    config = json.dumps({"corpus": "corpus.jsonl"}).encode()
+    layout = {
+        "dataset.jsonl": dataset,
+        "corpus.jsonl": corpus,
+        "models/models.json": (Path(models_dir) / "models.json").read_bytes(),
+        "cfg.json": config,
+        "cfg-models.json": json.dumps({"corpus": "corpus.jsonl", "models_dir": "models"}).encode(),
+        "t/models.json": dataset,
+        "u/models.json": corpus,
+        "v/models.json": config,
+        "w.json": json.dumps({"corpus": "u/models.json"}).encode(),
+    }
+    (root / "sub").mkdir()
+    for name, data in layout.items():
+        (root / name).parent.mkdir(exist_ok=True)
+        (root / name).write_bytes(data)
+
+
+def _tree(root):
+    """Every path under ``root``, with a file's bytes (None for a directory)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("spelling", ["./", "sub/../"], ids=["dot", "sub-dotdot"])
+@pytest.mark.parametrize("case", list(_ONE_FILE_TWICE))
+def test_an_output_that_is_an_input_or_another_output_is_usage_error_that_writes_nothing(
+    workspace, models_dir, tmp_path, monkeypatch, capsys, case, spelling
+):
+    # Any input a run reads, the models file and the config included, can
+    # be overwritten by an output that resolves to it.
+    args, what = _ONE_FILE_TWICE[case]
+    monkeypatch.chdir(tmp_path)
+    _one_file_twice_layout(workspace, models_dir, tmp_path)
+    before = _tree(tmp_path)
+    assert main([arg.replace("@", spelling) for arg in args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: Invalid value for" in captured.err and f"is also the {what}" in captured.err
+    assert _tree(tmp_path) == before
+
+
+_READERS = {
+    "train": (["train", "--dataset", "PATH", "--corpus", "CORPUS", "--out", "OUT"], "dataset"),
+    "evaluate": (["evaluate", "--dataset", "PATH", "--corpus", "CORPUS", "--policy", "all"], "dataset"),
+    "ask": (["ask", "Who did it?", "--corpus", "PATH", "--policy", "all"], "corpus"),
+}
+
+
+@pytest.mark.parametrize("state", ["missing", "directory", "empty"])
+@pytest.mark.parametrize("command", list(_READERS))
+def test_missing_directory_or_empty_input_is_data_error(workspace, tmp_path, capsys, command, state):
+    # Each is named as a data error, not an OS error number, and train on an
+    # empty dataset stops before it builds the index.
+    args, what = _READERS[command]
+    path = tmp_path / f"{what}.jsonl"
+    if state == "directory":
+        path.mkdir()
+    elif state == "empty":
+        path.write_bytes(b"")
+    names = {"PATH": str(path), "CORPUS": workspace["corpus"], "OUT": str(tmp_path / "models")}
+    assert main([names.get(arg, arg) for arg in args]) == 2
+    expected = {
+        "missing": f"cannot read dataset {path}: No such file or directory" if what == "dataset"
+        else f"corpus path does not exist: {path}",
+        "directory": f"cannot read {what} {path}: Is a directory",
+        "empty": "dataset is empty" if what == "dataset" else "cannot index an empty corpus",
+    }[state]
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"data error: {expected}\n")
+    assert not (tmp_path / "models").exists()
 
 
 def test_evaluate_sweep_n_shape(workspace, models_dir, capsys):
