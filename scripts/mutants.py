@@ -205,8 +205,8 @@ MUTANTS = [
         ("tests/test_compose.py",),
     ),
     Mutant(
-        "tiling-overlap-shortcut-unchecked", "src/budgetqa/compose.py",
-        "if overlap > len(kb) or ka[-overlap:] != kb[:overlap]:", "if overlap > len(kb):",
+        "tiling-membership-tests-last-key", "src/budgetqa/compose.py",
+        "kb[0] not in ka", "kb[-1] not in ka",
         ("tests/test_compose.py",),
     ),
     Mutant(

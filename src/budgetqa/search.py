@@ -190,11 +190,7 @@ def query_phrase(index: Index, phrase: Sequence[str], limit: int = DEFAULT_LIMIT
     Results are ordered by (document id, position) and truncated to ``limit``.
     """
     keys = _phrase_keys(phrase)
-    if not keys:
-        return ()
     hits = index.phrase_positions(keys)
-    if not hits:
-        return ()
     hits.sort(key=lambda hit: (index.docs[hit[0]].id, hit[1]))
     return tuple(index._snippet(o, p, p + len(keys)) for o, p in hits[:limit])
 
