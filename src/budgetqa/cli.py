@@ -13,9 +13,9 @@ call after its config loads and before any other work: what it reads (the
 dataset, the config file, the corpus and the models file, the last two
 also when only the config names them) and what it writes (a file, or a
 directory and the names it writes there). An output that resolves to an
-input or to another output, or whose directory does not exist and cannot
-be made, is a usage error. The check creates nothing; a directory is made
-only when a file is written in it.
+input or to another output, that is an existing directory, or whose
+directory does not exist and cannot be made, is a usage error. The check
+creates nothing; a directory is made only when a file is written in it.
 """
 
 from __future__ import annotations
@@ -144,12 +144,12 @@ def _generate(questions: int, redundancy: int, distractors: int, seed: int) -> b
 
 def _check_files(reads: dict[str, str | None], writes: list[tuple[str, str, str, str]]) -> None:
     """A usage error for an output that resolves to an input or to another
-    output, or whose directory does not exist and cannot be made; it creates
-    nothing. ``reads`` gives each input's path (None for none) by what it
-    is. Each of ``writes`` is what an output holds, the option naming it,
-    its path and a name: "" when the path is the file, whose directory must
-    exist, else the file's name in the directory ``path``, which must exist
-    or be creatable."""
+    output, that is an existing directory, or whose directory does not exist
+    and cannot be made; it creates nothing. ``reads`` gives each input's
+    path (None for none) by what it is. Each of ``writes`` is what an output
+    holds, the option naming it, its path and a name: "" when the path is
+    the file, whose directory must exist, else the file's name in the
+    directory ``path``, which must exist or be creatable."""
     seen = {os.path.realpath(path): what for what, path in reads.items() if path}
     for what, option, path, name in writes:
         found = path if name else os.path.dirname(path) or "."
@@ -161,6 +161,8 @@ def _check_files(reads: dict[str, str | None], writes: list[tuple[str, str, str,
         if name and found != path and not os.access(found, os.W_OK | os.X_OK):
             raise click.BadParameter(f"cannot create {path}: Permission denied", param_hint=f"'{option}'")
         file = os.path.join(path, name) if name else path
+        if os.path.isdir(file):
+            raise click.BadParameter(f"cannot create {file}: Is a directory", param_hint=f"'{option}'")
         if (real := os.path.realpath(file)) in seen:
             raise click.BadParameter(f"{file} is also the {seen[real]}", param_hint=f"'{option}'")
         seen[real] = what
@@ -287,6 +289,9 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, corpus_path, mod
         raise click.UsageError("'--sweep-k' and '--sweep-n' are separate runs; give one of them")
     ran = "--sweep-k" if sweep_k_values else "--sweep-n" if sweep_n_flag else f"--policy {policy}"
     mode = _mode(ran, {"--n": n, "--seed": seed, "--k": k, "--seeds": seeds})
+    source = click.get_current_context().get_parameter_source("policy")
+    if mode.build is None and source is click.core.ParameterSource.COMMANDLINE:  # a sweep runs no --policy
+        raise click.UsageError(f"'--policy' takes effect only without a sweep, not with {ran}")
     cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, seed=seed)
     models_file = cfg.models_dir and os.path.join(cfg.models_dir, MODELS_FILE)
     _check_files({"dataset": dataset_path, "config": config_path, "corpus": cfg.corpus, "models file": models_file},

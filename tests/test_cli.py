@@ -121,6 +121,42 @@ def test_train_out_that_is_a_file_is_usage_error_before_training(workspace, tmp_
     assert list(tmp_path.iterdir()) == [out]
 
 
+# Each command that writes named files into a directory, with one of them
+# already a directory: the arguments, the option, that file, and the files
+# already written beside it, with their bytes.
+_OUTPUT_IS_A_DIRECTORY = {
+    "train": (["train", "--dataset", "DATASET", "--corpus", "CORPUS", "--out", "m"], "--out", "m/models.json", {}),
+    "reproduce-policy-comparison": (["reproduce", "--questions", "10", "--out-dir", "r"], "--out-dir",
+                                    "r/policy_comparison.jsonl", {"r/k_sweep.jsonl": b"old\n"}),
+    "reproduce-k-sweep": (["reproduce", "--questions", "10", "--out-dir", "r"], "--out-dir",
+                          "r/k_sweep.jsonl", {"r/policy_comparison.jsonl": b"old\n"}),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUTPUT_IS_A_DIRECTORY))
+def test_a_named_output_that_is_a_directory_is_usage_error_before_any_work(
+    workspace, tmp_path, monkeypatch, capsys, case
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("training or generation ran")
+
+    monkeypatch.setattr("budgetqa.harness.train_models", no_work)
+    monkeypatch.setattr("budgetqa.bench.generate_benchmark", no_work)
+    monkeypatch.chdir(tmp_path)
+    args, option, taken, beside = _OUTPUT_IS_A_DIRECTORY[case]
+    (tmp_path / taken).mkdir(parents=True)
+    (tmp_path / taken / "kept.txt").write_bytes(b"kept\n")
+    for name, data in beside.items():
+        (tmp_path / name).write_bytes(data)
+    before = _tree(tmp_path)
+    names = {"DATASET": workspace["dataset"], "CORPUS": workspace["corpus"]}
+    assert main([names.get(arg, arg) for arg in args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"usage error: Invalid value for '{option}': cannot create {taken}: Is a directory" in captured.err
+    assert _tree(tmp_path) == before
+
+
 def test_out_dir_under_an_unwritable_directory_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys):
     # Faked through os.access, since a privileged user may write anywhere.
     def no_benchmark(*args, **kwargs):
@@ -294,6 +330,26 @@ def test_bad_serving_option_is_usage_error(workspace, models_dir, monkeypatch, c
     args = [workspace["dataset"] if a == "DATASET" else a for a in args]
     assert main(args + ["--corpus", workspace["corpus"], "--models", models_dir]) == 1
     assert f"'{option}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy", ["cost-benefit", "all"])
+@pytest.mark.parametrize("sweep", [["--sweep-k", "5,10"], ["--sweep-n"]], ids=["sweep-k", "sweep-n"])
+def test_policy_given_with_a_sweep_is_usage_error_before_any_query(
+    workspace, models_dir, monkeypatch, capsys, sweep, policy
+):
+    # A sweep runs its own policies, so a --policy given with one would be
+    # ignored; cost-benefit is evaluate's default, refused all the same.
+    def no_query(self, rewrite, limit):
+        raise AssertionError("a query was issued")
+
+    monkeypatch.setattr(OfflineProvider, "execute", no_query)
+    assert main([
+        "evaluate", "--dataset", workspace["dataset"], "--corpus", workspace["corpus"], "--models", models_dir,
+        "--policy", policy, *sweep,
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"usage error: '--policy' takes effect only without a sweep, not with {sweep[0]}" in captured.err
 
 
 def test_k_and_c_from_a_config_file_are_accepted_by_every_run(workspace, models_dir, tmp_path):
