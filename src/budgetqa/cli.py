@@ -290,7 +290,8 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, corpus_path, mod
     ran = "--sweep-k" if sweep_k_values else "--sweep-n" if sweep_n_flag else f"--policy {policy}"
     mode = _mode(ran, {"--n": n, "--seed": seed, "--k": k, "--seeds": seeds})
     source = click.get_current_context().get_parameter_source("policy")
-    if mode.build is None and source is click.core.ParameterSource.COMMANDLINE:  # a sweep runs no --policy
+    # A sweep runs its own policies, so a --policy given with one would be ignored.
+    if (sweep_k_values or sweep_n_flag) and source is click.core.ParameterSource.COMMANDLINE:
         raise click.UsageError(f"'--policy' takes effect only without a sweep, not with {ran}")
     cfg = load_config(config_path, corpus=corpus_path, models_dir=models_dir, k=k, seed=seed)
     models_file = cfg.models_dir and os.path.join(cfg.models_dir, MODELS_FILE)
