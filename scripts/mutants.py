@@ -185,7 +185,12 @@ MUTANTS = [
     ),
     Mutant(
         "index-first-posting-misplaced", "src/budgetqa/search.py",
-        "postings[key] = [(ordinal, pos)]", "postings[key] = [(ordinal, pos + 1)]",
+        "postings[key] = [ordinal, pos]", "postings[key] = [ordinal, pos + 1]",
+        ("tests/test_search.py",),
+    ),
+    Mutant(
+        "snippet-window-start-shifted", "src/budgetqa/search.py",
+        "lo = start - DEFAULT_WINDOW", "lo = start - DEFAULT_WINDOW + 1",
         ("tests/test_search.py",),
     ),
     Mutant(

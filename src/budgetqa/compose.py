@@ -80,8 +80,10 @@ class Candidates(tuple):
     ``mined`` is the number of distinct n-grams mined; ``mined_by_weight``,
     a read-only mapping, maps each rewrite weight to how many of them that
     weight's snippets produced (a weight whose snippets produced none may
-    be absent). Mining also sets ``keys``, each candidate's key tuple in
-    order; otherwise it is None. None of the three can be reassigned.
+    be absent). A ``MappingProxyType`` given is kept as it is, so a
+    composition shares its mining's. Mining also sets ``keys``, each
+    candidate's key tuple in order; otherwise it is None. None of the three
+    can be reassigned.
     """
 
     def __new__(
@@ -94,7 +96,9 @@ class Candidates(tuple):
         self = tuple.__new__(cls, items)
         attrs = vars(self)
         attrs["mined"] = mined
-        attrs["mined_by_weight"] = MappingProxyType(mined_by_weight)
+        if type(mined_by_weight) is not MappingProxyType:
+            mined_by_weight = MappingProxyType(mined_by_weight)
+        attrs["mined_by_weight"] = mined_by_weight
         attrs["keys"] = keys
         return self
 

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import pickle
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from budgetqa import compose
 from budgetqa.bench import generate_benchmark
 from budgetqa.compose import (
     DEFAULT_FILTERS,
+    Candidates,
     NGramCandidate,
     compose_answers,
     filter_ngrams,
@@ -239,6 +242,25 @@ def test_mutating_a_mined_list_leaves_later_minings_alone():
     with pytest.raises(AttributeError):
         del first.keys
     assert _mined(first) == _mined(mine_ngrams(evidence)) == expected
+
+
+def test_candidates_keep_a_read_only_mapping_they_are_given():
+    evidence = [(5.0, [_snip("John Wilkes Booth"), _snip("Booth was an actor")]), (2.0, [_snip("Wilkes Booth")])]
+    mined = mine_ngrams(evidence)
+    proxy = mined.mined_by_weight
+    counts = dict(proxy)
+    assert isinstance(proxy, MappingProxyType) and counts == {5.0: 7, 2.0: 3}
+    kept = Candidates(mined, mined.mined, proxy)
+    assert kept.mined_by_weight is proxy and dict(kept.mined_by_weight) == counts
+    # A plain mapping is still wrapped, and a composition's proxy is over
+    # mining's dict itself, not over another proxy.
+    wrapped = Candidates((), 0, {1.0: 2})
+    assert isinstance(wrapped.mined_by_weight, MappingProxyType)
+    with pytest.raises(TypeError):
+        wrapped.mined_by_weight[1.0] = 0
+    composed = compose_answers(evidence, QuestionType.WHO)
+    assert dict(composed.mined_by_weight) == counts
+    assert [type(inner) for inner in gc.get_referents(composed.mined_by_weight)] == [dict]
 
 
 # --------------------------------------------------------------------------

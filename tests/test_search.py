@@ -4,6 +4,7 @@ import json
 import pickle
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -46,8 +47,8 @@ LINCOLN_DOC = Document("d1", "John Wilkes Booth killed Abraham Lincoln in Ford's
 
 def test_build_index_postings():
     idx = build_index([Document("d", "a b a")])
-    assert idx.postings["a"] == [(0, 0), (0, 2)]
-    assert idx.postings["b"] == [(0, 1)]
+    assert idx.postings["a"] == [0, 0, 0, 2]
+    assert idx.postings["b"] == [0, 1]
 
 
 def test_first_positions_keep_each_docs_first_occurrence():
@@ -72,17 +73,18 @@ _index_vocab = ["alpha", "ALPHA", "alpha,", "Zeta", "Zeta's", "zeta’s", "’s"
 
 
 def _structures(index):
-    """An index's four structures, with every dict's key order spelled out."""
+    """An index's first positions and keys, with every dict's key order
+    spelled out."""
     return (
-        list(index.postings.items()),
         [(key, list(docs.items())) for key, docs in index.first_positions.items()],
         index.keys,
-        index.raw_words,
     )
 
 
 @given(docs_text=st.lists(st.lists(st.sampled_from(_index_vocab), max_size=10).map(" ".join), max_size=8))
 @example(docs_text=["alpha — alpha", "", "Zeta's zeta’s ’s alpha,", "... -- beta alpha"])
+# longer than a window on both sides of any one-word match
+@example(docs_text=[" ".join(_index_vocab * 3)])
 @settings(deadline=None, max_examples=300)
 def test_index_equals_the_slow_version(docs_text):
     # Empty documents included; an empty corpus is build_index's to reject.
@@ -90,8 +92,31 @@ def test_index_equals_the_slow_version(docs_text):
     slow = Index.__new__(Index)
     slow_index_init(slow, docs)
     index = Index(docs)
+    # The slow version's (ordinal, position) postings, flattened.
+    assert list(index.postings.items()) == [
+        (key, [n for posting in plist for n in posting]) for key, plist in slow.postings.items()
+    ]
     assert _structures(index) == _structures(slow)
     assert index.docs == slow.docs
+    # Every snippet the index can cut, a match from start to end, is cut
+    # from the document's raw words.
+    for ordinal, words in enumerate(slow.raw_words):
+        for start in range(len(words)):
+            for end in range(start + 1, len(words) + 1):
+                cut = words[max(0, start - DEFAULT_WINDOW) : end + DEFAULT_WINDOW]
+                assert index._snippet(ordinal, start, end) == Snippet(" ".join(cut), docs[ordinal].id)
+
+
+def test_index_of_the_240_question_corpus_traces_under_one_mib():
+    corpus = generate_benchmark(240, seed=0).corpus
+    build_index(corpus)  # the first build fills token_key's cache
+    tracemalloc.start()
+    try:
+        index = build_index(corpus)  # alive while its size is read
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size < 1 << 20, (size, len(index.docs))
 
 
 def test_build_index_rejects_duplicates_and_empty():
@@ -572,6 +597,14 @@ def test_offline_results_match_golden_digest():
         assert _results_digest(provider, bench.items) == (1536, SEARCH_GOLDEN_DIGEST)
 
 
+def test_documents_are_slotted_frozen_values():
+    doc = Document("d1", "John Wilkes Booth")
+    assert not hasattr(doc, "__dict__")
+    assert pickle.loads(pickle.dumps(doc)) == doc
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        doc.text = "Booth"
+
+
 def test_snippet_keeps_its_ngrams_outside_its_value():
     snippet, twin = Snippet("John Wilkes Booth", "d1"), Snippet("John Wilkes Booth", "d1")
     grams = snippet.grams
@@ -678,5 +711,7 @@ def _corpus_and_keys(draw):
 @settings(deadline=None, max_examples=300)
 def test_phrase_positions_equal_the_slow_version(case):
     docs_text, keys = case
-    index = build_index(_docs(docs_text))
-    assert index.phrase_positions(list(keys)) == slow_phrase_positions(index, list(keys))
+    docs = _docs(docs_text)
+    slow = Index.__new__(Index)
+    slow_index_init(slow, docs)
+    assert build_index(docs).phrase_positions(list(keys)) == slow_phrase_positions(slow, list(keys))
