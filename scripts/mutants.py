@@ -81,8 +81,8 @@ MUTANTS = [
     ),
     Mutant(
         "question-compositions-compared", "src/budgetqa/rewrite.py",
-        "compositions: dict[tuple[int | None, ...], tuple] = field(default_factory=dict, init=False, compare=False,",
-        "compositions: dict[tuple[int | None, ...], tuple] = field(default_factory=dict, init=False,",
+        "compositions: dict[tuple[tuple[str, ...], ...], tuple] = field(default_factory=dict, init=False, compare=False,",
+        "compositions: dict[tuple[tuple[str, ...], ...], tuple] = field(default_factory=dict, init=False,",
         ("tests/test_rewrite.py",),
     ),
     # The experiments' sequence.
@@ -154,6 +154,11 @@ MUTANTS = [
     Mutant(
         "answer-from-the-whole-probe", "src/budgetqa/control.py",
         "else max(decision.n, PROBE_SIZE), decision)", "else decision.n, decision)",
+        ("tests/test_control.py",),
+    ),
+    Mutant(
+        "composition-key-ignores-order", "src/budgetqa/control.py",
+        "key += (rewrite.parts,)", "key = tuple(sorted(key + (rewrite.parts,)))",
         ("tests/test_control.py",),
     ),
     # The budget choice.

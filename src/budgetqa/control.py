@@ -23,18 +23,17 @@ declared as its fields ``orders`` and ``compositions`` (equality, hashing
 and ``repr`` ignore both, and ``dataclasses.replace`` starts them empty).
 ``orders`` maps what fixes a selection order (the ``ModelSet`` itself,
 which hashes by identity, or a shuffle's seed and question index) to that
-order. ``compositions`` maps the positions of a prefix's rewrites that
+order. ``compositions`` maps the parts of a prefix's rewrites that
 returned snippets, in submission order, to the (evidence, candidates) pair
 composed from them; the evidence is those rewrites' (weight, snippets)
-pairs, and a run records both as it executes, the positions as one key
-per prefix length (``Run.keys``) that ``compose`` looks up directly. So a
-prefix whose new rewrites all came back empty reuses the composition
-before them, and two orders of the same rewrites are two keys, since
-mining's ties follow the order. A ``Rewrite`` carries its ``position``
-from ``generate_rewrites`` (None when built by hand), so copies key like
-the question's own. A composition is reused only when its stored evidence
-equals the run's, so two providers or two rewrites that share a key never
-mix results, and a pair is replaced whole for threads sharing a question.
+pairs, and ``Run.compose`` builds key and evidence in one loop over the
+prefix. So a prefix whose new rewrites all came back empty reuses the
+composition before them, two orders of the same rewrites are two keys,
+since mining's ties follow the order, and equal rewrites, generated or
+built by hand, key alike. A composition is reused only when its stored
+evidence equals the run's, so two providers or two rewrites that share a
+key never mix results, and a pair is replaced whole for threads sharing a
+question.
 Orders and compositions are tuples, so runs share them. With one provider,
 a question thus orders once per model set or shuffle and composes each
 distinct ordered evidence once. No prediction is remembered: every
@@ -185,19 +184,15 @@ class Run:
     batch's start time goes with every batch of the run as ``started``, so
     the provider's deadline bounds the whole question.
     Each executed rewrite's snippets stay apart, which is how run features
-    know the rewrite behind every snippet; those that returned snippets are
-    also recorded as the evidence composition reads, and ``keys[i]`` holds
-    their positions among the first i executed, the memo key ``compose``
-    looks that prefix up under. A backend failure (``RetryableError`` or
+    know the rewrite behind every snippet, and from which ``compose`` takes
+    a prefix's evidence and memo key. A backend failure (``RetryableError`` or
     ``ProviderError``) is recorded on its rewrite, which then contributes
     no snippets; it never aborts the question, and the failed query still
     counts as issued. Any other exception propagates after the outcomes
     before it are recorded.
     """
 
-    __slots__ = (
-        "question", "rewrites", "provider", "snippets", "evidence", "keys", "errors", "started",
-    )
+    __slots__ = ("question", "rewrites", "provider", "snippets", "errors", "started")
 
     def __init__(
         self, question: Question, rewrites: tuple[Rewrite, ...], provider: SearchProvider
@@ -206,11 +201,6 @@ class Run:
         self.rewrites = rewrites
         self.provider = provider
         self.snippets: list[Sequence[Snippet]] = []  # per executed rewrite
-        # The executed rewrites that returned snippets, in submission order:
-        # their (weight, snippets) pairs, and per prefix length i the
-        # positions of those among the first i executed.
-        self.evidence: list[tuple[float, Sequence[Snippet]]] = []
-        self.keys: list[tuple[int | None, ...]] = [()]
         self.errors: list[str] = []
         self.started: float | None = None  # time.monotonic() instant of the first batch
 
@@ -218,8 +208,6 @@ class Run:
         pending = self.rewrites[len(self.snippets) : n]
         if not pending:
             return
-        snippets, evidence, keys = self.snippets, self.evidence, self.keys
-        key = keys[-1]
         execute, batch = self.provider.execute, getattr(self.provider, "execute_many", None)
         if batch is not None:
             if self.started is None:
@@ -234,23 +222,23 @@ class Run:
             except (RetryableError, ProviderError) as exc:
                 self.errors.append(f"{rewrite.as_query()}: {exc}")
                 found = ()
-            snippets.append(found)
-            if found:
-                evidence.append((rewrite.weight, found))
-                key += (rewrite.position,)
-            keys.append(key)
+            self.snippets.append(found)
 
     def compose(self, n: int) -> Candidates:
         """Ranked answers from the first n rewrites (capped at the run's
         length), executing any not yet run. Only the rewrites that returned
         snippets are evidence: mining skips an empty group before it touches
-        anything, so leaving those out composes the same answers. A
-        composition the question remembers for this evidence is returned
-        itself (see the module docstring)."""
+        anything, so leaving those out composes the same answers. Their
+        parts, in order, are the key of a composition the question
+        remembers, which is returned itself when its evidence is this
+        run's (see the module docstring)."""
         n = min(n, len(self.rewrites))
         self._execute(n)
-        key = self.keys[n]
-        evidence = self.evidence[: len(key)]
+        key, evidence = (), []
+        for rewrite, found in zip(self.rewrites, self.snippets[:n]):
+            if found:
+                key += (rewrite.parts,)
+                evidence.append((rewrite.weight, found))
         memo = self.question.compositions
         kept = memo.get(key)  # read once: threads may replace it
         if kept is not None and kept[0] == evidence:

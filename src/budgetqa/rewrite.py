@@ -61,7 +61,7 @@ class Question:
     tokens: tuple[str, ...]
     qtype: QuestionType
     orders: dict[object, tuple[Rewrite, ...]] = field(default_factory=dict, init=False, compare=False, repr=False)
-    compositions: dict[tuple[int | None, ...], tuple] = field(default_factory=dict, init=False, compare=False, repr=False)
+    compositions: dict[tuple[tuple[str, ...], ...], tuple] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_text(cls, text: str) -> "Question":
@@ -84,15 +84,12 @@ class Rewrite:
 
     ``parts`` is an ordered tuple of phrase strings. A phrasal rewrite has a
     single multi-word part; a conjunctive rewrite has one single-word part
-    per term. ``position`` is its place among its question's rewrites when
-    ``generate_rewrites`` made it, None otherwise; it takes no part in
-    equality or hashing.
+    per term.
     """
 
     kind: RewriteKind
     parts: tuple[str, ...]
     weight: float
-    position: int | None = field(default=None, compare=False)
 
     def as_query(self) -> str:
         """Serialize into engine query syntax: quoted phrases, bare terms."""
@@ -132,8 +129,7 @@ def generate_rewrites(q: Question) -> list[Rewrite]:
     position of that verb among the remaining tokens. When the verb is a
     plain past form (ends in "ed") a passive construction
     "<rest> was <verb> by" is added as well. Phrasal output is capped at
-    MAX_PHRASAL; the conjunctive rewrite is always emitted, last. Each
-    rewrite's ``position`` is its index in the returned list.
+    MAX_PHRASAL; the conjunctive rewrite is always emitted, last.
 
     Sentence-initial capitalization carries no signal, so the first question
     token is lowercased before it enters any rewrite.
@@ -150,9 +146,9 @@ def generate_rewrites(q: Question) -> list[Rewrite]:
             phrases.append(" ".join(rest + ["was", verb, "by"]))
 
     rewrites = [
-        Rewrite(RewriteKind.PHRASAL, (phrase,), PHRASAL_WEIGHT, i) for i, phrase in enumerate(phrases[:MAX_PHRASAL])
+        Rewrite(RewriteKind.PHRASAL, (phrase,), PHRASAL_WEIGHT) for phrase in phrases[:MAX_PHRASAL]
     ]
-    rewrites.append(Rewrite(RewriteKind.CONJUNCTIVE, tuple(tokens), CONJUNCTIVE_WEIGHT, len(rewrites)))
+    rewrites.append(Rewrite(RewriteKind.CONJUNCTIVE, tuple(tokens), CONJUNCTIVE_WEIGHT))
     return rewrites
 
 

@@ -501,10 +501,10 @@ class _FixedProvider:
         return self.snippets[:limit]
 
 
-def _key(question, rewrites):
+def _key(rewrites):
     """The key a question keeps the composition of ``rewrites`` under: their
-    positions among its own rewrites, in submission order."""
-    return tuple(question.rewrites.index(r) for r in rewrites)
+    parts, in submission order."""
+    return tuple(r.parts for r in rewrites)
 
 
 def _outcome(result):
@@ -545,7 +545,7 @@ def test_a_cost_benefit_question_composes_each_providers_evidence():
     question = Question.from_text(QUESTION)
     run_policy(CostBenefit(), question, _FixedProvider("Booth fled"), models, Preferences(k=10, c=1))
     order = CostBenefit().select(question, models, 0)
-    probe, chosen = _key(question, order[:PROBE_SIZE]), _key(question, order[:5])
+    probe, chosen = _key(order[:PROBE_SIZE]), _key(order[:5])
     assert set(question.compositions) == {probe, chosen}
 
 
@@ -600,7 +600,7 @@ def test_threads_sharing_a_question_get_their_own_evidences_answers():
 
     assert _hammer(question, budgets, play) == []
     order = RandomN(max(budgets), seed=2).select(question, None, 0)
-    assert set(question.compositions) == {_key(question, order[:n]) for n in budgets}
+    assert set(question.compositions) == {_key(order[:n]) for n in budgets}
 
 
 def test_threads_sharing_a_question_get_their_own_probes_decisions():
@@ -667,7 +667,7 @@ def test_a_repeated_run_returns_the_remembered_composition(policy, lincoln_provi
     again = run_policy(policy, question, lincoln_provider, models, prefs)
     # A question's compositions are keyed by the rewrites that returned snippets.
     found = [r for r in first.rewrites_used if lincoln_provider.execute(r, DEFAULT_LIMIT)]
-    kept = question.compositions[_key(question, found)]
+    kept = question.compositions[_key(found)]
     assert first.answers and again.answers is first.answers is kept[1]
 
 
@@ -729,7 +729,7 @@ def test_a_cost_benefit_extension_that_found_nothing_answers_with_the_probe(monk
     assert result.decision.n == 5 and result.queries_issued == 5
     assert len(calls) == 1
     assert result.answers is Run(question, order, provider).compose(PROBE_SIZE)
-    assert result.answers is question.compositions[_key(question, order[:PROBE_SIZE])][1]
+    assert result.answers is question.compositions[_key(order[:PROBE_SIZE])][1]
 
 
 def test_two_orders_of_the_same_evidence_are_each_composed_once(lincoln_provider, monkeypatch):
@@ -761,13 +761,56 @@ def test_two_orders_of_the_same_evidence_are_each_composed_once(lincoln_provider
         fresh = Question.from_text(QUESTION)
         again = Run(fresh, fresh.rewrites[::step], lincoln_provider).compose(5)
         assert list(walks[order][4]) == list(again)
-    assert set(question.compositions) == {(0,), (0, 3), (0, 3, 4), (4,), (4, 3), (4, 3, 0)}
+    ordered_evidence = [(0,), (0, 3), (0, 3, 4), (4,), (4, 3), (4, 3, 0)]
+    assert set(question.compositions) == {_key([forward[i] for i in found]) for found in ordered_evidence}
+
+
+def test_hand_built_rewrites_each_find_their_own_composition(monkeypatch):
+    # Two rewrites built by hand, each returning snippets, key apart: running
+    # A after B finds A's composition, not B's in its place.
+    provider = _ScriptedProvider([["John Wilkes Booth shot the President"], ["Lee Harvey Oswald fled"]])
+    a = Rewrite(RewriteKind.PHRASAL, ("p0",), 5.0)
+    b = Rewrite(RewriteKind.PHRASAL, ("p1",), 5.0)
+    question = Question.from_text(QUESTION)
+    calls = _counting_compositions(monkeypatch)
+    first, second, third = (Run(question, (r,), provider).compose(1) for r in (a, b, a))
+    assert len(calls) == 2
+    assert third is first and second is not first
+    assert set(question.compositions) == {_key([a]), _key([b])}
+
+
+class _FreshSnippets:
+    """Serves the wrapped provider's snippets as new, equal ``Snippet``
+    objects on every call, as a remote backend does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def execute(self, rewrite, limit):
+        return [Snippet(s.text, s.source_doc) for s in self.inner.execute(rewrite, limit)]
+
+
+def test_equal_snippets_from_a_new_call_find_the_remembered_composition(lincoln_provider, monkeypatch):
+    # The question's rewrites 0, 3 and 4 return snippets, so its five
+    # prefixes hold three distinct ordered evidences.
+    provider = _FreshSnippets(lincoln_provider)
+    question = Question.from_text(QUESTION)
+    once, twice = (provider.execute(question.rewrites[0], DEFAULT_LIMIT) for _ in range(2))
+    assert once == twice and once[0] is not twice[0]
+    calls = _counting_compositions(monkeypatch)
+    walks = [
+        [Run(question, question.rewrites, provider).compose(n) for n in range(1, len(question.rewrites) + 1)]
+        for _ in range(2)
+    ]
+    assert len(calls) == 3
+    assert all(repeated is first for first, repeated in zip(*walks))
+    assert len(question.compositions) == 3
 
 
 def test_runs_over_fresh_rewrite_objects_keep_the_memo_bounded(lincoln_provider, monkeypatch):
     # Every run gets its own equal copies of the question's rewrites, all
-    # kept alive. Each copy carries its original's position, so the copies
-    # key like the question's own rewrites and add no entries.
+    # kept alive. A copy has its original's parts, so the copies key like
+    # the question's own rewrites and add no entries.
     question = Question.from_text(QUESTION)
     calls = _counting_compositions(monkeypatch)
     copies = [tuple(generate_rewrites(question)) for _ in range(20)]

@@ -571,8 +571,8 @@ def test_experiment_tables_match_golden_digest():
 
 def test_a_question_keeps_one_composition_per_ordered_evidence(monkeypatch):
     # After the experiments, a question holds one composition per ordered
-    # tuple of its rewrites that returned snippets, keyed by their
-    # positions, and the k sweep finds every probe and every chosen budget
+    # tuple of its rewrites that returned snippets, keyed by their parts,
+    # and the k sweep finds every probe and every chosen budget
     # among the compositions already made.
     bench = generate_benchmark(40, seed=0)
     provider = OfflineProvider(build_index(bench.corpus))
@@ -580,12 +580,12 @@ def test_a_question_keeps_one_composition_per_ordered_evidence(monkeypatch):
     models = train_models(train_items, provider, scorer=AdjacencyGrammarScorer())
     reproduce(eval_items, provider, models, Preferences(k=10.0, c=1.0), seeds=(0, 1))
     for item in bench.items:
-        rewrites = item.parsed.rewrites
+        by_parts = {r.parts: r for r in item.parsed.rewrites}
         assert item.parsed.compositions
         for key, (evidence, _) in item.parsed.compositions.items():
-            assert len(set(key)) == len(key) and set(key) <= set(range(len(rewrites)))
+            assert len(set(key)) == len(key) and set(key) <= by_parts.keys()
             assert all(found for _, found in evidence)
-            assert [found for _, found in evidence] == [provider.execute(rewrites[i]) for i in key]
+            assert [found for _, found in evidence] == [provider.execute(by_parts[parts]) for parts in key]
 
     calls = []
     compose_answers = control.compose_answers

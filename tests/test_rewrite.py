@@ -221,24 +221,20 @@ def test_question_keeps_its_rewrites_outside_its_value(lincoln_provider):
     assert copy == question and copy.orders == {} and copy.compositions == {}
 
 
-def test_generated_rewrites_carry_their_positions_outside_their_value():
+def test_generated_rewrites_are_plain_slotted_values():
     capped = "Who painted the very large old red wooden barn door panel mural?"
     for text in ("Who killed Abraham Lincoln?", "Lincoln?", capped):
         rewrites = generate_rewrites(Question.from_text(text))
-        assert [r.position for r in rewrites] == list(range(len(rewrites)))
         assert rewrites[-1].kind is RewriteKind.CONJUNCTIVE
     generated = generate_rewrites(Question.from_text("Who killed Abraham Lincoln?"))[1]
     by_hand = Rewrite(generated.kind, generated.parts, generated.weight)
-    assert generated.position == 1 and by_hand.position is None
     assert by_hand == generated and hash(by_hand) == hash(generated)
-    moved = dataclasses.replace(generated, position=7)
-    assert moved == generated and hash(moved) == hash(generated)
-    # Slotted: no instance dict, and a pickled copy keeps its value and position.
+    # Slotted: no instance dict, and a pickled copy keeps its value.
     assert not hasattr(generated, "__dict__")
     copied = pickle.loads(pickle.dumps(generated))
-    assert copied == generated and copied.position == 1
+    assert copied == generated
     with pytest.raises(dataclasses.FrozenInstanceError):
-        generated.position = 2
+        generated.weight = 2.0
 
 
 # --------------------------------------------------------------------------
