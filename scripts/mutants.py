@@ -112,8 +112,12 @@ MUTANTS = [
     # Models.
     Mutant(
         "models-budgets-unchecked", "src/budgetqa/models.py",
-        'if (budgets := sorted(map(int, data["ensemble"] or ()))) != list(DEFAULT_THRESHOLDS):',
-        'if not data["ensemble"]:',
+        "if names != list(TREE_NAMES) or any(", "if not names or any(",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "models-tree-n-type-unchecked", "src/budgetqa/models.py",
+        " or any(type(n) is not int for _, n in names):", ":",
         ("tests/test_cli.py",),
     ),
     Mutant(
@@ -123,8 +127,14 @@ MUTANTS = [
     ),
     Mutant(
         "ensemble-shares-only-identical-trees", "src/budgetqa/models.py",
-        "{n: trees[trees.index(tree)] for n, tree", "{n: tree for n, tree",
+        "{name: trees[trees.index(tree)] for name, tree", "{name: tree for name, tree",
         ("tests/test_models.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "quality-case-kinds-swapped", "src/budgetqa/models.py",
+        'return ("conjunctive", 1), conjunctive_features(rewrite)\n    return ("phrasal", 1), phrasal_features',
+        'return ("phrasal", 1), conjunctive_features(rewrite)\n    return ("conjunctive", 1), phrasal_features',
+        ("tests/test_models.py",),
     ),
     Mutant(
         "quality-order-reversed", "src/budgetqa/models.py",

@@ -2,7 +2,7 @@
 """End-to-end policy experiments on a synthetic benchmark: ``budgetqa
 reproduce``, runnable from a checkout without installing the package.
 
-Generates a benchmark, trains quality models and the threshold ensemble on
+Generates a benchmark, trains the quality trees and the budget trees on
 one half, then reproduces the three experiment shapes on the held-out half:
 
   1. fixed budgets: random order vs likelihood order per max-rewrite cap N

@@ -40,7 +40,7 @@ from .control import (
     run_policy,
 )
 from .errors import BudgetQAError, ProviderError, RetryableError
-from .models import MODELS_FILE, SCORER_NAME, ModelSet
+from .models import MODELS_FILE, SCORER_NAME, TREE_NAMES, ModelSet
 from .rewrite import AdjacencyGrammarScorer
 from .search import OfflineProvider, build_index, save_corpus
 from .tree import describe_tree
@@ -253,7 +253,7 @@ def cmd_ask(question, config_path, policy, n, seed, k, corpus_path, models_dir, 
 @click.option("--corpus", "corpus_path", type=click.Path(), default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True, help="Directory for models.json.")
 def cmd_train(dataset_path, config_path, corpus_path, out_dir):
-    """Train the quality models and the threshold ensemble on a labelled dataset."""
+    """Train the quality trees and the budget trees on a labelled dataset."""
     cfg = load_config(config_path, corpus=corpus_path)
     _check_files({"dataset": dataset_path, "config": config_path, "corpus": cfg.corpus},
                  [("models file", "--out", out_dir, MODELS_FILE)])
@@ -263,11 +263,9 @@ def cmd_train(dataset_path, config_path, corpus_path, out_dir):
     )
     path = models.save(out_dir)
     click.echo(f"trained on {len(dataset)} questions with the {SCORER_NAME} scorer -> {path}")
-    trees = [("conjunctive quality", models.conjunctive), ("phrasal quality", models.phrasal)]
-    trees += [(f"threshold {t}", models.ensemble.trees[t]) for t in models.ensemble.thresholds]
-    for label, tree in trees:
-        click.echo(f"-- {label} --")
-        click.echo(describe_tree(tree))
+    for stage, n in TREE_NAMES:
+        click.echo(f"-- threshold {n} --" if stage == "budget" else f"-- {stage} quality --")
+        click.echo(describe_tree(models.trees[stage, n]))
 
 
 @cli.command("evaluate")
@@ -351,7 +349,7 @@ def cmd_gen_bench(questions, redundancy, distractors, seed, out_corpus, out_data
 def cmd_reproduce(questions, redundancy, distractors, seed, k, seeds, out_dir):
     """Reproduce the paper's experiments on a synthetic benchmark.
 
-    Trains the quality models and the threshold ensemble on half the
+    Trains the quality trees and the budget trees on half the
     questions, then runs on the other half the fixed-budget random vs
     likelihood sweep, the policy comparison and the answer-value sweep
     (``evaluation.reproduce``). Prints their tables and writes

@@ -118,22 +118,23 @@ class BudgetDecision:
 
 
 def choose_n(
-    ensemble,
+    models,
     features: Mapping[str, FeatureValue],
     prefs: Preferences,
 ) -> BudgetDecision:
-    """Evaluate the net expected value at every threshold the ensemble was
-    trained for and pick the best.
+    """Evaluate the net expected value at every budget ``models`` has a
+    tree for and pick the best. ``models`` is a ``ModelSet`` or anything
+    else with its ``predict_all``.
 
     Ties go to the smallest (cheapest) n. If all nets are negative the
     decision is to abstain.
     """
-    return decide(ensemble.predict_all(features), prefs)
+    return decide(models.predict_all(features), prefs)
 
 
 def decide(probs: Mapping[int, float], prefs: Preferences) -> BudgetDecision:
-    """``choose_n``'s decision from the per-threshold probabilities the
-    ensemble predicted, in one pass: budgets rank on their nets in query
+    """``choose_n``'s decision from the per-budget probabilities the budget
+    trees predicted, in one pass: budgets rank on their nets in query
     units, and only the reported nets are scaled by c."""
     k, c = prefs.k, prefs.c
     nets, best_n, best = {}, None, -math.inf
@@ -358,11 +359,11 @@ class CostBenefit:
         return _quality_order(question, models)
 
     def play(self, run: Run, models: ModelSet | None, prefs: Preferences | None) -> QuestionResult:
-        if models is None or models.ensemble is None:
-            raise ValueError("CostBenefit requires quality models and a threshold ensemble")
+        if models is None or not models.budgets:
+            raise ValueError("CostBenefit requires quality and budget trees")
         if prefs is None:
             raise ValueError("CostBenefit requires preferences")
-        decision = decide(models.ensemble.predict_all(run.features(PROBE_SIZE)), prefs)
+        decision = choose_n(models, run.features(PROBE_SIZE), prefs)
         return run.result(PROBE_SIZE if decision.abstained else max(decision.n, PROBE_SIZE), decision)
 
 

@@ -42,7 +42,8 @@ class MissingFeature(BudgetQAError):
 
 
 class IncompleteEnsemble(BudgetQAError):
-    """Threshold ensemble training data is missing one or more thresholds."""
+    """A named tree has no training cases, or a model set being saved
+    lacks a tree that a models file holds."""
 
 
 class DatasetParseError(BudgetQAError):

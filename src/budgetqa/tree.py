@@ -15,9 +15,9 @@ when a midpoint rounds onto the higher of two adjacent floats. A
 categorical feature's (cases, positives) per category come from one pass.
 Only the winning split's cases are partitioned.
 
-Training is a pure function of the cases, so ``train_threshold_ensemble``
-gives a threshold whose cases equal the previous threshold's that tree
-instead of growing the same one again.
+Training is a pure function of the cases, so ``models.train_trees`` gives
+a named tree whose cases equal the previous name's that tree instead of
+growing the same one again.
 """
 
 from __future__ import annotations

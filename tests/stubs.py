@@ -1,5 +1,7 @@
 """Test doubles shared by several test modules."""
 
+from budgetqa.models import ModelSet
+
 
 class StubGrammarScorer:
     """Returns a fixed pair; used as a wiring check."""
@@ -9,3 +11,11 @@ class StubGrammarScorer:
 
     def score(self, phrase: str) -> tuple[int, float]:
         return self.pair
+
+
+def model_set(conjunctive, phrasal, budgets=None, **kwargs):
+    """A ``ModelSet`` of the two quality trees and, if given, budget trees
+    keyed by n."""
+    trees = {("conjunctive", 1): conjunctive, ("phrasal", 1): phrasal}
+    trees.update((("budget", n), tree) for n, tree in (budgets or {}).items())
+    return ModelSet(trees, **kwargs)

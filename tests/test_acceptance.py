@@ -22,7 +22,7 @@ from budgetqa.control import (
 )
 from budgetqa.evaluation import evaluate, sweep_k
 from budgetqa.harness import train_models
-from budgetqa.models import DEFAULT_THRESHOLDS, ThresholdEnsemble
+from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet
 from budgetqa.rewrite import (
     AdjacencyGrammarScorer,
     Question,
@@ -159,9 +159,7 @@ def test_criterion_3_lincoln_trace(lincoln_provider):
 
 
 def _stub_ensemble(probs):
-    return ThresholdEnsemble(
-        trees={n: DecisionTree(root=Leaf(p, 10, 5)) for n, p in probs.items()}
-    )
+    return ModelSet({("budget", n): DecisionTree(root=Leaf(p, 10, 5)) for n, p in probs.items()})
 
 
 def test_criterion_4_controller_oracle():
@@ -301,8 +299,8 @@ def test_criterion_8_model_correctness(trained_benchmark):
             assert leaf.probability == pytest.approx((positives + 1) / (len(subset) + 2))
 
     _, models, _ = trained_benchmark
-    assert models.ensemble.thresholds == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20)
-    for tree in models.ensemble.trees.values():
+    assert models.budgets == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20)
+    for tree in (models.trees["budget", n] for n in models.budgets):
         for leaf in collect(tree.root, {}).values():
             assert 0.0 < leaf.probability < 1.0
     elapsed = time.monotonic() - start

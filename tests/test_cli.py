@@ -228,7 +228,7 @@ def test_gen_bench_output_without_its_directory_is_usage_error_before_generating
     "edit",
     [
         lambda data: "{not json",
-        lambda data: {k: v for k, v in data.items() if k != "phrasal"},
+        lambda data: {k: v for k, v in data.items() if k != "trees"},
         # Format 1 conjunctive trees split on features that no longer exist.
         lambda data: {**data, "format": 1},
         # Format 2 phrasal trees list the constant feature primary_parses.
@@ -237,12 +237,18 @@ def test_gen_bench_output_without_its_directory_is_usage_error_before_generating
         # The heuristic scorer is gone; its trees must not be served with other features.
         lambda data: {**data, "scorer": "default"},
         lambda data: {**data, "probe_size": 3},
-        lambda data: {**data, "ensemble": None},
+        # Format 3 kept the quality trees and the budget trees apart.
+        lambda data: {**data, "format": 3},
+        lambda data: {**data, "trees": [t for t in data["trees"] if (t["stage"], t["n"]) != ("phrasal", 1)]},
         # The cost-benefit policy weighs exactly the budgets training fixes.
-        lambda data: {**data, "ensemble": {"25": data["ensemble"]["20"]}},
+        lambda data: {**data, "trees": [*data["trees"], {**data["trees"][-1], "n": 25}]},
+        # 1.0 and true compare equal to 1, but a name's n is an integer.
+        lambda data: {**data, "trees": [{**t, "n": float(t["n"])} for t in data["trees"]]},
+        lambda data: {**data, "trees": [{**t, "n": True} if t["n"] == 1 else t for t in data["trees"]]},
     ],
     ids=["not-json", "missing-key", "format-1", "format-2", "unknown-scorer",
-         "default-scorer", "probe-size-3", "no-ensemble", "other-budgets"],
+         "default-scorer", "probe-size-3", "format-3", "missing-tree", "extra-budget",
+         "float-n", "true-n"],
 )
 def test_bad_models_file_is_data_error(workspace, models_dir, tmp_path, capsys, edit):
     data = json.loads(Path(models_dir, "models.json").read_text(encoding="utf-8"))
@@ -848,7 +854,7 @@ def test_conflicting_backends_is_data_error(workspace, tmp_path):
         {"conjunctive_weight": 1.0},
         {"filters_path": "filters.json"},
         {"filters": "filters.json"},
-        # Training fixes the budgets and the probe; the ensemble carries them.
+        # Training fixes the budgets and the probe; the budget trees carry them.
         {"thresholds": [1, 2, 25]},
         {"probe_size": 3},
         # So are the search depth and the snippet width they were trained on.

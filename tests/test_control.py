@@ -24,7 +24,7 @@ from budgetqa.control import (
 )
 from budgetqa.errors import ProviderError, RetryableError
 from budgetqa.harness import train_models
-from budgetqa.models import DEFAULT_THRESHOLDS, PROBE_SIZE, ModelSet, ThresholdEnsemble
+from budgetqa.models import DEFAULT_THRESHOLDS, PROBE_SIZE, ModelSet
 from budgetqa.rewrite import (
     CONJUNCTIVE_WEIGHT,
     PHRASAL_WEIGHT,
@@ -39,22 +39,22 @@ from budgetqa.text import default_stopwords
 from budgetqa.tree import DecisionTree, Leaf, Split
 
 from oracles import best_budget, remined_counts
+from stubs import model_set
 
 
 def _leaf_tree(p):
     return DecisionTree(root=Leaf(probability=p, support=10, positives=5))
 
 
-def _stub_ensemble(probs: dict[int, float]) -> ThresholdEnsemble:
-    return ThresholdEnsemble(trees={n: _leaf_tree(p) for n, p in probs.items()})
+def _stub_ensemble(probs: dict[int, float]) -> ModelSet:
+    return ModelSet({("budget", n): _leaf_tree(p) for n, p in probs.items()})
 
 
-def _stub_models(conj_p=0.5, phrasal_p=0.5, probs=None):
-    return ModelSet(
-        conjunctive=_leaf_tree(conj_p),
-        phrasal=_leaf_tree(phrasal_p),
-        ensemble=_stub_ensemble(probs) if probs else None,
-    )
+def _stub_models(conj_p=0.5, phrasal_p=0.5, probs=None, budgets=None):
+    """Leaf quality trees, and budget trees: leaves at ``probs`` or the
+    trees ``budgets`` maps each n to."""
+    budgets = budgets or {n: _leaf_tree(p) for n, p in (probs or {}).items()}
+    return model_set(_leaf_tree(conj_p), _leaf_tree(phrasal_p), budgets)
 
 
 # --------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_choose_n_asks_each_distinct_tree_once(monkeypatch):
     bench = generate_benchmark(40, seed=0)
     provider = OfflineProvider(build_index(bench.corpus))
     models = train_models(bench.items[:20], provider, scorer=AdjacencyGrammarScorer())
-    trees = models.ensemble.trees
+    trees = {n: models.trees["budget", n] for n in models.budgets}
     distinct = len({id(tree) for tree in trees.values()})
     assert distinct < len(trees)  # equal case lists share a tree
     prefs = Preferences(k=10, c=1)
@@ -221,7 +221,7 @@ def test_choose_n_asks_each_distinct_tree_once(monkeypatch):
         order = CostBenefit().select(item.parsed, models, 0)
         features = Run(item.parsed, order, provider).features(PROBE_SIZE)
         asked.clear()
-        decision = choose_n(models.ensemble, features, prefs)
+        decision = choose_n(models, features, prefs)
         assert len(asked) == distinct
         assert list(decision.per_threshold_net) == list(DEFAULT_THRESHOLDS)
         assert decision.per_threshold_net == {
@@ -609,8 +609,7 @@ def test_threads_sharing_a_question_get_their_own_probes_decisions():
     # and 2 with the second, which the trees split on.
     providers = (_FixedProvider("Booth shot the President", "Booth fled"), _FixedProvider("Oswald"))
     split = Split("totsnips", "numeric", 3.0, _leaf_tree(0.1).root, _leaf_tree(0.9).root)
-    models = _stub_models(conj_p=0.9, phrasal_p=0.4)
-    models.ensemble = ThresholdEnsemble(trees={n: DecisionTree(split) for n in DEFAULT_THRESHOLDS})
+    models = _stub_models(conj_p=0.9, phrasal_p=0.4, budgets={n: DecisionTree(split) for n in DEFAULT_THRESHOLDS})
     question = Question.from_text(QUESTION)
 
     def play(question, k, provider):
@@ -870,14 +869,8 @@ def test_another_seed_or_question_index_reshuffles_the_question():
 _PROBE_PROBS = {1: 0.15, 2: 0.3, 3: 0.5, 4: 0.75, 5: 0.8}
 
 
-def _probe_ensemble(probs=_PROBE_PROBS):
-    return _stub_ensemble({n: probs.get(n, 0.95) for n in DEFAULT_THRESHOLDS})
-
-
-def _probe_models(conj_p=0.9, phrasal_p=0.4):
-    models = _stub_models(conj_p=conj_p, phrasal_p=phrasal_p)
-    models.ensemble = _probe_ensemble()
-    return models
+def _probe_models(conj_p=0.9, phrasal_p=0.4, probs=_PROBE_PROBS):
+    return _stub_models(conj_p, phrasal_p, {n: probs.get(n, 0.95) for n in DEFAULT_THRESHOLDS})
 
 
 def _fresh_cost_benefit(provider, models, prefs):
@@ -911,7 +904,7 @@ def test_a_replaced_ensemble_predicts_again(lincoln_provider):
     prefs = Preferences(k=10, c=1)
     question = Question.from_text(QUESTION)
     assert not run_policy(CostBenefit(), question, lincoln_provider, models, prefs).abstained
-    models.ensemble = _probe_ensemble(probs={})  # every threshold at 0.95
+    models = _probe_models(probs={})  # every threshold at 0.95
     result = run_policy(CostBenefit(), question, lincoln_provider, models, prefs)
     assert result == _fresh_cost_benefit(lincoln_provider, models, prefs)
     assert result.decision.n == 1
@@ -921,8 +914,7 @@ def test_a_probe_in_another_model_sets_order_predicts_again():
     # Every rewrite finds the same snippets, so only the probe's rewrites differ.
     provider = _FixedProvider("John Wilkes Booth shot the President", "Booth fled")
     conjunctive_first = _probe_models(conj_p=0.9, phrasal_p=0.1)
-    phrasal_first = _stub_models(conj_p=0.1, phrasal_p=0.9)
-    phrasal_first.ensemble = conjunctive_first.ensemble
+    phrasal_first = _probe_models(conj_p=0.1, phrasal_p=0.9)
     prefs = Preferences(k=10, c=1)
     question = Question.from_text(QUESTION)
     run_policy(CostBenefit(), question, provider, conjunctive_first, prefs)
@@ -936,23 +928,23 @@ def test_a_probe_in_another_model_sets_order_predicts_again():
     assert played == CostBenefit().play(Run(fresh, order, provider), conjunctive_first, prefs)
 
 
-class _RecordingEnsemble:
-    """Predicts 0.5 at every threshold and records the features it is asked on."""
+class _RecordingTree:
+    """Predicts 0.5 and records the features it is asked on."""
 
     def __init__(self):
         self.seen = []
 
-    def predict_all(self, features):
+    def predict(self, features):
         self.seen.append(features)
-        return {n: 0.5 for n in DEFAULT_THRESHOLDS}
+        return 0.5
 
 
 @pytest.mark.parametrize("text", ["Lincoln?", QUESTION], ids=["one-rewrite", "many-rewrites"])
 def test_the_probe_predicts_on_the_run_features_training_reads(lincoln_provider, text):
     # Training's threshold cases carry run.features(PROBE_SIZE); serving
     # must predict on exactly those.
-    models = _stub_models(conj_p=0.9, phrasal_p=0.4)
-    models.ensemble = _RecordingEnsemble()
+    recording = _RecordingTree()
+    models = _stub_models(conj_p=0.9, phrasal_p=0.4, budgets=dict.fromkeys(DEFAULT_THRESHOLDS, recording))
     question = Question.from_text(text)
     order = CostBenefit().select(question, models, 0)
     assert (len(order) == 1) is (text == "Lincoln?")
@@ -960,5 +952,5 @@ def test_the_probe_predicts_on_the_run_features_training_reads(lincoln_provider,
     decision = CostBenefit().play(run, models, Preferences(k=10, c=1)).decision
     assert decision.probabilities == {n: 0.5 for n in DEFAULT_THRESHOLDS}
     fresh = Run(Question.from_text(text), order, lincoln_provider)
-    assert models.ensemble.seen == [run.features(PROBE_SIZE)] == [fresh.features(PROBE_SIZE)]
+    assert recording.seen == [run.features(PROBE_SIZE)] == [fresh.features(PROBE_SIZE)]
     assert len(run.snippets) == min(PROBE_SIZE, len(order))

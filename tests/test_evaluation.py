@@ -42,11 +42,13 @@ from budgetqa.evaluation import (
     write_jsonl,
 )
 from budgetqa.harness import train_models
-from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet, ThresholdEnsemble
+from budgetqa.models import DEFAULT_THRESHOLDS
 from budgetqa.rewrite import AdjacencyGrammarScorer, Question, generate_rewrites
 from budgetqa.search import Document, MeteredProvider, OfflineProvider, build_index
 from budgetqa.text import token_key, tokenize
 from budgetqa.tree import DecisionTree, Leaf
+
+from stubs import model_set
 
 
 # --------------------------------------------------------------------------
@@ -209,10 +211,7 @@ def test_parallel_k_sweep_matches_serial(small_bench):
     # Threads share each question's remembered probe prediction across the
     # k values; fresh item copies start both sides with empty maps.
     bench, provider = small_bench
-    models = _leaf_models()
-    models.ensemble = ThresholdEnsemble(
-        trees={n: _leaf(min(0.95, 0.1 * n)) for n in DEFAULT_THRESHOLDS}
-    )
+    models = _leaf_models({n: _leaf(min(0.95, 0.1 * n)) for n in DEFAULT_THRESHOLDS})
     ks = [2.0, 5.0, 10.0, 20.0]
     serial, parallel = (
         sweep_k([dataclasses.replace(item) for item in bench.items], provider, models, ks, jobs=jobs)
@@ -503,8 +502,8 @@ def _leaf(p):
     return DecisionTree(root=Leaf(probability=p, support=10, positives=5))
 
 
-def _leaf_models():
-    return ModelSet(conjunctive=_leaf(0.5), phrasal=_leaf(0.7))
+def _leaf_models(budgets=None):
+    return model_set(_leaf(0.5), _leaf(0.7), budgets)
 
 
 def test_sweep_n_makes_one_evaluation_per_order_and_threshold(small_bench, monkeypatch):

@@ -10,10 +10,10 @@ from budgetqa.evaluation import Judgment, QAItem, judge
 from budgetqa.cli import main
 from budgetqa.evaluation import dump_dataset
 from budgetqa.harness import generate_quality_cases, generate_threshold_cases, train_models
-from budgetqa.models import DEFAULT_THRESHOLDS, PROBE_SIZE, ModelSet
+from budgetqa.models import DEFAULT_THRESHOLDS, PROBE_SIZE, TREE_NAMES, ModelSet, train_trees
 from budgetqa.rewrite import AdjacencyGrammarScorer
 from budgetqa.search import DEFAULT_LIMIT, MeteredProvider, OfflineProvider, build_index, save_corpus
-from budgetqa.tree import train_tree, tree_to_dict
+from budgetqa.tree import tree_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +28,9 @@ def small_setup():
 
 def test_quality_cases_have_uniform_schemas(small_setup):
     bench, provider = small_setup
-    conj, phrasal = generate_quality_cases(bench.items, provider, scorer=AdjacencyGrammarScorer())
+    cases = generate_quality_cases(bench.items, provider, scorer=AdjacencyGrammarScorer())
+    assert list(cases) == [("conjunctive", 1), ("phrasal", 1)]
+    conj, phrasal = cases.values()
     assert len(conj) == len(bench.items)  # one conjunctive rewrite per question
     assert len(phrasal) > len(conj)  # several phrasal rewrites per question
     assert len({frozenset(c.features) for c in conj}) == 1
@@ -36,13 +38,15 @@ def test_quality_cases_have_uniform_schemas(small_setup):
     assert any(c.label for c in conj) and any(not c.label for c in phrasal)
 
 
+def _quality_models(bench, provider):
+    scorer = AdjacencyGrammarScorer()
+    return ModelSet(train_trees(generate_quality_cases(bench.items, provider, scorer=scorer)), scorer)
+
+
 def test_threshold_cases_cover_all_thresholds_with_one_schema(small_setup):
     bench, provider = small_setup
-    conj, phrasal = generate_quality_cases(bench.items, provider, scorer=AdjacencyGrammarScorer())
-    cases = generate_threshold_cases(
-        bench.items, provider, ModelSet(train_tree(conj), train_tree(phrasal)),
-    )
-    assert set(cases) == set(DEFAULT_THRESHOLDS)
+    cases = generate_threshold_cases(bench.items, provider, _quality_models(bench, provider))
+    assert set(cases) == {("budget", n) for n in DEFAULT_THRESHOLDS}
     assert all(len(cs) == len(bench.items) for cs in cases.values())
     schemas = {frozenset(c.features) for cs in cases.values() for c in cs}
     assert len(schemas) == 1
@@ -50,10 +54,7 @@ def test_threshold_cases_cover_all_thresholds_with_one_schema(small_setup):
 
 def test_threshold_case_labels_non_decreasing_in_budget_on_average(small_setup):
     bench, provider = small_setup
-    conj, phrasal = generate_quality_cases(bench.items, provider, scorer=AdjacencyGrammarScorer())
-    cases = generate_threshold_cases(
-        bench.items, provider, ModelSet(train_tree(conj), train_tree(phrasal)),
-    )
+    cases = generate_threshold_cases(bench.items, provider, _quality_models(bench, provider))
     rates = [sum(c.label for c in cases[n]) / len(cases[n]) for n in sorted(cases)]
     assert rates[-1] >= rates[0]
 
@@ -108,9 +109,7 @@ def test_training_and_serving_ask_the_provider_for_the_default_limit(small_setup
 
 def test_threshold_cases_label_a_failed_rewrite_like_serving(small_setup):
     bench, provider = small_setup
-    scorer = AdjacencyGrammarScorer()
-    conj, phrasal = generate_quality_cases(bench.items, provider, scorer=scorer)
-    models = ModelSet(train_tree(conj), train_tree(phrasal), scorer=scorer)
+    models = _quality_models(bench, provider)
     item = bench.items[0]
     # The best-ranked rewrite is in every prefix, so its failure touches
     # every threshold's label.
@@ -123,15 +122,15 @@ def test_threshold_cases_label_a_failed_rewrite_like_serving(small_setup):
     for n in DEFAULT_THRESHOLDS:
         served = run_policy(LikelihoodN(n), item.question, failing, models)
         assert served.backend_errors
-        assert cases[n][0].label == (judge(served.top_answer, item.patterns) is Judgment.CORRECT)
+        assert cases["budget", n][0].label == (judge(served.top_answer, item.patterns) is Judgment.CORRECT)
 
 
 def test_train_models_produces_complete_set(small_setup):
     bench, provider = small_setup
     meter = MeteredProvider(provider)
     models = train_models(bench.items, meter, scorer=AdjacencyGrammarScorer())
-    assert models.ensemble is not None
-    assert models.ensemble.thresholds == DEFAULT_THRESHOLDS
+    assert list(models.trees) == list(TREE_NAMES)
+    assert models.budgets == DEFAULT_THRESHOLDS
     # training executed each rewrite once per phase (quality + threshold)
     assert meter.calls > 0
 
@@ -142,27 +141,24 @@ def test_train_models_accepts_a_one_word_question(small_setup):
     bench, provider = small_setup
     items = list(bench.items) + [QAItem.make("Velt?", ["Maren"])]
     models = train_models(items, provider, scorer=AdjacencyGrammarScorer())
-    assert models.ensemble.thresholds == DEFAULT_THRESHOLDS
+    assert models.budgets == DEFAULT_THRESHOLDS
 
 
 def test_incomplete_threshold_runs_rejected(small_setup, tmp_path):
-    from budgetqa.models import train_threshold_ensemble
-
     with pytest.raises(IncompleteEnsemble):
-        train_threshold_ensemble({1: []})
+        train_trees({("budget", 1): []})
 
 
-# SHA-256 of every trained tree (quality models, then the ensemble by
-# threshold) on generate_benchmark(80, seed=0). Run features that read the
-# wrong evidence change the ensemble even when no report table moves.
+# SHA-256 of every trained tree, read in TREE_NAMES order (the quality
+# trees, then the budget trees by threshold), on generate_benchmark(80,
+# seed=0). Run features that read the wrong evidence change the budget
+# trees even when no report table moves.
 MODELS_GOLDEN_DIGEST = "14af2ec48707b8f091bced01268d19f6b24da2b59aacc69f017381bffc95deb2"
 
 
 def _models_digest(models: ModelSet) -> str:
-    trees = [models.conjunctive, models.phrasal]
-    trees += [models.ensemble.trees[n] for n in sorted(models.ensemble.trees)]
     digest = hashlib.sha256()
-    for tree in trees:
+    for tree in map(models.trees.__getitem__, TREE_NAMES):
         digest.update(json.dumps(tree_to_dict(tree), sort_keys=True).encode("utf-8"))
     return digest.hexdigest()
 
@@ -171,15 +167,15 @@ def test_loaded_models_share_trees_as_trained_ones_do(tmp_path):
     bench = generate_benchmark(40, seed=0)
     provider = OfflineProvider(build_index(bench.corpus))
     models = train_models(bench.items[:20], provider, scorer=AdjacencyGrammarScorer())
-    trained = len({id(tree) for tree in models.ensemble.trees.values()})
+    trained = len({id(models.trees["budget", n]) for n in DEFAULT_THRESHOLDS})
     assert trained < len(DEFAULT_THRESHOLDS)  # equal case lists share a tree
     models.save(str(tmp_path))
     loaded = ModelSet.load(str(tmp_path))
-    assert len({id(tree) for tree in loaded.ensemble.trees.values()}) == trained
+    assert len({id(loaded.trees["budget", n]) for n in DEFAULT_THRESHOLDS}) == trained
     for item in bench.items[20:]:
         run = Run(item.parsed, models.order(item.parsed.rewrites), provider)
         features = run.features(PROBE_SIZE)
-        assert loaded.ensemble.predict_all(features) == models.ensemble.predict_all(features)
+        assert loaded.predict_all(features) == models.predict_all(features)
 
 
 def test_trained_models_match_golden_digest(tmp_path):

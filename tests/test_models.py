@@ -8,9 +8,8 @@ from budgetqa.errors import IncompleteEnsemble
 from budgetqa.models import (
     DEFAULT_THRESHOLDS,
     ModelSet,
-    ThresholdEnsemble,
     extract_run_features,
-    train_threshold_ensemble,
+    train_trees,
 )
 from budgetqa.rewrite import (
     AdjacencyGrammarScorer,
@@ -24,7 +23,7 @@ from budgetqa.search import Snippet
 from budgetqa.tree import Leaf, DecisionTree, TrainingCase, train_tree, tree_from_dict, tree_to_dict
 
 from oracles import best_subset_score
-from stubs import StubGrammarScorer
+from stubs import StubGrammarScorer, model_set
 
 
 def _leaf_tree(p, support=10):
@@ -45,13 +44,13 @@ def _conj(*parts):
 
 
 def test_score_dispatches_by_kind():
-    models = ModelSet(_leaf_tree(0.25), _leaf_tree(0.75))
+    models = model_set(_leaf_tree(0.25), _leaf_tree(0.75))
     assert models.quality_score(_conj("who", "did")) == 0.25
     assert models.quality_score(_phrasal("did the thing")) == 0.75
 
 
 def test_scores_stay_inside_unit_interval_on_generated_rewrites():
-    models = ModelSet(_leaf_tree(0.4), _leaf_tree(0.6), scorer=StubGrammarScorer())
+    models = model_set(_leaf_tree(0.4), _leaf_tree(0.6), scorer=StubGrammarScorer())
     for text in ["Who painted the old mill?", "Where was the amber tower restored?"]:
         for r in generate_rewrites(Question.from_text(text)):
             score = models.quality_score(r)
@@ -60,7 +59,7 @@ def test_scores_stay_inside_unit_interval_on_generated_rewrites():
 
 def _scored(rewrites, scores):
     """A model set whose quality score for each of ``rewrites`` is given."""
-    models = ModelSet(_leaf_tree(0.5), _leaf_tree(0.5))
+    models = model_set(_leaf_tree(0.5), _leaf_tree(0.5))
     models.quality_score = dict(zip(rewrites, scores)).__getitem__
     return models
 
@@ -138,24 +137,27 @@ def test_rulescore_classes_and_filter_names():
 
 
 # --------------------------------------------------------------------------
-# threshold ensemble
+# budget trees
 
 
 def _constant_cases(label, n=6):
     return [TrainingCase({"x": float(i % 3)}, label) for i in range(n)]
 
 
-def test_ensemble_requires_all_thresholds():
-    runs = {n: _constant_cases(True) for n in DEFAULT_THRESHOLDS if n != 12}
-    with pytest.raises(IncompleteEnsemble):
-        train_threshold_ensemble(runs)
+def _budget_runs(cases_of):
+    return {("budget", n): cases_of(n) for n in DEFAULT_THRESHOLDS}
 
 
-def test_ensemble_keys_are_the_thirteen_thresholds():
-    runs = {n: _constant_cases(n % 2 == 0) for n in DEFAULT_THRESHOLDS}
-    ensemble = train_threshold_ensemble(runs)
-    assert ensemble.thresholds == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20)
-    assert len(ensemble.trees) == 13
+def test_train_trees_refuses_a_name_without_cases():
+    runs = _budget_runs(lambda n: _constant_cases(True) if n != 12 else [])
+    with pytest.raises(IncompleteEnsemble, match=r"\('budget', 12\)"):
+        train_trees(runs)
+
+
+def test_budget_trees_are_the_thirteen_thresholds():
+    models = ModelSet(train_trees(_budget_runs(lambda n: _constant_cases(n % 2 == 0))))
+    assert models.budgets == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20)
+    assert len(models.trees) == 13
 
 
 def _mixed_cases(seed, n=24):
@@ -165,21 +167,22 @@ def _mixed_cases(seed, n=24):
     ]
 
 
-def test_ensemble_trees_equal_each_thresholds_own_tree():
+def test_trained_trees_equal_each_names_own_tree():
     # Equal lists next to each other (1..4), lists that differ, and a list
     # equal to an earlier one that is not adjacent to it (9 and 20).
     seeds = {1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 3, 7: 2, 8: 4, 9: 5, 10: 6, 12: 6, 15: 2, 20: 5}
-    runs = {n: _mixed_cases(seeds[n]) for n in DEFAULT_THRESHOLDS}
-    assert runs[1] == runs[2] and runs[4] != runs[5] and runs[9] == runs[20]
-    ensemble = train_threshold_ensemble(runs)
-    assert len({repr(tree_to_dict(t)) for t in ensemble.trees.values()}) > 1
-    for n in DEFAULT_THRESHOLDS:
-        assert tree_to_dict(ensemble.trees[n]) == tree_to_dict(train_tree(runs[n]))
+    runs = _budget_runs(lambda n: _mixed_cases(seeds[n]))
+    assert runs["budget", 1] == runs["budget", 2] and runs["budget", 4] != runs["budget", 5]
+    assert runs["budget", 9] == runs["budget", 20]
+    trees = train_trees(runs)
+    assert len({repr(tree_to_dict(t)) for t in trees.values()}) > 1
+    for name, cases in runs.items():
+        assert tree_to_dict(trees[name]) == tree_to_dict(train_tree(cases))
 
 
 def test_predict_all_asks_each_distinct_tree_once_in_ascending_order():
-    # Two trees shared by thresholds that are neither adjacent nor listed
-    # in order.
+    # Two trees shared by budgets that are neither adjacent nor listed in
+    # order.
     calls = []
 
     class Counting:
@@ -191,26 +194,28 @@ def test_predict_all_asks_each_distinct_tree_once_in_ascending_order():
             return self.p
 
     low, high = Counting(0.2), Counting(0.7)
-    ensemble = ThresholdEnsemble(trees={5: low, 1: high, 3: low, 2: high, 4: Counting(0.4)})
-    probs = ensemble.predict_all({})
+    budgets = {5: low, 1: high, 3: low, 2: high, 4: Counting(0.4)}
+    models = ModelSet({("budget", n): tree for n, tree in budgets.items()})
+    probs = models.predict_all({})
     assert list(probs.items()) == [(1, 0.7), (2, 0.7), (3, 0.2), (4, 0.4), (5, 0.2)]
     assert len(calls) == 3 and {id(low), id(high)} < set(map(id, calls))
 
 
-def test_loaded_ensemble_shares_equal_trees_that_are_not_adjacent(tmp_path, monkeypatch):
+def test_loaded_budget_trees_share_equal_trees_that_are_not_adjacent(tmp_path, monkeypatch):
     # Budget 1's tree copied to budget 20, with other trees between them:
     # the two still share one tree object and so one prediction.
     seeds = {n: 1 if n == 1 else 2 if n < 10 else 3 for n in DEFAULT_THRESHOLDS}
     tree = train_tree(_constant_cases(True))
-    ensemble = train_threshold_ensemble({n: _mixed_cases(seeds[n]) for n in DEFAULT_THRESHOLDS})
-    ModelSet(tree, tree, ensemble).save(str(tmp_path))
+    budgets = {n: t for (_, n), t in train_trees(_budget_runs(lambda n: _mixed_cases(seeds[n]))).items()}
+    model_set(tree, tree, budgets).save(str(tmp_path))
     data = json.loads((tmp_path / "models.json").read_text(encoding="utf-8"))
-    shapes = data["ensemble"]
-    shapes["20"] = shapes["1"]
+    entries = {entry["n"]: entry for entry in data["trees"] if entry["stage"] == "budget"}
+    entries[20]["tree"] = entries[1]["tree"]
+    shapes = {n: entry["tree"] for n, entry in entries.items()}
     assert len({json.dumps(shape) for shape in shapes.values()}) == 3
     (tmp_path / "models.json").write_text(json.dumps(data), encoding="utf-8")
-    loaded = ModelSet.load(str(tmp_path)).ensemble
-    assert loaded.trees[20] is loaded.trees[1] is not loaded.trees[15]
+    loaded = ModelSet.load(str(tmp_path))
+    assert loaded.trees["budget", 20] is loaded.trees["budget", 1] is not loaded.trees["budget", 15]
 
     calls = []
     predict = DecisionTree.predict
@@ -220,13 +225,12 @@ def test_loaded_ensemble_shares_equal_trees_that_are_not_adjacent(tmp_path, monk
         probs = loaded.predict_all(features)
         assert len(calls) == 3
         assert list(probs) == list(DEFAULT_THRESHOLDS)
-        assert probs == {n: predict(tree_from_dict(shapes[str(n)]), features) for n in DEFAULT_THRESHOLDS}
+        assert probs == {n: predict(tree_from_dict(shapes[n]), features) for n in DEFAULT_THRESHOLDS}
 
 
 def test_constant_labels_give_single_leaf_trees():
-    runs = {n: _constant_cases(True) for n in DEFAULT_THRESHOLDS}
-    ensemble = train_threshold_ensemble(runs)
-    for tree in ensemble.trees.values():
+    trees = train_trees(_budget_runs(lambda n: _constant_cases(True)))
+    for tree in trees.values():
         assert isinstance(tree.root, Leaf)
         assert tree.root.probability == pytest.approx(7 / 8)
 
@@ -234,23 +238,23 @@ def test_constant_labels_give_single_leaf_trees():
 def test_model_set_save_load_round_trip(tmp_path):
     conj = train_tree(_constant_cases(True))
     phrasal = train_tree(_constant_cases(False))
-    runs = {n: _constant_cases(n > 5) for n in DEFAULT_THRESHOLDS}
-    models = ModelSet(conj, phrasal, train_threshold_ensemble(runs), AdjacencyGrammarScorer())
+    budgets = train_trees(_budget_runs(lambda n: _constant_cases(n > 5)))
+    models = ModelSet({("conjunctive", 1): conj, ("phrasal", 1): phrasal, **budgets}, AdjacencyGrammarScorer())
     models.save(str(tmp_path / "models"))
     loaded = ModelSet.load(str(tmp_path / "models"))
-    assert tree_to_dict(loaded.conjunctive) == tree_to_dict(conj)
-    assert tree_to_dict(loaded.phrasal) == tree_to_dict(phrasal)
-    assert loaded.ensemble.thresholds == models.ensemble.thresholds
-    for n, tree in models.ensemble.trees.items():
-        assert tree_to_dict(loaded.ensemble.trees[n]) == tree_to_dict(tree)
+    assert tree_to_dict(loaded.trees["conjunctive", 1]) == tree_to_dict(conj)
+    assert tree_to_dict(loaded.trees["phrasal", 1]) == tree_to_dict(phrasal)
+    assert loaded.budgets == models.budgets
+    for name, tree in budgets.items():
+        assert tree_to_dict(loaded.trees[name]) == tree_to_dict(tree)
     assert isinstance(loaded.scorer, AdjacencyGrammarScorer)
     # No scorer means the default one, and the file says so.
-    ModelSet(conj, phrasal, models.ensemble).save(str(tmp_path / "default"))
+    ModelSet(models.trees).save(str(tmp_path / "default"))
     assert isinstance(ModelSet.load(str(tmp_path / "default")).scorer, AdjacencyGrammarScorer)
 
 
 @pytest.mark.parametrize(
-    "ensemble, scorer, error",
+    "budgets, scorer, error",
     [
         (None, AdjacencyGrammarScorer(), IncompleteEnsemble),
         ("trained", StubGrammarScorer(), ValueError),
@@ -258,12 +262,13 @@ def test_model_set_save_load_round_trip(tmp_path):
     ],
     ids=["no-ensemble", "unnamed-scorer", "other-budgets"],
 )
-def test_model_set_save_refuses_what_load_cannot_rebuild(tmp_path, ensemble, scorer, error):
+def test_model_set_save_refuses_what_load_cannot_rebuild(tmp_path, budgets, scorer, error):
     tree = train_tree(_constant_cases(True))
-    if ensemble == "trained":
-        ensemble = train_threshold_ensemble({n: _constant_cases(True) for n in DEFAULT_THRESHOLDS})
-    elif ensemble == "other-budgets":
-        ensemble = ThresholdEnsemble(trees={25: tree})
+    if budgets == "trained":
+        budgets = {n: t for (_, n), t in train_trees(_budget_runs(lambda n: _constant_cases(True))).items()}
+    elif budgets == "other-budgets":
+        # Every tree a models file holds, and one budget it has no entry for.
+        budgets = dict.fromkeys((*DEFAULT_THRESHOLDS, 25), tree)
     with pytest.raises(error):
-        ModelSet(tree, tree, ensemble, scorer).save(str(tmp_path))
+        model_set(tree, tree, budgets, scorer=scorer).save(str(tmp_path))
     assert not (tmp_path / "models.json").exists()

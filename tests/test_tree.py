@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from budgetqa.errors import MissingFeature, NoTrainingData, SchemaMismatch
-from budgetqa.models import DEFAULT_THRESHOLDS, ModelSet, ThresholdEnsemble
+from budgetqa.models import DEFAULT_THRESHOLDS, TREE_NAMES, ModelSet
 from budgetqa.tree import (
     MIN_LEAF,
     DecisionTree,
@@ -130,12 +130,10 @@ def test_round_trip_is_bit_exact(tmp_path):
     # tree alike, loads with the same nodes and predicts the same floats.
     rng = random.Random(11)
     trees = [train_tree(_random_cases(rng, 90)) for _ in range(2 + len(DEFAULT_THRESHOLDS))]
-    models = ModelSet(trees[0], trees[1], ThresholdEnsemble(dict(zip(DEFAULT_THRESHOLDS, trees[2:]))))
+    models = ModelSet(dict(zip(TREE_NAMES, trees)))
     models.save(str(tmp_path))
     loaded = ModelSet.load(str(tmp_path))
-    pairs = [(loaded.conjunctive, trees[0]), (loaded.phrasal, trees[1])]
-    pairs += [(loaded.ensemble.trees[n], models.ensemble.trees[n]) for n in DEFAULT_THRESHOLDS]
-    for got, tree in pairs:
+    for got, tree in ((loaded.trees[name], tree) for name, tree in zip(TREE_NAMES, trees)):
         assert tree_to_dict(got) == tree_to_dict(tree)
         for _ in range(20):
             feats = {f"f{i}": rng.choice([0.0, 1.0, 2.0]) for i in range(3)}
