@@ -6,7 +6,10 @@ sides use the one grammar scorer, ``AdjacencyGrammarScorer``.
 All three search one backend, set by ``--corpus`` or ``--config``.
 ``reproduce`` runs the paper's experiments end to end on a generated
 benchmark; ``scripts/run_policy_experiments.py`` is that command.
-Exit codes: 0 success or abstain, 1 usage error, 2 data error, 3 backend error.
+Exit codes: 0 success or abstain, 1 usage error, 2 data error, 3 backend
+error. ``ask`` writes each failed query to stderr and exits 3 when every
+query it issued failed; ``evaluate`` counts a failed query against its
+question and goes on.
 
 Each command that writes declares its files once, in one ``_check_files``
 call after its config loads and before any other work: what it reads (the
@@ -237,14 +240,20 @@ def cmd_ask(question, config_path, policy, n, seed, k, corpus_path, models_dir, 
             "Please try reformulating the question."
         )
         click.echo(f"queries issued: {result.queries_issued}")
-        return
-    click.echo(f"status: ANSWERED  queries issued: {result.queries_issued}")
-    if result.decision is not None:
-        click.echo(f"chosen budget: {result.decision.n} (net {result.decision.expected_net:.3f})")
-    for i, cand in enumerate(result.answers[:top], start=1):
-        click.echo(f"{i:>2}. {cand.text}  (score {cand.score:g}, support {cand.support})")
-    if not result.answers:
-        click.echo("no answer candidates")
+    else:
+        click.echo(f"status: ANSWERED  queries issued: {result.queries_issued}")
+        if result.decision is not None:
+            click.echo(f"chosen budget: {result.decision.n} (net {result.decision.expected_net:.3f})")
+        for i, cand in enumerate(result.answers[:top], start=1):
+            click.echo(f"{i:>2}. {cand.text}  (score {cand.score:g}, support {cand.support})")
+        if not result.answers:
+            click.echo("no answer candidates")
+    # A failed query is one rewrite's loss; only a run whose every query
+    # failed is a backend error.
+    for error in result.backend_errors:
+        click.echo(f"query failed: {error}", err=True)
+    if result.backend_errors and len(result.backend_errors) == result.queries_issued:
+        raise ProviderError(f"all {result.queries_issued} queries failed")
 
 
 @cli.command("train")

@@ -233,7 +233,6 @@ class Run:
         parts, in order, are the key of a composition the question
         remembers, which is returned itself when its evidence is this
         run's (see the module docstring)."""
-        n = min(n, len(self.rewrites))
         self._execute(n)
         key, evidence = (), []
         for rewrite, found in zip(self.rewrites, self.snippets[:n]):
@@ -252,7 +251,6 @@ class Run:
         """Run features of the first n rewrites, from that prefix's mining.
         The schema is fixed, so every run, even a one-rewrite one, has the
         keys the threshold trees were trained on."""
-        n = min(n, len(self.rewrites))
         answers = self.compose(n)
         return extract_run_features(
             self.question, list(zip(self.rewrites, self.snippets[:n])), answers

@@ -13,6 +13,16 @@ class StubGrammarScorer:
         return self.pair
 
 
+def must_not_run(what: str):
+    """A stand-in for a function or method that a test forbids: any call
+    fails the test with ``what`` ("a query was issued")."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(what)
+
+    return refuse
+
+
 def model_set(conjunctive, phrasal, budgets=None, **kwargs):
     """A ``ModelSet`` of the two quality trees and, if given, budget trees
     keyed by n."""

@@ -1,18 +1,23 @@
 import json
 import math
 import os
+import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import parse_qs, urlparse
 
 import pytest
 
 from budgetqa.bench import generate_benchmark
 from budgetqa.cli import main
 from budgetqa.control import Preferences
-from budgetqa.evaluation import dump_dataset, reproduce
+from budgetqa.evaluation import Report, dump_dataset, load_dataset, reproduce
 from budgetqa.harness import train_models
-from budgetqa.rewrite import AdjacencyGrammarScorer
+from budgetqa.rewrite import AdjacencyGrammarScorer, Question
 from budgetqa.search import OfflineProvider, build_index, save_corpus
+
+from stubs import must_not_run
 
 
 @pytest.fixture(scope="module")
@@ -105,10 +110,7 @@ def test_train_has_no_scorer_option(workspace, tmp_path, capsys):
 
 
 def test_train_out_that_is_a_file_is_usage_error_before_training(workspace, tmp_path, monkeypatch, capsys):
-    def no_training(*args, **kwargs):
-        raise AssertionError("training ran")
-
-    monkeypatch.setattr("budgetqa.harness.train_models", no_training)
+    monkeypatch.setattr("budgetqa.harness.train_models", must_not_run("training ran"))
     out = tmp_path / "taken"
     out.write_text("not a directory", encoding="utf-8")
     assert main([
@@ -137,11 +139,8 @@ _OUTPUT_IS_A_DIRECTORY = {
 def test_a_named_output_that_is_a_directory_is_usage_error_before_any_work(
     workspace, tmp_path, monkeypatch, capsys, case
 ):
-    def no_work(*args, **kwargs):
-        raise AssertionError("training or generation ran")
-
-    monkeypatch.setattr("budgetqa.harness.train_models", no_work)
-    monkeypatch.setattr("budgetqa.bench.generate_benchmark", no_work)
+    monkeypatch.setattr("budgetqa.harness.train_models", must_not_run("training ran"))
+    monkeypatch.setattr("budgetqa.bench.generate_benchmark", must_not_run("a benchmark was generated"))
     monkeypatch.chdir(tmp_path)
     args, option, taken, beside = _OUTPUT_IS_A_DIRECTORY[case]
     (tmp_path / taken).mkdir(parents=True)
@@ -159,14 +158,11 @@ def test_a_named_output_that_is_a_directory_is_usage_error_before_any_work(
 
 def test_out_dir_under_an_unwritable_directory_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys):
     # Faked through os.access, since a privileged user may write anywhere.
-    def no_benchmark(*args, **kwargs):
-        raise AssertionError("generation ran")
-
     locked = tmp_path / "locked"
     locked.mkdir()
     real_access = os.access
     monkeypatch.setattr(os, "access", lambda path, mode: path != str(locked) and real_access(path, mode))
-    monkeypatch.setattr("budgetqa.bench.generate_benchmark", no_benchmark)
+    monkeypatch.setattr("budgetqa.bench.generate_benchmark", must_not_run("a benchmark was generated"))
     out = locked / "results"
     assert main(["reproduce", "--questions", "10", "--out-dir", str(out)]) == 1
     captured = capsys.readouterr()
@@ -189,10 +185,7 @@ def test_train_reads_its_dataset_before_it_creates_out(workspace, tmp_path, caps
 def test_gen_bench_one_file_for_both_outputs_is_usage_error_before_generating(
     tmp_path, monkeypatch, capsys, dataset_name
 ):
-    def no_generating(*args, **kwargs):
-        raise AssertionError("a benchmark was generated")
-
-    monkeypatch.setattr("budgetqa.bench.generate_benchmark", no_generating)
+    monkeypatch.setattr("budgetqa.bench.generate_benchmark", must_not_run("a benchmark was generated"))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
     assert main([
@@ -208,10 +201,7 @@ def test_gen_bench_one_file_for_both_outputs_is_usage_error_before_generating(
 def test_gen_bench_output_without_its_directory_is_usage_error_before_generating(
     tmp_path, monkeypatch, capsys, option
 ):
-    def no_generating(*args, **kwargs):
-        raise AssertionError("a benchmark was generated")
-
-    monkeypatch.setattr("budgetqa.bench.generate_benchmark", no_generating)
+    monkeypatch.setattr("budgetqa.bench.generate_benchmark", must_not_run("a benchmark was generated"))
     outs = {"--out-corpus": tmp_path / "c.jsonl", "--out-dataset": tmp_path / "d.jsonl"}
     outs[option] = tmp_path / "missing" / outs[option].name
     assert main([
@@ -276,10 +266,7 @@ def test_bad_models_file_is_data_error(workspace, models_dir, tmp_path, capsys, 
          "evaluate-sweep-k", "evaluate-sweep-n"],
 )
 def test_model_policies_without_models_are_usage_errors(workspace, monkeypatch, capsys, args):
-    def no_query(self, rewrite, limit):
-        raise AssertionError("a query was issued")
-
-    monkeypatch.setattr(OfflineProvider, "execute", no_query)
+    monkeypatch.setattr(OfflineProvider, "execute", must_not_run("a query was issued"))
     args = [workspace["dataset"] if a == "DATASET" else a for a in args]
     assert main(args + ["--corpus", workspace["corpus"]]) == 1
     assert "--models" in capsys.readouterr().err
@@ -329,10 +316,7 @@ def test_model_policies_without_models_are_usage_errors(workspace, monkeypatch, 
          "ask-k-with-all", "ask-c-with-random"],
 )
 def test_bad_serving_option_is_usage_error(workspace, models_dir, monkeypatch, capsys, args, option):
-    def no_query(self, rewrite, limit):
-        raise AssertionError("a query was issued")
-
-    monkeypatch.setattr(OfflineProvider, "execute", no_query)
+    monkeypatch.setattr(OfflineProvider, "execute", must_not_run("a query was issued"))
     args = [workspace["dataset"] if a == "DATASET" else a for a in args]
     assert main(args + ["--corpus", workspace["corpus"], "--models", models_dir]) == 1
     assert f"'{option}'" in capsys.readouterr().err
@@ -341,21 +325,20 @@ def test_bad_serving_option_is_usage_error(workspace, models_dir, monkeypatch, c
 @pytest.mark.parametrize("policy", ["cost-benefit", "all"])
 @pytest.mark.parametrize("sweep", [["--sweep-k", "5,10"], ["--sweep-n"]], ids=["sweep-k", "sweep-n"])
 def test_policy_given_with_a_sweep_is_usage_error_before_any_query(
-    workspace, models_dir, monkeypatch, capsys, sweep, policy
+    workspace, models_dir, tmp_path, monkeypatch, capsys, sweep, policy
 ):
     # A sweep runs its own policies, so a --policy given with one would be
     # ignored; cost-benefit is evaluate's default, refused all the same.
-    def no_query(self, rewrite, limit):
-        raise AssertionError("a query was issued")
-
-    monkeypatch.setattr(OfflineProvider, "execute", no_query)
+    monkeypatch.setattr(OfflineProvider, "execute", must_not_run("a query was issued"))
+    out = tmp_path / "sweep.jsonl"
     assert main([
         "evaluate", "--dataset", workspace["dataset"], "--corpus", workspace["corpus"], "--models", models_dir,
-        "--policy", policy, *sweep,
+        "--policy", policy, *sweep, "--out", str(out),
     ]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"usage error: '--policy' takes effect only without a sweep, not with {sweep[0]}" in captured.err
+    assert not out.exists()
 
 
 def test_k_and_c_from_a_config_file_are_accepted_by_every_run(workspace, models_dir, tmp_path):
@@ -385,10 +368,7 @@ def test_evaluate_has_no_c_option(workspace, models_dir, monkeypatch, capsys, ar
     # report prints a net, so evaluate has nothing for --c to change. Click
     # words an unknown option differently across versions, so only the
     # option's name is checked.
-    def no_query(self, rewrite, limit):
-        raise AssertionError("a query was issued")
-
-    monkeypatch.setattr(OfflineProvider, "execute", no_query)
+    monkeypatch.setattr(OfflineProvider, "execute", must_not_run("a query was issued"))
     assert main([
         "evaluate", "--dataset", workspace["dataset"], "--corpus", workspace["corpus"],
         "--models", models_dir, *args, "--c", "2",
@@ -430,6 +410,44 @@ def test_every_flag_a_run_reads_is_accepted(workspace, models_dir, tmp_path, cap
     assert "usage error" not in capsys.readouterr().err
 
 
+class _Backend(BaseHTTPRequestHandler):
+    """Answers 500 to each query holding its server's ``failing`` text and
+    one snippet to any other."""
+
+    def do_GET(self):
+        failed = self.server.failing in parse_qs(urlparse(self.path).query)["q"][0]
+        self.send_response(500 if failed else 200)
+        self.end_headers()
+        self.wfile.write(b"{}" if failed else b'{"results": [{"summary": "Velt painted the quartz mill."}]}')
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("failing, status", [("", 3), ('"', 0)], ids=["every-query", "phrasal-queries"])
+def test_ask_names_each_failed_query_and_exits_3_when_all_failed(tmp_path, monkeypatch, capsys, failing, status):
+    # A failed query is one rewrite's loss: ask answers from the others and
+    # names it on stderr. Only a run whose every query failed is a backend error.
+    monkeypatch.setattr("budgetqa.remote.time.sleep", lambda seconds: None)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Backend)
+    server.failing = failing
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"endpoint": f"http://127.0.0.1:{server.server_port}/search"}), encoding="utf-8")
+    try:
+        assert main(["ask", QUESTION, "--config", str(cfg), "--policy", "all"]) == status
+    finally:
+        server.shutdown()
+        server.server_close()
+    captured = capsys.readouterr()
+    assert captured.out.startswith("status: ANSWERED  queries issued: 6\n")
+    assert ("\n 1. Velt  " in captured.out) == (status == 0)
+    failed = [f"query failed: {r.as_query()}: backend failed after 3 attempts: HTTP 500"
+              for r in Question.from_text(QUESTION).rewrites if failing in r.as_query()]
+    assert len(failed) == (6 if status else 5)
+    assert captured.err.splitlines() == failed + (["backend error: all 6 queries failed"] if status else [])
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("k", "ten"), ("k", 0), ("c", -1.0), ("k", True), ("c", None), ("k", math.inf), ("c", math.nan),
@@ -468,10 +486,7 @@ def test_config_path_that_is_not_a_string_is_data_error(
     # open() and os.path.exists() take an integer as a file descriptor: a
     # corpus of 2 used to read stderr as the corpus and exit 1 with no
     # output, and a models_dir of 2 died in os.path.join with a traceback.
-    def no_index(docs):
-        raise AssertionError("an index was built")
-
-    monkeypatch.setattr("budgetqa.config.build_index", no_index)
+    monkeypatch.setattr("budgetqa.config.build_index", must_not_run("an index was built"))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"corpus": workspace["corpus"], field: 2}), encoding="utf-8")
     assert main(["ask", "Who did it?", "--config", str(cfg), "--policy", "all"]) == 2
@@ -529,22 +544,24 @@ def test_config_that_is_not_utf8_is_data_error(workspace, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "record, problem",
+    [('{"question": "?!", "patterns": ["x"]}', "question contains no word tokens"),
+     # An item compiles its patterns only when it is first judged, but loading
+     # a dataset compiles every one, so a bad pattern names its line.
+     ('{"question": "Who built the bridge?", "patterns": ["(unclosed"]}', "missing ), unterminated subpattern")],
+    ids=["no-word-tokens", "unclosed-pattern"],
+)
 @pytest.mark.parametrize("command", [["train", "--out", "OUT"], ["evaluate", "--policy", "all"]])
 def test_question_without_word_tokens_is_data_error_before_any_query(
-    workspace, tmp_path, monkeypatch, capsys, command
+    workspace, tmp_path, monkeypatch, capsys, command, record, problem
 ):
-    def no_query(self, rewrite, limit):
-        raise AssertionError("a query was issued")
-
-    monkeypatch.setattr(OfflineProvider, "execute", no_query)
+    monkeypatch.setattr(OfflineProvider, "execute", must_not_run("a query was issued"))
     dataset = tmp_path / "data.jsonl"
-    dataset.write_text(
-        '{"question": "Who did it?", "patterns": ["x"]}\n{"question": "?!", "patterns": ["x"]}\n',
-        encoding="utf-8",
-    )
+    dataset.write_text(f'{{"question": "Who did it?", "patterns": ["x"]}}\n{record}\n', encoding="utf-8")
     args = [str(tmp_path / "models") if a == "OUT" else a for a in command]
     assert main(args + ["--dataset", str(dataset), "--corpus", workspace["corpus"]]) == 2
-    assert "line 2: bad dataset record: question contains no word tokens" in capsys.readouterr().err
+    assert f"line 2: bad dataset record: {problem}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", '"corpus.jsonl"', "3"], ids=["list", "string", "number"])
@@ -580,10 +597,7 @@ def test_evaluate_sweep_k_shape_and_jsonl(workspace, models_dir, tmp_path, capsy
 def test_evaluate_out_without_its_directory_is_usage_error_before_any_query(
     workspace, models_dir, tmp_path, monkeypatch, capsys
 ):
-    def no_query(self, rewrite, limit):
-        raise AssertionError("a query was issued")
-
-    monkeypatch.setattr(OfflineProvider, "execute", no_query)
+    monkeypatch.setattr(OfflineProvider, "execute", must_not_run("a query was issued"))
     out = tmp_path / "missing" / "reports.jsonl"
     assert main([
         "evaluate", "--dataset", workspace["dataset"], "--corpus", workspace["corpus"],
@@ -594,33 +608,12 @@ def test_evaluate_out_without_its_directory_is_usage_error_before_any_query(
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("what", ["dataset", "corpus"])
-def test_evaluate_out_that_is_an_input_is_usage_error_before_any_query(
-    workspace, models_dir, tmp_path, monkeypatch, capsys, what
-):
-    def no_query(self, rewrite, limit):
-        raise AssertionError("a query was issued")
-
-    monkeypatch.setattr(OfflineProvider, "execute", no_query)
-    inputs = {name: tmp_path / f"{name}.jsonl" for name in ("dataset", "corpus")}
-    for name, path in inputs.items():
-        path.write_bytes(Path(workspace[name]).read_bytes())
-    assert main([
-        "evaluate", "--dataset", str(inputs["dataset"]), "--corpus", str(inputs["corpus"]),
-        "--models", models_dir, "--out", f"{tmp_path}/./{what}.jsonl",
-    ]) == 1
-    captured = capsys.readouterr()
-    assert "usage error: Invalid value for '--out':" in captured.err and f"is also the {what}" in captured.err
-    assert captured.out == ""
-    for name, path in inputs.items():
-        assert path.read_bytes() == Path(workspace[name]).read_bytes()
-
-
 # Each command that writes, with an output named as one of its inputs or as
 # its other output: the arguments, with "@" where the output's spelling
-# "./" or "sub/../" goes, and what the output also is. The files sit in one
-# directory laid out by _one_file_twice_layout. reproduce has no case: it
-# reads nothing, and its two outputs differ in name within one directory.
+# "./", "sub/../" or an absolute "<dir>/./" goes, and what the output also
+# is. The files sit in one directory laid out by _one_file_twice_layout.
+# reproduce has no case: it reads nothing, and its two outputs differ in
+# name within one directory.
 _ONE_FILE_TWICE = {
     "train-dataset": (["train", "--dataset", "t/models.json", "--corpus", "corpus.jsonl", "--out", "@t"], "dataset"),
     "train-corpus": (["train", "--dataset", "dataset.jsonl", "--corpus", "u/models.json", "--out", "@u"], "corpus"),
@@ -669,21 +662,25 @@ def _tree(root):
     return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
-@pytest.mark.parametrize("spelling", ["./", "sub/../"], ids=["dot", "sub-dotdot"])
+@pytest.mark.parametrize("spelling", ["./", "sub/../", "{root}/./"], ids=["dot", "sub-dotdot", "absolute"])
 @pytest.mark.parametrize("case", list(_ONE_FILE_TWICE))
 def test_an_output_that_is_an_input_or_another_output_is_usage_error_that_writes_nothing(
     workspace, models_dir, tmp_path, monkeypatch, capsys, case, spelling
 ):
     # Any input a run reads, the models file and the config included, can
     # be overwritten by an output that resolves to it.
+    monkeypatch.setattr(OfflineProvider, "execute", must_not_run("a query was issued"))
+    monkeypatch.setattr("budgetqa.harness.train_models", must_not_run("training ran"))
+    monkeypatch.setattr("budgetqa.bench.generate_benchmark", must_not_run("a benchmark was generated"))
     args, what = _ONE_FILE_TWICE[case]
+    option = next(flag for flag, arg in zip(args, args[1:]) if arg.startswith("@"))
     monkeypatch.chdir(tmp_path)
     _one_file_twice_layout(workspace, models_dir, tmp_path)
     before = _tree(tmp_path)
-    assert main([arg.replace("@", spelling) for arg in args]) == 1
+    assert main([arg.replace("@", spelling.format(root=tmp_path)) for arg in args]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "usage error: Invalid value for" in captured.err and f"is also the {what}" in captured.err
+    assert f"usage error: Invalid value for '{option}': " in captured.err and f"is also the {what}" in captured.err
     assert _tree(tmp_path) == before
 
 
@@ -730,22 +727,18 @@ def test_evaluate_sweep_n_shape(workspace, models_dir, capsys):
 
 @pytest.mark.parametrize("backend", ["corpus", "endpoint"])
 def test_evaluate_default_jobs_per_backend(workspace, tmp_path, monkeypatch, backend):
-    from budgetqa import evaluation
-
     seen = {}
 
     def fake_evaluate(*args, **kwargs):
         seen["jobs"] = kwargs["jobs"]
-        return evaluation.Report("stub", 0, 0, 0, 0, 0)
+        return Report("stub", 0, 0, 0, 0, 0)
 
-    monkeypatch.setattr(evaluation, "evaluate", fake_evaluate)
+    monkeypatch.setattr("budgetqa.evaluation.evaluate", fake_evaluate)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     cfg = tmp_path / "cfg.json"
-    if backend == "corpus":
-        source = {"corpus": workspace["corpus"]}
-    else:  # never contacted: evaluate is replaced above
-        source = {"endpoint": "http://127.0.0.1:9/s"}
-    cfg.write_text(json.dumps({**source, "max_in_flight": 3}), encoding="utf-8")
+    # The endpoint is never contacted: evaluate is replaced above.
+    source = workspace["corpus"] if backend == "corpus" else "http://127.0.0.1:9/s"
+    cfg.write_text(json.dumps({backend: source, "max_in_flight": 3}), encoding="utf-8")
     assert main([
         "evaluate", "--dataset", workspace["dataset"], "--config", str(cfg), "--policy", "all",
     ]) == 0
@@ -769,8 +762,6 @@ def test_gen_bench_round_trip(tmp_path):
         "gen-bench", "--questions", "10", "--redundancy", "2", "--distractors", "5",
         "--seed", "4", "--out-corpus", corpus, "--out-dataset", dataset,
     ]) == 0
-    from budgetqa.evaluation import load_dataset
-
     assert len(load_dataset(dataset)) == 10
     assert len(Path(corpus).read_text().splitlines()) >= 10
 

@@ -39,7 +39,7 @@ from budgetqa.text import default_stopwords
 from budgetqa.tree import DecisionTree, Leaf, Split
 
 from oracles import best_budget, remined_counts
-from stubs import model_set
+from stubs import model_set, must_not_run
 
 
 def _leaf_tree(p):
@@ -407,8 +407,7 @@ class _BatchRecorder:
     def __init__(self):
         self.batches = []
 
-    def execute(self, rewrite, limit):
-        raise AssertionError("a run sends a batch provider batches only")
+    execute = must_not_run("a run sends a batch provider batches only")
 
     def execute_many(self, rewrites, limit, started=None):
         self.batches.append((len(rewrites), started))
@@ -452,8 +451,7 @@ class _FailingBatchProvider(_FailingProvider):
     """A batch provider with the same outcomes: the three failures as the
     batch's exceptions, then snippets."""
 
-    def execute(self, rewrite, limit):
-        raise AssertionError("a run sends a batch provider batches only")
+    execute = must_not_run("a run sends a batch provider batches only")
 
     def execute_many(self, rewrites, limit, started=None):
         self.executed.extend(rewrite.parts[0] for rewrite in rewrites)

@@ -15,6 +15,8 @@ from budgetqa.rewrite import AdjacencyGrammarScorer
 from budgetqa.search import DEFAULT_LIMIT, MeteredProvider, OfflineProvider, build_index, save_corpus
 from budgetqa.tree import tree_to_dict
 
+from stubs import must_not_run
+
 
 @pytest.fixture(scope="module")
 def small_setup():
@@ -87,8 +89,7 @@ class _SerialLimits:
 class _BatchLimits(_SerialLimits):
     """Records the limit of each batch; a run sends it batches only."""
 
-    def execute(self, rewrite, limit):
-        raise AssertionError("a run sends a batch provider batches only")
+    execute = must_not_run("a run sends a batch provider batches only")
 
     def execute_many(self, rewrites, limit, started=None):
         self.limits.append(limit)

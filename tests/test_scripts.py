@@ -13,6 +13,8 @@ import pytest
 from budgetqa import bench
 from budgetqa.cli import main
 
+from stubs import must_not_run
+
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
@@ -79,10 +81,7 @@ BAD_ARGUMENTS = [
 )
 def test_experiment_script_rejects_out_of_range_arguments(args, message, tmp_path, capsys, monkeypatch):
     # A usage error before any work, not a traceback after training.
-    def no_benchmark(*_, **__):
-        raise AssertionError("a benchmark was generated")
-
-    monkeypatch.setattr(bench, "generate_benchmark", no_benchmark)
+    monkeypatch.setattr(bench, "generate_benchmark", must_not_run("a benchmark was generated"))
     assert message in _refused([*args, "--out-dir", str(tmp_path)], capsys)
 
 
