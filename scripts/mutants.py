@@ -200,7 +200,7 @@ MUTANTS = [
     ),
     Mutant(
         "index-first-posting-misplaced", "src/budgetqa/search.py",
-        "postings[key] = [ordinal, pos]", "postings[key] = [ordinal, pos + 1]",
+        "first_positions[key] = {ordinal: pos}", "first_positions[key] = {ordinal: pos + 1}",
         ("tests/test_search.py",),
     ),
     Mutant(
@@ -210,8 +210,8 @@ MUTANTS = [
     ),
     Mutant(
         "phrase-last-key-unchecked", "src/budgetqa/search.py",
-        "doc_keys[ordinal][start : start + size] == phrase_keys",
-        "doc_keys[ordinal][start : start + size - 1] == phrase_keys[:-1]",
+        "keys[pos : pos + len(phrase_keys)] == phrase_keys",
+        "keys[pos : pos + len(phrase_keys) - 1] == phrase_keys[:-1]",
         ("tests/test_search.py",),
     ),
     Mutant(
@@ -241,8 +241,13 @@ MUTANTS = [
     ),
     # Relations the pipeline keeps.
     Mutant(
-        "conjunctive-hits-in-corpus-order", "src/budgetqa/search.py",
-        "ordered = sorted(matched, key=lambda o: index.docs[o].id)", "ordered = sorted(matched)",
+        "index-keeps-corpus-order", "src/budgetqa/search.py",
+        'sorted(docs, key=attrgetter("id"))', "list(docs)",
+        ("tests/test_evaluation.py",),
+    ),
+    Mutant(
+        "snippet-cut-from-neighbour-document", "src/budgetqa/search.py",
+        "doc = self.docs[ordinal]", "doc = self.docs[ordinal - 1]",
         ("tests/test_evaluation.py",),
     ),
     # The configuration.

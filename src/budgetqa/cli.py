@@ -8,8 +8,10 @@ All three search one backend, set by ``--corpus`` or ``--config``.
 benchmark; ``scripts/run_policy_experiments.py`` is that command.
 Exit codes: 0 success or abstain, 1 usage error, 2 data error, 3 backend
 error. ``ask`` writes each failed query to stderr and exits 3 when every
-query it issued failed; ``evaluate`` counts a failed query against its
-question and goes on.
+query it issued failed. ``evaluate`` counts a failed query against its
+question and goes on; after its table it writes to stderr how many
+questions had a failed query, and it exits 3 when every query it issued,
+over every run of a sweep, failed.
 
 Each command that writes declares its files once, in one ``_check_files``
 call after its config loads and before any other work: what it reads (the
@@ -311,25 +313,34 @@ def cmd_evaluate(dataset_path, config_path, policy, n, seed, k, corpus_path, mod
         # Offline search holds the GIL, so threads only add overhead there.
         jobs = min(os.cpu_count() or 1, cfg.max_in_flight) if cfg.endpoint else 1
 
+    reports: list[evaluation.Report] = []  # every run's, each in dataset order
     if sweep_k_values:
         results = evaluation.sweep_k(
             dataset, provider, models, sweep_k_values, jobs=jobs
         )
         click.echo(evaluation.render_k_sweep(results))
-        rows = [r.to_json() for _, r in results]
+        reports = [r for _, r in results]
+        rows = [r.to_json() for r in reports]
     elif sweep_n_flag:
-        rows = evaluation.sweep_n(dataset, provider, models, seeds or [0, 1, 2], jobs=jobs)
+        rows = evaluation.sweep_n(dataset, provider, models, seeds or [0, 1, 2], jobs=jobs, reports=reports)
         click.echo(evaluation.render_n_sweep(rows))
     else:
-        report = evaluation.evaluate(
+        reports = [evaluation.evaluate(
             mode.build(n, cfg.seed), dataset, provider, models, cfg.preferences,
             jobs=jobs,
-        )
-        click.echo(evaluation.render_reports([report]))
-        rows = [report.to_json()]
+        )]
+        click.echo(evaluation.render_reports(reports))
+        rows = [reports[0].to_json()]
+    records = [(i, r) for report in reports for i, r in enumerate(report.per_question)]
+    issued, failed = sum(r.queries_issued for _, r in records), sum(r.failed for _, r in records)
+    if failed:
+        click.echo(f"{len({i for i, r in records if r.failed})} of {len(dataset)} questions had a failed query "
+                   f"({failed} of {issued} queries)", err=True)
     if out_path:  # one JSON object per line: a report each, or a sweep-n row each
         evaluation.write_jsonl(rows, out_path)
         click.echo(f"wrote {len(rows)} {'row(s)' if sweep_n_flag else 'report(s)'} -> {out_path}")
+    if failed and failed == issued:
+        raise ProviderError(f"all {issued} queries failed")
 
 
 @cli.command("gen-bench")

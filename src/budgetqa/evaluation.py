@@ -149,7 +149,8 @@ class QuestionRecord:
     judgment: Judgment
     queries_issued: int
     top_answer: str | None
-    error: str | None = None
+    error: str | None = None  # the failed queries' messages, joined
+    failed: int = 0  # failed queries, each also counted as issued
 
 
 @dataclass
@@ -206,7 +207,7 @@ def evaluate(
         top = result.top_answer
         return QuestionRecord(
             item.question, item.verdict(top), result.queries_issued, top,
-            "; ".join(result.backend_errors) or None,
+            "; ".join(result.backend_errors) or None, len(result.backend_errors),
         )
 
     if jobs > 1:
@@ -265,6 +266,7 @@ def sweep_n(
     seeds: Sequence[int] = (0,),
     *,
     jobs: int = 1,
+    reports: list[Report] | None = None,
 ) -> list[dict]:
     """Fixed-budget comparison: random order vs likelihood order at every
     training threshold N.
@@ -273,7 +275,8 @@ def sweep_n(
     same for both orders at a given N (same number of submissions), and a
     report whose cost is not the sum of min(N, rewrites) over the questions
     raises ``RuntimeError``. Runs reuse the orders and compositions their
-    questions remember (see ``control.py``).
+    questions remember (see ``control.py``). Each report the sweep makes is
+    appended to ``reports`` when one is given.
     """
     if not seeds:
         raise ValueError("sweep_n needs at least one random-order seed")
@@ -285,6 +288,8 @@ def sweep_n(
             for seed in seeds
         ]
         likelihood = evaluate(LikelihoodN(n), dataset, provider, models, jobs=jobs)
+        if reports is not None:
+            reports += randoms + [likelihood]
         cost = likelihood.total_cost
         expected = sum(min(n, len(item.parsed.rewrites)) for item in dataset)
         if any(r.total_cost != cost for r in randoms) or cost != expected:

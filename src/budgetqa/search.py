@@ -8,39 +8,27 @@ The index is the reproducible stand-in for a remote search engine: matching
 is case-insensitive, results are deterministic, and the index is immutable
 after construction so concurrent queries are safe.
 
-The index is built in one pass over the documents' token keys: each token
-costs one ``postings.get`` and two appends, and a key's list of postings is
-made at its first posting. A key's postings are one flat list of ints,
-``[ordinal0, pos0, ordinal1, pos1, ...]``, not a tuple per posting: a tuple
-is a 56-byte object besides its slot in the list, and the ints are shared
-(one ordinal object per document, and CPython keeps one object for each
-small position). ``generate_benchmark(240, seed=0)``'s corpus, 8,242 tokens
-over 245 keys, makes 245 lists and no tuple. A word that keys to "" (all
-boundary punctuation, such as "—") keeps its position in the document's keys
-but gets no postings. ``first_positions`` is then read off each key's
-postings, last posting first.
-
-The index keeps no second copy of the corpus's words: a snippet's words are
-split from its document's text when the snippet is cut, about 0.5 µs for the
-12 words of a generated document. Traced by ``tracemalloc`` on a second
-build (2 vCPUs, Python 3.11.7), the index of ``generate_benchmark(240,
-seed=0)``'s corpus holds 623 KB and that of 400 questions 971 KB; with a
-tuple per posting and a list of every document's words they held 1,460 and
-2,386 KB.
-
-A phrase is matched by scanning the postings of its rarest key and checking
-the document's keys around each posting (Manning, Raghavan & Schütze,
-*Introduction to Information Retrieval*, §2.4). Before that check, one
-lookup in the first-position map of the phrase's next rarest key skips a
-document that lacks it; in the experiment's queries that leaves about 3 of
-28 postings. The phrase's keys nearly always share a document (1,222 of
-1,296 seed-0 phrase queries), so intersecting their document sets first
-would rule out little and cost more than it saves. A conjunctive query ANDs
-single words: it intersects the words' document sets (the keys of the
-index's first-position maps), starting from the word with the fewest
-documents (§1.3), and reads the first word's first position in each
-document left from its map. Either query ends at the first key that occurs
-nowhere, without a scan.
+The index keeps its documents in id order and two structures over them:
+``keys``, each document's token keys in word order, and
+``first_positions``, each key's map of doc ordinal -> first position,
+built in one pass with one ``dict.get`` per token. A word that keys to ""
+(all boundary punctuation, such as "—") keeps its place in ``keys`` but is
+no key of ``first_positions``. Both query kinds share one document match,
+``Index.documents``: it intersects the keys' document sets (the keys of
+their first-position maps), starting from the key with the fewest
+documents (Manning, Raghavan & Schütze, *Introduction to Information
+Retrieval*, §1.3), and returns the ordinals left in ascending, and so id,
+order. A conjunctive query cuts one snippet per matched document around
+its first word's first position; a phrase query checks each matched
+document's keys at each occurrence of the phrase's first key, from its
+first position (§2.4). Either query ends at the first key that occurs
+nowhere. The index keeps no second copy of the corpus's words: a
+snippet's words are split from its document's text when the snippet is
+cut, about 0.5 µs for the 12 words of a generated document. Traced by
+``tracemalloc`` on a second build (2 vCPUs, Python 3.11.7), the index of
+``generate_benchmark(240, seed=0)``'s corpus (713 documents, 8,242 tokens
+over 245 keys) holds 468 KiB and that of 400 questions 733 KiB; with a
+flat list of postings per key as well they held 623 and 971 KiB.
 
 Search results are tuples of frozen snippets, so they can be shared. Each
 ``OfflineProvider`` memoises its results, keyed by the rewrite's kind, its
@@ -66,10 +54,10 @@ skips blank lines and numbers the line of a bad record.
 from __future__ import annotations
 
 import json
-import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from operator import attrgetter
 from typing import Callable, Iterable, Protocol, Sequence
 
 from .errors import DatasetParseError, DuplicateDocument, EmptyCorpus
@@ -120,34 +108,30 @@ class SearchProvider(Protocol):
 
 
 class Index:
-    """Positional inverted index over a corpus.
+    """Positional index over a corpus, its documents in id order.
 
     ``keys`` holds each document's token keys, one per whitespace word.
-    ``postings`` maps a token key to every (doc ordinal, position) it occurs
-    at, in that order, flattened into one list of ints: ``[0, 0, 0, 2]`` for
-    "a" in the one document "a b a". ``first_positions`` maps it to doc
-    ordinal -> first position, which answers "does this doc contain the key,
-    and where first" in one lookup. Snippet text is cut from the document's
-    raw whitespace words, split from its text per snippet, so source case
-    and punctuation are preserved even though matching is normalized.
+    ``first_positions`` maps a token key to doc ordinal -> first position,
+    which answers "does this doc contain the key, and where first" in one
+    lookup: ``{"a": {0: 0}, "b": {0: 1}}`` for the one document "a b a".
+    A document's ordinal is its place in id order, so hits in ordinal
+    order are in id order. Snippet text is cut from the document's raw
+    whitespace words, split from its text per snippet, so source case and
+    punctuation are preserved even though matching is normalized.
     """
 
     def __init__(self, docs: list[Document]):
-        self.docs = docs
-        self.keys: list[list[str]] = [list(map(token_key, doc.text.split())) for doc in docs]
-        postings: dict[str, list[int]] = {}
+        self.docs = sorted(docs, key=attrgetter("id"))
+        self.keys: list[list[str]] = [list(map(token_key, doc.text.split())) for doc in self.docs]
+        first_positions: dict[str, dict[int, int]] = {}
         for ordinal, keys in enumerate(self.keys):
             for pos, key in enumerate(keys):
-                if plist := postings.get(key):  # a key's list exists from its first posting on
-                    plist.append(ordinal)
-                    plist.append(pos)
-                elif key:  # the empty key gets no postings
-                    postings[key] = [ordinal, pos]
-        self.postings = postings
-        # Read backwards so that each doc's first position is the one kept.
-        self.first_positions: dict[str, dict[int, int]] = {
-            key: dict(zip(plist[-2::-2], plist[-1::-2])) for key, plist in postings.items()
-        }
+                if (firsts := first_positions.get(key)) is None:
+                    if key:  # the empty key matches nothing
+                        first_positions[key] = {ordinal: pos}
+                elif ordinal not in firsts:
+                    firsts[ordinal] = pos
+        self.first_positions = first_positions
 
     def _snippet(self, ordinal: int, start: int, end: int) -> Snippet:
         lo = start - DEFAULT_WINDOW
@@ -155,33 +139,38 @@ class Index:
         words = doc.text.split()[lo if lo > 0 else 0 : end + DEFAULT_WINDOW]
         return Snippet(text=" ".join(words), source_doc=doc.id)
 
+    def documents(self, keys: list[str]) -> tuple[list[dict[int, int]], list[int]]:
+        """Each key's first positions, and the ordinals of the documents
+        that hold every key, ascending, intersected from the key with the
+        fewest documents. No key, or a key that occurs nowhere (or is
+        empty), matches no document."""
+        first_positions = self.first_positions
+        try:
+            starts = [first_positions[key] for key in keys]
+            fewest, *rest = sorted(starts, key=len)
+        except (KeyError, ValueError):  # a key that occurs nowhere, or no key
+            return [], []
+        matched = fewest.keys()
+        for found in rest:
+            matched = matched & found.keys()  # iterates the smaller side, in C
+        return starts, sorted(matched)
+
     def phrase_positions(self, phrase_keys: list[str]) -> list[tuple[int, int]]:
         """(ordinal, position) of every contiguous occurrence of the phrase,
-        in (ordinal, position) order. Scans the postings of the rarest key."""
-        if not phrase_keys:
-            return []
-        postings = self.postings
-        try:
-            plists = [postings[key] for key in phrase_keys]
-        except KeyError:
-            return []  # a key that occurs nowhere (or is empty) matches nothing
-        sizes = list(map(len, plists))  # two ints per posting, so the rarest key is the same
-        offset = sizes.index(min(sizes))
-        # A document without the next rarest key cannot hold the phrase, so
-        # one lookup skips it. A one-key phrase's only key is its own next
-        # rarest, which every posting's document has.
-        sizes[offset] = math.inf
-        also = self.first_positions[phrase_keys[sizes.index(min(sizes))]]
-        size = len(phrase_keys)
-        doc_keys = self.keys
-        pairs = iter(plists[offset])
-        return [
-            (ordinal, start)
-            for ordinal, pos in zip(pairs, pairs)
-            if ordinal in also
-            and (start := pos - offset) >= 0
-            and doc_keys[ordinal][start : start + size] == phrase_keys
-        ]
+        in (ordinal, position) order. Each document that holds every key is
+        checked at each occurrence of the first key, from its first."""
+        starts, ordinals = self.documents(phrase_keys)
+        hits = []
+        for ordinal in ordinals:
+            keys, pos = self.keys[ordinal], starts[0][ordinal]
+            try:
+                while True:
+                    if keys[pos : pos + len(phrase_keys)] == phrase_keys:
+                        hits.append((ordinal, pos))
+                    pos = keys.index(phrase_keys[0], pos + 1)
+            except ValueError:  # the first key occurs no further on
+                pass
+        return hits
 
 
 def build_index(corpus: list[Document]) -> Index:
@@ -207,7 +196,6 @@ def query_phrase(index: Index, phrase: Sequence[str], limit: int = DEFAULT_LIMIT
     """
     keys = _phrase_keys(phrase)
     hits = index.phrase_positions(keys)
-    hits.sort(key=lambda hit: (index.docs[hit[0]].id, hit[1]))
     return tuple(index._snippet(o, p, p + len(keys)) for o, p in hits[:limit])
 
 
@@ -215,21 +203,8 @@ def query_conjunctive(index: Index, parts: Sequence[str], limit: int = DEFAULT_L
     """Documents containing every single-word part anywhere; one snippet per
     document, centered on the first part's first occurrence in it.
     """
-    keys = _phrase_keys(parts)
-    if not keys:
-        return ()
-
-    first_positions = index.first_positions
-    try:
-        starts = [first_positions[k] for k in keys]
-    except KeyError:
-        return ()  # a word that occurs nowhere
-    fewest, *rest = sorted(starts, key=len)
-    matched = fewest.keys()
-    for found in rest:
-        matched = matched & found.keys()  # iterates the smaller side, in C
-    ordered = sorted(matched, key=lambda o: index.docs[o].id)
-    return tuple(index._snippet(o, starts[0][o], starts[0][o] + 1) for o in ordered[:limit])
+    starts, ordinals = index.documents(_phrase_keys(parts))
+    return tuple(index._snippet(o, starts[0][o], starts[0][o] + 1) for o in ordinals[:limit])
 
 
 def _search(index: Index, phrasal: bool, parts: tuple[str, ...], limit: int) -> tuple[Snippet, ...]:

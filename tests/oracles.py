@@ -472,7 +472,8 @@ def grow_by_masks(cases, schema):
 # Earlier implementations of the speed-tuned kernels, kept verbatim but for
 # their names (and ``self`` made an argument), so each rewrite can be checked
 # to return exactly what they return, order included. Unlike the oracles
-# above they read the index's postings and build the package's own types.
+# above they build the package's own types; the slow index keeps the
+# (ordinal, position) postings that the index no longer has.
 
 
 def slow_ngrams(text: str) -> tuple:
@@ -493,8 +494,9 @@ def slow_ngrams(text: str) -> tuple:
 
 
 def slow_index_init(self, docs: list[Document]):
-    """``Index.__init__`` with one ``setdefault`` per token; ``self`` is an
-    ``Index`` made by ``Index.__new__``."""
+    """``Index.__init__`` with one ``setdefault`` per token, over documents
+    already in id order; ``self`` is an ``Index`` made by ``Index.__new__``.
+    Its first positions are read off the postings, in ordinal order."""
     self.docs = docs
     self.raw_words: list[list[str]] = []
     self.keys: list[list[str]] = []
@@ -507,15 +509,17 @@ def slow_index_init(self, docs: list[Document]):
         for pos, key in enumerate(keys):
             if key:
                 self.postings.setdefault(key, []).append((ordinal, pos))
-    # Reversed so that each doc's first position is the one kept.
+    # Reversed so that each doc's first position is the one kept, then put
+    # back in ordinal order.
     self.first_positions: dict[str, dict[int, int]] = {
-        key: dict(reversed(plist)) for key, plist in self.postings.items()
+        key: dict(sorted(dict(reversed(plist)).items())) for key, plist in self.postings.items()
     }
 
 
 def slow_phrase_positions(self, phrase_keys: list[str]) -> list[tuple[int, int]]:
-    """``Index.phrase_positions`` filtering on the rarest key's neighbour;
-    ``self`` is the ``Index``."""
+    """``Index.phrase_positions`` when it scanned the rarest key's postings,
+    filtering on that key's neighbour; ``self`` is an ``Index`` filled by
+    ``slow_index_init``."""
     if not phrase_keys:
         return []
     plists = [self.postings.get(k) for k in phrase_keys]

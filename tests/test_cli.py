@@ -1,6 +1,8 @@
+import contextlib
 import json
 import math
 import os
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -424,10 +426,10 @@ class _Backend(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.mark.parametrize("failing, status", [("", 3), ('"', 0)], ids=["every-query", "phrasal-queries"])
-def test_ask_names_each_failed_query_and_exits_3_when_all_failed(tmp_path, monkeypatch, capsys, failing, status):
-    # A failed query is one rewrite's loss: ask answers from the others and
-    # names it on stderr. Only a run whose every query failed is a backend error.
+@contextlib.contextmanager
+def _backend_config(tmp_path, monkeypatch, failing):
+    """A config file naming a running ``_Backend`` that fails each query
+    holding ``failing``; its retries do not sleep."""
     monkeypatch.setattr("budgetqa.remote.time.sleep", lambda seconds: None)
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Backend)
     server.failing = failing
@@ -435,10 +437,18 @@ def test_ask_names_each_failed_query_and_exits_3_when_all_failed(tmp_path, monke
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"endpoint": f"http://127.0.0.1:{server.server_port}/search"}), encoding="utf-8")
     try:
-        assert main(["ask", QUESTION, "--config", str(cfg), "--policy", "all"]) == status
+        yield str(cfg)
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.mark.parametrize("failing, status", [("", 3), ('"', 0)], ids=["every-query", "phrasal-queries"])
+def test_ask_names_each_failed_query_and_exits_3_when_all_failed(tmp_path, monkeypatch, capsys, failing, status):
+    # A failed query is one rewrite's loss: ask answers from the others and
+    # names it on stderr. Only a run whose every query failed is a backend error.
+    with _backend_config(tmp_path, monkeypatch, failing) as cfg:
+        assert main(["ask", QUESTION, "--config", cfg, "--policy", "all"]) == status
     captured = capsys.readouterr()
     assert captured.out.startswith("status: ANSWERED  queries issued: 6\n")
     assert ("\n 1. Velt  " in captured.out) == (status == 0)
@@ -446,6 +456,32 @@ def test_ask_names_each_failed_query_and_exits_3_when_all_failed(tmp_path, monke
               for r in Question.from_text(QUESTION).rewrites if failing in r.as_query()]
     assert len(failed) == (6 if status else 5)
     assert captured.err.splitlines() == failed + (["backend error: all 6 queries failed"] if status else [])
+
+
+@pytest.mark.parametrize("failing, status", [("", 3), ('"', 0)], ids=["every-query", "phrasal-queries"])
+@pytest.mark.parametrize(
+    "run, rows",
+    [(["--policy", "all"], 1), (["--sweep-k", "5,10"], 2), (["--sweep-n", "--seeds", "0"], 13)],
+    ids=["policy", "sweep-k", "sweep-n"],
+)
+def test_evaluate_counts_questions_with_a_failed_query_and_exits_3_when_all_failed(
+    workspace, models_dir, tmp_path, monkeypatch, capsys, failing, status, run, rows
+):
+    # evaluate goes on past a failed query, as ask does, but says after its
+    # table how many questions had one; when every query of every run
+    # failed it is a backend error. Its --out rows are written either way.
+    lines = Path(workspace["dataset"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    dataset, out = tmp_path / "dataset.jsonl", tmp_path / "out.jsonl"
+    dataset.write_text("".join(lines[:2]), encoding="utf-8")
+    with _backend_config(tmp_path, monkeypatch, failing) as cfg:
+        assert main(["evaluate", "--dataset", str(dataset), "--config", cfg, "--models", models_dir,
+                     "--out", str(out), *run]) == status
+    err = capsys.readouterr().err.splitlines()
+    counts = re.fullmatch(r"2 of 2 questions had a failed query \((\d+) of (\d+) queries\)", err[0])
+    failed, issued = map(int, counts.groups())
+    assert (failed == issued) == (status == 3) and failed > 0
+    assert err[1:] == ([f"backend error: all {issued} queries failed"] if status else [])
+    assert len(out.read_text(encoding="utf-8").splitlines()) == rows
 
 
 @pytest.mark.parametrize(
